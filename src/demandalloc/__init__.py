@@ -30,10 +30,10 @@ from .polyalg import (Factorization, NoRoots, NumericalInstability,
 from .routing import (InfeasibleTargets, PeriodOffsets, RoutePathResult,
                       RoutingResult, compute_offsets, export_assignment_log,
                       integerize_demand, route_orders, route_path)
-from .seller import (FBM, FBP, DomainError, ModeEconomics, PlatformCosts,
-                     SellerParams, adoption_set, base_stock,
+from .seller import (FBM, FBP, DomainError, MarketTable, ModeEconomics,
+                     PlatformCosts, SellerParams, adoption_set, base_stock,
                      check_cost_assumptions, export_k_table,
-                     inventory_coefficient, k_table, mode_choice,
+                     inventory_coefficient, k_table, market_table, mode_choice,
                      mode_economics, seller_utility, sigma_participation_ub,
                      std_normal_cdf, std_normal_loss, std_normal_quantile)
 
@@ -44,7 +44,7 @@ __all__ = [
     "DemandModel", "DemandPath", "DomainError", "EmptyFeasibleSet",
     "ExPostAllocation", "FBM", "FBP", "Factorization", "FilterForecaster",
     "Infeasible", "InfeasibleTargets", "InsufficientHistory", "LeadTimeChoice",
-    "LeadTimeSpec", "ModeEconomics", "NeutralityReport", "NoRoots",
+    "LeadTimeSpec", "MarketTable", "ModeEconomics", "NeutralityReport", "NoRoots",
     "NumericalInstability", "PayoffResult", "PeriodOffsets", "PlatformCosts",
     "PlatformSolution", "RoutePathResult", "RoutingResult", "SellerParams",
     "TransferPoly", "UnsupportedPolicy", "ZeroPolynomial", "adoption_set",
@@ -55,7 +55,8 @@ __all__ = [
     "deserialize_policy", "filter_msfe", "inner_outer_factor",
     "innovations_msfe", "innovations_predict", "integerize_demand",
     "inventory_coefficient", "is_invertible", "k_table", "lagged_variant",
-    "leadtime_mode_choice", "leadtime_msfe", "leadtime_theta", "mode_choice",
+    "leadtime_mode_choice", "leadtime_msfe", "leadtime_theta", "market_table",
+    "mode_choice",
     "mode_economics", "neutral_policy", "optimize", "payoff", "payoff_curve",
     "poly_mul", "poly_roots", "prob_negative", "root_msfe", "route_orders",
     "route_path", "safety_stock_totals", "seller_cv_bound", "seller_filter",

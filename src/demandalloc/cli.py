@@ -79,11 +79,17 @@ def _check_fields(block: dict, path: str, required: tuple, optional: tuple = ())
         raise ScenarioError(f"{path}: missing field(s) {', '.join(missing)}")
 
 
-def _number(block: dict, path: str, key: str):
-    value = block[key]
+def _finite(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}.{key}: expected a number, got {value!r}")
+        raise ScenarioError(f"{path}: expected a number, got {value!r}")
+    # False for NaN, for infinities and for integers too large for a float
+    if not abs(value) <= sys.float_info.max:
+        raise ScenarioError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _number(block: dict, path: str, key: str) -> float:
+    return _finite(block[key], f"{path}.{key}")
 
 
 def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
@@ -95,19 +101,23 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
     psi_raw = demand_block["psi"]
     if not isinstance(psi_raw, list) or not psi_raw:
         raise ScenarioError(f"{source}.demand.psi: expected a non-empty array")
-    psi = tuple(float(c) for c in psi_raw)
+    psi = tuple(_finite(c, f"{source}.demand.psi[{i}]")
+                for i, c in enumerate(psi_raw))
 
     plat = doc["platform"]
     _check_fields(plat, f"{source}.platform",
                   required=("rho", "F", "H", "delta_f", "delta_h", "r"))
-    costs = seller.PlatformCosts(
-        rho=_number(plat, f"{source}.platform", "rho"),
-        F=_number(plat, f"{source}.platform", "F"),
-        H=_number(plat, f"{source}.platform", "H"),
-        delta_f=_number(plat, f"{source}.platform", "delta_f"),
-        delta_h=_number(plat, f"{source}.platform", "delta_h"),
-        r=_number(plat, f"{source}.platform", "r"),
-    )
+    try:
+        costs = seller.PlatformCosts(
+            rho=_number(plat, f"{source}.platform", "rho"),
+            F=_number(plat, f"{source}.platform", "F"),
+            H=_number(plat, f"{source}.platform", "H"),
+            delta_f=_number(plat, f"{source}.platform", "delta_f"),
+            delta_h=_number(plat, f"{source}.platform", "delta_h"),
+            r=_number(plat, f"{source}.platform", "r"),
+        )
+    except seller.DomainError as exc:
+        raise ScenarioError(f"{source}.platform: {exc}") from exc
 
     sellers_raw = doc["sellers"]
     if not isinstance(sellers_raw, list) or not sellers_raw:
@@ -153,7 +163,7 @@ def load_scenario(path: str) -> Scenario:
 
 
 def dump_scenario(scenario: Scenario) -> str:
-    return json.dumps(scenario.to_dict(), indent=2)
+    return json.dumps(scenario.to_dict(), indent=2, allow_nan=False)
 
 
 @contextlib.contextmanager
@@ -168,8 +178,7 @@ def _primary_stream(out_path):
 
 def _emit_summary(summary: dict, primary_on_stdout: bool) -> None:
     stream = sys.stderr if primary_on_stdout else sys.stdout
-    json.dump(summary, stream, indent=2)
-    stream.write("\n")
+    stream.write(json.dumps(summary, indent=2, allow_nan=False) + "\n")
 
 
 def cmd_optimize(args) -> int:
@@ -184,10 +193,9 @@ def cmd_optimize(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["key", "value"])
             for key, value in doc.items():
-                writer.writerow([key, json.dumps(value)])
+                writer.writerow([key, json.dumps(value, allow_nan=False)])
         else:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     if args.out:
         print(f"wrote {args.out}", file=sys.stderr)
     if args.grid:
@@ -203,16 +211,12 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _policy_for(scenario: Scenario, model: DemandModel, sigma: float):
-    return policy.neutral_policy(model, scenario.n_sellers, sigma)
-
-
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     model = scenario.model()
     N = scenario.n_sellers
     sigma = args.sigma
-    alloc_policy = _policy_for(scenario, model, sigma)
+    alloc_policy = policy.neutral_policy(model, N, sigma)
     periods = args.periods or scenario.horizon
     seed = scenario.seed if args.seed is None else args.seed
     path = simulate(model, periods, seed)
@@ -220,11 +224,11 @@ def cmd_simulate(args) -> int:
     start = expost.start_period
     demands = path.demands[start:]
 
-    adopters = seller.adoption_set(scenario.sellers, scenario.costs, N,
-                                   scenario.mu, sigma)
-    modes = [seller.FBP if n in adopters else seller.FBM for n in range(1, N + 1)]
-    econs = [seller.mode_economics(p, scenario.costs, m)
-             for p, m in zip(scenario.sellers, modes)]
+    table = seller.market_table(scenario.sellers, scenario.costs, N, scenario.mu)
+    fbp = table.adopts(sigma)
+    modes = [seller.FBP if a else seller.FBM for a in fbp.tolist()]
+    zetas = np.where(fbp, table.zeta_fbp, table.zeta_fbm).tolist()
+    ks = np.where(fbp, table.k_fbp, table.k_fbm).tolist()
 
     mu_share = scenario.mu / N
     rows = expost.allocations
@@ -235,7 +239,7 @@ def cmd_simulate(args) -> int:
     for i in range(N):
         filt = policy.seller_filter(alloc_policy, model, i + 1)
         pred = forecast.innovations_predict(filt, rows[i], mean=mu_share)
-        stock = pred + econs[i].zeta * sigma
+        stock = pred + zetas[i] * sigma
         over = np.maximum(stock - rows[i], 0.0)
         under = np.maximum(rows[i] - stock, 0.0)
         h_bar = scenario.costs.H if modes[i] == seller.FBP else scenario.sellers[i].h
@@ -250,8 +254,8 @@ def cmd_simulate(args) -> int:
             "empirical_msfe": empirical,
             "msfe_ratio": empirical / sigma,
             "mean_cost": float(np.mean(cost)),
-            "k_sigma": econs[i].K * sigma,
-            "cost_ratio": float(np.mean(cost)) / (econs[i].K * sigma),
+            "k_sigma": ks[i] * sigma,
+            "cost_ratio": float(np.mean(cost)) / (ks[i] * sigma),
         })
 
     with _primary_stream(args.out) as (fh, on_stdout):
@@ -322,8 +326,7 @@ def cmd_factor(args) -> int:
         "msfe_squared": root_msfe(p, boundary_tol=args.boundary_tol) ** 2,
         "invertible": is_invertible(p, boundary_tol=args.boundary_tol),
     }
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return EXIT_OK
 
 
@@ -342,8 +345,7 @@ def cmd_msfe(args) -> int:
         forecaster = forecast.ses_truncated_weights(args.ses)
         doc["ses_lambda"] = args.ses
         doc["ses_msfe"] = forecast.filter_msfe(p, forecaster)
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return EXIT_OK
 
 
@@ -419,40 +421,40 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None,
                            help="RNG seed (default: scenario seed)")
         p.add_argument("--out", default=None, help="write primary output here")
-        p.add_argument("--format", choices=("csv", "structured"),
-                       default=None, help="primary output format")
 
     p_opt = sub.add_parser("optimize", help="solve the platform's sigma design problem")
     add_scenario_flags(p_opt)
     p_opt.add_argument("--grid", type=int, default=None,
                        help="also export a payoff curve with this many grid points")
-    p_opt.set_defaults(func=cmd_optimize, default_format="structured")
+    p_opt.add_argument("--format", choices=("csv", "structured"),
+                       default="structured", help="primary output format")
+    p_opt.set_defaults(func=cmd_optimize)
 
     p_sim = sub.add_parser("simulate", help="simulate demand, allocate, and cost out inventory")
     add_scenario_flags(p_sim, sigma_required=True)
-    p_sim.set_defaults(func=cmd_simulate, default_format="csv")
+    p_sim.set_defaults(func=cmd_simulate)
 
     p_route = sub.add_parser("route", help="route integer orders with offset tracking")
     add_scenario_flags(p_route, sigma_required=True)
-    p_route.set_defaults(func=cmd_route, default_format="csv")
+    p_route.set_defaults(func=cmd_route)
 
     p_factor = sub.add_parser("factor", help="inner-outer factorization report")
     p_factor.add_argument("coeffs", nargs="+", help="polynomial coefficients, low order first")
     p_factor.add_argument("--boundary-tol", type=float, default=1e-9)
-    p_factor.set_defaults(func=cmd_factor, default_format="structured")
+    p_factor.set_defaults(func=cmd_factor)
 
     p_msfe = sub.add_parser("msfe", help="root MSFE, optionally lead-time or SES variants")
     p_msfe.add_argument("coeffs", nargs="+", help="polynomial coefficients, low order first")
     p_msfe.add_argument("--lead", type=int, default=None, help="replenishment lead time")
     p_msfe.add_argument("--ses", type=float, default=None, help="SES smoothing constant")
-    p_msfe.set_defaults(func=cmd_msfe, default_format="structured")
+    p_msfe.set_defaults(func=cmd_msfe)
 
     p_curve = sub.add_parser("curve", help="export the payoff curve as CSV")
     add_scenario_flags(p_curve)
     p_curve.add_argument("--grid", type=int, default=200, help="grid points")
     p_curve.add_argument("--check-linearity", action="store_true",
                          help="verify the curve is linear between breakpoints")
-    p_curve.set_defaults(func=cmd_curve, default_format="csv")
+    p_curve.set_defaults(func=cmd_curve)
 
     return parser
 
@@ -460,8 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "format", None) is None:
-        args.format = getattr(args, "default_format", "structured")
     try:
         return args.func(args)
     except (policy.BelowLowerBound, policy.Infeasible,

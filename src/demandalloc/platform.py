@@ -12,11 +12,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .demand import DemandModel
 from .policy import sigma_lower_bound
-from .seller import (FBM, FBP, PlatformCosts, adoption_set, mode_choice,
-                     mode_economics, seller_utility, sigma_participation_ub)
+from .seller import (DomainError, MarketTable, PlatformCosts, _indices,
+                     market_table)
 
 _PAYOFF_TIE_TOL = 1e-9
 
@@ -70,30 +73,66 @@ def breakpoints(sellers, costs: PlatformCosts, N: int, mu: float):
     Only sellers whose platform-mode inventory coefficient is strictly
     dearer (dK_n > 0) ever exit; the rest stay for any sigma.
     """
-    out = []
-    for idx, params in enumerate(sellers, start=1):
-        dF = params.f - costs.F
-        dK = mode_economics(params, costs, FBP).K - mode_economics(params, costs, FBM).K
-        if dK > 0:
-            out.append((mu * dF / (N * dK), idx))
-    out.sort()
-    return out
+    return market_table(sellers, costs, N, mu).breakpoints()
+
+
+class _Evaluation(NamedTuple):
+    """Payoff terms and safety-stock totals at an array of sigmas, for one
+    row of adopter mask per sigma."""
+
+    mask: np.ndarray
+    n_adopters: np.ndarray
+    intermediation: float
+    fulfillment_share: np.ndarray
+    storage_rent: np.ndarray
+    total: np.ndarray
+    gamma_fbp: np.ndarray
+    gamma_fbm: np.ndarray
+
+    def result(self, i=()) -> PayoffResult:
+        return PayoffResult(total=float(self.total[i]),
+                            intermediation=self.intermediation,
+                            fulfillment_share=float(self.fulfillment_share[i]),
+                            storage_rent=float(self.storage_rent[i]),
+                            adopters=frozenset(_indices(self.mask[i])),
+                            n_adopters=int(self.n_adopters[i]))
+
+
+def _evaluate(table: MarketTable, sigma, mask) -> _Evaluation:
+    costs = table.costs
+    sigma = np.asarray(sigma, dtype=float)
+    n = mask.sum(axis=-1)
+    mu_share = table.mu / table.N
+    zeta_sum = np.where(mask, table.zeta_fbp, 0.0).sum(axis=-1)
+    intermediation = costs.rho * table.mu
+    fulfillment = costs.delta_f * mu_share * n
+    storage = costs.delta_h * (mu_share * n + sigma * zeta_sum)
+    s = sigma[..., None]
+    return _Evaluation(
+        mask=mask, n_adopters=n, intermediation=intermediation,
+        fulfillment_share=fulfillment, storage_rent=storage,
+        total=intermediation + fulfillment + storage,
+        gamma_fbp=np.where(mask, s * table.zeta_fbp, 0.0).sum(axis=-1),
+        gamma_fbm=np.where(mask, 0.0, s * table.zeta_fbm).sum(axis=-1))
+
+
+def _evaluate_at(table: MarketTable, sigma: float, adopters=None) -> _Evaluation:
+    """One sigma, with the inclusive adoption rule unless adopters (1-based
+    indices) are given."""
+    if adopters is None:
+        mask = table.adopts(sigma)
+    else:
+        mask = np.zeros(table.f.size, dtype=bool)
+        mask[[i - 1 for i in adopters]] = True
+    return _evaluate(table, sigma, mask)
 
 
 def safety_stock_totals(sigma: float, sellers, costs: PlatformCosts, N: int,
                         mu: float, adopters=None):
     """(Gamma_FBP, Gamma_FBM): cumulative safety stock held at the platform
     by adopters and privately by everyone else, at this sigma."""
-    if adopters is None:
-        adopters = adoption_set(sellers, costs, N, mu, sigma)
-    g_fbp = 0.0
-    g_fbm = 0.0
-    for idx, params in enumerate(sellers, start=1):
-        if idx in adopters:
-            g_fbp += sigma * mode_economics(params, costs, FBP).zeta
-        else:
-            g_fbm += sigma * mode_economics(params, costs, FBM).zeta
-    return g_fbp, g_fbm
+    ev = _evaluate_at(market_table(sellers, costs, N, mu), sigma, adopters)
+    return float(ev.gamma_fbp), float(ev.gamma_fbm)
 
 
 def payoff(sigma: float, sellers, costs: PlatformCosts, N: int, mu: float,
@@ -103,31 +142,46 @@ def payoff(sigma: float, sellers, costs: PlatformCosts, N: int, mu: float,
     adopters normally comes from the inclusive adoption rule; pass an
     explicit set to probe one-sided limits at a breakpoint.
     """
-    if adopters is None:
-        adopters = adoption_set(sellers, costs, N, mu, sigma)
-    adopters = frozenset(adopters)
-    n_adopt = len(adopters)
-    zeta_sum = sum(mode_economics(sellers[i - 1], costs, FBP).zeta for i in adopters)
-    mu_share = mu / N
-    intermediation = costs.rho * mu
-    fulfillment = costs.delta_f * mu_share * n_adopt
-    storage = costs.delta_h * (mu_share * n_adopt + sigma * zeta_sum)
-    return PayoffResult(total=intermediation + fulfillment + storage,
-                        intermediation=intermediation,
-                        fulfillment_share=fulfillment,
-                        storage_rent=storage,
-                        adopters=adopters,
-                        n_adopters=n_adopt)
+    return _evaluate_at(market_table(sellers, costs, N, mu), sigma, adopters).result()
+
+
+def _cumulative_utility(table: MarketTable, sigma: float) -> float:
+    if sigma < 0:
+        raise DomainError("sigma must be nonnegative")
+    mu_share = table.mu / table.N
+    if not mu_share > 0:
+        raise DomainError("mu_share must be positive")
+    costs = table.costs
+    fbp = table.adopts(sigma)
+    f_eff = np.where(fbp, costs.F, table.f)
+    k = np.where(fbp, table.k_fbp, table.k_fbm)
+    return float(((costs.r - costs.rho - f_eff) * mu_share - k * sigma).sum())
 
 
 def cumulative_utility(sellers, costs: PlatformCosts, N: int, mu: float,
                        sigma: float) -> float:
     """Sum over sellers of the better mode's operating payoff."""
-    total = 0.0
-    for params in sellers:
-        mode = mode_choice(params, costs, N, mu, sigma)
-        total += seller_utility(params, costs, mode, mu / N, sigma)
-    return total
+    return _cumulative_utility(market_table(sellers, costs, N, mu), sigma)
+
+
+def _check_optimizer_domain(table: MarketTable) -> None:
+    """The candidate-point argument needs the payoff to be nondecreasing in
+    sigma for a fixed adopter set: delta_h * zeta_FBP,n >= 0 for every
+    seller.  zeta_FBP,n has the sign of b_n - H."""
+    delta_h = table.costs.delta_h
+    bad = np.flatnonzero(delta_h * table.zeta_fbp < 0)
+    if not bad.size:
+        return
+    n = int(bad[0])
+    if delta_h < 0:
+        raise DomainError(
+            f"platform.delta_h = {delta_h:g} < 0 while seller {n + 1} stocks "
+            f"above the mean at the platform (b >= H); the optimizer needs "
+            f"delta_h * zeta_FBP >= 0 for every seller")
+    raise DomainError(
+        f"sellers[{n + 1}]: b = {table.b[n]:g} < H = {table.costs.H:g} gives a "
+        f"negative platform fractile; the optimizer needs "
+        f"delta_h * zeta_FBP >= 0 for every seller")
 
 
 def optimize(sellers, costs: PlatformCosts, model: DemandModel, N: int,
@@ -135,41 +189,39 @@ def optimize(sellers, costs: PlatformCosts, model: DemandModel, N: int,
     """Maximize the payoff over implementable sigma in [sigma_L, sigma_U].
 
     Within a fixed adopter set the payoff is affine and (for nonnegative
-    storage rent) nondecreasing, so it suffices to evaluate the volatility
-    floor, every exit threshold in range, and the participation cap.  Ties
-    resolve to the smallest sigma.
+    storage rent on every adopter, checked) nondecreasing, so it suffices to
+    evaluate the volatility floor, every exit threshold in range, and the
+    participation cap.  Ties resolve to the smallest sigma.
     """
+    table = market_table(sellers, costs, N, model.mu)
+    _check_optimizer_domain(table)
     sigma_l = sigma_lower_bound(model, N)
-    sigma_u = sigma_participation_ub(sellers, costs, N, model.mu, sigma_cap)
+    sigma_u = table.participation_ub(sigma_cap)
     if sigma_u < sigma_l:
         raise EmptyFeasibleSet(
             f"participation cap {sigma_u:g} below volatility floor {sigma_l:g}"
         )
-    bps = breakpoints(sellers, costs, N, model.mu)
-    candidates = [sigma_l] + [s for s, _ in bps if sigma_l <= s <= sigma_u] + [sigma_u]
-    candidates = sorted(set(candidates))
+    bps = table.breakpoints()
+    candidates = np.array(sorted({sigma_l, sigma_u,
+                                  *(s for s, _ in bps if sigma_l <= s <= sigma_u)}))
+    ev = _evaluate(table, candidates, table.adopts(candidates))
 
-    best_sigma = None
-    best = None
-    for s in candidates:
-        res = payoff(s, sellers, costs, N, model.mu)
-        if best is None or res.total > best.total + _PAYOFF_TIE_TOL * max(1.0, abs(best.total)):
-            best, best_sigma = res, s
-    g_fbp, g_fbm = safety_stock_totals(best_sigma, sellers, costs, N, model.mu,
-                                       adopters=best.adopters)
-    return PlatformSolution(sigma_star=best_sigma, payoff_star=best.total,
-                            adopters=best.adopters, gamma_fbp=g_fbp,
-                            gamma_fbm=g_fbm, payoff_breakdown=best.breakdown,
+    best = 0
+    totals = ev.total.tolist()
+    for i, total in enumerate(totals):
+        if total > totals[best] + _PAYOFF_TIE_TOL * max(1.0, abs(totals[best])):
+            best = i
+    res = ev.result(best)
+    return PlatformSolution(sigma_star=float(candidates[best]),
+                            payoff_star=res.total, adopters=res.adopters,
+                            gamma_fbp=float(ev.gamma_fbp[best]),
+                            gamma_fbm=float(ev.gamma_fbm[best]),
+                            payoff_breakdown=res.breakdown,
                             breakpoints=tuple(bps), sigma_lower=sigma_l,
                             sigma_upper=sigma_u)
 
 
-def _curve_point(sigma, sellers, costs, N, mu, side, adopters=None) -> CurvePoint:
-    res = payoff(sigma, sellers, costs, N, mu, adopters=adopters)
-    g_fbp, g_fbm = safety_stock_totals(sigma, sellers, costs, N, mu,
-                                       adopters=res.adopters)
-    return CurvePoint(sigma=sigma, payoff=res.total, n_adopters=res.n_adopters,
-                      gamma_fbp=g_fbp, gamma_fbm=g_fbm, side=side)
+_SIDE_RANK = {"left": 0, "interior": 1, "right": 2}
 
 
 def payoff_curve(sellers, costs: PlatformCosts, N: int, mu: float, sigma_grid,
@@ -177,31 +229,35 @@ def payoff_curve(sellers, costs: PlatformCosts, N: int, mu: float, sigma_grid,
     """Plot-ready payoff samples: the grid plus both one-sided limits at
     every jump (each breakpoint in range, and the participation cap where
     the payoff falls to zero)."""
-    grid = sorted(float(s) for s in sigma_grid)
-    if not grid:
+    grid = np.sort(np.asarray(sigma_grid, dtype=float).ravel(), kind="stable")
+    if not grid.size:
         return []
-    sigma_u = sigma_participation_ub(sellers, costs, N, mu, sigma_cap)
+    table = market_table(sellers, costs, N, mu)
+    sigma_u = table.participation_ub(sigma_cap)
     lo, hi = grid[0], grid[-1]
-    points = []
-    for s in grid:
-        if s > sigma_u:
-            points.append(CurvePoint(sigma=s, payoff=0.0, n_adopters=0,
-                                     gamma_fbp=0.0, gamma_fbm=0.0, side="interior"))
-        else:
-            points.append(_curve_point(s, sellers, costs, N, mu, "interior"))
-    for s, seller_idx in breakpoints(sellers, costs, N, mu):
+    # One row per point: sigma, side, and how its adopters are found
+    # ("inclusive" or "exclusive" rule, or "zero" past the cap).
+    rows = [(s, "interior", "zero" if s > sigma_u else "inclusive")
+            for s in grid.tolist()]
+    for s, _ in table.breakpoints():
         if lo <= s <= min(hi, sigma_u):
-            points.append(_curve_point(s, sellers, costs, N, mu, "left"))
-            strict = adoption_set(sellers, costs, N, mu, s, boundary="exclusive")
-            points.append(_curve_point(s, sellers, costs, N, mu, "right",
-                                       adopters=strict))
+            rows += [(s, "left", "inclusive"), (s, "right", "exclusive")]
     if lo <= sigma_u <= hi:
-        points.append(_curve_point(sigma_u, sellers, costs, N, mu, "left"))
-        points.append(CurvePoint(sigma=sigma_u, payoff=0.0, n_adopters=0,
-                                 gamma_fbp=0.0, gamma_fbm=0.0, side="right"))
-    side_rank = {"left": 0, "interior": 1, "right": 2}
-    points.sort(key=lambda p: (p.sigma, side_rank[p.side]))
-    return points
+        rows += [(sigma_u, "left", "inclusive"), (sigma_u, "right", "zero")]
+    sigma, sides, rules = zip(*rows)
+    sigma = np.array(sigma)
+    rules = np.array(rules)
+    exclusive, zero = rules == "exclusive", rules == "zero"
+    mask = table.adopts(sigma)
+    mask[exclusive] = table.adopts(sigma[exclusive], boundary="exclusive")
+    mask[zero] = False
+    ev = _evaluate(table, sigma, mask)
+    order = np.lexsort(([_SIDE_RANK[side] for side in sides], sigma))
+    columns = (sigma, np.where(zero, 0.0, ev.total), ev.n_adopters,
+               ev.gamma_fbp, np.where(zero, 0.0, ev.gamma_fbm))
+    return [CurvePoint(*values, side=sides[i])
+            for i, *values in zip(order.tolist(),
+                                  *(c[order].tolist() for c in columns))]
 
 
 def export_curve(points, fileobj) -> None:
@@ -216,10 +272,8 @@ def export_curve(points, fileobj) -> None:
 def solution_document(solution: PlatformSolution, sellers, costs: PlatformCosts,
                       model: DemandModel, N: int) -> dict:
     """Structured summary mirroring the headline outcome table."""
-    at_floor = payoff(solution.sigma_lower, sellers, costs, N, model.mu)
-    floor_fbp, floor_fbm = safety_stock_totals(solution.sigma_lower, sellers,
-                                               costs, N, model.mu,
-                                               adopters=at_floor.adopters)
+    table = market_table(sellers, costs, N, model.mu)
+    floor = _evaluate_at(table, solution.sigma_lower)
     return {
         "sigma_star": solution.sigma_star,
         "payoff_star": solution.payoff_star,
@@ -227,18 +281,15 @@ def solution_document(solution: PlatformSolution, sellers, costs: PlatformCosts,
         "gamma_fbp": solution.gamma_fbp,
         "gamma_fbm": solution.gamma_fbm,
         "payoff_breakdown": dict(solution.payoff_breakdown),
-        "cumulative_utility": cumulative_utility(sellers, costs, N, model.mu,
-                                                 solution.sigma_star),
+        "cumulative_utility": _cumulative_utility(table, solution.sigma_star),
         "sigma_lower": solution.sigma_lower,
         "sigma_upper": solution.sigma_upper,
         "breakpoints": [{"sigma": s, "seller": n} for s, n in solution.breakpoints],
         "at_sigma_lower": {
-            "payoff": at_floor.total,
-            "adopters": sorted(at_floor.adopters),
-            "gamma_fbp": floor_fbp,
-            "gamma_fbm": floor_fbm,
-            "cumulative_utility": cumulative_utility(sellers, costs, N,
-                                                     model.mu,
-                                                     solution.sigma_lower),
+            "payoff": float(floor.total),
+            "adopters": sorted(_indices(floor.mask)),
+            "gamma_fbp": float(floor.gamma_fbp),
+            "gamma_fbm": float(floor.gamma_fbm),
+            "cumulative_utility": _cumulative_utility(table, solution.sigma_lower),
         },
     }

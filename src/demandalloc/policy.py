@@ -243,7 +243,7 @@ def serialize_policy(policy: AllocationPolicy) -> str:
         "design": policy.design,
         "lag": policy.lag,
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def deserialize_policy(text: str) -> AllocationPolicy:

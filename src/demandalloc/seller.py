@@ -6,13 +6,19 @@ A seller holding inventory against a Gaussian demand forecast with root MSFE
 sigma pays an expected holding-plus-backorder cost K * sigma per period at
 the optimal base stock, where K depends only on the unit costs of the chosen
 fulfillment mode.  Mode choice compares the two margins net of K * sigma.
+market_table computes K and the fractile of every seller under both modes
+once per market; adoption sets, exit thresholds and the participation bound
+are array operations on it.
 """
 from __future__ import annotations
 
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
+
+import numpy as np
 
 FBM = "FBM"
 FBP = "FBP"
@@ -94,9 +100,9 @@ class SellerParams:
     f: float
 
     def __post_init__(self):
-        if self.h <= 0 or self.b <= 0:
+        if not (self.h > 0 and self.b > 0):
             raise DomainError("holding and backorder costs must be positive")
-        if self.f < 0:
+        if not self.f >= 0:
             raise DomainError("fulfillment cost must be nonnegative")
 
 
@@ -117,6 +123,11 @@ class PlatformCosts:
     r: float
 
     def __post_init__(self):
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise DomainError(f"{field.name} must be finite")
+        if not self.H > 0:
+            raise DomainError("platform holding cost H must be positive")
         if self.r <= self.rho + self.F:
             warnings.warn(
                 "gross margin r does not exceed rho + F; platform-fulfilled "
@@ -144,7 +155,7 @@ def inventory_coefficient(h_bar: float, b: float, mode: str = FBM) -> ModeEconom
     The mode argument is a label carried through to the result; K itself
     depends only on the costs.
     """
-    if h_bar <= 0 or b <= 0:
+    if not (h_bar > 0 and b > 0):
         raise DomainError("inventory coefficient needs positive h_bar and b")
     zeta = std_normal_quantile(b / (h_bar + b))
     K = h_bar * zeta + (h_bar + b) * std_normal_loss(zeta)
@@ -182,22 +193,111 @@ def seller_utility(params: SellerParams, costs: PlatformCosts, mode: str,
     return (costs.r - costs.rho - f_eff) * mu_share - econ.K * sigma
 
 
-def _adoption_margin(params: SellerParams, costs: PlatformCosts, N: int,
-                     mu: float, sigma: float) -> float:
-    """Utility advantage of FBP over FBM: (mu/N) dF - sigma dK.
+class MarketTable(NamedTuple):
+    """Per-seller quantities of one market, as arrays indexed by seller
+    (0-based).
 
-    Nonnegative means adopt.  This is the utility comparison itself, so it
-    stays correct even when dK < 0 and the ratio form of the threshold flips.
+    Mode choice depends on a seller only through its two inventory
+    coefficients and its fulfillment saving dF = f - F, so every adoption
+    set, exit threshold, payoff and participation bound of the market reads
+    these arrays.  Build it with market_table.
     """
-    dF = params.f - costs.F
-    dK = mode_economics(params, costs, FBP).K - mode_economics(params, costs, FBM).K
-    if dK < 0:
+
+    costs: PlatformCosts
+    N: int
+    mu: float
+    b: np.ndarray
+    f: np.ndarray
+    zeta_fbm: np.ndarray
+    k_fbm: np.ndarray
+    zeta_fbp: np.ndarray
+    k_fbp: np.ndarray
+    dF: np.ndarray
+    dK: np.ndarray
+    # (mu/N) dF: the sigma-free part of the adoption margin.
+    fixed: np.ndarray
+    # Exit threshold mu dF / (N dK) where dK > 0; NaN for sellers that never exit.
+    threshold: np.ndarray
+    # Largest sigma at which the seller's better mode still pays.
+    participation: np.ndarray
+
+    def adopts(self, sigma, boundary: str = "inclusive") -> np.ndarray:
+        """FBP mask of shape sigma.shape + (n_sellers,).
+
+        The margin is the utility advantage of FBP over FBM,
+        (mu/N) dF - sigma dK; comparing it directly stays correct when
+        dK < 0 and the ratio form of the threshold flips.  A relative slack
+        keeps sellers whose threshold was computed in floating point on the
+        inclusive side; boundary="exclusive" drops sellers within that slack
+        of their threshold (right-sided limits at a breakpoint).
+        """
+        varying = np.asarray(sigma, dtype=float)[..., None] * self.dK
+        margin = self.fixed - varying
+        slack = _BOUNDARY_SLACK * np.maximum(
+            1.0, np.maximum(np.abs(self.fixed), np.abs(varying)))
+        if boundary == "inclusive":
+            return margin >= -slack
+        if boundary == "exclusive":
+            return margin > slack
+        raise ValueError(f"unknown boundary {boundary!r}")
+
+    def breakpoints(self) -> list:
+        """Ascending (sigma, seller) exit thresholds, ties by seller index."""
+        exits = np.flatnonzero(self.dK > 0)
+        order = exits[np.argsort(self.threshold[exits], kind="stable")]
+        return list(zip(self.threshold[order].tolist(), (order + 1).tolist()))
+
+    def participation_ub(self, sigma_cap: float) -> float:
+        """Market-wide participation bound: the smallest per-seller bound,
+        floored at 0 and capped at sigma_cap."""
+        if not sigma_cap > 0:
+            raise DomainError("sigma_cap must be positive")
+        bound = float(self.participation.min(initial=math.inf))
+        if bound < 0:
+            return 0.0
+        if bound > sigma_cap:
+            warnings.warn(
+                f"participation bound exceeds sigma_cap={sigma_cap:g}; cap binds",
+                stacklevel=3,
+            )
+            return sigma_cap
+        return bound
+
+
+def market_table(sellers, costs: PlatformCosts, N: int, mu: float) -> MarketTable:
+    """Compute every seller's K and zeta under both modes once (2 N calls to
+    inventory_coefficient), and the quantities derived from them."""
+    fbm = [inventory_coefficient(p.h, p.b, mode=FBM) for p in sellers]
+    fbp = [inventory_coefficient(costs.H, p.b, mode=FBP) for p in sellers]
+    f = np.array([p.f for p in sellers], dtype=float)
+    k_fbm = np.array([e.K for e in fbm], dtype=float)
+    k_fbp = np.array([e.K for e in fbp], dtype=float)
+    dF = f - costs.F
+    dK = k_fbp - k_fbm
+    if np.any(dK < 0):
         warnings.warn(
             "K_FBP < K_FBM for a seller (holding-cost assumption violated); "
             "adoption decided by direct utility comparison",
             stacklevel=3,
         )
-    return (mu / N) * dF - sigma * dK
+    mu_share = mu / N
+    threshold = np.divide(mu * dF, N * dK, out=np.full(dK.shape, np.nan),
+                          where=dK > 0)
+    participation = np.maximum((costs.r - costs.rho - f) * mu_share / k_fbm,
+                               (costs.r - costs.rho - costs.F) * mu_share / k_fbp)
+    return MarketTable(
+        costs=costs, N=N, mu=mu,
+        b=np.array([p.b for p in sellers], dtype=float),
+        f=f,
+        zeta_fbm=np.array([e.zeta for e in fbm], dtype=float), k_fbm=k_fbm,
+        zeta_fbp=np.array([e.zeta for e in fbp], dtype=float), k_fbp=k_fbp,
+        dF=dF, dK=dK, fixed=mu_share * dF, threshold=threshold,
+        participation=participation)
+
+
+def _indices(mask) -> set:
+    """1-based seller indices where the mask is set."""
+    return set((np.flatnonzero(mask) + 1).tolist())
 
 
 def mode_choice(params: SellerParams, costs: PlatformCosts, N: int, mu: float,
@@ -205,15 +305,11 @@ def mode_choice(params: SellerParams, costs: PlatformCosts, N: int, mu: float,
     """FBP iff the fulfillment saving covers the extra inventory cost.
 
     The boundary is inclusive: a seller exactly at its switching threshold
-    adopts.  A small relative slack keeps thresholds computed in floating
-    point on the inclusive side.
+    adopts (see MarketTable.adopts).
     """
     if sigma < 0:
         raise DomainError("sigma must be nonnegative")
-    margin = _adoption_margin(params, costs, N, mu, sigma)
-    dF = params.f - costs.F
-    scale = max(1.0, abs((mu / N) * dF), abs(margin - (mu / N) * dF))
-    return FBP if margin >= -_BOUNDARY_SLACK * scale else FBM
+    return FBP if market_table([params], costs, N, mu).adopts(sigma)[0] else FBM
 
 
 def adoption_set(sellers, costs: PlatformCosts, N: int, mu: float,
@@ -223,16 +319,7 @@ def adoption_set(sellers, costs: PlatformCosts, N: int, mu: float,
     boundary="exclusive" drops sellers sitting exactly on their threshold;
     the payoff-curve export uses it for right-sided limits.
     """
-    out = set()
-    for idx, params in enumerate(sellers, start=1):
-        margin = _adoption_margin(params, costs, N, mu, sigma)
-        dF = params.f - costs.F
-        scale = max(1.0, abs((mu / N) * dF), abs(margin - (mu / N) * dF))
-        slack = _BOUNDARY_SLACK * scale
-        adopt = margin >= -slack if boundary == "inclusive" else margin > slack
-        if adopt:
-            out.add(idx)
-    return out
+    return _indices(market_table(sellers, costs, N, mu).adopts(sigma, boundary))
 
 
 def sigma_participation_ub(sellers, costs: PlatformCosts, N: int, mu: float,
@@ -242,25 +329,7 @@ def sigma_participation_ub(sellers, costs: PlatformCosts, N: int, mu: float,
     Per seller this is max over modes of margin / K; the market-wide cap is
     the minimum over sellers, floored at 0 and capped at sigma_cap.
     """
-    if sigma_cap <= 0:
-        raise DomainError("sigma_cap must be positive")
-    mu_share = mu / N
-    bound = math.inf
-    for params in sellers:
-        k_fbm = mode_economics(params, costs, FBM).K
-        k_fbp = mode_economics(params, costs, FBP).K
-        t = max((costs.r - costs.rho - params.f) * mu_share / k_fbm,
-                (costs.r - costs.rho - costs.F) * mu_share / k_fbp)
-        bound = min(bound, t)
-    if bound < 0:
-        return 0.0
-    if bound > sigma_cap:
-        warnings.warn(
-            f"participation bound exceeds sigma_cap={sigma_cap:g}; cap binds",
-            stacklevel=2,
-        )
-        return sigma_cap
-    return float(bound)
+    return market_table(sellers, costs, N, mu).participation_ub(sigma_cap)
 
 
 def check_cost_assumptions(sellers, costs: PlatformCosts) -> list:

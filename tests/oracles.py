@@ -1,14 +1,27 @@
 """Independent oracles used to freeze expected values and cross-check the
-package's numerics.  Nothing here imports from demandalloc: root finding goes
-through mpmath at 50 digits, the innovations recursion is restated from the
-textbook autocovariance form, and the routing replay re-derives greedy
-choices from scratch.
+package's numerics.  Root finding goes through mpmath at 50 digits, the
+innovations recursion is restated from the textbook autocovariance form, and
+the routing replay re-derives greedy choices from scratch; none of these
+imports from demandalloc.
+
+The scalar seller/platform reference at the end is the per-seller loop form
+of adoption, breakpoints, participation, payoff, the optimizer and the payoff
+curve that the package replaced with its array-backed market table.  It
+takes K and zeta from demandalloc's scalar inventory_coefficient (memoized)
+and its result types from demandalloc.platform, so both paths classify
+sellers with the same coefficients; nothing else is shared.
 
 Run as a script to print the frozen constants embedded in the test files.
 """
 from __future__ import annotations
 
+import functools
+import math
+
 import mpmath as mp
+
+from demandalloc.platform import CurvePoint, PayoffResult, PlatformSolution
+from demandalloc.seller import inventory_coefficient
 
 
 def mp_roots(coeffs, dps: int = 50):
@@ -93,6 +106,159 @@ def greedy_replay_ok(offsets, assignment_log, tie_tol: float = 1e-12) -> bool:
             return False
         counts[i] += 1
     return True
+
+
+# Scalar seller/platform reference.  Mirrors the package's constants.
+_BOUNDARY_SLACK = 1e-9
+_PAYOFF_TIE_TOL = 1e-9
+
+
+@functools.lru_cache(maxsize=4096)
+def _zeta_k(h_bar, b):
+    econ = inventory_coefficient(h_bar, b)
+    return econ.zeta, econ.K
+
+
+def ref_zeta_k(params, costs, mode):
+    """(zeta, K) of one seller under mode "FBP" or "FBM"."""
+    return _zeta_k(costs.H if mode == "FBP" else params.h, params.b)
+
+
+def _margin_and_scale(params, costs, N, mu, sigma):
+    fixed = (mu / N) * (params.f - costs.F)
+    dK = ref_zeta_k(params, costs, "FBP")[1] - ref_zeta_k(params, costs, "FBM")[1]
+    margin = fixed - sigma * dK
+    return margin, max(1.0, abs(fixed), abs(margin - fixed))
+
+
+def ref_mode_choice(params, costs, N, mu, sigma):
+    margin, scale = _margin_and_scale(params, costs, N, mu, sigma)
+    return "FBP" if margin >= -_BOUNDARY_SLACK * scale else "FBM"
+
+
+def ref_adoption_set(sellers, costs, N, mu, sigma, boundary="inclusive"):
+    out = set()
+    for idx, params in enumerate(sellers, start=1):
+        margin, scale = _margin_and_scale(params, costs, N, mu, sigma)
+        slack = _BOUNDARY_SLACK * scale
+        if (margin >= -slack) if boundary == "inclusive" else (margin > slack):
+            out.add(idx)
+    return out
+
+
+def ref_sigma_participation_ub(sellers, costs, N, mu, sigma_cap):
+    mu_share = mu / N
+    bound = math.inf
+    for params in sellers:
+        k_fbm = ref_zeta_k(params, costs, "FBM")[1]
+        k_fbp = ref_zeta_k(params, costs, "FBP")[1]
+        t = max((costs.r - costs.rho - params.f) * mu_share / k_fbm,
+                (costs.r - costs.rho - costs.F) * mu_share / k_fbp)
+        bound = min(bound, t)
+    if bound < 0:
+        return 0.0
+    return sigma_cap if bound > sigma_cap else float(bound)
+
+
+def ref_breakpoints(sellers, costs, N, mu):
+    out = []
+    for idx, params in enumerate(sellers, start=1):
+        dF = params.f - costs.F
+        dK = ref_zeta_k(params, costs, "FBP")[1] - ref_zeta_k(params, costs, "FBM")[1]
+        if dK > 0:
+            out.append((mu * dF / (N * dK), idx))
+    out.sort()
+    return out
+
+
+def ref_safety_stock_totals(sigma, sellers, costs, N, mu, adopters=None):
+    if adopters is None:
+        adopters = ref_adoption_set(sellers, costs, N, mu, sigma)
+    g_fbp = g_fbm = 0.0
+    for idx, params in enumerate(sellers, start=1):
+        if idx in adopters:
+            g_fbp += sigma * ref_zeta_k(params, costs, "FBP")[0]
+        else:
+            g_fbm += sigma * ref_zeta_k(params, costs, "FBM")[0]
+    return g_fbp, g_fbm
+
+
+def ref_payoff(sigma, sellers, costs, N, mu, adopters=None):
+    if adopters is None:
+        adopters = ref_adoption_set(sellers, costs, N, mu, sigma)
+    adopters = frozenset(adopters)
+    n_adopt = len(adopters)
+    zeta_sum = sum(ref_zeta_k(sellers[i - 1], costs, "FBP")[0] for i in adopters)
+    mu_share = mu / N
+    intermediation = costs.rho * mu
+    fulfillment = costs.delta_f * mu_share * n_adopt
+    storage = costs.delta_h * (mu_share * n_adopt + sigma * zeta_sum)
+    return PayoffResult(total=intermediation + fulfillment + storage,
+                        intermediation=intermediation,
+                        fulfillment_share=fulfillment, storage_rent=storage,
+                        adopters=adopters, n_adopters=n_adopt)
+
+
+def ref_cumulative_utility(sellers, costs, N, mu, sigma):
+    total = 0.0
+    for params in sellers:
+        mode = ref_mode_choice(params, costs, N, mu, sigma)
+        f_eff = costs.F if mode == "FBP" else params.f
+        total += ((costs.r - costs.rho - f_eff) * (mu / N)
+                  - ref_zeta_k(params, costs, mode)[1] * sigma)
+    return total
+
+
+def ref_optimize(sellers, costs, sigma_l, N, mu, sigma_cap):
+    """Candidate-point optimizer without the domain check: floor, every exit
+    threshold in range and the cap, ties to the smallest sigma."""
+    sigma_u = ref_sigma_participation_ub(sellers, costs, N, mu, sigma_cap)
+    bps = ref_breakpoints(sellers, costs, N, mu)
+    candidates = sorted({sigma_l, sigma_u,
+                         *(s for s, _ in bps if sigma_l <= s <= sigma_u)})
+    best_sigma = best = None
+    for s in candidates:
+        res = ref_payoff(s, sellers, costs, N, mu)
+        if best is None or res.total > best.total + _PAYOFF_TIE_TOL * max(1.0, abs(best.total)):
+            best, best_sigma = res, s
+    g_fbp, g_fbm = ref_safety_stock_totals(best_sigma, sellers, costs, N, mu,
+                                           adopters=best.adopters)
+    return PlatformSolution(sigma_star=best_sigma, payoff_star=best.total,
+                            adopters=best.adopters, gamma_fbp=g_fbp,
+                            gamma_fbm=g_fbm, payoff_breakdown=best.breakdown,
+                            breakpoints=tuple(bps), sigma_lower=sigma_l,
+                            sigma_upper=sigma_u)
+
+
+def ref_payoff_curve(sellers, costs, N, mu, sigma_grid, sigma_cap=math.inf):
+    def point(sigma, side, adopters=None):
+        res = ref_payoff(sigma, sellers, costs, N, mu, adopters=adopters)
+        g_fbp, g_fbm = ref_safety_stock_totals(sigma, sellers, costs, N, mu,
+                                               adopters=res.adopters)
+        return CurvePoint(sigma=sigma, payoff=res.total, n_adopters=res.n_adopters,
+                          gamma_fbp=g_fbp, gamma_fbm=g_fbm, side=side)
+
+    def zero(sigma, side):
+        return CurvePoint(sigma=sigma, payoff=0.0, n_adopters=0,
+                          gamma_fbp=0.0, gamma_fbm=0.0, side=side)
+
+    grid = sorted(float(s) for s in sigma_grid)
+    if not grid:
+        return []
+    sigma_u = ref_sigma_participation_ub(sellers, costs, N, mu, sigma_cap)
+    lo, hi = grid[0], grid[-1]
+    points = [zero(s, "interior") if s > sigma_u else point(s, "interior")
+              for s in grid]
+    for s, _ in ref_breakpoints(sellers, costs, N, mu):
+        if lo <= s <= min(hi, sigma_u):
+            points.append(point(s, "left"))
+            strict = ref_adoption_set(sellers, costs, N, mu, s, boundary="exclusive")
+            points.append(point(s, "right", adopters=strict))
+    if lo <= sigma_u <= hi:
+        points += [point(sigma_u, "left"), zero(sigma_u, "right")]
+    side_rank = {"left": 0, "interior": 1, "right": 2}
+    points.sort(key=lambda p: (p.sigma, side_rank[p.side]))
+    return points
 
 
 def _print_frozen():

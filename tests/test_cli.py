@@ -86,6 +86,26 @@ class TestParseScenario:
         assert issubclass(ScenarioError, ValueError)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("path, edit", [
+    ("demand.mu", lambda doc: doc["demand"].update(mu=INF)),
+    ("platform.delta_h", lambda doc: doc["platform"].update(delta_h=NAN)),
+    ("sellers[1].h", lambda doc: doc["sellers"][0].update(h=NAN)),
+    ("demand.psi[0]", lambda doc: doc["demand"].update(psi=[NAN])),
+])
+def test_non_finite_numbers_are_input_errors(tmp_path, capsys, path, edit):
+    doc = scenario_doc()
+    edit(doc)
+    # json.dumps writes Infinity / NaN, which Python's json reader accepts
+    scenario = write_doc(tmp_path, doc)
+    assert main(["optimize", "--scenario", scenario]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert path in captured.err
+    assert captured.out == ""
+
+
 class TestExitCodes:
     def test_optimize_succeeds(self, tmp_path, capsys):
         out = tmp_path / "sol.json"
@@ -107,6 +127,13 @@ class TestExitCodes:
                    "--sigma", "0.1", "--periods", "200"])
         assert rc == EXIT_INFEASIBLE
         assert "infeasible" in capsys.readouterr().err
+
+    def test_format_is_an_optimize_option_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--scenario", SCENARIO, "--sigma", "5",
+                  "--format", "structured"])
+        assert exc.value.code == EXIT_INPUT
+        assert "--format" in capsys.readouterr().err
 
     def test_tiny_cap_empties_the_feasible_set(self, tmp_path, capsys):
         doc = scenario_doc()

@@ -1,0 +1,203 @@
+"""The array-backed market table against the scalar per-seller reference in
+tests/oracles.py, the optimizer's domain check, and the curve export's bytes.
+
+Markets for the agreement properties are drawn inside the optimizer's domain
+(delta_h >= 0 and b_n >= H, so delta_h * zeta_FBP,n >= 0), with some sellers
+whose own holding cost exceeds H (dK < 0) and some caps that bind.
+"""
+import math
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from demandalloc import (DemandModel, DomainError, PlatformCosts, SellerParams,
+                         TransferPoly, adoption_set, breakpoints, market_table,
+                         mode_choice, optimize, payoff, payoff_curve,
+                         sigma_participation_ub)
+from demandalloc.cli import EXIT_INPUT, main
+from oracles import (ref_adoption_set, ref_breakpoints, ref_mode_choice,
+                     ref_optimize, ref_payoff, ref_payoff_curve,
+                     ref_sigma_participation_ub)
+from test_seller import COSTS, MU, N, SELLERS
+
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIO = ROOT / "scenarios" / "illustrative.scenario"
+# `curve --grid 200` on the reference scenario, written by the per-seller
+# scalar implementation the market table replaced.
+GOLDEN_CURVE = Path(__file__).resolve().parent / "data" / "illustrative_curve_grid200.csv"
+
+
+def close(a: float, b: float, rel: float = 1e-12) -> bool:
+    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
+
+
+def random_market(seed: int, n: int):
+    """(sellers, costs, mu, sigma_l, sigma_cap) inside the optimizer domain."""
+    rng = np.random.default_rng(seed)
+    F = float(rng.uniform(5.0, 15.0))
+    H = float(rng.uniform(0.3, 4.0))
+    rho = float(rng.uniform(5.0, 20.0))
+    costs = PlatformCosts(rho=rho, F=F, H=H,
+                          delta_f=float(rng.uniform(0.0, 3.0)),
+                          delta_h=float(rng.uniform(0.0, 3.0)),
+                          r=F + rho + float(rng.uniform(10.0, 80.0)))
+    sellers = tuple(
+        SellerParams(h=float(rng.uniform(0.3, 3.0)),
+                     b=float(rng.uniform(H, 15.0)),
+                     f=float(rng.uniform(max(0.0, F - 3.0), F + 15.0)))
+        for _ in range(n))
+    mu = n * float(rng.uniform(1.0, 10.0))
+    sigma_l = float(rng.uniform(0.1, 3.0)) / n
+    unbounded = ref_sigma_participation_ub(sellers, costs, n, mu, math.inf)
+    sigma_cap = 1e6 if rng.random() < 0.7 else max(0.7 * unbounded, 1e-3)
+    return sellers, costs, mu, sigma_l, sigma_cap
+
+
+markets = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 300))
+
+
+@given(markets)
+@settings(max_examples=60, deadline=None)
+def test_table_rules_match_scalar_reference(market):
+    seed, n = market
+    sellers, costs, mu, _, sigma_cap = random_market(seed, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bps = breakpoints(sellers, costs, n, mu)
+        assert bps == ref_breakpoints(sellers, costs, n, mu)
+        ub = sigma_participation_ub(sellers, costs, n, mu, sigma_cap)
+        assert ub == ref_sigma_participation_ub(sellers, costs, n, mu, sigma_cap)
+        # every exit threshold would cost O(N^2) coefficient evaluations
+        probes = [0.0, *np.linspace(0.0, 1.2 * max(ub, 1e-3), 7).tolist(),
+                  *(s for s, _ in bps[::max(1, len(bps) // 8)])]
+        for sigma in probes:
+            for side in ("inclusive", "exclusive"):
+                assert adoption_set(sellers, costs, n, mu, sigma, side) == \
+                    ref_adoption_set(sellers, costs, n, mu, sigma, side)
+        for sigma in [s for s in probes if s >= 0][-2:]:
+            for params in sellers[:10]:
+                assert mode_choice(params, costs, n, mu, sigma) == \
+                    ref_mode_choice(params, costs, n, mu, sigma)
+
+
+@given(markets, st.integers(2, 40))
+@settings(max_examples=40, deadline=None)
+def test_curve_and_optimum_match_scalar_reference(market, grid_points):
+    seed, n = market
+    sellers, costs, mu, sigma_l, sigma_cap = random_market(seed, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ub = sigma_participation_ub(sellers, costs, n, mu, sigma_cap)
+        grid = np.linspace(0.0, 1.1 * max(ub, 1e-3), grid_points)
+        got = payoff_curve(sellers, costs, n, mu, grid, sigma_cap=sigma_cap)
+        want = ref_payoff_curve(sellers, costs, n, mu, grid, sigma_cap=sigma_cap)
+        assert [(p.sigma, p.side, p.n_adopters) for p in got] == \
+            [(p.sigma, p.side, p.n_adopters) for p in want]
+        for p, q in zip(got, want):
+            assert close(p.payoff, q.payoff)
+            assert close(p.gamma_fbp, q.gamma_fbp)
+            assert close(p.gamma_fbm, q.gamma_fbm)
+        for sigma in grid[:3].tolist():
+            assert payoff(sigma, sellers, costs, n, mu).adopters == \
+                ref_payoff(sigma, sellers, costs, n, mu).adopters
+
+        if ub < sigma_l:
+            return
+        model = DemandModel(mu, TransferPoly([sigma_l * n]))
+        sol = optimize(sellers, costs, model, n, sigma_cap)
+        ref = ref_optimize(sellers, costs, sol.sigma_lower, n, mu, sigma_cap)
+    assert sol.sigma_star == ref.sigma_star
+    assert sol.adopters == ref.adopters
+    assert sol.breakpoints == ref.breakpoints
+    assert (sol.sigma_lower, sol.sigma_upper) == (ref.sigma_lower, ref.sigma_upper)
+    assert close(sol.payoff_star, ref.payoff_star)
+    assert close(sol.gamma_fbp, ref.gamma_fbp)
+    assert close(sol.gamma_fbm, ref.gamma_fbm)
+    for key, value in ref.payoff_breakdown.items():
+        assert close(sol.payoff_breakdown[key], value)
+
+
+def test_table_computes_each_coefficient_once(monkeypatch):
+    import demandalloc.seller as seller
+    calls = []
+    original = seller.inventory_coefficient
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(seller, "inventory_coefficient", counted)
+    table = market_table(SELLERS, COSTS, N, MU)
+    assert len(calls) == 2 * N
+    assert table.breakpoints() == breakpoints(SELLERS, COSTS, N, MU)
+
+
+def test_curve_export_matches_golden(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    assert main(["curve", "--scenario", str(SCENARIO), "--grid", "200",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == GOLDEN_CURVE.read_bytes()
+
+
+def domain_violating_market(seed: int):
+    """Storage rent drawn from U(-3, 3) and backorder costs from U(0.5, 15),
+    so delta_h * zeta_FBP,n can be negative."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    F = float(rng.uniform(5.0, 15.0))
+    hs = rng.uniform(0.5, 2.5, size=n)
+    sellers = tuple(SellerParams(h=float(h), b=float(rng.uniform(0.5, 15.0)),
+                                 f=F + float(rng.uniform(0.5, 15.0)))
+                    for h in hs)
+    costs = PlatformCosts(rho=float(rng.uniform(5.0, 20.0)), F=F,
+                          H=float(hs.max() + rng.uniform(0.1, 2.0)),
+                          delta_f=float(rng.uniform(0.0, 3.0)),
+                          delta_h=float(rng.uniform(-3.0, 3.0)),
+                          r=float(F + rng.uniform(35.0, 80.0)))
+    mu = n * float(rng.uniform(3.0, 10.0))
+    model = DemandModel(mu, TransferPoly([float(rng.uniform(0.5, 3.0))]))
+    return sellers, costs, model, n
+
+
+class TestOptimizerDomain:
+    def test_negative_storage_rent_is_rejected(self):
+        # Seed 2: delta_h < 0, so the payoff falls between exits and its
+        # supremum is a right limit that no candidate point attains.
+        sellers, costs, model, n = domain_violating_market(2)
+        assert costs.delta_h < 0
+        sigma_l = abs(float(model.psi.coeffs[0])) / n
+        ref = ref_optimize(sellers, costs, sigma_l, n, model.mu, 1e6)
+        grid = np.linspace(ref.sigma_lower, ref.sigma_upper, 4001)
+        best = max(ref_payoff(s, sellers, costs, n, model.mu).total
+                   for s in grid.tolist())
+        assert best > ref.payoff_star + 1.0
+        with pytest.raises(DomainError, match=r"platform\.delta_h"):
+            optimize(sellers, costs, model, n, 1e6)
+        # payoff and curve stay defined on such a market
+        payoff(sigma_l, sellers, costs, n, model.mu)
+        assert payoff_curve(sellers, costs, n, model.mu, grid[:5])
+
+    def test_backorder_below_platform_holding_names_the_seller(self):
+        sellers = SELLERS[:3] + (SellerParams(h=1.0, b=2.0, f=20.0),)
+        model = DemandModel(MU, TransferPoly([5.0]))
+        with pytest.raises(DomainError, match=r"sellers\[4\].*b = 2 < H = 2\.5"):
+            optimize(sellers, COSTS, model, 4, 500.0)
+
+    def test_zero_storage_rent_accepts_any_fractile(self):
+        costs = PlatformCosts(rho=15.0, F=10.0, H=2.5, delta_f=2.0,
+                              delta_h=0.0, r=100.0)
+        sellers = SELLERS[:3] + (SellerParams(h=1.0, b=2.0, f=20.0),)
+        model = DemandModel(MU, TransferPoly([5.0]))
+        sol = optimize(sellers, costs, model, 4, 500.0)
+        assert sol.sigma_star == pytest.approx(sol.sigma_lower)
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        doc = SCENARIO.read_text().replace('"delta_h": 2.0', '"delta_h": -1.0')
+        path = tmp_path / "negative-rent.scenario"
+        path.write_text(doc)
+        assert main(["optimize", "--scenario", str(path)]) == EXIT_INPUT
+        assert "platform.delta_h" in capsys.readouterr().err

@@ -334,5 +334,17 @@ class TestParamValidation:
         with pytest.raises(DomainError):
             SellerParams(1.0, 1.0, -0.5)
 
+    def test_nan_fails_the_domain_checks(self):
+        nan = float("nan")
+        for args in ((nan, 1.0, 1.0), (1.0, nan, 1.0), (1.0, 1.0, nan)):
+            with pytest.raises(DomainError):
+                SellerParams(*args)
+        with pytest.raises(DomainError, match="delta_h"):
+            PlatformCosts(rho=15.0, F=10.0, H=2.5, delta_f=2.0,
+                          delta_h=nan, r=100.0)
+        with pytest.raises(DomainError, match="H"):
+            PlatformCosts(rho=15.0, F=10.0, H=0.0, delta_f=2.0,
+                          delta_h=2.0, r=100.0)
+
     def test_domain_error_is_value_error(self):
         assert issubclass(DomainError, ValueError)
