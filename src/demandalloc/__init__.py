@@ -10,8 +10,8 @@ suboptimal filters and positive lead times (forecast).
 """
 from .demand import DemandModel, DemandPath, prob_negative, seller_cv_bound, simulate
 from .forecast import (ConvergenceFailure, FilterForecaster, LeadTimeChoice,
-                       LeadTimeSpec, UnsupportedPolicy, export_ses_comparison,
-                       filter_msfe, innovations_msfe, innovations_predict,
+                       LeadTimeSpec, export_ses_comparison, filter_msfe,
+                       innovations_msfe, innovations_predict,
                        leadtime_mode_choice, leadtime_msfe, leadtime_theta,
                        ses_comparison_rows, ses_msfe_closed_form,
                        ses_truncated_weights)
@@ -47,7 +47,7 @@ __all__ = [
     "LeadTimeSpec", "MarketTable", "ModeEconomics", "NeutralityReport", "NoRoots",
     "NumericalInstability", "PayoffResult", "PeriodOffsets", "PlatformCosts",
     "PlatformSolution", "RoutePathResult", "RoutingResult", "SellerParams",
-    "TransferPoly", "UnsupportedPolicy", "ZeroPolynomial", "adoption_set",
+    "TransferPoly", "ZeroPolynomial", "adoption_set",
     "allocate_ex_post", "base_stock", "breakpoints", "check_cost_assumptions",
     "export_assignment_log", "export_curve", "export_k_table",
     "export_ses_comparison", "ses_comparison_rows",

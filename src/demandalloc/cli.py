@@ -88,6 +88,12 @@ def _finite(value, path: str) -> float:
     return float(value)
 
 
+def _integer(value, path: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ScenarioError(f"{path}: expected an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _number(block: dict, path: str, key: str) -> float:
     return _finite(block[key], f"{path}.{key}")
 
@@ -139,8 +145,9 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
     sigma_l = abs(psi[0]) / len(sellers)
     sigma_cap = (_number(options, f"{source}.options", "sigma_cap")
                  if "sigma_cap" in options else 1e3 * sigma_l)
-    seed = int(options.get("seed", 0))
-    horizon = int(options.get("horizon", 100_000))
+    seed = _integer(options.get("seed", 0), f"{source}.options.seed", 0)
+    horizon = _integer(options.get("horizon", 100_000),
+                       f"{source}.options.horizon", 1)
     boundary_tol = (_number(options, f"{source}.options", "boundary_tol")
                     if "boundary_tol" in options else 1e-9)
     scenario = Scenario(mu=mu, psi=psi, costs=costs, sellers=tuple(sellers),

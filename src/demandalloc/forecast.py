@@ -5,7 +5,8 @@ forecast error of a finite moving average directly from autocovariances
 (sharing no code with the root-split route, so the two can cross-check each
 other); mean squared errors of suboptimal linear filters such as truncated
 exponential smoothing; and lead-time demand uncertainty built from partial
-sums of outer-factor coefficients.
+sums of the coefficients of a seller filter's outer factor, which
+polyalg.inner_outer_factor computes for any admissible design.
 """
 from __future__ import annotations
 
@@ -16,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demand import DemandModel
-from .policy import AllocationPolicy, sigma_lower_bound
-from .polyalg import TransferPoly, as_poly
-from .seller import FBM, FBP, PlatformCosts, SellerParams, mode_choice, \
-    mode_economics, seller_utility
+from .policy import AllocationPolicy, seller_filter, sigma_lower_bound
+from .polyalg import TransferPoly, as_poly, inner_outer_factor
+from .seller import FBM, FBP, PlatformCosts, SellerParams, market_table, \
+    mode_economics
 
 SES_TAIL_TOL = 1e-12
 _CONVERGENCE_RTOL = 1e-10
@@ -37,11 +38,6 @@ class ConvergenceFailure(RuntimeError):
             f"innovation variance still moving after {horizon} steps: "
             f"last v = {last_variance:.12g}, relative change {rel_change:.3e}"
         )
-
-
-class UnsupportedPolicy(ValueError):
-    """Lead-time coefficients are only closed-form for the one/two-lag
-    neutral designs; factor the seller filter directly for anything else."""
 
 
 @dataclass(frozen=True)
@@ -221,47 +217,18 @@ def leadtime_msfe(outer_coeffs: TransferPoly, L: int) -> float:
 
 def leadtime_theta(model: DemandModel, policy: AllocationPolicy, n: int,
                    sigma: float, sigma_L: float) -> TransferPoly:
-    """Outer-factor coefficients of seller n's stream under a neutral design.
+    """Outer factor of seller n's filter psi_n, for any admissible design.
 
-    The seller's outer factor is psi(z) times the transfer's own outer part,
-    over N, so the coefficients come from one short convolution.  Only the
-    uniform policy and the one/two-lag designs are supported; factor the
-    seller filter directly for anything else.
+    Defined up to a global sign, which lead-time MSFEs never see.  sigma /
+    sigma_L must equal |theta_0| / (|psi(0)| / N) within 1e-9 relative.
     """
-    if policy.design not in ("uniform", "even", "odd"):
-        raise UnsupportedPolicy(
-            f"no closed-form lead-time coefficients for design {policy.design!r}"
-        )
-    if not 1 <= n <= policy.n_sellers:
-        raise IndexError(f"seller index {n} outside 1..{policy.n_sellers}")
+    outer = inner_outer_factor(seller_filter(policy, model, n)).outer
+    ratio = abs(float(outer.coeffs[0])) / sigma_lower_bound(model, policy.n_sellers)
     alpha_bar = sigma / sigma_L
-    transfer = policy.transfers[n - 1]
-    outer_t = _transfer_outer(transfer, alpha_bar)
-    coeffs = np.convolve(model.psi.coeffs, outer_t) / policy.n_sellers
-    return TransferPoly(coeffs)
-
-
-def _transfer_outer(transfer: TransferPoly, alpha_bar: float) -> np.ndarray:
-    """Outer part of a design transfer, validated against the target alpha."""
-    c = transfer.coeffs
-    if c.size == 1:
-        if abs(alpha_bar - 1.0) > 1e-9:
-            raise ValueError(
-                f"sigma/sigma_L = {alpha_bar:g} inconsistent with a uniform share"
-            )
-        return np.array([1.0])
-    if c.size == 2:
-        outer = np.array([c[1], 1.0])  # 1 + a z  ->  a + z
-    elif c.size == 3 and c[1] == 0.0:
-        outer = np.array([-c[2], 0.0, -1.0])  # 1 - a z^2  ->  a - z^2
-    elif c.size == 3:
-        outer = np.array([c[1], c[2], 1.0])  # 1 + a z + a z^2  ->  a + a z + z^2
-    else:
-        raise UnsupportedPolicy("transfer does not match a supported design role")
-    if abs(abs(outer[0]) - alpha_bar) > 1e-9 * max(1.0, alpha_bar):
+    if not abs(ratio - alpha_bar) <= 1e-9 * abs(alpha_bar):
         raise ValueError(
-            f"sigma/sigma_L = {alpha_bar:g} inconsistent with the policy's "
-            f"transfer coefficient {outer[0]:g}"
+            f"sigma/sigma_L = {alpha_bar:g} inconsistent with seller {n}'s "
+            f"root MSFE ratio {ratio:g}"
         )
     return outer
 
@@ -307,14 +274,12 @@ def ses_comparison_rows(sellers, costs: PlatformCosts, N: int, mu: float,
     Each row: seller, the design sigma, the perceived sigma, the mode chosen
     under each, and the utility evaluated at each perception.
     """
-    rows = []
-    for idx, params in enumerate(sellers, start=1):
-        mode_opt = mode_choice(params, costs, N, mu, sigma)
-        mode_ses = mode_choice(params, costs, N, mu, sigma_tilde)
-        rows.append((idx, sigma, sigma_tilde, mode_opt, mode_ses,
-                     seller_utility(params, costs, mode_opt, mu / N, sigma),
-                     seller_utility(params, costs, mode_ses, mu / N, sigma_tilde)))
-    return rows
+    table = market_table(sellers, costs, N, mu)
+    fbp_opt, u_opt = table.utilities(sigma)
+    fbp_ses, u_ses = table.utilities(sigma_tilde)
+    rows = zip(np.where(fbp_opt, FBP, FBM).tolist(),
+               np.where(fbp_ses, FBP, FBM).tolist(), u_opt.tolist(), u_ses.tolist())
+    return [(idx, sigma, sigma_tilde, *row) for idx, row in enumerate(rows, start=1)]
 
 
 def export_ses_comparison(rows, fileobj) -> None:

@@ -146,16 +146,7 @@ def payoff(sigma: float, sellers, costs: PlatformCosts, N: int, mu: float,
 
 
 def _cumulative_utility(table: MarketTable, sigma: float) -> float:
-    if sigma < 0:
-        raise DomainError("sigma must be nonnegative")
-    mu_share = table.mu / table.N
-    if not mu_share > 0:
-        raise DomainError("mu_share must be positive")
-    costs = table.costs
-    fbp = table.adopts(sigma)
-    f_eff = np.where(fbp, costs.F, table.f)
-    k = np.where(fbp, table.k_fbp, table.k_fbm)
-    return float(((costs.r - costs.rho - f_eff) * mu_share - k * sigma).sum())
+    return float(table.utilities(sigma)[1].sum())
 
 
 def cumulative_utility(sellers, costs: PlatformCosts, N: int, mu: float,

@@ -8,7 +8,8 @@ the optimal base stock, where K depends only on the unit costs of the chosen
 fulfillment mode.  Mode choice compares the two margins net of K * sigma.
 market_table computes K and the fractile of every seller under both modes
 once per market; adoption sets, exit thresholds and the participation bound
-are array operations on it.
+are array operations on it.  The normal quantile and pdf come from the
+stdlib's statistics.NormalDist, the cdf from math.erfc.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, fields
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -28,66 +30,31 @@ FBP = "FBP"
 # inclusive by convention).
 _BOUNDARY_SLACK = 1e-9
 
+_STD_NORMAL = NormalDist()
+
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of the function."""
 
 
 def std_normal_cdf(x: float) -> float:
-    """Standard normal cdf via the complementary error function."""
+    """Standard normal cdf via the complementary error function, which keeps
+    the relative accuracy of the far lower tail (NormalDist.cdf goes through
+    erf and returns 0 already at x = -10)."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def _std_normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-# Acklam's rational approximation to the inverse normal cdf (abs error
-# ~1.15e-9 before polishing).
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-
-
 def std_normal_quantile(p: float) -> float:
-    """Inverse standard normal cdf.
-
-    Acklam's rational approximation with one Newton polish step; absolute
-    error well under 1e-9 across (0, 1).
-    """
+    """Inverse standard normal cdf: the stdlib's NormalDist.inv_cdf, which
+    is Wichura's algorithm AS241 (Applied Statistics, 1988)."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile defined on open interval (0, 1), got {p}")
-    p_low = 0.02425
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-             / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-             / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-              / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    # Newton step on cdf(x) - p.
-    err = std_normal_cdf(x) - p
-    pdf = _std_normal_pdf(x)
-    if pdf > 0.0:
-        x -= err / pdf
-    return x
+    return _STD_NORMAL.inv_cdf(p)
 
 
 def std_normal_loss(z: float) -> float:
     """Standard normal loss L(z) = pdf(z) - z * (1 - cdf(z)); nonnegative."""
-    return max(_std_normal_pdf(z) - z * std_normal_cdf(-z), 0.0)
+    return max(_STD_NORMAL.pdf(z) - z * std_normal_cdf(-z), 0.0)
 
 
 @dataclass(frozen=True)
@@ -152,13 +119,15 @@ class ModeEconomics:
 def inventory_coefficient(h_bar: float, b: float, mode: str = FBM) -> ModeEconomics:
     """K = h_bar * zeta + (h_bar + b) * L(zeta) at zeta = quantile(b/(h_bar+b)).
 
-    The mode argument is a label carried through to the result; K itself
-    depends only on the costs.
+    For zeta < 0 the two terms cancel, so K is summed as the equal
+    (h_bar + b) * L(-zeta) - b * zeta.  The mode argument is a label carried
+    through to the result; K itself depends only on the costs.
     """
     if not (h_bar > 0 and b > 0):
         raise DomainError("inventory coefficient needs positive h_bar and b")
     zeta = std_normal_quantile(b / (h_bar + b))
-    K = h_bar * zeta + (h_bar + b) * std_normal_loss(zeta)
+    K = (h_bar * zeta + (h_bar + b) * std_normal_loss(zeta) if zeta >= 0
+         else (h_bar + b) * std_normal_loss(-zeta) - b * zeta)
     return ModeEconomics(zeta=zeta, K=K, mode=mode)
 
 
@@ -240,6 +209,18 @@ class MarketTable(NamedTuple):
         if boundary == "exclusive":
             return margin > slack
         raise ValueError(f"unknown boundary {boundary!r}")
+
+    def utilities(self, sigma: float):
+        """(FBP mask, utility of each seller's chosen mode) at one sigma."""
+        if sigma < 0:
+            raise DomainError("sigma must be nonnegative")
+        mu_share = self.mu / self.N
+        if not mu_share > 0:
+            raise DomainError("mu_share must be positive")
+        fbp = self.adopts(sigma)
+        f_eff = np.where(fbp, self.costs.F, self.f)
+        k = np.where(fbp, self.k_fbp, self.k_fbm)
+        return fbp, (self.costs.r - self.costs.rho - f_eff) * mu_share - k * sigma
 
     def breakpoints(self) -> list:
         """Ascending (sigma, seller) exit thresholds, ties by seller index."""

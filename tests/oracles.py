@@ -48,9 +48,19 @@ def mp_root_msfe(coeffs, dps: int = 50) -> float:
 
 
 def mp_quantile(p, dps: int = 50) -> float:
-    """Inverse standard normal cdf via the inverse error function."""
+    """Inverse standard normal cdf via the inverse error function.
+
+    p enters as the exact binary value of the float; near p = 1/2 its
+    shortest repr can be off by enough to move the quantile by percents.
+    """
     with mp.workdps(dps):
-        return float(mp.sqrt(2) * mp.erfinv(2 * mp.mpf(repr(float(p))) - 1))
+        return float(mp.sqrt(2) * mp.erfinv(2 * mp.mpf(float(p)) - 1))
+
+
+def mp_cdf(x, dps: int = 50) -> float:
+    """Standard normal cdf at high precision."""
+    with mp.workdps(dps):
+        return float(mp.ncdf(mp.mpf(float(x))))
 
 
 def mp_inventory_k(h_bar, b, dps: int = 50):

@@ -106,6 +106,25 @@ def test_non_finite_numbers_are_input_errors(tmp_path, capsys, path, edit):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("field, raw", [
+    ("seed", "[1]"), ("seed", "1e400"), ("seed", "2.7"), ("seed", "true"),
+    ("seed", "-1"), ("horizon", '"x"'), ("horizon", "0"),
+])
+def test_options_must_be_integers(tmp_path, capsys, field, raw):
+    # raw JSON text, so 1e400 reaches the parser as the float overflow
+    doc = scenario_doc()
+    doc["options"][field] = "@"
+    scenario = tmp_path / "edited.scenario"
+    scenario.write_text(json.dumps(doc).replace('"@"', raw))
+    rc = main(["simulate", "--scenario", str(scenario), "--sigma", "5.0",
+               "--periods", "50"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INPUT
+    assert f"options.{field}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 class TestExitCodes:
     def test_optimize_succeeds(self, tmp_path, capsys):
         out = tmp_path / "sol.json"

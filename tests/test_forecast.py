@@ -14,10 +14,9 @@ from demandalloc import (
     FilterForecaster,
     LeadTimeSpec,
     TransferPoly,
-    UnsupportedPolicy,
+    deserialize_policy,
     export_ses_comparison,
     filter_msfe,
-    inner_outer_factor,
     innovations_msfe,
     innovations_predict,
     lagged_variant,
@@ -34,10 +33,39 @@ from demandalloc import (
     simulate,
     uniform_policy,
 )
+from oracles import mp_root_msfe, mp_roots
 from test_seller import COSTS, SELLERS
 
 M5 = DemandModel(15.0, TransferPoly([5.0]))
 SIGMA_STAR = 8.867803761159964
+
+LEADTIME_MODELS = [DemandModel(15.0, TransferPoly([5.0])),
+                   DemandModel(15.0, TransferPoly([1.0, 0.5])),
+                   DemandModel(15.0, TransferPoly([2.0, -0.6, 0.4]))]
+
+# Three sellers with two-lag transfers that sum to N coefficient-wise, in
+# the form a hand-written policy file takes.
+CUSTOM_POLICY = """{"n_sellers": 3, "design": "custom",
+  "transfers": [[1.0, 2.5, -0.4], [1.0, -1.2, 0.6], [1.0, -1.3, -0.2]]}"""
+
+
+def _lead_time_designs():
+    def target(m, N):
+        return 2.4 * sigma_lower_bound(m, N)
+
+    designs = {f"neutral-N{N}": (lambda m, N=N: neutral_policy(m, N, target(m, N)))
+               for N in (2, 3, 4, 5)}
+    designs.update({
+        f"lagged-N{N}-k{k}":
+            (lambda m, N=N, k=k: lagged_variant(m, N, target(m, N), k=k))
+        for N in (2, 4) for k in (1, 2, 3)})
+    designs["odd-permuted"] = lambda m: neutral_policy(
+        m, 5, target(m, 5), permutation=[3, 5, 1, 4, 2])
+    designs["custom"] = lambda m: deserialize_policy(CUSTOM_POLICY)
+    return designs
+
+
+LEADTIME_DESIGNS = _lead_time_designs()
 
 
 class TestInnovationsMsfe:
@@ -227,7 +255,7 @@ class TestLeadTimeTheta:
         np.testing.assert_allclose(
             leadtime_theta(m, pol, 1, 0.4, 1 / 3).coeffs, [0.4, 0.4, 1 / 3])
         np.testing.assert_allclose(
-            leadtime_theta(m, pol, 2, 0.4, 1 / 3).coeffs, [0.4, 0.0, -1 / 3])
+            leadtime_theta(m, pol, 2, 0.4, 1 / 3).coeffs, [-0.4, 0.0, 1 / 3])
         np.testing.assert_allclose(
             leadtime_theta(m, pol, 3, 0.4, 1 / 3).coeffs, [-0.4, 1 / 3])
 
@@ -237,31 +265,26 @@ class TestLeadTimeTheta:
         th = leadtime_theta(m, pol, 2, 0.5, 0.5)
         np.testing.assert_allclose(th.coeffs, [1 / 3, 0.5 / 3])
 
-    def test_matches_direct_factorization(self):
-        # closed form against the generic inner/outer route, coefficient by
-        # coefficient in magnitude and exactly in the lead-time MSFE
-        models = [DemandModel(15.0, TransferPoly([5.0])),
-                  DemandModel(15.0, TransferPoly([1.0, 0.5])),
-                  DemandModel(15.0, TransferPoly([2.0, -0.6, 0.4]))]
-        for m in models:
-            for N in (2, 3, 4, 5):
-                sigma_l = sigma_lower_bound(m, N)
-                sigma = 2.4 * sigma_l
-                pol = neutral_policy(m, N, sigma)
-                for n in range(1, N + 1):
-                    th = leadtime_theta(m, pol, n, sigma, sigma_l)
-                    outer = inner_outer_factor(seller_filter(pol, m, n)).outer
-                    np.testing.assert_allclose(np.abs(th.coeffs),
-                                               np.abs(outer.coeffs),
-                                               atol=1e-10)
-                    for L in range(4):
-                        assert leadtime_msfe(th, L) == pytest.approx(
-                            leadtime_msfe(outer, L), rel=1e-10)
-
-    def test_unsupported_designs(self):
-        m = DemandModel(20.0, TransferPoly([5.0]))
-        with pytest.raises(UnsupportedPolicy):
-            leadtime_theta(m, lagged_variant(m, 2, 5.0, k=3), 1, 5.0, 2.5)
+    @pytest.mark.parametrize("model", LEADTIME_MODELS, ids=["iid", "ma1", "ma2"])
+    @pytest.mark.parametrize("design", sorted(LEADTIME_DESIGNS))
+    def test_outer_factor_against_mpmath(self, model, design):
+        # theta has psi_n's modulus on the unit circle, no root inside it,
+        # and |theta_0| equal to the high-precision root MSFE of psi_n
+        pol = LEADTIME_DESIGNS[design](model)
+        N = pol.n_sellers
+        sigma_l = sigma_lower_bound(model, N)
+        circle = np.exp(2j * np.pi * np.arange(64) / 64)
+        for n in range(1, N + 1):
+            psi_n = seller_filter(pol, model, n).coeffs
+            sigma = mp_root_msfe(psi_n)
+            th = leadtime_theta(model, pol, n, sigma, sigma_l)
+            np.testing.assert_allclose(
+                np.abs(np.polynomial.polynomial.polyval(circle, th.coeffs)),
+                np.abs(np.polynomial.polynomial.polyval(circle, psi_n)),
+                rtol=1e-10)
+            if th.degree:
+                assert min(abs(r) for r in mp_roots(th.coeffs)) >= 1 - 1e-9
+            assert abs(th.coeffs[0]) == pytest.approx(sigma, rel=1e-10)
 
     def test_inconsistent_target_rejected(self):
         m = DemandModel(20.0, TransferPoly([5.0]))
@@ -288,6 +311,17 @@ class TestLeadTimeModeChoice:
         assert ch.mode == FBP
         assert ch.sigma_bar_fbm == pytest.approx(3.7175, abs=1e-4)
         assert ch.utility_fbp > ch.utility_fbm
+
+    def test_lagged_design(self):
+        # seller 10 of the two-lag variant: theta = 1.8 + 0.5 z^2, so the
+        # partial sums over a two-period delay are 1.8, 1.8, 2.3
+        policy = lagged_variant(self.model, 10, 1.8, k=2)
+        ch = leadtime_mode_choice(self.urban, COSTS, LeadTimeSpec(0, 2),
+                                  self.model, policy, 10, 1.5)
+        assert ch.sigma_bar_fbp == pytest.approx(1.8, rel=1e-12)
+        assert ch.sigma_bar_fbm == pytest.approx(
+            math.sqrt(2 * 1.8 ** 2 + 2.3 ** 2), rel=1e-12)
+        assert ch.mode == FBP
 
 
 class TestSesComparison:

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import demandalloc.seller as seller
 from demandalloc import (
@@ -28,6 +30,7 @@ from demandalloc import (
     std_normal_loss,
     std_normal_quantile,
 )
+from oracles import mp_cdf, mp_inventory_k, mp_quantile
 
 # 50-digit reference values, frozen from tests/oracles.py.
 ZETA_12_126 = 1.668391193946766     # quantile(12 / 12.6)
@@ -83,6 +86,19 @@ class TestNormalMachinery:
         for p in grid:
             assert abs(std_normal_cdf(std_normal_quantile(float(p))) - p) < 1e-9
 
+    @given(st.floats(1e-40, 0.5))
+    @example(0.5 - 2.0 ** -54)
+    @settings(max_examples=200, deadline=None)
+    def test_quantile_against_mpmath(self, p):
+        # the upper half follows by symmetry (test_quantile_symmetry)
+        assert std_normal_quantile(p) == pytest.approx(
+            mp_quantile(p), rel=1e-12, abs=0.0)
+
+    def test_cdf_keeps_the_far_lower_tail(self):
+        # erf-based cdfs return 0 here; prob_negative reads this tail
+        for x in (-10.0, -30.0):
+            assert std_normal_cdf(x) == pytest.approx(mp_cdf(x), rel=1e-12)
+
     def test_quantile_symmetry(self):
         for p in (0.01, 0.2, 0.35, 0.49):
             assert std_normal_quantile(p) == pytest.approx(
@@ -116,6 +132,14 @@ class TestInventoryCoefficient:
         assert inventory_coefficient(0.6, 12.0).K == pytest.approx(K_06_12, abs=1e-9)
         assert inventory_coefficient(2.5, 12.0).K == pytest.approx(K_25_12, abs=1e-9)
         assert inventory_coefficient(2.5, 9.0).K == pytest.approx(K_25_9, abs=1e-9)
+
+    @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+    @example(1e3, 1e-3)  # zeta near -4.75: h_bar * zeta and L(zeta) terms cancel
+    @settings(max_examples=200, deadline=None)
+    def test_against_mpmath(self, h_bar, b):
+        _, K = mp_inventory_k(h_bar, b)
+        assert inventory_coefficient(h_bar, b).K == pytest.approx(
+            K, rel=1e-12, abs=0.0)
 
     def test_critical_fractile(self):
         econ = inventory_coefficient(0.6, 12.0)
