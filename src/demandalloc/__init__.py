@@ -21,15 +21,16 @@ from .platform import (CurvePoint, EmptyFeasibleSet, PayoffResult,
                        safety_stock_totals, solution_document)
 from .policy import (AllocationPolicy, BelowLowerBound, ExPostAllocation,
                      Infeasible, InsufficientHistory, NeutralityReport,
-                     allocate_ex_post, check_neutral, deserialize_policy,
-                     lagged_variant, neutral_policy, seller_filter,
-                     serialize_policy, sigma_lower_bound, uniform_policy)
+                     allocate_ex_post, benchmark_offsets, check_neutral,
+                     deserialize_policy, lagged_variant, neutral_policy,
+                     seller_filter, serialize_policy, sigma_lower_bound,
+                     uniform_policy)
 from .polyalg import (Factorization, NoRoots, NumericalInstability,
                       TransferPoly, ZeroPolynomial, inner_outer_factor,
                       is_invertible, poly_mul, poly_roots, root_msfe, variance)
-from .routing import (InfeasibleTargets, PeriodOffsets, RoutePathResult,
-                      RoutingResult, compute_offsets, export_assignment_log,
-                      integerize_demand, route_orders, route_path)
+from .routing import (InfeasibleTargets, RoutePathResult, RoutingResult,
+                      export_assignment_log, integerize_demand, route_orders,
+                      route_path)
 from .seller import (FBM, FBP, DomainError, MarketTable, ModeEconomics,
                      PlatformCosts, SellerParams, adoption_set, base_stock,
                      check_cost_assumptions, export_k_table,
@@ -45,13 +46,14 @@ __all__ = [
     "ExPostAllocation", "FBM", "FBP", "Factorization", "FilterForecaster",
     "Infeasible", "InfeasibleTargets", "InsufficientHistory", "LeadTimeChoice",
     "LeadTimeSpec", "MarketTable", "ModeEconomics", "NeutralityReport", "NoRoots",
-    "NumericalInstability", "PayoffResult", "PeriodOffsets", "PlatformCosts",
+    "NumericalInstability", "PayoffResult", "PlatformCosts",
     "PlatformSolution", "RoutePathResult", "RoutingResult", "SellerParams",
     "TransferPoly", "ZeroPolynomial", "adoption_set",
-    "allocate_ex_post", "base_stock", "breakpoints", "check_cost_assumptions",
+    "allocate_ex_post", "base_stock", "benchmark_offsets", "breakpoints",
+    "check_cost_assumptions",
     "export_assignment_log", "export_curve", "export_k_table",
     "export_ses_comparison", "ses_comparison_rows",
-    "check_neutral", "compute_offsets", "cumulative_utility",
+    "check_neutral", "cumulative_utility",
     "deserialize_policy", "filter_msfe", "inner_outer_factor",
     "innovations_msfe", "innovations_predict", "integerize_demand",
     "inventory_coefficient", "is_invertible", "k_table", "lagged_variant",

@@ -218,15 +218,21 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def _design_run(args):
+    """Scenario, demand model, neutral design at --sigma and the simulated
+    path; simulate and route share it so both use the same allocation policy."""
     scenario = load_scenario(args.scenario)
     model = scenario.model()
+    alloc_policy = policy.neutral_policy(model, scenario.n_sellers, args.sigma)
+    periods = scenario.horizon if args.periods is None else args.periods
+    seed = scenario.seed if args.seed is None else args.seed
+    return scenario, model, alloc_policy, simulate(model, periods, seed)
+
+
+def cmd_simulate(args) -> int:
+    scenario, model, alloc_policy, path = _design_run(args)
     N = scenario.n_sellers
     sigma = args.sigma
-    alloc_policy = policy.neutral_policy(model, N, sigma)
-    periods = args.periods or scenario.horizon
-    seed = scenario.seed if args.seed is None else args.seed
-    path = simulate(model, periods, seed)
     expost = policy.allocate_ex_post(alloc_policy, model, path)
     start = expost.start_period
     demands = path.demands[start:]
@@ -277,30 +283,23 @@ def cmd_simulate(args) -> int:
                 line += [f"{rows[i, j]:.6f}", f"{forecasts[i, j]:.6f}",
                          f"{stocks[i, j]:.6f}", f"{costs_real[i, j]:.6f}"]
             writer.writerow(line)
-    _emit_summary({"command": "simulate", "sigma": sigma, "periods": periods,
-                   "seed": seed, "sellers": summary_sellers},
+    _emit_summary({"command": "simulate", "sigma": sigma,
+                   "periods": path.demands.size, "seed": path.seed,
+                   "sellers": summary_sellers},
                   primary_on_stdout=not args.out)
     return EXIT_OK
 
 
 def cmd_route(args) -> int:
-    scenario = load_scenario(args.scenario)
-    model = scenario.model()
-    N = scenario.n_sellers
-    sigma = args.sigma
-    sigma_l = policy.sigma_lower_bound(model, N)
-    if sigma < sigma_l:
-        raise policy.BelowLowerBound(sigma, sigma_l)
-    periods = args.periods or scenario.horizon
-    seed = scenario.seed if args.seed is None else args.seed
-    path = simulate(model, periods, seed)
-    result = routing.route_path(N, scenario.mu, sigma, sigma_l, path, seed,
+    _, model, alloc_policy, path = _design_run(args)
+    result = routing.route_path(alloc_policy, model, path, path.seed,
                                 on_infeasible="skip")
     with _primary_stream(args.out) as (fh, on_stdout):
         routing.export_assignment_log(result, fh)
     feasible = sum(1 for r in result.results if r is not None)
     _emit_summary({
-        "command": "route", "sigma": sigma, "periods": periods, "seed": seed,
+        "command": "route", "sigma": args.sigma,
+        "periods": path.demands.size, "seed": path.seed,
         "feasible_periods": feasible,
         "infeasible_periods": len(result.infeasible_periods),
         "first_infeasible": result.infeasible_periods[:10],
@@ -324,13 +323,14 @@ def cmd_factor(args) -> int:
     p = _parse_coeffs(args.coeffs)
     fact = inner_outer_factor(p, boundary_tol=args.boundary_tol)
     roots = [] if p.degree == 0 else [[z.real, z.imag] for z in poly_roots(p)]
+    sigma = root_msfe(p, boundary_tol=args.boundary_tol)
     doc = {
         "coeffs": list(map(float, p.coeffs)),
         "roots": roots,
         "inner_roots": [[z.real, z.imag] for z in fact.inner_roots],
         "outer_coeffs": list(map(float, fact.outer.coeffs)),
-        "root_msfe": root_msfe(p, boundary_tol=args.boundary_tol),
-        "msfe_squared": root_msfe(p, boundary_tol=args.boundary_tol) ** 2,
+        "root_msfe": sigma,
+        "msfe_squared": sigma ** 2,
         "invertible": is_invertible(p, boundary_tol=args.boundary_tol),
     }
     sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
@@ -339,9 +339,10 @@ def cmd_factor(args) -> int:
 
 def cmd_msfe(args) -> int:
     p = _parse_coeffs(args.coeffs)
+    sigma = root_msfe(p)
     doc = {"coeffs": list(map(float, p.coeffs)),
-           "root_msfe": root_msfe(p),
-           "msfe_squared": root_msfe(p) ** 2}
+           "root_msfe": sigma,
+           "msfe_squared": sigma ** 2}
     if args.lead is not None:
         outer = inner_outer_factor(p).outer
         sigma_bar = forecast.leadtime_msfe(outer, args.lead)
@@ -411,6 +412,27 @@ def _max_segment_residual(points) -> float:
     return worst
 
 
+def _flag_type(convert, accept, expected: str):
+    """argparse type that rejects values outside the flag's domain at parse
+    time, so a bad flag exits 2 naming itself before any output is written."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            pass
+        else:
+            if accept(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+_positive_float = _flag_type(float, lambda x: 0 < x < float("inf"),
+                             "a finite number > 0")
+_count = _flag_type(int, lambda n: n >= 1, "an integer >= 1")
+_seed = _flag_type(int, lambda n: n >= 0, "an integer >= 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="demandalloc",
@@ -421,17 +443,17 @@ def build_parser() -> argparse.ArgumentParser:
     def add_scenario_flags(p, sigma_required=False):
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         if sigma_required:
-            p.add_argument("--sigma", type=float, required=True,
+            p.add_argument("--sigma", type=_positive_float, required=True,
                            help="per-seller root MSFE target")
-            p.add_argument("--periods", type=int, default=None,
+            p.add_argument("--periods", type=_count, default=None,
                            help="periods to simulate (default: scenario horizon)")
-            p.add_argument("--seed", type=int, default=None,
+            p.add_argument("--seed", type=_seed, default=None,
                            help="RNG seed (default: scenario seed)")
         p.add_argument("--out", default=None, help="write primary output here")
 
     p_opt = sub.add_parser("optimize", help="solve the platform's sigma design problem")
     add_scenario_flags(p_opt)
-    p_opt.add_argument("--grid", type=int, default=None,
+    p_opt.add_argument("--grid", type=_count, default=None,
                        help="also export a payoff curve with this many grid points")
     p_opt.add_argument("--format", choices=("csv", "structured"),
                        default="structured", help="primary output format")
@@ -458,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", help="export the payoff curve as CSV")
     add_scenario_flags(p_curve)
-    p_curve.add_argument("--grid", type=int, default=200, help="grid points")
+    p_curve.add_argument("--grid", type=_count, default=200, help="grid points")
     p_curve.add_argument("--check-linearity", action="store_true",
                          help="verify the curve is linear between breakpoints")
     p_curve.set_defaults(func=cmd_curve)

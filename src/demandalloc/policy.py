@@ -5,7 +5,8 @@ per-seller transfers T_n keep the contemporaneous share uniform (T_n(0) = 1)
 and sum to N so the sellers' streams add back to market demand.  Neutral
 policies give every seller the same mean share and the same root MSFE; the
 designs here hit any target sigma at or above the lower bound |psi(0)|/N
-using one or two lags of memory.
+using one or two lags of memory.  The transfer structure lives only here:
+routing and forecasting read it from the policy they are given.
 """
 from __future__ import annotations
 
@@ -230,6 +231,26 @@ def allocate_ex_post(policy: AllocationPolicy, model: DemandModel,
         conv = np.convolve(dev, t_poly.coeffs)
         rows[i] = mu_share + conv[maxdeg:T] / policy.n_sellers
     return ExPostAllocation(allocations=rows, start_period=maxdeg)
+
+
+def benchmark_offsets(policy: AllocationPolicy, model: DemandModel,
+                      demands) -> np.ndarray:
+    """Per-period offsets of the benchmark from the equal split, shape (T, N).
+
+    b[t, n-1] = (1/N) sum_{k>=1} T_nk (D_{t-k} - mu), so seller n's
+    benchmark share in period t is D_t/N + b[t, n-1].  Lags before the path
+    count as demand at the mean.  Read from the lag coefficients directly, so
+    a memoryless design gives exact zeros.
+    """
+    dev = np.asarray(demands, dtype=float) - model.mu
+    N = policy.n_sellers
+    lags = np.zeros((N, policy.max_lag + 1))
+    for i, t_poly in enumerate(policy.transfers):
+        lags[i, :len(t_poly)] = t_poly.coeffs / N
+    offsets = np.zeros((dev.size, N))
+    for k in range(1, min(policy.max_lag, dev.size - 1) + 1):
+        offsets[k:] += dev[:-k, None] * lags[:, k]
+    return offsets
 
 
 def serialize_policy(policy: AllocationPolicy) -> str:

@@ -1,10 +1,12 @@
 """Online order routing that tracks the benchmark allocation.
 
 Each period the benchmark hands seller n a target x_n = D_t/N + b_n, where
-the offsets b_n depend only on lagged aggregate demand and sum to zero.  The
-greedy router assigns every arriving order to the seller with the smallest
-offset-adjusted count; when all targets are nonnegative the final counts
-land within one order of every target.
+the offsets b_n come from the allocation policy's transfers applied to
+lagged aggregate demand and sum to zero (`policy.benchmark_offsets`), so
+any admissible design can be routed.  The greedy router assigns every
+arriving order to the seller with the smallest offset-adjusted count; when
+all targets are nonnegative the final counts land within one order of
+every target.
 """
 from __future__ import annotations
 
@@ -13,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .demand import DemandPath
+from .demand import DemandModel, DemandPath
+from .policy import AllocationPolicy, benchmark_offsets
 
 OFFSET_SUM_TOL = 1e-9
 # Floating-point slack when comparing adjusted counts for the argmin and
@@ -33,21 +36,6 @@ class InfeasibleTargets(ValueError):
 
 
 @dataclass(frozen=True)
-class PeriodOffsets:
-    """Per-seller additive corrections to the equal split for one period."""
-
-    offsets: np.ndarray
-    period: int = 0
-
-    def __post_init__(self):
-        b = np.asarray(self.offsets, dtype=float)
-        object.__setattr__(self, "offsets", b)
-        scale = max(1.0, float(np.max(np.abs(b))) if b.size else 0.0)
-        if abs(float(b.sum())) > OFFSET_SUM_TOL * scale:
-            raise ValueError("offsets must sum to zero")
-
-
-@dataclass(frozen=True)
 class RoutingResult:
     counts: np.ndarray
     targets: np.ndarray
@@ -55,76 +43,36 @@ class RoutingResult:
     assignment_log: np.ndarray
 
 
-def compute_offsets(N: int, mu: float, sigma: float, sigma_L: float,
-                    D_prev: float, D_prev2: float, period: int = 0) -> PeriodOffsets:
-    """Offsets for the minimal-memory neutral designs.
-
-    Even N alternates +-(sigma/(N sigma_L)) times last period's demand
-    deviation; odd N gives sellers 1 and 2 the two-lag roles and alternates
-    the rest.  A single seller has no offset.
-    """
-    if not sigma >= sigma_L > 0:
-        raise ValueError("need sigma >= sigma_L > 0")
-    scale = sigma / (N * sigma_L)
-    d1 = D_prev - mu
-    d2 = D_prev2 - mu
-    if N == 1:
-        b = np.zeros(1)
-    elif N % 2 == 0:
-        signs = np.array([(-1.0) ** n for n in range(1, N + 1)])
-        b = scale * d1 * signs
-    else:
-        b = np.empty(N)
-        b[0] = scale * (d1 + d2)
-        b[1] = -scale * d2
-        for n in range(3, N + 1):
-            b[n - 1] = scale * (-1.0) ** n * d1
-    return PeriodOffsets(offsets=b, period=period)
-
-
-def route_orders(offsets: PeriodOffsets, D_t: int, seed: int,
-                 tie_break: str = "random", mask=None) -> RoutingResult:
+def route_orders(offsets, D_t: int, seed: int,
+                 tie_break: str = "random") -> RoutingResult:
     """Assign D_t orders one at a time by smallest offset-adjusted count.
 
-    Ties go to a uniformly random candidate under the seeded generator, or
-    to the lowest index with tie_break="lowest" for reproducible goldens.
-    mask optionally restricts each order to a subset of sellers: a boolean
-    row per order (shape (D_t, N)) or one row applied to every order.  The
-    one-unit tracking bound is only guaranteed unmasked.
+    offsets is one period's 1-d array of per-seller offsets b_n; they must
+    sum to zero.  Ties go to a uniformly random candidate under the seeded
+    generator, or to the lowest index with tie_break="lowest" for
+    reproducible goldens.
     """
-    b = offsets.offsets
+    b = np.asarray(offsets, dtype=float)
     N = b.size
+    scale = max(1.0, float(np.max(np.abs(b))) if N else 0.0)
+    if abs(float(b.sum())) > OFFSET_SUM_TOL * scale:
+        raise ValueError("offsets must sum to zero")
     if D_t < 0:
         raise ValueError("order count must be nonnegative")
     targets = D_t / N + b
     scale = max(1.0, float(np.max(np.abs(targets))))
     bad = np.flatnonzero(targets < -_TIE_TOL * scale)
     if bad.size:
-        raise InfeasibleTargets((bad + 1).tolist(), period=offsets.period)
-
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape == (N,):
-            mask = np.broadcast_to(mask, (D_t, N))
-        if mask.shape != (D_t, N):
-            raise ValueError("mask must have shape (N,) or (D_t, N)")
+        raise InfeasibleTargets((bad + 1).tolist())
 
     rng = np.random.default_rng(seed)
     counts = np.zeros(N, dtype=np.int64)
     log = np.empty(D_t, dtype=np.int64)
     for k in range(D_t):
         adjusted = counts - b
-        if mask is not None:
-            allowed = np.flatnonzero(mask[k])
-            if allowed.size == 0:
-                raise ValueError(f"order {k} has no available seller")
-        else:
-            allowed = None
-        pool = adjusted if allowed is None else adjusted[allowed]
-        m = pool.min()
-        ties = np.flatnonzero(pool <= m + _TIE_TOL * max(1.0, abs(m)))
-        pick = ties[0] if tie_break == "lowest" else rng.choice(ties)
-        chosen = int(pick if allowed is None else allowed[pick])
+        m = adjusted.min()
+        ties = np.flatnonzero(adjusted <= m + _TIE_TOL * max(1.0, abs(m)))
+        chosen = int(ties[0] if tie_break == "lowest" else rng.choice(ties))
         counts[chosen] += 1
         log[k] = chosen + 1
     discrepancy = float(np.max(np.abs(counts - targets))) if N else 0.0
@@ -149,33 +97,32 @@ def integerize_demand(path: DemandPath) -> np.ndarray:
     return np.maximum(np.rint(np.asarray(path.demands)), 0.0).astype(np.int64)
 
 
-def route_path(N: int, mu: float, sigma: float, sigma_L: float,
+def route_path(alloc_policy: AllocationPolicy, model: DemandModel,
                path: DemandPath, seed: int, on_infeasible: str = "raise",
                tie_break: str = "random") -> RoutePathResult:
     """Route a whole demand path period by period.
 
-    Offsets are recomputed each period from the lagged realized (integer)
-    demand; missing lags before the path starts count as demand at the mean.
+    The policy's offsets come from the lagged realized (integer) demand;
+    missing lags before the path starts count as demand at the mean.
     on_infeasible="skip" records periods with negative targets instead of
     raising; their orders are not routed.
     """
     demand = integerize_demand(path)
+    offsets = benchmark_offsets(alloc_policy, model, demand)
     T = demand.size
+    N = alloc_policy.n_sellers
     period_seeds = np.random.default_rng(seed).integers(0, 2 ** 63, size=T)
     results = []
     infeasible = []
     cumulative = np.zeros(N, dtype=np.int64)
     worst = 0.0
     for t in range(T):
-        d_prev = float(demand[t - 1]) if t >= 1 else mu
-        d_prev2 = float(demand[t - 2]) if t >= 2 else mu
-        offs = compute_offsets(N, mu, sigma, sigma_L, d_prev, d_prev2, period=t)
         try:
-            res = route_orders(offs, int(demand[t]), int(period_seeds[t]),
+            res = route_orders(offsets[t], int(demand[t]), int(period_seeds[t]),
                                tie_break=tie_break)
-        except InfeasibleTargets:
+        except InfeasibleTargets as exc:
             if on_infeasible != "skip":
-                raise
+                raise InfeasibleTargets(exc.sellers, period=t) from None
             infeasible.append(t)
             results.append(None)
             continue

@@ -119,13 +119,16 @@ class ModeEconomics:
 def inventory_coefficient(h_bar: float, b: float, mode: str = FBM) -> ModeEconomics:
     """K = h_bar * zeta + (h_bar + b) * L(zeta) at zeta = quantile(b/(h_bar+b)).
 
-    For zeta < 0 the two terms cancel, so K is summed as the equal
+    zeta is read from the smaller tail, -quantile(h_bar/(h_bar+b)) when
+    b > h_bar: a fractile near 1 keeps few digits of its distance from 1.
+    For zeta < 0 the two terms of K cancel, so K is summed as the equal
     (h_bar + b) * L(-zeta) - b * zeta.  The mode argument is a label carried
     through to the result; K itself depends only on the costs.
     """
     if not (h_bar > 0 and b > 0):
         raise DomainError("inventory coefficient needs positive h_bar and b")
-    zeta = std_normal_quantile(b / (h_bar + b))
+    zeta = (std_normal_quantile(b / (h_bar + b)) if b <= h_bar
+            else -std_normal_quantile(h_bar / (h_bar + b)))
     K = (h_bar * zeta + (h_bar + b) * std_normal_loss(zeta) if zeta >= 0
          else (h_bar + b) * std_normal_loss(-zeta) - b * zeta)
     return ModeEconomics(zeta=zeta, K=K, mode=mode)

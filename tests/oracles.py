@@ -1,8 +1,9 @@
 """Independent oracles used to freeze expected values and cross-check the
 package's numerics.  Root finding goes through mpmath at 50 digits, the
-innovations recursion is restated from the textbook autocovariance form, and
-the routing replay re-derives greedy choices from scratch; none of these
-imports from demandalloc.
+innovations recursion is restated from the textbook autocovariance form, the
+routing replay re-derives greedy choices from scratch, and the routing
+targets are summed from the transfer coefficients period by period; none of
+these imports from demandalloc.
 
 The scalar seller/platform reference at the end is the per-seller loop form
 of adoption, breakpoints, participation, payoff, the optimizer and the payoff
@@ -50,11 +51,12 @@ def mp_root_msfe(coeffs, dps: int = 50) -> float:
 def mp_quantile(p, dps: int = 50) -> float:
     """Inverse standard normal cdf via the inverse error function.
 
-    p enters as the exact binary value of the float; near p = 1/2 its
-    shortest repr can be off by enough to move the quantile by percents.
+    p enters at its exact value: the binary value of a float (near p = 1/2
+    its shortest repr can be off by enough to move the quantile by percents)
+    or an mpf computed at high precision.
     """
     with mp.workdps(dps):
-        return float(mp.sqrt(2) * mp.erfinv(2 * mp.mpf(float(p)) - 1))
+        return float(mp.sqrt(2) * mp.erfinv(2 * mp.mpf(p) - 1))
 
 
 def mp_cdf(x, dps: int = 50) -> float:
@@ -116,6 +118,24 @@ def greedy_replay_ok(offsets, assignment_log, tie_tol: float = 1e-12) -> bool:
             return False
         counts[i] += 1
     return True
+
+
+def benchmark_targets(transfers, mu, demand):
+    """Routing targets D_t/N + (1/N) sum_{k>=1} T_nk (D_{t-k} - mu) for every
+    period t and seller n, as a list of rows; demand before the path is at
+    the mean.  transfers holds each seller's coefficients, low order first."""
+    n = len(transfers)
+    targets = []
+    for t in range(len(demand)):
+        row = []
+        for coeffs in transfers:
+            lagged = 0.0
+            for k in range(1, len(coeffs)):
+                past = demand[t - k] if t >= k else mu
+                lagged += coeffs[k] * (past - mu)
+            row.append(demand[t] / n + lagged / n)
+        targets.append(row)
+    return targets
 
 
 # Scalar seller/platform reference.  Mirrors the package's constants.

@@ -25,8 +25,8 @@ from demandalloc import (
     TransferPoly,
     adoption_set,
     allocate_ex_post,
+    benchmark_offsets,
     breakpoints,
-    compute_offsets,
     filter_msfe,
     inner_outer_factor,
     innovations_msfe,
@@ -277,8 +277,10 @@ def test_criterion_6_property_suite(scenario):
         sigma = sigma_l * float(rng.uniform(1.0, 3.0))
         d_prev = mu * float(rng.uniform(0.7, 1.3))
         d_prev2 = mu * float(rng.uniform(0.7, 1.3))
-        offs = compute_offsets(N, mu, sigma, sigma_l, d_prev, d_prev2,
-                               period=int(rng.integers(0, 1000)))
+        rng.integers(0, 1000)  # unused draw (a period label) keeps the instances fixed
+        model = DemandModel(mu, [N * sigma_l])
+        offs = benchmark_offsets(neutral_policy(model, N, sigma), model,
+                                 [d_prev2, d_prev, mu])[-1]
         D = int(rng.integers(max(1, int(0.6 * mu)), int(1.4 * mu) + 2))
         try:
             res = route_orders(offs, D, int(rng.integers(0, 2 ** 62)))

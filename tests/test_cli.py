@@ -125,6 +125,30 @@ def test_options_must_be_integers(tmp_path, capsys, field, raw):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["route", "--sigma", "inf"], "--sigma"),
+    (["route", "--sigma", "nan"], "--sigma"),
+    (["simulate", "--sigma", "0"], "--sigma"),
+    (["simulate", "--sigma", "-2"], "--sigma"),
+    (["simulate", "--sigma", "5", "--periods", "0"], "--periods"),
+    (["route", "--sigma", "5", "--periods", "2.5"], "--periods"),
+    (["route", "--sigma", "5", "--seed", "-1"], "--seed"),
+    (["simulate", "--sigma", "5", "--seed", "x"], "--seed"),
+    (["optimize", "--grid", "-1"], "--grid"),
+    (["curve", "--grid", "0"], "--grid"),
+])
+def test_numeric_flags_are_checked_at_parse_time(tmp_path, capsys, argv, flag):
+    out = tmp_path / "primary.out"
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--scenario", SCENARIO, "--out", str(out), *argv[1:]])
+    assert exc.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert f"argument {flag}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestExitCodes:
     def test_optimize_succeeds(self, tmp_path, capsys):
         out = tmp_path / "sol.json"
@@ -357,6 +381,32 @@ class TestRoute:
                    "--sigma", "0.2", "--periods", "100"])
         assert rc == EXIT_INFEASIBLE
         assert "infeasible" in capsys.readouterr().err
+
+    def test_floor_routes_the_uniform_split(self, tmp_path, capsys):
+        # at sigma_L the design is the uniform split, which is always feasible
+        out = tmp_path / "route.csv"
+        assert main(["route", "--scenario", SCENARIO, "--sigma", "0.5",
+                     "--periods", "2000", "--seed", "4",
+                     "--out", str(out)]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["infeasible_periods"] == 0
+        counts = {}
+        with out.open() as fh:
+            for row in list(csv.reader(fh))[1:]:
+                period = counts.setdefault(int(row[0]), [0] * 10)
+                period[int(row[2]) - 1] += 1
+        for period in counts.values():
+            share = sum(period) / 10
+            assert max(abs(c - share) for c in period) < 1.0
+
+    def test_single_seller_above_floor_is_infeasible(self, tmp_path, capsys):
+        doc = scenario_doc()
+        doc["sellers"] = doc["sellers"][:1]
+        rc = main(["route", "--scenario", write_doc(tmp_path, doc),
+                   "--sigma", "6.0", "--periods", "50"])
+        assert rc == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert "single seller" in err
 
 
 def test_console_entry_point_matches_main():

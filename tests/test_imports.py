@@ -27,3 +27,11 @@ def test_cli_imports_only_numpy_and_the_stdlib():
                      if m not in sys.stdlib_module_names and m not in ALLOWED)
     assert "demandalloc" in added and "numpy" in added
     assert foreign == []
+
+
+def test_every_exported_name_resolves():
+    import demandalloc
+    missing = [name for name in demandalloc.__all__
+               if not hasattr(demandalloc, name)]
+    assert missing == []
+    assert len(set(demandalloc.__all__)) == len(demandalloc.__all__)

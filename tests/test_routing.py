@@ -1,47 +1,72 @@
-"""Online order routing: offset construction, the greedy rule's one-unit
+"""Online order routing: policy-derived offsets, the greedy rule's one-unit
 tracking guarantee, and path-level exports."""
 import io
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demandalloc import (
     DemandModel,
+    DemandPath,
     InfeasibleTargets,
     TransferPoly,
-    compute_offsets,
+    benchmark_offsets,
+    deserialize_policy,
     export_assignment_log,
     integerize_demand,
+    lagged_variant,
+    neutral_policy,
     route_orders,
     route_path,
     simulate,
+    uniform_policy,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from oracles import greedy_replay_ok  # noqa: E402
+from oracles import benchmark_targets, greedy_replay_ok  # noqa: E402
 
 MU = 15.0
 SIGMA_L = 0.5
 
 
+def design(N, sigma, sigma_l=SIGMA_L, mu=MU):
+    """Demand model with floor sigma_l for N sellers and its neutral design
+    at sigma, so alpha = sigma / sigma_l."""
+    model = DemandModel(mu, TransferPoly([N * sigma_l]))
+    return model, neutral_policy(model, N, sigma)
+
+
+def period_offsets(N, sigma, d_prev, d_prev2, sigma_l=SIGMA_L):
+    """Offsets of the neutral design for a period whose last two demands
+    were d_prev and d_prev2."""
+    model, pol = design(N, sigma, sigma_l)
+    return benchmark_offsets(pol, model, [d_prev2, d_prev, MU])[-1]
+
+
+def path_of(demands):
+    return DemandPath(demands=np.asarray(demands, dtype=float),
+                      shocks=np.zeros(0), seed=0)
+
+
 class TestComputeOffsets:
     def test_centered_history_is_neutral(self):
-        off = compute_offsets(4, MU, 1.0, SIGMA_L, MU, MU)
-        np.testing.assert_allclose(off.offsets, np.zeros(4))
+        np.testing.assert_allclose(period_offsets(4, 1.0, MU, MU), np.zeros(4))
 
     def test_two_sellers(self):
-        off = compute_offsets(2, MU, 1.0, SIGMA_L, MU + 1.0, MU)
-        np.testing.assert_allclose(off.offsets, [-1.0, 1.0])
+        np.testing.assert_allclose(period_offsets(2, 1.0, MU + 1.0, MU), [-1.0, 1.0])
 
     def test_three_sellers_two_lags(self):
-        off = compute_offsets(3, MU, 1.5, SIGMA_L, MU + 1.0, MU - 1.0)
-        np.testing.assert_allclose(off.offsets, [0.0, 1.0, -1.0])
+        np.testing.assert_allclose(period_offsets(3, 1.5, MU + 1.0, MU - 1.0),
+                                   [0.0, 1.0, -1.0])
 
     def test_single_seller_has_no_offset(self):
-        off = compute_offsets(1, MU, SIGMA_L, SIGMA_L, MU + 7.0, MU - 3.0)
-        np.testing.assert_array_equal(off.offsets, [0.0])
+        np.testing.assert_array_equal(
+            period_offsets(1, SIGMA_L, MU + 7.0, MU - 3.0), [0.0])
 
     def test_offsets_sum_to_zero(self):
         rng = np.random.default_rng(8)
@@ -50,27 +75,43 @@ class TestComputeOffsets:
             sigma = SIGMA_L * rng.uniform(1.0, 8.0)
             d1 = MU + rng.normal(0, 5)
             d2 = MU + rng.normal(0, 5)
-            off = compute_offsets(N, MU, sigma, SIGMA_L, d1, d2)
-            assert abs(off.offsets.sum()) < 1e-9
+            if N == 1:
+                sigma = SIGMA_L  # one seller has only the floor design
+            assert abs(period_offsets(N, sigma, d1, d2).sum()) < 1e-9
 
     def test_rejects_bad_dispersion(self):
         with pytest.raises(ValueError):
-            compute_offsets(2, MU, 0.2, SIGMA_L, MU, MU)
+            period_offsets(2, 0.2, MU, MU)
         with pytest.raises(ValueError):
-            compute_offsets(2, MU, 1.0, 0.0, MU, MU)
+            period_offsets(2, 1.0, MU, MU, sigma_l=0.0)
+
+    def test_uniform_design_has_exact_zeros(self):
+        # read from the lag coefficients, not as allocation minus D_t/N, so
+        # the log never prints -0.000000 for the uniform split
+        model = DemandModel(MU, TransferPoly([5.0]))
+        b = benchmark_offsets(uniform_policy(4, MU), model, [3.0, 29.0, 17.0])
+        assert b.shape == (3, 4)
+        assert np.all(b == 0.0) and not np.any(np.signbit(b))
+
+    def test_lags_before_the_path_sit_at_the_mean(self):
+        model = DemandModel(MU, TransferPoly([1.0]))
+        pol = lagged_variant(model, 2, 1.0, 3)  # T_n = 1 -+ 2 z^3
+        b = benchmark_offsets(pol, model, [MU + 4.0, MU, MU, MU, MU - 2.0])
+        np.testing.assert_array_equal(b[:3], np.zeros((3, 2)))
+        np.testing.assert_allclose(b[3], [-4.0, 4.0])
+        np.testing.assert_allclose(b[4], [0.0, 0.0])
 
 
 class TestRouteOrders:
     def test_uniform_split(self):
-        off = compute_offsets(4, MU, SIGMA_L, SIGMA_L, MU, MU)
-        res = route_orders(off, 8, seed=3)
+        res = route_orders(np.zeros(4), 8, seed=3)
         np.testing.assert_array_equal(res.counts, [2, 2, 2, 2])
         assert res.max_discrepancy == 0.0
 
     def test_two_seller_offsets_exact(self):
         # offsets (-1, +1): the alternating walk lands on the targets for
         # any tie resolution
-        off = compute_offsets(2, MU, 1.0, SIGMA_L, MU + 1.0, MU)
+        off = period_offsets(2, 1.0, MU + 1.0, MU)
         for seed in range(8):
             res = route_orders(off, 10, seed=seed)
             np.testing.assert_array_equal(res.counts, [4, 6])
@@ -89,9 +130,7 @@ class TestRouteOrders:
                 b -= b.mean()
                 if float((D / N + b).min()) < 0:
                     continue
-            off = compute_offsets(2, MU, SIGMA_L, SIGMA_L, MU, MU)
-            object.__setattr__(off, "offsets", b)
-            res = route_orders(off, D, seed=int(rng.integers(1 << 30)))
+            res = route_orders(b, D, seed=int(rng.integers(1 << 30)))
             assert int(res.counts.sum()) == D
             assert res.max_discrepancy <= 1.0 + 1e-9
 
@@ -107,9 +146,7 @@ class TestRouteOrders:
             targets = D / N + b
             if targets.min() < 0:
                 continue
-            off = compute_offsets(2, MU, SIGMA_L, SIGMA_L, MU, MU)
-            object.__setattr__(off, "offsets", b)
-            res = route_orders(off, D, seed=int(rng.integers(1 << 30)))
+            res = route_orders(b, D, seed=int(rng.integers(1 << 30)))
             counts = np.zeros(N)
             for chosen in res.assignment_log:
                 counts[chosen - 1] += 1
@@ -126,57 +163,49 @@ class TestRouteOrders:
                 b -= b.mean()
                 if (D / N + b).min() < 0:
                     continue
-                off = compute_offsets(2, MU, SIGMA_L, SIGMA_L, MU, MU)
-                object.__setattr__(off, "offsets", b)
-                res = route_orders(off, D, seed=int(rng.integers(1 << 30)),
+                res = route_orders(b, D, seed=int(rng.integers(1 << 30)),
                                    tie_break=tie_break)
                 assert greedy_replay_ok(b, res.assignment_log)
 
     def test_deterministic_per_seed(self):
-        off = compute_offsets(5, MU, 2.0, SIGMA_L, MU + 2.0, MU - 1.0)
+        off = period_offsets(5, 2.0, MU + 2.0, MU - 1.0)
         a = route_orders(off, 30, seed=12)
         b = route_orders(off, 30, seed=12)
         np.testing.assert_array_equal(a.assignment_log, b.assignment_log)
 
     def test_seeds_break_ties_differently(self):
         # all-zero offsets tie constantly; some pair of seeds must disagree
-        off = compute_offsets(4, MU, SIGMA_L, SIGMA_L, MU, MU)
+        off = np.zeros(4)
         logs = {tuple(route_orders(off, 12, seed=s).assignment_log)
                 for s in range(6)}
         assert len(logs) > 1
 
     def test_lowest_tie_break_is_canonical(self):
-        off = compute_offsets(4, MU, SIGMA_L, SIGMA_L, MU, MU)
-        res = route_orders(off, 8, seed=99, tie_break="lowest")
+        res = route_orders(np.zeros(4), 8, seed=99, tie_break="lowest")
         np.testing.assert_array_equal(res.assignment_log,
                                       [1, 2, 3, 4, 1, 2, 3, 4])
 
     def test_infeasible_targets_name_sellers(self):
-        off = compute_offsets(2, MU, 4.0, SIGMA_L, MU + 2.0, MU, period=17)
-        # offsets (-8, +8) with 6 orders: seller 1's target is negative
+        # alpha = 8: one order above the mean in period 16 gives period 17
+        # offsets (-8, +8), and with 6 orders seller 1's target is negative
+        model, pol = design(2, 4.0)
+        demands = [MU] * 16 + [MU + 2.0, 6.0]
         with pytest.raises(InfeasibleTargets) as exc_info:
-            route_orders(off, 6, seed=0)
+            route_path(pol, model, path_of(demands), seed=0)
         assert exc_info.value.sellers == [1]
         assert exc_info.value.period == 17
         assert isinstance(exc_info.value, ValueError)
+        with pytest.raises(InfeasibleTargets) as exc_info:
+            route_orders([-8.0, 8.0], 6, seed=0)
+        assert exc_info.value.sellers == [1]
 
-    def test_mask_restricts_assignment(self):
-        off = compute_offsets(3, MU, SIGMA_L, SIGMA_L, MU, MU)
-        mask = np.array([False, True, True])
-        res = route_orders(off, 9, seed=4, mask=mask)
-        assert res.counts[0] == 0
-        assert int(res.counts.sum()) == 9
-
-    def test_empty_mask_row_rejected(self):
-        off = compute_offsets(2, MU, SIGMA_L, SIGMA_L, MU, MU)
-        mask = np.zeros((3, 2), dtype=bool)
-        with pytest.raises(ValueError, match="no available seller"):
-            route_orders(off, 3, seed=0, mask=mask)
+    def test_offsets_must_sum_to_zero(self):
+        with pytest.raises(ValueError, match="sum to zero"):
+            route_orders([1.0, 0.5], 4, seed=0)
 
     def test_rejects_negative_demand(self):
-        off = compute_offsets(2, MU, SIGMA_L, SIGMA_L, MU, MU)
         with pytest.raises(ValueError):
-            route_orders(off, -1, seed=0)
+            route_orders(np.zeros(2), -1, seed=0)
 
 
 class TestRoutePath:
@@ -188,8 +217,8 @@ class TestRoutePath:
         self.calm_path = simulate(self.calm_model, 400, 2)
 
     def test_tracks_everywhere_when_feasible(self):
-        sigma_l = 5.0 / 4
-        res = route_path(4, 50.0, sigma_l, sigma_l, self.calm_path, seed=5)
+        pol = neutral_policy(self.calm_model, 4, 5.0 / 4)
+        res = route_path(pol, self.calm_model, self.calm_path, seed=5)
         assert res.infeasible_periods == []
         assert res.max_discrepancy <= 1.0 + 1e-9
         total = integerize_demand(self.calm_path).sum()
@@ -197,12 +226,14 @@ class TestRoutePath:
         np.testing.assert_allclose(res.cumulative_shares.sum(), 1.0, atol=1e-12)
 
     def test_single_seller_takes_everything(self):
-        res = route_path(1, MU, SIGMA_L, SIGMA_L, self.path, seed=5)
+        pol = neutral_policy(self.model, 1, 5.0)
+        res = route_path(pol, self.model, self.path, seed=5)
         assert int(res.cumulative_counts[0]) == int(integerize_demand(self.path).sum())
 
     def test_skip_mode_records_infeasible_periods(self):
         # at sigma = 6 sigma_L the offsets regularly push targets negative
-        res = route_path(10, MU, 3.0, SIGMA_L, self.path, seed=5,
+        pol = neutral_policy(self.model, 10, 3.0)
+        res = route_path(pol, self.model, self.path, seed=5,
                          on_infeasible="skip")
         assert len(res.infeasible_periods) > 0
         assert all(res.results[t] is None for t in res.infeasible_periods)
@@ -210,13 +241,14 @@ class TestRoutePath:
 
     def test_raise_mode_propagates(self):
         with pytest.raises(InfeasibleTargets):
-            route_path(10, MU, 3.0, SIGMA_L, self.path, seed=5)
+            route_path(neutral_policy(self.model, 10, 3.0), self.model,
+                       self.path, seed=5)
 
     def test_deterministic_per_seed(self):
-        sigma_l = 5.0 / 3
-        a = route_path(3, 50.0, 2.0, sigma_l, self.calm_path, seed=11,
+        pol = neutral_policy(self.calm_model, 3, 2.0)
+        a = route_path(pol, self.calm_model, self.calm_path, seed=11,
                        on_infeasible="skip")
-        b = route_path(3, 50.0, 2.0, sigma_l, self.calm_path, seed=11,
+        b = route_path(pol, self.calm_model, self.calm_path, seed=11,
                        on_infeasible="skip")
         np.testing.assert_array_equal(a.cumulative_counts, b.cumulative_counts)
 
@@ -233,8 +265,8 @@ class TestExport:
     def test_header_and_row_count(self):
         model = DemandModel(MU, TransferPoly([5.0]))
         path = simulate(model, 50, 6)
-        res = route_path(3, MU, 1.0, SIGMA_L, path, seed=9,
-                         on_infeasible="skip")
+        design_model, pol = design(3, 1.0)
+        res = route_path(pol, design_model, path, seed=9, on_infeasible="skip")
         buf = io.StringIO()
         export_assignment_log(res, buf)
         lines = buf.getvalue().strip().splitlines()
@@ -245,8 +277,8 @@ class TestExport:
     def test_snapshot_reconstructs_final_counts(self):
         model = DemandModel(MU, TransferPoly([5.0]))
         path = simulate(model, 20, 6)
-        res = route_path(2, MU, 1.0, SIGMA_L, path, seed=9,
-                         on_infeasible="skip")
+        design_model, pol = design(2, 1.0)
+        res = route_path(pol, design_model, path, seed=9, on_infeasible="skip")
         buf = io.StringIO()
         export_assignment_log(res, buf)
         lines = buf.getvalue().strip().splitlines()[1:]
@@ -260,3 +292,53 @@ class TestExport:
             adj = np.array([float(x) for x in parts[3:]])
             b = r.targets - float(r.counts.sum()) / r.counts.size
             np.testing.assert_allclose(adj, r.counts - b, atol=5e-6)
+
+
+@st.composite
+def routed_designs(draw):
+    """(policy, model) over the neutral even and odd designs, lagged variants
+    with k in {1, 2, 3}, permuted neutral designs and a deserialized custom
+    policy with up to three lags."""
+    kind = draw(st.sampled_from(["neutral", "lagged", "permuted", "custom"]))
+    mu = draw(st.floats(5.0, 40.0))
+    model = DemandModel(mu, TransferPoly([draw(st.floats(0.5, 10.0))]))
+    if kind == "lagged":
+        N = draw(st.sampled_from([2, 4, 6]))
+    else:
+        N = draw(st.integers(2, 7))
+    sigma = abs(float(model.psi.coeffs[0])) / N * draw(st.floats(1.0, 4.0))
+    if kind == "neutral":
+        return neutral_policy(model, N, sigma), model
+    if kind == "lagged":
+        return lagged_variant(model, N, sigma, draw(st.integers(1, 3))), model
+    if kind == "permuted":
+        perm = draw(st.permutations(range(1, N + 1)))
+        return neutral_policy(model, N, sigma, permutation=perm), model
+    lags = draw(st.integers(1, 3))
+    coeff = st.floats(-3.0, 3.0)
+    rows = [[1.0] + [draw(coeff) for _ in range(lags)] for _ in range(N - 1)]
+    rows.append([1.0] + [-sum(r[k] for r in rows) for k in range(1, lags + 1)])
+    doc = {"n_sellers": N, "transfers": rows, "design": "custom"}
+    return deserialize_policy(json.dumps(doc)), model
+
+
+class TestPolicyTracking:
+    @given(routed_designs(), st.lists(st.integers(0, 80), min_size=1, max_size=25),
+           st.integers(0, 2 ** 32))
+    @settings(max_examples=150, deadline=None)
+    def test_routes_track_the_policy_targets(self, pol_model, demand, seed):
+        pol, model = pol_model
+        res = route_path(pol, model, path_of(demand), seed, on_infeasible="skip")
+        transfers = [t.coeffs.tolist() for t in pol.transfers]
+        targets = benchmark_targets(transfers, model.mu, [float(d) for d in demand])
+        for t, row in enumerate(targets):
+            tol = 1e-12 * max(1.0, max(abs(x) for x in row))
+            negative = any(x < -tol for x in row)
+            assert (t in res.infeasible_periods) == negative
+            if negative:
+                assert res.results[t] is None
+                continue
+            routed = res.results[t]
+            assert int(routed.counts.sum()) == demand[t]
+            assert routed.assignment_log.size == demand[t]
+            assert max(abs(c - x) for c, x in zip(routed.counts, row)) <= 1.0 + 1e-9

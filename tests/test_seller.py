@@ -4,6 +4,7 @@ import io
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -140,6 +141,17 @@ class TestInventoryCoefficient:
         _, K = mp_inventory_k(h_bar, b)
         assert inventory_coefficient(h_bar, b).K == pytest.approx(
             K, rel=1e-12, abs=0.0)
+
+    @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+    @example(1e-3, 393.0)  # fractile near 1: b/(h_bar+b) keeps few digits of 1-p
+    @settings(max_examples=200, deadline=None)
+    def test_zeta_against_mpmath(self, h_bar, b):
+        with mp.workdps(50):
+            fractile = mp.mpf(b) / (mp.mpf(h_bar) + mp.mpf(b))
+        # near h_bar = b the fractile's own rounding, a fraction of an ulp of
+        # 1/2, bounds zeta's absolute error
+        assert inventory_coefficient(h_bar, b).zeta == pytest.approx(
+            mp_quantile(fractile), rel=1e-12, abs=1e-15)
 
     def test_critical_fractile(self):
         econ = inventory_coefficient(0.6, 12.0)
