@@ -16,9 +16,8 @@ from .forecast import (ConvergenceFailure, FilterForecaster, LeadTimeChoice,
                        ses_comparison_rows, ses_msfe_closed_form,
                        ses_truncated_weights)
 from .platform import (CurvePoint, EmptyFeasibleSet, PayoffResult,
-                       PlatformSolution, breakpoints, cumulative_utility,
-                       export_curve, optimize, payoff, payoff_curve,
-                       safety_stock_totals, solution_document)
+                       PlatformSolution, export_curve, optimize, payoff,
+                       payoff_curve, solution_document)
 from .policy import (AllocationPolicy, BelowLowerBound, ExPostAllocation,
                      Infeasible, InsufficientHistory, NeutralityReport,
                      allocate_ex_post, benchmark_offsets, check_neutral,
@@ -32,11 +31,11 @@ from .routing import (InfeasibleTargets, RoutePathResult, RoutingResult,
                       export_assignment_log, integerize_demand, route_orders,
                       route_path)
 from .seller import (FBM, FBP, DomainError, MarketTable, ModeEconomics,
-                     PlatformCosts, SellerParams, adoption_set, base_stock,
+                     PlatformCosts, SellerParams, base_stock,
                      check_cost_assumptions, export_k_table,
-                     inventory_coefficient, k_table, market_table, mode_choice,
-                     mode_economics, seller_utility, sigma_participation_ub,
-                     std_normal_cdf, std_normal_loss, std_normal_quantile)
+                     inventory_coefficient, k_table, market_table,
+                     mode_economics, seller_utility, std_normal_cdf,
+                     std_normal_loss, std_normal_quantile)
 
 __version__ = "0.1.0"
 
@@ -48,22 +47,21 @@ __all__ = [
     "LeadTimeSpec", "MarketTable", "ModeEconomics", "NeutralityReport", "NoRoots",
     "NumericalInstability", "PayoffResult", "PlatformCosts",
     "PlatformSolution", "RoutePathResult", "RoutingResult", "SellerParams",
-    "TransferPoly", "ZeroPolynomial", "adoption_set",
-    "allocate_ex_post", "base_stock", "benchmark_offsets", "breakpoints",
+    "TransferPoly", "ZeroPolynomial",
+    "allocate_ex_post", "base_stock", "benchmark_offsets",
     "check_cost_assumptions",
     "export_assignment_log", "export_curve", "export_k_table",
     "export_ses_comparison", "ses_comparison_rows",
-    "check_neutral", "cumulative_utility",
+    "check_neutral",
     "deserialize_policy", "filter_msfe", "inner_outer_factor",
     "innovations_msfe", "innovations_predict", "integerize_demand",
     "inventory_coefficient", "is_invertible", "k_table", "lagged_variant",
     "leadtime_mode_choice", "leadtime_msfe", "leadtime_theta", "market_table",
-    "mode_choice",
     "mode_economics", "neutral_policy", "optimize", "payoff", "payoff_curve",
     "poly_mul", "poly_roots", "prob_negative", "root_msfe", "route_orders",
-    "route_path", "safety_stock_totals", "seller_cv_bound", "seller_filter",
+    "route_path", "seller_cv_bound", "seller_filter",
     "seller_utility", "serialize_policy", "ses_msfe_closed_form",
-    "ses_truncated_weights", "sigma_lower_bound", "sigma_participation_ub",
-    "simulate", "solution_document", "std_normal_cdf", "std_normal_loss",
+    "ses_truncated_weights", "sigma_lower_bound", "simulate",
+    "solution_document", "std_normal_cdf", "std_normal_loss",
     "std_normal_quantile", "uniform_policy", "variance",
 ]

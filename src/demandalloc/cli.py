@@ -190,31 +190,14 @@ def _emit_summary(summary: dict, primary_on_stdout: bool) -> None:
 
 def cmd_optimize(args) -> int:
     scenario = load_scenario(args.scenario)
-    model = scenario.model()
-    solution = platform.optimize(scenario.sellers, scenario.costs, model,
-                                 scenario.n_sellers, scenario.sigma_cap)
-    doc = platform.solution_document(solution, scenario.sellers, scenario.costs,
-                                     model, scenario.n_sellers)
+    sigma_lower = policy.sigma_lower_bound(scenario.model(), scenario.n_sellers)
+    table = seller.market_table(scenario.sellers, scenario.costs, scenario.mu)
+    solution = platform.optimize(table, sigma_lower, scenario.sigma_cap)
+    doc = platform.solution_document(solution, table)
     with _primary_stream(args.out) as (fh, on_stdout):
-        if args.format == "csv":
-            writer = csv.writer(fh)
-            writer.writerow(["key", "value"])
-            for key, value in doc.items():
-                writer.writerow([key, json.dumps(value, allow_nan=False)])
-        else:
-            fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+        fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     if args.out:
         print(f"wrote {args.out}", file=sys.stderr)
-    if args.grid:
-        lo, hi = solution.sigma_lower, solution.sigma_upper
-        grid = np.linspace(lo, hi, args.grid)
-        points = platform.payoff_curve(scenario.sellers, scenario.costs,
-                                       scenario.n_sellers, scenario.mu, grid,
-                                       sigma_cap=scenario.sigma_cap)
-        curve_path = (args.out + ".curve.csv") if args.out else "payoff_curve.csv"
-        with open(curve_path, "w", newline="") as fh:
-            platform.export_curve(points, fh)
-        print(f"wrote {curve_path}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -237,7 +220,7 @@ def cmd_simulate(args) -> int:
     start = expost.start_period
     demands = path.demands[start:]
 
-    table = seller.market_table(scenario.sellers, scenario.costs, N, scenario.mu)
+    table = seller.market_table(scenario.sellers, scenario.costs, scenario.mu)
     fbp = table.adopts(sigma)
     modes = [seller.FBP if a else seller.FBM for a in fbp.tolist()]
     zetas = np.where(fbp, table.zeta_fbp, table.zeta_fbm).tolist()
@@ -359,18 +342,15 @@ def cmd_msfe(args) -> int:
 
 def cmd_curve(args) -> int:
     scenario = load_scenario(args.scenario)
-    model = scenario.model()
-    N = scenario.n_sellers
-    sigma_u = seller.sigma_participation_ub(scenario.sellers, scenario.costs,
-                                            N, scenario.mu, scenario.sigma_cap)
+    sigma_lower = policy.sigma_lower_bound(scenario.model(), scenario.n_sellers)
+    table = seller.market_table(scenario.sellers, scenario.costs, scenario.mu)
+    sigma_u = table.participation_ub(scenario.sigma_cap)
     hi = min(scenario.sigma_cap, 1.1 * sigma_u)
     grid = np.linspace(0.0, hi, args.grid)
-    points = platform.payoff_curve(scenario.sellers, scenario.costs, N,
-                                   scenario.mu, grid,
-                                   sigma_cap=scenario.sigma_cap)
+    points = platform.payoff_curve(table, grid, sigma_u)
     summary = {"command": "curve", "points": len(points),
                "sigma_upper": sigma_u,
-               "sigma_lower": policy.sigma_lower_bound(model, N)}
+               "sigma_lower": sigma_lower}
     if args.check_linearity:
         residual = _max_segment_residual(points)
         summary["max_linearity_residual"] = residual
@@ -453,10 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="solve the platform's sigma design problem")
     add_scenario_flags(p_opt)
-    p_opt.add_argument("--grid", type=_count, default=None,
-                       help="also export a payoff curve with this many grid points")
-    p_opt.add_argument("--format", choices=("csv", "structured"),
-                       default="structured", help="primary output format")
     p_opt.set_defaults(func=cmd_optimize)
 
     p_sim = sub.add_parser("simulate", help="simulate demand, allocate, and cost out inventory")

@@ -19,8 +19,8 @@ import numpy as np
 from .demand import DemandModel
 from .policy import AllocationPolicy, seller_filter, sigma_lower_bound
 from .polyalg import TransferPoly, as_poly, inner_outer_factor
-from .seller import FBM, FBP, PlatformCosts, SellerParams, market_table, \
-    mode_economics
+from .seller import (FBM, FBP, MarketTable, PlatformCosts, SellerParams,
+                     mode_economics)
 
 SES_TAIL_TOL = 1e-12
 _CONVERGENCE_RTOL = 1e-10
@@ -267,14 +267,12 @@ def leadtime_mode_choice(params: SellerParams, costs: PlatformCosts,
                           utility_fbp=u_fbp, utility_fbm=u_fbm)
 
 
-def ses_comparison_rows(sellers, costs: PlatformCosts, N: int, mu: float,
-                        sigma: float, sigma_tilde: float):
+def ses_comparison_rows(table: MarketTable, sigma: float, sigma_tilde: float):
     """Per-seller view of how smoothing-based perception shifts choices.
 
     Each row: seller, the design sigma, the perceived sigma, the mode chosen
     under each, and the utility evaluated at each perception.
     """
-    table = market_table(sellers, costs, N, mu)
     fbp_opt, u_opt = table.utilities(sigma)
     fbp_ses, u_ses = table.utilities(sigma_tilde)
     rows = zip(np.where(fbp_opt, FBP, FBM).tolist(),

@@ -6,20 +6,20 @@ volatility sigma grows rented safety stock linearly but pushes sellers past
 their adoption thresholds one by one, so the payoff is piecewise linear with
 downward jumps at finitely many breakpoints and the optimum sits at one of
 them (or at the volatility floor).
+
+Every function here reads one seller.MarketTable, built once per market by
+seller.market_table; the caller supplies the volatility floor and the
+participation bound it wants.
 """
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .demand import DemandModel
-from .policy import sigma_lower_bound
-from .seller import (DomainError, MarketTable, PlatformCosts, _indices,
-                     market_table)
+from .seller import DomainError, MarketTable
 
 _PAYOFF_TIE_TOL = 1e-9
 
@@ -36,6 +36,8 @@ class PayoffResult:
     storage_rent: float
     adopters: frozenset
     n_adopters: int
+    gamma_fbp: float
+    gamma_fbm: float
 
     @property
     def breakdown(self) -> dict:
@@ -67,15 +69,6 @@ class CurvePoint:
     side: str
 
 
-def breakpoints(sellers, costs: PlatformCosts, N: int, mu: float):
-    """Ascending (sigma, seller) exit thresholds mu dF_n / (N dK_n).
-
-    Only sellers whose platform-mode inventory coefficient is strictly
-    dearer (dK_n > 0) ever exit; the rest stay for any sigma.
-    """
-    return market_table(sellers, costs, N, mu).breakpoints()
-
-
 class _Evaluation(NamedTuple):
     """Payoff terms and safety-stock totals at an array of sigmas, for one
     row of adopter mask per sigma."""
@@ -94,8 +87,11 @@ class _Evaluation(NamedTuple):
                             intermediation=self.intermediation,
                             fulfillment_share=float(self.fulfillment_share[i]),
                             storage_rent=float(self.storage_rent[i]),
-                            adopters=frozenset(_indices(self.mask[i])),
-                            n_adopters=int(self.n_adopters[i]))
+                            adopters=frozenset(
+                                (np.flatnonzero(self.mask[i]) + 1).tolist()),
+                            n_adopters=int(self.n_adopters[i]),
+                            gamma_fbp=float(self.gamma_fbp[i]),
+                            gamma_fbm=float(self.gamma_fbm[i]))
 
 
 def _evaluate(table: MarketTable, sigma, mask) -> _Evaluation:
@@ -116,43 +112,21 @@ def _evaluate(table: MarketTable, sigma, mask) -> _Evaluation:
         gamma_fbm=np.where(mask, 0.0, s * table.zeta_fbm).sum(axis=-1))
 
 
-def _evaluate_at(table: MarketTable, sigma: float, adopters=None) -> _Evaluation:
-    """One sigma, with the inclusive adoption rule unless adopters (1-based
-    indices) are given."""
+def payoff(table: MarketTable, sigma: float, adopters=None) -> PayoffResult:
+    """Expected per-period platform payoff at design volatility sigma, with
+    the safety stock held at the platform by adopters (gamma_fbp) and
+    privately by everyone else (gamma_fbm).
+
+    adopters normally comes from the inclusive adoption rule; pass an
+    explicit set of 1-based indices to probe one-sided limits at a
+    breakpoint.
+    """
     if adopters is None:
         mask = table.adopts(sigma)
     else:
-        mask = np.zeros(table.f.size, dtype=bool)
+        mask = np.zeros(table.N, dtype=bool)
         mask[[i - 1 for i in adopters]] = True
-    return _evaluate(table, sigma, mask)
-
-
-def safety_stock_totals(sigma: float, sellers, costs: PlatformCosts, N: int,
-                        mu: float, adopters=None):
-    """(Gamma_FBP, Gamma_FBM): cumulative safety stock held at the platform
-    by adopters and privately by everyone else, at this sigma."""
-    ev = _evaluate_at(market_table(sellers, costs, N, mu), sigma, adopters)
-    return float(ev.gamma_fbp), float(ev.gamma_fbm)
-
-
-def payoff(sigma: float, sellers, costs: PlatformCosts, N: int, mu: float,
-           adopters=None) -> PayoffResult:
-    """Expected per-period platform payoff at design volatility sigma.
-
-    adopters normally comes from the inclusive adoption rule; pass an
-    explicit set to probe one-sided limits at a breakpoint.
-    """
-    return _evaluate_at(market_table(sellers, costs, N, mu), sigma, adopters).result()
-
-
-def _cumulative_utility(table: MarketTable, sigma: float) -> float:
-    return float(table.utilities(sigma)[1].sum())
-
-
-def cumulative_utility(sellers, costs: PlatformCosts, N: int, mu: float,
-                       sigma: float) -> float:
-    """Sum over sellers of the better mode's operating payoff."""
-    return _cumulative_utility(market_table(sellers, costs, N, mu), sigma)
+    return _evaluate(table, sigma, mask).result()
 
 
 def _check_optimizer_domain(table: MarketTable) -> None:
@@ -175,26 +149,26 @@ def _check_optimizer_domain(table: MarketTable) -> None:
         f"delta_h * zeta_FBP >= 0 for every seller")
 
 
-def optimize(sellers, costs: PlatformCosts, model: DemandModel, N: int,
+def optimize(table: MarketTable, sigma_lower: float,
              sigma_cap: float) -> PlatformSolution:
-    """Maximize the payoff over implementable sigma in [sigma_L, sigma_U].
+    """Maximize the payoff over implementable sigma in [sigma_L, sigma_U],
+    with sigma_L = sigma_lower (the design's volatility floor) and sigma_U
+    the participation bound under sigma_cap.
 
     Within a fixed adopter set the payoff is affine and (for nonnegative
     storage rent on every adopter, checked) nondecreasing, so it suffices to
     evaluate the volatility floor, every exit threshold in range, and the
     participation cap.  Ties resolve to the smallest sigma.
     """
-    table = market_table(sellers, costs, N, model.mu)
     _check_optimizer_domain(table)
-    sigma_l = sigma_lower_bound(model, N)
     sigma_u = table.participation_ub(sigma_cap)
-    if sigma_u < sigma_l:
+    if sigma_u < sigma_lower:
         raise EmptyFeasibleSet(
-            f"participation cap {sigma_u:g} below volatility floor {sigma_l:g}"
-        )
+            f"participation cap {sigma_u:g} below volatility floor "
+            f"{sigma_lower:g}")
     bps = table.breakpoints()
-    candidates = np.array(sorted({sigma_l, sigma_u,
-                                  *(s for s, _ in bps if sigma_l <= s <= sigma_u)}))
+    in_range = (s for s, _ in bps if sigma_lower <= s <= sigma_u)
+    candidates = np.array(sorted({sigma_lower, sigma_u, *in_range}))
     ev = _evaluate(table, candidates, table.adopts(candidates))
 
     best = 0
@@ -205,36 +179,34 @@ def optimize(sellers, costs: PlatformCosts, model: DemandModel, N: int,
     res = ev.result(best)
     return PlatformSolution(sigma_star=float(candidates[best]),
                             payoff_star=res.total, adopters=res.adopters,
-                            gamma_fbp=float(ev.gamma_fbp[best]),
-                            gamma_fbm=float(ev.gamma_fbm[best]),
+                            gamma_fbp=res.gamma_fbp, gamma_fbm=res.gamma_fbm,
                             payoff_breakdown=res.breakdown,
-                            breakpoints=tuple(bps), sigma_lower=sigma_l,
+                            breakpoints=tuple(bps), sigma_lower=sigma_lower,
                             sigma_upper=sigma_u)
 
 
 _SIDE_RANK = {"left": 0, "interior": 1, "right": 2}
 
 
-def payoff_curve(sellers, costs: PlatformCosts, N: int, mu: float, sigma_grid,
-                 sigma_cap: float = math.inf):
+def payoff_curve(table: MarketTable, sigma_grid, sigma_upper: float):
     """Plot-ready payoff samples: the grid plus both one-sided limits at
-    every jump (each breakpoint in range, and the participation cap where
-    the payoff falls to zero)."""
+    every jump (each breakpoint in range, and the participation bound
+    sigma_upper, from MarketTable.participation_ub, past which the payoff
+    is zero)."""
     grid = np.sort(np.asarray(sigma_grid, dtype=float).ravel(), kind="stable")
     if not grid.size:
         return []
-    table = market_table(sellers, costs, N, mu)
-    sigma_u = table.participation_ub(sigma_cap)
     lo, hi = grid[0], grid[-1]
     # One row per point: sigma, side, and how its adopters are found
-    # ("inclusive" or "exclusive" rule, or "zero" past the cap).
-    rows = [(s, "interior", "zero" if s > sigma_u else "inclusive")
+    # ("inclusive" or "exclusive" rule, or "zero" past sigma_upper).
+    rows = [(s, "interior", "zero" if s > sigma_upper else "inclusive")
             for s in grid.tolist()]
     for s, _ in table.breakpoints():
-        if lo <= s <= min(hi, sigma_u):
+        if lo <= s <= min(hi, sigma_upper):
             rows += [(s, "left", "inclusive"), (s, "right", "exclusive")]
-    if lo <= sigma_u <= hi:
-        rows += [(sigma_u, "left", "inclusive"), (sigma_u, "right", "zero")]
+    if lo <= sigma_upper <= hi:
+        rows += [(sigma_upper, "left", "inclusive"),
+                 (sigma_upper, "right", "zero")]
     sigma, sides, rules = zip(*rows)
     sigma = np.array(sigma)
     rules = np.array(rules)
@@ -260,11 +232,14 @@ def export_curve(points, fileobj) -> None:
                          f"{p.gamma_fbp:.6f}", f"{p.gamma_fbm:.6f}", p.side])
 
 
-def solution_document(solution: PlatformSolution, sellers, costs: PlatformCosts,
-                      model: DemandModel, N: int) -> dict:
+def solution_document(solution: PlatformSolution, table: MarketTable) -> dict:
     """Structured summary mirroring the headline outcome table."""
-    table = market_table(sellers, costs, N, model.mu)
-    floor = _evaluate_at(table, solution.sigma_lower)
+    floor = payoff(table, solution.sigma_lower)
+
+    def cumulative_utility(sigma):
+        """Sum over sellers of the chosen mode's operating payoff."""
+        return float(table.utilities(sigma)[1].sum())
+
     return {
         "sigma_star": solution.sigma_star,
         "payoff_star": solution.payoff_star,
@@ -272,15 +247,15 @@ def solution_document(solution: PlatformSolution, sellers, costs: PlatformCosts,
         "gamma_fbp": solution.gamma_fbp,
         "gamma_fbm": solution.gamma_fbm,
         "payoff_breakdown": dict(solution.payoff_breakdown),
-        "cumulative_utility": _cumulative_utility(table, solution.sigma_star),
+        "cumulative_utility": cumulative_utility(solution.sigma_star),
         "sigma_lower": solution.sigma_lower,
         "sigma_upper": solution.sigma_upper,
         "breakpoints": [{"sigma": s, "seller": n} for s, n in solution.breakpoints],
         "at_sigma_lower": {
-            "payoff": float(floor.total),
-            "adopters": sorted(_indices(floor.mask)),
-            "gamma_fbp": float(floor.gamma_fbp),
-            "gamma_fbm": float(floor.gamma_fbm),
-            "cumulative_utility": _cumulative_utility(table, solution.sigma_lower),
+            "payoff": floor.total,
+            "adopters": sorted(floor.adopters),
+            "gamma_fbp": floor.gamma_fbp,
+            "gamma_fbm": floor.gamma_fbm,
+            "cumulative_utility": cumulative_utility(solution.sigma_lower),
         },
     }

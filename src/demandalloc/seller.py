@@ -1,15 +1,17 @@
 """Seller-side economics: critical fractiles, inventory cost coefficients,
-base stocks, fulfillment-mode utilities, adoption sets, and the
-participation cap on demand volatility.
+base stocks, fulfillment-mode utilities, and the market table that holds
+them for every seller of one market.
 
 A seller holding inventory against a Gaussian demand forecast with root MSFE
 sigma pays an expected holding-plus-backorder cost K * sigma per period at
 the optimal base stock, where K depends only on the unit costs of the chosen
 fulfillment mode.  Mode choice compares the two margins net of K * sigma.
 market_table computes K and the fractile of every seller under both modes
-once per market; adoption sets, exit thresholds and the participation bound
-are array operations on it.  The normal quantile and pdf come from the
-stdlib's statistics.NormalDist, the cdf from math.erfc.
+once per market; mode choice and adoption sets (MarketTable.adopts), chosen
+utilities (utilities), exit thresholds (breakpoints) and the participation
+bound (participation_ub) are array operations on it, and the platform layer
+takes the same table.  The normal quantile and pdf come from the stdlib's
+statistics.NormalDist, the cdf from math.erfc.
 """
 from __future__ import annotations
 
@@ -194,7 +196,9 @@ class MarketTable(NamedTuple):
     participation: np.ndarray
 
     def adopts(self, sigma, boundary: str = "inclusive") -> np.ndarray:
-        """FBP mask of shape sigma.shape + (n_sellers,).
+        """FBP mask of shape sigma.shape + (n_sellers,): where each seller
+        chooses platform fulfillment, that is where the fulfillment saving
+        covers the extra inventory cost.
 
         The margin is the utility advantage of FBP over FBM,
         (mu/N) dF - sigma dK; comparing it directly stays correct when
@@ -226,14 +230,20 @@ class MarketTable(NamedTuple):
         return fbp, (self.costs.r - self.costs.rho - f_eff) * mu_share - k * sigma
 
     def breakpoints(self) -> list:
-        """Ascending (sigma, seller) exit thresholds, ties by seller index."""
+        """Ascending (sigma, seller) exit thresholds mu dF_n / (N dK_n), ties
+        by seller index.  Only sellers whose platform-mode coefficient is
+        strictly dearer (dK_n > 0) ever exit; the rest stay for any sigma."""
         exits = np.flatnonzero(self.dK > 0)
         order = exits[np.argsort(self.threshold[exits], kind="stable")]
         return list(zip(self.threshold[order].tolist(), (order + 1).tolist()))
 
     def participation_ub(self, sigma_cap: float) -> float:
-        """Market-wide participation bound: the smallest per-seller bound,
-        floored at 0 and capped at sigma_cap."""
+        """Largest sigma at which every seller's better mode still pays.
+
+        Per seller this is the larger over modes of margin / K; the
+        market-wide bound is the smallest over sellers, floored at 0 and
+        capped at sigma_cap (with a warning when the cap binds).
+        """
         if not sigma_cap > 0:
             raise DomainError("sigma_cap must be positive")
         bound = float(self.participation.min(initial=math.inf))
@@ -242,15 +252,17 @@ class MarketTable(NamedTuple):
         if bound > sigma_cap:
             warnings.warn(
                 f"participation bound exceeds sigma_cap={sigma_cap:g}; cap binds",
-                stacklevel=3,
+                stacklevel=2,
             )
             return sigma_cap
         return bound
 
 
-def market_table(sellers, costs: PlatformCosts, N: int, mu: float) -> MarketTable:
+def market_table(sellers, costs: PlatformCosts, mu: float) -> MarketTable:
     """Compute every seller's K and zeta under both modes once (2 N calls to
-    inventory_coefficient), and the quantities derived from them."""
+    inventory_coefficient, N = len(sellers)), and the quantities derived
+    from them."""
+    N = len(sellers)
     fbm = [inventory_coefficient(p.h, p.b, mode=FBM) for p in sellers]
     fbp = [inventory_coefficient(costs.H, p.b, mode=FBP) for p in sellers]
     f = np.array([p.f for p in sellers], dtype=float)
@@ -262,7 +274,7 @@ def market_table(sellers, costs: PlatformCosts, N: int, mu: float) -> MarketTabl
         warnings.warn(
             "K_FBP < K_FBM for a seller (holding-cost assumption violated); "
             "adoption decided by direct utility comparison",
-            stacklevel=3,
+            stacklevel=2,
         )
     mu_share = mu / N
     threshold = np.divide(mu * dF, N * dK, out=np.full(dK.shape, np.nan),
@@ -277,43 +289,6 @@ def market_table(sellers, costs: PlatformCosts, N: int, mu: float) -> MarketTabl
         zeta_fbp=np.array([e.zeta for e in fbp], dtype=float), k_fbp=k_fbp,
         dF=dF, dK=dK, fixed=mu_share * dF, threshold=threshold,
         participation=participation)
-
-
-def _indices(mask) -> set:
-    """1-based seller indices where the mask is set."""
-    return set((np.flatnonzero(mask) + 1).tolist())
-
-
-def mode_choice(params: SellerParams, costs: PlatformCosts, N: int, mu: float,
-                sigma: float) -> str:
-    """FBP iff the fulfillment saving covers the extra inventory cost.
-
-    The boundary is inclusive: a seller exactly at its switching threshold
-    adopts (see MarketTable.adopts).
-    """
-    if sigma < 0:
-        raise DomainError("sigma must be nonnegative")
-    return FBP if market_table([params], costs, N, mu).adopts(sigma)[0] else FBM
-
-
-def adoption_set(sellers, costs: PlatformCosts, N: int, mu: float,
-                 sigma: float, boundary: str = "inclusive") -> set:
-    """1-based indices of sellers choosing FBP at this sigma.
-
-    boundary="exclusive" drops sellers sitting exactly on their threshold;
-    the payoff-curve export uses it for right-sided limits.
-    """
-    return _indices(market_table(sellers, costs, N, mu).adopts(sigma, boundary))
-
-
-def sigma_participation_ub(sellers, costs: PlatformCosts, N: int, mu: float,
-                           sigma_cap: float) -> float:
-    """Largest sigma at which every seller's best-mode utility stays nonnegative.
-
-    Per seller this is max over modes of margin / K; the market-wide cap is
-    the minimum over sellers, floored at 0 and capped at sigma_cap.
-    """
-    return market_table(sellers, costs, N, mu).participation_ub(sigma_cap)
 
 
 def check_cost_assumptions(sellers, costs: PlatformCosts) -> list:

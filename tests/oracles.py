@@ -223,10 +223,12 @@ def ref_payoff(sigma, sellers, costs, N, mu, adopters=None):
     intermediation = costs.rho * mu
     fulfillment = costs.delta_f * mu_share * n_adopt
     storage = costs.delta_h * (mu_share * n_adopt + sigma * zeta_sum)
+    g_fbp, g_fbm = ref_safety_stock_totals(sigma, sellers, costs, N, mu, adopters)
     return PayoffResult(total=intermediation + fulfillment + storage,
                         intermediation=intermediation,
                         fulfillment_share=fulfillment, storage_rent=storage,
-                        adopters=adopters, n_adopters=n_adopt)
+                        adopters=adopters, n_adopters=n_adopt,
+                        gamma_fbp=g_fbp, gamma_fbm=g_fbm)
 
 
 def ref_cumulative_utility(sellers, costs, N, mu, sigma):

@@ -23,10 +23,8 @@ from demandalloc import (
     PlatformCosts,
     SellerParams,
     TransferPoly,
-    adoption_set,
     allocate_ex_post,
     benchmark_offsets,
-    breakpoints,
     filter_msfe,
     inner_outer_factor,
     innovations_msfe,
@@ -34,6 +32,7 @@ from demandalloc import (
     is_invertible,
     lagged_variant,
     leadtime_msfe,
+    market_table,
     mode_economics,
     neutral_policy,
     optimize,
@@ -41,10 +40,9 @@ from demandalloc import (
     payoff_curve,
     root_msfe,
     route_orders,
-    safety_stock_totals,
     seller_filter,
     ses_msfe_closed_form,
-    sigma_participation_ub,
+    sigma_lower_bound,
     simulate,
     solution_document,
     variance,
@@ -86,11 +84,11 @@ def scenario():
 def test_criterion_1_headline_solution(scenario):
     model = scenario.model()
     start = time.perf_counter()
-    sol = optimize(scenario.sellers, scenario.costs, model,
-                   scenario.n_sellers, scenario.sigma_cap)
+    table = market_table(scenario.sellers, scenario.costs, scenario.mu)
+    sol = optimize(table, sigma_lower_bound(model, scenario.n_sellers),
+                   scenario.sigma_cap)
     elapsed = time.perf_counter() - start
-    doc = solution_document(sol, scenario.sellers, scenario.costs, model,
-                            scenario.n_sellers)
+    doc = solution_document(sol, table)
 
     assert sol.sigma_star == pytest.approx(8.8678, abs=1e-3)
     assert sol.payoff_star == pytest.approx(372.45, abs=0.05)
@@ -123,12 +121,10 @@ def test_criterion_2_inventory_coefficient_table(scenario):
 
 
 def test_criterion_3_breakpoints_and_participation_bound(scenario):
-    sigma_u = sigma_participation_ub(scenario.sellers, scenario.costs,
-                                     scenario.n_sellers, scenario.mu,
-                                     scenario.sigma_cap)
+    table = market_table(scenario.sellers, scenario.costs, scenario.mu)
+    sigma_u = table.participation_ub(scenario.sigma_cap)
     assert sigma_u == pytest.approx(33.957, abs=0.01)
-    bps = breakpoints(scenario.sellers, scenario.costs, scenario.n_sellers,
-                      scenario.mu)
+    bps = table.breakpoints()
     assert len(bps) == len(REFERENCE_BREAKPOINTS)
     for (got_sigma, got_seller), (ref_sigma, ref_seller) in zip(
             bps, REFERENCE_BREAKPOINTS):
@@ -150,8 +146,8 @@ def test_criterion_4_reference_factorization_cases():
 def test_criterion_5_smoothing_perception(scenario):
     model = scenario.model()
     N = scenario.n_sellers
-    sol = optimize(scenario.sellers, scenario.costs, model, N,
-                   scenario.sigma_cap)
+    table = market_table(scenario.sellers, scenario.costs, scenario.mu)
+    sol = optimize(table, sigma_lower_bound(model, N), scenario.sigma_cap)
     psi0 = abs(scenario.psi[0])
     alpha_bar = N * sol.sigma_star / psi0
 
@@ -165,15 +161,11 @@ def test_criterion_5_smoothing_perception(scenario):
     sigma_tilde = ses_msfe_closed_form(psi0, N, alpha_bar, 0.0)
     assert sigma_tilde == pytest.approx(8.88, abs=0.01)
 
-    adopters = adoption_set(scenario.sellers, scenario.costs, N,
-                            scenario.mu, sigma_tilde)
+    adopters = payoff(table, sigma_tilde).adopters
     assert adopters == set(range(2, 8))
-    g_fbp, _ = safety_stock_totals(sol.sigma_star, scenario.sellers,
-                                   scenario.costs, N, scenario.mu,
-                                   adopters=adopters)
+    realized = payoff(table, sol.sigma_star, adopters=adopters)
+    g_fbp = realized.gamma_fbp
     assert g_fbp == pytest.approx(44.35, abs=0.05)
-    realized = payoff(sol.sigma_star, scenario.sellers, scenario.costs, N,
-                      scenario.mu, adopters=adopters)
     assert realized.total == pytest.approx(349.70, abs=0.05)
     print(f"\ncriterion 5 PASS: lambda*=0, perceived sigma={sigma_tilde:.4f},"
           f" adopters 2..7, Gamma_FBP={g_fbp:.2f}, V={realized.total:.2f}")
@@ -301,13 +293,10 @@ def test_criterion_6_property_suite(scenario):
     counts["msfe cross-checks"] = 200
 
     # (g): the payoff curve is collinear between consecutive one-sided points
-    sigma_u = sigma_participation_ub(scenario.sellers, scenario.costs,
-                                     scenario.n_sellers, scenario.mu,
-                                     scenario.sigma_cap)
-    points = payoff_curve(scenario.sellers, scenario.costs,
-                          scenario.n_sellers, scenario.mu,
-                          np.linspace(0.0, 1.05 * sigma_u, 400),
-                          sigma_cap=scenario.sigma_cap)
+    table = market_table(scenario.sellers, scenario.costs, scenario.mu)
+    sigma_u = table.participation_ub(scenario.sigma_cap)
+    points = payoff_curve(table, np.linspace(0.0, 1.05 * sigma_u, 400),
+                          sigma_u)
     worst_residual = 0.0
     segment = []
     for pt in points + [None]:
@@ -351,8 +340,9 @@ def test_criterion_6_property_suite(scenario):
                 r=float(F + rng.uniform(35.0, 80.0)))
             mu = N * float(rng.uniform(3.0, 10.0))
             model = DemandModel(mu, TransferPoly([float(rng.uniform(0.5, 3.0))]))
-            sol = optimize(sellers, costs, model, N, sigma_cap=1e6)
-            hi = sigma_participation_ub(sellers, costs, N, mu, 1e6)
+            table = market_table(sellers, costs, mu)
+            sol = optimize(table, sigma_lower_bound(model, N), sigma_cap=1e6)
+            hi = table.participation_ub(1e6)
         grid = np.linspace(abs(float(model.psi.coeffs[0])) / N, hi, 10_000)
         best_grid = float(_grid_payoff_oracle(sellers, costs, mu, grid).max())
         assert sol.payoff_star >= best_grid - 1e-9 * max(1.0, abs(best_grid))

@@ -1,6 +1,5 @@
 """Command-line surface: scenario ingestion, subcommands, exit codes."""
 import csv
-import io
 import json
 import warnings
 from pathlib import Path
@@ -134,7 +133,7 @@ def test_options_must_be_integers(tmp_path, capsys, field, raw):
     (["route", "--sigma", "5", "--periods", "2.5"], "--periods"),
     (["route", "--sigma", "5", "--seed", "-1"], "--seed"),
     (["simulate", "--sigma", "5", "--seed", "x"], "--seed"),
-    (["optimize", "--grid", "-1"], "--grid"),
+    (["curve", "--grid", "-1"], "--grid"),
     (["curve", "--grid", "0"], "--grid"),
 ])
 def test_numeric_flags_are_checked_at_parse_time(tmp_path, capsys, argv, flag):
@@ -171,12 +170,16 @@ class TestExitCodes:
         assert rc == EXIT_INFEASIBLE
         assert "infeasible" in capsys.readouterr().err
 
-    def test_format_is_an_optimize_option_only(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--scenario", SCENARIO, "--sigma", "5",
-                  "--format", "structured"])
-        assert exc.value.code == EXIT_INPUT
-        assert "--format" in capsys.readouterr().err
+    def test_format_and_optimize_grid_are_unknown_flags(self, capsys):
+        # the payoff curve comes from `curve` alone, and every command has
+        # one output format
+        for argv in (["simulate", "--sigma", "5", "--format", "structured"],
+                     ["optimize", "--format", "csv"],
+                     ["optimize", "--grid", "-1"]):
+            with pytest.raises(SystemExit) as exc:
+                main([argv[0], "--scenario", SCENARIO, *argv[1:]])
+            assert exc.value.code == EXIT_INPUT
+            assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
     def test_tiny_cap_empties_the_feasible_set(self, tmp_path, capsys):
         doc = scenario_doc()
@@ -226,27 +229,6 @@ class TestOptimize:
         assert floor["gamma_fbp"] == pytest.approx(4.387683982122612, rel=1e-9)
         assert floor["cumulative_utility"] == pytest.approx(
             1107.1440073283823, rel=1e-9)
-
-    def test_csv_format(self, capsys):
-        assert main(["optimize", "--scenario", SCENARIO,
-                     "--format", "csv"]) == EXIT_OK
-        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-        assert rows[0] == ["key", "value"]
-        table = {key: value for key, value in rows[1:]}
-        assert json.loads(table["sigma_star"]) == pytest.approx(
-            8.867803761159964, rel=1e-9)
-
-    def test_grid_export(self, tmp_path, capsys):
-        out = tmp_path / "sol.json"
-        assert main(["optimize", "--scenario", SCENARIO, "--out", str(out),
-                     "--grid", "40"]) == EXIT_OK
-        curve = Path(str(out) + ".curve.csv")
-        assert curve.exists()
-        with curve.open() as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["sigma", "payoff", "n_adopters",
-                           "gamma_fbp", "gamma_fbm", "side"]
-        assert len(rows) > 40  # grid plus breakpoint pairs
 
 
 class TestFactorAndMsfe:

@@ -34,7 +34,7 @@ from demandalloc import (
     uniform_policy,
 )
 from oracles import mp_root_msfe, mp_roots
-from test_seller import COSTS, SELLERS
+from test_seller import COSTS, SELLERS, TABLE
 
 M5 = DemandModel(15.0, TransferPoly([5.0]))
 SIGMA_STAR = 8.867803761159964
@@ -327,8 +327,7 @@ class TestLeadTimeModeChoice:
 class TestSesComparison:
     def test_perception_shifts_the_marginal_seller(self):
         sigma_tilde = ses_msfe_closed_form(5.0, 10, 10 * SIGMA_STAR / 5.0, 0.0)
-        rows = ses_comparison_rows(SELLERS, COSTS, 10, 15.0, SIGMA_STAR,
-                                   sigma_tilde)
+        rows = ses_comparison_rows(TABLE, SIGMA_STAR, sigma_tilde)
         assert len(rows) == 10
         by_seller = {r[0]: r for r in rows}
         # seller 1 adopts at the design sigma but not at the perceived one
@@ -337,7 +336,7 @@ class TestSesComparison:
         assert by_seller[2][3] == by_seller[2][4] == FBP
 
     def test_export_header(self):
-        rows = ses_comparison_rows(SELLERS, COSTS, 10, 15.0, 8.8678, 8.8819)
+        rows = ses_comparison_rows(TABLE, 8.8678, 8.8819)
         buf = io.StringIO()
         export_ses_comparison(rows, buf)
         lines = buf.getvalue().strip().splitlines()

@@ -5,6 +5,7 @@ Markets for the agreement properties are drawn inside the optimizer's domain
 (delta_h >= 0 and b_n >= H, so delta_h * zeta_FBP,n >= 0), with some sellers
 whose own holding cost exceeds H (dK < 0) and some caps that bind.
 """
+import json
 import math
 import warnings
 from pathlib import Path
@@ -15,14 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demandalloc import (DemandModel, DomainError, PlatformCosts, SellerParams,
-                         TransferPoly, adoption_set, breakpoints, market_table,
-                         mode_choice, optimize, payoff, payoff_curve,
-                         sigma_participation_ub)
+                         TransferPoly, market_table, optimize, payoff,
+                         payoff_curve, sigma_lower_bound)
 from demandalloc.cli import EXIT_INPUT, main
 from oracles import (ref_adoption_set, ref_breakpoints, ref_mode_choice,
                      ref_optimize, ref_payoff, ref_payoff_curve,
                      ref_sigma_participation_ub)
-from test_seller import COSTS, MU, N, SELLERS
+from test_seller import COSTS, MU, N, SELLERS, adopters
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO = ROOT / "scenarios" / "illustrative.scenario"
@@ -67,20 +67,21 @@ def test_table_rules_match_scalar_reference(market):
     sellers, costs, mu, _, sigma_cap = random_market(seed, n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        bps = breakpoints(sellers, costs, n, mu)
+        table = market_table(sellers, costs, mu)
+        bps = table.breakpoints()
         assert bps == ref_breakpoints(sellers, costs, n, mu)
-        ub = sigma_participation_ub(sellers, costs, n, mu, sigma_cap)
+        ub = table.participation_ub(sigma_cap)
         assert ub == ref_sigma_participation_ub(sellers, costs, n, mu, sigma_cap)
         # every exit threshold would cost O(N^2) coefficient evaluations
         probes = [0.0, *np.linspace(0.0, 1.2 * max(ub, 1e-3), 7).tolist(),
                   *(s for s, _ in bps[::max(1, len(bps) // 8)])]
         for sigma in probes:
             for side in ("inclusive", "exclusive"):
-                assert adoption_set(sellers, costs, n, mu, sigma, side) == \
+                assert adopters(table, sigma, side) == \
                     ref_adoption_set(sellers, costs, n, mu, sigma, side)
         for sigma in [s for s in probes if s >= 0][-2:]:
-            for params in sellers[:10]:
-                assert mode_choice(params, costs, n, mu, sigma) == \
+            for params, chosen in zip(sellers[:10], table.adopts(sigma).tolist()):
+                assert ("FBP" if chosen else "FBM") == \
                     ref_mode_choice(params, costs, n, mu, sigma)
 
 
@@ -91,9 +92,10 @@ def test_curve_and_optimum_match_scalar_reference(market, grid_points):
     sellers, costs, mu, sigma_l, sigma_cap = random_market(seed, n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ub = sigma_participation_ub(sellers, costs, n, mu, sigma_cap)
+        table = market_table(sellers, costs, mu)
+        ub = table.participation_ub(sigma_cap)
         grid = np.linspace(0.0, 1.1 * max(ub, 1e-3), grid_points)
-        got = payoff_curve(sellers, costs, n, mu, grid, sigma_cap=sigma_cap)
+        got = payoff_curve(table, grid, ub)
         want = ref_payoff_curve(sellers, costs, n, mu, grid, sigma_cap=sigma_cap)
         assert [(p.sigma, p.side, p.n_adopters) for p in got] == \
             [(p.sigma, p.side, p.n_adopters) for p in want]
@@ -102,13 +104,13 @@ def test_curve_and_optimum_match_scalar_reference(market, grid_points):
             assert close(p.gamma_fbp, q.gamma_fbp)
             assert close(p.gamma_fbm, q.gamma_fbm)
         for sigma in grid[:3].tolist():
-            assert payoff(sigma, sellers, costs, n, mu).adopters == \
+            assert payoff(table, sigma).adopters == \
                 ref_payoff(sigma, sellers, costs, n, mu).adopters
 
         if ub < sigma_l:
             return
         model = DemandModel(mu, TransferPoly([sigma_l * n]))
-        sol = optimize(sellers, costs, model, n, sigma_cap)
+        sol = optimize(table, sigma_lower_bound(model, n), sigma_cap)
         ref = ref_optimize(sellers, costs, sol.sigma_lower, n, mu, sigma_cap)
     assert sol.sigma_star == ref.sigma_star
     assert sol.adopters == ref.adopters
@@ -121,7 +123,9 @@ def test_curve_and_optimum_match_scalar_reference(market, grid_points):
         assert close(sol.payoff_breakdown[key], value)
 
 
-def test_table_computes_each_coefficient_once(monkeypatch):
+@pytest.fixture
+def k_calls(monkeypatch):
+    """Arguments of every seller.inventory_coefficient call from here on."""
     import demandalloc.seller as seller
     calls = []
     original = seller.inventory_coefficient
@@ -131,9 +135,40 @@ def test_table_computes_each_coefficient_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(seller, "inventory_coefficient", counted)
-    table = market_table(SELLERS, COSTS, N, MU)
-    assert len(calls) == 2 * N
-    assert table.breakpoints() == breakpoints(SELLERS, COSTS, N, MU)
+    return calls
+
+
+def test_table_computes_each_coefficient_once(k_calls):
+    table = market_table(SELLERS, COSTS, MU)
+    assert len(k_calls) == 2 * N
+    assert table.breakpoints() == ref_breakpoints(SELLERS, COSTS, N, MU)
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize"],
+    ["curve", "--grid", "50"],
+    ["simulate", "--sigma", "3", "--periods", "200"],
+])
+def test_each_command_builds_one_table(k_calls, tmp_path, capsys, argv):
+    assert main([argv[0], "--scenario", str(SCENARIO),
+                 "--out", str(tmp_path / "out"), *argv[1:]]) == 0
+    assert len(k_calls) == 2 * N
+
+
+@pytest.mark.parametrize("command, section, field, value, message", [
+    ("optimize", "platform", "H", 0.5, "K_FBP < K_FBM"),
+    ("curve", "platform", "H", 0.5, "K_FBP < K_FBM"),
+    ("curve", "options", "sigma_cap", 5.0, "cap binds"),
+])
+def test_each_warning_is_raised_once(tmp_path, capsys, recwarn, command,
+                                     section, field, value, message):
+    doc = json.loads(SCENARIO.read_text())
+    doc[section][field] = value
+    path = tmp_path / "edited.scenario"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--scenario", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert sum(message in str(w.message) for w in recwarn) == 1
 
 
 def test_curve_export_matches_golden(tmp_path, capsys):
@@ -175,24 +210,27 @@ class TestOptimizerDomain:
         best = max(ref_payoff(s, sellers, costs, n, model.mu).total
                    for s in grid.tolist())
         assert best > ref.payoff_star + 1.0
+        table = market_table(sellers, costs, model.mu)
         with pytest.raises(DomainError, match=r"platform\.delta_h"):
-            optimize(sellers, costs, model, n, 1e6)
+            optimize(table, sigma_l, 1e6)
         # payoff and curve stay defined on such a market
-        payoff(sigma_l, sellers, costs, n, model.mu)
-        assert payoff_curve(sellers, costs, n, model.mu, grid[:5])
+        payoff(table, sigma_l)
+        assert payoff_curve(table, grid[:5], table.participation_ub(math.inf))
 
     def test_backorder_below_platform_holding_names_the_seller(self):
         sellers = SELLERS[:3] + (SellerParams(h=1.0, b=2.0, f=20.0),)
         model = DemandModel(MU, TransferPoly([5.0]))
         with pytest.raises(DomainError, match=r"sellers\[4\].*b = 2 < H = 2\.5"):
-            optimize(sellers, COSTS, model, 4, 500.0)
+            optimize(market_table(sellers, COSTS, MU),
+                     sigma_lower_bound(model, 4), 500.0)
 
     def test_zero_storage_rent_accepts_any_fractile(self):
         costs = PlatformCosts(rho=15.0, F=10.0, H=2.5, delta_f=2.0,
                               delta_h=0.0, r=100.0)
         sellers = SELLERS[:3] + (SellerParams(h=1.0, b=2.0, f=20.0),)
         model = DemandModel(MU, TransferPoly([5.0]))
-        sol = optimize(sellers, costs, model, 4, 500.0)
+        sol = optimize(market_table(sellers, costs, MU),
+                       sigma_lower_bound(model, 4), 500.0)
         assert sol.sigma_star == pytest.approx(sol.sigma_lower)
 
     def test_cli_exit_code(self, tmp_path, capsys):

@@ -13,19 +13,19 @@ from demandalloc import (
     PlatformCosts,
     SellerParams,
     TransferPoly,
-    breakpoints,
-    cumulative_utility,
     export_curve,
+    market_table,
     optimize,
     payoff,
     payoff_curve,
-    safety_stock_totals,
+    sigma_lower_bound,
     solution_document,
 )
-from test_seller import COSTS, MU, N, SELLERS
+from test_seller import COSTS, MU, N, SELLERS, TABLE
 
 MODEL = DemandModel(MU, TransferPoly([5.0]))
 SIGMA_CAP = 500.0
+SIGMA_L = sigma_lower_bound(MODEL, N)
 
 # reference exit thresholds, in increasing order
 REFERENCE_BREAKPOINTS = {
@@ -43,7 +43,7 @@ REFERENCE_CURVE_PAIRS = {
 
 class TestBreakpoints:
     def test_reference_values_and_order(self):
-        bps = breakpoints(SELLERS, COSTS, N, MU)
+        bps = TABLE.breakpoints()
         assert [seller for _, seller in bps] == [10, 9, 8, 1, 3, 2, 5, 4, 6, 7]
         for sigma, seller_idx in bps:
             assert sigma == pytest.approx(
@@ -55,19 +55,18 @@ class TestBreakpoints:
         s = SellerParams(h=2.5, b=10.0, f=20.0)
         costs = PlatformCosts(rho=15.0, F=10.0, H=2.5, delta_f=2.0,
                               delta_h=2.0, r=100.0)
-        assert breakpoints([s], costs, 1, MU) == []
+        assert market_table([s], costs, MU).breakpoints() == []
 
 
 class TestPayoff:
     def test_reference_levels(self):
-        assert payoff(0.5, SELLERS, COSTS, N, MU).total == pytest.approx(
-            293.78, abs=0.05)
-        assert payoff(8.867803761159964, SELLERS, COSTS, N, MU).total == \
+        assert payoff(TABLE, 0.5).total == pytest.approx(293.78, abs=0.05)
+        assert payoff(TABLE, 8.867803761159964).total == \
             pytest.approx(372.45, abs=0.05)
 
     def test_breakdown_identity(self):
         for sigma in (0.5, 3.0, 8.0, 12.0):
-            res = payoff(sigma, SELLERS, COSTS, N, MU)
+            res = payoff(TABLE, sigma)
             assert res.total == pytest.approx(
                 res.intermediation + res.fulfillment_share + res.storage_rent,
                 rel=1e-12)
@@ -78,30 +77,30 @@ class TestPayoff:
     def test_flat_when_platform_margins_vanish(self):
         costs = PlatformCosts(rho=15.0, F=10.0, H=2.5, delta_f=0.0,
                               delta_h=0.0, r=100.0)
+        table = market_table(SELLERS, costs, MU)
         for s in (0.5, 2.0, 7.0, 12.0):
-            assert payoff(s, SELLERS, costs, N, MU).total == pytest.approx(
+            assert payoff(table, s).total == pytest.approx(
                 15.0 * MU, rel=1e-12)
 
     def test_explicit_adopters_override(self):
-        res = payoff(8.867803761159964, SELLERS, COSTS, N, MU,
-                     adopters={2, 3, 4, 5, 6, 7})
+        res = payoff(TABLE, 8.867803761159964, adopters={2, 3, 4, 5, 6, 7})
         assert res.n_adopters == 6
         assert res.total == pytest.approx(349.70, abs=0.05)
 
     def test_safety_stock_totals(self):
-        g_fbp, g_fbm = safety_stock_totals(0.5, SELLERS, COSTS, N, MU)
-        assert g_fbp == pytest.approx(4.39, abs=0.01)
-        assert g_fbm == 0.0
-        g_fbp, g_fbm = safety_stock_totals(8.867803761159964, SELLERS, COSTS,
-                                           N, MU)
-        assert g_fbp == pytest.approx(52.73, abs=0.05)
-        assert g_fbm == pytest.approx(28.12, abs=0.05)
-        assert safety_stock_totals(0.0, SELLERS, COSTS, N, MU) == (0.0, 0.0)
+        res = payoff(TABLE, 0.5)
+        assert res.gamma_fbp == pytest.approx(4.39, abs=0.01)
+        assert res.gamma_fbm == 0.0
+        res = payoff(TABLE, 8.867803761159964)
+        assert res.gamma_fbp == pytest.approx(52.73, abs=0.05)
+        assert res.gamma_fbm == pytest.approx(28.12, abs=0.05)
+        res = payoff(TABLE, 0.0)
+        assert (res.gamma_fbp, res.gamma_fbm) == (0.0, 0.0)
 
 
 class TestOptimize:
     def setup_method(self):
-        self.solution = optimize(SELLERS, COSTS, MODEL, N, SIGMA_CAP)
+        self.solution = optimize(TABLE, SIGMA_L, SIGMA_CAP)
 
     def test_reference_solution(self):
         sol = self.solution
@@ -128,49 +127,51 @@ class TestOptimize:
     def test_beats_dense_grid(self):
         grid = np.linspace(self.solution.sigma_lower,
                            self.solution.sigma_upper, 20_000)
-        best = max(payoff(float(s), SELLERS, COSTS, N, MU).total for s in grid)
+        best = max(payoff(TABLE, float(s)).total for s in grid)
         assert self.solution.payoff_star >= best - 1e-9 * abs(best)
 
     def test_two_seller_market(self):
         sellers = (SellerParams(0.6, 12.0, 24.5), SellerParams(2.0, 12.0, 12.5))
         model = DemandModel(10.0, TransferPoly([4.0]))
-        sol = optimize(sellers, COSTS, model, 2, 10_000.0)
+        table = market_table(sellers, COSTS, 10.0)
+        sol = optimize(table, sigma_lower_bound(model, 2), 10_000.0)
         grid = np.linspace(sol.sigma_lower, sol.sigma_upper, 20_000)
-        best = max(payoff(float(s), sellers, COSTS, 2, 10.0).total for s in grid)
+        best = max(payoff(table, float(s)).total for s in grid)
         assert sol.payoff_star >= best - 1e-9 * abs(best)
 
     def test_zero_storage_rent_prefers_the_floor(self):
         costs = PlatformCosts(rho=15.0, F=10.0, H=2.5, delta_f=2.0,
                               delta_h=0.0, r=100.0)
-        sol = optimize(SELLERS, costs, MODEL, N, SIGMA_CAP)
+        sol = optimize(market_table(SELLERS, costs, MU), SIGMA_L, SIGMA_CAP)
         assert sol.sigma_star == pytest.approx(sol.sigma_lower)
 
     def test_empty_feasible_set(self):
         with pytest.warns(UserWarning, match="cap"):
             with pytest.raises(EmptyFeasibleSet):
-                optimize(SELLERS, COSTS, MODEL, N, sigma_cap=0.3)
+                optimize(TABLE, SIGMA_L, sigma_cap=0.3)
         assert issubclass(EmptyFeasibleSet, ValueError)
+
+
+def cumulative_utility(sigma):
+    """Sum over sellers of the chosen mode's operating payoff."""
+    return float(TABLE.utilities(sigma)[1].sum())
 
 
 class TestCumulativeUtility:
     def test_reference_values(self):
-        assert cumulative_utility(SELLERS, COSTS, N, MU, 0.5) == pytest.approx(
-            1107.14, abs=0.1)
-        assert cumulative_utility(SELLERS, COSTS, N, MU,
-                                  8.867803761159964) == pytest.approx(
+        assert cumulative_utility(0.5) == pytest.approx(1107.14, abs=0.1)
+        assert cumulative_utility(8.867803761159964) == pytest.approx(
             814.47, abs=0.1)
 
     def test_decreasing_in_sigma(self):
-        values = [cumulative_utility(SELLERS, COSTS, N, MU, s)
-                  for s in np.linspace(0.5, 16.0, 25)]
+        values = [cumulative_utility(s) for s in np.linspace(0.5, 16.0, 25)]
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
 
 class TestPayoffCurve:
     def setup_method(self):
         grid = np.linspace(0.0, 1.1 * 33.95678202429589, 300)
-        self.points = payoff_curve(SELLERS, COSTS, N, MU, grid,
-                                   sigma_cap=SIGMA_CAP)
+        self.points = payoff_curve(TABLE, grid, TABLE.participation_ub(SIGMA_CAP))
 
     def test_sorted_and_sided(self):
         sigmas = [p.sigma for p in self.points]
@@ -188,7 +189,7 @@ class TestPayoffCurve:
             assert right[0].payoff == pytest.approx(right_ref, abs=0.01)
 
     def test_every_breakpoint_jumps_down(self):
-        bps = {s for s, _ in breakpoints(SELLERS, COSTS, N, MU)}
+        bps = {s for s, _ in TABLE.breakpoints()}
         for sigma in bps:
             left = next(p for p in self.points
                         if p.side == "left" and abs(p.sigma - sigma) < 1e-12)
@@ -244,8 +245,7 @@ class TestPayoffCurve:
 
 class TestSolutionDocument:
     def test_headline_table(self):
-        sol = optimize(SELLERS, COSTS, MODEL, N, SIGMA_CAP)
-        doc = solution_document(sol, SELLERS, COSTS, MODEL, N)
+        doc = solution_document(optimize(TABLE, SIGMA_L, SIGMA_CAP), TABLE)
         assert doc["sigma_star"] == pytest.approx(8.8678, abs=1e-3)
         assert doc["payoff_star"] == pytest.approx(372.45, abs=0.05)
         assert doc["adopters"] == [1, 2, 3, 4, 5, 6, 7]

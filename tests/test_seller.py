@@ -1,5 +1,6 @@
 """Seller-side economics: normal quantile machinery, inventory cost
-coefficients, utilities, mode choice, and participation bounds."""
+coefficients, utilities, and the market table's mode choice, adoption sets
+and participation bounds."""
 import io
 import math
 import warnings
@@ -17,16 +18,14 @@ from demandalloc import (
     DomainError,
     PlatformCosts,
     SellerParams,
-    adoption_set,
     base_stock,
     check_cost_assumptions,
     export_k_table,
     inventory_coefficient,
     k_table,
-    mode_choice,
+    market_table,
     mode_economics,
     seller_utility,
-    sigma_participation_ub,
     std_normal_cdf,
     std_normal_loss,
     std_normal_quantile,
@@ -70,6 +69,12 @@ COSTS = PlatformCosts(rho=15.0, F=10.0, H=2.5, delta_f=2.0, delta_h=2.0, r=100.0
 MU = 15.0
 N = 10
 SIGMA_STAR = 8.867803761159964
+TABLE = market_table(SELLERS, COSTS, MU)
+
+
+def adopters(table, sigma, boundary="inclusive") -> set:
+    """1-based indices of the sellers choosing FBP at sigma."""
+    return set((np.flatnonzero(table.adopts(sigma, boundary)) + 1).tolist())
 
 
 class TestNormalMachinery:
@@ -239,22 +244,21 @@ class TestSellerUtility:
 
 class TestModeChoice:
     def test_urban_seller_prefers_self_fulfillment(self):
-        assert mode_choice(SELLERS[9], COSTS, N, MU, 1.8) == FBM
+        assert not TABLE.adopts(1.8)[9]
 
     def test_everyone_adopts_at_zero_sigma(self):
-        for p in SELLERS:
-            assert mode_choice(p, COSTS, N, MU, 0.0) == FBP
+        assert TABLE.adopts(0.0).all()
 
     def test_threshold_is_inclusive(self):
         # seller 1 switches exactly at the largest breakpoint; at that sigma
         # the tie goes to platform fulfillment
-        assert mode_choice(SELLERS[0], COSTS, N, MU, SIGMA_STAR) == FBP
-        assert mode_choice(SELLERS[0], COSTS, N, MU, SIGMA_STAR * (1 + 1e-6)) == FBM
+        assert TABLE.adopts(SIGMA_STAR)[0]
+        assert not TABLE.adopts(SIGMA_STAR * (1 + 1e-6))[0]
 
     def test_choice_matches_utility_comparison(self):
         for sigma in (0.5, 2.0, 5.0, 9.0, 12.0, 15.0):
-            for p in SELLERS:
-                picked = mode_choice(p, COSTS, N, MU, sigma)
+            for p, fbp in zip(SELLERS, TABLE.adopts(sigma).tolist()):
+                picked = FBP if fbp else FBM
                 u_fbp = seller_utility(p, COSTS, FBP, MU / N, sigma)
                 u_fbm = seller_utility(p, COSTS, FBM, MU / N, sigma)
                 if picked == FBP:
@@ -264,35 +268,38 @@ class TestModeChoice:
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(DomainError):
-            mode_choice(SELLERS[0], COSTS, N, MU, -0.5)
+            TABLE.utilities(-0.5)
 
 
 class TestAdoptionSet:
     def test_low_dispersion_everyone(self):
-        assert adoption_set(SELLERS, COSTS, N, MU, 0.5) == set(range(1, 11))
+        assert adopters(TABLE, 0.5) == set(range(1, 11))
 
     def test_design_level_drops_urban_sellers(self):
-        assert adoption_set(SELLERS, COSTS, N, MU, 8.8678) == {1, 2, 3, 4, 5, 6, 7}
+        assert adopters(TABLE, 8.8678) == {1, 2, 3, 4, 5, 6, 7}
 
     def test_high_dispersion_empty(self):
-        assert adoption_set(SELLERS, COSTS, N, MU, 20.0) == set()
+        assert adopters(TABLE, 20.0) == set()
 
     def test_monotone_shrinking(self):
-        sizes = [len(adoption_set(SELLERS, COSTS, N, MU, s))
-                 for s in np.linspace(0.0, 20.0, 60)]
+        sizes = [len(adopters(TABLE, s)) for s in np.linspace(0.0, 20.0, 60)]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
     def test_exclusive_boundary_drops_threshold_seller(self):
-        inc = adoption_set(SELLERS, COSTS, N, MU, SIGMA_STAR)
-        exc = adoption_set(SELLERS, COSTS, N, MU, SIGMA_STAR, boundary="exclusive")
+        inc = adopters(TABLE, SIGMA_STAR)
+        exc = adopters(TABLE, SIGMA_STAR, boundary="exclusive")
         assert 1 in inc
         assert 1 not in exc
         assert exc == {2, 3, 4, 5, 6, 7}
 
+    def test_unknown_boundary_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown boundary"):
+            TABLE.adopts(SIGMA_STAR, boundary="open")
+
 
 class TestParticipationBound:
     def test_reference_market(self):
-        ub = sigma_participation_ub(SELLERS, COSTS, N, MU, 500.0)
+        ub = TABLE.participation_ub(500.0)
         assert ub == pytest.approx(33.9568, abs=1e-4)
 
     def test_single_seller_unit_coefficients(self):
@@ -304,7 +311,7 @@ class TestParticipationBound:
                               delta_f=0.0, delta_h=0.0, r=100.0)
         assert mode_economics(s, costs, FBM).K == pytest.approx(1.0, abs=1e-9)
         assert mode_economics(s, costs, FBP).K == pytest.approx(1.0, abs=1e-9)
-        ub = sigma_participation_ub([s], costs, 1, 1.0, 1e6)
+        ub = market_table([s], costs, 1.0).participation_ub(1e6)
         assert ub == pytest.approx(20.0, abs=1e-9)
 
     def test_all_margins_negative_gives_zero(self):
@@ -313,16 +320,16 @@ class TestParticipationBound:
             warnings.simplefilter("ignore")
             costs = PlatformCosts(rho=15.0, F=88.0, H=2.5,
                                   delta_f=0.0, delta_h=0.0, r=100.0)
-            assert sigma_participation_ub([s], costs, 1, 1.0, 1e6) == 0.0
+            assert market_table([s], costs, 1.0).participation_ub(1e6) == 0.0
 
     def test_cap_binds_with_warning(self):
         with pytest.warns(UserWarning, match="cap"):
-            ub = sigma_participation_ub(SELLERS, COSTS, N, MU, 10.0)
+            ub = TABLE.participation_ub(10.0)
         assert ub == 10.0
 
     def test_rejects_nonpositive_cap(self):
         with pytest.raises(DomainError):
-            sigma_participation_ub(SELLERS, COSTS, N, MU, 0.0)
+            TABLE.participation_ub(0.0)
 
 
 class TestCostAssumptions:
