@@ -6,9 +6,11 @@ fields anywhere are rejected so typos in cost parameters fail loudly rather
 than silently changing the economics.
 
 Subcommands: optimize, simulate, route, factor, msfe, curve.  Primary
-output (a solution document or CSV) goes to stdout or --out; a short JSON
-summary accompanies it on the other stream.  Exit codes: 0 success, 2 input
-error, 3 infeasibility, 4 numerical failure.
+output (a solution document or CSV) goes to stdout or --out.  curve,
+simulate and route also write a short JSON summary to the other stream;
+optimize writes none (with --out it prints only "wrote PATH" on stderr), and
+factor and msfe print one JSON document on stdout.  Exit codes: 0 success,
+2 input error, 3 infeasibility, 4 numerical failure.
 """
 from __future__ import annotations
 

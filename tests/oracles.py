@@ -1,7 +1,8 @@
 """Independent oracles used to freeze expected values and cross-check the
 package's numerics.  Root finding goes through mpmath at 50 digits, the
 innovations recursion is restated from the textbook autocovariance form, the
-routing replay re-derives greedy choices from scratch, and the routing
+routing replay re-derives greedy choices from scratch, the reference router
+assigns one order at a time by the greedy rule, and the routing
 targets are summed from the transfer coefficients period by period; none of
 these imports from demandalloc.
 
@@ -118,6 +119,24 @@ def greedy_replay_ok(offsets, assignment_log, tie_tol: float = 1e-12) -> bool:
             return False
         counts[i] += 1
     return True
+
+
+def ref_route_orders(offsets, D_t: int, tie_tol: float = 1e-12):
+    """The greedy router one order at a time: each order goes to the lowest
+    index whose count - offset is within tie_tol (relative) of the smallest.
+    Returns the 1-based assignment log and the final counts, as lists."""
+    offsets = [float(b) for b in offsets]
+    n = len(offsets)
+    counts = [0] * n
+    log = []
+    for _ in range(D_t):
+        adjusted = [counts[j] - offsets[j] for j in range(n)]
+        m = min(adjusted)
+        chosen = next(j for j in range(n)
+                      if adjusted[j] <= m + tie_tol * max(1.0, abs(m)))
+        counts[chosen] += 1
+        log.append(chosen + 1)
+    return log, counts
 
 
 def benchmark_targets(transfers, mu, demand):

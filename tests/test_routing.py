@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from demandalloc import (
@@ -28,8 +28,9 @@ from demandalloc import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from oracles import benchmark_targets, greedy_replay_ok  # noqa: E402
+from oracles import benchmark_targets, greedy_replay_ok, ref_route_orders  # noqa: E402
 
+DATA = Path(__file__).resolve().parent / "data"
 MU = 15.0
 SIGMA_L = 0.5
 
@@ -207,6 +208,21 @@ class TestRouteOrders:
         with pytest.raises(ValueError):
             route_orders(np.zeros(2), -1, seed=0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: route_orders(np.zeros(2), 4, seed=0, tie_break="lowst"),
+         "tie_break must be one of 'random', 'lowest', got 'lowst'"),
+        (lambda: route_path(*design(2, 1.0)[::-1], path_of([MU] * 3), seed=0,
+                            on_infeasible="skp"),
+         "on_infeasible must be one of 'raise', 'skip', got 'skp'"),
+        (lambda: route_path(*design(2, 1.0)[::-1], path_of([MU] * 3), seed=0,
+                            tie_break="first"),
+         "tie_break must be one of 'random', 'lowest', got 'first'"),
+    ])
+    def test_unknown_modes_are_rejected(self, call, message):
+        with pytest.raises(ValueError) as exc_info:
+            call()
+        assert str(exc_info.value) == message
+
 
 class TestRoutePath:
     def setup_method(self):
@@ -293,6 +309,22 @@ class TestExport:
             b = r.targets - float(r.counts.sum()) / r.counts.size
             np.testing.assert_allclose(adj, r.counts - b, atol=5e-6)
 
+    @pytest.mark.parametrize("golden, mu, psi, N, sigma, periods", [
+        # the reference scenario's market; most periods at sigma 3 skip
+        ("route_reference_sigma3_T300_seed4_lowest.csv", 15.0, [5.0], 10, 3.0, 300),
+        # odd N under MA(2) demand: two-lag offsets, no exact zero offsets
+        ("route_ma2_n11_sigma0.7_T60_seed4_lowest.csv", 40.0, [5.0, 2.0, 1.0],
+         11, 0.7, 60),
+    ])
+    def test_lowest_log_matches_golden(self, golden, mu, psi, N, sigma, periods):
+        model = DemandModel(mu, TransferPoly(psi))
+        path = simulate(model, periods, 4)
+        res = route_path(neutral_policy(model, N, sigma), model, path, 4,
+                         on_infeasible="skip", tie_break="lowest")
+        buf = io.StringIO(newline="")
+        export_assignment_log(res, buf)
+        assert buf.getvalue().encode() == (DATA / golden).read_bytes()
+
 
 @st.composite
 def routed_designs(draw):
@@ -342,3 +374,49 @@ class TestPolicyTracking:
             assert int(routed.counts.sum()) == demand[t]
             assert routed.assignment_log.size == demand[t]
             assert max(abs(c - x) for c, x in zip(routed.counts, row)) <= 1.0 + 1e-9
+
+
+@st.composite
+def routed_periods(draw):
+    """(offsets, D_t) of one period with nonnegative targets.  Offsets are
+    random, all zero, or near-tied: pairs +-c with 2c an integer, so keys of
+    different sellers meet exactly, each moved by a few ulps."""
+    kind = draw(st.sampled_from(["random", "near-ties", "zero"]))
+    N = draw(st.integers(1, 8))
+    if kind == "zero":
+        b = np.zeros(N)
+    elif kind == "random":
+        b = np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=N, max_size=N)))
+        b -= b.mean()
+    else:
+        halves = draw(st.lists(st.integers(0, 8), min_size=N // 2, max_size=N // 2))
+        b = np.array([h / 2 for h in halves] + [-h / 2 for h in halves]
+                     + [0.0] * (N % 2))
+        b = b[draw(st.permutations(range(N)))]
+        ulps = np.array(draw(st.lists(st.integers(-4, 4), min_size=N, max_size=N)))
+        b = b + ulps * np.spacing(np.maximum(1.0, np.abs(b)))
+    floor = int(np.ceil(N * max(0.0, -float(b.min()))))
+    D = floor + draw(st.integers(0, 40))
+    targets = D / N + b
+    assume(not np.any(targets < -1e-12 * max(1.0, float(np.abs(targets).max()))))
+    return b, D
+
+
+class TestMergeAgainstOracle:
+    @given(routed_periods(), st.integers(0, 2 ** 32))
+    @settings(max_examples=400, deadline=None)
+    def test_lowest_matches_the_per_order_greedy(self, period, seed):
+        b, D = period
+        res = route_orders(b, D, seed, tie_break="lowest")
+        log, counts = ref_route_orders(b, D)
+        assert res.assignment_log.tolist() == log
+        assert res.counts.tolist() == counts
+
+    @given(routed_periods(), st.integers(0, 2 ** 32))
+    @settings(max_examples=300, deadline=None)
+    def test_random_ties_follow_the_greedy(self, period, seed):
+        b, D = period
+        res = route_orders(b, D, seed)
+        assert greedy_replay_ok(b, res.assignment_log)
+        assert int(res.counts.sum()) == D
+        assert np.all(np.abs(res.counts - (D / b.size + b)) <= 1.0 + 1e-9)
