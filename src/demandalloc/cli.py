@@ -11,12 +11,16 @@ simulate and route also write a short JSON summary to the other stream;
 optimize writes none (with --out it prints only "wrote PATH" on stderr), and
 factor and msfe print one JSON document on stdout.  Exit codes: 0 success,
 2 input error, 3 infeasibility, 4 numerical failure.
+
+The commands parse, write and summarise; the model lives in the library.
+simulate runs forecast.simulate_inventory (allocation, predictions of every
+seller in one pass, stocks and costs) and writes its CSV in blocks with
+forecast.export_simulation.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import sys
 from dataclasses import dataclass
@@ -216,61 +220,20 @@ def _design_run(args):
 
 def cmd_simulate(args) -> int:
     scenario, model, alloc_policy, path = _design_run(args)
-    N = scenario.n_sellers
     sigma = args.sigma
-    expost = policy.allocate_ex_post(alloc_policy, model, path)
-    start = expost.start_period
-    demands = path.demands[start:]
-
-    table = seller.market_table(scenario.sellers, scenario.costs, scenario.mu)
-    fbp = table.adopts(sigma)
-    modes = [seller.FBP if a else seller.FBM for a in fbp.tolist()]
-    zetas = np.where(fbp, table.zeta_fbp, table.zeta_fbm).tolist()
-    ks = np.where(fbp, table.k_fbp, table.k_fbm).tolist()
-
-    mu_share = scenario.mu / N
-    rows = expost.allocations
-    forecasts = np.empty_like(rows)
-    stocks = np.empty_like(rows)
-    costs_real = np.empty_like(rows)
-    summary_sellers = []
-    for i in range(N):
-        filt = policy.seller_filter(alloc_policy, model, i + 1)
-        pred = forecast.innovations_predict(filt, rows[i], mean=mu_share)
-        stock = pred + zetas[i] * sigma
-        over = np.maximum(stock - rows[i], 0.0)
-        under = np.maximum(rows[i] - stock, 0.0)
-        h_bar = scenario.costs.H if modes[i] == seller.FBP else scenario.sellers[i].h
-        cost = h_bar * over + scenario.sellers[i].b * under
-        forecasts[i], stocks[i], costs_real[i] = pred, stock, cost
-        err = rows[i] - pred
-        empirical = float(np.sqrt(np.mean(err ** 2)))
-        summary_sellers.append({
-            "seller": i + 1,
-            "mode": modes[i],
-            "analytic_sigma": sigma,
-            "empirical_msfe": empirical,
-            "msfe_ratio": empirical / sigma,
-            "mean_cost": float(np.mean(cost)),
-            "k_sigma": ks[i] * sigma,
-            "cost_ratio": float(np.mean(cost)) / (ks[i] * sigma),
-        })
-
+    run = forecast.simulate_inventory(scenario.sellers, scenario.costs,
+                                      alloc_policy, model, path, sigma)
     with _primary_stream(args.out) as (fh, on_stdout):
-        writer = csv.writer(fh)
-        header = ["period", "demand"]
-        for i in range(1, N + 1):
-            header += [f"alloc_{i}", f"forecast_{i}", f"stock_{i}", f"cost_{i}"]
-        writer.writerow(header)
-        for j in range(rows.shape[1]):
-            line = [start + j, f"{demands[j]:.6f}"]
-            for i in range(N):
-                line += [f"{rows[i, j]:.6f}", f"{forecasts[i, j]:.6f}",
-                         f"{stocks[i, j]:.6f}", f"{costs_real[i, j]:.6f}"]
-            writer.writerow(line)
+        forecast.export_simulation(run, fh)
+    sellers = [{"seller": i, "mode": mode, "analytic_sigma": sigma,
+                "empirical_msfe": msfe, "msfe_ratio": msfe / sigma,
+                "mean_cost": cost, "k_sigma": k_sigma, "cost_ratio": cost / k_sigma}
+               for i, (mode, msfe, cost, k_sigma) in enumerate(zip(
+                   run.modes, run.empirical_msfe.tolist(), run.mean_cost.tolist(),
+                   run.k_sigma.tolist()), start=1)]
     _emit_summary({"command": "simulate", "sigma": sigma,
                    "periods": path.demands.size, "seed": path.seed,
-                   "sellers": summary_sellers},
+                   "sellers": sellers},
                   primary_on_stdout=not args.out)
     return EXIT_OK
 

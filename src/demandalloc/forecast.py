@@ -1,12 +1,16 @@
 """Forecast-error machinery beyond the one-step optimal predictor.
 
-Three strands: an innovations-algorithm oracle that recovers the one-step
+Four strands: an innovations-algorithm oracle that recovers the one-step
 forecast error of a finite moving average directly from autocovariances
 (sharing no code with the root-split route, so the two can cross-check each
-other); mean squared errors of suboptimal linear filters such as truncated
-exponential smoothing; and lead-time demand uncertainty built from partial
-sums of the coefficients of a seller filter's outer factor, which
-polyalg.inner_outer_factor computes for any admissible design.
+other), and the optimal one-step predictor built on it; mean squared errors
+of suboptimal linear filters such as truncated exponential smoothing;
+lead-time demand uncertainty built from partial sums of the coefficients of
+a seller filter's outer factor, which polyalg.inner_outer_factor computes for
+any admissible design; and the model of the `simulate` command
+(simulate_inventory), which predicts every seller's stream in one pass of
+predict_streams and costs out stocks as (N, T) arrays, with its CSV written
+in blocks (export_simulation).
 """
 from __future__ import annotations
 
@@ -16,15 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import DemandModel
-from .policy import AllocationPolicy, seller_filter, sigma_lower_bound
+from .demand import DemandModel, DemandPath
+from .policy import (AllocationPolicy, allocate_ex_post, seller_filter,
+                     sigma_lower_bound)
 from .polyalg import TransferPoly, as_poly, inner_outer_factor
 from .seller import (FBM, FBP, MarketTable, PlatformCosts, SellerParams,
-                     mode_economics)
+                     market_table, mode_economics)
 
 SES_TAIL_TOL = 1e-12
 _CONVERGENCE_RTOL = 1e-10
 _WEIGHT_SUM_TOL = 1e-9
+_CSV_BLOCK_CELLS = 1 << 14
 
 
 class ConvergenceFailure(RuntimeError):
@@ -125,29 +131,62 @@ def innovations_msfe(psi_n: TransferPoly, horizon: int) -> float:
     return float(math.sqrt(v[-1]))
 
 
+PREDICT_ROW_CAP = 5000
+"""Most innovations rows a predictor computes.  A row is reused for every
+later index once the innovation variance settles (PREDICT_SETTLE_RTOL); past
+this many rows the last computed row is reused even if it has not settled,
+which happens for filters with a root near the unit circle."""
+PREDICT_SETTLE_RTOL = 1e-14
+
+
+def predict_streams(filters, series, mean: float = 0.0) -> np.ndarray:
+    """One-step-ahead predictions of N series at once, shape (N, T).
+
+    Series n (row n of `series`) is predicted with the innovations recursion
+    of filters[n], exactly as innovations_predict would predict it alone:
+    each filter's rows are padded with zeros to the largest degree and its
+    last settled row is repeated past its own settle point, so every element
+    sees the same float operations, in the same order j = 1..q, as a
+    one-series loop.  Degree-0 filters predict the mean.
+    """
+    x = np.asarray(series, dtype=float) - mean
+    N, T = x.shape
+    filters = [as_poly(f) for f in filters]
+    q = max(f.degree for f in filters)
+    rows = [_innovations_rows(f.coeffs, min(T, PREDICT_ROW_CAP),
+                              settle_rtol=PREDICT_SETTLE_RTOL)[0][:, 1:]
+            if f.degree else np.zeros((1, 0)) for f in filters]
+    last = max(r.shape[0] for r in rows) - 1
+    # theta[r, j - 1, n]: weight of the innovation j steps back at row r
+    theta = np.zeros((last + 1, q, N))
+    for n, r in enumerate(rows):
+        theta[:r.shape[0], :r.shape[1], n] = r
+        theta[r.shape[0]:, :r.shape[1], n] = r[-1]
+    # innov[q + t]: innovation at index t; the q leading rows stay zero
+    innov = np.zeros((T + q, N))
+    xhat = np.zeros((T, N))
+    xt = x.T
+    for t in range(T):
+        row = theta[min(t, last)]
+        acc = np.zeros(N)
+        for j in range(1, q + 1):
+            acc += row[j - 1] * innov[q + t - j]
+        xhat[t] = acc
+        np.subtract(xt[t], acc, out=innov[q + t])
+    # C order: a reduction along a row then sums in the order it would for
+    # that series alone
+    return np.ascontiguousarray(xhat.T) + mean
+
+
 def innovations_predict(psi_n: TransferPoly, series, mean: float = 0.0) -> np.ndarray:
     """One-step-ahead predictions along a realized series.
 
     Prediction for index t uses only observations before t, weighting past
     innovations by the recursion's time-t coefficients.  Rows are computed
-    until they settle and then reused, so long series stay cheap.
+    until they settle and then reused, so long series stay cheap.  The
+    one-series case of predict_streams.
     """
-    psi_n = as_poly(psi_n)
-    x = np.asarray(series, dtype=float) - mean
-    T = x.size
-    q = psi_n.degree
-    if q == 0:
-        return np.full(T, mean)
-    theta, _ = _innovations_rows(psi_n.coeffs, min(T, 5000), settle_rtol=1e-14)
-    last = theta.shape[0] - 1
-    xhat = np.zeros(T)
-    for t in range(T):
-        row = theta[min(t, last)]
-        acc = 0.0
-        for j in range(1, min(t, q) + 1):
-            acc += row[j] * (x[t - j] - xhat[t - j])
-        xhat[t] = acc
-    return xhat + mean
+    return predict_streams([psi_n], np.asarray(series, dtype=float)[None, :], mean)[0]
 
 
 def ses_truncated_weights(lam: float, order: int | None = None) -> FilterForecaster:
@@ -287,3 +326,78 @@ def export_ses_comparison(rows, fileobj) -> None:
     for row in rows:
         writer.writerow([row[0], f"{row[1]:.6f}", f"{row[2]:.6f}", row[3],
                          row[4], f"{row[5]:.6f}", f"{row[6]:.6f}"])
+
+
+@dataclass(frozen=True)
+class InventoryRun:
+    """A design replayed along a demand path, from its first period with
+    full lag history (start_period).
+
+    Arrays with a seller axis have shape (N, periods): the ex-post
+    allocation, its one-step forecast, the base stock forecast + zeta sigma
+    and the realized overage/underage cost.  The per-seller summary numbers
+    are the empirical root MSFE, the mean realized cost and K sigma.
+    """
+
+    start_period: int
+    demands: np.ndarray
+    allocations: np.ndarray
+    forecasts: np.ndarray
+    stocks: np.ndarray
+    costs: np.ndarray
+    modes: tuple
+    empirical_msfe: np.ndarray
+    mean_cost: np.ndarray
+    k_sigma: np.ndarray
+
+
+def simulate_inventory(sellers, costs: PlatformCosts, alloc_policy: AllocationPolicy,
+                       model: DemandModel, path: DemandPath,
+                       sigma: float) -> InventoryRun:
+    """Allocate a realized path by the policy, let every seller forecast its
+    stream with the optimal one-step predictor and stock forecast + zeta
+    sigma in the mode it picks at sigma, and cost out each period."""
+    expost = allocate_ex_post(alloc_policy, model, path)
+    alloc = expost.allocations
+    table = market_table(sellers, costs, model.mu)
+    fbp = table.adopts(sigma)
+    filters = [seller_filter(alloc_policy, model, n)
+               for n in range(1, alloc_policy.n_sellers + 1)]
+    pred = predict_streams(filters, alloc, mean=model.mu / table.N)
+    zeta = np.where(fbp, table.zeta_fbp, table.zeta_fbm)[:, None]
+    stock = pred + zeta * sigma
+    over = np.maximum(stock - alloc, 0.0)
+    under = np.maximum(alloc - stock, 0.0)
+    h_bar = np.where(fbp, costs.H, [p.h for p in sellers])[:, None]
+    cost = h_bar * over + table.b[:, None] * under
+    err = alloc - pred
+    return InventoryRun(
+        start_period=expost.start_period,
+        demands=path.demands[expost.start_period:],
+        allocations=alloc, forecasts=pred, stocks=stock, costs=cost,
+        modes=tuple(np.where(fbp, FBP, FBM).tolist()),
+        empirical_msfe=np.sqrt(np.mean(err ** 2, axis=1)),
+        mean_cost=np.mean(cost, axis=1),
+        k_sigma=np.where(fbp, table.k_fbp, table.k_fbm) * sigma)
+
+
+def export_simulation(run: InventoryRun, fileobj) -> None:
+    """CSV: period, demand, then alloc, forecast, stock and cost for each
+    seller.  Rows are formatted and written in blocks of about
+    _CSV_BLOCK_CELLS cells, each interleaved from slices of the run's arrays."""
+    n, periods = run.allocations.shape
+    writer = csv.writer(fileobj)
+    writer.writerow(["period", "demand"] + [f"{col}_{i}" for i in range(1, n + 1)
+                                            for col in ("alloc", "forecast", "stock", "cost")])
+    width = 4 * n + 2
+    line = "%d" + ",%.6f" * (width - 1) + writer.dialect.lineterminator
+    block = max(1, _CSV_BLOCK_CELLS // width)
+    columns = (run.allocations, run.forecasts, run.stocks, run.costs)
+    for lo in range(0, periods, block):
+        hi = min(lo + block, periods)
+        rows = np.empty((hi - lo, width))
+        rows[:, 0] = np.arange(run.start_period + lo, run.start_period + hi)
+        rows[:, 1] = run.demands[lo:hi]
+        for k, col in enumerate(columns):
+            rows[:, 2 + k::4] = col[:, lo:hi].T
+        fileobj.write((line * (hi - lo)) % tuple(rows.ravel().tolist()))

@@ -214,8 +214,8 @@ def allocate_ex_post(policy: AllocationPolicy, model: DemandModel,
                      path: DemandPath) -> ExPostAllocation:
     """Apply the time-domain allocation rule to a realized demand path.
 
-    D_nt = mu/N + (1/N) sum_k T_nk (D_{t-k} - mu), reported from the first
-    period with full lag history.
+    D_nt = mu/N + (D_t - mu)/N + b[t, n-1], with the offsets b of
+    benchmark_offsets, reported from the first period with full lag history.
     """
     maxdeg = policy.max_lag
     demands = np.asarray(path.demands, dtype=float)
@@ -224,13 +224,11 @@ def allocate_ex_post(policy: AllocationPolicy, model: DemandModel,
         raise InsufficientHistory(
             f"path length {T} does not cover the policy's {maxdeg}-period memory"
         )
-    dev = demands - model.mu
-    mu_share = model.mu / policy.n_sellers
-    rows = np.empty((policy.n_sellers, T - maxdeg))
-    for i, t_poly in enumerate(policy.transfers):
-        conv = np.convolve(dev, t_poly.coeffs)
-        rows[i] = mu_share + conv[maxdeg:T] / policy.n_sellers
-    return ExPostAllocation(allocations=rows, start_period=maxdeg)
+    N = policy.n_sellers
+    share = model.mu / N + (demands[maxdeg:] - model.mu) / N
+    rows = share[:, None] + benchmark_offsets(policy, model, demands)[maxdeg:]
+    return ExPostAllocation(allocations=np.ascontiguousarray(rows.T),
+                            start_period=maxdeg)
 
 
 def benchmark_offsets(policy: AllocationPolicy, model: DemandModel,

@@ -6,6 +6,12 @@ assigns one order at a time by the greedy rule, and the routing
 targets are summed from the transfer coefficients period by period; none of
 these imports from demandalloc.
 
+The one-series predictor reference is the scalar loop over t and j that
+the package replaced with a pass over all sellers at once.  It takes its
+innovations rows, settle tolerance and row cap from demandalloc.forecast, so
+it checks the batching (padding, row reuse, summation order) and nothing
+else.
+
 The scalar seller/platform reference at the end is the per-seller loop form
 of adoption, breakpoints, participation, payoff, the optimizer and the payoff
 curve that the package replaced with its array-backed market table.  It
@@ -21,7 +27,10 @@ import functools
 import math
 
 import mpmath as mp
+import numpy as np
 
+from demandalloc.forecast import (PREDICT_ROW_CAP, PREDICT_SETTLE_RTOL,
+                                  _innovations_rows)
 from demandalloc.platform import CurvePoint, PayoffResult, PlatformSolution
 from demandalloc.seller import inventory_coefficient
 
@@ -155,6 +164,29 @@ def benchmark_targets(transfers, mu, demand):
             row.append(demand[t] / n + lagged / n)
         targets.append(row)
     return targets
+
+
+def ref_innovations_predict(coeffs, series, mean: float = 0.0):
+    """One-step predictions of one series, one scalar step per (t, j): row
+    min(t, last) of the filter's innovations rows weights the innovation j
+    steps back, j = 1..min(t, q).  coeffs must carry no trailing zeros."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    x = np.asarray(series, dtype=float) - mean
+    T = x.size
+    q = coeffs.size - 1
+    if q == 0:
+        return np.full(T, mean)
+    theta, _ = _innovations_rows(coeffs, min(T, PREDICT_ROW_CAP),
+                                 settle_rtol=PREDICT_SETTLE_RTOL)
+    last = theta.shape[0] - 1
+    xhat = np.zeros(T)
+    for t in range(T):
+        row = theta[min(t, last)]
+        acc = 0.0
+        for j in range(1, min(t, q) + 1):
+            acc += row[j] * (x[t - j] - xhat[t - j])
+        xhat[t] = acc
+    return xhat + mean
 
 
 # Scalar seller/platform reference.  Mirrors the package's constants.

@@ -14,6 +14,7 @@ from demandalloc.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_NUMERICAL,
 
 SCENARIO = str(Path(__file__).resolve().parents[1]
                / "scenarios" / "illustrative.scenario")
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def scenario_doc() -> dict:
@@ -318,6 +319,26 @@ class TestSimulate:
             demand = float(r[1])
             total = sum(float(r[2 + 4 * i]) for i in range(10))
             assert total == pytest.approx(demand, abs=1e-4)
+
+    @pytest.mark.parametrize("golden, scenario, sigma, periods", [
+        ("simulate_reference_sigma3_T300_seed4", SCENARIO, "3", "300"),
+        # odd N = 11 under MA(2) demand: two-lag design, degree-4 filters
+        ("simulate_ma2_n11_sigma0.7_T60_seed4", str(DATA / "ma2_n11.scenario"),
+         "0.7", "60"),
+    ])
+    def test_matches_golden(self, golden, scenario, sigma, periods, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--scenario", scenario, "--sigma", sigma,
+                     "--periods", periods, "--seed", "4", "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (DATA / f"{golden}.csv").read_bytes()
+        summary = json.loads(capsys.readouterr().out)
+        expected = json.loads((DATA / f"{golden}.json").read_text())
+        assert summary.keys() == expected.keys()
+        assert summary["sellers"] == [
+            {k: pytest.approx(v, rel=1e-12) if isinstance(v, float) else v
+             for k, v in entry.items()} for entry in expected["sellers"]]
+        assert {k: v for k, v in summary.items() if k != "sellers"} \
+            == {k: v for k, v in expected.items() if k != "sellers"}
 
     def test_stream_routing(self, capsys):
         assert main(["simulate", "--scenario", SCENARIO, "--sigma", "5.0",

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from demandalloc import (
     ConvergenceFailure,
@@ -33,7 +35,9 @@ from demandalloc import (
     simulate,
     uniform_policy,
 )
-from oracles import mp_root_msfe, mp_roots
+from demandalloc.forecast import (PREDICT_ROW_CAP, PREDICT_SETTLE_RTOL,
+                                  _innovations_rows, predict_streams)
+from oracles import mp_root_msfe, mp_roots, ref_innovations_predict
 from test_seller import COSTS, SELLERS, TABLE
 
 M5 = DemandModel(15.0, TransferPoly([5.0]))
@@ -106,6 +110,45 @@ class TestInnovationsPredict:
         pred = innovations_predict(model.psi, path.demands, mean=model.mu)
         rmse = float(np.sqrt(np.mean((path.demands - pred) ** 2)))
         assert rmse == pytest.approx(1.0, rel=0.02)
+
+
+# Nonzero coefficients keep each filter's drawn degree (TransferPoly trims
+# near-zero trailing coefficients).
+_COEFF = st.floats(-3.0, 3.0).filter(lambda c: abs(c) >= 0.05)
+_FILTER = st.integers(0, 4).flatmap(
+    lambda d: st.lists(_COEFF, min_size=d + 1, max_size=d + 1))
+
+
+def _assert_stack_matches_scalar(filters, T, seed, mean=4.0):
+    series = mean + 3.0 * np.random.default_rng(seed).standard_normal((len(filters), T))
+    got = predict_streams([TransferPoly(c) for c in filters], series, mean)
+    want = np.array([ref_innovations_predict(TransferPoly(c).coeffs, s, mean)
+                     for c, s in zip(filters, series)])
+    # bit for bit, zero signs included
+    assert got.tobytes() == want.tobytes()
+
+
+class TestPredictStreams:
+    """All sellers predicted at once equal the one-series scalar loop."""
+
+    @given(st.lists(_FILTER, min_size=1, max_size=5), st.integers(0, 60),
+           st.integers(0, 2 ** 32 - 1))
+    @example([[1.0, 0.5, -0.3, 0.2, 0.4], [2.0], [0.7, -1.1]], 3, 0)
+    @example([[0.5, 1.0, 0.48], [3.0, 0.1]], 0, 1)
+    @settings(max_examples=80, deadline=None)
+    def test_mixed_degrees_match_scalar_loop(self, filters, T, seed):
+        _assert_stack_matches_scalar(filters, T, seed)
+
+    def test_past_the_row_cap_with_an_unsettled_filter(self):
+        # 1 + 0.9999 z has a root just outside the unit circle: its rows are
+        # still moving at the cap and the last one is reused past it, while
+        # the others settle early and repeat their own last rows
+        near_unit = [1.0, 0.9999]
+        rows, _ = _innovations_rows(np.array(near_unit), PREDICT_ROW_CAP,
+                                    settle_rtol=PREDICT_SETTLE_RTOL)
+        assert rows.shape[0] == PREDICT_ROW_CAP + 1
+        filters = [near_unit, [1.2, -0.3, 0.4, 0.15, -0.22], [5.0], [2.0, -0.6, 0.4]]
+        _assert_stack_matches_scalar(filters, PREDICT_ROW_CAP + 200, 7)
 
 
 class TestSesWeights:
