@@ -32,10 +32,9 @@ from .routing import (InfeasibleTargets, RoutePathResult, RoutingResult,
                       route_path)
 from .seller import (FBM, FBP, DomainError, MarketTable, ModeEconomics,
                      PlatformCosts, SellerParams, base_stock,
-                     check_cost_assumptions, export_k_table,
-                     inventory_coefficient, k_table, market_table,
-                     mode_economics, seller_utility, std_normal_cdf,
-                     std_normal_loss, std_normal_quantile)
+                     check_cost_assumptions, inventory_coefficient,
+                     market_table, std_normal_cdf, std_normal_loss,
+                     std_normal_quantile)
 
 __version__ = "0.1.0"
 
@@ -50,17 +49,17 @@ __all__ = [
     "TransferPoly", "ZeroPolynomial",
     "allocate_ex_post", "base_stock", "benchmark_offsets",
     "check_cost_assumptions",
-    "export_assignment_log", "export_curve", "export_k_table",
+    "export_assignment_log", "export_curve",
     "export_ses_comparison", "ses_comparison_rows",
     "check_neutral",
     "deserialize_policy", "filter_msfe", "inner_outer_factor",
     "innovations_msfe", "innovations_predict", "integerize_demand",
-    "inventory_coefficient", "is_invertible", "k_table", "lagged_variant",
+    "inventory_coefficient", "is_invertible", "lagged_variant",
     "leadtime_mode_choice", "leadtime_msfe", "leadtime_theta", "market_table",
-    "mode_economics", "neutral_policy", "optimize", "payoff", "payoff_curve",
+    "neutral_policy", "optimize", "payoff", "payoff_curve",
     "poly_mul", "poly_roots", "prob_negative", "root_msfe", "route_orders",
     "route_path", "seller_cv_bound", "seller_filter",
-    "seller_utility", "serialize_policy", "ses_msfe_closed_form",
+    "serialize_policy", "ses_msfe_closed_form",
     "ses_truncated_weights", "sigma_lower_bound", "simulate",
     "solution_document", "std_normal_cdf", "std_normal_loss",
     "std_normal_quantile", "uniform_policy", "variance",

@@ -13,9 +13,10 @@ factor and msfe print one JSON document on stdout.  Exit codes: 0 success,
 2 input error, 3 infeasibility, 4 numerical failure.
 
 The commands parse, write and summarise; the model lives in the library.
-simulate runs forecast.simulate_inventory (allocation, predictions of every
-seller in one pass, stocks and costs) and writes its CSV in blocks with
-forecast.export_simulation.
+Each scenario command builds the market table (seller.market_table) once;
+simulate hands it to forecast.simulate_inventory (allocation, predictions of
+every seller in one pass, stocks and costs) and writes its CSV in blocks
+with forecast.export_simulation.
 """
 from __future__ import annotations
 
@@ -94,6 +95,12 @@ def _finite(value, path: str) -> float:
     return float(value)
 
 
+def _is_boundary_tol(value: float) -> bool:
+    """Root moduli below 1 - tol count as inside the unit disk, so a tol
+    outside [0, 1) (or NaN) would misclassify roots."""
+    return 0.0 <= value < 1.0
+
+
 def _integer(value, path: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ScenarioError(f"{path}: expected an integer >= {minimum}, got {value!r}")
@@ -156,6 +163,9 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
                        f"{source}.options.horizon", 1)
     boundary_tol = (_number(options, f"{source}.options", "boundary_tol")
                     if "boundary_tol" in options else 1e-9)
+    if not _is_boundary_tol(boundary_tol):
+        raise ScenarioError(f"{source}.options.boundary_tol: expected a number "
+                            f"in [0, 1), got {boundary_tol!r}")
     scenario = Scenario(mu=mu, psi=psi, costs=costs, sellers=tuple(sellers),
                         sigma_cap=sigma_cap, seed=seed, horizon=horizon,
                         boundary_tol=boundary_tol)
@@ -221,8 +231,8 @@ def _design_run(args):
 def cmd_simulate(args) -> int:
     scenario, model, alloc_policy, path = _design_run(args)
     sigma = args.sigma
-    run = forecast.simulate_inventory(scenario.sellers, scenario.costs,
-                                      alloc_policy, model, path, sigma)
+    table = seller.market_table(scenario.sellers, scenario.costs, scenario.mu)
+    run = forecast.simulate_inventory(table, alloc_policy, model, path, sigma)
     with _primary_stream(args.out) as (fh, on_stdout):
         forecast.export_simulation(run, fh)
     sellers = [{"seller": i, "mode": mode, "analytic_sigma": sigma,
@@ -375,7 +385,9 @@ def _flag_type(convert, accept, expected: str):
 _positive_float = _flag_type(float, lambda x: 0 < x < float("inf"),
                              "a finite number > 0")
 _count = _flag_type(int, lambda n: n >= 1, "an integer >= 1")
-_seed = _flag_type(int, lambda n: n >= 0, "an integer >= 0")
+_nonnegative_int = _flag_type(int, lambda n: n >= 0, "an integer >= 0")
+_boundary_tol = _flag_type(float, _is_boundary_tol, "a number in [0, 1)")
+_smoothing = _flag_type(float, lambda x: 0 < x <= 1, "a number in (0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="per-seller root MSFE target")
             p.add_argument("--periods", type=_count, default=None,
                            help="periods to simulate (default: scenario horizon)")
-            p.add_argument("--seed", type=_seed, default=None,
+            p.add_argument("--seed", type=_nonnegative_int, default=None,
                            help="RNG seed (default: scenario seed)")
         p.add_argument("--out", default=None, help="write primary output here")
 
@@ -410,13 +422,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_factor = sub.add_parser("factor", help="inner-outer factorization report")
     p_factor.add_argument("coeffs", nargs="+", help="polynomial coefficients, low order first")
-    p_factor.add_argument("--boundary-tol", type=float, default=1e-9)
+    p_factor.add_argument("--boundary-tol", type=_boundary_tol, default=1e-9,
+                          help="roots of modulus below 1 - tol count as inside")
     p_factor.set_defaults(func=cmd_factor)
 
     p_msfe = sub.add_parser("msfe", help="root MSFE, optionally lead-time or SES variants")
     p_msfe.add_argument("coeffs", nargs="+", help="polynomial coefficients, low order first")
-    p_msfe.add_argument("--lead", type=int, default=None, help="replenishment lead time")
-    p_msfe.add_argument("--ses", type=float, default=None, help="SES smoothing constant")
+    p_msfe.add_argument("--lead", type=_nonnegative_int, default=None,
+                        help="replenishment lead time in periods")
+    p_msfe.add_argument("--ses", type=_smoothing, default=None,
+                        help="SES smoothing constant")
     p_msfe.set_defaults(func=cmd_msfe)
 
     p_curve = sub.add_parser("curve", help="export the payoff curve as CSV")

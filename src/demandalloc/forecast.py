@@ -7,10 +7,13 @@ other), and the optimal one-step predictor built on it; mean squared errors
 of suboptimal linear filters such as truncated exponential smoothing;
 lead-time demand uncertainty built from partial sums of the coefficients of
 a seller filter's outer factor, which polyalg.inner_outer_factor computes for
-any admissible design; and the model of the `simulate` command
+any admissible design, and the mode choice it drives (leadtime_mode_choice,
+which reads K and the margins from the market table and decides by the
+table's own comparison); and the model of the `simulate` command
 (simulate_inventory), which predicts every seller's stream in one pass of
 predict_streams and costs out stocks as (N, T) arrays, with its CSV written
-in blocks (export_simulation).
+in blocks (export_simulation).  Every per-seller economic quantity comes
+from a seller.MarketTable built once by the caller.
 """
 from __future__ import annotations
 
@@ -24,8 +27,7 @@ from .demand import DemandModel, DemandPath
 from .policy import (AllocationPolicy, allocate_ex_post, seller_filter,
                      sigma_lower_bound)
 from .polyalg import TransferPoly, as_poly, inner_outer_factor
-from .seller import (FBM, FBP, MarketTable, PlatformCosts, SellerParams,
-                     market_table, mode_economics)
+from .seller import FBM, FBP, MarketTable, _prefers_fbp, base_stock
 
 SES_TAIL_TOL = 1e-12
 _CONVERGENCE_RTOL = 1e-10
@@ -240,18 +242,21 @@ def ses_msfe_closed_form(psi0_abs: float, N: int, alpha: float, lam: float) -> f
 def leadtime_msfe(outer_coeffs: TransferPoly, L: int) -> float:
     """Root MSFE of cumulative demand over a replenishment delay of L periods.
 
-    Equals sqrt(sum over lags of squared partial sums of the outer factor's
-    coefficients); L = 0 reduces to the one-step root MSFE |theta_0|.
+    Equals sqrt(sum over lags 0..L of squared partial sums of the outer
+    factor's coefficients); L = 0 reduces to the one-step root MSFE
+    |theta_0|.  Past the factor's degree q every partial sum is the full
+    sum, so the first min(L + 1, q) terms are summed and the rest counted:
+    time and memory are O(q) whatever L.
     """
     if L < 0:
         raise ValueError("lead time must be nonnegative")
     theta = as_poly(outer_coeffs).coeffs
     if L == 0:
         return abs(float(theta[0]))
-    padded = np.zeros(L + 1)
-    padded[:min(theta.size, L + 1)] = theta[:L + 1]
-    partial = np.cumsum(padded)
-    return float(np.sqrt(np.dot(partial, partial)))
+    partial = np.cumsum(theta[:L + 1])
+    head = partial[:min(L + 1, theta.size - 1)]
+    tail = (L + 1 - head.size) * partial[-1] ** 2
+    return float(np.sqrt(np.dot(head, head) + tail))
 
 
 def leadtime_theta(model: DemandModel, policy: AllocationPolicy, n: int,
@@ -281,29 +286,34 @@ class LeadTimeChoice:
     utility_fbm: float
 
 
-def leadtime_mode_choice(params: SellerParams, costs: PlatformCosts,
-                         leads: LeadTimeSpec, model: DemandModel,
-                         policy: AllocationPolicy, n: int,
-                         mu_share: float) -> LeadTimeChoice:
-    """Mode choice when the two modes replenish with different delays.
+def leadtime_mode_choice(table: MarketTable, leads: LeadTimeSpec,
+                         model: DemandModel, policy: AllocationPolicy,
+                         n: int) -> LeadTimeChoice:
+    """Mode choice of seller n (1-based) when the two modes replenish with
+    different delays.
 
     Each mode faces the forecast uncertainty of its own lead-time demand;
-    utilities compare margin minus K times that sigma-bar.  Ties go to
-    platform fulfillment.
+    utilities are the table's margin minus K times that sigma-bar, and the
+    choice is the table's adoption comparison with the inventory-cost term
+    K_FBP sigma-bar_FBP - K_FBM sigma-bar_FBM.  Ties go to platform
+    fulfillment.
     """
+    if policy.n_sellers != table.N:
+        raise ValueError(f"policy has {policy.n_sellers} sellers, "
+                         f"market table {table.N}")
     sigma_l = sigma_lower_bound(model, policy.n_sellers)
     sigma = policy.sigma_target if policy.sigma_target is not None else sigma_l
     theta = leadtime_theta(model, policy, n, sigma, sigma_l)
     s_fbp = leadtime_msfe(theta, leads.L_fbp)
     s_fbm = leadtime_msfe(theta, leads.L_fbm)
-    u_fbp = (costs.r - costs.rho - costs.F) * mu_share \
-        - mode_economics(params, costs, FBP).K * s_fbp
-    u_fbm = (costs.r - costs.rho - params.f) * mu_share \
-        - mode_economics(params, costs, FBM).K * s_fbm
-    scale = max(1.0, abs(u_fbp), abs(u_fbm))
-    mode = FBP if u_fbp - u_fbm >= -1e-9 * scale else FBM
-    return LeadTimeChoice(mode=mode, sigma_bar_fbp=s_fbp, sigma_bar_fbm=s_fbm,
-                          utility_fbp=u_fbp, utility_fbm=u_fbm)
+    i = n - 1
+    cost_fbp = float(table.k_fbp[i]) * s_fbp
+    cost_fbm = float(table.k_fbm[i]) * s_fbm
+    fbp = _prefers_fbp(float(table.fixed[i]), cost_fbp - cost_fbm)
+    return LeadTimeChoice(mode=FBP if fbp else FBM,
+                          sigma_bar_fbp=s_fbp, sigma_bar_fbm=s_fbm,
+                          utility_fbp=float(table.margin_fbp[i]) - cost_fbp,
+                          utility_fbm=float(table.margin_fbm[i]) - cost_fbm)
 
 
 def ses_comparison_rows(table: MarketTable, sigma: float, sigma_tilde: float):
@@ -351,24 +361,24 @@ class InventoryRun:
     k_sigma: np.ndarray
 
 
-def simulate_inventory(sellers, costs: PlatformCosts, alloc_policy: AllocationPolicy,
+def simulate_inventory(table: MarketTable, alloc_policy: AllocationPolicy,
                        model: DemandModel, path: DemandPath,
                        sigma: float) -> InventoryRun:
-    """Allocate a realized path by the policy, let every seller forecast its
-    stream with the optimal one-step predictor and stock forecast + zeta
-    sigma in the mode it picks at sigma, and cost out each period."""
+    """Allocate a realized path by the policy, let every seller of the
+    market table forecast its stream with the optimal one-step predictor and
+    stock forecast + zeta sigma in the mode it picks at sigma, and cost out
+    each period."""
     expost = allocate_ex_post(alloc_policy, model, path)
     alloc = expost.allocations
-    table = market_table(sellers, costs, model.mu)
     fbp = table.adopts(sigma)
     filters = [seller_filter(alloc_policy, model, n)
                for n in range(1, alloc_policy.n_sellers + 1)]
     pred = predict_streams(filters, alloc, mean=model.mu / table.N)
     zeta = np.where(fbp, table.zeta_fbp, table.zeta_fbm)[:, None]
-    stock = pred + zeta * sigma
+    stock = base_stock(pred, sigma, zeta)
     over = np.maximum(stock - alloc, 0.0)
     under = np.maximum(alloc - stock, 0.0)
-    h_bar = np.where(fbp, costs.H, [p.h for p in sellers])[:, None]
+    h_bar = np.where(fbp, table.costs.H, table.h)[:, None]
     cost = h_bar * over + table.b[:, None] * under
     err = alloc - pred
     return InventoryRun(

@@ -92,13 +92,13 @@ class Factorization:
 
     outer carries the full spectrum (same modulus on the unit circle as the
     input); inner_roots are the reflected roots, all strictly inside the
-    unit disk and closed under conjugation.  scale_sign relates the input to
-    the product outer(z) * prod (z - r) / (1 - conj(r) z): it is +1 or -1.
+    unit disk and closed under conjugation.  The input equals
+    outer(z) * blaschke(z) identically: both are c_q * prod (z - a) over
+    all roots a.
     """
 
     outer: TransferPoly
     inner_roots: tuple
-    scale_sign: float
 
     def blaschke(self, z):
         """Evaluate the inner (all-pass) factor at z."""
@@ -179,7 +179,7 @@ def inner_outer_factor(p: TransferPoly, boundary_tol: float = DEFAULT_BOUNDARY_T
     if p.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if p.degree == 0:
-        return Factorization(outer=p, inner_roots=(), scale_sign=1.0)
+        return Factorization(outer=p, inner_roots=())
 
     roots = poly_roots(p)
     moduli = np.abs(roots)
@@ -192,18 +192,8 @@ def inner_outer_factor(p: TransferPoly, boundary_tol: float = DEFAULT_BOUNDARY_T
         )
     inside = roots[moduli < 1.0 - boundary_tol]
     outside = roots[moduli >= 1.0 - boundary_tol]
-    outer = _expand_outer(float(p.coeffs[-1]), outside, inside)
-
-    # Probe a circle point away from any root to recover the +-1 relating
-    # p to outer * blaschke.  The ratio is exactly real up to roundoff.
-    fact = Factorization(outer=outer, inner_roots=tuple(inside), scale_sign=1.0)
-    for probe in (0.37 + 0.61j, -0.52 + 0.33j, 0.11 - 0.79j):
-        denom = complex(outer(probe)) * complex(fact.blaschke(probe))
-        if abs(denom) > 1e-12:
-            ratio = complex(p(probe)) / denom
-            sign = 1.0 if ratio.real >= 0 else -1.0
-            return Factorization(outer=outer, inner_roots=tuple(inside), scale_sign=sign)
-    return fact
+    return Factorization(outer=_expand_outer(float(p.coeffs[-1]), outside, inside),
+                         inner_roots=tuple(inside))
 
 
 def root_msfe(p: TransferPoly, boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> float:

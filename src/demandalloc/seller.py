@@ -1,21 +1,22 @@
 """Seller-side economics: critical fractiles, inventory cost coefficients,
-base stocks, fulfillment-mode utilities, and the market table that holds
-them for every seller of one market.
+base stocks, and the market table that holds every seller's economics for
+one market.
 
 A seller holding inventory against a Gaussian demand forecast with root MSFE
 sigma pays an expected holding-plus-backorder cost K * sigma per period at
 the optimal base stock, where K depends only on the unit costs of the chosen
 fulfillment mode.  Mode choice compares the two margins net of K * sigma.
-market_table computes K and the fractile of every seller under both modes
-once per market; mode choice and adoption sets (MarketTable.adopts), chosen
-utilities (utilities), exit thresholds (breakpoints) and the participation
-bound (participation_ub) are array operations on it, and the platform layer
-takes the same table.  The normal quantile and pdf come from the stdlib's
-statistics.NormalDist, the cdf from math.erfc.
+market_table computes K, the fractile and the margin (r - rho - f) mu/N of
+every seller under both modes once per market; mode choice and adoption sets
+(MarketTable.adopts), chosen utilities (utilities), exit thresholds
+(breakpoints) and the participation bound (participation_ub) are array
+operations on it, and the platform layer and the lead-time mode choice
+(forecast.leadtime_mode_choice) read the same table.  One comparison,
+_prefers_fbp, decides every mode choice.  The normal quantile and pdf come
+from the stdlib's statistics.NormalDist, the cdf from math.erfc.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -111,21 +112,20 @@ class ModeEconomics:
 
     zeta: float
     K: float
-    mode: str
 
     def __post_init__(self):
         if self.K < 0:
             raise DomainError("inventory coefficient must be nonnegative")
 
 
-def inventory_coefficient(h_bar: float, b: float, mode: str = FBM) -> ModeEconomics:
+def inventory_coefficient(h_bar: float, b: float) -> ModeEconomics:
     """K = h_bar * zeta + (h_bar + b) * L(zeta) at zeta = quantile(b/(h_bar+b)).
 
     zeta is read from the smaller tail, -quantile(h_bar/(h_bar+b)) when
     b > h_bar: a fractile near 1 keeps few digits of its distance from 1.
     For zeta < 0 the two terms of K cancel, so K is summed as the equal
-    (h_bar + b) * L(-zeta) - b * zeta.  The mode argument is a label carried
-    through to the result; K itself depends only on the costs.
+    (h_bar + b) * L(-zeta) - b * zeta.  FBM runs on the seller's own
+    holding cost h, FBP on the platform's H.
     """
     if not (h_bar > 0 and b > 0):
         raise DomainError("inventory coefficient needs positive h_bar and b")
@@ -133,38 +133,37 @@ def inventory_coefficient(h_bar: float, b: float, mode: str = FBM) -> ModeEconom
             else -std_normal_quantile(h_bar / (h_bar + b)))
     K = (h_bar * zeta + (h_bar + b) * std_normal_loss(zeta) if zeta >= 0
          else (h_bar + b) * std_normal_loss(-zeta) - b * zeta)
-    return ModeEconomics(zeta=zeta, K=K, mode=mode)
+    return ModeEconomics(zeta=zeta, K=K)
 
 
-def mode_economics(params: SellerParams, costs: PlatformCosts, mode: str) -> ModeEconomics:
-    """Fractile and K for this seller under the requested fulfillment mode."""
-    if mode == FBP:
-        return inventory_coefficient(costs.H, params.b, mode=FBP)
-    if mode == FBM:
-        return inventory_coefficient(params.h, params.b, mode=FBM)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def base_stock(mean_forecast: float, sigma: float, zeta: float) -> float:
-    """Order-up-to level: forecast plus zeta standard deviations of error."""
+def base_stock(mean_forecast, sigma: float, zeta):
+    """Order-up-to level: forecast plus zeta standard deviations of error.
+    Forecast and zeta may be arrays that broadcast."""
     if sigma < 0:
         raise DomainError("sigma must be nonnegative")
     return mean_forecast + zeta * sigma
 
 
-def seller_utility(params: SellerParams, costs: PlatformCosts, mode: str,
-                   mu_share: float, sigma: float) -> float:
-    """Expected per-period operating payoff under the given mode.
+def _prefers_fbp(fixed, varying, boundary: str = "inclusive"):
+    """Where platform fulfillment wins: its utility advantage over
+    self-fulfillment is fixed - varying, the sigma-free margin term minus
+    the inventory-cost term.
 
-    Margin on the mean share minus the inventory cost K * sigma.
+    Comparing the advantage directly stays correct when the platform mode's
+    inventory cost is the smaller one.  A slack of _BOUNDARY_SLACK relative
+    to the larger term keeps a seller whose switching point was computed in
+    floating point on the inclusive side; boundary="exclusive" drops
+    sellers within that slack of their switching point (right-sided limits
+    at a breakpoint).
     """
-    if sigma < 0:
-        raise DomainError("sigma must be nonnegative")
-    if mu_share <= 0:
-        raise DomainError("mu_share must be positive")
-    econ = mode_economics(params, costs, mode)
-    f_eff = costs.F if mode == FBP else params.f
-    return (costs.r - costs.rho - f_eff) * mu_share - econ.K * sigma
+    margin = fixed - varying
+    slack = _BOUNDARY_SLACK * np.maximum(
+        1.0, np.maximum(np.abs(fixed), np.abs(varying)))
+    if boundary == "inclusive":
+        return margin >= -slack
+    if boundary == "exclusive":
+        return margin > slack
+    raise ValueError(f"unknown boundary {boundary!r}")
 
 
 class MarketTable(NamedTuple):
@@ -180,12 +179,15 @@ class MarketTable(NamedTuple):
     costs: PlatformCosts
     N: int
     mu: float
+    h: np.ndarray
     b: np.ndarray
-    f: np.ndarray
     zeta_fbm: np.ndarray
     k_fbm: np.ndarray
     zeta_fbp: np.ndarray
     k_fbp: np.ndarray
+    # Per-mode margin (r - rho - f) mu/N, with f = F under platform fulfillment.
+    margin_fbm: np.ndarray
+    margin_fbp: np.ndarray
     dF: np.ndarray
     dK: np.ndarray
     # (mu/N) dF: the sigma-free part of the adoption margin.
@@ -198,36 +200,21 @@ class MarketTable(NamedTuple):
     def adopts(self, sigma, boundary: str = "inclusive") -> np.ndarray:
         """FBP mask of shape sigma.shape + (n_sellers,): where each seller
         chooses platform fulfillment, that is where the fulfillment saving
-        covers the extra inventory cost.
-
-        The margin is the utility advantage of FBP over FBM,
-        (mu/N) dF - sigma dK; comparing it directly stays correct when
-        dK < 0 and the ratio form of the threshold flips.  A relative slack
-        keeps sellers whose threshold was computed in floating point on the
-        inclusive side; boundary="exclusive" drops sellers within that slack
-        of their threshold (right-sided limits at a breakpoint).
-        """
+        (mu/N) dF covers the extra inventory cost sigma dK (_prefers_fbp)."""
         varying = np.asarray(sigma, dtype=float)[..., None] * self.dK
-        margin = self.fixed - varying
-        slack = _BOUNDARY_SLACK * np.maximum(
-            1.0, np.maximum(np.abs(self.fixed), np.abs(varying)))
-        if boundary == "inclusive":
-            return margin >= -slack
-        if boundary == "exclusive":
-            return margin > slack
-        raise ValueError(f"unknown boundary {boundary!r}")
+        return _prefers_fbp(self.fixed, varying, boundary)
 
     def utilities(self, sigma: float):
-        """(FBP mask, utility of each seller's chosen mode) at one sigma."""
+        """(FBP mask, utility of each seller's chosen mode) at one sigma:
+        the chosen mode's margin minus its K * sigma."""
         if sigma < 0:
             raise DomainError("sigma must be nonnegative")
-        mu_share = self.mu / self.N
-        if not mu_share > 0:
+        if not self.mu / self.N > 0:
             raise DomainError("mu_share must be positive")
         fbp = self.adopts(sigma)
-        f_eff = np.where(fbp, self.costs.F, self.f)
+        margin = np.where(fbp, self.margin_fbp, self.margin_fbm)
         k = np.where(fbp, self.k_fbp, self.k_fbm)
-        return fbp, (self.costs.r - self.costs.rho - f_eff) * mu_share - k * sigma
+        return fbp, margin - k * sigma
 
     def breakpoints(self) -> list:
         """Ascending (sigma, seller) exit thresholds mu dF_n / (N dK_n), ties
@@ -263,8 +250,8 @@ def market_table(sellers, costs: PlatformCosts, mu: float) -> MarketTable:
     inventory_coefficient, N = len(sellers)), and the quantities derived
     from them."""
     N = len(sellers)
-    fbm = [inventory_coefficient(p.h, p.b, mode=FBM) for p in sellers]
-    fbp = [inventory_coefficient(costs.H, p.b, mode=FBP) for p in sellers]
+    fbm = [inventory_coefficient(p.h, p.b) for p in sellers]
+    fbp = [inventory_coefficient(costs.H, p.b) for p in sellers]
     f = np.array([p.f for p in sellers], dtype=float)
     k_fbm = np.array([e.K for e in fbm], dtype=float)
     k_fbp = np.array([e.K for e in fbp], dtype=float)
@@ -277,18 +264,19 @@ def market_table(sellers, costs: PlatformCosts, mu: float) -> MarketTable:
             stacklevel=2,
         )
     mu_share = mu / N
+    margin_fbm = (costs.r - costs.rho - f) * mu_share
+    margin_fbp = np.full(N, (costs.r - costs.rho - costs.F) * mu_share)
     threshold = np.divide(mu * dF, N * dK, out=np.full(dK.shape, np.nan),
                           where=dK > 0)
-    participation = np.maximum((costs.r - costs.rho - f) * mu_share / k_fbm,
-                               (costs.r - costs.rho - costs.F) * mu_share / k_fbp)
     return MarketTable(
         costs=costs, N=N, mu=mu,
+        h=np.array([p.h for p in sellers], dtype=float),
         b=np.array([p.b for p in sellers], dtype=float),
-        f=f,
         zeta_fbm=np.array([e.zeta for e in fbm], dtype=float), k_fbm=k_fbm,
         zeta_fbp=np.array([e.zeta for e in fbp], dtype=float), k_fbp=k_fbp,
+        margin_fbm=margin_fbm, margin_fbp=margin_fbp,
         dF=dF, dK=dK, fixed=mu_share * dF, threshold=threshold,
-        participation=participation)
+        participation=np.maximum(margin_fbm / k_fbm, margin_fbp / k_fbp))
 
 
 def check_cost_assumptions(sellers, costs: PlatformCosts) -> list:
@@ -305,21 +293,3 @@ def check_cost_assumptions(sellers, costs: PlatformCosts) -> list:
     for msg in messages:
         warnings.warn(msg, stacklevel=2)
     return messages
-
-
-def k_table(sellers, costs: PlatformCosts):
-    """Rows of (seller, h, b, f, K_fbm, K_fbp), 1-based."""
-    rows = []
-    for idx, params in enumerate(sellers, start=1):
-        rows.append((idx, params.h, params.b, params.f,
-                     mode_economics(params, costs, FBM).K,
-                     mode_economics(params, costs, FBP).K))
-    return rows
-
-
-def export_k_table(sellers, costs: PlatformCosts, fileobj) -> None:
-    """Write the per-seller inventory-coefficient table as CSV."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["seller", "h", "b", "f", "K_fbm", "K_fbp"])
-    for row in k_table(sellers, costs):
-        writer.writerow([row[0]] + [f"{v:.6f}" for v in row[1:]])

@@ -13,11 +13,12 @@ it checks the batching (padding, row reuse, summation order) and nothing
 else.
 
 The scalar seller/platform reference at the end is the per-seller loop form
-of adoption, breakpoints, participation, payoff, the optimizer and the payoff
-curve that the package replaced with its array-backed market table.  It
-takes K and zeta from demandalloc's scalar inventory_coefficient (memoized)
-and its result types from demandalloc.platform, so both paths classify
-sellers with the same coefficients; nothing else is shared.
+of mode economics, utilities, adoption, breakpoints, participation, payoff,
+the optimizer and the payoff curve that the package replaced with its
+array-backed market table.  It takes K and zeta from demandalloc's scalar
+inventory_coefficient (memoized) and its result types from
+demandalloc.platform, so both paths classify sellers with the same
+coefficients; nothing else is shared.
 
 Run as a script to print the frozen constants embedded in the test files.
 """
@@ -195,19 +196,30 @@ _PAYOFF_TIE_TOL = 1e-9
 
 
 @functools.lru_cache(maxsize=4096)
-def _zeta_k(h_bar, b):
-    econ = inventory_coefficient(h_bar, b)
-    return econ.zeta, econ.K
+def _coefficient(h_bar, b):
+    return inventory_coefficient(h_bar, b)
 
 
-def ref_zeta_k(params, costs, mode):
-    """(zeta, K) of one seller under mode "FBP" or "FBM"."""
-    return _zeta_k(costs.H if mode == "FBP" else params.h, params.b)
+def ref_mode_economics(params, costs, mode):
+    """Fractile and K (.zeta, .K) of one seller under mode "FBP", on the
+    platform's holding cost H, or "FBM", on the seller's own h."""
+    if mode not in ("FBP", "FBM"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return _coefficient(costs.H if mode == "FBP" else params.h, params.b)
+
+
+def ref_seller_utility(params, costs, mode, mu_share, sigma):
+    """Per-period payoff under mode: margin (r - rho - f) on the mean share,
+    with f = F under FBP, minus K sigma."""
+    f_eff = costs.F if mode == "FBP" else params.f
+    return ((costs.r - costs.rho - f_eff) * mu_share
+            - ref_mode_economics(params, costs, mode).K * sigma)
 
 
 def _margin_and_scale(params, costs, N, mu, sigma):
     fixed = (mu / N) * (params.f - costs.F)
-    dK = ref_zeta_k(params, costs, "FBP")[1] - ref_zeta_k(params, costs, "FBM")[1]
+    dK = (ref_mode_economics(params, costs, "FBP").K
+          - ref_mode_economics(params, costs, "FBM").K)
     margin = fixed - sigma * dK
     return margin, max(1.0, abs(fixed), abs(margin - fixed))
 
@@ -231,8 +243,8 @@ def ref_sigma_participation_ub(sellers, costs, N, mu, sigma_cap):
     mu_share = mu / N
     bound = math.inf
     for params in sellers:
-        k_fbm = ref_zeta_k(params, costs, "FBM")[1]
-        k_fbp = ref_zeta_k(params, costs, "FBP")[1]
+        k_fbm = ref_mode_economics(params, costs, "FBM").K
+        k_fbp = ref_mode_economics(params, costs, "FBP").K
         t = max((costs.r - costs.rho - params.f) * mu_share / k_fbm,
                 (costs.r - costs.rho - costs.F) * mu_share / k_fbp)
         bound = min(bound, t)
@@ -245,7 +257,8 @@ def ref_breakpoints(sellers, costs, N, mu):
     out = []
     for idx, params in enumerate(sellers, start=1):
         dF = params.f - costs.F
-        dK = ref_zeta_k(params, costs, "FBP")[1] - ref_zeta_k(params, costs, "FBM")[1]
+        dK = (ref_mode_economics(params, costs, "FBP").K
+          - ref_mode_economics(params, costs, "FBM").K)
         if dK > 0:
             out.append((mu * dF / (N * dK), idx))
     out.sort()
@@ -258,9 +271,9 @@ def ref_safety_stock_totals(sigma, sellers, costs, N, mu, adopters=None):
     g_fbp = g_fbm = 0.0
     for idx, params in enumerate(sellers, start=1):
         if idx in adopters:
-            g_fbp += sigma * ref_zeta_k(params, costs, "FBP")[0]
+            g_fbp += sigma * ref_mode_economics(params, costs, "FBP").zeta
         else:
-            g_fbm += sigma * ref_zeta_k(params, costs, "FBM")[0]
+            g_fbm += sigma * ref_mode_economics(params, costs, "FBM").zeta
     return g_fbp, g_fbm
 
 
@@ -269,7 +282,8 @@ def ref_payoff(sigma, sellers, costs, N, mu, adopters=None):
         adopters = ref_adoption_set(sellers, costs, N, mu, sigma)
     adopters = frozenset(adopters)
     n_adopt = len(adopters)
-    zeta_sum = sum(ref_zeta_k(sellers[i - 1], costs, "FBP")[0] for i in adopters)
+    zeta_sum = sum(ref_mode_economics(sellers[i - 1], costs, "FBP").zeta
+                   for i in adopters)
     mu_share = mu / N
     intermediation = costs.rho * mu
     fulfillment = costs.delta_f * mu_share * n_adopt
@@ -286,9 +300,7 @@ def ref_cumulative_utility(sellers, costs, N, mu, sigma):
     total = 0.0
     for params in sellers:
         mode = ref_mode_choice(params, costs, N, mu, sigma)
-        f_eff = costs.F if mode == "FBP" else params.f
-        total += ((costs.r - costs.rho - f_eff) * (mu / N)
-                  - ref_zeta_k(params, costs, mode)[1] * sigma)
+        total += ref_seller_utility(params, costs, mode, mu / N, sigma)
     return total
 
 

@@ -33,7 +33,6 @@ from demandalloc import (
     lagged_variant,
     leadtime_msfe,
     market_table,
-    mode_economics,
     neutral_policy,
     optimize,
     payoff,
@@ -48,6 +47,7 @@ from demandalloc import (
     variance,
 )
 from demandalloc.cli import load_scenario
+from oracles import ref_mode_economics
 
 SCENARIO = str(Path(__file__).resolve().parents[1]
                / "scenarios" / "illustrative.scenario")
@@ -109,10 +109,13 @@ def test_criterion_1_headline_solution(scenario):
 
 def test_criterion_2_inventory_coefficient_table(scenario):
     worst = 0.0
+    table = market_table(scenario.sellers, scenario.costs, scenario.mu)
     for idx, params in enumerate(scenario.sellers, start=1):
         ref_own, ref_platform = REFERENCE_K[idx]
-        k_own = mode_economics(params, scenario.costs, FBM).K
-        k_platform = mode_economics(params, scenario.costs, FBP).K
+        k_own = float(table.k_fbm[idx - 1])
+        k_platform = float(table.k_fbp[idx - 1])
+        assert k_own == ref_mode_economics(params, scenario.costs, FBM).K
+        assert k_platform == ref_mode_economics(params, scenario.costs, FBP).K
         assert k_own == pytest.approx(ref_own, abs=0.005)
         assert k_platform == pytest.approx(ref_platform, abs=0.005)
         worst = max(worst, abs(k_own - ref_own), abs(k_platform - ref_platform))
@@ -201,9 +204,9 @@ def _grid_payoff_oracle(sellers, costs, mu, sigma_grid):
     best-mode utility, payoff summed directly from the margins."""
     N = len(sellers)
     mu_share = mu / N
-    k_fbp = np.array([mode_economics(p, costs, FBP).K for p in sellers])
-    k_fbm = np.array([mode_economics(p, costs, FBM).K for p in sellers])
-    zeta_fbp = np.array([mode_economics(p, costs, FBP).zeta for p in sellers])
+    k_fbp = np.array([ref_mode_economics(p, costs, FBP).K for p in sellers])
+    k_fbm = np.array([ref_mode_economics(p, costs, FBM).K for p in sellers])
+    zeta_fbp = np.array([ref_mode_economics(p, costs, FBP).zeta for p in sellers])
     margin_fbp = (costs.r - costs.rho - costs.F) * mu_share
     margin_fbm = np.array([(costs.r - costs.rho - p.f) * mu_share
                            for p in sellers])

@@ -149,6 +149,44 @@ def test_numeric_flags_are_checked_at_parse_time(tmp_path, capsys, argv, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["factor", "1", "2", "--boundary-tol", "2"], "--boundary-tol"),
+    (["factor", "1", "2", "--boundary-tol", "1"], "--boundary-tol"),
+    (["factor", "1", "2", "--boundary-tol", "-0.1"], "--boundary-tol"),
+    (["factor", "2", "1", "--boundary-tol", "nan"], "--boundary-tol"),
+    (["factor", "2", "1", "--boundary-tol", "inf"], "--boundary-tol"),
+    (["msfe", "2", "1", "--lead", "-1"], "--lead"),
+    (["msfe", "2", "1", "--lead", "1.5"], "--lead"),
+    (["msfe", "3", "--ses", "0"], "--ses"),
+    (["msfe", "3", "--ses", "1.5"], "--ses"),
+    (["msfe", "3", "--ses", "nan"], "--ses"),
+])
+def test_polynomial_flags_are_checked_at_parse_time(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert f"argument {flag}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("raw", ["2.0", "1.0", "-0.1", "NaN", "1e400"])
+def test_scenario_boundary_tol_must_lie_in_unit_interval(tmp_path, capsys, raw):
+    # psi = 1 + 2z has its root -0.5 inside the disk; a tolerance of 2 would
+    # let it pass as invertible
+    doc = scenario_doc()
+    doc["demand"]["psi"] = [1.0, 2.0]
+    doc["options"]["boundary_tol"] = "@"
+    scenario = tmp_path / "edited.scenario"
+    scenario.write_text(json.dumps(doc).replace('"@"', raw))
+    assert main(["optimize", "--scenario", str(scenario)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "options.boundary_tol" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 class TestExitCodes:
     def test_optimize_succeeds(self, tmp_path, capsys):
         out = tmp_path / "sol.json"
@@ -253,10 +291,25 @@ class TestFactorAndMsfe:
         (inner,) = doc["inner_roots"]
         assert inner == pytest.approx([-0.5, 0.0])
 
+    def test_factor_boundary_tol_edges(self, capsys):
+        doc = self.run_json(["factor", "1", "2", "--boundary-tol", "0"], capsys)
+        assert doc["invertible"] is False
+        assert doc["root_msfe"] == pytest.approx(2.0, rel=1e-12)
+
     def test_msfe_with_lead(self, capsys):
         doc = self.run_json(["msfe", "--lead", "1", "2", "1"], capsys)
         assert doc["lead"] == 1
         assert doc["leadtime_msfe_squared"] == pytest.approx(13.0, rel=1e-12)
+
+    def test_msfe_with_billion_period_lead(self, capsys):
+        # partial sums 2, 3, 3, ...: 4 + 9 L
+        doc = self.run_json(["msfe", "--lead", "1000000000", "2", "1"], capsys)
+        assert doc["leadtime_msfe_squared"] == pytest.approx(4.0 + 9e9, rel=1e-12)
+
+    def test_msfe_ses_domain_edge(self, capsys):
+        doc = self.run_json(["msfe", "--ses", "1", "3"], capsys)
+        assert doc["ses_msfe"] == pytest.approx(
+            filter_msfe(TransferPoly([3.0]), ses_truncated_weights(1.0)), rel=1e-12)
 
     def test_msfe_with_ses(self, capsys):
         doc = self.run_json(["msfe", "--ses", "0.5", "3"], capsys)

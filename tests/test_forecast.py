@@ -2,6 +2,7 @@
 and lead-time demand uncertainty."""
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from demandalloc import (
     FBP,
     FilterForecaster,
     LeadTimeSpec,
+    PlatformCosts,
+    SellerParams,
     TransferPoly,
     deserialize_policy,
     export_ses_comparison,
@@ -25,6 +28,7 @@ from demandalloc import (
     leadtime_mode_choice,
     leadtime_msfe,
     leadtime_theta,
+    market_table,
     neutral_policy,
     root_msfe,
     seller_filter,
@@ -37,8 +41,9 @@ from demandalloc import (
 )
 from demandalloc.forecast import (PREDICT_ROW_CAP, PREDICT_SETTLE_RTOL,
                                   _innovations_rows, predict_streams)
-from oracles import mp_root_msfe, mp_roots, ref_innovations_predict
-from test_seller import COSTS, SELLERS, TABLE
+from oracles import (mp_root_msfe, mp_roots, ref_innovations_predict,
+                     ref_seller_utility)
+from test_seller import TABLE
 
 M5 = DemandModel(15.0, TransferPoly([5.0]))
 SIGMA_STAR = 8.867803761159964
@@ -282,6 +287,25 @@ class TestLeadTimeMsfe:
         with pytest.raises(ValueError):
             leadtime_msfe(TransferPoly([1.0]), -1)
 
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+           st.integers(0, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_against_partial_sum_loop(self, coeffs, L):
+        p = TransferPoly([coeffs[0] or 1.0, *coeffs[1:]])
+        total = partial = 0.0
+        for k in range(L + 1):
+            partial += float(p.coeffs[k]) if k < p.coeffs.size else 0.0
+            total += partial ** 2
+        assert leadtime_msfe(p, L) ** 2 == pytest.approx(total, rel=1e-12, abs=1e-300)
+
+    def test_billion_period_lead_against_closed_form(self):
+        # partial sums 2, 3, 3, ...: 4 + 9 L; and 1, 1.4, 1.6, 1.6, ...
+        L = 10 ** 9
+        assert leadtime_msfe(TransferPoly([2.0, 1.0]), L) ** 2 == pytest.approx(
+            4.0 + 9.0 * L, rel=1e-12)
+        assert leadtime_msfe(TransferPoly([1.0, 0.4, 0.2]), L) ** 2 == \
+            pytest.approx(1.0 + 1.4 ** 2 + (L - 1) * 1.6 ** 2, rel=1e-12)
+
 
 class TestLeadTimeTheta:
     def test_even_design(self):
@@ -336,21 +360,38 @@ class TestLeadTimeTheta:
             leadtime_theta(m, pol, 1, 7.0, 2.5)
 
 
+def _random_table(seed: int, n: int, mu: float):
+    """A market table of n random sellers; fulfillment savings of a few
+    units put the exit thresholds near the designs' sigma-bars."""
+    rng = np.random.default_rng(seed)
+    F = float(rng.uniform(5.0, 15.0))
+    costs = PlatformCosts(rho=float(rng.uniform(5.0, 20.0)), F=F,
+                          H=float(rng.uniform(0.3, 4.0)),
+                          delta_f=1.0, delta_h=1.0,
+                          r=F + 20.0 + float(rng.uniform(10.0, 80.0)))
+    sellers = tuple(SellerParams(h=float(rng.uniform(0.3, 3.0)),
+                                 b=float(rng.uniform(1.0, 15.0)),
+                                 f=F + float(rng.uniform(-1.0, 3.0)))
+                    for _ in range(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # some draws have K_FBP < K_FBM
+        return sellers, costs, market_table(sellers, costs, mu)
+
+
 class TestLeadTimeModeChoice:
     def setup_method(self):
         self.model = M5
         self.policy = neutral_policy(M5, 10, 1.8)
-        self.urban = SELLERS[9]
 
     def test_equal_leads_reduce_to_baseline(self):
-        ch = leadtime_mode_choice(self.urban, COSTS, LeadTimeSpec(0, 0),
-                                  self.model, self.policy, 10, 1.5)
+        ch = leadtime_mode_choice(TABLE, LeadTimeSpec(0, 0),
+                                  self.model, self.policy, 10)
         assert ch.mode == FBM
         assert ch.sigma_bar_fbp == ch.sigma_bar_fbm == pytest.approx(1.8)
 
     def test_slow_self_replenishment_flips_the_choice(self):
-        ch = leadtime_mode_choice(self.urban, COSTS, LeadTimeSpec(0, 2),
-                                  self.model, self.policy, 10, 1.5)
+        ch = leadtime_mode_choice(TABLE, LeadTimeSpec(0, 2),
+                                  self.model, self.policy, 10)
         assert ch.mode == FBP
         assert ch.sigma_bar_fbm == pytest.approx(3.7175, abs=1e-4)
         assert ch.utility_fbp > ch.utility_fbm
@@ -359,12 +400,35 @@ class TestLeadTimeModeChoice:
         # seller 10 of the two-lag variant: theta = 1.8 + 0.5 z^2, so the
         # partial sums over a two-period delay are 1.8, 1.8, 2.3
         policy = lagged_variant(self.model, 10, 1.8, k=2)
-        ch = leadtime_mode_choice(self.urban, COSTS, LeadTimeSpec(0, 2),
-                                  self.model, policy, 10, 1.5)
+        ch = leadtime_mode_choice(TABLE, LeadTimeSpec(0, 2),
+                                  self.model, policy, 10)
         assert ch.sigma_bar_fbp == pytest.approx(1.8, rel=1e-12)
         assert ch.sigma_bar_fbm == pytest.approx(
             math.sqrt(2 * 1.8 ** 2 + 2.3 ** 2), rel=1e-12)
         assert ch.mode == FBP
+
+    def test_table_of_another_market_is_rejected(self):
+        with pytest.raises(ValueError, match="sellers"):
+            leadtime_mode_choice(TABLE, LeadTimeSpec(0, 0), self.model,
+                                 neutral_policy(M5, 4, 1.8), 2)
+
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from(sorted(d for d in LEADTIME_DESIGNS if d != "custom")),
+           st.sampled_from(range(len(LEADTIME_MODELS))), st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_equal_leads_follow_the_table(self, seed, design, model_idx, L):
+        model = LEADTIME_MODELS[model_idx]
+        pol = LEADTIME_DESIGNS[design](model)
+        sellers, costs, table = _random_table(seed, pol.n_sellers, model.mu)
+        mu_share = model.mu / pol.n_sellers
+        for n, params in enumerate(sellers, start=1):
+            ch = leadtime_mode_choice(table, LeadTimeSpec(L, L), model, pol, n)
+            assert ch.sigma_bar_fbp == ch.sigma_bar_fbm
+            assert (ch.mode == FBP) == table.adopts(ch.sigma_bar_fbp)[n - 1]
+            assert ch.utility_fbp == pytest.approx(ref_seller_utility(
+                params, costs, FBP, mu_share, ch.sigma_bar_fbp), rel=1e-12)
+            assert ch.utility_fbm == pytest.approx(ref_seller_utility(
+                params, costs, FBM, mu_share, ch.sigma_bar_fbm), rel=1e-12)
 
 
 class TestSesComparison:

@@ -21,7 +21,7 @@ from demandalloc import (DemandModel, DomainError, PlatformCosts, SellerParams,
 from demandalloc.cli import EXIT_INPUT, main
 from oracles import (ref_adoption_set, ref_breakpoints, ref_mode_choice,
                      ref_optimize, ref_payoff, ref_payoff_curve,
-                     ref_sigma_participation_ub)
+                     ref_seller_utility, ref_sigma_participation_ub)
 from test_seller import COSTS, MU, N, SELLERS, adopters
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,6 +83,31 @@ def test_table_rules_match_scalar_reference(market):
             for params, chosen in zip(sellers[:10], table.adopts(sigma).tolist()):
                 assert ("FBP" if chosen else "FBM") == \
                     ref_mode_choice(params, costs, n, mu, sigma)
+
+
+@given(markets, st.lists(st.floats(0.0, 60.0), min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_utilities_and_adoption_match_scalar_utility(market, sigmas):
+    seed, n = market
+    sellers, costs, mu, _, _ = random_market(seed, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = market_table(sellers, costs, mu)
+    masks = table.adopts(np.array(sigmas))
+    for sigma, mask in zip(sigmas, masks):
+        fbp, u = table.utilities(sigma)
+        assert np.array_equal(fbp, mask)
+        for params, chosen, u_n in zip(sellers, fbp.tolist(), u.tolist()):
+            u_fbp = ref_seller_utility(params, costs, "FBP", mu / n, sigma)
+            u_fbm = ref_seller_utility(params, costs, "FBM", mu / n, sigma)
+            assert u_n == (u_fbp if chosen else u_fbm)
+            # the table decides within its boundary slack, 1e-9 of the
+            # larger of the margin and inventory-cost differences
+            terms = [ref_seller_utility(params, costs, mode, mu / n, s)
+                     for mode in ("FBP", "FBM") for s in (0.0, sigma)]
+            tol = 4e-9 * max(1.0, *map(abs, terms))
+            if abs(u_fbp - u_fbm) > tol:
+                assert chosen == (u_fbp > u_fbm)
 
 
 @given(markets, st.integers(2, 40))

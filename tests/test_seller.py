@@ -1,7 +1,6 @@
 """Seller-side economics: normal quantile machinery, inventory cost
-coefficients, utilities, and the market table's mode choice, adoption sets
+coefficients, and the market table's utilities, mode choice, adoption sets
 and participation bounds."""
-import io
 import math
 import warnings
 
@@ -20,17 +19,14 @@ from demandalloc import (
     SellerParams,
     base_stock,
     check_cost_assumptions,
-    export_k_table,
     inventory_coefficient,
-    k_table,
     market_table,
-    mode_economics,
-    seller_utility,
     std_normal_cdf,
     std_normal_loss,
     std_normal_quantile,
 )
-from oracles import mp_cdf, mp_inventory_k, mp_quantile
+from oracles import (mp_cdf, mp_inventory_k, mp_quantile, ref_mode_economics,
+                     ref_seller_utility)
 
 # 50-digit reference values, frozen from tests/oracles.py.
 ZETA_12_126 = 1.668391193946766     # quantile(12 / 12.6)
@@ -181,30 +177,29 @@ class TestInventoryCoefficient:
             inventory_coefficient(1.0, -2.0)
 
     def test_reference_table_reproduced(self):
-        for idx, params in enumerate(SELLERS, start=1):
+        for idx, (k_fbm, k_fbp) in enumerate(zip(TABLE.k_fbm, TABLE.k_fbp), start=1):
             want_fbm, want_fbp = REFERENCE_K[idx]
-            assert mode_economics(params, COSTS, FBM).K == pytest.approx(
-                want_fbm, abs=0.005), f"seller {idx} FBM"
-            assert mode_economics(params, COSTS, FBP).K == pytest.approx(
-                want_fbp, abs=0.005), f"seller {idx} FBP"
+            assert k_fbm == pytest.approx(want_fbm, abs=0.005), f"seller {idx} FBM"
+            assert k_fbp == pytest.approx(want_fbp, abs=0.005), f"seller {idx} FBP"
 
     def test_mode_dispatch(self):
         # FBM runs on the seller's own holding cost, FBP on the platform's
         p = SELLERS[0]
-        assert mode_economics(p, COSTS, FBM).K == pytest.approx(
+        assert TABLE.k_fbm[0] == pytest.approx(
             inventory_coefficient(p.h, p.b).K, rel=1e-15)
-        assert mode_economics(p, COSTS, FBP).K == pytest.approx(
+        assert TABLE.k_fbp[0] == pytest.approx(
             inventory_coefficient(COSTS.H, p.b).K, rel=1e-15)
+        assert TABLE.zeta_fbp[0] == ref_mode_economics(p, COSTS, FBP).zeta
 
     def test_rejects_unknown_mode(self):
+        # the scalar reference must not read an unknown mode as FBM
         with pytest.raises(ValueError):
-            mode_economics(SELLERS[0], COSTS, "warehouse")
+            ref_mode_economics(SELLERS[0], COSTS, "warehouse")
 
 
 class TestBaseStock:
     def test_reference_level(self):
-        zeta = mode_economics(SELLERS[0], COSTS, FBP).zeta
-        assert base_stock(1.5, 0.5, zeta) == pytest.approx(1.972, abs=5e-4)
+        assert base_stock(1.5, 0.5, TABLE.zeta_fbp[0]) == pytest.approx(1.972, abs=5e-4)
 
     def test_zero_dispersion_stocks_the_mean(self):
         assert base_stock(4.2, 0.0, 1.3) == 4.2
@@ -220,26 +215,30 @@ class TestBaseStock:
 class TestSellerUtility:
     def test_reference_value(self):
         # seller 1 under platform fulfillment at the uniform mean share
-        u = seller_utility(SELLERS[0], COSTS, FBP, MU / N, 0.5)
-        assert u == pytest.approx(110.65, abs=0.005)
+        fbp, u = TABLE.utilities(0.5)
+        assert fbp[0]
+        assert u[0] == pytest.approx(110.65, abs=0.005)
 
     def test_zero_sigma_is_pure_margin(self):
-        u = seller_utility(SELLERS[0], COSTS, FBM, 1.5, 0.0)
-        assert u == pytest.approx((100.0 - 15.0 - 24.5) * 1.5, rel=1e-12)
+        fbp, u = TABLE.utilities(0.0)
+        assert fbp.all()
+        assert u == pytest.approx(np.full(N, (100.0 - 15.0 - 10.0) * 1.5), rel=1e-12)
+        assert TABLE.margin_fbm[0] == pytest.approx((100.0 - 15.0 - 24.5) * 1.5,
+                                                    rel=1e-12)
 
     def test_linear_decrease_in_sigma(self):
-        p = SELLERS[3]
-        u0 = seller_utility(p, COSTS, FBM, 1.5, 1.0)
-        u1 = seller_utility(p, COSTS, FBM, 1.5, 2.0)
-        u2 = seller_utility(p, COSTS, FBM, 1.5, 3.0)
-        assert u0 - u1 == pytest.approx(u1 - u2, rel=1e-9)
-        assert u0 - u1 == pytest.approx(mode_economics(p, COSTS, FBM).K, rel=1e-9)
+        # seller 4 keeps platform fulfillment over [1, 3]
+        (fbp0, u0), (fbp1, u1), (fbp2, u2) = (
+            TABLE.utilities(s) for s in (1.0, 2.0, 3.0))
+        assert fbp0[3] and fbp1[3] and fbp2[3]
+        assert u0[3] - u1[3] == pytest.approx(u1[3] - u2[3], rel=1e-9)
+        assert u0[3] - u1[3] == pytest.approx(TABLE.k_fbp[3], rel=1e-9)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
-            seller_utility(SELLERS[0], COSTS, FBM, 1.5, -1.0)
-        with pytest.raises(DomainError):
-            seller_utility(SELLERS[0], COSTS, FBM, 0.0, 1.0)
+            TABLE.utilities(-1.0)
+        with pytest.raises(DomainError, match="mu_share"):
+            market_table(SELLERS, COSTS, 0.0).utilities(1.0)
 
 
 class TestModeChoice:
@@ -257,10 +256,13 @@ class TestModeChoice:
 
     def test_choice_matches_utility_comparison(self):
         for sigma in (0.5, 2.0, 5.0, 9.0, 12.0, 15.0):
-            for p, fbp in zip(SELLERS, TABLE.adopts(sigma).tolist()):
-                picked = FBP if fbp else FBM
-                u_fbp = seller_utility(p, COSTS, FBP, MU / N, sigma)
-                u_fbm = seller_utility(p, COSTS, FBM, MU / N, sigma)
+            fbp, u = TABLE.utilities(sigma)
+            for p, chosen, u_chosen in zip(SELLERS, fbp.tolist(), u.tolist()):
+                picked = FBP if chosen else FBM
+                u_fbp = ref_seller_utility(p, COSTS, FBP, MU / N, sigma)
+                u_fbm = ref_seller_utility(p, COSTS, FBM, MU / N, sigma)
+                assert u_chosen == pytest.approx(
+                    u_fbp if chosen else u_fbm, rel=1e-12)
                 if picked == FBP:
                     assert u_fbp >= u_fbm - 1e-9
                 else:
@@ -309,9 +311,10 @@ class TestParticipationBound:
         s = SellerParams(h=0.6 * c, b=12.0 * c, f=75.0)
         costs = PlatformCosts(rho=15.0, F=65.0, H=0.6 * c,
                               delta_f=0.0, delta_h=0.0, r=100.0)
-        assert mode_economics(s, costs, FBM).K == pytest.approx(1.0, abs=1e-9)
-        assert mode_economics(s, costs, FBP).K == pytest.approx(1.0, abs=1e-9)
-        ub = market_table([s], costs, 1.0).participation_ub(1e6)
+        table = market_table([s], costs, 1.0)
+        assert table.k_fbm[0] == pytest.approx(1.0, abs=1e-9)
+        assert table.k_fbp[0] == pytest.approx(1.0, abs=1e-9)
+        ub = table.participation_ub(1e6)
         assert ub == pytest.approx(20.0, abs=1e-9)
 
     def test_all_margins_negative_gives_zero(self):
@@ -351,21 +354,6 @@ class TestCostAssumptions:
         with pytest.warns(UserWarning, match="margin"):
             PlatformCosts(rho=90.0, F=10.0, H=2.5, delta_f=2.0,
                           delta_h=2.0, r=100.0)
-
-
-class TestKTable:
-    def test_rows(self):
-        rows = k_table(SELLERS, COSTS)
-        assert len(rows) == 10
-        assert rows[0][0] == 1
-        assert rows[0][1:4] == (0.6, 12.0, 24.5)
-
-    def test_export_header_and_shape(self):
-        buf = io.StringIO()
-        export_k_table(SELLERS, COSTS, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "seller,h,b,f,K_fbm,K_fbp"
-        assert len(lines) == 11
 
 
 class TestParamValidation:
