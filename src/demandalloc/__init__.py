@@ -12,9 +12,8 @@ from .demand import DemandModel, DemandPath, prob_negative, seller_cv_bound, sim
 from .forecast import (ConvergenceFailure, FilterForecaster, LeadTimeChoice,
                        LeadTimeSpec, export_ses_comparison, filter_msfe,
                        innovations_msfe, innovations_predict,
-                       leadtime_mode_choice, leadtime_msfe, leadtime_theta,
-                       ses_comparison_rows, ses_msfe_closed_form,
-                       ses_truncated_weights)
+                       leadtime_mode_choice, leadtime_msfe, ses_comparison_rows,
+                       ses_msfe_closed_form, ses_truncated_weights)
 from .platform import (CurvePoint, EmptyFeasibleSet, PayoffResult,
                        PlatformSolution, export_curve, optimize, payoff,
                        payoff_curve, solution_document)
@@ -55,7 +54,7 @@ __all__ = [
     "deserialize_policy", "filter_msfe", "inner_outer_factor",
     "innovations_msfe", "innovations_predict", "integerize_demand",
     "inventory_coefficient", "is_invertible", "lagged_variant",
-    "leadtime_mode_choice", "leadtime_msfe", "leadtime_theta", "market_table",
+    "leadtime_mode_choice", "leadtime_msfe", "market_table",
     "neutral_policy", "optimize", "payoff", "payoff_curve",
     "poly_mul", "poly_roots", "prob_negative", "root_msfe", "route_orders",
     "route_path", "seller_cv_bound", "seller_filter",

@@ -30,8 +30,9 @@ import numpy as np
 
 from . import forecast, platform, policy, routing, seller
 from .demand import DemandModel, simulate
-from .polyalg import (NumericalInstability, TransferPoly, ZeroPolynomial,
-                      inner_outer_factor, is_invertible, poly_roots, root_msfe)
+from .polyalg import (DEFAULT_BOUNDARY_TOL, NumericalInstability, TransferPoly,
+                      ZeroPolynomial, inner_outer_factor, is_boundary_tol,
+                      is_invertible, poly_roots, root_msfe)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -95,12 +96,6 @@ def _finite(value, path: str) -> float:
     return float(value)
 
 
-def _is_boundary_tol(value: float) -> bool:
-    """Root moduli below 1 - tol count as inside the unit disk, so a tol
-    outside [0, 1) (or NaN) would misclassify roots."""
-    return 0.0 <= value < 1.0
-
-
 def _integer(value, path: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ScenarioError(f"{path}: expected an integer >= {minimum}, got {value!r}")
@@ -162,8 +157,8 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
     horizon = _integer(options.get("horizon", 100_000),
                        f"{source}.options.horizon", 1)
     boundary_tol = (_number(options, f"{source}.options", "boundary_tol")
-                    if "boundary_tol" in options else 1e-9)
-    if not _is_boundary_tol(boundary_tol):
+                    if "boundary_tol" in options else DEFAULT_BOUNDARY_TOL)
+    if not is_boundary_tol(boundary_tol):
         raise ScenarioError(f"{source}.options.boundary_tol: expected a number "
                             f"in [0, 1), got {boundary_tol!r}")
     scenario = Scenario(mu=mu, psi=psi, costs=costs, sellers=tuple(sellers),
@@ -254,11 +249,10 @@ def cmd_route(args) -> int:
                                 on_infeasible="skip")
     with _primary_stream(args.out) as (fh, on_stdout):
         routing.export_assignment_log(result, fh)
-    feasible = sum(1 for r in result.results if r is not None)
     _emit_summary({
         "command": "route", "sigma": args.sigma,
         "periods": path.demands.size, "seed": path.seed,
-        "feasible_periods": feasible,
+        "feasible_periods": path.demands.size - len(result.infeasible_periods),
         "infeasible_periods": len(result.infeasible_periods),
         "first_infeasible": result.infeasible_periods[:10],
         "max_discrepancy": result.max_discrepancy,
@@ -386,8 +380,9 @@ _positive_float = _flag_type(float, lambda x: 0 < x < float("inf"),
                              "a finite number > 0")
 _count = _flag_type(int, lambda n: n >= 1, "an integer >= 1")
 _nonnegative_int = _flag_type(int, lambda n: n >= 0, "an integer >= 0")
-_boundary_tol = _flag_type(float, _is_boundary_tol, "a number in [0, 1)")
-_smoothing = _flag_type(float, lambda x: 0 < x <= 1, "a number in (0, 1]")
+_boundary_tol = _flag_type(float, is_boundary_tol, "a number in [0, 1)")
+_smoothing = _flag_type(float, lambda x: forecast.SES_MIN_LAMBDA <= x <= 1,
+                        f"a number in [{forecast.SES_MIN_LAMBDA:.6g}, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_factor = sub.add_parser("factor", help="inner-outer factorization report")
     p_factor.add_argument("coeffs", nargs="+", help="polynomial coefficients, low order first")
-    p_factor.add_argument("--boundary-tol", type=_boundary_tol, default=1e-9,
+    p_factor.add_argument("--boundary-tol", type=_boundary_tol, default=DEFAULT_BOUNDARY_TOL,
                           help="roots of modulus below 1 - tol count as inside")
     p_factor.set_defaults(func=cmd_factor)
 

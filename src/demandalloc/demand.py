@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyalg import as_poly, is_invertible, variance
+from .polyalg import DEFAULT_BOUNDARY_TOL, as_poly, is_invertible, variance
 from .seller import std_normal_cdf
 
 # Flag scenarios where the Gaussian approximation puts nontrivial mass on
@@ -25,7 +25,7 @@ class DemandModel:
 
     __slots__ = ("mu", "psi")
 
-    def __init__(self, mu: float, psi, boundary_tol: float = 1e-9) -> None:
+    def __init__(self, mu: float, psi, boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> None:
         psi = as_poly(psi)
         if mu <= 0:
             raise ValueError("mean demand mu must be positive")

@@ -4,16 +4,18 @@ Four strands: an innovations-algorithm oracle that recovers the one-step
 forecast error of a finite moving average directly from autocovariances
 (sharing no code with the root-split route, so the two can cross-check each
 other), and the optimal one-step predictor built on it; mean squared errors
-of suboptimal linear filters such as truncated exponential smoothing;
-lead-time demand uncertainty built from partial sums of the coefficients of
-a seller filter's outer factor, which polyalg.inner_outer_factor computes for
-any admissible design, and the mode choice it drives (leadtime_mode_choice,
-which reads K and the margins from the market table and decides by the
-table's own comparison); and the model of the `simulate` command
-(simulate_inventory), which predicts every seller's stream in one pass of
-predict_streams and costs out stocks as (N, T) arrays, with its CSV written
-in blocks (export_simulation).  Every per-seller economic quantity comes
-from a seller.MarketTable built once by the caller.
+of suboptimal linear filters such as truncated exponential smoothing, whose
+filters hold at most SES_MAX_ORDER weights; lead-time demand uncertainty
+built from partial sums of the coefficients of a seller filter's outer
+factor, taken straight from polyalg.inner_outer_factor for any admissible
+design, with or without a sigma target, and the mode choice it drives
+(leadtime_mode_choice, which reads K and the margins from the market table
+and decides by the table's own comparison); and the model of the `simulate`
+command (simulate_inventory), which predicts every seller's stream in one
+pass of predict_streams and costs out stocks as (N, T) arrays, failing with
+NumericalInstability rather than returning non-finite numbers, with its CSV
+written in blocks (export_simulation).  Every per-seller economic quantity
+comes from a seller.MarketTable built once by the caller.
 """
 from __future__ import annotations
 
@@ -24,12 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demand import DemandModel, DemandPath
-from .policy import (AllocationPolicy, allocate_ex_post, seller_filter,
-                     sigma_lower_bound)
-from .polyalg import TransferPoly, as_poly, inner_outer_factor
+from .policy import AllocationPolicy, allocate_ex_post, seller_filter
+from .polyalg import (TRIM_TOL, NumericalInstability, TransferPoly, as_poly,
+                      inner_outer_factor)
 from .seller import FBM, FBP, MarketTable, _prefers_fbp, base_stock
 
 SES_TAIL_TOL = 1e-12
+SES_MAX_ORDER = 100_000
+"""Most weights a default smoothing filter may need.  Dropping a geometric
+tail below SES_TAIL_TOL takes about -log(SES_TAIL_TOL) / lam weights, so this
+bound sets the smallest smoothing constant accepted, SES_MIN_LAMBDA."""
+SES_MIN_LAMBDA = -math.expm1(math.log(SES_TAIL_TOL) / SES_MAX_ORDER)
 _CONVERGENCE_RTOL = 1e-10
 _WEIGHT_SUM_TOL = 1e-9
 _CSV_BLOCK_CELLS = 1 << 14
@@ -195,16 +202,20 @@ def ses_truncated_weights(lam: float, order: int | None = None) -> FilterForecas
     """Exponential-smoothing weights lam (1-lam)^k, truncated and renormalized.
 
     When order is omitted it is chosen so the dropped geometric tail is
-    below 1e-12.  lam = 1 is the naive last-value forecast.
+    below SES_TAIL_TOL, which takes at most SES_MAX_ORDER weights for lam in
+    [SES_MIN_LAMBDA, 1].  Weights below polyalg.TRIM_TOL, which TransferPoly
+    would trim, are dropped before renormalizing, so the weights kept sum
+    to 1.  lam = 1 is the naive last-value forecast.
     """
-    if not 0.0 < lam <= 1.0:
-        raise ValueError("smoothing constant must lie in (0, 1]")
+    if not SES_MIN_LAMBDA <= lam <= 1.0:
+        raise ValueError(f"smoothing constant lam must lie in "
+                         f"[{SES_MIN_LAMBDA:.6g}, 1], got {lam!r}")
     if lam == 1.0:
         return FilterForecaster(TransferPoly([1.0]), description="ses(lambda=1)")
     if order is None:
         order = max(1, math.ceil(math.log(SES_TAIL_TOL) / math.log1p(-lam)))
-    k = np.arange(order)
-    w = lam * (1.0 - lam) ** k
+    w = lam * (1.0 - lam) ** np.arange(order)
+    w = w[w >= TRIM_TOL]
     w /= w.sum()
     w[0] += 1.0 - w.sum()  # absorb the last few ulps so the sum is exactly 1
     return FilterForecaster(TransferPoly(w), description=f"ses(lambda={lam:g})")
@@ -259,24 +270,6 @@ def leadtime_msfe(outer_coeffs: TransferPoly, L: int) -> float:
     return float(np.sqrt(np.dot(head, head) + tail))
 
 
-def leadtime_theta(model: DemandModel, policy: AllocationPolicy, n: int,
-                   sigma: float, sigma_L: float) -> TransferPoly:
-    """Outer factor of seller n's filter psi_n, for any admissible design.
-
-    Defined up to a global sign, which lead-time MSFEs never see.  sigma /
-    sigma_L must equal |theta_0| / (|psi(0)| / N) within 1e-9 relative.
-    """
-    outer = inner_outer_factor(seller_filter(policy, model, n)).outer
-    ratio = abs(float(outer.coeffs[0])) / sigma_lower_bound(model, policy.n_sellers)
-    alpha_bar = sigma / sigma_L
-    if not abs(ratio - alpha_bar) <= 1e-9 * abs(alpha_bar):
-        raise ValueError(
-            f"sigma/sigma_L = {alpha_bar:g} inconsistent with seller {n}'s "
-            f"root MSFE ratio {ratio:g}"
-        )
-    return outer
-
-
 @dataclass(frozen=True)
 class LeadTimeChoice:
     mode: str
@@ -292,7 +285,9 @@ def leadtime_mode_choice(table: MarketTable, leads: LeadTimeSpec,
     """Mode choice of seller n (1-based) when the two modes replenish with
     different delays.
 
-    Each mode faces the forecast uncertainty of its own lead-time demand;
+    Each mode faces the forecast uncertainty of its own lead-time demand,
+    read from the outer factor of the seller's filter psi_n, for any design
+    (its global sign is arbitrary and never enters a lead-time MSFE);
     utilities are the table's margin minus K times that sigma-bar, and the
     choice is the table's adoption comparison with the inventory-cost term
     K_FBP sigma-bar_FBP - K_FBM sigma-bar_FBM.  Ties go to platform
@@ -301,9 +296,7 @@ def leadtime_mode_choice(table: MarketTable, leads: LeadTimeSpec,
     if policy.n_sellers != table.N:
         raise ValueError(f"policy has {policy.n_sellers} sellers, "
                          f"market table {table.N}")
-    sigma_l = sigma_lower_bound(model, policy.n_sellers)
-    sigma = policy.sigma_target if policy.sigma_target is not None else sigma_l
-    theta = leadtime_theta(model, policy, n, sigma, sigma_l)
+    theta = inner_outer_factor(seller_filter(policy, model, n)).outer
     s_fbp = leadtime_msfe(theta, leads.L_fbp)
     s_fbm = leadtime_msfe(theta, leads.L_fbm)
     i = n - 1
@@ -367,7 +360,12 @@ def simulate_inventory(table: MarketTable, alloc_policy: AllocationPolicy,
     """Allocate a realized path by the policy, let every seller of the
     market table forecast its stream with the optimal one-step predictor and
     stock forecast + zeta sigma in the mode it picks at sigma, and cost out
-    each period."""
+    each period.
+
+    Raises NumericalInstability naming sigma when a forecast, stock, cost or
+    summary number is not finite, which a design volatility large enough to
+    overflow the predictor's autocovariances produces.
+    """
     expost = allocate_ex_post(alloc_policy, model, path)
     alloc = expost.allocations
     fbp = table.adopts(sigma)
@@ -381,7 +379,7 @@ def simulate_inventory(table: MarketTable, alloc_policy: AllocationPolicy,
     h_bar = np.where(fbp, table.costs.H, table.h)[:, None]
     cost = h_bar * over + table.b[:, None] * under
     err = alloc - pred
-    return InventoryRun(
+    run = InventoryRun(
         start_period=expost.start_period,
         demands=path.demands[expost.start_period:],
         allocations=alloc, forecasts=pred, stocks=stock, costs=cost,
@@ -389,6 +387,11 @@ def simulate_inventory(table: MarketTable, alloc_policy: AllocationPolicy,
         empirical_msfe=np.sqrt(np.mean(err ** 2, axis=1)),
         mean_cost=np.mean(cost, axis=1),
         k_sigma=np.where(fbp, table.k_fbp, table.k_fbm) * sigma)
+    if not all(np.isfinite(a).all() for a in (pred, stock, cost, run.empirical_msfe,
+                                              run.mean_cost, run.k_sigma)):
+        raise NumericalInstability(f"simulation at sigma = {sigma:g} overflows: a "
+                                   "forecast, stock, cost or summary is not finite")
+    return run
 
 
 def export_simulation(run: InventoryRun, fileobj) -> None:

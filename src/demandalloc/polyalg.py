@@ -166,6 +166,24 @@ def _expand_outer(lead: float, outside: np.ndarray, inside: np.ndarray) -> Trans
     return TransferPoly(acc.real)
 
 
+def is_boundary_tol(value) -> bool:
+    """Whether value can serve as a boundary tolerance.  Root moduli below
+    1 - tol count as inside the unit disk, so a tol outside [0, 1), or NaN,
+    would misclassify roots."""
+    return 0.0 <= value < 1.0
+
+
+def _root_split(p: TransferPoly, boundary_tol: float):
+    """Roots of p (none at degree 0) and the mask of those on the outer side,
+    modulus at least 1 - boundary_tol.  The one place roots are classified."""
+    if not is_boundary_tol(boundary_tol):
+        raise ValueError(f"boundary_tol must be a number in [0, 1), got {boundary_tol!r}")
+    if p.is_zero():
+        raise ZeroPolynomial("the zero polynomial has no root split")
+    roots = poly_roots(p) if p.degree else np.empty(0, dtype=complex)
+    return roots, np.abs(roots) >= 1.0 - boundary_tol
+
+
 def inner_outer_factor(p: TransferPoly, boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> Factorization:
     """Split p into an outer polynomial and reflected inner roots.
 
@@ -176,23 +194,16 @@ def inner_outer_factor(p: TransferPoly, boundary_tol: float = DEFAULT_BOUNDARY_T
     degrade there.
     """
     p = as_poly(p)
-    if p.is_zero():
-        raise ZeroPolynomial("cannot factor the zero polynomial")
-    if p.degree == 0:
-        return Factorization(outer=p, inner_roots=())
-
-    roots = poly_roots(p)
-    moduli = np.abs(roots)
-    if np.any(np.abs(moduli - 1.0) <= boundary_tol):
+    roots, outer = _root_split(p, boundary_tol)
+    if np.any(np.abs(np.abs(roots) - 1.0) <= boundary_tol):
         warnings.warn(
             "root within boundary_tol of the unit circle; classified as "
             "outer-side but invertibility is numerically marginal",
             RuntimeWarning,
             stacklevel=2,
         )
-    inside = roots[moduli < 1.0 - boundary_tol]
-    outside = roots[moduli >= 1.0 - boundary_tol]
-    return Factorization(outer=_expand_outer(float(p.coeffs[-1]), outside, inside),
+    inside = roots[~outer]
+    return Factorization(outer=_expand_outer(float(p.coeffs[-1]), roots[outer], inside),
                          inner_roots=tuple(inside))
 
 
@@ -203,25 +214,14 @@ def root_msfe(p: TransferPoly, boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> fl
     drops below |p(0)| and matches |p(0)| exactly when p is invertible.
     """
     p = as_poly(p)
-    if p.is_zero():
-        raise ZeroPolynomial("root MSFE undefined for the zero polynomial")
-    if p.degree == 0:
-        return abs(float(p.coeffs[0]))
-    roots = poly_roots(p)
-    moduli = np.abs(roots)
-    outer_mod = moduli[moduli >= 1.0 - boundary_tol]
+    roots, outer = _root_split(p, boundary_tol)
     # Empty product is 1: a fully non-invertible filter keeps only |c_q|.
-    return abs(float(p.coeffs[-1])) * float(np.prod(outer_mod))
+    return abs(float(p.coeffs[-1])) * float(np.prod(np.abs(roots[outer])))
 
 
 def is_invertible(p: TransferPoly, boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> bool:
     """True iff p has no root strictly inside the unit disk (outer filter)."""
-    p = as_poly(p)
-    if p.is_zero():
-        raise ZeroPolynomial("invertibility undefined for the zero polynomial")
-    if p.degree == 0:
-        return True
-    return bool(np.min(np.abs(poly_roots(p))) >= 1.0 - boundary_tol)
+    return bool(np.all(_root_split(as_poly(p), boundary_tol)[1]))
 
 
 def variance(p: TransferPoly) -> float:

@@ -22,7 +22,7 @@ the counts stay within one unit of the targets either way.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,7 +158,6 @@ class RoutePathResult:
     cumulative_counts: np.ndarray
     cumulative_shares: np.ndarray
     max_discrepancy: float
-    integer_demand: np.ndarray = field(repr=False, default=None)
 
 
 def integerize_demand(path: DemandPath) -> np.ndarray:
@@ -195,8 +194,7 @@ def route_path(alloc_policy: AllocationPolicy, model: DemandModel,
     return RoutePathResult(results=results, infeasible_periods=infeasible,
                            cumulative_counts=cumulative,
                            cumulative_shares=shares,
-                           max_discrepancy=worst,
-                           integer_demand=demand)
+                           max_discrepancy=worst)
 
 
 def export_assignment_log(path_result: RoutePathResult, fileobj) -> None:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from demandalloc import (ConvergenceFailure, TransferPoly, filter_msfe,
-                         ses_truncated_weights)
+                         ses_msfe_closed_form, ses_truncated_weights)
 from demandalloc.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_NUMERICAL,
                              EXIT_OK, Scenario, ScenarioError, dump_scenario,
                              load_scenario, main, parse_scenario)
@@ -160,6 +160,9 @@ def test_numeric_flags_are_checked_at_parse_time(tmp_path, capsys, argv, flag):
     (["msfe", "3", "--ses", "0"], "--ses"),
     (["msfe", "3", "--ses", "1.5"], "--ses"),
     (["msfe", "3", "--ses", "nan"], "--ses"),
+    # below the floor the default filter would need over 10^5 weights
+    (["msfe", "3", "--ses", "1e-12"], "--ses"),
+    (["msfe", "3", "--ses", "0.0002"], "--ses"),
 ])
 def test_polynomial_flags_are_checked_at_parse_time(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -311,6 +314,13 @@ class TestFactorAndMsfe:
         assert doc["ses_msfe"] == pytest.approx(
             filter_msfe(TransferPoly([3.0]), ses_truncated_weights(1.0)), rel=1e-12)
 
+    def test_msfe_with_small_ses(self, capsys):
+        # the filter's tail weights fall below the polynomial trim level;
+        # the kept weights still sum to 1
+        doc = self.run_json(["msfe", "--ses", "0.0005", "3", "1"], capsys)
+        assert doc["ses_msfe"] == pytest.approx(
+            ses_msfe_closed_form(3.0, 1, 1 / 3, 5e-4), rel=1e-9)
+
     def test_msfe_with_ses(self, capsys):
         doc = self.run_json(["msfe", "--ses", "0.5", "3"], capsys)
         assert doc["root_msfe"] == pytest.approx(3.0, rel=1e-12)
@@ -392,6 +402,21 @@ class TestSimulate:
              for k, v in entry.items()} for entry in expected["sellers"]]
         assert {k: v for k, v in summary.items() if k != "sellers"} \
             == {k: v for k, v in expected.items() if k != "sellers"}
+
+    def test_overflow_is_a_numerical_failure(self, tmp_path, capsys):
+        # at this sigma the predictor's autocovariances overflow; the run
+        # fails before --out is opened, so no file is written
+        out = tmp_path / "sim.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main(["simulate", "--scenario", SCENARIO, "--sigma", "1e200",
+                       "--periods", "50", "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert "sigma = 1e+200" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_stream_routing(self, capsys):
         assert main(["simulate", "--scenario", SCENARIO, "--sigma", "5.0",

@@ -22,12 +22,12 @@ from demandalloc import (
     deserialize_policy,
     export_ses_comparison,
     filter_msfe,
+    inner_outer_factor,
     innovations_msfe,
     innovations_predict,
     lagged_variant,
     leadtime_mode_choice,
     leadtime_msfe,
-    leadtime_theta,
     market_table,
     neutral_policy,
     root_msfe,
@@ -40,6 +40,7 @@ from demandalloc import (
     uniform_policy,
 )
 from demandalloc.forecast import (PREDICT_ROW_CAP, PREDICT_SETTLE_RTOL,
+                                  SES_MAX_ORDER, SES_MIN_LAMBDA,
                                   _innovations_rows, predict_streams)
 from oracles import (mp_root_msfe, mp_roots, ref_innovations_predict,
                      ref_seller_utility)
@@ -186,6 +187,21 @@ class TestSesWeights:
             with pytest.raises(ValueError):
                 ses_truncated_weights(lam)
 
+    @pytest.mark.parametrize("lam", [5e-4, SES_MIN_LAMBDA])
+    def test_small_lambda_keeps_unit_sum(self, lam):
+        # the tail weights fall below the polynomial trim level from
+        # lam ~ 0.5 down; the kept weights must still sum to 1
+        f = ses_truncated_weights(lam)
+        assert f.weights.coeffs.size <= SES_MAX_ORDER
+        assert abs(float(np.sum(f.weights.coeffs)) - 1.0) < 1e-12
+        assert filter_msfe(TransferPoly([3.0, 1.0]), f) == pytest.approx(
+            ses_msfe_closed_form(3.0, 1, 1 / 3, lam), rel=1e-9)
+
+    @pytest.mark.parametrize("lam", [np.nextafter(SES_MIN_LAMBDA, 0.0), 1e-12])
+    def test_below_the_floor_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            ses_truncated_weights(lam)
+
     def test_forecaster_requires_unit_sum(self):
         with pytest.raises(ValueError, match="sum"):
             FilterForecaster(TransferPoly([0.5, 0.2]))
@@ -307,29 +323,31 @@ class TestLeadTimeMsfe:
             pytest.approx(1.0 + 1.4 ** 2 + (L - 1) * 1.6 ** 2, rel=1e-12)
 
 
+def _theta(model, policy, n):
+    """Lead-time theta of seller n: the outer factor of its filter."""
+    return inner_outer_factor(seller_filter(policy, model, n)).outer
+
+
 class TestLeadTimeTheta:
     def test_even_design(self):
         m = DemandModel(20.0, TransferPoly([5.0]))
         pol = neutral_policy(m, 2, 5.0)
-        th1 = leadtime_theta(m, pol, 1, 5.0, 2.5)
-        th2 = leadtime_theta(m, pol, 2, 5.0, 2.5)
+        th1 = _theta(m, pol, 1)
+        th2 = _theta(m, pol, 2)
         np.testing.assert_allclose(th1.coeffs, [-5.0, 2.5])
         np.testing.assert_allclose(th2.coeffs, [5.0, 2.5])
 
     def test_odd_design(self):
         m = DemandModel(9.0, TransferPoly([1.0]))
         pol = neutral_policy(m, 3, 0.4)
-        np.testing.assert_allclose(
-            leadtime_theta(m, pol, 1, 0.4, 1 / 3).coeffs, [0.4, 0.4, 1 / 3])
-        np.testing.assert_allclose(
-            leadtime_theta(m, pol, 2, 0.4, 1 / 3).coeffs, [-0.4, 0.0, 1 / 3])
-        np.testing.assert_allclose(
-            leadtime_theta(m, pol, 3, 0.4, 1 / 3).coeffs, [-0.4, 1 / 3])
+        np.testing.assert_allclose(_theta(m, pol, 1).coeffs, [0.4, 0.4, 1 / 3])
+        np.testing.assert_allclose(_theta(m, pol, 2).coeffs, [-0.4, 0.0, 1 / 3])
+        np.testing.assert_allclose(_theta(m, pol, 3).coeffs, [-0.4, 1 / 3])
 
     def test_uniform_design_passes_through(self):
         m = DemandModel(15.0, TransferPoly([1.0, 0.5]))
         pol = uniform_policy(3, mu=15.0)
-        th = leadtime_theta(m, pol, 2, 0.5, 0.5)
+        th = _theta(m, pol, 2)
         np.testing.assert_allclose(th.coeffs, [1 / 3, 0.5 / 3])
 
     @pytest.mark.parametrize("model", LEADTIME_MODELS, ids=["iid", "ma1", "ma2"])
@@ -338,13 +356,11 @@ class TestLeadTimeTheta:
         # theta has psi_n's modulus on the unit circle, no root inside it,
         # and |theta_0| equal to the high-precision root MSFE of psi_n
         pol = LEADTIME_DESIGNS[design](model)
-        N = pol.n_sellers
-        sigma_l = sigma_lower_bound(model, N)
         circle = np.exp(2j * np.pi * np.arange(64) / 64)
-        for n in range(1, N + 1):
+        for n in range(1, pol.n_sellers + 1):
             psi_n = seller_filter(pol, model, n).coeffs
             sigma = mp_root_msfe(psi_n)
-            th = leadtime_theta(model, pol, n, sigma, sigma_l)
+            th = _theta(model, pol, n)
             np.testing.assert_allclose(
                 np.abs(np.polynomial.polynomial.polyval(circle, th.coeffs)),
                 np.abs(np.polynomial.polynomial.polyval(circle, psi_n)),
@@ -352,12 +368,6 @@ class TestLeadTimeTheta:
             if th.degree:
                 assert min(abs(r) for r in mp_roots(th.coeffs)) >= 1 - 1e-9
             assert abs(th.coeffs[0]) == pytest.approx(sigma, rel=1e-10)
-
-    def test_inconsistent_target_rejected(self):
-        m = DemandModel(20.0, TransferPoly([5.0]))
-        pol = neutral_policy(m, 2, 5.0)
-        with pytest.raises(ValueError, match="inconsistent"):
-            leadtime_theta(m, pol, 1, 7.0, 2.5)
 
 
 def _random_table(seed: int, n: int, mu: float):
@@ -412,8 +422,31 @@ class TestLeadTimeModeChoice:
             leadtime_mode_choice(TABLE, LeadTimeSpec(0, 0), self.model,
                                  neutral_policy(M5, 4, 1.8), 2)
 
+    def test_unequal_leads_on_the_custom_design(self):
+        # CUSTOM_POLICY has no sigma target and its sellers' root MSFEs
+        # differ (seller 1's filter has a root inside the disk); each
+        # seller's sigma-bars come from its own outer factor, rebuilt here
+        # from the mpmath roots
+        pol = deserialize_policy(CUSTOM_POLICY)
+        sellers, costs, table = _random_table(11, 3, M5.mu)
+        for n, params in enumerate(sellers, start=1):
+            psi_n = seller_filter(pol, M5, n).coeffs
+            theta = np.array([psi_n[-1]], dtype=complex)
+            for a in mp_roots(psi_n):
+                theta = np.convolve(theta, [-a, 1.0] if abs(a) >= 1 else [1.0, -np.conj(a)])
+            partial = np.cumsum(theta.real)  # degree 2: all three lags count
+            ch = leadtime_mode_choice(table, LeadTimeSpec(0, 2), M5, pol, n)
+            assert ch.sigma_bar_fbp == pytest.approx(abs(partial[0]), rel=1e-10)
+            assert ch.sigma_bar_fbm == pytest.approx(
+                math.sqrt(float(np.dot(partial, partial))), rel=1e-10)
+            assert ch.utility_fbp == pytest.approx(ref_seller_utility(
+                params, costs, FBP, M5.mu / 3, ch.sigma_bar_fbp), rel=1e-12)
+            assert ch.utility_fbm == pytest.approx(ref_seller_utility(
+                params, costs, FBM, M5.mu / 3, ch.sigma_bar_fbm), rel=1e-12)
+            assert (ch.mode == FBP) == (ch.utility_fbp >= ch.utility_fbm)
+
     @given(st.integers(0, 2**32 - 1),
-           st.sampled_from(sorted(d for d in LEADTIME_DESIGNS if d != "custom")),
+           st.sampled_from(sorted(LEADTIME_DESIGNS)),
            st.sampled_from(range(len(LEADTIME_MODELS))), st.integers(0, 6))
     @settings(max_examples=40, deadline=None)
     def test_equal_leads_follow_the_table(self, seed, design, model_idx, L):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demandalloc.demand import DemandModel
 from demandalloc.polyalg import (NoRoots, TransferPoly, ZeroPolynomial,
                                  inner_outer_factor, is_invertible, poly_mul,
                                  poly_roots, root_msfe, variance)
@@ -240,6 +241,41 @@ class TestFactorization:
         # Reflection can only grow the constant term.
         assert got >= abs(p.coeffs[0]) - 1e-9 * max(1.0, abs(p.coeffs[0]))
         assert got == pytest.approx(mp_root_msfe(list(p.coeffs)), rel=1e-7)
+
+
+class TestRootSplit:
+    """inner_outer_factor, root_msfe and is_invertible classify roots by one
+    split, which owns the boundary tolerance."""
+
+    @pytest.mark.parametrize("tol", [float("nan"), -0.1, 1.0, 2.0])
+    def test_boundary_tol_outside_unit_interval_rejected(self, tol):
+        # 1 + 2z has its root -0.5 inside the disk, which tol = 2 would hide
+        p = TransferPoly([1.0, 2.0])
+        for split in (inner_outer_factor, root_msfe, is_invertible):
+            with pytest.raises(ValueError, match="boundary_tol"):
+                split(p, boundary_tol=tol)
+        with pytest.raises(ValueError, match="boundary_tol"):
+            DemandModel(15.0, p, boundary_tol=tol)
+
+    @given(st.lists(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+                    min_size=1, max_size=7)
+           .filter(lambda c: abs(c[0]) > 0.05 and abs(c[-1]) > 0.05),
+           st.sampled_from([0.0, 1e-9, 1e-3]))
+    @settings(max_examples=150, deadline=None)
+    def test_three_answers_agree(self, coeffs, tol):
+        p = TransferPoly(coeffs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # roots in the band
+            fact = inner_outer_factor(p, boundary_tol=tol)
+        msfe = root_msfe(p, boundary_tol=tol)
+        assert is_invertible(p, boundary_tol=tol) == (fact.inner_roots == ())
+        assert msfe == pytest.approx(abs(fact.outer.coeffs[0]), rel=1e-9)
+        # the oracle splits at modulus 1; away from [1 - tol, 1) both agree
+        moduli = np.abs(mp_roots(list(p.coeffs))) if p.degree else np.empty(0)
+        if not np.any((moduli >= 1.0 - tol - 1e-6) & (moduli < 1.0 + 1e-6)):
+            oracle = mp_root_msfe(list(p.coeffs))
+            assert msfe == pytest.approx(oracle, rel=1e-7)
+            assert abs(fact.outer.coeffs[0]) == pytest.approx(oracle, rel=1e-7)
 
 
 class TestInnovationsCrossCheck:
