@@ -64,6 +64,32 @@ def _check_choice(name: str, value, allowed) -> None:
                          f"{', '.join(map(repr, allowed))}, got {value!r}")
 
 
+def _tie_reach(keys):
+    """Largest key that still ties with each of keys."""
+    return keys + _TIE_TOL * np.maximum(1.0, np.abs(keys))
+
+
+def _split_wide_groups(keys, new_group) -> None:
+    """Cut the tie groups of sorted keys, marked by new_group, so each holds
+    only keys within tie reach of its first key.  Keys chained a tie apart
+    can drift past that reach, and the greedy must not prefer such a key to
+    a smaller one.  Only a group of three or more keys can be wide, and wide
+    groups are rare, so they are cut one key at a time.
+    """
+    joins = ~new_group[1:]
+    if not np.any(joins[1:] & joins[:-1]):
+        return
+    start = np.flatnonzero(new_group)
+    last = np.append(start[1:], keys.size) - 1
+    for first, end in zip(*(a[keys[last] > _tie_reach(keys[start])]
+                            for a in (start, last))):
+        reach = _tie_reach(keys[first])
+        for i in range(first + 1, end + 1):
+            if keys[i] > reach:
+                new_group[i] = True
+                reach = _tie_reach(keys[i])
+
+
 def _merge(offsets, targets, demand, rank):
     """Greedy assignment of demand[p] orders in each period p (all targets
     nonnegative), as (counts, log): the (P x N) counts and the 1-based
@@ -72,8 +98,8 @@ def _merge(offsets, targets, demand, rank):
     Seller n's keys run k = 0..floor(x_n)+1.  The keys up to D_t/N, at most
     floor(x_n)+1 of them, already number at least D_t, and the next one
     lies a unit beyond, so every key within tie reach of the cut is there.
-    A key within _TIE_TOL of the key before it in sorted order joins that
-    key's tie group; each group is ordered by rank.
+    A key within _TIE_TOL of the first key of the tie group before it in
+    sorted order joins that group; each group is ordered by rank.
     """
     P, N = offsets.shape
     n_keys = (np.floor(np.maximum(targets, 0.0)) + 2.0).astype(np.int64).ravel()
@@ -85,8 +111,8 @@ def _merge(offsets, targets, demand, rank):
     keys, cell, period = keys[order], cell[order], period[order]
     new_group = np.ones(cell.size, dtype=bool)
     new_group[1:] = ((period[1:] != period[:-1])
-                     | (keys[1:] > keys[:-1] + _TIE_TOL
-                        * np.maximum(1.0, np.abs(keys[:-1]))))
+                     | (keys[1:] > _tie_reach(keys[:-1])))
+    _split_wide_groups(keys, new_group)
     group = np.cumsum(new_group)
     cell = cell[np.argsort(group * N + rank.ravel()[cell], kind="stable")]
     per_period = n_keys.reshape(P, N).sum(axis=1)

@@ -412,6 +412,17 @@ class TestMergeAgainstOracle:
         assert res.assignment_log.tolist() == log
         assert res.counts.tolist() == counts
 
+    def test_chained_ties_do_not_outrank_the_smallest_key(self):
+        # After seller 3's first order the keys are, in sorted order,
+        # seller 2, seller 1 (a tie above it) and seller 3 (a tie above
+        # seller 1 but more than a tie above seller 2).
+        b = np.array([-0.3333333333336667, -0.33333333333266674,
+                      0.6666666666663332])
+        for seed in range(20):
+            assert greedy_replay_ok(b, route_orders(b, 2, seed).assignment_log)
+        res = route_orders(b, 2, 0, tie_break="lowest")
+        assert res.assignment_log.tolist() == ref_route_orders(b, 2)[0] == [3, 1]
+
     @given(routed_periods(), st.integers(0, 2 ** 32))
     @settings(max_examples=300, deadline=None)
     def test_random_ties_follow_the_greedy(self, period, seed):
