@@ -24,7 +24,7 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -66,10 +66,8 @@ class Scenario:
     def to_dict(self) -> dict:
         return {
             "demand": {"mu": self.mu, "psi": list(self.psi)},
-            "platform": {"rho": self.costs.rho, "F": self.costs.F,
-                         "H": self.costs.H, "delta_f": self.costs.delta_f,
-                         "delta_h": self.costs.delta_h, "r": self.costs.r},
-            "sellers": [{"h": s.h, "b": s.b, "f": s.f} for s in self.sellers],
+            "platform": asdict(self.costs),
+            "sellers": [asdict(s) for s in self.sellers],
             "options": {"sigma_cap": self.sigma_cap, "seed": self.seed,
                         "horizon": self.horizon,
                         "boundary_tol": self.boundary_tol},
@@ -106,6 +104,16 @@ def _number(block: dict, path: str, key: str) -> float:
     return _finite(block[key], f"{path}.{key}")
 
 
+def _record(cls, block, path: str):
+    """A cls from the JSON object at path holding exactly its fields, all numbers."""
+    names = tuple(f.name for f in fields(cls))
+    _check_fields(block, path, required=names)
+    try:
+        return cls(**{name: _number(block, path, name) for name in names})
+    except seller.DomainError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
 def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
     _check_fields(doc, source, required=("demand", "platform", "sellers"),
                   optional=("options",))
@@ -118,34 +126,12 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
     psi = tuple(_finite(c, f"{source}.demand.psi[{i}]")
                 for i, c in enumerate(psi_raw))
 
-    plat = doc["platform"]
-    _check_fields(plat, f"{source}.platform",
-                  required=("rho", "F", "H", "delta_f", "delta_h", "r"))
-    try:
-        costs = seller.PlatformCosts(
-            rho=_number(plat, f"{source}.platform", "rho"),
-            F=_number(plat, f"{source}.platform", "F"),
-            H=_number(plat, f"{source}.platform", "H"),
-            delta_f=_number(plat, f"{source}.platform", "delta_f"),
-            delta_h=_number(plat, f"{source}.platform", "delta_h"),
-            r=_number(plat, f"{source}.platform", "r"),
-        )
-    except seller.DomainError as exc:
-        raise ScenarioError(f"{source}.platform: {exc}") from exc
-
+    costs = _record(seller.PlatformCosts, doc["platform"], f"{source}.platform")
     sellers_raw = doc["sellers"]
     if not isinstance(sellers_raw, list) or not sellers_raw:
         raise ScenarioError(f"{source}.sellers: expected a non-empty array")
-    sellers = []
-    for i, entry in enumerate(sellers_raw, start=1):
-        path = f"{source}.sellers[{i}]"
-        _check_fields(entry, path, required=("h", "b", "f"))
-        try:
-            sellers.append(seller.SellerParams(h=_number(entry, path, "h"),
-                                               b=_number(entry, path, "b"),
-                                               f=_number(entry, path, "f")))
-        except seller.DomainError as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
+    sellers = [_record(seller.SellerParams, entry, f"{source}.sellers[{i}]")
+               for i, entry in enumerate(sellers_raw, start=1)]
 
     options = doc.get("options", {})
     _check_fields(options, f"{source}.options", required=(),

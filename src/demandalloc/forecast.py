@@ -4,18 +4,17 @@ Four strands: an innovations-algorithm oracle that recovers the one-step
 forecast error of a finite moving average directly from autocovariances
 (sharing no code with the root-split route, so the two can cross-check each
 other), and the optimal one-step predictor built on it; mean squared errors
-of suboptimal linear filters such as truncated exponential smoothing, whose
-filters hold at most SES_MAX_ORDER weights; lead-time demand uncertainty
-built from partial sums of the coefficients of a seller filter's outer
-factor, taken straight from polyalg.inner_outer_factor for any admissible
-design, with or without a sigma target, and the mode choice it drives
-(leadtime_mode_choice, which reads K and the margins from the market table
-and decides by the table's own comparison); and the model of the `simulate`
-command (simulate_inventory), which predicts every seller's stream in one
-pass of predict_streams and costs out stocks as (N, T) arrays, failing with
-NumericalInstability rather than returning non-finite numbers, with its CSV
-written in blocks (export_simulation).  Every per-seller economic quantity
-comes from a seller.MarketTable built once by the caller.
+of suboptimal linear filters such as truncated exponential smoothing;
+lead-time demand uncertainty from partial sums of the coefficients of a
+seller filter's outer factor (polyalg.inner_outer_factor, any admissible
+design), and the mode choice it drives (leadtime_mode_choice, which reads K
+and the margins from the market table and decides by the table's own
+comparison); and the model of the `simulate` command (simulate_inventory),
+which predicts every seller's stream in one pass of predict_streams, costs
+out stocks as (N, T) arrays and raises NumericalInstability on a non-finite
+summary, with its CSV written in blocks (export_simulation).  Every
+per-seller economic quantity comes from a seller.MarketTable built once by
+the caller.
 """
 from __future__ import annotations
 
@@ -32,10 +31,9 @@ from .polyalg import (TRIM_TOL, NumericalInstability, TransferPoly, as_poly,
 from .seller import FBM, FBP, MarketTable, _prefers_fbp, base_stock
 
 SES_TAIL_TOL = 1e-12
+# Most weights a default smoothing filter may take: about -log(SES_TAIL_TOL)
+# / lam, so this sets the smallest lam it accepts, SES_MIN_LAMBDA.
 SES_MAX_ORDER = 100_000
-"""Most weights a default smoothing filter may need.  Dropping a geometric
-tail below SES_TAIL_TOL takes about -log(SES_TAIL_TOL) / lam weights, so this
-bound sets the smallest smoothing constant accepted, SES_MIN_LAMBDA."""
 SES_MIN_LAMBDA = -math.expm1(math.log(SES_TAIL_TOL) / SES_MAX_ORDER)
 _CONVERGENCE_RTOL = 1e-10
 _WEIGHT_SUM_TOL = 1e-9
@@ -203,18 +201,22 @@ def ses_truncated_weights(lam: float, order: int | None = None) -> FilterForecas
 
     When order is omitted it is chosen so the dropped geometric tail is
     below SES_TAIL_TOL, which takes at most SES_MAX_ORDER weights for lam in
-    [SES_MIN_LAMBDA, 1].  Weights below polyalg.TRIM_TOL, which TransferPoly
-    would trim, are dropped before renormalizing, so the weights kept sum
-    to 1.  lam = 1 is the naive last-value forecast.
+    [SES_MIN_LAMBDA, 1]; an explicit order takes any lam in (0, 1].  Weights
+    below polyalg.TRIM_TOL, which TransferPoly would trim, are dropped after
+    normalizing and the rest renormalized, so the weights kept sum to 1.
+    lam = 1 is the naive last-value forecast.
     """
-    if not SES_MIN_LAMBDA <= lam <= 1.0:
+    if order is None and not SES_MIN_LAMBDA <= lam <= 1.0:
         raise ValueError(f"smoothing constant lam must lie in "
-                         f"[{SES_MIN_LAMBDA:.6g}, 1], got {lam!r}")
+                         f"[{SES_MIN_LAMBDA:.6g}, 1] when order is omitted, got {lam!r}")
+    if not 0.0 < lam <= 1.0:
+        raise ValueError(f"smoothing constant lam must lie in (0, 1], got {lam!r}")
     if lam == 1.0:
         return FilterForecaster(TransferPoly([1.0]), description="ses(lambda=1)")
     if order is None:
         order = max(1, math.ceil(math.log(SES_TAIL_TOL) / math.log1p(-lam)))
-    w = lam * (1.0 - lam) ** np.arange(order)
+    w = (1.0 - lam) ** np.arange(order)
+    w /= w.sum()
     w = w[w >= TRIM_TOL]
     w /= w.sum()
     w[0] += 1.0 - w.sum()  # absorb the last few ulps so the sum is exactly 1
@@ -360,12 +362,8 @@ def simulate_inventory(table: MarketTable, alloc_policy: AllocationPolicy,
     """Allocate a realized path by the policy, let every seller of the
     market table forecast its stream with the optimal one-step predictor and
     stock forecast + zeta sigma in the mode it picks at sigma, and cost out
-    each period.
-
-    Raises NumericalInstability naming sigma when a forecast, stock, cost or
-    summary number is not finite, which a design volatility large enough to
-    overflow the predictor's autocovariances produces.
-    """
+    each period.  Raises NumericalInstability naming sigma when a summary
+    number is not finite, as when sigma overflows the predictor."""
     expost = allocate_ex_post(alloc_policy, model, path)
     alloc = expost.allocations
     fbp = table.adopts(sigma)
@@ -387,8 +385,8 @@ def simulate_inventory(table: MarketTable, alloc_policy: AllocationPolicy,
         empirical_msfe=np.sqrt(np.mean(err ** 2, axis=1)),
         mean_cost=np.mean(cost, axis=1),
         k_sigma=np.where(fbp, table.k_fbp, table.k_fbm) * sigma)
-    if not all(np.isfinite(a).all() for a in (pred, stock, cost, run.empirical_msfe,
-                                              run.mean_cost, run.k_sigma)):
+    if not all(np.isfinite(a).all() for a in (run.empirical_msfe, run.mean_cost,
+                                              run.k_sigma)):
         raise NumericalInstability(f"simulation at sigma = {sigma:g} overflows: a "
                                    "forecast, stock, cost or summary is not finite")
     return run

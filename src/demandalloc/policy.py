@@ -62,13 +62,11 @@ class AllocationPolicy:
         for t in transfers:
             if abs(t.coeffs[0] - 1.0) > ADMISSIBILITY_TOL:
                 raise ValueError("each transfer must have T_n(0) = 1")
-        width = max(len(t) for t in transfers)
-        total = np.zeros(width)
+        excess = np.zeros(max(len(t) for t in transfers))
         for t in transfers:
-            total[:len(t)] += t.coeffs
-        target = np.zeros(width)
-        target[0] = n_sellers
-        if np.max(np.abs(total - target)) > ADMISSIBILITY_TOL:
+            excess[:len(t)] += t.coeffs
+        excess[0] -= n_sellers
+        if np.max(np.abs(excess)) > ADMISSIBILITY_TOL:
             raise ValueError("transfers must sum to N coefficient-wise (admissibility)")
         self.n_sellers = int(n_sellers)
         self.transfers = transfers
@@ -156,12 +154,8 @@ def lagged_variant(model: DemandModel, N: int, sigma_target: float,
     if sigma_target == sigma_l:
         return uniform_policy(N, mu=model.mu)
     alpha = N * sigma_target / abs(float(model.psi.coeffs[0]))
-    transfers = []
-    for n in range(1, N + 1):
-        coeffs = np.zeros(k + 1)
-        coeffs[0] = 1.0
-        coeffs[k] = (-1.0) ** n * alpha
-        transfers.append(TransferPoly(coeffs))
+    transfers = [TransferPoly([1.0] + [0.0] * (k - 1) + [(-1.0) ** n * alpha])
+                 for n in range(1, N + 1)]
     return AllocationPolicy(N, transfers, mean_share=model.mu / N,
                             sigma_target=sigma_target, alpha_bar=alpha,
                             design="lagged", lag=k)
@@ -173,10 +167,7 @@ def _apply_permutation(roles, permutation, N):
     perm = [int(p) for p in permutation]
     if sorted(perm) != list(range(1, N + 1)):
         raise ValueError("permutation must rearrange 1..N")
-    transfers = [None] * N
-    for role_idx, seller in enumerate(perm):
-        transfers[seller - 1] = roles[role_idx]
-    return transfers
+    return [roles[perm.index(seller)] for seller in range(1, N + 1)]
 
 
 def seller_filter(policy: AllocationPolicy, model: DemandModel, n: int) -> TransferPoly:

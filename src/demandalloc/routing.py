@@ -12,9 +12,10 @@ The greedy gives seller n its (k+1)-th order at key k - b_n, so a period's
 assignment sequence is the sorted merge of N arithmetic key sequences (the
 chairman assignment problem, Tijdeman 1980).  The router takes each
 period's D_t smallest keys from one sort over the whole path, with no loop
-over orders.  Keys within _TIE_TOL of each other tie, and ties go by a
-rank of the sellers that is fixed for the period: the seller index with
-tie_break="lowest", a seeded random ranking of the sellers with "random".
+over orders.  Keys within _TIE_TOL of the smallest key still unassigned
+tie with it, and ties go by a rank of the sellers that is fixed for the
+period: the seller index with tie_break="lowest", a seeded random ranking
+of the sellers with "random".
 The random ranking is drawn per period, not per order, so a seed gives
 other random-tie logs than the per-order draws of earlier versions did;
 the counts stay within one unit of the targets either way.
@@ -69,25 +70,25 @@ def _tie_reach(keys):
     return keys + _TIE_TOL * np.maximum(1.0, np.abs(keys))
 
 
-def _split_wide_groups(keys, new_group) -> None:
-    """Cut the tie groups of sorted keys, marked by new_group, so each holds
-    only keys within tie reach of its first key.  Keys chained a tie apart
-    can drift past that reach, and the greedy must not prefer such a key to
-    a smaller one.  Only a group of three or more keys can be wide, and wide
-    groups are rare, so they are cut one key at a time.
-    """
-    joins = ~new_group[1:]
-    if not np.any(joins[1:] & joins[:-1]):
+def _order_wide_groups(keys, new_group, within) -> None:
+    """Replay the greedy in each wide tie group of sorted keys, marked by
+    new_group: one whose keys, chained a tie apart, pass the tie reach of
+    its first.  Each step takes the smallest within among the keys in tie
+    reach of the smallest one left and stores the step in within.  Wide
+    groups need three or more keys and are rare."""
+    if np.all(new_group[1:-1] | new_group[2:]):
         return
     start = np.flatnonzero(new_group)
-    last = np.append(start[1:], keys.size) - 1
-    for first, end in zip(*(a[keys[last] > _tie_reach(keys[start])]
-                            for a in (start, last))):
-        reach = _tie_reach(keys[first])
-        for i in range(first + 1, end + 1):
-            if keys[i] > reach:
-                new_group[i] = True
-                reach = _tie_reach(keys[i])
+    stop = np.append(start[1:], keys.size)
+    wide = keys[stop - 1] > _tie_reach(keys[start])
+    for first, end in zip(start[wide], stop[wide]):
+        left, rank = list(range(first, end)), within[first:end].copy()
+        for place in range(end - first):
+            reach = _tie_reach(keys[left[0]])
+            pick = min((i for i in left if keys[i] <= reach),
+                       key=lambda i: rank[i - first])
+            left.remove(pick)
+            within[pick] = place
 
 
 def _merge(offsets, targets, demand, rank):
@@ -98,8 +99,9 @@ def _merge(offsets, targets, demand, rank):
     Seller n's keys run k = 0..floor(x_n)+1.  The keys up to D_t/N, at most
     floor(x_n)+1 of them, already number at least D_t, and the next one
     lies a unit beyond, so every key within tie reach of the cut is there.
-    A key within _TIE_TOL of the first key of the tie group before it in
-    sorted order joins that group; each group is ordered by rank.
+    A key within _TIE_TOL of the key before it in sorted order joins that
+    key's tie group, and each group is taken in the greedy's order: by rank
+    where every key of the group ties with its first, by replay where not.
     """
     P, N = offsets.shape
     n_keys = (np.floor(np.maximum(targets, 0.0)) + 2.0).astype(np.int64).ravel()
@@ -112,9 +114,10 @@ def _merge(offsets, targets, demand, rank):
     new_group = np.ones(cell.size, dtype=bool)
     new_group[1:] = ((period[1:] != period[:-1])
                      | (keys[1:] > _tie_reach(keys[:-1])))
-    _split_wide_groups(keys, new_group)
+    within = rank.ravel()[cell]
+    _order_wide_groups(keys, new_group, within)
     group = np.cumsum(new_group)
-    cell = cell[np.argsort(group * N + rank.ravel()[cell], kind="stable")]
+    cell = cell[np.argsort(group * N + within, kind="stable")]
     per_period = n_keys.reshape(P, N).sum(axis=1)
     period = cell // N
     position = np.arange(cell.size) - (np.cumsum(per_period) - per_period)[period]

@@ -202,6 +202,14 @@ class TestSesWeights:
         with pytest.raises(ValueError, match="lam"):
             ses_truncated_weights(lam)
 
+    @pytest.mark.parametrize("lam", [1e-4, 1e-13])
+    def test_explicit_order_below_the_floor(self, lam):
+        # the floor bounds the default filter length only
+        f = ses_truncated_weights(lam, order=50)
+        expected = (1.0 - lam) ** np.arange(50)
+        np.testing.assert_allclose(f.weights.coeffs, expected / expected.sum(),
+                                   rtol=1e-12)
+
     def test_forecaster_requires_unit_sum(self):
         with pytest.raises(ValueError, match="sum"):
             FilterForecaster(TransferPoly([0.5, 0.2]))

@@ -379,9 +379,11 @@ class TestPolicyTracking:
 @st.composite
 def routed_periods(draw):
     """(offsets, D_t) of one period with nonnegative targets.  Offsets are
-    random, all zero, or near-tied: pairs +-c with 2c an integer, so keys of
-    different sellers meet exactly, each moved by a few ulps."""
-    kind = draw(st.sampled_from(["random", "near-ties", "zero"]))
+    random, all zero, near-tied or chain-tied: pairs +-c with 2c an integer,
+    so keys of different sellers meet exactly, each moved by a few ulps
+    (near-tied) or by a few steps of 0.6e-12 (chain-tied), so that keys a
+    tie apart can chain past the tie reach of the smallest."""
+    kind = draw(st.sampled_from(["random", "near-ties", "chains", "zero"]))
     N = draw(st.integers(1, 8))
     if kind == "zero":
         b = np.zeros(N)
@@ -393,8 +395,11 @@ def routed_periods(draw):
         b = np.array([h / 2 for h in halves] + [-h / 2 for h in halves]
                      + [0.0] * (N % 2))
         b = b[draw(st.permutations(range(N)))]
-        ulps = np.array(draw(st.lists(st.integers(-4, 4), min_size=N, max_size=N)))
-        b = b + ulps * np.spacing(np.maximum(1.0, np.abs(b)))
+        steps = np.array(draw(st.lists(st.integers(-4, 4), min_size=N, max_size=N)))
+        if kind == "near-ties":
+            b = b + steps * np.spacing(np.maximum(1.0, np.abs(b)))
+        else:
+            b = b + steps * 0.6e-12
     floor = int(np.ceil(N * max(0.0, -float(b.min()))))
     D = floor + draw(st.integers(0, 40))
     targets = D / N + b
@@ -412,16 +417,22 @@ class TestMergeAgainstOracle:
         assert res.assignment_log.tolist() == log
         assert res.counts.tolist() == counts
 
-    def test_chained_ties_do_not_outrank_the_smallest_key(self):
-        # After seller 3's first order the keys are, in sorted order,
-        # seller 2, seller 1 (a tie above it) and seller 3 (a tie above
-        # seller 1 but more than a tie above seller 2).
-        b = np.array([-0.3333333333336667, -0.33333333333266674,
-                      0.6666666666663332])
+    # Keys in sorted order a, b, c: b is a tie above a, c a tie above b
+    # but more than a tie above a.  The greedy's tie set follows the
+    # smallest key still unassigned.
+    CHAIN = [-0.3333333333336667, -0.33333333333266674, 0.6666666666663332]
+
+    @pytest.mark.parametrize("perm, D, expected", [
+        ((0, 1, 2), 2, [3, 1]), ((1, 2, 0), 3, [2, 1, 2]),
+        ((1, 2, 0), 4, [2, 1, 2, 3])])
+    def test_chained_ties_do_not_outrank_the_smallest_key(self, perm, D, expected):
+        b = np.array(self.CHAIN)[list(perm)]
         for seed in range(20):
-            assert greedy_replay_ok(b, route_orders(b, 2, seed).assignment_log)
-        res = route_orders(b, 2, 0, tie_break="lowest")
-        assert res.assignment_log.tolist() == ref_route_orders(b, 2)[0] == [3, 1]
+            assert greedy_replay_ok(b, route_orders(b, D, seed).assignment_log)
+        res = route_orders(b, D, 0, tie_break="lowest")
+        log, counts = ref_route_orders(b, D)
+        assert res.assignment_log.tolist() == log == expected
+        assert res.counts.tolist() == counts
 
     @given(routed_periods(), st.integers(0, 2 ** 32))
     @settings(max_examples=300, deadline=None)
