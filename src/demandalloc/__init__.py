@@ -26,7 +26,7 @@ from .policy import (AllocationPolicy, BelowLowerBound, ExPostAllocation,
 from .polyalg import (Factorization, NoRoots, NumericalInstability,
                       TransferPoly, ZeroPolynomial, inner_outer_factor,
                       is_invertible, poly_mul, poly_roots, root_msfe, variance)
-from .routing import (InfeasibleTargets, RoutePathResult, RoutingResult,
+from .routing import (InfeasibleTargets, RoutePathResult,
                       export_assignment_log, integerize_demand, route_orders,
                       route_path)
 from .seller import (FBM, FBP, DomainError, MarketTable, ModeEconomics,
@@ -44,7 +44,7 @@ __all__ = [
     "Infeasible", "InfeasibleTargets", "InsufficientHistory", "LeadTimeChoice",
     "LeadTimeSpec", "MarketTable", "ModeEconomics", "NeutralityReport", "NoRoots",
     "NumericalInstability", "PayoffResult", "PlatformCosts",
-    "PlatformSolution", "RoutePathResult", "RoutingResult", "SellerParams",
+    "PlatformSolution", "RoutePathResult", "SellerParams",
     "TransferPoly", "ZeroPolynomial",
     "allocate_ex_post", "base_stock", "benchmark_offsets",
     "check_cost_assumptions",

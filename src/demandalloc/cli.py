@@ -32,7 +32,7 @@ from . import forecast, platform, policy, routing, seller
 from .demand import DemandModel, simulate
 from .polyalg import (DEFAULT_BOUNDARY_TOL, NumericalInstability, TransferPoly,
                       ZeroPolynomial, inner_outer_factor, is_boundary_tol,
-                      is_invertible, poly_roots, root_msfe)
+                      root_msfe)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -235,12 +235,13 @@ def cmd_route(args) -> int:
                                 on_infeasible="skip")
     with _primary_stream(args.out) as (fh, on_stdout):
         routing.export_assignment_log(result, fh)
+    skipped = result.infeasible_periods
     _emit_summary({
         "command": "route", "sigma": args.sigma,
         "periods": path.demands.size, "seed": path.seed,
-        "feasible_periods": path.demands.size - len(result.infeasible_periods),
-        "infeasible_periods": len(result.infeasible_periods),
-        "first_infeasible": result.infeasible_periods[:10],
+        "feasible_periods": int(result.routed.sum()),
+        "infeasible_periods": len(skipped),
+        "first_infeasible": skipped[:10],
         "max_discrepancy": result.max_discrepancy,
         "cumulative_shares": [float(s) for s in result.cumulative_shares],
     }, primary_on_stdout=not args.out)
@@ -260,16 +261,14 @@ def _parse_coeffs(raw) -> TransferPoly:
 def cmd_factor(args) -> int:
     p = _parse_coeffs(args.coeffs)
     fact = inner_outer_factor(p, boundary_tol=args.boundary_tol)
-    roots = [] if p.degree == 0 else [[z.real, z.imag] for z in poly_roots(p)]
-    sigma = root_msfe(p, boundary_tol=args.boundary_tol)
     doc = {
         "coeffs": list(map(float, p.coeffs)),
-        "roots": roots,
+        "roots": [[z.real, z.imag] for z in fact.roots],
         "inner_roots": [[z.real, z.imag] for z in fact.inner_roots],
         "outer_coeffs": list(map(float, fact.outer.coeffs)),
-        "root_msfe": sigma,
-        "msfe_squared": sigma ** 2,
-        "invertible": is_invertible(p, boundary_tol=args.boundary_tol),
+        "root_msfe": fact.root_msfe,
+        "msfe_squared": fact.root_msfe ** 2,
+        "invertible": fact.invertible,
     }
     sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return EXIT_OK
@@ -277,13 +276,15 @@ def cmd_factor(args) -> int:
 
 def cmd_msfe(args) -> int:
     p = _parse_coeffs(args.coeffs)
-    sigma = root_msfe(p)
+    # Only the lead time needs the outer factor; without it root_msfe splits
+    # the roots alone, with no boundary warning and no expansion.
+    fact = None if args.lead is None else inner_outer_factor(p)
+    sigma = root_msfe(p) if fact is None else fact.root_msfe
     doc = {"coeffs": list(map(float, p.coeffs)),
            "root_msfe": sigma,
            "msfe_squared": sigma ** 2}
-    if args.lead is not None:
-        outer = inner_outer_factor(p).outer
-        sigma_bar = forecast.leadtime_msfe(outer, args.lead)
+    if fact is not None:
+        sigma_bar = forecast.leadtime_msfe(fact.outer, args.lead)
         doc["lead"] = args.lead
         doc["leadtime_msfe"] = sigma_bar
         doc["leadtime_msfe_squared"] = sigma_bar ** 2

@@ -88,17 +88,25 @@ class TransferPoly:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Inner-outer split of a transfer polynomial.
+    """Inner-outer split of a transfer polynomial, from one root split.
 
+    roots are all roots of the input with multiplicity (none at degree 0).
     outer carries the full spectrum (same modulus on the unit circle as the
     input); inner_roots are the reflected roots, all strictly inside the
     unit disk and closed under conjugation.  The input equals
     outer(z) * blaschke(z) identically: both are c_q * prod (z - a) over
-    all roots a.
+    all roots a.  root_msfe is |outer(0)|, computed as in root_msfe.
     """
 
+    roots: tuple
     outer: TransferPoly
     inner_roots: tuple
+    root_msfe: float
+
+    @property
+    def invertible(self) -> bool:
+        """True iff no root lies strictly inside the unit disk."""
+        return self.inner_roots == ()
 
     def blaschke(self, z):
         """Evaluate the inner (all-pass) factor at z."""
@@ -174,14 +182,18 @@ def is_boundary_tol(value) -> bool:
 
 
 def _root_split(p: TransferPoly, boundary_tol: float):
-    """Roots of p (none at degree 0) and the mask of those on the outer side,
-    modulus at least 1 - boundary_tol.  The one place roots are classified."""
+    """Roots of p (none at degree 0), the mask of those on the outer side,
+    modulus at least 1 - boundary_tol, and the root MSFE they give.  The one
+    place roots are classified."""
     if not is_boundary_tol(boundary_tol):
         raise ValueError(f"boundary_tol must be a number in [0, 1), got {boundary_tol!r}")
     if p.is_zero():
         raise ZeroPolynomial("the zero polynomial has no root split")
     roots = poly_roots(p) if p.degree else np.empty(0, dtype=complex)
-    return roots, np.abs(roots) >= 1.0 - boundary_tol
+    outer = np.abs(roots) >= 1.0 - boundary_tol
+    # Empty product is 1: a fully non-invertible filter keeps only |c_q|.
+    msfe = abs(float(p.coeffs[-1])) * float(np.prod(np.abs(roots[outer])))
+    return roots, outer, msfe
 
 
 def inner_outer_factor(p: TransferPoly, boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> Factorization:
@@ -194,7 +206,7 @@ def inner_outer_factor(p: TransferPoly, boundary_tol: float = DEFAULT_BOUNDARY_T
     degrade there.
     """
     p = as_poly(p)
-    roots, outer = _root_split(p, boundary_tol)
+    roots, outer, msfe = _root_split(p, boundary_tol)
     if np.any(np.abs(np.abs(roots) - 1.0) <= boundary_tol):
         warnings.warn(
             "root within boundary_tol of the unit circle; classified as "
@@ -203,8 +215,9 @@ def inner_outer_factor(p: TransferPoly, boundary_tol: float = DEFAULT_BOUNDARY_T
             stacklevel=2,
         )
     inside = roots[~outer]
-    return Factorization(outer=_expand_outer(float(p.coeffs[-1]), roots[outer], inside),
-                         inner_roots=tuple(inside))
+    return Factorization(roots=tuple(roots),
+                         outer=_expand_outer(float(p.coeffs[-1]), roots[outer], inside),
+                         inner_roots=tuple(inside), root_msfe=msfe)
 
 
 def root_msfe(p: TransferPoly, boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> float:
@@ -213,10 +226,7 @@ def root_msfe(p: TransferPoly, boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> fl
     Equals |c_q| * prod of |a_j| over roots on the outer side, so it never
     drops below |p(0)| and matches |p(0)| exactly when p is invertible.
     """
-    p = as_poly(p)
-    roots, outer = _root_split(p, boundary_tol)
-    # Empty product is 1: a fully non-invertible filter keeps only |c_q|.
-    return abs(float(p.coeffs[-1])) * float(np.prod(np.abs(roots[outer])))
+    return _root_split(as_poly(p), boundary_tol)[2]
 
 
 def is_invertible(p: TransferPoly, boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> bool:

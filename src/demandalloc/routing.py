@@ -19,6 +19,9 @@ of the sellers with "random".
 The random ranking is drawn per period, not per order, so a seed gives
 other random-tie logs than the per-order draws of earlier versions did;
 the counts stay within one unit of the targets either way.
+
+route_orders routes a (T x N) offset array in one call; its RoutePathResult
+holds the (T x N) counts and targets, a (T,) routed mask and the flat log.
 """
 from __future__ import annotations
 
@@ -42,21 +45,50 @@ _LOG_BLOCK_CELLS = 1 << 14
 
 class InfeasibleTargets(ValueError):
     """Some benchmark targets are negative; the one-unit tracking guarantee
-    does not apply.  Carries the offending 1-based seller indices."""
+    does not apply.  Carries the offending 1-based seller indices and the
+    0-based period."""
 
-    def __init__(self, sellers, period=None):
+    def __init__(self, sellers, period: int):
         self.sellers = list(sellers)
         self.period = period
-        where = f" in period {period}" if period is not None else ""
-        super().__init__(f"negative targets for sellers {self.sellers}{where}")
+        super().__init__(f"negative targets for sellers {self.sellers} "
+                         f"in period {period}")
 
 
 @dataclass(frozen=True)
-class RoutingResult:
+class RoutePathResult:
+    """Routing of T periods over N sellers, held as arrays.
+
+    counts and targets are (T x N); routed marks the periods whose targets
+    were all nonnegative, and the others keep zero counts.  log holds the
+    1-based seller of every routed order, period by period in assignment
+    sequence, so period t's orders are its next counts[t].sum() entries.
+    """
+
     counts: np.ndarray
     targets: np.ndarray
-    max_discrepancy: float
-    assignment_log: np.ndarray
+    routed: np.ndarray
+    log: np.ndarray
+
+    @property
+    def infeasible_periods(self) -> list:
+        return np.flatnonzero(~self.routed).tolist()
+
+    @property
+    def cumulative_counts(self) -> np.ndarray:
+        return self.counts.sum(axis=0)
+
+    @property
+    def cumulative_shares(self) -> np.ndarray:
+        cumulative = self.cumulative_counts
+        total = int(cumulative.sum())
+        return cumulative / total if total else np.zeros(cumulative.size)
+
+    @property
+    def max_discrepancy(self) -> float:
+        """Largest |count - target| over the routed periods."""
+        gap = np.abs(self.counts - self.targets)[self.routed]
+        return float(gap.max(initial=0.0))
 
 
 def _check_choice(name: str, value, allowed) -> None:
@@ -126,13 +158,20 @@ def _merge(offsets, targets, demand, rank):
     return counts, cell % N + 1
 
 
-def _route(offsets, demand, seed: int, tie_break: str):
-    """Screen and route every period of a (T x N) offset array.
+def route_orders(offsets, demand, seed: int, on_infeasible: str = "raise",
+                 tie_break: str = "random") -> RoutePathResult:
+    """Assign demand[t] orders in each period t by smallest offset-adjusted
+    count.
 
-    Returns the per-period RoutingResults (None where a target is below
-    zero by more than the relative tie slack), the (T x N) mask of those
-    targets and the (T x N) counts.
+    offsets is a (T x N) array of per-seller offsets b[t, n]; each row must
+    sum to zero.  A period whose targets fall below zero by more than the
+    relative tie slack raises InfeasibleTargets, or with
+    on_infeasible="skip" is left unrouted with zero counts.  Ties go by a
+    ranking of the sellers per period, all drawn at once as
+    np.random.default_rng(seed).random((T, N)), or to the lowest index with
+    tie_break="lowest" for reproducible goldens.
     """
+    _check_choice("on_infeasible", on_infeasible, ON_INFEASIBLE)
     _check_choice("tie_break", tie_break, TIE_BREAKS)
     b = np.asarray(offsets, dtype=float)
     demand = np.asarray(demand, dtype=np.int64)
@@ -145,48 +184,18 @@ def _route(offsets, demand, seed: int, tie_break: str):
     targets = demand[:, None] / N + b
     scale = np.maximum(1.0, np.abs(targets).max(axis=1))
     negative = targets < -_TIE_TOL * scale[:, None]
-    feasible = ~negative.any(axis=1)
+    routed = ~negative.any(axis=1)
+    if on_infeasible == "raise" and not routed.all():
+        t = int(np.flatnonzero(~routed)[0])
+        raise InfeasibleTargets((np.flatnonzero(negative[t]) + 1).tolist(), t)
     if tie_break == "lowest":
         rank = np.broadcast_to(np.arange(N), (T, N))
     else:
         rank = np.random.default_rng(seed).random((T, N)).argsort(axis=1)
     counts = np.zeros((T, N), dtype=np.int64)
-    counts[feasible], log = _merge(b[feasible], targets[feasible],
-                                   demand[feasible], rank[feasible])
-    discrepancy = np.abs(counts - targets).max(axis=1, initial=0.0)
-    logs = np.split(log, np.cumsum(demand * feasible)[:-1])
-    results = [RoutingResult(counts=counts[t], targets=targets[t],
-                             max_discrepancy=float(discrepancy[t]),
-                             assignment_log=logs[t])
-               if feasible[t] else None for t in range(T)]
-    return results, negative, counts
-
-
-def route_orders(offsets, D_t: int, seed: int,
-                 tie_break: str = "random") -> RoutingResult:
-    """Assign D_t orders by smallest offset-adjusted count.
-
-    offsets is one period's 1-d array of per-seller offsets b_n; they must
-    sum to zero.  Ties go by a random ranking of the sellers drawn from
-    np.random.default_rng(seed), or to the lowest index with
-    tie_break="lowest" for reproducible goldens.
-    """
-    [result], negative, _ = _route(np.asarray(offsets, dtype=float)[None, :],
-                                   [D_t], seed, tie_break)
-    if result is None:
-        raise InfeasibleTargets((np.flatnonzero(negative[0]) + 1).tolist())
-    return result
-
-
-@dataclass(frozen=True)
-class RoutePathResult:
-    """Per-period routing outcomes over a demand path."""
-
-    results: list
-    infeasible_periods: list
-    cumulative_counts: np.ndarray
-    cumulative_shares: np.ndarray
-    max_discrepancy: float
+    counts[routed], log = _merge(b[routed], targets[routed], demand[routed],
+                                 rank[routed])
+    return RoutePathResult(counts=counts, targets=targets, routed=routed, log=log)
 
 
 def integerize_demand(path: DemandPath) -> np.ndarray:
@@ -197,33 +206,14 @@ def integerize_demand(path: DemandPath) -> np.ndarray:
 def route_path(alloc_policy: AllocationPolicy, model: DemandModel,
                path: DemandPath, seed: int, on_infeasible: str = "raise",
                tie_break: str = "random") -> RoutePathResult:
-    """Route a whole demand path.
+    """Route a whole demand path with route_orders.
 
     The policy's offsets come from the lagged realized (integer) demand;
     missing lags before the path starts count as demand at the mean.
-    on_infeasible="skip" records periods with negative targets instead of
-    raising; their orders are not routed.  With tie_break="random" each
-    period ranks the sellers for its ties by one draw from
-    np.random.default_rng(seed).
     """
-    _check_choice("on_infeasible", on_infeasible, ON_INFEASIBLE)
     demand = integerize_demand(path)
-    offsets = benchmark_offsets(alloc_policy, model, demand)
-    results, negative, counts = _route(offsets, demand, seed, tie_break)
-    infeasible = [t for t, r in enumerate(results) if r is None]
-    if infeasible and on_infeasible == "raise":
-        t = infeasible[0]
-        raise InfeasibleTargets((np.flatnonzero(negative[t]) + 1).tolist(),
-                                period=t)
-    cumulative = counts.sum(axis=0)
-    total = int(cumulative.sum())
-    shares = cumulative / total if total else np.zeros(cumulative.size)
-    worst = max((r.max_discrepancy for r in results if r is not None),
-                default=0.0)
-    return RoutePathResult(results=results, infeasible_periods=infeasible,
-                           cumulative_counts=cumulative,
-                           cumulative_shares=shares,
-                           max_discrepancy=worst)
+    return route_orders(benchmark_offsets(alloc_policy, model, demand), demand,
+                        seed, on_infeasible, tie_break)
 
 
 def export_assignment_log(path_result: RoutePathResult, fileobj) -> None:
@@ -232,18 +222,12 @@ def export_assignment_log(path_result: RoutePathResult, fileobj) -> None:
     The snapshot columns adj_1..adj_N hold counts minus offsets immediately
     after the order is assigned.  Rows are formatted and written in blocks.
     """
-    n = path_result.cumulative_counts.size
+    counts, log = path_result.counts, path_result.log
+    n = counts.shape[1]
     writer = csv.writer(fileobj)
     writer.writerow(["period", "order", "seller"] + [f"adj_{i}" for i in range(1, n + 1)])
-    routed = [(t, r) for t, r in enumerate(path_result.results) if r is not None]
-    if not routed:
-        return
-    periods = np.array([t for t, _ in routed], dtype=float)
-    counts = np.array([r.counts for _, r in routed])
-    targets = np.array([r.targets for _, r in routed])
-    log = np.concatenate([r.assignment_log for _, r in routed])
     sizes = counts.sum(axis=1)
-    offs = targets - (sizes / n)[:, None]
+    offs = path_result.targets - (sizes / n)[:, None]
     before = np.cumsum(counts, axis=0) - counts
     row_period = np.repeat(np.arange(sizes.size), sizes)
     order = np.arange(log.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -258,7 +242,7 @@ def export_assignment_log(path_result: RoutePathResult, fileobj) -> None:
         cumulative = running + np.cumsum(onehot, axis=0)
         running = cumulative[-1]
         rows = np.empty((sellers.size, n + 3))
-        rows[:, 0] = periods[p]
+        rows[:, 0] = p
         rows[:, 1] = order[lo:lo + block]
         rows[:, 2] = sellers
         rows[:, 3:] = (cumulative - before[p]) - offs[p]

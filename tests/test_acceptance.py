@@ -278,11 +278,11 @@ def test_criterion_6_property_suite(scenario):
                                  [d_prev2, d_prev, mu])[-1]
         D = int(rng.integers(max(1, int(0.6 * mu)), int(1.4 * mu) + 2))
         try:
-            res = route_orders(offs, D, int(rng.integers(0, 2 ** 62)))
+            res = route_orders(offs[None], [D], int(rng.integers(0, 2 ** 62)))
         except InfeasibleTargets:
             continue
         feasible += 1
-        assert int(res.counts.sum()) == D
+        assert int(res.counts[0].sum()) == D
         assert res.max_discrepancy <= 1.0 + 1e-9
     counts["routing"] = feasible
 

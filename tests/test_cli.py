@@ -1,6 +1,7 @@
 """Command-line surface: scenario ingestion, subcommands, exit codes."""
 import csv
 import json
+import sys
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,9 @@ from demandalloc.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_NUMERICAL,
 SCENARIO = str(Path(__file__).resolve().parents[1]
                / "scenarios" / "illustrative.scenario")
 DATA = Path(__file__).resolve().parent / "data"
+# factor's stdout per argument string, recorded before Factorization carried
+# its roots; the near-unit-root case warns on stderr.
+FACTOR_STDOUT = json.loads((DATA / "factor_stdout.json").read_text())
 
 
 def scenario_doc() -> dict:
@@ -299,6 +303,31 @@ class TestFactorAndMsfe:
         assert doc["invertible"] is False
         assert doc["root_msfe"] == pytest.approx(2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("args", list(FACTOR_STDOUT))
+    def test_factor_output_is_pinned(self, args, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["factor"] + args.split()) == EXIT_OK
+        assert capsys.readouterr().out == FACTOR_STDOUT[args]
+
+    @pytest.mark.parametrize("argv", [["factor", "1", "2"],
+                                      ["msfe", "--lead", "1", "2", "1"]])
+    def test_one_root_split_per_answer(self, argv, monkeypatch, capsys):
+        from demandalloc import polyalg
+        original, calls = polyalg.poly_roots, []
+
+        def counted(p):
+            calls.append(p)
+            return original(p)
+
+        # every namespace of the package that holds poly_roots
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "demandalloc"
+                    and getattr(module, "poly_roots", None) is original):
+                monkeypatch.setattr(module, "poly_roots", counted)
+        assert main(argv) == EXIT_OK
+        assert len(calls) == 1
+
     def test_msfe_with_lead(self, capsys):
         doc = self.run_json(["msfe", "--lead", "1", "2", "1"], capsys)
         assert doc["lead"] == 1
@@ -443,6 +472,14 @@ class TestRoute:
             rows = list(csv.reader(fh))
         assert rows[0] == ["period", "order", "seller"] \
             + [f"adj_{i}" for i in range(1, 11)]
+
+    def test_summary_matches_golden(self, tmp_path, capsys):
+        # random ties, and most periods at sigma 3 skip
+        assert main(["route", "--scenario", SCENARIO, "--sigma", "3.0",
+                     "--periods", "300", "--seed", "4",
+                     "--out", str(tmp_path / "route.csv")]) == EXIT_OK
+        golden = DATA / "route_summary_illustrative_sigma3_T300_seed4.json"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
 
     def test_deterministic_output(self, tmp_path, capsys):
         paths = []

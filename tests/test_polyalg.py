@@ -282,7 +282,12 @@ class TestRootSplit:
             fact = inner_outer_factor(p, boundary_tol=tol)
         msfe = root_msfe(p, boundary_tol=tol)
         assert is_invertible(p, boundary_tol=tol) == (fact.inner_roots == ())
+        assert fact.invertible == (fact.inner_roots == ())
         assert msfe == pytest.approx(abs(fact.outer.coeffs[0]), rel=1e-9)
+        # the factorization carries the same split: its roots and root MSFE
+        assert fact.root_msfe == msfe
+        expected = poly_roots(p) if p.degree else np.empty(0)
+        np.testing.assert_array_equal(np.array(fact.roots), expected)
         # the oracle splits at modulus 1; away from [1 - tol, 1) both agree
         moduli = np.abs(mp_roots(list(p.coeffs))) if p.degree else np.empty(0)
         if not np.any((moduli >= 1.0 - tol - 1e-6) & (moduli < 1.0 + 1e-6)):

@@ -54,6 +54,11 @@ def path_of(demands):
                       shocks=np.zeros(0), seed=0)
 
 
+def period_logs(res):
+    """The flat routing log cut into each period's orders."""
+    return np.split(res.log, np.cumsum(res.counts.sum(axis=1))[:-1])
+
+
 class TestComputeOffsets:
     def test_centered_history_is_neutral(self):
         np.testing.assert_allclose(period_offsets(4, 1.0, MU, MU), np.zeros(4))
@@ -105,8 +110,8 @@ class TestComputeOffsets:
 
 class TestRouteOrders:
     def test_uniform_split(self):
-        res = route_orders(np.zeros(4), 8, seed=3)
-        np.testing.assert_array_equal(res.counts, [2, 2, 2, 2])
+        res = route_orders(np.zeros((1, 4)), [8], seed=3)
+        np.testing.assert_array_equal(res.counts[0], [2, 2, 2, 2])
         assert res.max_discrepancy == 0.0
 
     def test_two_seller_offsets_exact(self):
@@ -114,8 +119,8 @@ class TestRouteOrders:
         # any tie resolution
         off = period_offsets(2, 1.0, MU + 1.0, MU)
         for seed in range(8):
-            res = route_orders(off, 10, seed=seed)
-            np.testing.assert_array_equal(res.counts, [4, 6])
+            res = route_orders(off[None], [10], seed=seed)
+            np.testing.assert_array_equal(res.counts[0], [4, 6])
             assert res.max_discrepancy == 0.0
 
     def test_conservation_and_bound(self):
@@ -131,8 +136,8 @@ class TestRouteOrders:
                 b -= b.mean()
                 if float((D / N + b).min()) < 0:
                     continue
-            res = route_orders(b, D, seed=int(rng.integers(1 << 30)))
-            assert int(res.counts.sum()) == D
+            res = route_orders(b[None], [D], seed=int(rng.integers(1 << 30)))
+            assert int(res.counts[0].sum()) == D
             assert res.max_discrepancy <= 1.0 + 1e-9
 
     def test_step_invariant_along_the_walk(self):
@@ -147,9 +152,9 @@ class TestRouteOrders:
             targets = D / N + b
             if targets.min() < 0:
                 continue
-            res = route_orders(b, D, seed=int(rng.integers(1 << 30)))
+            res = route_orders(b[None], [D], seed=int(rng.integers(1 << 30)))
             counts = np.zeros(N)
-            for chosen in res.assignment_log:
+            for chosen in res.log:
                 counts[chosen - 1] += 1
                 delta = counts - targets
                 assert delta.max() <= max(0.0, delta.min() + 1.0) + 1e-9
@@ -164,26 +169,26 @@ class TestRouteOrders:
                 b -= b.mean()
                 if (D / N + b).min() < 0:
                     continue
-                res = route_orders(b, D, seed=int(rng.integers(1 << 30)),
+                res = route_orders(b[None], [D], seed=int(rng.integers(1 << 30)),
                                    tie_break=tie_break)
-                assert greedy_replay_ok(b, res.assignment_log)
+                assert greedy_replay_ok(b, res.log)
 
     def test_deterministic_per_seed(self):
         off = period_offsets(5, 2.0, MU + 2.0, MU - 1.0)
-        a = route_orders(off, 30, seed=12)
-        b = route_orders(off, 30, seed=12)
-        np.testing.assert_array_equal(a.assignment_log, b.assignment_log)
+        a = route_orders(off[None], [30], seed=12)
+        b = route_orders(off[None], [30], seed=12)
+        np.testing.assert_array_equal(a.log, b.log)
 
     def test_seeds_break_ties_differently(self):
         # all-zero offsets tie constantly; some pair of seeds must disagree
-        off = np.zeros(4)
-        logs = {tuple(route_orders(off, 12, seed=s).assignment_log)
+        off = np.zeros((1, 4))
+        logs = {tuple(route_orders(off, [12], seed=s).log)
                 for s in range(6)}
         assert len(logs) > 1
 
     def test_lowest_tie_break_is_canonical(self):
-        res = route_orders(np.zeros(4), 8, seed=99, tie_break="lowest")
-        np.testing.assert_array_equal(res.assignment_log,
+        res = route_orders(np.zeros((1, 4)), [8], seed=99, tie_break="lowest")
+        np.testing.assert_array_equal(res.log,
                                       [1, 2, 3, 4, 1, 2, 3, 4])
 
     def test_infeasible_targets_name_sellers(self):
@@ -197,19 +202,20 @@ class TestRouteOrders:
         assert exc_info.value.period == 17
         assert isinstance(exc_info.value, ValueError)
         with pytest.raises(InfeasibleTargets) as exc_info:
-            route_orders([-8.0, 8.0], 6, seed=0)
+            route_orders([[-8.0, 8.0]], [6], seed=0)
         assert exc_info.value.sellers == [1]
+        assert exc_info.value.period == 0
 
     def test_offsets_must_sum_to_zero(self):
         with pytest.raises(ValueError, match="sum to zero"):
-            route_orders([1.0, 0.5], 4, seed=0)
+            route_orders([[1.0, 0.5]], [4], seed=0)
 
     def test_rejects_negative_demand(self):
         with pytest.raises(ValueError):
-            route_orders(np.zeros(2), -1, seed=0)
+            route_orders(np.zeros((1, 2)), [-1], seed=0)
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: route_orders(np.zeros(2), 4, seed=0, tie_break="lowst"),
+        (lambda: route_orders(np.zeros((1, 2)), [4], seed=0, tie_break="lowst"),
          "tie_break must be one of 'random', 'lowest', got 'lowst'"),
         (lambda: route_path(*design(2, 1.0)[::-1], path_of([MU] * 3), seed=0,
                             on_infeasible="skp"),
@@ -251,8 +257,14 @@ class TestRoutePath:
         pol = neutral_policy(self.model, 10, 3.0)
         res = route_path(pol, self.model, self.path, seed=5,
                          on_infeasible="skip")
-        assert len(res.infeasible_periods) > 0
-        assert all(res.results[t] is None for t in res.infeasible_periods)
+        skipped = res.infeasible_periods
+        assert len(skipped) > 0
+        assert skipped == np.flatnonzero(~res.routed).tolist()
+        assert not res.counts[skipped].any()
+        demand = integerize_demand(self.path)
+        np.testing.assert_array_equal(res.counts.sum(axis=1),
+                                      np.where(res.routed, demand, 0))
+        assert res.log.size == int(demand[res.routed].sum())
         assert res.max_discrepancy <= 1.0 + 1e-9
 
     def test_raise_mode_propagates(self):
@@ -287,8 +299,9 @@ class TestExport:
         export_assignment_log(res, buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "period,order,seller,adj_1,adj_2,adj_3"
-        routed = sum(int(r.counts.sum()) for r in res.results if r is not None)
-        assert len(lines) == routed + 1
+        assert not res.routed.all() and not res.counts[~res.routed].any()
+        assert res.log.size == int(res.counts.sum())
+        assert len(lines) == res.log.size + 1
 
     def test_snapshot_reconstructs_final_counts(self):
         model = DemandModel(MU, TransferPoly([5.0]))
@@ -303,11 +316,13 @@ class TestExport:
         for line in lines:
             parts = line.split(",")
             last_by_period[int(parts[0])] = parts
+        assert sorted(last_by_period) == np.flatnonzero(
+            res.routed & (res.counts.sum(axis=1) > 0)).tolist()
         for t, parts in last_by_period.items():
-            r = res.results[t]
+            counts, targets = res.counts[t], res.targets[t]
             adj = np.array([float(x) for x in parts[3:]])
-            b = r.targets - float(r.counts.sum()) / r.counts.size
-            np.testing.assert_allclose(adj, r.counts - b, atol=5e-6)
+            b = targets - float(counts.sum()) / counts.size
+            np.testing.assert_allclose(adj, counts - b, atol=5e-6)
 
     @pytest.mark.parametrize("golden, mu, psi, N, sigma, periods", [
         # the reference scenario's market; most periods at sigma 3 skip
@@ -363,28 +378,28 @@ class TestPolicyTracking:
         res = route_path(pol, model, path_of(demand), seed, on_infeasible="skip")
         transfers = [t.coeffs.tolist() for t in pol.transfers]
         targets = benchmark_targets(transfers, model.mu, [float(d) for d in demand])
+        logs = period_logs(res)
         for t, row in enumerate(targets):
             tol = 1e-12 * max(1.0, max(abs(x) for x in row))
             negative = any(x < -tol for x in row)
             assert (t in res.infeasible_periods) == negative
+            assert bool(res.routed[t]) != negative
             if negative:
-                assert res.results[t] is None
+                assert not res.counts[t].any() and logs[t].size == 0
                 continue
-            routed = res.results[t]
-            assert int(routed.counts.sum()) == demand[t]
-            assert routed.assignment_log.size == demand[t]
-            assert max(abs(c - x) for c, x in zip(routed.counts, row)) <= 1.0 + 1e-9
+            assert int(res.counts[t].sum()) == demand[t]
+            assert logs[t].size == demand[t]
+            assert max(abs(c - x) for c, x in zip(res.counts[t], row)) <= 1.0 + 1e-9
 
 
 @st.composite
-def routed_periods(draw):
-    """(offsets, D_t) of one period with nonnegative targets.  Offsets are
-    random, all zero, near-tied or chain-tied: pairs +-c with 2c an integer,
-    so keys of different sellers meet exactly, each moved by a few ulps
-    (near-tied) or by a few steps of 0.6e-12 (chain-tied), so that keys a
-    tie apart can chain past the tie reach of the smallest."""
+def one_routed_period(draw, N):
+    """(offsets, D_t) of one period with N sellers and nonnegative targets.
+    Offsets are random, all zero, near-tied or chain-tied: pairs +-c with
+    2c an integer, so keys of different sellers meet exactly, each moved by
+    a few ulps (near-tied) or by a few steps of 0.6e-12 (chain-tied), so
+    that keys a tie apart can chain past the tie reach of the smallest."""
     kind = draw(st.sampled_from(["random", "near-ties", "chains", "zero"]))
-    N = draw(st.integers(1, 8))
     if kind == "zero":
         b = np.zeros(N)
     elif kind == "random":
@@ -407,15 +422,28 @@ def routed_periods(draw):
     return b, D
 
 
+@st.composite
+def routed_periods(draw):
+    """(offsets, demand) of 1 to 6 periods for one N, each period drawn by
+    one_routed_period, so the merge meets every kind of offsets on both
+    sides of a period boundary."""
+    N = draw(st.integers(1, 8))
+    periods = draw(st.lists(one_routed_period(N), min_size=1, max_size=6))
+    return (np.array([b for b, _ in periods]),
+            np.array([D for _, D in periods]))
+
+
 class TestMergeAgainstOracle:
     @given(routed_periods(), st.integers(0, 2 ** 32))
     @settings(max_examples=400, deadline=None)
-    def test_lowest_matches_the_per_order_greedy(self, period, seed):
-        b, D = period
+    def test_lowest_matches_the_per_order_greedy(self, periods, seed):
+        b, D = periods
         res = route_orders(b, D, seed, tie_break="lowest")
-        log, counts = ref_route_orders(b, D)
-        assert res.assignment_log.tolist() == log
-        assert res.counts.tolist() == counts
+        assert res.routed.all()
+        for t, period_log in enumerate(period_logs(res)):
+            log, counts = ref_route_orders(b[t], int(D[t]))
+            assert period_log.tolist() == log
+            assert res.counts[t].tolist() == counts
 
     # Keys in sorted order a, b, c: b is a tie above a, c a tie above b
     # but more than a tie above a.  The greedy's tie set follows the
@@ -428,17 +456,20 @@ class TestMergeAgainstOracle:
     def test_chained_ties_do_not_outrank_the_smallest_key(self, perm, D, expected):
         b = np.array(self.CHAIN)[list(perm)]
         for seed in range(20):
-            assert greedy_replay_ok(b, route_orders(b, D, seed).assignment_log)
-        res = route_orders(b, D, 0, tie_break="lowest")
+            assert greedy_replay_ok(b, route_orders(b[None], [D], seed).log)
+        res = route_orders(b[None], [D], 0, tie_break="lowest")
         log, counts = ref_route_orders(b, D)
-        assert res.assignment_log.tolist() == log == expected
-        assert res.counts.tolist() == counts
+        assert res.log.tolist() == log == expected
+        assert res.counts[0].tolist() == counts
 
     @given(routed_periods(), st.integers(0, 2 ** 32))
     @settings(max_examples=300, deadline=None)
-    def test_random_ties_follow_the_greedy(self, period, seed):
-        b, D = period
+    def test_random_ties_follow_the_greedy(self, periods, seed):
+        b, D = periods
         res = route_orders(b, D, seed)
-        assert greedy_replay_ok(b, res.assignment_log)
-        assert int(res.counts.sum()) == D
-        assert np.all(np.abs(res.counts - (D / b.size + b)) <= 1.0 + 1e-9)
+        assert res.routed.all()
+        for t, period_log in enumerate(period_logs(res)):
+            assert greedy_replay_ok(b[t], period_log)
+            assert int(res.counts[t].sum()) == D[t]
+            assert np.all(np.abs(res.counts[t] - (D[t] / b.shape[1] + b[t]))
+                          <= 1.0 + 1e-9)
