@@ -12,7 +12,8 @@ and the margins from the market table and decides by the table's own
 comparison); and the model of the `simulate` command (simulate_inventory),
 which predicts every seller's stream in one pass of predict_streams, costs
 out stocks as (N, T) arrays and raises NumericalInstability on a non-finite
-summary, with its CSV written in blocks (export_simulation).  Every
+summary, with its CSV written by the exact block formatter of csvtext
+(export_simulation).  Every
 per-seller economic quantity comes from a seller.MarketTable built once by
 the caller.
 """
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvtext import BLOCK_CELLS, _format_rows
 from .demand import DemandModel, DemandPath
 from .policy import AllocationPolicy, allocate_ex_post, seller_filter
 from .polyalg import (TRIM_TOL, NumericalInstability, TransferPoly, as_poly,
@@ -37,7 +39,6 @@ SES_MAX_ORDER = 100_000
 SES_MIN_LAMBDA = -math.expm1(math.log(SES_TAIL_TOL) / SES_MAX_ORDER)
 _CONVERGENCE_RTOL = 1e-10
 _WEIGHT_SUM_TOL = 1e-9
-_CSV_BLOCK_CELLS = 1 << 14
 
 
 class ConvergenceFailure(RuntimeError):
@@ -356,6 +357,9 @@ class InventoryRun:
     k_sigma: np.ndarray
 
 
+# an overflowing sigma makes infs and nans on the way; the finite check
+# names the failure instead of numpy's warnings
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_inventory(table: MarketTable, alloc_policy: AllocationPolicy,
                        model: DemandModel, path: DemandPath,
                        sigma: float) -> InventoryRun:
@@ -394,15 +398,14 @@ def simulate_inventory(table: MarketTable, alloc_policy: AllocationPolicy,
 
 def export_simulation(run: InventoryRun, fileobj) -> None:
     """CSV: period, demand, then alloc, forecast, stock and cost for each
-    seller.  Rows are formatted and written in blocks of about
-    _CSV_BLOCK_CELLS cells, each interleaved from slices of the run's arrays."""
+    seller.  Rows are interleaved from slices of the run's arrays and written
+    in blocks of about csvtext.BLOCK_CELLS cells by the exact formatter."""
     n, periods = run.allocations.shape
-    writer = csv.writer(fileobj)
-    writer.writerow(["period", "demand"] + [f"{col}_{i}" for i in range(1, n + 1)
-                                            for col in ("alloc", "forecast", "stock", "cost")])
+    csv.writer(fileobj).writerow(
+        ["period", "demand"] + [f"{col}_{i}" for i in range(1, n + 1)
+                                for col in ("alloc", "forecast", "stock", "cost")])
     width = 4 * n + 2
-    line = "%d" + ",%.6f" * (width - 1) + writer.dialect.lineterminator
-    block = max(1, _CSV_BLOCK_CELLS // width)
+    block = max(1, BLOCK_CELLS // width)
     columns = (run.allocations, run.forecasts, run.stocks, run.costs)
     for lo in range(0, periods, block):
         hi = min(lo + block, periods)
@@ -411,4 +414,4 @@ def export_simulation(run: InventoryRun, fileobj) -> None:
         rows[:, 1] = run.demands[lo:hi]
         for k, col in enumerate(columns):
             rows[:, 2 + k::4] = col[:, lo:hi].T
-        fileobj.write((line * (hi - lo)) % tuple(rows.ravel().tolist()))
+        fileobj.write(_format_rows(rows, 1))

@@ -22,6 +22,8 @@ the counts stay within one unit of the targets either way.
 
 route_orders routes a (T x N) offset array in one call; its RoutePathResult
 holds the (T x N) counts and targets, a (T,) routed mask and the flat log.
+export_assignment_log builds the log's rows in blocks and writes them with
+the exact formatter of csvtext, which the simulate CSV shares.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvtext import BLOCK_CELLS, _format_rows
 from .demand import DemandModel, DemandPath
 from .policy import AllocationPolicy, benchmark_offsets
 
@@ -39,8 +42,6 @@ OFFSET_SUM_TOL = 1e-9
 _TIE_TOL = 1e-12
 TIE_BREAKS = ("random", "lowest")
 ON_INFEASIBLE = ("raise", "skip")
-# Cells formatted per write of the assignment log.
-_LOG_BLOCK_CELLS = 1 << 14
 
 
 class InfeasibleTargets(ValueError):
@@ -220,19 +221,19 @@ def export_assignment_log(path_result: RoutePathResult, fileobj) -> None:
     """CSV log: period, order index, chosen seller, adjusted counts snapshot.
 
     The snapshot columns adj_1..adj_N hold counts minus offsets immediately
-    after the order is assigned.  Rows are formatted and written in blocks.
+    after the order is assigned.  Rows are written in blocks of about
+    csvtext.BLOCK_CELLS cells by the exact formatter.
     """
     counts, log = path_result.counts, path_result.log
     n = counts.shape[1]
-    writer = csv.writer(fileobj)
-    writer.writerow(["period", "order", "seller"] + [f"adj_{i}" for i in range(1, n + 1)])
+    csv.writer(fileobj).writerow(
+        ["period", "order", "seller"] + [f"adj_{i}" for i in range(1, n + 1)])
     sizes = counts.sum(axis=1)
     offs = path_result.targets - (sizes / n)[:, None]
     before = np.cumsum(counts, axis=0) - counts
     row_period = np.repeat(np.arange(sizes.size), sizes)
     order = np.arange(log.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    line = "%d,%d,%d" + ",%.6f" * n + writer.dialect.lineterminator
-    block = max(1, _LOG_BLOCK_CELLS // (n + 3))
+    block = max(1, BLOCK_CELLS // (n + 3))
     running = np.zeros(n, dtype=np.int64)
     for lo in range(0, log.size, block):
         sellers = log[lo:lo + block]
@@ -246,4 +247,4 @@ def export_assignment_log(path_result: RoutePathResult, fileobj) -> None:
         rows[:, 1] = order[lo:lo + block]
         rows[:, 2] = sellers
         rows[:, 3:] = (cumulative - before[p]) - offs[p]
-        fileobj.write((line * sellers.size) % tuple(rows.ravel().tolist()))
+        fileobj.write(_format_rows(rows, 3))

@@ -20,10 +20,16 @@ inventory_coefficient (memoized) and its result types from
 demandalloc.platform, so both paths classify sellers with the same
 coefficients; nothing else is shared.
 
+The reference CSV writers at the end are the %-formatting writers of the
+`simulate` CSV and the `route` assignment log that the package replaced with
+its exact block formatter (demandalloc.csvtext).  They read the same run and
+routing result arrays and format every cell with Python's "%d" and "%.6f".
+
 Run as a script to print the frozen constants embedded in the test files.
 """
 from __future__ import annotations
 
+import csv
 import functools
 import math
 
@@ -354,6 +360,63 @@ def ref_payoff_curve(sellers, costs, N, mu, sigma_grid, sigma_cap=math.inf):
     side_rank = {"left": 0, "interior": 1, "right": 2}
     points.sort(key=lambda p: (p.sigma, side_rank[p.side]))
     return points
+
+
+# Reference CSV writers: the %-line writers of `simulate` and `route` that the
+# package replaced with its exact block formatter.
+_REF_BLOCK_CELLS = 1 << 14
+
+
+def ref_export_simulation(run, fileobj) -> None:
+    """CSV: period, demand, then alloc, forecast, stock and cost for each
+    seller.  Rows are %-formatted and written in blocks of about
+    _REF_BLOCK_CELLS cells, each interleaved from slices of the run's arrays."""
+    n, periods = run.allocations.shape
+    writer = csv.writer(fileobj)
+    writer.writerow(["period", "demand"] + [f"{col}_{i}" for i in range(1, n + 1)
+                                            for col in ("alloc", "forecast", "stock", "cost")])
+    width = 4 * n + 2
+    line = "%d" + ",%.6f" * (width - 1) + writer.dialect.lineterminator
+    block = max(1, _REF_BLOCK_CELLS // width)
+    columns = (run.allocations, run.forecasts, run.stocks, run.costs)
+    for lo in range(0, periods, block):
+        hi = min(lo + block, periods)
+        rows = np.empty((hi - lo, width))
+        rows[:, 0] = np.arange(run.start_period + lo, run.start_period + hi)
+        rows[:, 1] = run.demands[lo:hi]
+        for k, col in enumerate(columns):
+            rows[:, 2 + k::4] = col[:, lo:hi].T
+        fileobj.write((line * (hi - lo)) % tuple(rows.ravel().tolist()))
+
+
+def ref_export_assignment_log(path_result, fileobj) -> None:
+    """CSV log: period, order index, chosen seller, then counts minus offsets
+    of every seller right after the order, %-formatted in blocks of rows."""
+    counts, log = path_result.counts, path_result.log
+    n = counts.shape[1]
+    writer = csv.writer(fileobj)
+    writer.writerow(["period", "order", "seller"] + [f"adj_{i}" for i in range(1, n + 1)])
+    sizes = counts.sum(axis=1)
+    offs = path_result.targets - (sizes / n)[:, None]
+    before = np.cumsum(counts, axis=0) - counts
+    row_period = np.repeat(np.arange(sizes.size), sizes)
+    order = np.arange(log.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    line = "%d,%d,%d" + ",%.6f" * n + writer.dialect.lineterminator
+    block = max(1, _REF_BLOCK_CELLS // (n + 3))
+    running = np.zeros(n, dtype=np.int64)
+    for lo in range(0, log.size, block):
+        sellers = log[lo:lo + block]
+        p = row_period[lo:lo + block]
+        onehot = np.zeros((sellers.size, n), dtype=np.int64)
+        onehot[np.arange(sellers.size), sellers - 1] = 1
+        cumulative = running + np.cumsum(onehot, axis=0)
+        running = cumulative[-1]
+        rows = np.empty((sellers.size, n + 3))
+        rows[:, 0] = p
+        rows[:, 1] = order[lo:lo + block]
+        rows[:, 2] = sellers
+        rows[:, 3:] = (cumulative - before[p]) - offs[p]
+        fileobj.write((line * sellers.size) % tuple(rows.ravel().tolist()))
 
 
 def _print_frozen():

@@ -434,13 +434,15 @@ class TestSimulate:
 
     def test_overflow_is_a_numerical_failure(self, tmp_path, capsys):
         # at this sigma the predictor's autocovariances overflow; the run
-        # fails before --out is opened, so no file is written
+        # fails before --out is opened, so no file is written, and the named
+        # failure is all it prints
         out = tmp_path / "sim.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main(["simulate", "--scenario", SCENARIO, "--sigma", "1e200",
                        "--periods", "50", "--out", str(out)])
         assert rc == EXIT_NUMERICAL
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         captured = capsys.readouterr()
         assert "sigma = 1e+200" in captured.err
         assert "Traceback" not in captured.err
