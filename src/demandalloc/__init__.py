@@ -17,12 +17,11 @@ from .forecast import (ConvergenceFailure, FilterForecaster, LeadTimeChoice,
 from .platform import (CurvePoint, EmptyFeasibleSet, PayoffResult,
                        PlatformSolution, export_curve, optimize, payoff,
                        payoff_curve, solution_document)
-from .policy import (AllocationPolicy, BelowLowerBound, ExPostAllocation,
-                     Infeasible, InsufficientHistory, NeutralityReport,
-                     allocate_ex_post, benchmark_offsets, check_neutral,
-                     deserialize_policy, lagged_variant, neutral_policy,
-                     seller_filter, serialize_policy, sigma_lower_bound,
-                     uniform_policy)
+from .policy import (AllocationPolicy, BelowLowerBound, Infeasible,
+                     InsufficientHistory, NeutralityReport, benchmark_offsets,
+                     check_neutral, deserialize_policy, lagged_variant,
+                     neutral_policy, seller_filter, serialize_policy,
+                     sigma_lower_bound, uniform_policy)
 from .polyalg import (Factorization, NoRoots, NumericalInstability,
                       TransferPoly, ZeroPolynomial, inner_outer_factor,
                       is_invertible, poly_mul, poly_roots, root_msfe, variance)
@@ -40,13 +39,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AllocationPolicy", "BelowLowerBound", "ConvergenceFailure", "CurvePoint",
     "DemandModel", "DemandPath", "DomainError", "EmptyFeasibleSet",
-    "ExPostAllocation", "FBM", "FBP", "Factorization", "FilterForecaster",
+    "FBM", "FBP", "Factorization", "FilterForecaster",
     "Infeasible", "InfeasibleTargets", "InsufficientHistory", "LeadTimeChoice",
     "LeadTimeSpec", "MarketTable", "ModeEconomics", "NeutralityReport", "NoRoots",
     "NumericalInstability", "PayoffResult", "PlatformCosts",
     "PlatformSolution", "RoutePathResult", "SellerParams",
     "TransferPoly", "ZeroPolynomial",
-    "allocate_ex_post", "base_stock", "benchmark_offsets",
+    "base_stock", "benchmark_offsets",
     "check_cost_assumptions",
     "export_assignment_log", "export_curve",
     "export_ses_comparison", "ses_comparison_rows",

@@ -213,7 +213,12 @@ def cmd_simulate(args) -> int:
     scenario, model, alloc_policy, path = _design_run(args)
     sigma = args.sigma
     table = seller.market_table(scenario.sellers, scenario.costs, scenario.mu)
-    run = forecast.simulate_inventory(table, alloc_policy, model, path, sigma)
+    try:
+        run = forecast.simulate_inventory(table, alloc_policy, model, path, sigma)
+    except policy.InsufficientHistory as exc:
+        source = ("--periods" if args.periods is not None
+                  else f"{args.scenario}.options.horizon")
+        raise ScenarioError(f"{source}: {exc}") from exc
     with _primary_stream(args.out) as (fh, on_stdout):
         forecast.export_simulation(run, fh)
     sellers = [{"seller": i, "mode": mode, "analytic_sigma": sigma,

@@ -27,8 +27,8 @@ class DemandModel:
 
     def __init__(self, mu: float, psi, boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> None:
         psi = as_poly(psi)
-        if mu <= 0:
-            raise ValueError("mean demand mu must be positive")
+        if not 0 < mu < np.inf:
+            raise ValueError(f"mean demand mu must be positive and finite, got {mu!r}")
         if psi.coeffs[0] == 0.0:
             raise ValueError("psi(0) must be nonzero")
         if not is_invertible(psi, boundary_tol):

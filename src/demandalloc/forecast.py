@@ -10,12 +10,12 @@ seller filter's outer factor (polyalg.inner_outer_factor, any admissible
 design), and the mode choice it drives (leadtime_mode_choice, which reads K
 and the margins from the market table and decides by the table's own
 comparison); and the model of the `simulate` command (simulate_inventory),
-which predicts every seller's stream in one pass of predict_streams, costs
-out stocks as (N, T) arrays and raises NumericalInstability on a non-finite
-summary, with its CSV written by the exact block formatter of csvtext
-(export_simulation).  Every
-per-seller economic quantity comes from a seller.MarketTable built once by
-the caller.
+which allocates the path through policy.benchmark_offsets (the one replay of
+a design along a path, which routing tracks too), predicts every seller's
+stream in one pass of predict_streams, costs out stocks as (N, T) arrays and
+raises NumericalInstability on a non-finite summary, with its CSV written by
+the exact block formatter of csvtext (export_simulation).  Every per-seller
+economic quantity comes from a seller.MarketTable built once by the caller.
 """
 from __future__ import annotations
 
@@ -27,7 +27,8 @@ import numpy as np
 
 from .csvtext import BLOCK_CELLS, _format_rows
 from .demand import DemandModel, DemandPath
-from .policy import AllocationPolicy, allocate_ex_post, seller_filter
+from .policy import (AllocationPolicy, InsufficientHistory, benchmark_offsets,
+                     seller_filter)
 from .polyalg import (TRIM_TOL, NumericalInstability, TransferPoly, as_poly,
                       inner_outer_factor)
 from .seller import FBM, FBP, MarketTable, _prefers_fbp, base_stock
@@ -366,13 +367,24 @@ def simulate_inventory(table: MarketTable, alloc_policy: AllocationPolicy,
     """Allocate a realized path by the policy, let every seller of the
     market table forecast its stream with the optimal one-step predictor and
     stock forecast + zeta sigma in the mode it picks at sigma, and cost out
-    each period.  Raises NumericalInstability naming sigma when a summary
-    number is not finite, as when sigma overflows the predictor."""
-    expost = allocate_ex_post(alloc_policy, model, path)
-    alloc = expost.allocations
+    each period.  Seller n gets mu/N + (D_t - mu)/N + b[t, n-1], with b
+    from policy.benchmark_offsets, from period start_period = max_lag on
+    (InsufficientHistory on a shorter path).  Raises NumericalInstability
+    naming sigma when a summary number is not finite, as when sigma
+    overflows the predictor."""
+    start = alloc_policy.max_lag
+    demands = np.asarray(path.demands, dtype=float)
+    if demands.size <= start:
+        raise InsufficientHistory(
+            f"path length {demands.size} does not cover the policy's "
+            f"{start}-period memory; it needs at least {start + 1} periods")
+    N = alloc_policy.n_sellers
+    share = model.mu / N + (demands[start:] - model.mu) / N
+    offsets = benchmark_offsets(alloc_policy, model, demands)[start:]
+    alloc = np.ascontiguousarray((share[:, None] + offsets).T)
     fbp = table.adopts(sigma)
     filters = [seller_filter(alloc_policy, model, n)
-               for n in range(1, alloc_policy.n_sellers + 1)]
+               for n in range(1, N + 1)]
     pred = predict_streams(filters, alloc, mean=model.mu / table.N)
     zeta = np.where(fbp, table.zeta_fbp, table.zeta_fbm)[:, None]
     stock = base_stock(pred, sigma, zeta)
@@ -382,8 +394,7 @@ def simulate_inventory(table: MarketTable, alloc_policy: AllocationPolicy,
     cost = h_bar * over + table.b[:, None] * under
     err = alloc - pred
     run = InventoryRun(
-        start_period=expost.start_period,
-        demands=path.demands[expost.start_period:],
+        start_period=start, demands=path.demands[start:],
         allocations=alloc, forecasts=pred, stocks=stock, costs=cost,
         modes=tuple(np.where(fbp, FBP, FBM).tolist()),
         empirical_msfe=np.sqrt(np.mean(err ** 2, axis=1)),

@@ -11,11 +11,12 @@ routing and forecasting read it from the policy they are given.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import DemandModel, DemandPath
+from .demand import DemandModel
 from .polyalg import TransferPoly, as_poly, poly_mul, root_msfe
 
 ADMISSIBILITY_TOL = 1e-10
@@ -38,7 +39,7 @@ class Infeasible(ValueError):
 
 
 class InsufficientHistory(ValueError):
-    """Demand path shorter than the policy's memory."""
+    """Demand path no longer than the policy's memory."""
 
 
 class AllocationPolicy:
@@ -109,10 +110,17 @@ def sigma_lower_bound(model: DemandModel, N: int) -> float:
 
 
 def _check_target(model: DemandModel, N: int, sigma_target: float):
+    """The floor sigma_L and the transfer coefficient a = N sigma/|psi(0)| of
+    a design hitting sigma_target.  Raises ValueError naming the target when
+    it or a is not finite, and BelowLowerBound when it is under the floor."""
     sigma_l = sigma_lower_bound(model, N)
+    alpha = N * sigma_target / abs(float(model.psi.coeffs[0]))
+    if not math.isfinite(alpha):
+        raise ValueError(f"sigma target {sigma_target!r} gives a non-finite "
+                         f"transfer coefficient N sigma/|psi(0)| = {alpha!r}")
     if sigma_target < sigma_l:
         raise BelowLowerBound(sigma_target, sigma_l)
-    return sigma_l
+    return sigma_l, alpha
 
 
 def neutral_policy(model: DemandModel, N: int, sigma_target: float,
@@ -125,13 +133,12 @@ def neutral_policy(model: DemandModel, N: int, sigma_target: float,
     1 - a z^2) and alternates the rest.  permutation optionally relabels
     which seller gets which role.
     """
-    sigma_l = _check_target(model, N, sigma_target)
+    sigma_l, alpha = _check_target(model, N, sigma_target)
     mu_share = model.mu / N
     if sigma_target == sigma_l:
         return uniform_policy(N, mu=model.mu)
     if N == 1:
         raise Infeasible("a single seller always carries the full market MSFE")
-    alpha = N * sigma_target / abs(float(model.psi.coeffs[0]))
     if N % 2 == 0:
         roles = [TransferPoly([1.0, (-1.0) ** n * alpha]) for n in range(1, N + 1)]
     else:
@@ -150,10 +157,9 @@ def lagged_variant(model: DemandModel, N: int, sigma_target: float,
         raise ValueError("lagged variant requires an even number of sellers")
     if k < 1:
         raise ValueError("lag k must be at least 1")
-    sigma_l = _check_target(model, N, sigma_target)
+    sigma_l, alpha = _check_target(model, N, sigma_target)
     if sigma_target == sigma_l:
         return uniform_policy(N, mu=model.mu)
-    alpha = N * sigma_target / abs(float(model.psi.coeffs[0]))
     transfers = [TransferPoly([1.0] + [0.0] * (k - 1) + [(-1.0) ** n * alpha])
                  for n in range(1, N + 1)]
     return AllocationPolicy(N, transfers, mean_share=model.mu / N,
@@ -190,44 +196,14 @@ def check_neutral(policy: AllocationPolicy, model: DemandModel,
                             max_sigma_spread=spread)
 
 
-@dataclass(frozen=True)
-class ExPostAllocation:
-    """Benchmark per-seller demand series computed from realized aggregates.
-
-    allocations[n-1, j] is seller n's share in period start_period + j.
-    """
-
-    allocations: np.ndarray
-    start_period: int
-
-
-def allocate_ex_post(policy: AllocationPolicy, model: DemandModel,
-                     path: DemandPath) -> ExPostAllocation:
-    """Apply the time-domain allocation rule to a realized demand path.
-
-    D_nt = mu/N + (D_t - mu)/N + b[t, n-1], with the offsets b of
-    benchmark_offsets, reported from the first period with full lag history.
-    """
-    maxdeg = policy.max_lag
-    demands = np.asarray(path.demands, dtype=float)
-    T = demands.size
-    if T <= maxdeg:
-        raise InsufficientHistory(
-            f"path length {T} does not cover the policy's {maxdeg}-period memory"
-        )
-    N = policy.n_sellers
-    share = model.mu / N + (demands[maxdeg:] - model.mu) / N
-    rows = share[:, None] + benchmark_offsets(policy, model, demands)[maxdeg:]
-    return ExPostAllocation(allocations=np.ascontiguousarray(rows.T),
-                            start_period=maxdeg)
-
-
 def benchmark_offsets(policy: AllocationPolicy, model: DemandModel,
                       demands) -> np.ndarray:
     """Per-period offsets of the benchmark from the equal split, shape (T, N).
 
     b[t, n-1] = (1/N) sum_{k>=1} T_nk (D_{t-k} - mu), so seller n's
-    benchmark share in period t is D_t/N + b[t, n-1].  Lags before the path
+    benchmark share in period t is D_t/N + b[t, n-1].  The one place a
+    design's transfers meet a demand path: forecast.simulate_inventory
+    allocates from it and routing.route_path tracks it.  Lags before the path
     count as demand at the mean.  Read from the lag coefficients directly, so
     a memoryless design gives exact zeros.
     """

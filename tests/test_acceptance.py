@@ -23,7 +23,6 @@ from demandalloc import (
     PlatformCosts,
     SellerParams,
     TransferPoly,
-    allocate_ex_post,
     benchmark_offsets,
     filter_msfe,
     inner_outer_factor,
@@ -47,6 +46,7 @@ from demandalloc import (
     variance,
 )
 from demandalloc.cli import load_scenario
+from demandalloc.forecast import simulate_inventory
 from oracles import ref_mode_economics
 
 SCENARIO = str(Path(__file__).resolve().parents[1]
@@ -375,13 +375,15 @@ def test_criterion_6_property_suite(scenario):
     print(f"\ncriterion 6 PASS: {summary}; suite ran in {elapsed:.1f}s")
 
 
-def test_criterion_7_monte_carlo_consistency():
+def test_criterion_7_monte_carlo_consistency(scenario):
     model = DemandModel(20.0, TransferPoly([5.0]))
     pol = neutral_policy(model, 2, 5.0)
     path = simulate(model, 100_000, seed=7)
-    expost = allocate_ex_post(pol, model, path)
-    shares = expost.allocations
-    demands = path.demands[expost.start_period:]
+    # the first two sellers of the reference market hold the two streams
+    table = market_table(scenario.sellers[:2], scenario.costs, model.mu)
+    run = simulate_inventory(table, pol, model, path, 5.0)
+    shares = run.allocations
+    demands = path.demands[run.start_period:]
 
     conservation = float(np.max(np.abs(shares.sum(axis=0) - demands)))
     assert conservation <= 1e-9

@@ -216,6 +216,19 @@ class TestExitCodes:
         assert rc == EXIT_INFEASIBLE
         assert "infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "route"])
+    def test_overflowing_sigma_is_named(self, command, tmp_path, capsys):
+        # a finite target whose transfer coefficient N sigma/|psi(0)| is not
+        out = tmp_path / "out.csv"
+        rc = main([command, "--scenario", SCENARIO, "--sigma", "1.7e308",
+                   "--periods", "50", "--out", str(out)])
+        assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "sigma" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_format_and_optimize_grid_are_unknown_flags(self, capsys):
         # the payoff curve comes from `curve` alone, and every command has
         # one output format
@@ -448,6 +461,35 @@ class TestSimulate:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("scenario, periods, shortest", [
+        (SCENARIO, "1", 2),
+        # the odd design's two lags under MA(2) demand
+        (str(DATA / "ma2_n11.scenario"), "2", 3),
+    ], ids=["reference", "ma2-n11"])
+    def test_short_path_names_periods(self, scenario, periods, shortest,
+                                      tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        rc = main(["simulate", "--scenario", scenario, "--sigma", "3",
+                   "--periods", periods, "--out", str(out)])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: --periods: ")
+        assert f"at least {shortest} periods" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_short_horizon_names_the_field(self, tmp_path, capsys):
+        doc = scenario_doc()
+        doc["options"]["horizon"] = 1
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "sim.csv"
+        rc = main(["simulate", "--scenario", path, "--sigma", "3",
+                   "--out", str(out)])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{path}.options.horizon: " in err
+        assert "at least 2 periods" in err
+        assert not out.exists()
 
     def test_stream_routing(self, capsys):
         assert main(["simulate", "--scenario", SCENARIO, "--sigma", "5.0",

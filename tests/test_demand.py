@@ -35,6 +35,11 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="mu"):
             DemandModel(-3.0, TransferPoly([5.0]))
 
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+    def test_rejects_non_finite_mean(self, mu):
+        with pytest.raises(ValueError, match="mu"):
+            DemandModel(mu, [5.0])
+
     def test_rejects_zero_leading_coefficient(self):
         with pytest.raises(ValueError, match="psi"):
             DemandModel(10.0, TransferPoly([0.0, 1.0]))

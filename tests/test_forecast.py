@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from demandalloc import (
     ConvergenceFailure,
     DemandModel,
+    DemandPath,
     FBM,
     FBP,
     FilterForecaster,
+    InsufficientHistory,
     LeadTimeSpec,
     PlatformCosts,
     SellerParams,
@@ -41,10 +43,12 @@ from demandalloc import (
 )
 from demandalloc.forecast import (PREDICT_ROW_CAP, PREDICT_SETTLE_RTOL,
                                   SES_MAX_ORDER, SES_MIN_LAMBDA,
-                                  _innovations_rows, predict_streams)
-from oracles import (mp_root_msfe, mp_roots, ref_innovations_predict,
-                     ref_seller_utility)
-from test_seller import TABLE
+                                  _innovations_rows, predict_streams,
+                                  simulate_inventory)
+from oracles import (benchmark_targets, mp_root_msfe, mp_roots,
+                     ref_innovations_predict, ref_seller_utility)
+from test_routing import routed_designs
+from test_seller import COSTS, SELLERS, TABLE
 
 M5 = DemandModel(15.0, TransferPoly([5.0]))
 SIGMA_STAR = 8.867803761159964
@@ -491,3 +495,29 @@ class TestSesComparison:
         assert lines[0] == ("seller,sigma,sigma_tilde,mode_optimal,"
                             "mode_ses,utility_optimal,utility_ses")
         assert len(lines) == 11
+
+
+class TestSimulateInventory:
+    @given(routed_designs(), st.lists(st.integers(0, 80), min_size=1, max_size=25))
+    @settings(max_examples=150, deadline=None)
+    def test_allocations_replay_the_policy_targets(self, pol_model, demand):
+        # the designs routing tracks: neutral even and odd, lagged k = 1..3,
+        # permuted and deserialized custom
+        pol, model = pol_model
+        table = market_table(SELLERS[:pol.n_sellers], COSTS, model.mu)
+        path = DemandPath(np.array(demand, dtype=float), np.zeros(0), 0)
+        start = pol.max_lag
+        if len(demand) <= start:
+            with pytest.raises(InsufficientHistory):
+                simulate_inventory(table, pol, model, path, 1.0)
+            return
+        run = simulate_inventory(table, pol, model, path, 1.0)
+        assert run.start_period == start
+        assert run.allocations.shape == (pol.n_sellers, len(demand) - start)
+        transfers = [t.coeffs.tolist() for t in pol.transfers]
+        targets = benchmark_targets(transfers, model.mu, [float(d) for d in demand])
+        for t in range(start, len(demand)):
+            column = run.allocations[:, t - start]
+            tol = 1e-12 * max(1.0, max(abs(x) for x in targets[t]))
+            assert max(abs(a - x) for a, x in zip(column, targets[t])) <= tol
+            assert abs(column.sum() - demand[t]) <= 1e-9

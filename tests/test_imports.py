@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -30,8 +31,15 @@ def test_cli_imports_only_numpy_and_the_stdlib():
 
 
 def test_every_exported_name_resolves():
+    # and the reverse: every public name the package imports is exported,
+    # so a removed name cannot linger in only one of the two lists
     import demandalloc
     missing = [name for name in demandalloc.__all__
                if not hasattr(demandalloc, name)]
     assert missing == []
     assert len(set(demandalloc.__all__)) == len(demandalloc.__all__)
+    unlisted = [name for name, value in vars(demandalloc).items()
+                if not name.startswith("_")
+                and not isinstance(value, types.ModuleType)
+                and name not in demandalloc.__all__]
+    assert unlisted == []

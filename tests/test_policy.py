@@ -1,5 +1,6 @@
 """Allocation policy construction: neutral designs, admissibility,
-per-seller filters, ex-post allocation, and serialization."""
+per-seller filters, ex-post allocation (the policy replayed along a path by
+forecast.simulate_inventory), and serialization."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,14 +9,15 @@ from demandalloc import (
     AllocationPolicy,
     BelowLowerBound,
     DemandModel,
+    DemandPath,
     Infeasible,
     InsufficientHistory,
     TransferPoly,
-    allocate_ex_post,
     check_neutral,
     deserialize_policy,
     is_invertible,
     lagged_variant,
+    market_table,
     neutral_policy,
     root_msfe,
     seller_filter,
@@ -24,6 +26,8 @@ from demandalloc import (
     simulate,
     uniform_policy,
 )
+from demandalloc.forecast import simulate_inventory
+from test_seller import COSTS, SELLERS
 
 M5 = DemandModel(20.0, TransferPoly([5.0]))
 M1 = DemandModel(9.0, TransferPoly([1.0]))
@@ -119,6 +123,15 @@ class TestNeutralPolicy:
         with pytest.raises(ValueError):
             neutral_policy(M1, 3, 0.4, permutation=[1, 1, 2])
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 1.7e308])
+    def test_non_finite_target_names_sigma(self, sigma):
+        # at 1.7e308 the target is finite but a = N sigma/|psi(0)| is not
+        for design in (lambda: neutral_policy(M5, 4, sigma),
+                       lambda: lagged_variant(M5, 4, sigma, k=2)):
+            with pytest.raises(ValueError, match="sigma target") as exc_info:
+                design()
+            assert not isinstance(exc_info.value, BelowLowerBound)
+
 
 class TestLaggedVariant:
     def test_three_period_memory(self):
@@ -187,36 +200,37 @@ class TestNeutralityCheck:
         assert report.max_sigma_spread == pytest.approx(1 / 3, abs=1e-9)
 
 
+def ex_post(pol, demands):
+    """The allocation that `simulate` replays along a path: allocations and
+    start_period of simulate_inventory on a market of pol's size."""
+    table = market_table(SELLERS[:pol.n_sellers], COSTS, M5.mu)
+    path = DemandPath(np.asarray(demands, dtype=float), np.zeros(0), 0)
+    run = simulate_inventory(table, pol, M5, path, 5.0)
+    return run.allocations, run.start_period
+
+
 class TestExPost:
     def test_first_period_split(self):
         pol = neutral_policy(M5, 2, 5.0)
-        demands = np.array([M5.mu + 1.0, M5.mu])
-
-        class Path:
-            pass
-
-        path = Path()
-        path.demands = demands
-        ex = allocate_ex_post(pol, M5, path)
-        assert ex.start_period == 1
-        assert ex.allocations[0, 0] == pytest.approx(M5.mu / 2 - 1.0)
-        assert ex.allocations[1, 0] == pytest.approx(M5.mu / 2 + 1.0)
+        allocations, start = ex_post(pol, [M5.mu + 1.0, M5.mu])
+        assert start == 1
+        assert allocations[0, 0] == pytest.approx(M5.mu / 2 - 1.0)
+        assert allocations[1, 0] == pytest.approx(M5.mu / 2 + 1.0)
 
     def test_allocations_sum_to_demand(self):
         path = simulate(M5, 400, 3)
         for pol in (neutral_policy(M5, 2, 5.0),
                     neutral_policy(M5, 5, 3.0),
                     lagged_variant(M5, 4, 4.0, k=2)):
-            ex = allocate_ex_post(pol, M5, path)
-            np.testing.assert_allclose(ex.allocations.sum(axis=0),
-                                       path.demands[ex.start_period:],
-                                       atol=1e-9)
+            allocations, start = ex_post(pol, path.demands)
+            np.testing.assert_allclose(allocations.sum(axis=0),
+                                       path.demands[start:], atol=1e-9)
 
     def test_requires_enough_history(self):
         pol = lagged_variant(M5, 2, 5.0, k=3)
         path = simulate(M5, 3, 0)
-        with pytest.raises(InsufficientHistory):
-            allocate_ex_post(pol, M5, path)
+        with pytest.raises(InsufficientHistory, match="at least 4 periods"):
+            ex_post(pol, path.demands)
 
 
 class TestSerialization:
