@@ -8,7 +8,7 @@ over the design volatility (platform), integer order routing that tracks
 the benchmark allocation (routing), and forecast-error analysis for
 suboptimal filters and positive lead times (forecast).
 """
-from .demand import DemandModel, DemandPath, prob_negative, seller_cv_bound, simulate
+from .demand import DemandModel, DemandPath, prob_negative, simulate
 from .forecast import (ConvergenceFailure, FilterForecaster, LeadTimeChoice,
                        LeadTimeSpec, export_ses_comparison, filter_msfe,
                        innovations_msfe, innovations_predict,
@@ -19,9 +19,8 @@ from .platform import (CurvePoint, EmptyFeasibleSet, PayoffResult,
                        payoff_curve, solution_document)
 from .policy import (AllocationPolicy, BelowLowerBound, Infeasible,
                      InsufficientHistory, NeutralityReport, benchmark_offsets,
-                     check_neutral, deserialize_policy, lagged_variant,
-                     neutral_policy, seller_filter, serialize_policy,
-                     sigma_lower_bound, uniform_policy)
+                     check_neutral, lagged_variant, neutral_policy,
+                     seller_filter, sigma_lower_bound, uniform_policy)
 from .polyalg import (Factorization, NoRoots, NumericalInstability,
                       TransferPoly, ZeroPolynomial, inner_outer_factor,
                       is_invertible, poly_mul, poly_roots, root_msfe, variance)
@@ -50,14 +49,13 @@ __all__ = [
     "export_assignment_log", "export_curve",
     "export_ses_comparison", "ses_comparison_rows",
     "check_neutral",
-    "deserialize_policy", "filter_msfe", "inner_outer_factor",
+    "filter_msfe", "inner_outer_factor",
     "innovations_msfe", "innovations_predict", "integerize_demand",
     "inventory_coefficient", "is_invertible", "lagged_variant",
     "leadtime_mode_choice", "leadtime_msfe", "market_table",
     "neutral_policy", "optimize", "payoff", "payoff_curve",
     "poly_mul", "poly_roots", "prob_negative", "root_msfe", "route_orders",
-    "route_path", "seller_cv_bound", "seller_filter",
-    "serialize_policy", "ses_msfe_closed_form",
+    "route_path", "seller_filter", "ses_msfe_closed_form",
     "ses_truncated_weights", "sigma_lower_bound", "simulate",
     "solution_document", "std_normal_cdf", "std_normal_loss",
     "std_normal_quantile", "uniform_policy", "variance",

@@ -79,18 +79,3 @@ def prob_negative(model: DemandModel) -> float:
     """P(D_t <= 0) under the Gaussian model: cdf(-1/CV)."""
     cv = np.sqrt(variance(model.psi)) / model.mu
     return std_normal_cdf(-1.0 / cv) if cv > 0 else 0.0
-
-
-def seller_cv_bound(model: DemandModel, alpha_bar: float, N: int) -> float:
-    """Conservative cap on any seller's demand coefficient of variation
-    under the one-lag neutral designs: market CV times sqrt(2(1+alpha^2)).
-
-    Loose by design; use it to screen whether seller-level negative demand
-    could matter before simulating.
-    """
-    if alpha_bar < 1:
-        raise ValueError("alpha_bar is at least 1 for any implementable target")
-    if N < 1:
-        raise ValueError("N must be positive")
-    cv = np.sqrt(variance(model.psi)) / model.mu
-    return float(cv * np.sqrt(2.0 * (1.0 + alpha_bar ** 2)))

@@ -75,7 +75,6 @@ class FilterForecaster:
     """
 
     weights: TransferPoly
-    description: str = ""
 
     def __post_init__(self):
         total = float(np.sum(self.weights.coeffs))
@@ -203,9 +202,10 @@ def ses_truncated_weights(lam: float, order: int | None = None) -> FilterForecas
 
     When order is omitted it is chosen so the dropped geometric tail is
     below SES_TAIL_TOL, which takes at most SES_MAX_ORDER weights for lam in
-    [SES_MIN_LAMBDA, 1]; an explicit order takes any lam in (0, 1].  Weights
-    below polyalg.TRIM_TOL, which TransferPoly would trim, are dropped after
-    normalizing and the rest renormalized, so the weights kept sum to 1.
+    [SES_MIN_LAMBDA, 1]; an explicit order (at least 1) takes any lam in
+    (0, 1].  Weights below polyalg.TRIM_TOL, which TransferPoly would trim,
+    are dropped after normalizing and the rest renormalized, so the weights
+    kept sum to 1.
     lam = 1 is the naive last-value forecast.
     """
     if order is None and not SES_MIN_LAMBDA <= lam <= 1.0:
@@ -213,8 +213,10 @@ def ses_truncated_weights(lam: float, order: int | None = None) -> FilterForecas
                          f"[{SES_MIN_LAMBDA:.6g}, 1] when order is omitted, got {lam!r}")
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"smoothing constant lam must lie in (0, 1], got {lam!r}")
+    if order is not None and order < 1:
+        raise ValueError(f"order must be at least 1, got {order!r}")
     if lam == 1.0:
-        return FilterForecaster(TransferPoly([1.0]), description="ses(lambda=1)")
+        return FilterForecaster(TransferPoly([1.0]))
     if order is None:
         order = max(1, math.ceil(math.log(SES_TAIL_TOL) / math.log1p(-lam)))
     w = (1.0 - lam) ** np.arange(order)
@@ -222,7 +224,7 @@ def ses_truncated_weights(lam: float, order: int | None = None) -> FilterForecas
     w = w[w >= TRIM_TOL]
     w /= w.sum()
     w[0] += 1.0 - w.sum()  # absorb the last few ulps so the sum is exactly 1
-    return FilterForecaster(TransferPoly(w), description=f"ses(lambda={lam:g})")
+    return FilterForecaster(TransferPoly(w))
 
 
 def filter_msfe(psi_n: TransferPoly, forecaster: FilterForecaster) -> float:
@@ -283,6 +285,12 @@ class LeadTimeChoice:
     utility_fbm: float
 
 
+def _check_sellers(table: MarketTable, policy: AllocationPolicy) -> None:
+    if policy.n_sellers != table.N:
+        raise ValueError(f"policy has {policy.n_sellers} sellers, "
+                         f"market table {table.N}")
+
+
 def leadtime_mode_choice(table: MarketTable, leads: LeadTimeSpec,
                          model: DemandModel, policy: AllocationPolicy,
                          n: int) -> LeadTimeChoice:
@@ -297,9 +305,7 @@ def leadtime_mode_choice(table: MarketTable, leads: LeadTimeSpec,
     K_FBP sigma-bar_FBP - K_FBM sigma-bar_FBM.  Ties go to platform
     fulfillment.
     """
-    if policy.n_sellers != table.N:
-        raise ValueError(f"policy has {policy.n_sellers} sellers, "
-                         f"market table {table.N}")
+    _check_sellers(table, policy)
     theta = inner_outer_factor(seller_filter(policy, model, n)).outer
     s_fbp = leadtime_msfe(theta, leads.L_fbp)
     s_fbm = leadtime_msfe(theta, leads.L_fbm)
@@ -371,7 +377,9 @@ def simulate_inventory(table: MarketTable, alloc_policy: AllocationPolicy,
     from policy.benchmark_offsets, from period start_period = max_lag on
     (InsufficientHistory on a shorter path).  Raises NumericalInstability
     naming sigma when a summary number is not finite, as when sigma
-    overflows the predictor."""
+    overflows the predictor.  ValueError when the table and the policy
+    count different sellers."""
+    _check_sellers(table, alloc_policy)
     start = alloc_policy.max_lag
     demands = np.asarray(path.demands, dtype=float)
     if demands.size <= start:

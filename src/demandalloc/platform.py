@@ -119,11 +119,14 @@ def payoff(table: MarketTable, sigma: float, adopters=None) -> PayoffResult:
 
     adopters normally comes from the inclusive adoption rule; pass an
     explicit set of 1-based indices to probe one-sided limits at a
-    breakpoint.
+    breakpoint (ValueError for an index outside 1..N).
     """
     if adopters is None:
         mask = table.adopts(sigma)
     else:
+        for i in adopters:
+            if not 1 <= i <= table.N:
+                raise ValueError(f"adopter index {i} outside 1..{table.N}")
         mask = np.zeros(table.N, dtype=bool)
         mask[[i - 1 for i in adopters]] = True
     return _evaluate(table, sigma, mask).result()

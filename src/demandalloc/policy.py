@@ -10,7 +10,6 @@ routing and forecasting read it from the policy they are given.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -43,18 +42,15 @@ class InsufficientHistory(ValueError):
 
 
 class AllocationPolicy:
-    """Per-seller transfer polynomials plus the common mean share.
+    """A design is its per-seller transfer polynomials.
 
     Transfers follow the normalized convention: T_n(0) = 1 for every seller
     and sum(T_n) = N coefficient-wise.  Construction validates both.
     """
 
-    __slots__ = ("n_sellers", "transfers", "mean_share", "sigma_target",
-                 "alpha_bar", "design", "lag")
+    __slots__ = ("n_sellers", "transfers")
 
-    def __init__(self, n_sellers: int, transfers, mean_share=None,
-                 sigma_target=None, alpha_bar=None, design: str = "custom",
-                 lag=None) -> None:
+    def __init__(self, n_sellers: int, transfers) -> None:
         if n_sellers < 1:
             raise ValueError("need at least one seller")
         transfers = tuple(as_poly(t) for t in transfers)
@@ -71,35 +67,25 @@ class AllocationPolicy:
             raise ValueError("transfers must sum to N coefficient-wise (admissibility)")
         self.n_sellers = int(n_sellers)
         self.transfers = transfers
-        self.mean_share = None if mean_share is None else float(mean_share)
-        self.sigma_target = None if sigma_target is None else float(sigma_target)
-        self.alpha_bar = None if alpha_bar is None else float(alpha_bar)
-        self.design = design
-        self.lag = None if lag is None else int(lag)
 
     @property
     def max_lag(self) -> int:
         return max(t.degree for t in self.transfers)
 
     def __repr__(self) -> str:
-        return (f"AllocationPolicy(N={self.n_sellers}, design={self.design!r}, "
-                f"sigma_target={self.sigma_target})")
+        return f"AllocationPolicy(N={self.n_sellers}, max_lag={self.max_lag})"
 
 
 @dataclass(frozen=True)
 class NeutralityReport:
     per_seller_sigma: tuple
-    per_seller_mean: tuple
     is_neutral: bool
     max_sigma_spread: float
 
 
-def uniform_policy(N: int, mu: float | None = None) -> AllocationPolicy:
+def uniform_policy(N: int) -> AllocationPolicy:
     """Every seller receives the stream psi/N: T_n = 1."""
-    transfers = [TransferPoly([1.0]) for _ in range(N)]
-    return AllocationPolicy(N, transfers,
-                            mean_share=None if mu is None else mu / N,
-                            design="uniform")
+    return AllocationPolicy(N, [TransferPoly([1.0]) for _ in range(N)])
 
 
 def sigma_lower_bound(model: DemandModel, N: int) -> float:
@@ -134,20 +120,16 @@ def neutral_policy(model: DemandModel, N: int, sigma_target: float,
     which seller gets which role.
     """
     sigma_l, alpha = _check_target(model, N, sigma_target)
-    mu_share = model.mu / N
     if sigma_target == sigma_l:
-        return uniform_policy(N, mu=model.mu)
+        return uniform_policy(N)
     if N == 1:
         raise Infeasible("a single seller always carries the full market MSFE")
     if N % 2 == 0:
-        roles = [TransferPoly([1.0, (-1.0) ** n * alpha]) for n in range(1, N + 1)]
+        roles = _alternating(alpha, 1, 1, N)
     else:
         roles = [TransferPoly([1.0, alpha, alpha]), TransferPoly([1.0, 0.0, -alpha])]
-        roles += [TransferPoly([1.0, (-1.0) ** n * alpha]) for n in range(3, N + 1)]
-    transfers = _apply_permutation(roles, permutation, N)
-    return AllocationPolicy(N, transfers, mean_share=mu_share,
-                            sigma_target=sigma_target, alpha_bar=alpha,
-                            design="even" if N % 2 == 0 else "odd", lag=1)
+        roles += _alternating(alpha, 1, 3, N)
+    return AllocationPolicy(N, _apply_permutation(roles, permutation, N))
 
 
 def lagged_variant(model: DemandModel, N: int, sigma_target: float,
@@ -159,12 +141,14 @@ def lagged_variant(model: DemandModel, N: int, sigma_target: float,
         raise ValueError("lag k must be at least 1")
     sigma_l, alpha = _check_target(model, N, sigma_target)
     if sigma_target == sigma_l:
-        return uniform_policy(N, mu=model.mu)
-    transfers = [TransferPoly([1.0] + [0.0] * (k - 1) + [(-1.0) ** n * alpha])
-                 for n in range(1, N + 1)]
-    return AllocationPolicy(N, transfers, mean_share=model.mu / N,
-                            sigma_target=sigma_target, alpha_bar=alpha,
-                            design="lagged", lag=k)
+        return uniform_policy(N)
+    return AllocationPolicy(N, _alternating(alpha, k, 1, N))
+
+
+def _alternating(alpha, k, first, last):
+    """Transfers 1 + (-1)^n a z^k of sellers first..last."""
+    return [TransferPoly([1.0] + [0.0] * (k - 1) + [(-1.0) ** n * alpha])
+            for n in range(first, last + 1)]
 
 
 def _apply_permutation(roles, permutation, N):
@@ -186,13 +170,11 @@ def seller_filter(policy: AllocationPolicy, model: DemandModel, n: int) -> Trans
 
 def check_neutral(policy: AllocationPolicy, model: DemandModel,
                   tol: float = NEUTRALITY_TOL) -> NeutralityReport:
-    """Per-seller root MSFEs and means, with the neutrality verdict."""
+    """Per-seller root MSFEs, with the neutrality verdict."""
     sigmas = tuple(root_msfe(seller_filter(policy, model, n))
                    for n in range(1, policy.n_sellers + 1))
-    means = (model.mu / policy.n_sellers,) * policy.n_sellers
     spread = max(sigmas) - min(sigmas)
-    return NeutralityReport(per_seller_sigma=sigmas, per_seller_mean=means,
-                            is_neutral=spread <= tol,
+    return NeutralityReport(per_seller_sigma=sigmas, is_neutral=spread <= tol,
                             max_sigma_spread=spread)
 
 
@@ -216,30 +198,3 @@ def benchmark_offsets(policy: AllocationPolicy, model: DemandModel,
     for k in range(1, min(policy.max_lag, dev.size - 1) + 1):
         offsets[k:] += dev[:-k, None] * lags[:, k]
     return offsets
-
-
-def serialize_policy(policy: AllocationPolicy) -> str:
-    """Structured text form: N, per-seller coefficients, target, alpha."""
-    doc = {
-        "n_sellers": policy.n_sellers,
-        "transfers": [list(map(float, t.coeffs)) for t in policy.transfers],
-        "mean_share": policy.mean_share,
-        "sigma_target": policy.sigma_target,
-        "alpha_bar": policy.alpha_bar,
-        "design": policy.design,
-        "lag": policy.lag,
-    }
-    return json.dumps(doc, indent=2, allow_nan=False)
-
-
-def deserialize_policy(text: str) -> AllocationPolicy:
-    doc = json.loads(text)
-    return AllocationPolicy(
-        n_sellers=doc["n_sellers"],
-        transfers=[TransferPoly(c) for c in doc["transfers"]],
-        mean_share=doc.get("mean_share"),
-        sigma_target=doc.get("sigma_target"),
-        alpha_bar=doc.get("alpha_bar"),
-        design=doc.get("design", "custom"),
-        lag=doc.get("lag"),
-    )

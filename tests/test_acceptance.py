@@ -152,16 +152,16 @@ def test_criterion_5_smoothing_perception(scenario):
     table = market_table(scenario.sellers, scenario.costs, scenario.mu)
     sol = optimize(table, sigma_lower_bound(model, N), scenario.sigma_cap)
     psi0 = abs(scenario.psi[0])
-    alpha_bar = N * sol.sigma_star / psi0
+    a = N * sol.sigma_star / psi0
 
     # the perceived error is minimized with no smoothing, both parities
     lam_grid = np.linspace(0.0, 0.99, 100)
-    for alpha in (alpha_bar, -alpha_bar):
+    for alpha in (a, -a):
         values = [ses_msfe_closed_form(psi0, N, alpha, lam)
                   for lam in lam_grid]
         assert int(np.argmin(values)) == 0
 
-    sigma_tilde = ses_msfe_closed_form(psi0, N, alpha_bar, 0.0)
+    sigma_tilde = ses_msfe_closed_form(psi0, N, a, 0.0)
     assert sigma_tilde == pytest.approx(8.88, abs=0.01)
 
     adopters = payoff(table, sigma_tilde).adopters

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demandalloc import (DemandModel, TransferPoly, deserialize_policy,
-                         export_assignment_log, lagged_variant, market_table,
+from demandalloc import (DemandModel, TransferPoly, export_assignment_log, lagged_variant, market_table,
                          neutral_policy, route_path, simulate)
 from demandalloc.cli import load_scenario, main
 from demandalloc.csvtext import BLOCK_CELLS, _format_rows
@@ -136,7 +135,7 @@ def small_design(kind, N, sigma_ratio, k):
     lagged."""
     if kind == "custom":
         return DemandModel(MU, TransferPoly([5.0])), \
-            deserialize_policy(CUSTOM_POLICY), 3
+            CUSTOM_POLICY, 3
     if kind == "lagged":
         N += N % 2
         model = DemandModel(MU, TransferPoly([N * 0.5]))

@@ -1,5 +1,5 @@
-"""Market demand model: validation, simulation moments, negative-demand
-screening, and the seller-level dispersion bound."""
+"""Market demand model: validation, simulation moments and negative-demand
+screening."""
 import warnings
 
 import numpy as np
@@ -10,7 +10,6 @@ from demandalloc import (
     TransferPoly,
     innovations_predict,
     prob_negative,
-    seller_cv_bound,
     simulate,
 )
 
@@ -134,35 +133,6 @@ class TestProbNegative:
         lo = prob_negative(DemandModel(10.0, TransferPoly([1.0])))
         hi = prob_negative(DemandModel(10.0, TransferPoly([1.0, 0.9])))
         assert hi > lo
-
-
-class TestSellerCvBound:
-    def test_unit_target_doubles_market_cv(self):
-        m = iid_model(15.0, 5.0)
-        assert seller_cv_bound(m, 1.0, 10) == pytest.approx(2.0 * (5.0 / 15.0))
-
-    def test_reference_design_level(self):
-        # alpha for the ten-seller design at its optimal dispersion target
-        m = iid_model(15.0, 5.0)
-        alpha = 10 * 8.867803761159964 / 5.0
-        assert seller_cv_bound(m, alpha, 10) == pytest.approx(8.37, abs=0.01)
-
-    def test_monotone_in_alpha(self):
-        m = iid_model()
-        values = [seller_cv_bound(m, a, 4) for a in (1.0, 2.0, 5.0, 20.0)]
-        assert all(x < y for x, y in zip(values, values[1:]))
-
-    def test_grows_linearly_for_large_alpha(self):
-        m = iid_model()
-        ratio = seller_cv_bound(m, 4000.0, 4) / seller_cv_bound(m, 2000.0, 4)
-        assert ratio == pytest.approx(2.0, rel=1e-3)
-
-    def test_rejects_bad_arguments(self):
-        m = iid_model()
-        with pytest.raises(ValueError):
-            seller_cv_bound(m, 0.5, 4)
-        with pytest.raises(ValueError):
-            seller_cv_bound(m, 2.0, 0)
 
 
 class TestMarketForecastability:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demandalloc import (
+    AllocationPolicy,
     ConvergenceFailure,
     DemandModel,
     DemandPath,
@@ -21,7 +22,6 @@ from demandalloc import (
     PlatformCosts,
     SellerParams,
     TransferPoly,
-    deserialize_policy,
     export_ses_comparison,
     filter_msfe,
     inner_outer_factor,
@@ -57,10 +57,10 @@ LEADTIME_MODELS = [DemandModel(15.0, TransferPoly([5.0])),
                    DemandModel(15.0, TransferPoly([1.0, 0.5])),
                    DemandModel(15.0, TransferPoly([2.0, -0.6, 0.4]))]
 
-# Three sellers with two-lag transfers that sum to N coefficient-wise, in
-# the form a hand-written policy file takes.
-CUSTOM_POLICY = """{"n_sellers": 3, "design": "custom",
-  "transfers": [[1.0, 2.5, -0.4], [1.0, -1.2, 0.6], [1.0, -1.3, -0.2]]}"""
+# Three sellers with two-lag transfers that sum to N coefficient-wise.
+CUSTOM_POLICY = AllocationPolicy(3, [TransferPoly([1.0, 2.5, -0.4]),
+                                     TransferPoly([1.0, -1.2, 0.6]),
+                                     TransferPoly([1.0, -1.3, -0.2])])
 
 
 def _lead_time_designs():
@@ -75,7 +75,7 @@ def _lead_time_designs():
         for N in (2, 4) for k in (1, 2, 3)})
     designs["odd-permuted"] = lambda m: neutral_policy(
         m, 5, target(m, 5), permutation=[3, 5, 1, 4, 2])
-    designs["custom"] = lambda m: deserialize_policy(CUSTOM_POLICY)
+    designs["custom"] = lambda m: CUSTOM_POLICY
     return designs
 
 
@@ -191,6 +191,12 @@ class TestSesWeights:
             with pytest.raises(ValueError):
                 ses_truncated_weights(lam)
 
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_explicit_order_must_be_positive(self, order):
+        for lam in (0.5, 1.0):
+            with pytest.raises(ValueError, match="order"):
+                ses_truncated_weights(lam, order=order)
+
     @pytest.mark.parametrize("lam", [5e-4, SES_MIN_LAMBDA])
     def test_small_lambda_keeps_unit_sum(self, lam):
         # the tail weights fall below the polynomial trim level from
@@ -269,7 +275,7 @@ class TestSesClosedForm:
         pol = neutral_policy(M5, 10, SIGMA_STAR)
         for n in (1, 2):
             f = seller_filter(pol, M5, n)
-            alpha = pol.alpha_bar * (-1.0) ** n
+            alpha = pol.transfers[n - 1].coeffs[1]
             for lam in (0.01, 0.3, 0.9):
                 truncated = filter_msfe(f, ses_truncated_weights(lam))
                 closed = ses_msfe_closed_form(5.0, 10, alpha, lam)
@@ -278,8 +284,8 @@ class TestSesClosedForm:
     def test_no_smoothing_is_the_corner_optimum(self):
         # the perceived error is minimized at lam = 0 for the reference
         # design, for both transfer parities
-        alpha_bar = 10 * SIGMA_STAR / 5.0
-        for alpha in (alpha_bar, -alpha_bar):
+        a = 10 * SIGMA_STAR / 5.0
+        for alpha in (a, -a):
             at_zero = ses_msfe_closed_form(5.0, 10, alpha, 0.0)
             grid = [ses_msfe_closed_form(5.0, 10, alpha, lam)
                     for lam in np.linspace(0.01, 0.99, 60)]
@@ -358,7 +364,7 @@ class TestLeadTimeTheta:
 
     def test_uniform_design_passes_through(self):
         m = DemandModel(15.0, TransferPoly([1.0, 0.5]))
-        pol = uniform_policy(3, mu=15.0)
+        pol = uniform_policy(3)
         th = _theta(m, pol, 2)
         np.testing.assert_allclose(th.coeffs, [1 / 3, 0.5 / 3])
 
@@ -435,11 +441,11 @@ class TestLeadTimeModeChoice:
                                  neutral_policy(M5, 4, 1.8), 2)
 
     def test_unequal_leads_on_the_custom_design(self):
-        # CUSTOM_POLICY has no sigma target and its sellers' root MSFEs
-        # differ (seller 1's filter has a root inside the disk); each
-        # seller's sigma-bars come from its own outer factor, rebuilt here
-        # from the mpmath roots
-        pol = deserialize_policy(CUSTOM_POLICY)
+        # CUSTOM_POLICY is not neutral: its sellers' root MSFEs differ
+        # (seller 1's filter has a root inside the disk); each seller's
+        # sigma-bars come from its own outer factor, rebuilt here from the
+        # mpmath roots
+        pol = CUSTOM_POLICY
         sellers, costs, table = _random_table(11, 3, M5.mu)
         for n, params in enumerate(sellers, start=1):
             psi_n = seller_filter(pol, M5, n).coeffs
@@ -502,7 +508,7 @@ class TestSimulateInventory:
     @settings(max_examples=150, deadline=None)
     def test_allocations_replay_the_policy_targets(self, pol_model, demand):
         # the designs routing tracks: neutral even and odd, lagged k = 1..3,
-        # permuted and deserialized custom
+        # permuted and custom
         pol, model = pol_model
         table = market_table(SELLERS[:pol.n_sellers], COSTS, model.mu)
         path = DemandPath(np.array(demand, dtype=float), np.zeros(0), 0)
@@ -521,3 +527,10 @@ class TestSimulateInventory:
             tol = 1e-12 * max(1.0, max(abs(x) for x in targets[t]))
             assert max(abs(a - x) for a, x in zip(column, targets[t])) <= tol
             assert abs(column.sum() - demand[t]) <= 1e-9
+
+    @pytest.mark.parametrize("table_sellers", [1, 3])
+    def test_table_of_another_market_is_rejected(self, table_sellers):
+        table = market_table(SELLERS[:table_sellers], COSTS, M5.mu)
+        with pytest.raises(ValueError, match="policy has 2 sellers, market table"):
+            simulate_inventory(table, neutral_policy(M5, 2, 5.0), M5,
+                               simulate(M5, 50, 0), 1.0)

@@ -87,6 +87,11 @@ class TestPayoff:
         assert res.n_adopters == 6
         assert res.total == pytest.approx(349.70, abs=0.05)
 
+    @pytest.mark.parametrize("bad", [0, N + 1])
+    def test_adopter_index_outside_one_to_n(self, bad):
+        with pytest.raises(ValueError, match=f"adopter index {bad} outside"):
+            payoff(TABLE, 1.0, adopters={1, bad})
+
     def test_safety_stock_totals(self):
         res = payoff(TABLE, 0.5)
         assert res.gamma_fbp == pytest.approx(4.39, abs=0.01)

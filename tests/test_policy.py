@@ -1,6 +1,6 @@
 """Allocation policy construction: neutral designs, admissibility,
-per-seller filters, ex-post allocation (the policy replayed along a path by
-forecast.simulate_inventory), and serialization."""
+per-seller filters and ex-post allocation (the policy replayed along a path
+by forecast.simulate_inventory)."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,17 +14,14 @@ from demandalloc import (
     InsufficientHistory,
     TransferPoly,
     check_neutral,
-    deserialize_policy,
     is_invertible,
     lagged_variant,
     market_table,
     neutral_policy,
     root_msfe,
     seller_filter,
-    serialize_policy,
     sigma_lower_bound,
     simulate,
-    uniform_policy,
 )
 from demandalloc.forecast import simulate_inventory
 from test_seller import COSTS, SELLERS
@@ -68,22 +65,19 @@ class TestLowerBound:
 class TestNeutralPolicy:
     def test_at_bound_returns_uniform(self):
         pol = neutral_policy(M5, 4, sigma_lower_bound(M5, 4))
-        assert pol.design == "uniform"
+        assert pol.max_lag == 0
         for t in pol.transfers:
             np.testing.assert_array_equal(t.coeffs, [1.0])
-        assert pol.mean_share == 5.0
 
     def test_even_design(self):
         pol = neutral_policy(M5, 2, 5.0)
-        assert pol.design == "even"
-        assert pol.alpha_bar == pytest.approx(2.0)
+        assert pol.max_lag == 1
         np.testing.assert_allclose(pol.transfers[0].coeffs, [1.0, -2.0])
         np.testing.assert_allclose(pol.transfers[1].coeffs, [1.0, 2.0])
 
     def test_odd_design(self):
         pol = neutral_policy(M1, 3, 0.4)
-        assert pol.design == "odd"
-        assert pol.alpha_bar == pytest.approx(1.2)
+        assert pol.max_lag == 2
         np.testing.assert_allclose(pol.transfers[0].coeffs, [1.0, 1.2, 1.2])
         np.testing.assert_allclose(pol.transfers[1].coeffs, [1.0, 0.0, -1.2])
         np.testing.assert_allclose(pol.transfers[2].coeffs, [1.0, -1.2])
@@ -99,7 +93,22 @@ class TestNeutralPolicy:
             neutral_policy(M5, 1, 6.0)
         # at the bound the degenerate uniform policy is still fine
         pol = neutral_policy(M5, 1, 5.0)
-        assert pol.design == "uniform"
+        np.testing.assert_array_equal(pol.transfers[0].coeffs, [1.0])
+
+    @pytest.mark.parametrize("N, k", [(4, None), (5, None), (4, 1), (6, 3)])
+    def test_alternating_coefficients_are_exact(self, N, k):
+        # a = N sigma/|psi(0)|, and seller n's lag coefficient is
+        # (-1)^n a to the last bit (sellers 3..N of the odd design)
+        sigma = 1.7
+        alpha = N * sigma / 5.0
+        if k is None:
+            pol, k = neutral_policy(M5, N, sigma), 1
+        else:
+            pol = lagged_variant(M5, N, sigma, k=k)
+        for n in range(3 if N % 2 else 1, N + 1):
+            np.testing.assert_array_equal(
+                pol.transfers[n - 1].coeffs,
+                [1.0] + [0.0] * (k - 1) + [(-1.0) ** n * alpha])
 
     def test_target_hit_exactly(self):
         for N, sigma in ((2, 5.0), (3, 2.0), (4, 1.3), (5, 7.7), (6, 2.5)):
@@ -138,7 +147,7 @@ class TestLaggedVariant:
         pol = lagged_variant(M5, 2, 5.0, k=3)
         np.testing.assert_allclose(pol.transfers[0].coeffs, [1.0, 0, 0, -2.0])
         np.testing.assert_allclose(pol.transfers[1].coeffs, [1.0, 0, 0, 2.0])
-        assert pol.lag == 3
+        assert pol.max_lag == 3
         for n in (1, 2):
             assert root_msfe(seller_filter(pol, M5, n)) == pytest.approx(
                 5.0, abs=1e-9)
@@ -146,7 +155,6 @@ class TestLaggedVariant:
     def test_four_sellers_lag_two(self):
         sigma = 2 * sigma_lower_bound(M5, 4)
         pol = lagged_variant(M5, 4, sigma, k=2)
-        assert pol.alpha_bar == pytest.approx(2.0)
         for n in range(1, 5):
             t = pol.transfers[n - 1]
             np.testing.assert_allclose(
@@ -176,7 +184,9 @@ class TestAdmissibility:
         pol = AllocationPolicy(3, [TransferPoly([1.0, -1.0]),
                                    TransferPoly([1.0, 2.0]),
                                    TransferPoly([1.0, -1.0])])
-        assert pol.design == "custom"
+        assert (pol.n_sellers, pol.max_lag) == (3, 1)
+        assert repr(pol) == "AllocationPolicy(N=3, max_lag=1)"
+        np.testing.assert_array_equal(pol.transfers[1].coeffs, [1.0, 2.0])
 
 
 class TestNeutralityCheck:
@@ -231,28 +241,6 @@ class TestExPost:
         path = simulate(M5, 3, 0)
         with pytest.raises(InsufficientHistory, match="at least 4 periods"):
             ex_post(pol, path.demands)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        for pol in (neutral_policy(M5, 2, 5.0),
-                    neutral_policy(M1, 3, 0.4),
-                    lagged_variant(M5, 4, 3.0, k=2),
-                    uniform_policy(4, mu=20.0)):
-            text = serialize_policy(pol)
-            back = deserialize_policy(text)
-            assert back.n_sellers == pol.n_sellers
-            assert back.design == pol.design
-            assert back.mean_share == pol.mean_share
-            assert back.sigma_target == pol.sigma_target
-            assert back.alpha_bar == pol.alpha_bar
-            assert back.lag == pol.lag
-            for a, b in zip(back.transfers, pol.transfers):
-                np.testing.assert_array_equal(a.coeffs, b.coeffs)
-
-    def test_rejects_malformed_text(self):
-        with pytest.raises(ValueError):
-            deserialize_policy("not a policy")
 
 
 class TestDesignProperties:

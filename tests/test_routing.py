@@ -1,7 +1,6 @@
 """Online order routing: policy-derived offsets, the greedy rule's one-unit
 tracking guarantee, and path-level exports."""
 import io
-import json
 import sys
 from pathlib import Path
 
@@ -11,12 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from demandalloc import (
+    AllocationPolicy,
     DemandModel,
     DemandPath,
     InfeasibleTargets,
     TransferPoly,
     benchmark_offsets,
-    deserialize_policy,
     export_assignment_log,
     integerize_demand,
     lagged_variant,
@@ -95,7 +94,7 @@ class TestComputeOffsets:
         # read from the lag coefficients, not as allocation minus D_t/N, so
         # the log never prints -0.000000 for the uniform split
         model = DemandModel(MU, TransferPoly([5.0]))
-        b = benchmark_offsets(uniform_policy(4, MU), model, [3.0, 29.0, 17.0])
+        b = benchmark_offsets(uniform_policy(4), model, [3.0, 29.0, 17.0])
         assert b.shape == (3, 4)
         assert np.all(b == 0.0) and not np.any(np.signbit(b))
 
@@ -344,8 +343,8 @@ class TestExport:
 @st.composite
 def routed_designs(draw):
     """(policy, model) over the neutral even and odd designs, lagged variants
-    with k in {1, 2, 3}, permuted neutral designs and a deserialized custom
-    policy with up to three lags."""
+    with k in {1, 2, 3}, permuted neutral designs and a custom policy
+    with up to three lags."""
     kind = draw(st.sampled_from(["neutral", "lagged", "permuted", "custom"]))
     mu = draw(st.floats(5.0, 40.0))
     model = DemandModel(mu, TransferPoly([draw(st.floats(0.5, 10.0))]))
@@ -365,8 +364,7 @@ def routed_designs(draw):
     coeff = st.floats(-3.0, 3.0)
     rows = [[1.0] + [draw(coeff) for _ in range(lags)] for _ in range(N - 1)]
     rows.append([1.0] + [-sum(r[k] for r in rows) for k in range(1, lags + 1)])
-    doc = {"n_sellers": N, "transfers": rows, "design": "custom"}
-    return deserialize_policy(json.dumps(doc)), model
+    return AllocationPolicy(N, [TransferPoly(r) for r in rows]), model
 
 
 class TestPolicyTracking:
