@@ -10,9 +10,8 @@ suboptimal filters and positive lead times (forecast).
 """
 from .demand import DemandModel, DemandPath, prob_negative, simulate
 from .forecast import (ConvergenceFailure, FilterForecaster, LeadTimeChoice,
-                       LeadTimeSpec, export_ses_comparison, filter_msfe,
-                       innovations_msfe, innovations_predict,
-                       leadtime_mode_choice, leadtime_msfe, ses_comparison_rows,
+                       LeadTimeSpec, filter_msfe, innovations_msfe,
+                       leadtime_mode_choice, leadtime_msfe,
                        ses_msfe_closed_form, ses_truncated_weights)
 from .platform import (CurvePoint, EmptyFeasibleSet, PayoffResult,
                        PlatformSolution, export_curve, optimize, payoff,
@@ -47,10 +46,9 @@ __all__ = [
     "base_stock", "benchmark_offsets",
     "check_cost_assumptions",
     "export_assignment_log", "export_curve",
-    "export_ses_comparison", "ses_comparison_rows",
     "check_neutral",
     "filter_msfe", "inner_outer_factor",
-    "innovations_msfe", "innovations_predict", "integerize_demand",
+    "innovations_msfe", "integerize_demand",
     "inventory_coefficient", "is_invertible", "lagged_variant",
     "leadtime_mode_choice", "leadtime_msfe", "market_table",
     "neutral_policy", "optimize", "payoff", "payoff_curve",

@@ -3,7 +3,8 @@
 Scenario files are strict JSON: a demand block (mu, psi), a platform cost
 block, a non-empty seller array, and an optional options block.  Unknown
 fields anywhere are rejected so typos in cost parameters fail loudly rather
-than silently changing the economics.
+than silently changing the economics.  parse_scenario builds the scenario's
+DemandModel once and reports its errors under the demand block's path.
 
 Subcommands: optimize, simulate, route, factor, msfe, curve.  Primary
 output (a solution document or CSV) goes to stdout or --out.  curve,
@@ -24,15 +25,14 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import forecast, platform, policy, routing, seller
 from .demand import DemandModel, simulate
 from .polyalg import (DEFAULT_BOUNDARY_TOL, NumericalInstability, TransferPoly,
-                      ZeroPolynomial, inner_outer_factor, is_boundary_tol,
-                      root_msfe)
+                      inner_outer_factor, is_boundary_tol, root_msfe)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -46,32 +46,16 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    mu: float
-    psi: tuple
+    model: DemandModel
     costs: seller.PlatformCosts
     sellers: tuple
     sigma_cap: float
     seed: int
     horizon: int
-    boundary_tol: float
 
     @property
     def n_sellers(self) -> int:
         return len(self.sellers)
-
-    def model(self) -> DemandModel:
-        return DemandModel(self.mu, TransferPoly(self.psi),
-                           boundary_tol=self.boundary_tol)
-
-    def to_dict(self) -> dict:
-        return {
-            "demand": {"mu": self.mu, "psi": list(self.psi)},
-            "platform": asdict(self.costs),
-            "sellers": [asdict(s) for s in self.sellers],
-            "options": {"sigma_cap": self.sigma_cap, "seed": self.seed,
-                        "horizon": self.horizon,
-                        "boundary_tol": self.boundary_tol},
-        }
 
 
 def _check_fields(block: dict, path: str, required: tuple, optional: tuple = ()):
@@ -123,35 +107,40 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
     psi_raw = demand_block["psi"]
     if not isinstance(psi_raw, list) or not psi_raw:
         raise ScenarioError(f"{source}.demand.psi: expected a non-empty array")
-    psi = tuple(_finite(c, f"{source}.demand.psi[{i}]")
-                for i, c in enumerate(psi_raw))
-
-    costs = _record(seller.PlatformCosts, doc["platform"], f"{source}.platform")
-    sellers_raw = doc["sellers"]
-    if not isinstance(sellers_raw, list) or not sellers_raw:
-        raise ScenarioError(f"{source}.sellers: expected a non-empty array")
-    sellers = [_record(seller.SellerParams, entry, f"{source}.sellers[{i}]")
-               for i, entry in enumerate(sellers_raw, start=1)]
-
+    psi = [_finite(c, f"{source}.demand.psi[{i}]") for i, c in enumerate(psi_raw)]
     options = doc.get("options", {})
     _check_fields(options, f"{source}.options", required=(),
                   optional=("sigma_cap", "seed", "horizon", "boundary_tol"))
-    sigma_l = abs(psi[0]) / len(sellers)
-    sigma_cap = (_number(options, f"{source}.options", "sigma_cap")
-                 if "sigma_cap" in options else 1e3 * sigma_l)
-    seed = _integer(options.get("seed", 0), f"{source}.options.seed", 0)
-    horizon = _integer(options.get("horizon", 100_000),
-                       f"{source}.options.horizon", 1)
     boundary_tol = (_number(options, f"{source}.options", "boundary_tol")
                     if "boundary_tol" in options else DEFAULT_BOUNDARY_TOL)
     if not is_boundary_tol(boundary_tol):
         raise ScenarioError(f"{source}.options.boundary_tol: expected a number "
                             f"in [0, 1), got {boundary_tol!r}")
-    scenario = Scenario(mu=mu, psi=psi, costs=costs, sellers=tuple(sellers),
-                        sigma_cap=sigma_cap, seed=seed, horizon=horizon,
-                        boundary_tol=boundary_tol)
-    seller.check_cost_assumptions(scenario.sellers, costs)
-    return scenario
+    try:
+        model = DemandModel(mu, psi, boundary_tol)
+    except ValueError as exc:
+        raise ScenarioError(f"{source}.demand: {exc}") from exc
+
+    costs = _record(seller.PlatformCosts, doc["platform"], f"{source}.platform")
+    sellers_raw = doc["sellers"]
+    if not isinstance(sellers_raw, list) or not sellers_raw:
+        raise ScenarioError(f"{source}.sellers: expected a non-empty array")
+    sellers = tuple(_record(seller.SellerParams, entry, f"{source}.sellers[{i}]")
+                    for i, entry in enumerate(sellers_raw, start=1))
+
+    if "sigma_cap" in options:
+        sigma_cap = _number(options, f"{source}.options", "sigma_cap")
+        if not sigma_cap > 0:
+            raise ScenarioError(f"{source}.options.sigma_cap: expected a number "
+                                f"> 0, got {sigma_cap!r}")
+    else:
+        sigma_cap = 1e3 * policy.sigma_lower_bound(model, len(sellers))
+    seed = _integer(options.get("seed", 0), f"{source}.options.seed", 0)
+    horizon = _integer(options.get("horizon", 100_000),
+                       f"{source}.options.horizon", 1)
+    seller.check_cost_assumptions(sellers, costs)
+    return Scenario(model=model, costs=costs, sellers=sellers,
+                    sigma_cap=sigma_cap, seed=seed, horizon=horizon)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -166,32 +155,28 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(doc, source=path)
 
 
-def dump_scenario(scenario: Scenario) -> str:
-    return json.dumps(scenario.to_dict(), indent=2, allow_nan=False)
-
-
 @contextlib.contextmanager
 def _primary_stream(out_path):
-    """Primary output goes to --out or stdout; tells the caller which."""
+    """Primary output goes to --out or stdout."""
     if out_path:
         with open(out_path, "w", newline="") as fh:
-            yield fh, False
+            yield fh
     else:
-        yield sys.stdout, True
+        yield sys.stdout
 
 
-def _emit_summary(summary: dict, primary_on_stdout: bool) -> None:
-    stream = sys.stderr if primary_on_stdout else sys.stdout
+def _emit_summary(summary: dict, out_path) -> None:
+    stream = sys.stdout if out_path else sys.stderr
     stream.write(json.dumps(summary, indent=2, allow_nan=False) + "\n")
 
 
 def cmd_optimize(args) -> int:
     scenario = load_scenario(args.scenario)
-    sigma_lower = policy.sigma_lower_bound(scenario.model(), scenario.n_sellers)
-    table = seller.market_table(scenario.sellers, scenario.costs, scenario.mu)
+    sigma_lower = policy.sigma_lower_bound(scenario.model, scenario.n_sellers)
+    table = seller.market_table(scenario.sellers, scenario.costs, scenario.model.mu)
     solution = platform.optimize(table, sigma_lower, scenario.sigma_cap)
     doc = platform.solution_document(solution, table)
-    with _primary_stream(args.out) as (fh, on_stdout):
+    with _primary_stream(args.out) as fh:
         fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     if args.out:
         print(f"wrote {args.out}", file=sys.stderr)
@@ -199,27 +184,27 @@ def cmd_optimize(args) -> int:
 
 
 def _design_run(args):
-    """Scenario, demand model, neutral design at --sigma and the simulated
-    path; simulate and route share it so both use the same allocation policy."""
+    """Scenario, neutral design at --sigma and the simulated path; simulate
+    and route share it so both use the same allocation policy."""
     scenario = load_scenario(args.scenario)
-    model = scenario.model()
+    model = scenario.model
     alloc_policy = policy.neutral_policy(model, scenario.n_sellers, args.sigma)
     periods = scenario.horizon if args.periods is None else args.periods
     seed = scenario.seed if args.seed is None else args.seed
-    return scenario, model, alloc_policy, simulate(model, periods, seed)
+    return scenario, alloc_policy, simulate(model, periods, seed)
 
 
 def cmd_simulate(args) -> int:
-    scenario, model, alloc_policy, path = _design_run(args)
-    sigma = args.sigma
-    table = seller.market_table(scenario.sellers, scenario.costs, scenario.mu)
+    scenario, alloc_policy, path = _design_run(args)
+    sigma, model = args.sigma, scenario.model
+    table = seller.market_table(scenario.sellers, scenario.costs, model.mu)
     try:
         run = forecast.simulate_inventory(table, alloc_policy, model, path, sigma)
     except policy.InsufficientHistory as exc:
         source = ("--periods" if args.periods is not None
                   else f"{args.scenario}.options.horizon")
         raise ScenarioError(f"{source}: {exc}") from exc
-    with _primary_stream(args.out) as (fh, on_stdout):
+    with _primary_stream(args.out) as fh:
         forecast.export_simulation(run, fh)
     sellers = [{"seller": i, "mode": mode, "analytic_sigma": sigma,
                 "empirical_msfe": msfe, "msfe_ratio": msfe / sigma,
@@ -229,16 +214,15 @@ def cmd_simulate(args) -> int:
                    run.k_sigma.tolist()), start=1)]
     _emit_summary({"command": "simulate", "sigma": sigma,
                    "periods": path.demands.size, "seed": path.seed,
-                   "sellers": sellers},
-                  primary_on_stdout=not args.out)
+                   "sellers": sellers}, args.out)
     return EXIT_OK
 
 
 def cmd_route(args) -> int:
-    _, model, alloc_policy, path = _design_run(args)
-    result = routing.route_path(alloc_policy, model, path, path.seed,
+    scenario, alloc_policy, path = _design_run(args)
+    result = routing.route_path(alloc_policy, scenario.model, path, path.seed,
                                 on_infeasible="skip")
-    with _primary_stream(args.out) as (fh, on_stdout):
+    with _primary_stream(args.out) as fh:
         routing.export_assignment_log(result, fh)
     skipped = result.infeasible_periods
     _emit_summary({
@@ -249,7 +233,7 @@ def cmd_route(args) -> int:
         "first_infeasible": skipped[:10],
         "max_discrepancy": result.max_discrepancy,
         "cumulative_shares": [float(s) for s in result.cumulative_shares],
-    }, primary_on_stdout=not args.out)
+    }, args.out)
     return EXIT_OK
 
 
@@ -258,8 +242,6 @@ def _parse_coeffs(raw) -> TransferPoly:
         p = TransferPoly([float(c) for c in raw])
     except ValueError as exc:
         raise ScenarioError(f"bad coefficients: {exc}") from exc
-    if p.is_zero():
-        raise ScenarioError("zero polynomial has no factorization or MSFE")
     return p
 
 
@@ -303,8 +285,8 @@ def cmd_msfe(args) -> int:
 
 def cmd_curve(args) -> int:
     scenario = load_scenario(args.scenario)
-    sigma_lower = policy.sigma_lower_bound(scenario.model(), scenario.n_sellers)
-    table = seller.market_table(scenario.sellers, scenario.costs, scenario.mu)
+    sigma_lower = policy.sigma_lower_bound(scenario.model, scenario.n_sellers)
+    table = seller.market_table(scenario.sellers, scenario.costs, scenario.model.mu)
     sigma_u = table.participation_ub(scenario.sigma_cap)
     hi = min(scenario.sigma_cap, 1.1 * sigma_u)
     grid = np.linspace(0.0, hi, args.grid)
@@ -316,9 +298,9 @@ def cmd_curve(args) -> int:
         residual = _max_segment_residual(points)
         summary["max_linearity_residual"] = residual
         summary["linear_within_segments"] = residual <= 1e-9
-    with _primary_stream(args.out) as (fh, on_stdout):
+    with _primary_stream(args.out) as fh:
         platform.export_curve(points, fh)
-    _emit_summary(summary, primary_on_stdout=not args.out)
+    _emit_summary(summary, args.out)
     return EXIT_OK
 
 
@@ -443,7 +425,7 @@ def main(argv=None) -> int:
     except (NumericalInstability, forecast.ConvergenceFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ScenarioError, ZeroPolynomial, seller.DomainError, ValueError) as exc:
+    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

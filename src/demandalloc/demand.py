@@ -29,8 +29,6 @@ class DemandModel:
         psi = as_poly(psi)
         if not 0 < mu < np.inf:
             raise ValueError(f"mean demand mu must be positive and finite, got {mu!r}")
-        if psi.coeffs[0] == 0.0:
-            raise ValueError("psi(0) must be nonzero")
         if not is_invertible(psi, boundary_tol):
             raise ValueError("psi must be invertible (no roots inside the unit disk)")
         self.mu = float(mu)

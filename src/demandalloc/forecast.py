@@ -151,15 +151,18 @@ def predict_streams(filters, series, mean: float = 0.0) -> np.ndarray:
     """One-step-ahead predictions of N series at once, shape (N, T).
 
     Series n (row n of `series`) is predicted with the innovations recursion
-    of filters[n], exactly as innovations_predict would predict it alone:
-    each filter's rows are padded with zeros to the largest degree and its
-    last settled row is repeated past its own settle point, so every element
-    sees the same float operations, in the same order j = 1..q, as a
-    one-series loop.  Degree-0 filters predict the mean.
+    of filters[n], from its observations before t alone: each filter's rows
+    are padded with zeros to the largest degree and its last settled row is
+    repeated past its own settle point, so every element sees the same float
+    operations, in the same order j = 1..q, as a one-series loop.  Degree-0
+    filters predict the mean.  ValueError unless there is one filter per
+    series.
     """
     x = np.asarray(series, dtype=float) - mean
     N, T = x.shape
     filters = [as_poly(f) for f in filters]
+    if len(filters) != N:
+        raise ValueError(f"{len(filters)} filters for {N} series")
     q = max(f.degree for f in filters)
     rows = [_innovations_rows(f.coeffs, min(T, PREDICT_ROW_CAP),
                               settle_rtol=PREDICT_SETTLE_RTOL)[0][:, 1:]
@@ -184,17 +187,6 @@ def predict_streams(filters, series, mean: float = 0.0) -> np.ndarray:
     # C order: a reduction along a row then sums in the order it would for
     # that series alone
     return np.ascontiguousarray(xhat.T) + mean
-
-
-def innovations_predict(psi_n: TransferPoly, series, mean: float = 0.0) -> np.ndarray:
-    """One-step-ahead predictions along a realized series.
-
-    Prediction for index t uses only observations before t, weighting past
-    innovations by the recursion's time-t coefficients.  Rows are computed
-    until they settle and then reused, so long series stay cheap.  The
-    one-series case of predict_streams.
-    """
-    return predict_streams([psi_n], np.asarray(series, dtype=float)[None, :], mean)[0]
 
 
 def ses_truncated_weights(lam: float, order: int | None = None) -> FilterForecaster:
@@ -317,28 +309,6 @@ def leadtime_mode_choice(table: MarketTable, leads: LeadTimeSpec,
                           sigma_bar_fbp=s_fbp, sigma_bar_fbm=s_fbm,
                           utility_fbp=float(table.margin_fbp[i]) - cost_fbp,
                           utility_fbm=float(table.margin_fbm[i]) - cost_fbm)
-
-
-def ses_comparison_rows(table: MarketTable, sigma: float, sigma_tilde: float):
-    """Per-seller view of how smoothing-based perception shifts choices.
-
-    Each row: seller, the design sigma, the perceived sigma, the mode chosen
-    under each, and the utility evaluated at each perception.
-    """
-    fbp_opt, u_opt = table.utilities(sigma)
-    fbp_ses, u_ses = table.utilities(sigma_tilde)
-    rows = zip(np.where(fbp_opt, FBP, FBM).tolist(),
-               np.where(fbp_ses, FBP, FBM).tolist(), u_opt.tolist(), u_ses.tolist())
-    return [(idx, sigma, sigma_tilde, *row) for idx, row in enumerate(rows, start=1)]
-
-
-def export_ses_comparison(rows, fileobj) -> None:
-    writer = csv.writer(fileobj)
-    writer.writerow(["seller", "sigma", "sigma_tilde", "mode_optimal",
-                     "mode_ses", "utility_optimal", "utility_ses"])
-    for row in rows:
-        writer.writerow([row[0], f"{row[1]:.6f}", f"{row[2]:.6f}", row[3],
-                         row[4], f"{row[5]:.6f}", f"{row[6]:.6f}"])
 
 
 @dataclass(frozen=True)

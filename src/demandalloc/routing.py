@@ -159,13 +159,29 @@ def _merge(offsets, targets, demand, rank):
     return counts, cell % N + 1
 
 
+def _order_counts(demand) -> np.ndarray:
+    """demand as int64 counts; ValueError naming the first period whose
+    count is not a whole number below 2**63, which a cast would truncate or
+    wrap."""
+    demand = np.asarray(demand)
+    with np.errstate(invalid="ignore"):
+        counts = demand.astype(np.int64)
+    bad = np.flatnonzero((counts != demand) | ~(np.abs(demand) < 2.0 ** 63))
+    if bad.size:
+        t = int(bad[0])
+        raise ValueError(f"demand in period {t} is {float(demand[t])!r}, not a "
+                         "whole order count below 2**63")
+    return counts
+
+
 def route_orders(offsets, demand, seed: int, on_infeasible: str = "raise",
                  tie_break: str = "random") -> RoutePathResult:
     """Assign demand[t] orders in each period t by smallest offset-adjusted
     count.
 
     offsets is a (T x N) array of per-seller offsets b[t, n]; each row must
-    sum to zero.  A period whose targets fall below zero by more than the
+    sum to zero, and demand holds T nonnegative whole counts (integral
+    floats pass).  A period whose targets fall below zero by more than the
     relative tie slack raises InfeasibleTargets, or with
     on_infeasible="skip" is left unrouted with zero counts.  Ties go by a
     ranking of the sellers per period, all drawn at once as
@@ -175,7 +191,7 @@ def route_orders(offsets, demand, seed: int, on_infeasible: str = "raise",
     _check_choice("on_infeasible", on_infeasible, ON_INFEASIBLE)
     _check_choice("tie_break", tie_break, TIE_BREAKS)
     b = np.asarray(offsets, dtype=float)
-    demand = np.asarray(demand, dtype=np.int64)
+    demand = _order_counts(demand)
     T, N = b.shape
     scale = np.maximum(1.0, np.abs(b).max(axis=1, initial=0.0))
     if np.any(np.abs(b.sum(axis=1)) > OFFSET_SUM_TOL * scale):
@@ -200,8 +216,9 @@ def route_orders(offsets, demand, seed: int, on_infeasible: str = "raise",
 
 
 def integerize_demand(path: DemandPath) -> np.ndarray:
-    """Round a simulated Gaussian path to nonnegative integer order counts."""
-    return np.maximum(np.rint(np.asarray(path.demands)), 0.0).astype(np.int64)
+    """Round a simulated Gaussian path to nonnegative integer order counts;
+    ValueError naming the period of a count of 2**63 or more."""
+    return _order_counts(np.maximum(np.rint(np.asarray(path.demands)), 0.0))
 
 
 def route_path(alloc_policy: AllocationPolicy, model: DemandModel,

@@ -257,12 +257,6 @@ def market_table(sellers, costs: PlatformCosts, mu: float) -> MarketTable:
     k_fbp = np.array([e.K for e in fbp], dtype=float)
     dF = f - costs.F
     dK = k_fbp - k_fbm
-    if np.any(dK < 0):
-        warnings.warn(
-            "K_FBP < K_FBM for a seller (holding-cost assumption violated); "
-            "adoption decided by direct utility comparison",
-            stacklevel=2,
-        )
     mu_share = mu / N
     margin_fbm = (costs.r - costs.rho - f) * mu_share
     margin_fbp = np.full(N, (costs.r - costs.rho - costs.F) * mu_share)
@@ -281,7 +275,8 @@ def market_table(sellers, costs: PlatformCosts, mu: float) -> MarketTable:
 
 def check_cost_assumptions(sellers, costs: PlatformCosts) -> list:
     """Warn (and list messages) where platform fulfillment is not weakly
-    cheaper (F <= f_n) or platform holding not weakly dearer (H >= h_n)."""
+    cheaper (F <= f_n) or platform holding not weakly dearer (H >= h_n),
+    which is where dK_n < 0: K grows strictly with the holding cost."""
     messages = []
     for idx, params in enumerate(sellers, start=1):
         if costs.F > params.f:

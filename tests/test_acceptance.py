@@ -27,7 +27,6 @@ from demandalloc import (
     filter_msfe,
     inner_outer_factor,
     innovations_msfe,
-    innovations_predict,
     is_invertible,
     lagged_variant,
     leadtime_msfe,
@@ -46,7 +45,7 @@ from demandalloc import (
     variance,
 )
 from demandalloc.cli import load_scenario
-from demandalloc.forecast import simulate_inventory
+from demandalloc.forecast import predict_streams, simulate_inventory
 from oracles import ref_mode_economics
 
 SCENARIO = str(Path(__file__).resolve().parents[1]
@@ -82,9 +81,9 @@ def scenario():
 
 
 def test_criterion_1_headline_solution(scenario):
-    model = scenario.model()
+    model = scenario.model
     start = time.perf_counter()
-    table = market_table(scenario.sellers, scenario.costs, scenario.mu)
+    table = market_table(scenario.sellers, scenario.costs, scenario.model.mu)
     sol = optimize(table, sigma_lower_bound(model, scenario.n_sellers),
                    scenario.sigma_cap)
     elapsed = time.perf_counter() - start
@@ -109,7 +108,7 @@ def test_criterion_1_headline_solution(scenario):
 
 def test_criterion_2_inventory_coefficient_table(scenario):
     worst = 0.0
-    table = market_table(scenario.sellers, scenario.costs, scenario.mu)
+    table = market_table(scenario.sellers, scenario.costs, scenario.model.mu)
     for idx, params in enumerate(scenario.sellers, start=1):
         ref_own, ref_platform = REFERENCE_K[idx]
         k_own = float(table.k_fbm[idx - 1])
@@ -124,7 +123,7 @@ def test_criterion_2_inventory_coefficient_table(scenario):
 
 
 def test_criterion_3_breakpoints_and_participation_bound(scenario):
-    table = market_table(scenario.sellers, scenario.costs, scenario.mu)
+    table = market_table(scenario.sellers, scenario.costs, scenario.model.mu)
     sigma_u = table.participation_ub(scenario.sigma_cap)
     assert sigma_u == pytest.approx(33.957, abs=0.01)
     bps = table.breakpoints()
@@ -147,11 +146,11 @@ def test_criterion_4_reference_factorization_cases():
 
 
 def test_criterion_5_smoothing_perception(scenario):
-    model = scenario.model()
+    model = scenario.model
     N = scenario.n_sellers
-    table = market_table(scenario.sellers, scenario.costs, scenario.mu)
+    table = market_table(scenario.sellers, scenario.costs, scenario.model.mu)
     sol = optimize(table, sigma_lower_bound(model, N), scenario.sigma_cap)
-    psi0 = abs(scenario.psi[0])
+    psi0 = abs(scenario.model.psi.coeffs[0])
     a = N * sol.sigma_star / psi0
 
     # the perceived error is minimized with no smoothing, both parities
@@ -296,7 +295,7 @@ def test_criterion_6_property_suite(scenario):
     counts["msfe cross-checks"] = 200
 
     # (g): the payoff curve is collinear between consecutive one-sided points
-    table = market_table(scenario.sellers, scenario.costs, scenario.mu)
+    table = market_table(scenario.sellers, scenario.costs, scenario.model.mu)
     sigma_u = table.participation_ub(scenario.sigma_cap)
     points = payoff_curve(table, np.linspace(0.0, 1.05 * sigma_u, 400),
                           sigma_u)
@@ -391,7 +390,7 @@ def test_criterion_7_monte_carlo_consistency(scenario):
     errors = []
     for n in (1, 2):
         filt = seller_filter(pol, model, n)
-        pred = innovations_predict(filt, shares[n - 1], mean=model.mu / 2)
+        pred = predict_streams([filt], shares[n - 1][None], mean=model.mu / 2)[0]
         rmse = float(np.sqrt(np.mean((shares[n - 1] - pred) ** 2)))
         assert rmse == pytest.approx(5.0, rel=0.02)
         errors.append(rmse)

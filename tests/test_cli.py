@@ -1,17 +1,23 @@
 """Command-line surface: scenario ingestion, subcommands, exit codes."""
+import contextlib
 import csv
+import io
 import json
+import math
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demandalloc import (ConvergenceFailure, TransferPoly, filter_msfe,
                          ses_msfe_closed_form, ses_truncated_weights)
 from demandalloc.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_NUMERICAL,
-                             EXIT_OK, Scenario, ScenarioError, dump_scenario,
-                             load_scenario, main, parse_scenario)
+                             EXIT_OK, Scenario, ScenarioError, load_scenario,
+                             main, parse_scenario)
 
 SCENARIO = str(Path(__file__).resolve().parents[1]
                / "scenarios" / "illustrative.scenario")
@@ -35,8 +41,10 @@ def write_doc(tmp_path, doc, name="edited.scenario") -> str:
 class TestParseScenario:
     def test_round_trip(self):
         sc = load_scenario(SCENARIO)
-        again = parse_scenario(json.loads(dump_scenario(sc)))
-        assert again == sc
+        assert [f for f in Scenario.__dataclass_fields__] == [
+            "model", "costs", "sellers", "sigma_cap", "seed", "horizon"]
+        assert sc.model.mu == 15.0
+        assert sc.model.psi.coeffs.tolist() == [5.0]
         assert sc.n_sellers == 10
         assert sc.sigma_cap == 500.0
 
@@ -48,7 +56,14 @@ class TestParseScenario:
         assert sc.sigma_cap == 1e3 * (5.0 / 2)  # 1000 sigma_L
         assert sc.seed == 0
         assert sc.horizon == 100_000
-        assert sc.boundary_tol == 1e-9
+        # the root -(1 - 5e-10) is inside the disk, but within the default
+        # boundary tolerance 1e-9 of the circle
+        doc["demand"]["psi"] = [1.0, 1.0 / (1.0 - 5e-10)]
+        parse_scenario(doc)
+        doc["options"] = {"boundary_tol": 0.0}
+        with pytest.raises(ScenarioError,
+                           match=r"^scenario\.demand: psi must be invertible"):
+            parse_scenario(doc)
 
     def test_unknown_field_names_the_path(self):
         doc = scenario_doc()
@@ -85,6 +100,14 @@ class TestParseScenario:
         p.write_text('{\n  "demand": [,}\n')
         with pytest.raises(ScenarioError, match="line 2"):
             load_scenario(str(p))
+
+    @pytest.mark.parametrize("cap", [0.0, -2.0])
+    def test_nonpositive_sigma_cap_names_its_field(self, cap):
+        doc = scenario_doc()
+        doc["options"]["sigma_cap"] = cap
+        with pytest.raises(ScenarioError, match=r"^scenario\.options\.sigma_cap: "
+                                                "expected a number > 0"):
+            parse_scenario(doc)
 
     def test_scenario_error_is_value_error(self):
         assert issubclass(ScenarioError, ValueError)
@@ -192,6 +215,96 @@ def test_scenario_boundary_tol_must_lie_in_unit_interval(tmp_path, capsys, raw):
     assert "options.boundary_tol" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["optimize", "curve", "simulate", "route"])
+@pytest.mark.parametrize("field, edit", [
+    ("demand", lambda doc: doc["demand"].update(psi=[1.0, 2.0])),
+    ("demand", lambda doc: doc["demand"].update(mu=-1.0)),
+    ("demand", lambda doc: doc["demand"].update(psi=[0.0, 1.0])),
+    ("options.sigma_cap", lambda doc: doc["options"].update(sigma_cap=0.0)),
+], ids=["psi-1-2", "mu-negative", "psi-0-1", "sigma_cap-0"])
+def test_scenario_faults_name_their_block(tmp_path, capsys, command, field, edit):
+    doc = scenario_doc()
+    edit(doc)
+    scenario = write_doc(tmp_path, doc)
+    argv = [command, "--scenario", scenario]
+    if command in ("simulate", "route"):
+        argv += ["--sigma", "5.0", "--periods", "50"]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input error: {scenario}.{field}: ")
+    assert captured.out == ""
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise AssertionError(f"{constant} in JSON output")
+    return json.loads(text, parse_constant=reject)
+
+
+def _assert_finite_csv(text: str) -> None:
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows, "empty CSV"
+    for row in rows[1:]:
+        assert len(row) == len(rows[0])
+        for cell in row:
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value), f"{cell!r} in CSV output"
+
+
+# 0, negatives, subnormal-scale and overflow-scale values among ordinary ones
+_FUZZ_NUMBERS = st.sampled_from([0.0, -1.0, -0.5, 1e-300, 1e300, -1e300,
+                                 0.5, 1.0, 2.0, 5.0, 15.0])
+_FUZZ_OPTIONS = st.fixed_dictionaries({}, optional={
+    "sigma_cap": st.sampled_from([0.0, -2.0, 1e-300, 1e300, 5.0, 500.0]),
+    "boundary_tol": st.sampled_from([0.0, 1e-9, 0.5]),
+    "horizon": st.integers(1, 50),
+    "seed": st.integers(0, 3),
+})
+
+
+@given(mu=_FUZZ_NUMBERS, psi=st.lists(_FUZZ_NUMBERS, min_size=1, max_size=4),
+       n_sellers=st.integers(1, 5), options=_FUZZ_OPTIONS,
+       sigma=st.sampled_from([0.3, 3.0, 50.0]),
+       periods=st.one_of(st.none(), st.integers(1, 50)))
+@settings(max_examples=60, deadline=None)
+def test_scenario_fuzz_exits_cleanly(mu, psi, n_sellers, options, sigma, periods):
+    doc = scenario_doc()
+    doc["demand"] = {"mu": mu, "psi": psi}
+    doc["sellers"] = doc["sellers"][:n_sellers]
+    doc["options"] = options
+    commands = ["optimize", "curve", "simulate"]
+    # route's memory grows with the order count: run it on small markets,
+    # and on mu = 1e300, whose counts overflow and must be refused
+    if mu >= 1e300 or 50 * (abs(mu) + 10 * sum(map(abs, psi))) <= 1e5:
+        commands.append("route")
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = write_doc(Path(tmp), doc)
+        for command in commands:
+            out = Path(tmp) / f"{command}.out"
+            argv = [command, "--scenario", scenario, "--out", str(out)]
+            if command in ("simulate", "route"):
+                argv += ["--sigma", str(sigma)]
+                if periods is not None:
+                    argv += ["--periods", str(periods)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("ignore")
+                rc = main(argv)
+            assert rc in (EXIT_OK, EXIT_INPUT, EXIT_INFEASIBLE, EXIT_NUMERICAL)
+            assert "Traceback" not in stderr.getvalue()
+            if rc != EXIT_OK:
+                continue
+            if command == "optimize":
+                _strict_json(out.read_text())
+            else:
+                _strict_json(stdout.getvalue())
+                _assert_finite_csv(out.read_text())
 
 
 class TestExitCodes:
@@ -560,6 +673,18 @@ class TestRoute:
         for period in counts.values():
             share = sum(period) / 10
             assert max(abs(c - share) for c in period) < 1.0
+
+    def test_overflowing_order_counts_are_named(self, tmp_path, capsys):
+        # mu = 1e300 rounds to more orders than an int64 holds
+        doc = scenario_doc()
+        doc["demand"]["mu"] = 1e300
+        rc = main(["route", "--scenario", write_doc(tmp_path, doc),
+                   "--sigma", "3.0", "--periods", "5"])
+        assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert ("demand in period 0 is 1e+300, not a whole order count below "
+                "2**63") in captured.err
+        assert captured.out == ""
 
     def test_single_seller_above_floor_is_infeasible(self, tmp_path, capsys):
         doc = scenario_doc()

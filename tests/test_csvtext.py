@@ -177,9 +177,9 @@ def test_assignment_log_matches_reference(design, periods, seed, tie_break):
 def reference_run(sigma, periods, seed):
     """The run `simulate` makes on the reference scenario."""
     scenario = load_scenario(SCENARIO)
-    model = scenario.model()
+    model = scenario.model
     pol = neutral_policy(model, scenario.n_sellers, sigma)
-    table = market_table(scenario.sellers, scenario.costs, scenario.mu)
+    table = market_table(scenario.sellers, scenario.costs, scenario.model.mu)
     return simulate_inventory(table, pol, model, simulate(model, periods, seed),
                               sigma)
 

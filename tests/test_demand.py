@@ -8,10 +8,10 @@ import pytest
 from demandalloc import (
     DemandModel,
     TransferPoly,
-    innovations_predict,
     prob_negative,
     simulate,
 )
+from demandalloc.forecast import predict_streams
 
 # 50-digit normal cdf values, frozen from tests/oracles.py.
 PHI_MINUS_3 = 1.3498980316300946e-3
@@ -141,6 +141,6 @@ class TestMarketForecastability:
         # invertible market filter; check the simulated path agrees
         m = DemandModel(10.0, TransferPoly([1.0, 0.8]))
         path = simulate(m, 100_000, 1)
-        pred = innovations_predict(m.psi, path.demands, mean=m.mu)
+        pred = predict_streams([m.psi], path.demands[None], mean=m.mu)[0]
         rmse = float(np.sqrt(np.mean((path.demands - pred) ** 2)))
         assert abs(rmse - 1.0) < 0.01

@@ -1,8 +1,6 @@
 """Seller-side forecasting: innovations benchmark, smoothing-filter MSFEs,
 and lead-time demand uncertainty."""
-import io
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -22,11 +20,9 @@ from demandalloc import (
     PlatformCosts,
     SellerParams,
     TransferPoly,
-    export_ses_comparison,
     filter_msfe,
     inner_outer_factor,
     innovations_msfe,
-    innovations_predict,
     lagged_variant,
     leadtime_mode_choice,
     leadtime_msfe,
@@ -34,7 +30,6 @@ from demandalloc import (
     neutral_policy,
     root_msfe,
     seller_filter,
-    ses_comparison_rows,
     ses_msfe_closed_form,
     ses_truncated_weights,
     sigma_lower_bound,
@@ -111,15 +106,21 @@ class TestInnovationsMsfe:
 class TestInnovationsPredict:
     def test_iid_filter_predicts_the_mean(self):
         series = np.array([3.0, 7.0, 5.0, 6.0])
-        pred = innovations_predict(TransferPoly([5.0]), series, mean=5.0)
+        pred = predict_streams([TransferPoly([5.0])], series[None], mean=5.0)
         np.testing.assert_allclose(pred, 5.0)
 
     def test_empirical_error_matches_theory(self):
         model = DemandModel(10.0, TransferPoly([1.0, 0.6]))
         path = simulate(model, 20_000, 4)
-        pred = innovations_predict(model.psi, path.demands, mean=model.mu)
+        pred = predict_streams([model.psi], path.demands[None], mean=model.mu)[0]
         rmse = float(np.sqrt(np.mean((path.demands - pred) ** 2)))
         assert rmse == pytest.approx(1.0, rel=0.02)
+
+    @pytest.mark.parametrize("n_filters", [0, 1, 3])
+    def test_one_filter_per_series(self, n_filters):
+        with pytest.raises(ValueError, match=f"{n_filters} filters for 2 series"):
+            predict_streams([TransferPoly([1.0, 0.5])] * n_filters,
+                            np.zeros((2, 5)))
 
 
 # Nonzero coefficients keep each filter's drawn degree (TransferPoly trims
@@ -401,9 +402,7 @@ def _random_table(seed: int, n: int, mu: float):
                                  b=float(rng.uniform(1.0, 15.0)),
                                  f=F + float(rng.uniform(-1.0, 3.0)))
                     for _ in range(n))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # some draws have K_FBP < K_FBM
-        return sellers, costs, market_table(sellers, costs, mu)
+    return sellers, costs, market_table(sellers, costs, mu)
 
 
 class TestLeadTimeModeChoice:
@@ -485,22 +484,13 @@ class TestLeadTimeModeChoice:
 class TestSesComparison:
     def test_perception_shifts_the_marginal_seller(self):
         sigma_tilde = ses_msfe_closed_form(5.0, 10, 10 * SIGMA_STAR / 5.0, 0.0)
-        rows = ses_comparison_rows(TABLE, SIGMA_STAR, sigma_tilde)
-        assert len(rows) == 10
-        by_seller = {r[0]: r for r in rows}
+        at_design = np.where(TABLE.adopts(SIGMA_STAR), FBP, FBM)
+        perceived = np.where(TABLE.adopts(sigma_tilde), FBP, FBM)
+        assert at_design.size == perceived.size == 10
         # seller 1 adopts at the design sigma but not at the perceived one
-        assert by_seller[1][3] == FBP
-        assert by_seller[1][4] == FBM
-        assert by_seller[2][3] == by_seller[2][4] == FBP
-
-    def test_export_header(self):
-        rows = ses_comparison_rows(TABLE, 8.8678, 8.8819)
-        buf = io.StringIO()
-        export_ses_comparison(rows, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == ("seller,sigma,sigma_tilde,mode_optimal,"
-                            "mode_ses,utility_optimal,utility_ses")
-        assert len(lines) == 11
+        assert at_design[0] == FBP
+        assert perceived[0] == FBM
+        assert at_design[1] == perceived[1] == FBP
 
 
 class TestSimulateInventory:

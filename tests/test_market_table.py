@@ -181,8 +181,8 @@ def test_each_command_builds_one_table(k_calls, tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("command, section, field, value, message", [
-    ("optimize", "platform", "H", 0.5, "K_FBP < K_FBM"),
-    ("curve", "platform", "H", 0.5, "K_FBP < K_FBM"),
+    ("optimize", "platform", "H", 0.5, "seller 1: platform holding cost"),
+    ("curve", "platform", "H", 0.5, "seller 1: platform holding cost"),
     ("curve", "options", "sigma_cap", 5.0, "cap binds"),
 ])
 def test_each_warning_is_raised_once(tmp_path, capsys, recwarn, command,

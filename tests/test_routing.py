@@ -113,6 +113,16 @@ class TestRouteOrders:
         np.testing.assert_array_equal(res.counts[0], [2, 2, 2, 2])
         assert res.max_discrepancy == 0.0
 
+    @pytest.mark.parametrize("count", [2.7, -0.5, float("nan"), float("inf"), 1e19])
+    def test_counts_must_be_whole(self, count):
+        # a cast would route 2 of 2.7 orders, or wrap 1e19 to -2**63
+        with pytest.raises(ValueError, match=r"period 1 is .*, not a whole order"):
+            route_orders(np.zeros((2, 2)), [4, count], seed=0)
+
+    def test_integral_float_counts_are_accepted(self):
+        res = route_orders(np.zeros((2, 2)), [4.0, 3.0], seed=0)
+        assert res.counts.sum(axis=1).tolist() == [4, 3]
+
     def test_two_seller_offsets_exact(self):
         # offsets (-1, +1): the alternating walk lands on the targets for
         # any tie resolution
@@ -286,6 +296,14 @@ class TestRoutePath:
         ints = integerize_demand(path)
         assert ints.min() >= 0
         assert ints.dtype == np.int64
+
+    @pytest.mark.parametrize("demand", [1e19, 2.0 ** 63, 1e300, float("inf")])
+    def test_integerize_demand_refuses_int64_overflow(self, demand):
+        path = DemandPath(np.array([3.0, -1e300, demand]), np.zeros(0), 0)
+        with pytest.raises(ValueError, match=r"period 2 is .*below 2\*\*63"):
+            integerize_demand(path)
+        ok = DemandPath(np.array([3.0, -1e300, 2.0 ** 63 - 1024]), np.zeros(0), 0)
+        assert integerize_demand(ok).tolist() == [3, 0, 2 ** 63 - 1024]
 
 
 class TestExport:

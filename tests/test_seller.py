@@ -350,6 +350,17 @@ class TestCostAssumptions:
         assert any("seller 10" in m and "fulfillment" in m for m in messages)
         assert any("seller 6" in m and "holding" in m for m in messages)
 
+    def test_market_table_adds_no_second_holding_warning(self):
+        # H = 1 below h of sellers 4..10 makes their dK negative; that is
+        # check_cost_assumptions' warning, not the table's
+        cheap_storage = PlatformCosts(rho=15.0, F=10.0, H=1.0, delta_f=2.0,
+                                      delta_h=2.0, r=100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = market_table(SELLERS, cheap_storage, 150.0)
+        assert np.flatnonzero(table.dK < 0).tolist() == [
+            i for i, p in enumerate(SELLERS) if p.h > cheap_storage.H]
+
     def test_thin_margin_warns_at_construction(self):
         with pytest.warns(UserWarning, match="margin"):
             PlatformCosts(rho=90.0, F=10.0, H=2.5, delta_f=2.0,
