@@ -543,6 +543,10 @@ class TestSimulate:
         # odd N = 11 under MA(2) demand: two-lag design, degree-4 filters
         ("simulate_ma2_n11_sigma0.7_T60_seed4", str(DATA / "ma2_n11.scenario"),
          "0.7", "60"),
+        # 400 periods: past the 37-67 rows its degree-3/4 filters take to
+        # settle, so the settled multi-lag predictor loop is pinned too
+        ("simulate_ma2_n11_sigma0.7_T400_seed4", str(DATA / "ma2_n11.scenario"),
+         "0.7", "400"),
     ])
     def test_matches_golden(self, golden, scenario, sigma, periods, tmp_path, capsys):
         out = tmp_path / "sim.csv"
