@@ -135,6 +135,10 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
                                 f"> 0, got {sigma_cap!r}")
     else:
         sigma_cap = 1e3 * policy.sigma_lower_bound(model, len(sellers))
+        if not sigma_cap > 0:
+            raise ScenarioError(f"{source}.demand.psi[0]: the default sigma_cap, "
+                                f"1000 |psi[0]| / N, underflows to {sigma_cap!r}; "
+                                "set options.sigma_cap")
     seed = _integer(options.get("seed", 0), f"{source}.options.seed", 0)
     horizon = _integer(options.get("horizon", 100_000),
                        f"{source}.options.horizon", 1)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -150,43 +151,63 @@ PREDICT_SETTLE_RTOL = 1e-14
 def predict_streams(filters, series, mean: float = 0.0) -> np.ndarray:
     """One-step-ahead predictions of N series at once, shape (N, T).
 
-    Series n (row n of `series`) is predicted with the innovations recursion
-    of filters[n], from its observations before t alone: each filter's rows
-    are padded with zeros to the largest degree and its last settled row is
-    repeated past its own settle point, so every element sees the same float
-    operations, in the same order j = 1..q, as a one-series loop.  Degree-0
-    filters predict the mean.  ValueError unless there is one filter per
-    series.
+    Series n (row n of `series`, which must be (N, T)) is predicted with the
+    innovations recursion of filters[n], from its observations before t
+    alone.  The rows are built once per distinct filter (same coefficient
+    bytes), padded with zeros to the largest degree q and repeated past their
+    own settle point, so once every filter has settled the (q, N) weights are
+    one fixed array.  Each period is then three numpy calls into preallocated
+    arrays (weights times the q past innovations, a sum over the lags into
+    the prediction, the new innovation), and every element sees the same
+    float operations, in the same order j = 1..q, as a one-series scalar
+    loop: the results are bit for bit those of that loop.  Degree-0 filters
+    predict the mean.  ValueError unless `series` is (N, T) with one filter
+    per series.
     """
-    x = np.asarray(series, dtype=float) - mean
-    N, T = x.shape
+    series = np.asarray(series, dtype=float)
+    if series.ndim != 2:
+        raise ValueError(f"series must be (N, T), got shape {series.shape}")
+    N, T = series.shape
     filters = [as_poly(f) for f in filters]
     if len(filters) != N:
         raise ValueError(f"{len(filters)} filters for {N} series")
+    distinct = {f.coeffs.tobytes(): f for f in filters}
+    rows = {key: _innovations_rows(f.coeffs, min(T, PREDICT_ROW_CAP),
+                                   settle_rtol=PREDICT_SETTLE_RTOL)[0][:, 1:]
+            if f.degree else np.zeros((1, 0)) for key, f in distinct.items()}
     q = max(f.degree for f in filters)
-    rows = [_innovations_rows(f.coeffs, min(T, PREDICT_ROW_CAP),
-                              settle_rtol=PREDICT_SETTLE_RTOL)[0][:, 1:]
-            if f.degree else np.zeros((1, 0)) for f in filters]
-    last = max(r.shape[0] for r in rows) - 1
+    # A lone series gets a zero partner: with two or more columns the series
+    # axis is numpy's inner loop, so the sum over lags adds row by row,
+    # j = 1..q (one column would be summed pairwise).
+    W = max(N, 2)
     # theta[r, j - 1, n]: weight of the innovation j steps back at row r
-    theta = np.zeros((last + 1, q, N))
-    for n, r in enumerate(rows):
+    theta = np.zeros((max(r.shape[0] for r in rows.values()), q, W))
+    for n, f in enumerate(filters):
+        r = rows[f.coeffs.tobytes()]
         theta[:r.shape[0], :r.shape[1], n] = r
         theta[r.shape[0]:, :r.shape[1], n] = r[-1]
-    # innov[q + t]: innovation at index t; the q leading rows stay zero
-    innov = np.zeros((T + q, N))
-    xhat = np.zeros((T, N))
-    xt = x.T
-    for t in range(T):
-        row = theta[min(t, last)]
-        acc = np.zeros(N)
-        for j in range(1, q + 1):
-            acc += row[j - 1] * innov[q + t - j]
-        xhat[t] = acc
-        np.subtract(xt[t], acc, out=innov[q + t])
+    # innovations time-reversed: buf[T - 1 - t] is the one at index t, and
+    # the q rows past T stay zero, so the lags j = 1..q at index t are the
+    # forward slice buf[T - t:T - t + q].  Row T - 1 - t holds the centred
+    # observation until period t turns it into its innovation.
+    buf = np.zeros((T + q, W))
+    np.subtract(series.T, mean, out=buf[:T][::-1, :N])
+    xhat = np.empty((T, W))
+    windows = np.lib.stride_tricks.sliding_window_view(
+        buf, q, axis=0).transpose(0, 2, 1)[::-1]
+    prod = np.empty((q, W))
+    # the ufuncs are bound once and take their outputs positionally: at a few
+    # dozen elements per call, attribute and keyword lookups cost about as
+    # much as the arithmetic
+    multiply, lag_sum, subtract = np.multiply, np.add.reduce, np.subtract
+    for w, pred, lags, innov in zip(chain(theta, repeat(theta[-1])), xhat,
+                                    windows, buf[::-1][q:]):
+        multiply(w, lags, prod)
+        lag_sum(prod, axis=0, out=pred, initial=0.0)
+        subtract(innov, pred, innov)
     # C order: a reduction along a row then sums in the order it would for
     # that series alone
-    return np.ascontiguousarray(xhat.T) + mean
+    return np.add(xhat[:, :N].T, mean, order="C")
 
 
 def ses_truncated_weights(lam: float, order: int | None = None) -> FilterForecaster:
@@ -358,24 +379,24 @@ def simulate_inventory(table: MarketTable, alloc_policy: AllocationPolicy,
             f"{start}-period memory; it needs at least {start + 1} periods")
     N = alloc_policy.n_sellers
     share = model.mu / N + (demands[start:] - model.mu) / N
-    offsets = benchmark_offsets(alloc_policy, model, demands)[start:]
-    alloc = np.ascontiguousarray((share[:, None] + offsets).T)
+    # (N, T) intermediates stay unnamed, so a long path holds only the
+    # arrays the run keeps (and a few temporaries) at once
+    alloc = np.ascontiguousarray(
+        (share[:, None] + benchmark_offsets(alloc_policy, model, demands)[start:]).T)
     fbp = table.adopts(sigma)
     filters = [seller_filter(alloc_policy, model, n)
                for n in range(1, N + 1)]
     pred = predict_streams(filters, alloc, mean=model.mu / table.N)
     zeta = np.where(fbp, table.zeta_fbp, table.zeta_fbm)[:, None]
     stock = base_stock(pred, sigma, zeta)
-    over = np.maximum(stock - alloc, 0.0)
-    under = np.maximum(alloc - stock, 0.0)
     h_bar = np.where(fbp, table.costs.H, table.h)[:, None]
-    cost = h_bar * over + table.b[:, None] * under
-    err = alloc - pred
+    cost = (h_bar * np.maximum(stock - alloc, 0.0)
+            + table.b[:, None] * np.maximum(alloc - stock, 0.0))
     run = InventoryRun(
         start_period=start, demands=path.demands[start:],
         allocations=alloc, forecasts=pred, stocks=stock, costs=cost,
         modes=tuple(np.where(fbp, FBP, FBM).tolist()),
-        empirical_msfe=np.sqrt(np.mean(err ** 2, axis=1)),
+        empirical_msfe=np.sqrt(np.mean((alloc - pred) ** 2, axis=1)),
         mean_cost=np.mean(cost, axis=1),
         k_sigma=np.where(fbp, table.k_fbp, table.k_fbm) * sigma)
     if not all(np.isfinite(a).all() for a in (run.empirical_msfe, run.mean_cost,

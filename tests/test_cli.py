@@ -109,6 +109,22 @@ class TestParseScenario:
                                                 "expected a number > 0"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize("psi0", [5e-324, -5e-324])
+    def test_underflowing_default_sigma_cap_names_psi0(self, tmp_path, capsys, psi0):
+        # 1000 |psi(0)| / N rounds to 0 for a subnormal psi(0)
+        doc = scenario_doc()
+        doc["demand"]["psi"] = [psi0]
+        del doc["options"]
+        scenario = write_doc(tmp_path, doc)
+        assert main(["optimize", "--scenario", scenario]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"input error: {scenario}.demand.psi[0]: the default sigma_cap, "
+            "1000 |psi[0]| / N, underflows to 0.0; set options.sigma_cap\n")
+        assert captured.out == ""
+        doc["options"] = {"sigma_cap": 500.0}
+        assert parse_scenario(doc).sigma_cap == 500.0
+
     def test_scenario_error_is_value_error(self):
         assert issubclass(ScenarioError, ValueError)
 
@@ -257,8 +273,8 @@ def _assert_finite_csv(text: str) -> None:
 
 
 # 0, negatives, subnormal-scale and overflow-scale values among ordinary ones
-_FUZZ_NUMBERS = st.sampled_from([0.0, -1.0, -0.5, 1e-300, 1e300, -1e300,
-                                 0.5, 1.0, 2.0, 5.0, 15.0])
+_FUZZ_NUMBERS = st.sampled_from([0.0, -1.0, -0.5, 1e-300, 5e-324, -5e-324,
+                                 1e300, -1e300, 0.5, 1.0, 2.0, 5.0, 15.0])
 _FUZZ_OPTIONS = st.fixed_dictionaries({}, optional={
     "sigma_cap": st.sampled_from([0.0, -2.0, 1e-300, 1e300, 5.0, 500.0]),
     "boundary_tol": st.sampled_from([0.0, 1e-9, 0.5]),

@@ -1,12 +1,14 @@
 """Seller-side forecasting: innovations benchmark, smoothing-filter MSFEs,
 and lead-time demand uncertainty."""
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from demandalloc import forecast
 from demandalloc import (
     AllocationPolicy,
     ConvergenceFailure,
@@ -139,8 +141,48 @@ def _assert_stack_matches_scalar(filters, T, seed, mean=4.0):
     assert got.tobytes() == want.tobytes()
 
 
+# A small pool, so drawn lists repeat filters: degree 0 (two), 1, 2, 4 and 9;
+# a lone degree-9 series is where numpy would sum the lags pairwise.
+_POOL = ([2.0], [-0.7], [1.0, -0.9], [0.5, 1.0, 0.48],
+         [1.2, -0.3, 0.4, 0.15, -0.22],
+         [1.0, 0.3, -0.2, 0.1, 0.05, -0.04, 0.03, 0.02, 0.01, 0.01])
+# innovations rows [1.0, -0.9] takes to settle
+_SETTLE_ROWS = _innovations_rows(np.array(_POOL[2]), 400,
+                                 settle_rtol=PREDICT_SETTLE_RTOL)[0].shape[0]
+
+
 class TestPredictStreams:
     """All sellers predicted at once equal the one-series scalar loop."""
+
+    @given(st.lists(st.sampled_from(_POOL), min_size=1, max_size=6),
+           st.integers(0, 400), st.integers(0, 2 ** 32 - 1))
+    @example([_POOL[3], _POOL[4]], 0, 0)
+    @example([_POOL[0], _POOL[1], _POOL[0]], 50, 1)
+    @example([_POOL[2], _POOL[4], _POOL[0]], _SETTLE_ROWS, 2)
+    @example([_POOL[4]] * 5, 300, 3)
+    @example([_POOL[5]], 200, 4)
+    @settings(max_examples=60, deadline=None)
+    def test_settled_loop_and_shared_filters_match_scalar_loop(self, filters, T,
+                                                               seed):
+        _assert_stack_matches_scalar(filters, T, seed)
+
+    def test_rows_are_built_once_per_distinct_filter(self, monkeypatch):
+        calls = []
+
+        def counting(coeffs, steps, settle_rtol=0.0):
+            calls.append(coeffs.tobytes())
+            return _innovations_rows(coeffs, steps, settle_rtol)
+
+        monkeypatch.setattr(forecast, "_innovations_rows", counting)
+        series = np.random.default_rng(0).standard_normal((5, 80))
+        predict_streams([TransferPoly([1.0, 0.5]) for _ in range(5)], series)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 3, 4)])
+    def test_series_must_be_two_dimensional(self, shape):
+        with pytest.raises(ValueError, match=r"series must be \(N, T\), got "
+                                             rf"shape {re.escape(str(shape))}"):
+            predict_streams([TransferPoly([1.0, 0.5])] * 2, np.zeros(shape))
 
     @given(st.lists(_FILTER, min_size=1, max_size=5), st.integers(0, 60),
            st.integers(0, 2 ** 32 - 1))
