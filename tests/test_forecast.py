@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from demandalloc import forecast
 from demandalloc import (
     AllocationPolicy,
     ConvergenceFailure,
@@ -23,6 +22,7 @@ from demandalloc import (
     SellerParams,
     TransferPoly,
     filter_msfe,
+    forecast,
     inner_outer_factor,
     innovations_msfe,
     lagged_variant,
@@ -170,7 +170,7 @@ class TestPredictStreams:
         calls = []
 
         def counting(coeffs, steps, settle_rtol=0.0):
-            calls.append(coeffs.tobytes())
+            calls.append(steps)
             return _innovations_rows(coeffs, steps, settle_rtol)
 
         monkeypatch.setattr(forecast, "_innovations_rows", counting)
