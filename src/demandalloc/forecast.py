@@ -193,6 +193,7 @@ def predict_streams(filters, series, mean: float = 0.0) -> np.ndarray:
     buf = np.zeros((T + q, W))
     np.subtract(series.T, mean, out=buf[:T][::-1, :N])
     xhat = np.empty((T, W))
+    # windows[t]: the (q, W) lags of index t; buf[::-1][q + t]: its row
     windows = np.lib.stride_tricks.sliding_window_view(
         buf, q, axis=0).transpose(0, 2, 1)[::-1]
     prod = np.empty((q, W))
