@@ -9,17 +9,15 @@ the benchmark allocation (routing), and forecast-error analysis for
 suboptimal filters and positive lead times (forecast).
 """
 from .demand import DemandModel, DemandPath, prob_negative, simulate
-from .forecast import (ConvergenceFailure, FilterForecaster, LeadTimeChoice,
-                       LeadTimeSpec, filter_msfe, innovations_msfe,
-                       leadtime_mode_choice, leadtime_msfe,
-                       ses_msfe_closed_form, ses_truncated_weights)
+from .forecast import (FilterForecaster, filter_msfe, leadtime_msfe,
+                       ses_truncated_weights)
 from .platform import (CurvePoint, EmptyFeasibleSet, PayoffResult,
                        PlatformSolution, export_curve, optimize, payoff,
                        payoff_curve, solution_document)
 from .policy import (AllocationPolicy, BelowLowerBound, Infeasible,
-                     InsufficientHistory, NeutralityReport, benchmark_offsets,
-                     check_neutral, lagged_variant, neutral_policy,
-                     seller_filter, sigma_lower_bound, uniform_policy)
+                     InsufficientHistory, benchmark_offsets, lagged_variant,
+                     neutral_policy, seller_filter, sigma_lower_bound,
+                     uniform_policy)
 from .polyalg import (Factorization, NoRoots, NumericalInstability,
                       TransferPoly, ZeroPolynomial, inner_outer_factor,
                       is_invertible, poly_mul, poly_roots, root_msfe, variance)
@@ -35,25 +33,23 @@ from .seller import (FBM, FBP, DomainError, MarketTable, ModeEconomics,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationPolicy", "BelowLowerBound", "ConvergenceFailure", "CurvePoint",
+    "AllocationPolicy", "BelowLowerBound", "CurvePoint",
     "DemandModel", "DemandPath", "DomainError", "EmptyFeasibleSet",
     "FBM", "FBP", "Factorization", "FilterForecaster",
-    "Infeasible", "InfeasibleTargets", "InsufficientHistory", "LeadTimeChoice",
-    "LeadTimeSpec", "MarketTable", "ModeEconomics", "NeutralityReport", "NoRoots",
+    "Infeasible", "InfeasibleTargets", "InsufficientHistory",
+    "MarketTable", "ModeEconomics", "NoRoots",
     "NumericalInstability", "PayoffResult", "PlatformCosts",
     "PlatformSolution", "RoutePathResult", "SellerParams",
     "TransferPoly", "ZeroPolynomial",
     "base_stock", "benchmark_offsets",
     "check_cost_assumptions",
     "export_assignment_log", "export_curve",
-    "check_neutral",
-    "filter_msfe", "inner_outer_factor",
-    "innovations_msfe", "integerize_demand",
+    "filter_msfe", "inner_outer_factor", "integerize_demand",
     "inventory_coefficient", "is_invertible", "lagged_variant",
-    "leadtime_mode_choice", "leadtime_msfe", "market_table",
+    "leadtime_msfe", "market_table",
     "neutral_policy", "optimize", "payoff", "payoff_curve",
     "poly_mul", "poly_roots", "prob_negative", "root_msfe", "route_orders",
-    "route_path", "seller_filter", "ses_msfe_closed_form",
+    "route_path", "seller_filter",
     "ses_truncated_weights", "sigma_lower_bound", "simulate",
     "solution_document", "std_normal_cdf", "std_normal_loss",
     "std_normal_quantile", "uniform_policy", "variance",

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -169,9 +170,29 @@ def _primary_stream(out_path):
         yield sys.stdout
 
 
+def _nonfinite_path(node, path=""):
+    """Path of the first non-finite float in nested dicts and lists, or None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    paths = (_nonfinite_path(v, f"{path}[{k}]" if isinstance(k, int)
+                             else f"{path}.{k}" if path else k) for k, v in items)
+    return next(filter(None, paths), None)
+
+
+def _json_text(doc: dict) -> str:
+    """Indented strict JSON; NumericalInstability names a non-finite number."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # with allow_nan=False: a number is not finite
+        raise NumericalInstability(
+            f"{_nonfinite_path(doc)} overflows the float range") from None
+
+
 def _emit_summary(summary: dict, out_path) -> None:
     stream = sys.stdout if out_path else sys.stderr
-    stream.write(json.dumps(summary, indent=2, allow_nan=False) + "\n")
+    stream.write(_json_text(summary))
 
 
 def cmd_optimize(args) -> int:
@@ -179,9 +200,9 @@ def cmd_optimize(args) -> int:
     sigma_lower = policy.sigma_lower_bound(scenario.model, scenario.n_sellers)
     table = seller.market_table(scenario.sellers, scenario.costs, scenario.model.mu)
     solution = platform.optimize(table, sigma_lower, scenario.sigma_cap)
-    doc = platform.solution_document(solution, table)
+    text = _json_text(platform.solution_document(solution, table))
     with _primary_stream(args.out) as fh:
-        fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+        fh.write(text)
     if args.out:
         print(f"wrote {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -243,10 +264,17 @@ def cmd_route(args) -> int:
 
 def _parse_coeffs(raw) -> TransferPoly:
     try:
-        p = TransferPoly([float(c) for c in raw])
+        return TransferPoly([float(c) for c in raw])
     except ValueError as exc:
         raise ScenarioError(f"bad coefficients: {exc}") from exc
-    return p
+
+
+def _square(x: float) -> float:
+    """x ** 2, inf where the float power raises OverflowError."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 def cmd_factor(args) -> int:
@@ -258,10 +286,10 @@ def cmd_factor(args) -> int:
         "inner_roots": [[z.real, z.imag] for z in fact.inner_roots],
         "outer_coeffs": list(map(float, fact.outer.coeffs)),
         "root_msfe": fact.root_msfe,
-        "msfe_squared": fact.root_msfe ** 2,
+        "msfe_squared": _square(fact.root_msfe),
         "invertible": fact.invertible,
     }
-    sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    sys.stdout.write(_json_text(doc))
     return EXIT_OK
 
 
@@ -273,17 +301,17 @@ def cmd_msfe(args) -> int:
     sigma = root_msfe(p) if fact is None else fact.root_msfe
     doc = {"coeffs": list(map(float, p.coeffs)),
            "root_msfe": sigma,
-           "msfe_squared": sigma ** 2}
+           "msfe_squared": _square(sigma)}
     if fact is not None:
         sigma_bar = forecast.leadtime_msfe(fact.outer, args.lead)
         doc["lead"] = args.lead
         doc["leadtime_msfe"] = sigma_bar
-        doc["leadtime_msfe_squared"] = sigma_bar ** 2
+        doc["leadtime_msfe_squared"] = _square(sigma_bar)
     if args.ses is not None:
         forecaster = forecast.ses_truncated_weights(args.ses)
         doc["ses_lambda"] = args.ses
         doc["ses_msfe"] = forecast.filter_msfe(p, forecaster)
-    sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    sys.stdout.write(_json_text(doc))
     return EXIT_OK
 
 
@@ -426,7 +454,7 @@ def main(argv=None) -> int:
             platform.EmptyFeasibleSet, routing.InfeasibleTargets) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (NumericalInstability, forecast.ConvergenceFailure) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -1,17 +1,13 @@
 """Forecast-error machinery beyond the one-step optimal predictor.
 
-Four strands: an innovations-algorithm oracle that recovers the one-step
-forecast error of a finite moving average directly from autocovariances
-(sharing no code with the root-split route, so the two can cross-check each
-other), and the optimal one-step predictor built on it; mean squared errors
-of suboptimal linear filters such as truncated exponential smoothing;
+Three strands: the optimal one-step predictor (predict_streams, the
+innovations recursion on a filter's autocovariances); mean squared errors
+of suboptimal linear filters such as truncated exponential smoothing; and
 lead-time demand uncertainty from partial sums of the coefficients of a
 seller filter's outer factor (polyalg.inner_outer_factor, any admissible
-design), and the mode choice it drives (leadtime_mode_choice, which reads K
-and the margins from the market table and decides by the table's own
-comparison); and the model of the `simulate` command (simulate_inventory),
-which allocates the path through policy.benchmark_offsets (the one replay of
-a design along a path, which routing tracks too), predicts every seller's
+design).  The model of the `simulate` command (simulate_inventory)
+allocates the path through policy.benchmark_offsets (the one replay of a
+design along a path, which routing tracks too), predicts every seller's
 stream in one pass of predict_streams, costs out stocks as (N, T) arrays and
 raises NumericalInstability on a non-finite summary, with its CSV written by
 the exact block formatter of csvtext (export_simulation).  Every per-seller
@@ -30,42 +26,15 @@ from .csvtext import BLOCK_CELLS, _format_rows
 from .demand import DemandModel, DemandPath
 from .policy import (AllocationPolicy, InsufficientHistory, benchmark_offsets,
                      seller_filter)
-from .polyalg import (TRIM_TOL, NumericalInstability, TransferPoly, as_poly,
-                      inner_outer_factor)
-from .seller import FBM, FBP, MarketTable, _prefers_fbp, base_stock
+from .polyalg import TRIM_TOL, NumericalInstability, TransferPoly, as_poly
+from .seller import FBM, FBP, MarketTable, base_stock
 
 SES_TAIL_TOL = 1e-12
 # Most weights a default smoothing filter may take: about -log(SES_TAIL_TOL)
 # / lam, so this sets the smallest lam it accepts, SES_MIN_LAMBDA.
 SES_MAX_ORDER = 100_000
 SES_MIN_LAMBDA = -math.expm1(math.log(SES_TAIL_TOL) / SES_MAX_ORDER)
-_CONVERGENCE_RTOL = 1e-10
 _WEIGHT_SUM_TOL = 1e-9
-
-
-class ConvergenceFailure(RuntimeError):
-    """Innovations recursion did not settle within the horizon."""
-
-    def __init__(self, horizon: int, last_variance: float, rel_change: float):
-        self.horizon = horizon
-        self.last_variance = last_variance
-        self.rel_change = rel_change
-        super().__init__(
-            f"innovation variance still moving after {horizon} steps: "
-            f"last v = {last_variance:.12g}, relative change {rel_change:.3e}"
-        )
-
-
-@dataclass(frozen=True)
-class LeadTimeSpec:
-    """Replenishment delays in periods, one per fulfillment mode."""
-
-    L_fbp: int
-    L_fbm: int
-
-    def __post_init__(self):
-        if self.L_fbp < 0 or self.L_fbm < 0:
-            raise ValueError("lead times must be nonnegative integers")
 
 
 @dataclass(frozen=True)
@@ -83,23 +52,26 @@ class FilterForecaster:
             raise ValueError(f"forecaster weights sum to {total:.12g}, need 1")
 
 
-def _ma_autocovariance(coeffs: np.ndarray) -> np.ndarray:
-    """gamma(0..q) of the MA process with these coefficients, unit shocks."""
-    q = coeffs.size - 1
-    return np.array([float(np.dot(coeffs[:coeffs.size - h], coeffs[h:]))
-                     for h in range(q + 1)])
+PREDICT_ROW_CAP = 5000
+"""Most innovations rows a predictor computes.  A row is reused for every
+later index once the innovation variance settles (PREDICT_SETTLE_RTOL); past
+this many rows the last computed row is reused even if it has not settled,
+which happens for filters with a root near the unit circle."""
+PREDICT_SETTLE_RTOL = 1e-14
 
 
-def _innovations_rows(coeffs: np.ndarray, steps: int, settle_rtol: float = 0.0):
+def _innovations_rows(coeffs: np.ndarray, steps: int):
     """Banded innovations recursion for an MA(q) process.
 
     Returns (theta, v) where theta[t, j] predicts with the innovation j
     steps back (j = 1..q) at time t, and v[t] is the one-step innovation
-    variance.  With settle_rtol > 0 the recursion stops early once v moves
-    less than that relative amount, returning the rows computed so far.
+    variance of the autocovariances gamma(0..q) (unit shocks).  The
+    recursion stops early once v moves less than PREDICT_SETTLE_RTOL
+    (relative), returning the rows computed so far.
     """
     q = coeffs.size - 1
-    gamma = _ma_autocovariance(coeffs)
+    gamma = np.array([float(np.dot(coeffs[:coeffs.size - h], coeffs[h:]))
+                      for h in range(q + 1)])
     v = np.empty(steps + 1)
     theta = np.zeros((steps + 1, q + 1))
     v[0] = gamma[0]
@@ -112,40 +84,9 @@ def _innovations_rows(coeffs: np.ndarray, steps: int, settle_rtol: float = 0.0):
                 acc -= theta[k, k - j] * theta[t, t - j] * v[j]
             theta[t, h] = acc / v[k]
         v[t] = gamma[0] - sum(theta[t, t - j] ** 2 * v[j] for j in range(lo, t))
-        if settle_rtol and t > q:
-            if abs(v[t] - v[t - 1]) <= settle_rtol * abs(v[t]):
-                return theta[:t + 1], v[:t + 1]
+        if t > q and abs(v[t] - v[t - 1]) <= PREDICT_SETTLE_RTOL * abs(v[t]):
+            return theta[:t + 1], v[:t + 1]
     return theta, v
-
-
-def innovations_msfe(psi_n: TransferPoly, horizon: int) -> float:
-    """One-step root MSFE via the innovations recursion on autocovariances.
-
-    Independent of root finding: only the process autocovariances enter.
-    Raises ConvergenceFailure (with the last innovation variance) when the
-    recursion is still moving after `horizon` steps, which happens when a
-    root sits very close to the unit circle.
-    """
-    psi_n = as_poly(psi_n)
-    if psi_n.is_zero():
-        raise ValueError("MSFE undefined for the zero polynomial")
-    if psi_n.degree == 0:
-        return abs(float(psi_n.coeffs[0]))
-    if horizon < 10 * psi_n.degree:
-        raise ValueError("horizon must be at least 10x the polynomial degree")
-    _, v = _innovations_rows(psi_n.coeffs, horizon, settle_rtol=_CONVERGENCE_RTOL)
-    rel = abs(v[-1] - v[-2]) / abs(v[-1])
-    if v.size == horizon + 1 and rel > _CONVERGENCE_RTOL:
-        raise ConvergenceFailure(horizon, float(v[-1]), float(rel))
-    return float(math.sqrt(v[-1]))
-
-
-PREDICT_ROW_CAP = 5000
-"""Most innovations rows a predictor computes.  A row is reused for every
-later index once the innovation variance settles (PREDICT_SETTLE_RTOL); past
-this many rows the last computed row is reused even if it has not settled,
-which happens for filters with a root near the unit circle."""
-PREDICT_SETTLE_RTOL = 1e-14
 
 
 def predict_streams(filters, series, mean: float = 0.0) -> np.ndarray:
@@ -172,16 +113,15 @@ def predict_streams(filters, series, mean: float = 0.0) -> np.ndarray:
     if len(filters) != N:
         raise ValueError(f"{len(filters)} filters for {N} series")
     distinct = {f.coeffs.tobytes(): f for f in filters}
-    rows = {key: _innovations_rows(f.coeffs, min(T, PREDICT_ROW_CAP),
-                                   settle_rtol=PREDICT_SETTLE_RTOL)[0][:, 1:]
+    rows = {key: _innovations_rows(f.coeffs, min(T, PREDICT_ROW_CAP))[0][:, 1:]
             if f.degree else np.zeros((1, 0)) for key, f in distinct.items()}
-    q = max(f.degree for f in filters)
+    q = max((f.degree for f in filters), default=0)
     # A lone series gets a zero partner: with two or more columns the series
     # axis is numpy's inner loop, so the sum over lags adds row by row,
     # j = 1..q (one column would be summed pairwise).
     W = max(N, 2)
     # theta[r, j - 1, n]: weight of the innovation j steps back at row r
-    theta = np.zeros((max(r.shape[0] for r in rows.values()), q, W))
+    theta = np.zeros((max((r.shape[0] for r in rows.values()), default=1), q, W))
     for n, f in enumerate(filters):
         r = rows[f.coeffs.tobytes()]
         theta[:r.shape[0], :r.shape[1], n] = r
@@ -211,28 +151,21 @@ def predict_streams(filters, series, mean: float = 0.0) -> np.ndarray:
     return np.add(xhat[:, :N].T, mean, order="C")
 
 
-def ses_truncated_weights(lam: float, order: int | None = None) -> FilterForecaster:
+def ses_truncated_weights(lam: float) -> FilterForecaster:
     """Exponential-smoothing weights lam (1-lam)^k, truncated and renormalized.
 
-    When order is omitted it is chosen so the dropped geometric tail is
-    below SES_TAIL_TOL, which takes at most SES_MAX_ORDER weights for lam in
-    [SES_MIN_LAMBDA, 1]; an explicit order (at least 1) takes any lam in
-    (0, 1].  Weights below polyalg.TRIM_TOL, which TransferPoly would trim,
-    are dropped after normalizing and the rest renormalized, so the weights
-    kept sum to 1.
-    lam = 1 is the naive last-value forecast.
+    The order is chosen so the dropped geometric tail is below SES_TAIL_TOL,
+    which takes at most SES_MAX_ORDER weights for lam in [SES_MIN_LAMBDA, 1].
+    Weights below polyalg.TRIM_TOL, which TransferPoly would trim, are
+    dropped after normalizing and the rest renormalized, so the weights kept
+    sum to 1.  lam = 1 is the naive last-value forecast.
     """
-    if order is None and not SES_MIN_LAMBDA <= lam <= 1.0:
+    if not SES_MIN_LAMBDA <= lam <= 1.0:
         raise ValueError(f"smoothing constant lam must lie in "
-                         f"[{SES_MIN_LAMBDA:.6g}, 1] when order is omitted, got {lam!r}")
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"smoothing constant lam must lie in (0, 1], got {lam!r}")
-    if order is not None and order < 1:
-        raise ValueError(f"order must be at least 1, got {order!r}")
+                         f"[{SES_MIN_LAMBDA:.6g}, 1], got {lam!r}")
     if lam == 1.0:
         return FilterForecaster(TransferPoly([1.0]))
-    if order is None:
-        order = max(1, math.ceil(math.log(SES_TAIL_TOL) / math.log1p(-lam)))
+    order = max(1, math.ceil(math.log(SES_TAIL_TOL) / math.log1p(-lam)))
     w = (1.0 - lam) ** np.arange(order)
     w /= w.sum()
     w = w[w >= TRIM_TOL]
@@ -248,26 +181,9 @@ def filter_msfe(psi_n: TransferPoly, forecaster: FilterForecaster) -> float:
     with unit-variance shocks the MSE is the sum of squared coefficients of
     that error filter.  Never beats the optimal predictor's root MSFE.
     """
-    psi_n = as_poly(psi_n)
-    w = forecaster.weights.coeffs
-    one_minus = np.concatenate(([1.0], -w))
-    err = np.convolve(one_minus, psi_n.coeffs)
+    one_minus = np.concatenate(([1.0], -forecaster.weights.coeffs))
+    err = np.convolve(one_minus, as_poly(psi_n).coeffs)
     return float(np.sqrt(np.dot(err, err)))
-
-
-def ses_msfe_closed_form(psi0_abs: float, N: int, alpha: float, lam: float) -> float:
-    """Perceived root MSFE under untruncated exponential smoothing, for the
-    one-lag designs on serially independent market demand.
-
-    alpha carries the seller's sign; lam = 0 recovers the optimal-forecast
-    value sqrt(sigma_L^2 + sigma^2).
-    """
-    if not 0.0 <= lam < 1.0:
-        raise ValueError("closed form needs lambda in [0, 1)")
-    base = (psi0_abs / N) ** 2
-    mse = base * (1.0 + (alpha - lam) ** 2
-                  + (lam / (2.0 - lam)) * (1.0 - lam + alpha) ** 2)
-    return float(math.sqrt(mse))
 
 
 def leadtime_msfe(outer_coeffs: TransferPoly, L: int) -> float:
@@ -277,7 +193,7 @@ def leadtime_msfe(outer_coeffs: TransferPoly, L: int) -> float:
     factor's coefficients); L = 0 reduces to the one-step root MSFE
     |theta_0|.  Past the factor's degree q every partial sum is the full
     sum, so the first min(L + 1, q) terms are summed and the rest counted:
-    time and memory are O(q) whatever L.
+    time and memory are O(q) whatever L.  Inf when the sum or L overflows.
     """
     if L < 0:
         raise ValueError("lead time must be nonnegative")
@@ -286,51 +202,12 @@ def leadtime_msfe(outer_coeffs: TransferPoly, L: int) -> float:
         return abs(float(theta[0]))
     partial = np.cumsum(theta[:L + 1])
     head = partial[:min(L + 1, theta.size - 1)]
-    tail = (L + 1 - head.size) * partial[-1] ** 2
+    last = float(partial[-1])
+    try:
+        tail = (L + 1 - head.size) * (last * last)
+    except OverflowError:  # a count of periods too large for a float
+        tail = math.inf if last else 0.0
     return float(np.sqrt(np.dot(head, head) + tail))
-
-
-@dataclass(frozen=True)
-class LeadTimeChoice:
-    mode: str
-    sigma_bar_fbp: float
-    sigma_bar_fbm: float
-    utility_fbp: float
-    utility_fbm: float
-
-
-def _check_sellers(table: MarketTable, policy: AllocationPolicy) -> None:
-    if policy.n_sellers != table.N:
-        raise ValueError(f"policy has {policy.n_sellers} sellers, "
-                         f"market table {table.N}")
-
-
-def leadtime_mode_choice(table: MarketTable, leads: LeadTimeSpec,
-                         model: DemandModel, policy: AllocationPolicy,
-                         n: int) -> LeadTimeChoice:
-    """Mode choice of seller n (1-based) when the two modes replenish with
-    different delays.
-
-    Each mode faces the forecast uncertainty of its own lead-time demand,
-    read from the outer factor of the seller's filter psi_n, for any design
-    (its global sign is arbitrary and never enters a lead-time MSFE);
-    utilities are the table's margin minus K times that sigma-bar, and the
-    choice is the table's adoption comparison with the inventory-cost term
-    K_FBP sigma-bar_FBP - K_FBM sigma-bar_FBM.  Ties go to platform
-    fulfillment.
-    """
-    _check_sellers(table, policy)
-    theta = inner_outer_factor(seller_filter(policy, model, n)).outer
-    s_fbp = leadtime_msfe(theta, leads.L_fbp)
-    s_fbm = leadtime_msfe(theta, leads.L_fbm)
-    i = n - 1
-    cost_fbp = float(table.k_fbp[i]) * s_fbp
-    cost_fbm = float(table.k_fbm[i]) * s_fbm
-    fbp = _prefers_fbp(float(table.fixed[i]), cost_fbp - cost_fbm)
-    return LeadTimeChoice(mode=FBP if fbp else FBM,
-                          sigma_bar_fbp=s_fbp, sigma_bar_fbm=s_fbm,
-                          utility_fbp=float(table.margin_fbp[i]) - cost_fbp,
-                          utility_fbm=float(table.margin_fbm[i]) - cost_fbm)
 
 
 @dataclass(frozen=True)
@@ -371,7 +248,9 @@ def simulate_inventory(table: MarketTable, alloc_policy: AllocationPolicy,
     naming sigma when a summary number is not finite, as when sigma
     overflows the predictor.  ValueError when the table and the policy
     count different sellers."""
-    _check_sellers(table, alloc_policy)
+    if alloc_policy.n_sellers != table.N:
+        raise ValueError(f"policy has {alloc_policy.n_sellers} sellers, "
+                         f"market table {table.N}")
     start = alloc_policy.max_lag
     demands = np.asarray(path.demands, dtype=float)
     if demands.size <= start:

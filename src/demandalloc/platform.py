@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .polyalg import NumericalInstability
 from .seller import DomainError, MarketTable
 
 _PAYOFF_TIE_TOL = 1e-9
@@ -112,24 +113,11 @@ def _evaluate(table: MarketTable, sigma, mask) -> _Evaluation:
         gamma_fbm=np.where(mask, 0.0, s * table.zeta_fbm).sum(axis=-1))
 
 
-def payoff(table: MarketTable, sigma: float, adopters=None) -> PayoffResult:
+def payoff(table: MarketTable, sigma: float) -> PayoffResult:
     """Expected per-period platform payoff at design volatility sigma, with
-    the safety stock held at the platform by adopters (gamma_fbp) and
-    privately by everyone else (gamma_fbm).
-
-    adopters normally comes from the inclusive adoption rule; pass an
-    explicit set of 1-based indices to probe one-sided limits at a
-    breakpoint (ValueError for an index outside 1..N).
-    """
-    if adopters is None:
-        mask = table.adopts(sigma)
-    else:
-        for i in adopters:
-            if not 1 <= i <= table.N:
-                raise ValueError(f"adopter index {i} outside 1..{table.N}")
-        mask = np.zeros(table.N, dtype=bool)
-        mask[[i - 1 for i in adopters]] = True
-    return _evaluate(table, sigma, mask).result()
+    the adopters of the inclusive adoption rule holding their safety stock
+    at the platform (gamma_fbp) and everyone else privately (gamma_fbm)."""
+    return _evaluate(table, sigma, table.adopts(sigma)).result()
 
 
 def _check_optimizer_domain(table: MarketTable) -> None:
@@ -195,7 +183,7 @@ def payoff_curve(table: MarketTable, sigma_grid, sigma_upper: float):
     """Plot-ready payoff samples: the grid plus both one-sided limits at
     every jump (each breakpoint in range, and the participation bound
     sigma_upper, from MarketTable.participation_ub, past which the payoff
-    is zero)."""
+    is zero).  NumericalInstability when a total overflows."""
     grid = np.sort(np.asarray(sigma_grid, dtype=float).ravel(), kind="stable")
     if not grid.size:
         return []
@@ -221,6 +209,9 @@ def payoff_curve(table: MarketTable, sigma_grid, sigma_upper: float):
     order = np.lexsort(([_SIDE_RANK[side] for side in sides], sigma))
     columns = (sigma, np.where(zero, 0.0, ev.total), ev.n_adopters,
                ev.gamma_fbp, np.where(zero, 0.0, ev.gamma_fbm))
+    if not all(np.isfinite(c).all() for c in columns):
+        raise NumericalInstability("payoff curve: a payoff or safety-stock "
+                                   "total overflows the float range")
     return [CurvePoint(*values, side=sides[i])
             for i, *values in zip(order.tolist(),
                                   *(c[order].tolist() for c in columns))]

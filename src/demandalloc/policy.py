@@ -11,15 +11,13 @@ routing and forecasting read it from the policy they are given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .demand import DemandModel
-from .polyalg import TransferPoly, as_poly, poly_mul, root_msfe
+from .polyalg import TransferPoly, as_poly, poly_mul
 
 ADMISSIBILITY_TOL = 1e-10
-NEUTRALITY_TOL = 1e-9
 
 
 class BelowLowerBound(ValueError):
@@ -74,13 +72,6 @@ class AllocationPolicy:
 
     def __repr__(self) -> str:
         return f"AllocationPolicy(N={self.n_sellers}, max_lag={self.max_lag})"
-
-
-@dataclass(frozen=True)
-class NeutralityReport:
-    per_seller_sigma: tuple
-    is_neutral: bool
-    max_sigma_spread: float
 
 
 def uniform_policy(N: int) -> AllocationPolicy:
@@ -166,16 +157,6 @@ def seller_filter(policy: AllocationPolicy, model: DemandModel, n: int) -> Trans
         raise IndexError(f"seller index {n} outside 1..{policy.n_sellers}")
     product = poly_mul(model.psi, policy.transfers[n - 1])
     return TransferPoly(product.coeffs / policy.n_sellers)
-
-
-def check_neutral(policy: AllocationPolicy, model: DemandModel,
-                  tol: float = NEUTRALITY_TOL) -> NeutralityReport:
-    """Per-seller root MSFEs, with the neutrality verdict."""
-    sigmas = tuple(root_msfe(seller_filter(policy, model, n))
-                   for n in range(1, policy.n_sellers + 1))
-    spread = max(sigmas) - min(sigmas)
-    return NeutralityReport(per_seller_sigma=sigmas, is_neutral=spread <= tol,
-                            max_sigma_spread=spread)
 
 
 def benchmark_offsets(policy: AllocationPolicy, model: DemandModel,

@@ -68,16 +68,6 @@ class TransferPoly:
     def is_zero(self) -> bool:
         return self.degree == 0 and self.coeffs[0] == 0.0
 
-    def __call__(self, z):
-        # Horner; returns c_0 exactly at z=0 and accepts complex arguments.
-        acc = np.zeros_like(np.asarray(z, dtype=complex))
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
-        if np.iscomplexobj(z):
-            return acc if acc.ndim else complex(acc)
-        out = acc.real
-        return out if out.ndim else float(out)
-
     def __len__(self) -> int:
         return self.coeffs.size
 
@@ -93,9 +83,9 @@ class Factorization:
     roots are all roots of the input with multiplicity (none at degree 0).
     outer carries the full spectrum (same modulus on the unit circle as the
     input); inner_roots are the reflected roots, all strictly inside the
-    unit disk and closed under conjugation.  The input equals
-    outer(z) * blaschke(z) identically: both are c_q * prod (z - a) over
-    all roots a.  root_msfe is |outer(0)|, computed as in root_msfe.
+    unit disk and closed under conjugation.  The input equals outer(z) times
+    the Blaschke factor prod (z - a)/(1 - conj(a) z) over inner_roots.
+    root_msfe is |outer(0)|, computed as in root_msfe.
     """
 
     roots: tuple
@@ -107,13 +97,6 @@ class Factorization:
     def invertible(self) -> bool:
         """True iff no root lies strictly inside the unit disk."""
         return self.inner_roots == ()
-
-    def blaschke(self, z):
-        """Evaluate the inner (all-pass) factor at z."""
-        acc = np.ones_like(np.asarray(z, dtype=complex))
-        for r in self.inner_roots:
-            acc = acc * (z - r) / (1.0 - np.conj(r) * z)
-        return acc if acc.ndim else complex(acc)
 
 
 def as_poly(p) -> TransferPoly:

@@ -10,8 +10,8 @@ market_table computes K, the fractile and the margin (r - rho - f) mu/N of
 every seller under both modes once per market; mode choice and adoption sets
 (MarketTable.adopts), chosen utilities (utilities), exit thresholds
 (breakpoints) and the participation bound (participation_ub) are array
-operations on it, and the platform layer and the lead-time mode choice
-(forecast.leadtime_mode_choice) read the same table.  One comparison,
+operations on it, and the platform layer and the simulation
+(forecast.simulate_inventory) read the same table.  One comparison,
 _prefers_fbp, decides every mode choice.  The normal quantile and pdf come
 from the stdlib's statistics.NormalDist, the cdf from math.erfc.
 """

@@ -1,16 +1,18 @@
 """Independent oracles used to freeze expected values and cross-check the
 package's numerics.  Root finding goes through mpmath at 50 digits, the
 innovations recursion is restated from the textbook autocovariance form, the
-routing replay re-derives greedy choices from scratch, the reference router
-assigns one order at a time by the greedy rule, and the routing
-targets are summed from the transfer coefficients period by period; none of
-these imports from demandalloc.
+perceived root MSFE of untruncated exponential smoothing on the one-lag
+designs has its closed form (ses_msfe_closed_form, which the truncated SES
+filter of `msfe --ses` must match), the routing replay re-derives greedy
+choices from scratch, the reference router assigns one order at a time by
+the greedy rule, and the routing targets are summed from the transfer
+coefficients period by period; none of these imports from demandalloc.
 
 The one-series predictor reference is the scalar loop over t and j that
 the package replaced with a pass over all sellers at once.  It takes its
-innovations rows, settle tolerance and row cap from demandalloc.forecast, so
-it checks the batching (padding, row reuse, summation order) and nothing
-else.
+innovations rows (with their settle rule) and row cap from
+demandalloc.forecast, so it checks the batching (padding, row reuse,
+summation order) and nothing else.
 
 The scalar seller/platform reference at the end is the per-seller loop form
 of mode economics, utilities, adoption, breakpoints, participation, payoff,
@@ -36,8 +38,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from demandalloc.forecast import (PREDICT_ROW_CAP, PREDICT_SETTLE_RTOL,
-                                  _innovations_rows)
+from demandalloc.forecast import PREDICT_ROW_CAP, _innovations_rows
 from demandalloc.platform import CurvePoint, PayoffResult, PlatformSolution
 from demandalloc.seller import inventory_coefficient
 
@@ -119,6 +120,21 @@ def innovations_msfe_oracle(coeffs, steps: int = 150) -> float:
     return float(v[-1]) ** 0.5
 
 
+def ses_msfe_closed_form(psi0_abs: float, N: int, alpha: float, lam: float) -> float:
+    """Perceived root MSFE under untruncated exponential smoothing, for the
+    one-lag designs on serially independent market demand.
+
+    alpha carries the seller's sign; lam = 0 recovers the optimal-forecast
+    value sqrt(sigma_L^2 + sigma^2).
+    """
+    if not 0.0 <= lam < 1.0:
+        raise ValueError("closed form needs lambda in [0, 1)")
+    base = (psi0_abs / N) ** 2
+    mse = base * (1.0 + (alpha - lam) ** 2
+                  + (lam / (2.0 - lam)) * (1.0 - lam + alpha) ** 2)
+    return float(math.sqrt(mse))
+
+
 def greedy_replay_ok(offsets, assignment_log, tie_tol: float = 1e-12) -> bool:
     """Check a routing log is consistent with smallest-adjusted-count greedy.
 
@@ -183,8 +199,7 @@ def ref_innovations_predict(coeffs, series, mean: float = 0.0):
     q = coeffs.size - 1
     if q == 0:
         return np.full(T, mean)
-    theta, _ = _innovations_rows(coeffs, min(T, PREDICT_ROW_CAP),
-                                 settle_rtol=PREDICT_SETTLE_RTOL)
+    theta, _ = _innovations_rows(coeffs, min(T, PREDICT_ROW_CAP))
     last = theta.shape[0] - 1
     xhat = np.zeros(T)
     for t in range(T):

