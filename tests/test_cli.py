@@ -462,6 +462,18 @@ class TestOptimize:
         assert floor["cumulative_utility"] == pytest.approx(
             1107.1440073283823, rel=1e-9)
 
+    # wide_n1000 is perfbench.market.synthetic_market(5, 1000, 1500, (500,)),
+    # written once; a summation-order change shows only at large N
+    @pytest.mark.parametrize("scenario, golden", [
+        (SCENARIO, "optimize_illustrative.json"),
+        (str(DATA / "wide_n1000.scenario"), "optimize_wide_n1000.json"),
+    ])
+    def test_solution_document_bytes(self, scenario, golden, tmp_path, capsys):
+        out = tmp_path / "sol.json"
+        assert main(["optimize", "--scenario", scenario,
+                     "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (DATA / golden).read_bytes()
+
 
 class TestFactorAndMsfe:
     def run_json(self, argv, capsys):
@@ -573,6 +585,13 @@ class TestCurve:
         # past the participation bound the payoff is identically zero
         tail = [p for s, p, _ in data if s > summary["sigma_upper"] + 1e-6]
         assert tail and all(p == 0.0 for p in tail)
+
+    def test_wide_market_matches_golden(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "--scenario", str(DATA / "wide_n1000.scenario"),
+                     "--grid", "200", "--out", str(out)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["points"] == 2050
+        assert out.read_bytes() == (DATA / "curve_wide_n1000_grid200.csv").read_bytes()
 
 
 class TestSimulate:
