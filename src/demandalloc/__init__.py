@@ -18,12 +18,11 @@ from .policy import (AllocationPolicy, BelowLowerBound, Infeasible,
                      InsufficientHistory, benchmark_offsets, lagged_variant,
                      neutral_policy, seller_filter, sigma_lower_bound,
                      uniform_policy)
-from .polyalg import (Factorization, NoRoots, NumericalInstability,
+from .polyalg import (Factorization, NumericalInstability,
                       TransferPoly, ZeroPolynomial, inner_outer_factor,
                       is_invertible, poly_mul, poly_roots, root_msfe, variance)
-from .routing import (InfeasibleTargets, RoutePathResult,
-                      export_assignment_log, integerize_demand, route_orders,
-                      route_path)
+from .routing import (RoutePathResult, export_assignment_log,
+                      integerize_demand, route_orders, route_path)
 from .seller import (FBM, FBP, DomainError, MarketTable, ModeEconomics,
                      PlatformCosts, SellerParams, base_stock,
                      check_cost_assumptions, inventory_coefficient,
@@ -36,8 +35,8 @@ __all__ = [
     "AllocationPolicy", "BelowLowerBound", "CurvePoint",
     "DemandModel", "DemandPath", "DomainError", "EmptyFeasibleSet",
     "FBM", "FBP", "Factorization", "FilterForecaster",
-    "Infeasible", "InfeasibleTargets", "InsufficientHistory",
-    "MarketTable", "ModeEconomics", "NoRoots",
+    "Infeasible", "InsufficientHistory",
+    "MarketTable", "ModeEconomics",
     "NumericalInstability", "PayoffResult", "PlatformCosts",
     "PlatformSolution", "RoutePathResult", "SellerParams",
     "TransferPoly", "ZeroPolynomial",

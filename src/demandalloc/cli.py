@@ -245,8 +245,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_route(args) -> int:
     scenario, alloc_policy, path = _design_run(args)
-    result = routing.route_path(alloc_policy, scenario.model, path, path.seed,
-                                on_infeasible="skip")
+    result = routing.route_path(alloc_policy, scenario.model, path, path.seed)
     with _primary_stream(args.out) as fh:
         routing.export_assignment_log(result, fh)
     skipped = result.infeasible_periods
@@ -451,7 +450,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (policy.BelowLowerBound, policy.Infeasible,
-            platform.EmptyFeasibleSet, routing.InfeasibleTargets) as exc:
+            platform.EmptyFeasibleSet) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except ArithmeticError as exc:

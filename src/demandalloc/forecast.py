@@ -114,7 +114,7 @@ def predict_streams(filters, series, mean: float = 0.0) -> np.ndarray:
         raise ValueError(f"{len(filters)} filters for {N} series")
     distinct = {f.coeffs.tobytes(): f for f in filters}
     rows = {key: _innovations_rows(f.coeffs, min(T, PREDICT_ROW_CAP))[0][:, 1:]
-            if f.degree else np.zeros((1, 0)) for key, f in distinct.items()}
+            for key, f in distinct.items()}
     q = max((f.degree for f in filters), default=0)
     # A lone series gets a zero partner: with two or more columns the series
     # axis is numpy's inner loop, so the sum over lags adds row by row,

@@ -100,15 +100,13 @@ def _check_target(model: DemandModel, N: int, sigma_target: float):
     return sigma_l, alpha
 
 
-def neutral_policy(model: DemandModel, N: int, sigma_target: float,
-                   permutation=None) -> AllocationPolicy:
+def neutral_policy(model: DemandModel, N: int, sigma_target: float) -> AllocationPolicy:
     """Minimal-memory neutral policy hitting the requested root MSFE.
 
     At the lower bound this is the uniform split.  Above it, even N uses the
     alternating one-lag transfers 1 + (-1)^n a z with a = N sigma/|psi(0)|;
     odd N gives sellers 1 and 2 two-lag transfers (1 + a z + a z^2 and
-    1 - a z^2) and alternates the rest.  permutation optionally relabels
-    which seller gets which role.
+    1 - a z^2) and alternates the rest.
     """
     sigma_l, alpha = _check_target(model, N, sigma_target)
     if sigma_target == sigma_l:
@@ -120,7 +118,7 @@ def neutral_policy(model: DemandModel, N: int, sigma_target: float,
     else:
         roles = [TransferPoly([1.0, alpha, alpha]), TransferPoly([1.0, 0.0, -alpha])]
         roles += _alternating(alpha, 1, 3, N)
-    return AllocationPolicy(N, _apply_permutation(roles, permutation, N))
+    return AllocationPolicy(N, roles)
 
 
 def lagged_variant(model: DemandModel, N: int, sigma_target: float,
@@ -140,15 +138,6 @@ def _alternating(alpha, k, first, last):
     """Transfers 1 + (-1)^n a z^k of sellers first..last."""
     return [TransferPoly([1.0] + [0.0] * (k - 1) + [(-1.0) ** n * alpha])
             for n in range(first, last + 1)]
-
-
-def _apply_permutation(roles, permutation, N):
-    if permutation is None:
-        return roles
-    perm = [int(p) for p in permutation]
-    if sorted(perm) != list(range(1, N + 1)):
-        raise ValueError("permutation must rearrange 1..N")
-    return [roles[perm.index(seller)] for seller in range(1, N + 1)]
 
 
 def seller_filter(policy: AllocationPolicy, model: DemandModel, n: int) -> TransferPoly:

@@ -30,10 +30,6 @@ class ZeroPolynomial(ValueError):
     """Operation undefined for the identically zero polynomial."""
 
 
-class NoRoots(ValueError):
-    """Root finding requested on a degree-0 polynomial."""
-
-
 class NumericalInstability(ArithmeticError):
     """Conjugate pairing left an imaginary residue too large to discard."""
 
@@ -125,7 +121,8 @@ def _newton_polish(coeffs: np.ndarray, roots: np.ndarray, sweeps: int = 2) -> np
 
 
 def poly_roots(p: TransferPoly):
-    """All degree-many roots of p, with multiplicity.
+    """All degree-many roots of p, with multiplicity (an empty complex array
+    at degree 0).
 
     Companion-matrix eigenvalues (numpy applies balancing) followed by a
     short Newton polish.  Roots come back sorted by (real, imag) so repeated
@@ -133,7 +130,7 @@ def poly_roots(p: TransferPoly):
     """
     p = as_poly(p)
     if p.degree == 0:
-        raise NoRoots("degree-0 polynomial has no roots")
+        return np.empty(0, dtype=complex)
     raw = np.roots(p.coeffs[::-1])
     polished = _newton_polish(p.coeffs, raw)
     order = np.lexsort((polished.imag, polished.real))
@@ -165,14 +162,14 @@ def is_boundary_tol(value) -> bool:
 
 
 def _root_split(p: TransferPoly, boundary_tol: float):
-    """Roots of p (none at degree 0), the mask of those on the outer side,
+    """Roots of p, the mask of those on the outer side,
     modulus at least 1 - boundary_tol, and the root MSFE they give.  The one
     place roots are classified."""
     if not is_boundary_tol(boundary_tol):
         raise ValueError(f"boundary_tol must be a number in [0, 1), got {boundary_tol!r}")
     if p.is_zero():
         raise ZeroPolynomial("the zero polynomial has no root split")
-    roots = poly_roots(p) if p.degree else np.empty(0, dtype=complex)
+    roots = poly_roots(p)
     outer = np.abs(roots) >= 1.0 - boundary_tol
     # Empty product is 1: a fully non-invertible filter keeps only |c_q|.
     msfe = abs(float(p.coeffs[-1])) * float(np.prod(np.abs(roots[outer])))

@@ -6,7 +6,8 @@ lagged aggregate demand and sum to zero (`policy.benchmark_offsets`), so
 any admissible design can be routed.  The greedy router assigns every
 arriving order to the seller with the smallest offset-adjusted count
 count_n - b_n; when all targets are nonnegative the final counts land
-within one order of every target.
+within one order of every target.  A period with a negative target has no
+such routing: it is skipped, with zero counts, and marked unrouted.
 
 The greedy gives seller n its (k+1)-th order at key k - b_n, so a period's
 assignment sequence is the sorted merge of N arithmetic key sequences (the
@@ -41,19 +42,6 @@ OFFSET_SUM_TOL = 1e-9
 # which a negative target still counts as zero.
 _TIE_TOL = 1e-12
 TIE_BREAKS = ("random", "lowest")
-ON_INFEASIBLE = ("raise", "skip")
-
-
-class InfeasibleTargets(ValueError):
-    """Some benchmark targets are negative; the one-unit tracking guarantee
-    does not apply.  Carries the offending 1-based seller indices and the
-    0-based period."""
-
-    def __init__(self, sellers, period: int):
-        self.sellers = list(sellers)
-        self.period = period
-        super().__init__(f"negative targets for sellers {self.sellers} "
-                         f"in period {period}")
 
 
 @dataclass(frozen=True)
@@ -90,12 +78,6 @@ class RoutePathResult:
         """Largest |count - target| over the routed periods."""
         gap = np.abs(self.counts - self.targets)[self.routed]
         return float(gap.max(initial=0.0))
-
-
-def _check_choice(name: str, value, allowed) -> None:
-    if value not in allowed:
-        raise ValueError(f"{name} must be one of "
-                         f"{', '.join(map(repr, allowed))}, got {value!r}")
 
 
 def _tie_reach(keys):
@@ -174,7 +156,7 @@ def _order_counts(demand) -> np.ndarray:
     return counts
 
 
-def route_orders(offsets, demand, seed: int, on_infeasible: str = "raise",
+def route_orders(offsets, demand, seed: int,
                  tie_break: str = "random") -> RoutePathResult:
     """Assign demand[t] orders in each period t by smallest offset-adjusted
     count.
@@ -182,14 +164,14 @@ def route_orders(offsets, demand, seed: int, on_infeasible: str = "raise",
     offsets is a (T x N) array of per-seller offsets b[t, n]; each row must
     sum to zero, and demand holds T nonnegative whole counts (integral
     floats pass).  A period whose targets fall below zero by more than the
-    relative tie slack raises InfeasibleTargets, or with
-    on_infeasible="skip" is left unrouted with zero counts.  Ties go by a
+    relative tie slack is left unrouted with zero counts.  Ties go by a
     ranking of the sellers per period, all drawn at once as
     np.random.default_rng(seed).random((T, N)), or to the lowest index with
     tie_break="lowest" for reproducible goldens.
     """
-    _check_choice("on_infeasible", on_infeasible, ON_INFEASIBLE)
-    _check_choice("tie_break", tie_break, TIE_BREAKS)
+    if tie_break not in TIE_BREAKS:
+        raise ValueError(f"tie_break must be one of "
+                         f"{', '.join(map(repr, TIE_BREAKS))}, got {tie_break!r}")
     b = np.asarray(offsets, dtype=float)
     demand = _order_counts(demand)
     T, N = b.shape
@@ -200,11 +182,7 @@ def route_orders(offsets, demand, seed: int, on_infeasible: str = "raise",
         raise ValueError("order count must be nonnegative")
     targets = demand[:, None] / N + b
     scale = np.maximum(1.0, np.abs(targets).max(axis=1))
-    negative = targets < -_TIE_TOL * scale[:, None]
-    routed = ~negative.any(axis=1)
-    if on_infeasible == "raise" and not routed.all():
-        t = int(np.flatnonzero(~routed)[0])
-        raise InfeasibleTargets((np.flatnonzero(negative[t]) + 1).tolist(), t)
+    routed = ~(targets < -_TIE_TOL * scale[:, None]).any(axis=1)
     if tie_break == "lowest":
         rank = np.broadcast_to(np.arange(N), (T, N))
     else:
@@ -222,7 +200,7 @@ def integerize_demand(path: DemandPath) -> np.ndarray:
 
 
 def route_path(alloc_policy: AllocationPolicy, model: DemandModel,
-               path: DemandPath, seed: int, on_infeasible: str = "raise",
+               path: DemandPath, seed: int,
                tie_break: str = "random") -> RoutePathResult:
     """Route a whole demand path with route_orders.
 
@@ -231,7 +209,7 @@ def route_path(alloc_policy: AllocationPolicy, model: DemandModel,
     """
     demand = integerize_demand(path)
     return route_orders(benchmark_offsets(alloc_policy, model, demand), demand,
-                        seed, on_infeasible, tie_break)
+                        seed, tie_break)
 
 
 def export_assignment_log(path_result: RoutePathResult, fileobj) -> None:

@@ -188,7 +188,6 @@ class MarketTable(NamedTuple):
     # Per-mode margin (r - rho - f) mu/N, with f = F under platform fulfillment.
     margin_fbm: np.ndarray
     margin_fbp: np.ndarray
-    dF: np.ndarray
     dK: np.ndarray
     # (mu/N) dF: the sigma-free part of the adoption margin.
     fixed: np.ndarray
@@ -269,7 +268,7 @@ def market_table(sellers, costs: PlatformCosts, mu: float) -> MarketTable:
         zeta_fbm=np.array([e.zeta for e in fbm], dtype=float), k_fbm=k_fbm,
         zeta_fbp=np.array([e.zeta for e in fbp], dtype=float), k_fbp=k_fbp,
         margin_fbm=margin_fbm, margin_fbp=margin_fbp,
-        dF=dF, dK=dK, fixed=mu_share * dF, threshold=threshold,
+        dK=dK, fixed=mu_share * dF, threshold=threshold,
         participation=np.maximum(margin_fbm / k_fbm, margin_fbp / k_fbp))
 
 

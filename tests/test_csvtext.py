@@ -169,7 +169,7 @@ def test_simulation_csv_matches_reference(design, periods, seed):
 def test_assignment_log_matches_reference(design, periods, seed, tie_break):
     model, pol, _ = small_design(*design)
     res = route_path(pol, model, simulate(model, periods, seed), seed,
-                     on_infeasible="skip", tie_break=tie_break)
+                     tie_break=tie_break)
     assert written(export_assignment_log, res) \
         == written(ref_export_assignment_log, res)
 
@@ -191,7 +191,7 @@ def test_long_runs_match_reference_across_blocks():
     assert written(export_simulation, run) == written(ref_export_simulation, run)
     model = DemandModel(15.0, TransferPoly([5.0]))
     res = route_path(neutral_policy(model, 10, 1.0), model,
-                     simulate(model, 600, 4), 4, on_infeasible="skip")
+                     simulate(model, 600, 4), 4)
     assert res.log.size * 13 > 3 * BLOCK_CELLS
     assert written(export_assignment_log, res) \
         == written(ref_export_assignment_log, res)

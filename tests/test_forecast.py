@@ -36,7 +36,7 @@ from demandalloc.forecast import (PREDICT_ROW_CAP, SES_MAX_ORDER,
                                   predict_streams, simulate_inventory)
 from oracles import (benchmark_targets, mp_root_msfe, mp_roots,
                      ref_innovations_predict, ses_msfe_closed_form)
-from test_routing import routed_designs
+from test_routing import relabelled_policy, routed_designs
 from test_seller import COSTS, SELLERS, TABLE
 
 M5 = DemandModel(15.0, TransferPoly([5.0]))
@@ -62,8 +62,8 @@ def _lead_time_designs():
         f"lagged-N{N}-k{k}":
             (lambda m, N=N, k=k: lagged_variant(m, N, target(m, N), k=k))
         for N in (2, 4) for k in (1, 2, 3)})
-    designs["odd-permuted"] = lambda m: neutral_policy(
-        m, 5, target(m, 5), permutation=[3, 5, 1, 4, 2])
+    designs["odd-permuted"] = lambda m: relabelled_policy(
+        neutral_policy(m, 5, target(m, 5)), [3, 5, 1, 4, 2])
     designs["custom"] = lambda m: CUSTOM_POLICY
     return designs
 

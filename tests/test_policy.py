@@ -116,21 +116,6 @@ class TestNeutralPolicy:
                 f = seller_filter(pol, M5, n)
                 assert root_msfe(f) == pytest.approx(sigma, abs=1e-9)
 
-    def test_permutation_relabels_roles(self):
-        base = neutral_policy(M1, 3, 0.4)
-        perm = neutral_policy(M1, 3, 0.4, permutation=[2, 3, 1])
-        # role 0 goes to seller 2, role 1 to seller 3, role 2 to seller 1
-        np.testing.assert_allclose(perm.transfers[1].coeffs,
-                                   base.transfers[0].coeffs)
-        np.testing.assert_allclose(perm.transfers[2].coeffs,
-                                   base.transfers[1].coeffs)
-        np.testing.assert_allclose(perm.transfers[0].coeffs,
-                                   base.transfers[2].coeffs)
-
-    def test_bad_permutation(self):
-        with pytest.raises(ValueError):
-            neutral_policy(M1, 3, 0.4, permutation=[1, 1, 2])
-
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 1.7e308])
     def test_non_finite_target_names_sigma(self, sigma):
         # at 1.7e308 the target is finite but a = N sigma/|psi(0)| is not

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demandalloc.demand import DemandModel
-from demandalloc.polyalg import (NoRoots, TransferPoly, ZeroPolynomial,
+from demandalloc.polyalg import (TransferPoly, ZeroPolynomial,
                                  inner_outer_factor, is_invertible, poly_mul,
                                  poly_roots, root_msfe, variance)
 from oracles import innovations_msfe_oracle, mp_root_msfe, mp_roots
@@ -143,9 +143,9 @@ class TestRoots:
         second = poly_roots(p)
         assert np.array_equal(first, second)
 
-    def test_degree0_raises(self):
-        with pytest.raises(NoRoots):
-            poly_roots(TransferPoly([2.0]))
+    def test_degree0_has_no_roots(self):
+        roots = poly_roots(TransferPoly([2.0]))
+        assert roots.shape == (0,) and roots.dtype == complex
 
     @given(coeffs_strategy())
     @example(coeffs=[-1.0, 0.0, -2.0, 0.0, -1.0])  # -(1 + z^2)^2: +-i twice
@@ -287,7 +287,7 @@ class TestRootSplit:
         assert msfe == pytest.approx(abs(fact.outer.coeffs[0]), rel=1e-9)
         # the factorization carries the same split: its roots and root MSFE
         assert fact.root_msfe == msfe
-        expected = poly_roots(p) if p.degree else np.empty(0)
+        expected = poly_roots(p)
         np.testing.assert_array_equal(np.array(fact.roots), expected)
         # the oracle splits at modulus 1; away from [1 - tol, 1) both agree
         moduli = np.abs(mp_roots(list(p.coeffs))) if p.degree else np.empty(0)

@@ -13,7 +13,6 @@ from demandalloc import (
     AllocationPolicy,
     DemandModel,
     DemandPath,
-    InfeasibleTargets,
     TransferPoly,
     benchmark_offsets,
     export_assignment_log,
@@ -51,6 +50,14 @@ def period_offsets(N, sigma, d_prev, d_prev2, sigma_l=SIGMA_L):
 def path_of(demands):
     return DemandPath(demands=np.asarray(demands, dtype=float),
                       shocks=np.zeros(0), seed=0)
+
+
+def relabelled_policy(policy, perm):
+    """policy with its roles relabelled: seller s takes the transfer at
+    place perm.index(s), for perm a rearrangement of 1..N."""
+    perm = [int(p) for p in perm]
+    return AllocationPolicy(policy.n_sellers, [
+        policy.transfers[perm.index(s)] for s in range(1, policy.n_sellers + 1)])
 
 
 def period_logs(res):
@@ -205,15 +212,12 @@ class TestRouteOrders:
         # offsets (-8, +8), and with 6 orders seller 1's target is negative
         model, pol = design(2, 4.0)
         demands = [MU] * 16 + [MU + 2.0, 6.0]
-        with pytest.raises(InfeasibleTargets) as exc_info:
-            route_path(pol, model, path_of(demands), seed=0)
-        assert exc_info.value.sellers == [1]
-        assert exc_info.value.period == 17
-        assert isinstance(exc_info.value, ValueError)
-        with pytest.raises(InfeasibleTargets) as exc_info:
-            route_orders([[-8.0, 8.0]], [6], seed=0)
-        assert exc_info.value.sellers == [1]
-        assert exc_info.value.period == 0
+        res = route_path(pol, model, path_of(demands), seed=0)
+        assert not res.routed[17] and not res.counts[17].any()
+        assert (np.flatnonzero(res.targets[17] < 0) + 1).tolist() == [1]
+        res = route_orders([[-8.0, 8.0]], [6], seed=0)
+        assert not res.routed[0] and not res.counts[0].any()
+        assert (np.flatnonzero(res.targets[0] < 0) + 1).tolist() == [1]
 
     def test_offsets_must_sum_to_zero(self):
         with pytest.raises(ValueError, match="sum to zero"):
@@ -226,9 +230,6 @@ class TestRouteOrders:
     @pytest.mark.parametrize("call, message", [
         (lambda: route_orders(np.zeros((1, 2)), [4], seed=0, tie_break="lowst"),
          "tie_break must be one of 'random', 'lowest', got 'lowst'"),
-        (lambda: route_path(*design(2, 1.0)[::-1], path_of([MU] * 3), seed=0,
-                            on_infeasible="skp"),
-         "on_infeasible must be one of 'raise', 'skip', got 'skp'"),
         (lambda: route_path(*design(2, 1.0)[::-1], path_of([MU] * 3), seed=0,
                             tie_break="first"),
          "tie_break must be one of 'random', 'lowest', got 'first'"),
@@ -264,8 +265,7 @@ class TestRoutePath:
     def test_skip_mode_records_infeasible_periods(self):
         # at sigma = 6 sigma_L the offsets regularly push targets negative
         pol = neutral_policy(self.model, 10, 3.0)
-        res = route_path(pol, self.model, self.path, seed=5,
-                         on_infeasible="skip")
+        res = route_path(pol, self.model, self.path, seed=5)
         skipped = res.infeasible_periods
         assert len(skipped) > 0
         assert skipped == np.flatnonzero(~res.routed).tolist()
@@ -276,17 +276,10 @@ class TestRoutePath:
         assert res.log.size == int(demand[res.routed].sum())
         assert res.max_discrepancy <= 1.0 + 1e-9
 
-    def test_raise_mode_propagates(self):
-        with pytest.raises(InfeasibleTargets):
-            route_path(neutral_policy(self.model, 10, 3.0), self.model,
-                       self.path, seed=5)
-
     def test_deterministic_per_seed(self):
         pol = neutral_policy(self.calm_model, 3, 2.0)
-        a = route_path(pol, self.calm_model, self.calm_path, seed=11,
-                       on_infeasible="skip")
-        b = route_path(pol, self.calm_model, self.calm_path, seed=11,
-                       on_infeasible="skip")
+        a = route_path(pol, self.calm_model, self.calm_path, seed=11)
+        b = route_path(pol, self.calm_model, self.calm_path, seed=11)
         np.testing.assert_array_equal(a.cumulative_counts, b.cumulative_counts)
 
     def test_integerize_demand_is_nonnegative(self):
@@ -311,7 +304,7 @@ class TestExport:
         model = DemandModel(MU, TransferPoly([5.0]))
         path = simulate(model, 50, 6)
         design_model, pol = design(3, 1.0)
-        res = route_path(pol, design_model, path, seed=9, on_infeasible="skip")
+        res = route_path(pol, design_model, path, seed=9)
         buf = io.StringIO()
         export_assignment_log(res, buf)
         lines = buf.getvalue().strip().splitlines()
@@ -324,7 +317,7 @@ class TestExport:
         model = DemandModel(MU, TransferPoly([5.0]))
         path = simulate(model, 20, 6)
         design_model, pol = design(2, 1.0)
-        res = route_path(pol, design_model, path, seed=9, on_infeasible="skip")
+        res = route_path(pol, design_model, path, seed=9)
         buf = io.StringIO()
         export_assignment_log(res, buf)
         lines = buf.getvalue().strip().splitlines()[1:]
@@ -352,7 +345,7 @@ class TestExport:
         model = DemandModel(mu, TransferPoly(psi))
         path = simulate(model, periods, 4)
         res = route_path(neutral_policy(model, N, sigma), model, path, 4,
-                         on_infeasible="skip", tie_break="lowest")
+                         tie_break="lowest")
         buf = io.StringIO(newline="")
         export_assignment_log(res, buf)
         assert buf.getvalue().encode() == (DATA / golden).read_bytes()
@@ -377,7 +370,7 @@ def routed_designs(draw):
         return lagged_variant(model, N, sigma, draw(st.integers(1, 3))), model
     if kind == "permuted":
         perm = draw(st.permutations(range(1, N + 1)))
-        return neutral_policy(model, N, sigma, permutation=perm), model
+        return relabelled_policy(neutral_policy(model, N, sigma), perm), model
     lags = draw(st.integers(1, 3))
     coeff = st.floats(-3.0, 3.0)
     rows = [[1.0] + [draw(coeff) for _ in range(lags)] for _ in range(N - 1)]
@@ -391,7 +384,7 @@ class TestPolicyTracking:
     @settings(max_examples=150, deadline=None)
     def test_routes_track_the_policy_targets(self, pol_model, demand, seed):
         pol, model = pol_model
-        res = route_path(pol, model, path_of(demand), seed, on_infeasible="skip")
+        res = route_path(pol, model, path_of(demand), seed)
         transfers = [t.coeffs.tolist() for t in pol.transfers]
         targets = benchmark_targets(transfers, model.mu, [float(d) for d in demand])
         logs = period_logs(res)
