@@ -213,7 +213,12 @@ def _design_run(args):
     and route share it so both use the same allocation policy."""
     scenario = load_scenario(args.scenario)
     model = scenario.model
-    alloc_policy = policy.neutral_policy(model, scenario.n_sellers, args.sigma)
+    try:
+        alloc_policy = policy.neutral_policy(model, scenario.n_sellers, args.sigma)
+    except (policy.BelowLowerBound, policy.Infeasible):
+        raise
+    except ValueError as exc:  # the transfer coefficient overflows
+        raise ScenarioError(f"--sigma: {exc}") from exc
     periods = scenario.horizon if args.periods is None else args.periods
     seed = scenario.seed if args.seed is None else args.seed
     return scenario, alloc_policy, simulate(model, periods, seed)
@@ -245,7 +250,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_route(args) -> int:
     scenario, alloc_policy, path = _design_run(args)
-    result = routing.route_path(alloc_policy, scenario.model, path, path.seed)
+    try:
+        result = routing.route_path(alloc_policy, scenario.model, path, path.seed)
+    except ValueError as exc:  # simulated demand beyond a whole order count
+        raise ScenarioError(f"{args.scenario}.demand: {exc}") from exc
     with _primary_stream(args.out) as fh:
         routing.export_assignment_log(result, fh)
     skipped = result.infeasible_periods

@@ -174,12 +174,14 @@ def ses_truncated_weights(lam: float) -> FilterForecaster:
     return FilterForecaster(TransferPoly(w))
 
 
+@np.errstate(over="ignore")
 def filter_msfe(psi_n: TransferPoly, forecaster: FilterForecaster) -> float:
     """Root MSFE of a linear filter forecaster on the stream psi_n.
 
     The forecast error passes the shocks through (1 - what(z) z) psi_n(z);
     with unit-variance shocks the MSE is the sum of squared coefficients of
     that error filter.  Never beats the optimal predictor's root MSFE.
+    Inf when that sum overflows.
     """
     one_minus = np.concatenate(([1.0], -forecaster.weights.coeffs))
     err = np.convolve(one_minus, as_poly(psi_n).coeffs)

@@ -244,13 +244,27 @@ class MarketTable(NamedTuple):
         return bound
 
 
+def _mode_economics(h_bar: float, b: float, n: int, h_name: str) -> ModeEconomics:
+    """Seller n's inventory_coefficient(h_bar, b) under h_name, "h" or "H".
+    A fractile b/(h_bar + b) rounding to 0 or 1 raises DomainError naming
+    sellers[n], or platform.H where H is the smaller cost."""
+    try:
+        return inventory_coefficient(h_bar, b)
+    except DomainError:
+        field = "platform.H" if h_name == "H" and h_bar < b else f"sellers[{n}]"
+        raise DomainError(
+            f"{field}: the critical fractile b/({h_name} + b) at {h_name} = "
+            f"{h_bar:g}, b = {b:g} rounds to {int(b > h_bar)}, which has no "
+            "normal quantile") from None
+
+
 def market_table(sellers, costs: PlatformCosts, mu: float) -> MarketTable:
     """Compute every seller's K and zeta under both modes once (2 N calls to
     inventory_coefficient, N = len(sellers)), and the quantities derived
     from them."""
     N = len(sellers)
-    fbm = [inventory_coefficient(p.h, p.b) for p in sellers]
-    fbp = [inventory_coefficient(costs.H, p.b) for p in sellers]
+    fbm = [_mode_economics(p.h, p.b, n, "h") for n, p in enumerate(sellers, 1)]
+    fbp = [_mode_economics(costs.H, p.b, n, "H") for n, p in enumerate(sellers, 1)]
     f = np.array([p.f for p in sellers], dtype=float)
     k_fbm = np.array([e.K for e in fbm], dtype=float)
     k_fbp = np.array([e.K for e in fbp], dtype=float)

@@ -254,6 +254,33 @@ def test_scenario_faults_name_their_block(tmp_path, capsys, command, field, edit
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["optimize", "curve", "simulate"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["sellers"][1].update(h=5e-324),
+     "sellers[2]: the critical fractile b/(h + b) at h = 4.94066e-324, b = 9 "
+     "rounds to 1"),
+    (lambda doc: doc["sellers"][1].update(b=5e-324),
+     "sellers[2]: the critical fractile b/(H + b) at H = 2.5, b = 4.94066e-324 "
+     "rounds to 0"),
+    (lambda doc: doc["platform"].update(H=5e-324),
+     "platform.H: the critical fractile b/(H + b) at H = 4.94066e-324, b = 12 "
+     "rounds to 1"),
+], ids=["seller-h", "seller-b", "platform-H"])
+def test_underflowing_fractile_names_its_field(tmp_path, capsys, command, edit,
+                                               message):
+    doc = scenario_doc()
+    edit(doc)
+    argv = [command, "--scenario", write_doc(tmp_path, doc)]
+    if command == "simulate":
+        argv += ["--sigma", "5.0", "--periods", "50"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # H below the sellers' h
+        assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {message}, which has no normal quantile\n"
+    assert captured.out == ""
+
+
 def _strict_json(text: str):
     def reject(constant):
         raise AssertionError(f"{constant} in JSON output")
@@ -342,6 +369,11 @@ def test_scenario_fuzz_exits_cleanly(mu, psi, n_sellers, options, platform,
                 rc = main(argv)
             assert rc in (EXIT_OK, EXIT_INPUT, EXIT_INFEASIBLE, EXIT_NUMERICAL)
             assert "Traceback" not in stderr.getvalue()
+            if rc == EXIT_INPUT:
+                # every input error names its field or flag
+                assert stderr.getvalue().startswith(tuple(
+                    f"input error: {where}"
+                    for where in (scenario, "sellers[", "platform.", "--")))
             if rc != EXIT_OK:
                 continue
             if command == "optimize":
@@ -359,9 +391,9 @@ def test_scenario_fuzz_exits_cleanly(mu, psi, n_sellers, options, platform,
     (["msfe", "1", "0.5", "--lead", "1" + "0" * 308], "leadtime_msfe"),
 ], ids=["factor-square", "msfe-ses-square", "lead-beyond-float", "lead-1e308"])
 def test_overflow_names_the_quantity(capsys, argv, quantity):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert main(argv) == EXIT_NUMERICAL
+    # numpy's overflow warning, a second line at the command line, is an
+    # error under the test run's warning filters
+    assert main(argv) == EXIT_NUMERICAL
     captured = capsys.readouterr()
     assert captured.err == f"numerical failure: {quantity} overflows the float range\n"
     assert captured.out == ""
