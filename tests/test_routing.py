@@ -213,10 +213,10 @@ class TestRouteOrders:
         model, pol = design(2, 4.0)
         demands = [MU] * 16 + [MU + 2.0, 6.0]
         res = route_path(pol, model, path_of(demands), seed=0)
-        assert not res.routed[17] and not res.counts[17].any()
+        assert res.infeasible_periods == [17] and not res.counts[17].any()
         assert (np.flatnonzero(res.targets[17] < 0) + 1).tolist() == [1]
         res = route_orders([[-8.0, 8.0]], [6], seed=0)
-        assert not res.routed[0] and not res.counts[0].any()
+        assert res.infeasible_periods == [0] and not res.counts[0].any()
         assert (np.flatnonzero(res.targets[0] < 0) + 1).tolist() == [1]
 
     def test_offsets_must_sum_to_zero(self):
