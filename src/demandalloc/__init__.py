@@ -11,7 +11,7 @@ suboptimal filters and positive lead times (forecast).
 from .demand import DemandModel, DemandPath, prob_negative, simulate
 from .forecast import (FilterForecaster, filter_msfe, leadtime_msfe,
                        ses_truncated_weights)
-from .platform import (CurvePoint, EmptyFeasibleSet, PayoffResult,
+from .platform import (Curve, EmptyFeasibleSet, PayoffResult,
                        PlatformSolution, export_curve, optimize, payoff,
                        payoff_curve, solution_document)
 from .policy import (AllocationPolicy, BelowLowerBound, Infeasible,
@@ -32,7 +32,7 @@ from .seller import (FBM, FBP, DomainError, MarketTable, ModeEconomics,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationPolicy", "BelowLowerBound", "CurvePoint",
+    "AllocationPolicy", "BelowLowerBound", "Curve",
     "DemandModel", "DemandPath", "DomainError", "EmptyFeasibleSet",
     "FBM", "FBP", "Factorization", "FilterForecaster",
     "Infeasible", "InsufficientHistory",

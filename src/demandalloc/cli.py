@@ -26,7 +26,7 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,11 +90,17 @@ def _number(block: dict, path: str, key: str) -> float:
 
 
 def _record(cls, block, path: str):
-    """A cls from the JSON object at path holding exactly its fields, all numbers."""
-    names = tuple(f.name for f in fields(cls))
-    _check_fields(block, path, required=names)
+    """A cls from the JSON object at path holding exactly its fields (its
+    __match_args__), all numbers; messages are built only on a fault."""
+    names = cls.__match_args__
+    if type(block) is not dict or block.keys() != set(names):
+        _check_fields(block, path, required=names)
+    values = [block[name] for name in names]
+    if not all(type(v) in (float, int) and abs(v) <= sys.float_info.max
+               for v in values):
+        values = [_finite(v, f"{path}.{name}") for name, v in zip(names, values)]
     try:
-        return cls(**{name: _number(block, path, name) for name in names})
+        return cls(*map(float, values))
     except seller.DomainError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
@@ -128,6 +134,9 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
         raise ScenarioError(f"{source}.sellers: expected a non-empty array")
     sellers = tuple(_record(seller.SellerParams, entry, f"{source}.sellers[{i}]")
                     for i, entry in enumerate(sellers_raw, start=1))
+    if not mu / len(sellers) > 0:
+        raise ScenarioError(f"{source}.demand.mu: the mean demand per seller, "
+                            f"mu / N = {mu!r} / {len(sellers)}, underflows to 0")
 
     if "sigma_cap" in options:
         sigma_cap = _number(options, f"{source}.options", "sigma_cap")
@@ -329,49 +338,37 @@ def cmd_curve(args) -> int:
     sigma_u = table.participation_ub(scenario.sigma_cap)
     hi = min(scenario.sigma_cap, 1.1 * sigma_u)
     grid = np.linspace(0.0, hi, args.grid)
-    points = platform.payoff_curve(table, grid, sigma_u)
-    summary = {"command": "curve", "points": len(points),
+    curve = platform.payoff_curve(table, grid, sigma_u)
+    summary = {"command": "curve", "points": curve.sigma.size,
                "sigma_upper": sigma_u,
                "sigma_lower": sigma_lower}
     if args.check_linearity:
-        residual = _max_segment_residual(points)
+        residual = _max_segment_residual(curve)
         summary["max_linearity_residual"] = residual
         summary["linear_within_segments"] = residual <= 1e-9
     with _primary_stream(args.out) as fh:
-        platform.export_curve(points, fh)
+        platform.export_curve(curve, fh)
     _emit_summary(summary, args.out)
     return EXIT_OK
 
 
-def _max_segment_residual(points) -> float:
+def _max_segment_residual(curve) -> float:
     """Largest relative deviation of any interior curve point from the line
     through its segment's endpoints.  Zero for an exactly piecewise-linear
-    curve; breakpoint left/right points delimit the segments."""
-    def chord_residual(segment):
-        if len(segment) < 3:
-            return 0.0
-        a, b = segment[0], segment[-1]
-        span = b.sigma - a.sigma
-        if span <= 0:
-            return 0.0
-        scale = max(1.0, abs(a.payoff), abs(b.payoff))
-        return max(abs(q.payoff - (a.payoff + (b.payoff - a.payoff)
-                                   * (q.sigma - a.sigma) / span)) / scale
-                   for q in segment[1:-1])
-
-    worst = 0.0
-    segment = []
-    for pt in points:
-        if pt.side == "left":
-            segment.append(pt)
-            worst = max(worst, chord_residual(segment))
-            segment = []
-        elif pt.side == "right":
-            segment = [pt]
-        else:
-            segment.append(pt)
-    worst = max(worst, chord_residual(segment))
-    return worst
+    curve; breakpoint left/right points delimit the segments: a segment
+    ends at a left point and starts at a right point."""
+    side, sigma, payoff = curve.side, curve.sigma, curve.payoff
+    left, right = (side == platform.SIDES.index(s) for s in ("left", "right"))
+    start = np.r_[True, right[1:] | left[:-1]]
+    first, segment = np.flatnonzero(start), np.cumsum(start) - 1
+    q = np.arange(side.size)
+    a, b = first[segment], np.append(first[1:] - 1, side.size - 1)[segment]
+    q = q[(a < q) & (q < b) & (sigma[a] < sigma[b])]
+    a, b = a[q], b[q]
+    scale = np.maximum(1.0, np.maximum(abs(payoff[a]), abs(payoff[b])))
+    residual = abs(payoff[q] - (payoff[a] + (payoff[b] - payoff[a])
+                                * (sigma[q] - sigma[a]) / (sigma[b] - sigma[a])))
+    return float((residual / scale).max(initial=0.0))
 
 
 def _flag_type(convert, accept, expected: str):

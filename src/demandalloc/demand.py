@@ -74,6 +74,7 @@ def simulate(model: DemandModel, horizon: int, seed: int) -> DemandPath:
 
 
 def prob_negative(model: DemandModel) -> float:
-    """P(D_t <= 0) under the Gaussian model: cdf(-1/CV)."""
-    cv = np.sqrt(variance(model.psi)) / model.mu
-    return std_normal_cdf(-1.0 / cv) if cv > 0 else 0.0
+    """P(D_t <= 0) under the Gaussian model: cdf(-mu / sd).  In float
+    arithmetic, where 1/CV = mu / sd overflows to inf for a subnormal mu."""
+    sd = variance(model.psi) ** 0.5
+    return std_normal_cdf(-model.mu / sd) if sd > 0 else 0.0

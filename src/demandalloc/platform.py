@@ -9,16 +9,17 @@ them (or at the volatility floor).
 
 Every function here reads one seller.MarketTable, built once per market by
 seller.market_table; the caller supplies the volatility floor and the
-participation bound it wants.
+participation bound it wants.  The optimizer and the curve evaluate their
+sorted points in one sweep over MarketTable.switch_index (_adopter_sums).
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .csvtext import BLOCK_CELLS, _format_rows
 from .polyalg import NumericalInstability
 from .seller import DomainError, MarketTable
 
@@ -60,64 +61,64 @@ class PlatformSolution:
     sigma_upper: float
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    sigma: float
-    payoff: float
-    n_adopters: int
-    gamma_fbp: float
-    gamma_fbm: float
-    side: str
+SIDES = ("left", "interior", "right")
 
 
-class _Evaluation(NamedTuple):
-    """Payoff terms and safety-stock totals at an array of sigmas, for one
-    row of adopter mask per sigma."""
+class Curve(NamedTuple):
+    """Payoff curve samples as columns, ascending in sigma and, at one sigma,
+    in side order; side holds indices into SIDES."""
 
-    mask: np.ndarray
+    sigma: np.ndarray
+    payoff: np.ndarray
     n_adopters: np.ndarray
-    intermediation: float
-    fulfillment_share: np.ndarray
-    storage_rent: np.ndarray
-    total: np.ndarray
     gamma_fbp: np.ndarray
     gamma_fbm: np.ndarray
-
-    def result(self, i=()) -> PayoffResult:
-        return PayoffResult(total=float(self.total[i]),
-                            intermediation=self.intermediation,
-                            fulfillment_share=float(self.fulfillment_share[i]),
-                            storage_rent=float(self.storage_rent[i]),
-                            adopters=frozenset(
-                                (np.flatnonzero(self.mask[i]) + 1).tolist()),
-                            n_adopters=int(self.n_adopters[i]),
-                            gamma_fbp=float(self.gamma_fbp[i]),
-                            gamma_fbm=float(self.gamma_fbm[i]))
+    side: np.ndarray
 
 
-def _evaluate(table: MarketTable, sigma, mask) -> _Evaluation:
-    costs = table.costs
-    sigma = np.asarray(sigma, dtype=float)
-    n = mask.sum(axis=-1)
-    mu_share = table.mu / table.N
-    zeta_sum = np.where(mask, table.zeta_fbp, 0.0).sum(axis=-1)
-    intermediation = costs.rho * table.mu
-    fulfillment = costs.delta_f * mu_share * n
-    storage = costs.delta_h * (mu_share * n + sigma * zeta_sum)
-    s = sigma[..., None]
-    return _Evaluation(
-        mask=mask, n_adopters=n, intermediation=intermediation,
-        fulfillment_share=fulfillment, storage_rent=storage,
-        total=intermediation + fulfillment + storage,
-        gamma_fbp=np.where(mask, s * table.zeta_fbp, 0.0).sum(axis=-1),
-        gamma_fbm=np.where(mask, 0.0, s * table.zeta_fbm).sum(axis=-1))
+def _payoff_terms(table: MarketTable, sigma, n, zeta_sum):
+    """Intermediation, fulfillment share, storage rent and their total at
+    sigma with n adopters whose platform fractiles sum to zeta_sum.  Callers
+    ignore float overflow: past the float range a term is +-inf or NaN,
+    which each command names."""
+    costs, mu_share = table.costs, table.mu / table.N
+    terms = (costs.rho * table.mu, costs.delta_f * mu_share * n,
+             costs.delta_h * (mu_share * n + sigma * zeta_sum))
+    return (*terms, terms[0] + terms[1] + terms[2])
+
+
+def _adopter_sums(table: MarketTable, sigma, boundary: str):
+    """At each point of an ascending sigma array: the number of adopters,
+    the sum of zeta_FBP over them and of zeta_FBM over the other sellers.
+    An exiting seller (dK > 0) adopts before its MarketTable.switch_index,
+    any other from it on, so prefix and suffix sums over sellers binned by
+    that index give every point's sums."""
+    size = sigma.size + 1
+    key = table.switch_index(sigma, boundary) + size * (table.dK > 0)
+    # bins[w, g, i]: weight w (1, zeta_FBP, zeta_FBM) summed over the sellers
+    # of group g (0 others, 1 exiting) whose index is i
+    bins = np.bincount(np.concatenate((key, key + 2 * size, key + 4 * size)),
+                       np.concatenate((np.ones(table.N), table.zeta_fbp,
+                                       table.zeta_fbm)), 6 * size).reshape(3, 2, size)
+    upto = np.add.accumulate(bins, axis=2)[..., :-1]
+    after = np.add.accumulate(bins[..., ::-1], axis=2)[..., -2::-1]
+    adopters, others = upto[:, 0] + after[:, 1], after[:, 0] + upto[:, 1]
+    return adopters[0], adopters[1], others[2]
 
 
 def payoff(table: MarketTable, sigma: float) -> PayoffResult:
     """Expected per-period platform payoff at design volatility sigma, with
     the adopters of the inclusive adoption rule holding their safety stock
     at the platform (gamma_fbp) and everyone else privately (gamma_fbm)."""
-    return _evaluate(table, sigma, table.adopts(sigma)).result()
+    mask = table.adopts(sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        *terms, total = _payoff_terms(table, sigma, mask.sum(),
+                                      np.where(mask, table.zeta_fbp, 0.0).sum())
+        gammas = (np.where(mask, sigma * table.zeta_fbp, 0.0).sum(),
+                  np.where(mask, 0.0, sigma * table.zeta_fbm).sum())
+    return PayoffResult(float(total), *map(float, terms),
+                        frozenset((np.flatnonzero(mask) + 1).tolist()),
+                        int(mask.sum()), *map(float, gammas))
 
 
 def _check_optimizer_domain(table: MarketTable) -> None:
@@ -160,14 +161,14 @@ def optimize(table: MarketTable, sigma_lower: float,
     bps = table.breakpoints()
     in_range = (s for s, _ in bps if sigma_lower <= s <= sigma_u)
     candidates = np.array(sorted({sigma_lower, sigma_u, *in_range}))
-    ev = _evaluate(table, candidates, table.adopts(candidates))
-
+    n, zeta_sum, _ = _adopter_sums(table, candidates, "inclusive")
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = _payoff_terms(table, candidates, n, zeta_sum)[3].tolist()
     best = 0
-    totals = ev.total.tolist()
     for i, total in enumerate(totals):
         if total > totals[best] + _PAYOFF_TIE_TOL * max(1.0, abs(totals[best])):
             best = i
-    res = ev.result(best)
+    res = payoff(table, float(candidates[best]))
     return PlatformSolution(sigma_star=float(candidates[best]),
                             payoff_star=res.total, adopters=res.adopters,
                             gamma_fbp=res.gamma_fbp, gamma_fbm=res.gamma_fbm,
@@ -176,54 +177,53 @@ def optimize(table: MarketTable, sigma_lower: float,
                             sigma_upper=sigma_u)
 
 
-_SIDE_RANK = {"left": 0, "interior": 1, "right": 2}
-
-
-def payoff_curve(table: MarketTable, sigma_grid, sigma_upper: float):
+def payoff_curve(table: MarketTable, sigma_grid, sigma_upper: float) -> Curve:
     """Plot-ready payoff samples: the grid plus both one-sided limits at
     every jump (each breakpoint in range, and the participation bound
     sigma_upper, from MarketTable.participation_ub, past which the payoff
     is zero).  NumericalInstability when a total overflows."""
-    grid = np.sort(np.asarray(sigma_grid, dtype=float).ravel(), kind="stable")
-    if not grid.size:
-        return []
-    lo, hi = grid[0], grid[-1]
-    # One row per point: sigma, side, and how its adopters are found
-    # ("inclusive" or "exclusive" rule, or "zero" past sigma_upper).
-    rows = [(s, "interior", "zero" if s > sigma_upper else "inclusive")
-            for s in grid.tolist()]
-    for s, _ in table.breakpoints():
-        if lo <= s <= min(hi, sigma_upper):
-            rows += [(s, "left", "inclusive"), (s, "right", "exclusive")]
-    if lo <= sigma_upper <= hi:
-        rows += [(sigma_upper, "left", "inclusive"),
-                 (sigma_upper, "right", "zero")]
-    sigma, sides, rules = zip(*rows)
-    sigma = np.array(sigma)
-    rules = np.array(rules)
-    exclusive, zero = rules == "exclusive", rules == "zero"
-    mask = table.adopts(sigma)
-    mask[exclusive] = table.adopts(sigma[exclusive], boundary="exclusive")
-    mask[zero] = False
-    ev = _evaluate(table, sigma, mask)
-    order = np.lexsort(([_SIDE_RANK[side] for side in sides], sigma))
-    columns = (sigma, np.where(zero, 0.0, ev.total), ev.n_adopters,
-               ev.gamma_fbp, np.where(zero, 0.0, ev.gamma_fbm))
-    if not all(np.isfinite(c).all() for c in columns):
+    grid = np.sort(np.asarray(sigma_grid, dtype=float).ravel())
+    lo, hi = (grid[0], grid[-1]) if grid.size else (np.inf, -np.inf)
+    exits = np.sort(table.threshold[table.dK > 0])
+    exits = exits[(lo <= exits) & (exits <= min(hi, sigma_upper))]
+    cap = [sigma_upper] if lo <= sigma_upper <= hi else []
+    # Rows: the grid (interior), then the left and the right limits at exits
+    # and cap.  rule: 0 inclusive adopters, 1 exclusive, 2 none (zero payoff)
+    sigma = np.concatenate((grid, exits, cap, exits, cap))
+    sizes = (grid.size, exits.size, len(cap), exits.size, len(cap))
+    side = np.repeat([1, 0, 0, 2, 2], sizes)
+    rule = np.repeat([0, 0, 0, 1, 2], sizes)
+    rule[:grid.size][grid > sigma_upper] = 2
+    order = np.lexsort((side, sigma))
+    sigma, side, rule = sigma[order], side[order], rule[order]
+    n, zeta_fbp, zeta_fbm = np.zeros((3, sigma.size))
+    for code, boundary in enumerate(("inclusive", "exclusive")):
+        at = rule == code
+        n[at], zeta_fbp[at], zeta_fbm[at] = _adopter_sums(table, sigma[at],
+                                                          boundary)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _payoff_terms(table, sigma, n, zeta_fbp)[3]
+        curve = Curve(sigma, np.where(rule == 2, 0.0, total), n.astype(np.intp),
+                      sigma * zeta_fbp, sigma * zeta_fbm, side)
+    if not all(np.isfinite(c).all() for c in curve[:5]):
         raise NumericalInstability("payoff curve: a payoff or safety-stock "
                                    "total overflows the float range")
-    return [CurvePoint(*values, side=sides[i])
-            for i, *values in zip(order.tolist(),
-                                  *(c[order].tolist() for c in columns))]
+    return curve
 
 
-def export_curve(points, fileobj) -> None:
-    """CSV columns: sigma, payoff, n_adopters, gamma_fbp, gamma_fbm, side."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["sigma", "payoff", "n_adopters", "gamma_fbp", "gamma_fbm", "side"])
-    for p in points:
-        writer.writerow([f"{p.sigma:.6f}", f"{p.payoff:.6f}", p.n_adopters,
-                         f"{p.gamma_fbp:.6f}", f"{p.gamma_fbm:.6f}", p.side])
+def export_curve(curve: Curve, fileobj) -> None:
+    """CSV columns: sigma, payoff, n_adopters, gamma_fbp, gamma_fbm, side.
+    The numbers are written in blocks of about csvtext.BLOCK_CELLS cells by
+    the exact formatter, in two parts per row around the integer column."""
+    fileobj.write("sigma,payoff,n_adopters,gamma_fbp,gamma_fbm,side\r\n")
+    block = BLOCK_CELLS // 5
+    for lo in range(0, curve.sigma.size, block):
+        head, tail = (_format_rows(np.column_stack([c[lo:lo + block] for c in
+                                                     columns]), int_cols)
+                      for columns, int_cols in ((curve[:2], 0), (curve[2:5], 1)))
+        sides = [SIDES[k] for k in curve.side[lo:lo + block].tolist()]
+        lines = zip(head.split("\r\n"), tail.split("\r\n"), sides)
+        fileobj.write("\r\n".join(map(",".join, lines)) + "\r\n")
 
 
 def solution_document(solution: PlatformSolution, table: MarketTable) -> dict:

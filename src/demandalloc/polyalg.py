@@ -107,16 +107,19 @@ def poly_mul(a: TransferPoly, b: TransferPoly) -> TransferPoly:
 
 def _newton_polish(coeffs: np.ndarray, roots: np.ndarray, sweeps: int = 2) -> np.ndarray:
     """A couple of Newton steps per eigenvalue root; keeps only improvements."""
+    polyval = np.polynomial.polynomial.polyval
     deriv = np.polynomial.polynomial.polyder(coeffs)
     out = roots.astype(complex)
-    for _ in range(sweeps):
-        f = np.polynomial.polynomial.polyval(out, coeffs)
-        fp = np.polynomial.polynomial.polyval(out, deriv)
-        ok = np.abs(fp) > 0
-        step = np.where(ok, f / np.where(ok, fp, 1.0), 0.0)
-        cand = out - step
-        better = np.abs(np.polynomial.polynomial.polyval(cand, coeffs)) <= np.abs(f)
-        out = np.where(better, cand, out)
+    # f / fp overflows where fp is tiny against f; a non-finite step never
+    # counts as an improvement
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(sweeps):
+            f, fp = polyval(out, coeffs), polyval(out, deriv)
+            ok = np.abs(fp) > 0
+            step = np.where(ok, f / np.where(ok, fp, 1.0), 0.0)
+            cand = out - step
+            better = np.isfinite(cand) & (np.abs(polyval(cand, coeffs)) <= np.abs(f))
+            out = np.where(better, cand, out)
     return out
 
 
@@ -172,7 +175,9 @@ def _root_split(p: TransferPoly, boundary_tol: float):
     roots = poly_roots(p)
     outer = np.abs(roots) >= 1.0 - boundary_tol
     # Empty product is 1: a fully non-invertible filter keeps only |c_q|.
-    msfe = abs(float(p.coeffs[-1])) * float(np.prod(np.abs(roots[outer])))
+    # Past the float range it is inf, which the callers name.
+    with np.errstate(over="ignore"):
+        msfe = abs(float(p.coeffs[-1])) * float(np.prod(np.abs(roots[outer])))
     return roots, outer, msfe
 
 

@@ -8,7 +8,8 @@ the optimal base stock, where K depends only on the unit costs of the chosen
 fulfillment mode.  Mode choice compares the two margins net of K * sigma.
 market_table computes K, the fractile and the margin (r - rho - f) mu/N of
 every seller under both modes once per market; mode choice and adoption sets
-(MarketTable.adopts), chosen utilities (utilities), exit thresholds
+(MarketTable.adopts), each seller's switching point along an ascending sigma
+array (switch_index), chosen utilities (utilities), exit thresholds
 (breakpoints) and the participation bound (participation_ub) are array
 operations on it, and the platform layer and the simulation
 (forecast.simulate_inventory) read the same table.  One comparison,
@@ -144,9 +145,9 @@ def base_stock(mean_forecast, sigma: float, zeta):
     return mean_forecast + zeta * sigma
 
 
-def _prefers_fbp(fixed, varying, boundary: str = "inclusive"):
+def _prefers_fbp(fixed, sigma, dK, boundary: str = "inclusive"):
     """Where platform fulfillment wins: its utility advantage over
-    self-fulfillment is fixed - varying, the sigma-free margin term minus
+    self-fulfillment is fixed - sigma * dK, the sigma-free margin term minus
     the inventory-cost term.
 
     Comparing the advantage directly stays correct when the platform mode's
@@ -154,8 +155,10 @@ def _prefers_fbp(fixed, varying, boundary: str = "inclusive"):
     to the larger term keeps a seller whose switching point was computed in
     floating point on the inclusive side; boundary="exclusive" drops
     sellers within that slack of their switching point (right-sided limits
-    at a breakpoint).
+    at a breakpoint).  Callers ignore float overflow: a term past the float
+    range is +-inf, and a seller whose advantage is inf - inf does not adopt.
     """
+    varying = sigma * dK
     margin = fixed - varying
     slack = _BOUNDARY_SLACK * np.maximum(
         1.0, np.maximum(np.abs(fixed), np.abs(varying)))
@@ -200,8 +203,28 @@ class MarketTable(NamedTuple):
         """FBP mask of shape sigma.shape + (n_sellers,): where each seller
         chooses platform fulfillment, that is where the fulfillment saving
         (mu/N) dF covers the extra inventory cost sigma dK (_prefers_fbp)."""
-        varying = np.asarray(sigma, dtype=float)[..., None] * self.dK
-        return _prefers_fbp(self.fixed, varying, boundary)
+        sigma = np.asarray(sigma, dtype=float)[..., None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _prefers_fbp(self.fixed, sigma, self.dK, boundary)
+
+    def switch_index(self, sigma, boundary: str = "inclusive") -> np.ndarray:
+        """Index i in [0, sigma.size], per seller, along an ascending sigma:
+        a seller with dK > 0 adopts exactly at sigma[:i] (it exits), any
+        other exactly at sigma[i:] (it stays, or enters if dK < 0 and dF <
+        0).  A search over sigma that fixes four bits of i per round, each
+        round one _prefers_fbp call on (15, n_sellers) arrays, so it agrees
+        with adopts point by point."""
+        sigma, exits = np.asarray(sigma, dtype=float), self.dK > 0
+        index, digits = np.zeros(self.N, dtype=np.intp), np.arange(1, 16)[:, None]
+        step = 1 << 4 * ((sigma.size.bit_length() - 1) // 4) if sigma.size else 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while step:  # step on while sigma[probe - 1] shows the first mode
+                probe = index + step * digits
+                first = _prefers_fbp(self.fixed, sigma.take(probe - 1, mode="clip"),
+                                     self.dK, boundary) == exits
+                index += step * np.add.reduce(first & (probe <= sigma.size))
+                step >>= 4
+        return index
 
     def utilities(self, sigma: float):
         """(FBP mask, utility of each seller's chosen mode) at one sigma:
@@ -213,7 +236,8 @@ class MarketTable(NamedTuple):
         fbp = self.adopts(sigma)
         margin = np.where(fbp, self.margin_fbp, self.margin_fbm)
         k = np.where(fbp, self.k_fbp, self.k_fbm)
-        return fbp, margin - k * sigma
+        with np.errstate(over="ignore", invalid="ignore"):  # named by callers
+            return fbp, margin - k * sigma
 
     def breakpoints(self) -> list:
         """Ascending (sigma, seller) exit thresholds mu dF_n / (N dK_n), ties
@@ -271,19 +295,22 @@ def market_table(sellers, costs: PlatformCosts, mu: float) -> MarketTable:
     dF = f - costs.F
     dK = k_fbp - k_fbm
     mu_share = mu / N
-    margin_fbm = (costs.r - costs.rho - f) * mu_share
-    margin_fbp = np.full(N, (costs.r - costs.rho - costs.F) * mu_share)
-    threshold = np.divide(mu * dF, N * dK, out=np.full(dK.shape, np.nan),
-                          where=dK > 0)
-    return MarketTable(
-        costs=costs, N=N, mu=mu,
-        h=np.array([p.h for p in sellers], dtype=float),
-        b=np.array([p.b for p in sellers], dtype=float),
-        zeta_fbm=np.array([e.zeta for e in fbm], dtype=float), k_fbm=k_fbm,
-        zeta_fbp=np.array([e.zeta for e in fbp], dtype=float), k_fbp=k_fbp,
-        margin_fbm=margin_fbm, margin_fbp=margin_fbp,
-        dK=dK, fixed=mu_share * dF, threshold=threshold,
-        participation=np.maximum(margin_fbm / k_fbm, margin_fbp / k_fbp))
+    # Past the float range a quantity is +-inf: the commands name non-finite
+    # outputs, and participation_ub caps an inf bound with its warning.
+    with np.errstate(over="ignore"):
+        margin_fbm = (costs.r - costs.rho - f) * mu_share
+        margin_fbp = np.full(N, (costs.r - costs.rho - costs.F) * mu_share)
+        threshold = np.divide(mu * dF, N * dK, out=np.full(dK.shape, np.nan),
+                              where=dK > 0)
+        return MarketTable(
+            costs=costs, N=N, mu=mu,
+            h=np.array([p.h for p in sellers], dtype=float),
+            b=np.array([p.b for p in sellers], dtype=float),
+            zeta_fbm=np.array([e.zeta for e in fbm], dtype=float), k_fbm=k_fbm,
+            zeta_fbp=np.array([e.zeta for e in fbp], dtype=float), k_fbp=k_fbp,
+            margin_fbm=margin_fbm, margin_fbp=margin_fbp,
+            dK=dK, fixed=mu_share * dF, threshold=threshold,
+            participation=np.maximum(margin_fbm / k_fbm, margin_fbp / k_fbp))
 
 
 def check_cost_assumptions(sellers, costs: PlatformCosts) -> list:

@@ -18,20 +18,24 @@ The scalar seller/platform reference at the end is the per-seller loop form
 of mode economics, utilities, adoption, breakpoints, participation, payoff,
 the optimizer and the payoff curve that the package replaced with its
 array-backed market table.  It takes K and zeta from demandalloc's scalar
-inventory_coefficient (memoized) and its result types from
+inventory_coefficient (memoized) and its result types and side names from
 demandalloc.platform, so both paths classify sellers with the same
-coefficients; nothing else is shared.
+coefficients; nothing else is shared.  The reference curve is a list of
+CurvePoint records, and curve_points turns the package's column Curve
+into the same records.
 
 The reference CSV writers at the end are the %-formatting writers of the
-`simulate` CSV and the `route` assignment log that the package replaced with
-its exact block formatter (demandalloc.csvtext).  They read the same run and
-routing result arrays and format every cell with Python's "%d" and "%.6f".
+`simulate` CSV and the `route` assignment log, and the per-row writer of the
+`curve` CSV, that the package replaced with its exact block formatter
+(demandalloc.csvtext).  They read the same run, routing result and curve
+arrays and format every cell with Python's "%d" and "%.6f".
 
 Run as a script to print the frozen constants embedded in the test files.
 """
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import math
 
@@ -39,7 +43,7 @@ import mpmath as mp
 import numpy as np
 
 from demandalloc.forecast import PREDICT_ROW_CAP, _innovations_rows
-from demandalloc.platform import CurvePoint, PayoffResult, PlatformSolution
+from demandalloc.platform import SIDES, PayoffResult, PlatformSolution
 from demandalloc.seller import inventory_coefficient
 
 
@@ -346,6 +350,24 @@ def ref_optimize(sellers, costs, sigma_l, N, mu, sigma_cap):
                             sigma_upper=sigma_u)
 
 
+@dataclasses.dataclass(frozen=True)
+class CurvePoint:
+    """One payoff curve sample of the reference curve."""
+
+    sigma: float
+    payoff: float
+    n_adopters: int
+    gamma_fbp: float
+    gamma_fbm: float
+    side: str
+
+
+def curve_points(curve):
+    """The rows of a demandalloc.platform.Curve as CurvePoint records."""
+    *columns, side = (c.tolist() for c in curve)
+    return [CurvePoint(*row, side=SIDES[k]) for *row, k in zip(*columns, side)]
+
+
 def ref_payoff_curve(sellers, costs, N, mu, sigma_grid, sigma_cap=math.inf):
     def point(sigma, side, adopters=None):
         res = ref_payoff(sigma, sellers, costs, N, mu, adopters=adopters)
@@ -377,9 +399,20 @@ def ref_payoff_curve(sellers, costs, N, mu, sigma_grid, sigma_cap=math.inf):
     return points
 
 
-# Reference CSV writers: the %-line writers of `simulate` and `route` that the
-# package replaced with its exact block formatter.
+# Reference CSV writers: the %-line writers of `simulate` and `route`, and
+# the per-row writer of `curve`, that the package replaced with its exact
+# block formatter.
 _REF_BLOCK_CELLS = 1 << 14
+
+
+def ref_export_curve(curve, fileobj) -> None:
+    """CSV: sigma, payoff, n_adopters, gamma_fbp, gamma_fbm, side, one
+    csv.writer row per curve point with f-string cells."""
+    writer = csv.writer(fileobj)
+    writer.writerow(["sigma", "payoff", "n_adopters", "gamma_fbp", "gamma_fbm", "side"])
+    for p in curve_points(curve):
+        writer.writerow([f"{p.sigma:.6f}", f"{p.payoff:.6f}", p.n_adopters,
+                         f"{p.gamma_fbp:.6f}", f"{p.gamma_fbm:.6f}", p.side])
 
 
 def ref_export_simulation(run, fileobj) -> None:

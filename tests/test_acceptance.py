@@ -44,7 +44,8 @@ from demandalloc import (
 from demandalloc.cli import load_scenario
 from demandalloc.forecast import (_innovations_rows, predict_streams,
                                   simulate_inventory)
-from oracles import ref_mode_economics, ref_payoff, ses_msfe_closed_form
+from oracles import (curve_points, ref_mode_economics, ref_payoff,
+                     ses_msfe_closed_form)
 from test_routing import relabelled_policy
 
 SCENARIO = str(Path(__file__).resolve().parents[1]
@@ -299,8 +300,8 @@ def test_criterion_6_property_suite(scenario):
     # (g): the payoff curve is collinear between consecutive one-sided points
     table = market_table(scenario.sellers, scenario.costs, scenario.model.mu)
     sigma_u = table.participation_ub(scenario.sigma_cap)
-    points = payoff_curve(table, np.linspace(0.0, 1.05 * sigma_u, 400),
-                          sigma_u)
+    points = curve_points(payoff_curve(
+        table, np.linspace(0.0, 1.05 * sigma_u, 400), sigma_u))
     worst_residual = 0.0
     segment = []
     for pt in points + [None]:

@@ -281,6 +281,48 @@ def test_underflowing_fractile_names_its_field(tmp_path, capsys, command, edit,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["optimize", "curve"])
+def test_overflowing_participation_bound_meets_the_cap(tmp_path, capsys,
+                                                      recwarn, command):
+    # seller 1's margin / K overflows to inf: the cap binds with its
+    # warning, and numpy warns of nothing
+    doc = scenario_doc()
+    doc["demand"]["mu"] = 1e300
+    doc["sellers"][0]["h"] = 1e-300
+    assert main([command, "--scenario", write_doc(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert [str(w.message) for w in recwarn] == [
+        "participation bound exceeds sigma_cap=500; cap binds"]
+
+
+@pytest.mark.parametrize("command", ["optimize", "curve", "simulate"])
+def test_underflowing_mean_per_seller_names_demand_mu(tmp_path, capsys,
+                                                      command):
+    doc = scenario_doc()
+    doc["demand"]["mu"] = 5e-324
+    path = write_doc(tmp_path, doc)
+    argv = [command, "--scenario", path]
+    if command == "simulate":
+        argv += ["--sigma", "6", "--periods", "50"]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"input error: {path}.demand.mu: the mean demand per seller, "
+        "mu / N = 5e-324 / 10, underflows to 0\n")
+
+
+def test_subnormal_mean_demand_simulates(tmp_path, capsys):
+    # P(D <= 0) = 1/2: mu / sd underflows, and 1/CV = mu / sd is not formed
+    # as 1 / (sd / mu), which overflows
+    doc = scenario_doc()
+    doc["demand"]["mu"] = 1e-323
+    doc["sellers"] = doc["sellers"][:2]
+    with pytest.warns(UserWarning, match=r"P\(D <= 0\) = 0\.500"):
+        rc = main(["simulate", "--scenario", write_doc(tmp_path, doc),
+                   "--sigma", "3", "--periods", "50",
+                   "--out", str(tmp_path / "out.csv")])
+    assert rc == EXIT_OK
+
+
 def _strict_json(text: str):
     def reject(constant):
         raise AssertionError(f"{constant} in JSON output")
@@ -365,7 +407,8 @@ def test_scenario_fuzz_exits_cleanly(mu, psi, n_sellers, options, platform,
             stdout, stderr = io.StringIO(), io.StringIO()
             with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
                     contextlib.redirect_stderr(stderr):
-                warnings.simplefilter("ignore")
+                # numpy's floating-point warnings stay errors
+                warnings.simplefilter("ignore", UserWarning)
                 rc = main(argv)
             assert rc in (EXIT_OK, EXIT_INPUT, EXIT_INFEASIBLE, EXIT_NUMERICAL)
             assert "Traceback" not in stderr.getvalue()

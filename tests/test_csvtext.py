@@ -1,5 +1,5 @@
 """The exact block formatter against Python's %-formatting, cell by cell, and
-the simulate and route CSV writers against their %-line reference writers,
+the simulate, route and curve CSV writers against their reference writers,
 byte for byte."""
 import io
 import math
@@ -12,15 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demandalloc import (DemandModel, TransferPoly, export_assignment_log, lagged_variant, market_table,
-                         neutral_policy, route_path, simulate)
+from demandalloc import (DemandModel, TransferPoly, export_assignment_log,
+                         export_curve, lagged_variant, market_table,
+                         neutral_policy, payoff_curve, route_path, simulate)
 from demandalloc.cli import load_scenario, main
 from demandalloc.csvtext import BLOCK_CELLS, _format_rows
 from demandalloc.forecast import export_simulation, simulate_inventory
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from oracles import ref_export_assignment_log, ref_export_simulation  # noqa: E402
+from oracles import (ref_export_assignment_log, ref_export_curve,  # noqa: E402
+                     ref_export_simulation)
 from test_forecast import CUSTOM_POLICY  # noqa: E402
+from test_market_table import random_market  # noqa: E402
 from test_seller import COSTS, MU, SELLERS  # noqa: E402
 
 SCENARIO = str(Path(__file__).resolve().parents[1]
@@ -195,6 +198,16 @@ def test_long_runs_match_reference_across_blocks():
     assert res.log.size * 13 > 3 * BLOCK_CELLS
     assert written(export_assignment_log, res) \
         == written(ref_export_assignment_log, res)
+
+
+def test_long_curve_matches_reference_across_blocks():
+    # 2,000 sellers and 4,000 grid points: three formatter blocks
+    sellers, costs, mu, _, sigma_cap = random_market(1, 2000)
+    table = market_table(sellers, costs, mu)
+    ub = table.participation_ub(sigma_cap)
+    curve = payoff_curve(table, np.linspace(0.0, 1.1 * ub, 4000), ub)
+    assert 5 * curve.sigma.size > 2 * BLOCK_CELLS
+    assert written(export_curve, curve) == written(ref_export_curve, curve)
 
 
 def test_huge_sigma_simulation_takes_the_fallback(tmp_path, capsys):

@@ -129,6 +129,10 @@ class TestProbNegative:
         probs = [prob_negative(iid_model(mu, 5.0)) for mu in (5.0, 10.0, 20.0)]
         assert probs[0] > probs[1] > probs[2]
 
+    def test_subnormal_mean(self):
+        # 1/CV = mu / sd would overflow; mu / sd underflows to 0
+        assert prob_negative(iid_model(5e-324, 5.0)) == 0.5
+
     def test_increasing_in_dispersion(self):
         lo = prob_negative(DemandModel(10.0, TransferPoly([1.0])))
         hi = prob_negative(DemandModel(10.0, TransferPoly([1.0, 0.9])))

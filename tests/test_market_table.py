@@ -1,5 +1,7 @@
 """The array-backed market table against the scalar per-seller reference in
-tests/oracles.py, the optimizer's domain check, and the curve export's bytes.
+tests/oracles.py, the sweep of curve and optimize against the adoption rule
+point by point, their memory, the optimizer's domain check, and the curve
+export's bytes.
 
 Markets for the agreement properties are drawn inside the optimizer's domain
 (delta_h >= 0 and b_n >= H, so delta_h * zeta_FBP,n >= 0), with some sellers
@@ -7,6 +9,7 @@ whose own holding cost exceeds H (dK < 0) and some caps that bind.
 """
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,7 +22,8 @@ from demandalloc import (DemandModel, DomainError, PlatformCosts, SellerParams,
                          TransferPoly, market_table, optimize, payoff,
                          payoff_curve, sigma_lower_bound)
 from demandalloc.cli import EXIT_INPUT, main
-from oracles import (ref_adoption_set, ref_breakpoints, ref_mode_choice,
+from demandalloc.platform import _adopter_sums
+from oracles import (curve_points, ref_adoption_set, ref_breakpoints, ref_mode_choice,
                      ref_optimize, ref_payoff, ref_payoff_curve,
                      ref_seller_utility, ref_sigma_participation_ub)
 from test_seller import COSTS, MU, N, SELLERS, adopters
@@ -120,7 +124,7 @@ def test_curve_and_optimum_match_scalar_reference(market, grid_points):
         table = market_table(sellers, costs, mu)
         ub = table.participation_ub(sigma_cap)
         grid = np.linspace(0.0, 1.1 * max(ub, 1e-3), grid_points)
-        got = payoff_curve(table, grid, ub)
+        got = curve_points(payoff_curve(table, grid, ub))
         want = ref_payoff_curve(sellers, costs, n, mu, grid, sigma_cap=sigma_cap)
         assert [(p.sigma, p.side, p.n_adopters) for p in got] == \
             [(p.sigma, p.side, p.n_adopters) for p in want]
@@ -146,6 +150,67 @@ def test_curve_and_optimum_match_scalar_reference(market, grid_points):
     assert close(sol.gamma_fbm, ref.gamma_fbm)
     for key, value in ref.payoff_breakdown.items():
         assert close(sol.payoff_breakdown[key], value)
+
+
+def mixed_market(seed: int, n: int):
+    """random_market's sellers and costs, with every third seller at h = H
+    (dK = 0 exactly) and every third at h > H and f < F (dK < 0 and dF < 0:
+    it enters platform fulfillment as sigma grows)."""
+    sellers, costs, mu, _, _ = random_market(seed, n)
+    rng = np.random.default_rng(seed)
+    mixed = [SellerParams(h=costs.H, b=p.b, f=p.f) if i % 3 == 1
+             else SellerParams(h=costs.H * float(rng.uniform(1.1, 3.0)), b=p.b,
+                               f=costs.F * float(rng.uniform(0.0, 0.9)))
+             if i % 3 == 2 else p
+             for i, p in enumerate(sellers)]
+    return mixed, costs, mu
+
+
+@given(markets, st.integers(0, 30))
+@settings(max_examples=60, deadline=None)
+def test_sweep_matches_adoption_rule_point_by_point(market, grid_points):
+    seed, n = market
+    sellers, costs, mu = mixed_market(seed, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        table = market_table(sellers, costs, mu)
+    assert n < 2 or (table.dK == 0).any()
+    assert n < 3 or ((table.dK < 0) & (table.fixed < 0)).any()
+    # every switching point fixed / dK and its float neighbours
+    moves = table.dK != 0
+    switch = table.fixed[moves] / table.dK[moves]
+    switch = switch[switch >= 0]
+    sigma = np.sort(np.concatenate((
+        switch, np.nextafter(switch, -np.inf), np.nextafter(switch, np.inf),
+        np.linspace(0.0, 1.2 * switch.max(initial=1.0), grid_points))))
+    zeta_scale = np.abs(table.zeta_fbp).sum() + np.abs(table.zeta_fbm).sum()
+    for boundary in ("inclusive", "exclusive"):
+        mask = table.adopts(sigma, boundary)
+        before = np.arange(sigma.size)[:, None] < table.switch_index(sigma,
+                                                                     boundary)
+        assert np.array_equal(mask, np.where(table.dK > 0, before, ~before))
+        n_adopters, zeta_fbp, zeta_fbm = _adopter_sums(table, sigma, boundary)
+        assert np.array_equal(n_adopters, mask.sum(axis=1))
+        for got, want in ((zeta_fbp, np.where(mask, table.zeta_fbp, 0.0)),
+                          (zeta_fbm, np.where(mask, 0.0, table.zeta_fbm))):
+            assert np.all(np.abs(got - want.sum(axis=1)) <= 1e-12 * zeta_scale)
+
+
+def test_curve_and_optimize_memory_grows_with_points_plus_sellers():
+    # 2,000 sellers and 2,848 curve points: one (points x sellers) float
+    # array would take 43 MiB
+    sellers, costs, mu, sigma_l, sigma_cap = random_market(1, 2000)
+    table = market_table(sellers, costs, mu)
+    ub = table.participation_ub(sigma_cap)
+    tracemalloc.start()
+    try:
+        curve = payoff_curve(table, np.linspace(0.0, 1.1 * ub, 200), ub)
+        optimize(table, sigma_l, sigma_cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.sigma.size == 2848
+    assert peak < 16 * 2**20
 
 
 @pytest.fixture
@@ -240,7 +305,8 @@ class TestOptimizerDomain:
             optimize(table, sigma_l, 1e6)
         # payoff and curve stay defined on such a market
         payoff(table, sigma_l)
-        assert payoff_curve(table, grid[:5], table.participation_ub(math.inf))
+        assert payoff_curve(table, grid[:5],
+                            table.participation_ub(math.inf)).sigma.size
 
     def test_backorder_below_platform_holding_names_the_seller(self):
         sellers = SELLERS[:3] + (SellerParams(h=1.0, b=2.0, f=20.0),)

@@ -21,6 +21,7 @@ from demandalloc import (
     sigma_lower_bound,
     solution_document,
 )
+from oracles import curve_points
 from test_seller import COSTS, MU, N, SELLERS, TABLE
 
 MODEL = DemandModel(MU, TransferPoly([5.0]))
@@ -166,7 +167,8 @@ class TestCumulativeUtility:
 class TestPayoffCurve:
     def setup_method(self):
         grid = np.linspace(0.0, 1.1 * 33.95678202429589, 300)
-        self.points = payoff_curve(TABLE, grid, TABLE.participation_ub(SIGMA_CAP))
+        self.curve = payoff_curve(TABLE, grid, TABLE.participation_ub(SIGMA_CAP))
+        self.points = curve_points(self.curve)
 
     def test_sorted_and_sided(self):
         sigmas = [p.sigma for p in self.points]
@@ -232,7 +234,7 @@ class TestPayoffCurve:
 
     def test_export_header(self):
         buf = io.StringIO()
-        export_curve(self.points, buf)
+        export_curve(self.curve, buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "sigma,payoff,n_adopters,gamma_fbp,gamma_fbm,side"
         assert len(lines) == len(self.points) + 1

@@ -147,6 +147,12 @@ class TestRoots:
         roots = poly_roots(TransferPoly([2.0]))
         assert roots.shape == (0,) and roots.dtype == complex
 
+    def test_overflowing_newton_step_is_not_taken(self):
+        # at the root 0 of z (z + 5e-324), f / f' overflows; the roots stay
+        # the eigenvalues, and numpy's overflow warning would be an error
+        roots = poly_roots(TransferPoly([0.0, 5e-324, 1.0]))
+        assert roots.tolist() == [-5e-324 + 0j, 0j]
+
     @given(coeffs_strategy())
     @example(coeffs=[-1.0, 0.0, -2.0, 0.0, -1.0])  # -(1 + z^2)^2: +-i twice
     @settings(max_examples=60, deadline=None)
