@@ -184,13 +184,13 @@ def payoff_curve(table: MarketTable, sigma_grid, sigma_upper: float) -> Curve:
     is zero).  NumericalInstability when a total overflows."""
     grid = np.sort(np.asarray(sigma_grid, dtype=float).ravel())
     lo, hi = (grid[0], grid[-1]) if grid.size else (np.inf, -np.inf)
-    exits = np.sort(table.threshold[table.dK > 0])
-    exits = exits[(lo <= exits) & (exits <= min(hi, sigma_upper))]
+    bps = np.sort(table.threshold[table.dK > 0])
+    bps = bps[(lo <= bps) & (bps <= min(hi, sigma_upper))]
     cap = [sigma_upper] if lo <= sigma_upper <= hi else []
-    # Rows: the grid (interior), then the left and the right limits at exits
+    # Rows: the grid (interior), then left and right limits at breakpoints
     # and cap.  rule: 0 inclusive adopters, 1 exclusive, 2 none (zero payoff)
-    sigma = np.concatenate((grid, exits, cap, exits, cap))
-    sizes = (grid.size, exits.size, len(cap), exits.size, len(cap))
+    sigma = np.concatenate((grid, bps, cap, bps, cap))
+    sizes = (grid.size, bps.size, len(cap), bps.size, len(cap))
     side = np.repeat([1, 0, 0, 2, 2], sizes)
     rule = np.repeat([0, 0, 0, 1, 2], sizes)
     rule[:grid.size][grid > sigma_upper] = 2
@@ -218,10 +218,10 @@ def export_curve(curve: Curve, fileobj) -> None:
     fileobj.write("sigma,payoff,n_adopters,gamma_fbp,gamma_fbm,side\r\n")
     block = BLOCK_CELLS // 5
     for lo in range(0, curve.sigma.size, block):
-        head, tail = (_format_rows(np.column_stack([c[lo:lo + block] for c in
-                                                     columns]), int_cols)
-                      for columns, int_cols in ((curve[:2], 0), (curve[2:5], 1)))
-        sides = [SIDES[k] for k in curve.side[lo:lo + block].tolist()]
+        rows = slice(lo, lo + block)
+        head = _format_rows(np.column_stack([c[rows] for c in curve[:2]]), 0)
+        tail = _format_rows(np.column_stack([c[rows] for c in curve[2:5]]), 1)
+        sides = [SIDES[k] for k in curve.side[rows].tolist()]
         lines = zip(head.split("\r\n"), tail.split("\r\n"), sides)
         fileobj.write("\r\n".join(map(",".join, lines)) + "\r\n")
 

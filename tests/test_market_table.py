@@ -158,11 +158,13 @@ def mixed_market(seed: int, n: int):
     it enters platform fulfillment as sigma grows)."""
     sellers, costs, mu, _, _ = random_market(seed, n)
     rng = np.random.default_rng(seed)
-    mixed = [SellerParams(h=costs.H, b=p.b, f=p.f) if i % 3 == 1
-             else SellerParams(h=costs.H * float(rng.uniform(1.1, 3.0)), b=p.b,
-                               f=costs.F * float(rng.uniform(0.0, 0.9)))
-             if i % 3 == 2 else p
-             for i, p in enumerate(sellers)]
+    mixed = list(sellers)
+    for i, p in enumerate(sellers):
+        if i % 3 == 1:
+            mixed[i] = SellerParams(h=costs.H, b=p.b, f=p.f)
+        elif i % 3 == 2:
+            mixed[i] = SellerParams(h=costs.H * float(rng.uniform(1.1, 3.0)), b=p.b,
+                                    f=costs.F * float(rng.uniform(0.0, 0.9)))
     return mixed, costs, mu
 
 
