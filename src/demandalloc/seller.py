@@ -155,15 +155,15 @@ def _prefers_fbp(fixed, sigma, dK, boundary: str = "inclusive"):
     to the larger term keeps a seller whose switching point was computed in
     floating point on the inclusive side; boundary="exclusive" drops
     sellers within that slack of their switching point (right-sided limits
-    at a breakpoint).  Callers ignore float overflow: a term past the float
-    range is +-inf, and a seller whose advantage is inf - inf does not adopt.
+    at a breakpoint).  Callers ignore overflow; an advantage of -inf or NaN
+    never adopts, which keeps adoption monotone in sigma.
     """
     varying = sigma * dK
     margin = fixed - varying
     slack = _BOUNDARY_SLACK * np.maximum(
         1.0, np.maximum(np.abs(fixed), np.abs(varying)))
     if boundary == "inclusive":
-        return margin >= -slack
+        return (margin >= -slack) & (margin > -np.inf)
     if boundary == "exclusive":
         return margin > slack
     raise ValueError(f"unknown boundary {boundary!r}")

@@ -198,6 +198,22 @@ def test_sweep_matches_adoption_rule_point_by_point(market, grid_points):
             assert np.all(np.abs(got - want.sum(axis=1)) <= 1e-12 * zeta_scale)
 
 
+def test_sweep_matches_adoption_rule_past_the_float_range():
+    # sigma * dK overflows to inf from sigma = 1e8 on: an advantage of -inf
+    # does not adopt, so adoption stays a prefix and the sweep agrees
+    costs = PlatformCosts(rho=15.0, F=10.0, H=2e300, delta_f=2.0, delta_h=2.0,
+                          r=100.0)
+    table = market_table([SellerParams(h=1e300, b=1e300, f=20.0),
+                          SellerParams(h=1.0, b=3e300, f=12.0)], costs, 1e300)
+    sigma = np.array([0.0, 1.0, 1e5, 1e8, 1e10, 1e300])
+    for boundary in ("inclusive", "exclusive"):
+        mask = table.adopts(sigma, boundary)
+        assert mask.tolist() == [[True, True], [True, False]] + [[False] * 2] * 4
+        assert table.switch_index(sigma, boundary).tolist() == [2, 1]
+        assert np.array_equal(_adopter_sums(table, sigma, boundary)[0],
+                              mask.sum(axis=1))
+
+
 def test_curve_and_optimize_memory_grows_with_points_plus_sellers():
     # 2,000 sellers and 2,848 curve points: one (points x sellers) float
     # array would take 43 MiB
