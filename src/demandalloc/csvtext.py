@@ -1,4 +1,4 @@
-"""Exact CSV text for float blocks, shared by the simulate and route writers.
+"""Exact CSV text of float blocks for the simulate, route and curve writers.
 
 _format_rows gives, byte for byte, what "%d" and "%.6f" %-formatting give,
 but works on whole numpy blocks.  A "%.6f" cell is N = |x| * 10**6 rounded
@@ -11,9 +11,14 @@ answer.  A "%d" cell is the integer part of x, truncated toward zero.
 
 The argument needs |x| * 10**6 below 2**52; a block holding a cell at or
 past that bound, or a non-finite cell, is %-formatted as a whole instead.
-Digits go from int64 arrays, two at a time through a 100-entry table, into
-one uint8 buffer per block.  Writers cut their rows into blocks of about
-BLOCK_CELLS cells.
+Every cell is built from fixed 4-byte words padded with spaces, one table
+gather per word: its 3-digit integer groups (the integer and the fraction
+columns each take as many groups as their largest cell needs), then ".ddd"
+and "ddd," for a "%.6f" cell or a "," word for a "%d" cell.  A word "\\n"
+ends each row and the row's last separator becomes "\\r".  The block is one
+uint32 array whose bytes, with the spaces deleted, are the text: a
+formatted cell never holds a space.  Writers cut their rows into blocks of
+about BLOCK_CELLS cells.
 """
 from __future__ import annotations
 
@@ -24,10 +29,32 @@ BLOCK_CELLS = 1 << 14
 _SCALE = 1e6
 _FIXED_LIMIT = 2.0 ** 52
 _SPLIT = 2.0 ** 27 + 1.0
-# _TENS[k] and _ONES[k] are the two ASCII digits of k = 0..99.
-_TENS, _ONES = np.frombuffer("".join(f"{k:02d}" for k in range(100)).encode(),
-                             dtype=np.uint8).reshape(100, 2).T.copy()
-_DOT, _COMMA, _MINUS, _CR, _LF = b".,-\r\n"
+
+
+def _word_tables():
+    """Word tables of k = 0..999, as uint32 arrays of 4 ASCII bytes:
+    group[k] = " ddd" (a lower group), group[1000 + k] = "%4d" % k and
+    group[2000 + k] = "%4s" % ("-%d" % k) (the top group, positive and
+    negative); head is group with blank top words at k = 0 (no digits above
+    the ones group); frac_hi[k] = ".ddd" and frac_lo[k] = "ddd,"."""
+    k = np.arange(1000)
+    digits = 48 + np.stack([k // 100, k // 10 % 10, k % 10], axis=1)
+    first = 3 - (k >= 10) - (k >= 100)
+    words = np.full((5, 1000, 4), 32, dtype=np.uint8)
+    words[[0, 3], :, 1:] = digits
+    words[1:3, :, 1:] = np.where(np.arange(1, 4) >= first[:, None], digits, 32)
+    words[2, k, first - 1] = 45
+    words[3, :, 0] = 46
+    words[4, :, :3] = digits
+    words[4, :, 3] = 44
+    words = words.view(np.uint32)[..., 0]
+    head = words[:3].copy()
+    head[1:, 0] = _BLANK
+    return words[:3].ravel(), head.ravel(), words[3], words[4]
+
+
+_BLANK, _COMMA, _LF = np.frombuffer(b"    ,   \n   ", dtype=np.uint32)
+_GROUP, _HEAD, _FRAC_HI, _FRAC_LO = _word_tables()
 
 
 def _percent_rows(rows, int_cols: int) -> str:
@@ -52,15 +79,26 @@ def _round_fixed(a, p):
     return r.astype(np.int64)
 
 
-def _digit_counts(whole):
-    """Decimal digits of each nonnegative int64, at least 1."""
-    digits = (whole >= 10) + 1
-    more, bound = np.flatnonzero(whole >= 100), 100
-    while more.size:
-        digits[more] += 1
-        bound *= 10
-        more = more[whole[more] >= bound]
-    return digits
+def _group_count(whole):
+    """3-digit groups of the largest nonnegative int64 in whole, at least 1."""
+    return (len(str(whole.max(initial=0))) + 2) // 3
+
+
+def _put_groups(out, whole, neg):
+    """Write the integer parts whole (nonnegative int64) with their signs
+    neg into the group words out[..., 0..g-1], most significant first; the
+    top group of each cell carries the sign and the words above it are
+    blank."""
+    g = out.shape[-1]
+    sign = 1000 + 1000 * neg
+    rest = whole
+    for j in range(g - 1, 0, -1):
+        high = rest // 1000
+        index = rest - 1000 * high
+        index += (high == 0) * sign
+        out[..., j] = (_GROUP if j == g - 1 else _HEAD)[index]
+        rest = high
+    out[..., 0] = (_GROUP if g == 1 else _HEAD)[rest + sign]
 
 
 def _format_rows(rows, int_cols: int) -> str:
@@ -74,53 +112,24 @@ def _format_rows(rows, int_cols: int) -> str:
     if not rows.size or not (scaled < _FIXED_LIMIT).all():
         return _percent_rows(rows, int_cols)
     n, cols = rows.shape
-    whole = np.empty((n, cols), dtype=np.int64)
-    whole[:, :int_cols] = a[:, :int_cols]
     fixed = _round_fixed(a[:, int_cols:], scaled[:, int_cols:])
-    np.floor_divide(fixed, 1_000_000, out=whole[:, int_cols:])
-    frac = (fixed - 1_000_000 * whole[:, int_cols:]).ravel()
-    neg = np.signbit(rows)
-    neg[:, :int_cols] = rows[:, :int_cols] <= -1.0
-    whole = whole.ravel()
-    digits = _digit_counts(whole)
-    # bytes after the integer digits: ".dddddd" in "%.6f" cells, then the
-    # separator
-    tail = np.ones(cols, dtype=np.int64)
-    tail[int_cols:] += 7
-    tail[-1] += 1
-    width = digits + neg.ravel()
-    width.reshape(n, cols)[:] += tail
-    # buf[0] is spare; last[i] is the index of cell i's final byte and
-    # stop[i] that of the byte after its integer digits
-    last = np.cumsum(width)
-    buf = np.empty(int(last[-1]) + 1, dtype=np.uint8)
-    stop = (last.reshape(n, cols) - (tail - 1)).ravel()
-    # Integer digits, two at a time from the right.  An odd count writes a
-    # spare '0' one byte before the digits: on the sign, on the previous
-    # cell's separator or on buf[0], all written later.
-    pos, rest, left = stop - 2, whole, digits
-    while True:
-        high = rest // 100
-        pair = rest - 100 * high
-        buf[pos] = _TENS[pair]
-        buf[1:][pos] = _ONES[pair]
-        more = np.flatnonzero(left > 2)
-        if not more.size:
-            break
-        pos, rest, left = pos[more] - 2, high[more], left[more] - 2
-    # '-' goes before every cell's digits; where the cell is not negative
-    # that byte is the previous cell's separator, written after it
-    buf[stop - digits - 1] = _MINUS
-    dot = stop.reshape(n, cols)[:, int_cols:].ravel()
-    buf[dot] = _DOT
-    high = frac // 10_000
-    frac -= 10_000 * high
-    mid = frac // 100
-    for k, pair in enumerate((high, mid, frac - 100 * mid)):
-        buf[1 + 2 * k:][dot] = _TENS[pair]
-        buf[2 + 2 * k:][dot] = _ONES[pair]
-    last = last.reshape(n, cols)
-    buf[last[:, :-1]] = _COMMA
-    buf[last[:, -1] - 1] = _CR
-    buf[last[:, -1]] = _LF
-    return buf[1:].tobytes().decode("ascii")
+    whole = fixed // 1_000_000
+    frac = fixed - 1_000_000 * whole
+    ints = a[:, :int_cols].astype(np.int64)
+    # groups, then a "," word per "%d" cell and ".ddd", "ddd," per "%.6f" cell
+    int_groups, float_groups = _group_count(ints), _group_count(whole)
+    split = int_cols * (int_groups + 1)
+    width = split + (cols - int_cols) * (float_groups + 2) + 1
+    words = np.empty((n, width), dtype=np.uint32)
+    int_words = words[:, :split].reshape(n, int_cols, int_groups + 1)
+    float_words = words[:, split:-1].reshape(n, cols - int_cols, float_groups + 2)
+    _put_groups(int_words[..., :-1], ints, rows[:, :int_cols] <= -1.0)
+    int_words[..., -1] = _COMMA
+    _put_groups(float_words[..., :-2], whole, np.signbit(rows[:, int_cols:]))
+    high = frac // 1000
+    float_words[..., -2] = _FRAC_HI[high]
+    float_words[..., -1] = _FRAC_LO[frac - 1000 * high]
+    words[:, -1] = _LF
+    # the row's last separator: byte 3 of "ddd," or byte 0 of ","
+    words.view(np.uint8)[:, 4 * width - (5 if int_cols < cols else 8)] = ord("\r")
+    return words.tobytes().translate(None, b" ").decode("ascii")

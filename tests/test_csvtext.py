@@ -16,7 +16,8 @@ from demandalloc import (DemandModel, TransferPoly, export_assignment_log,
                          export_curve, lagged_variant, market_table,
                          neutral_policy, payoff_curve, route_path, simulate)
 from demandalloc.cli import load_scenario, main
-from demandalloc.csvtext import BLOCK_CELLS, _format_rows
+from demandalloc.csvtext import (_BLANK, _COMMA, _FRAC_HI, _FRAC_LO, _GROUP,
+                                 _HEAD, _LF, BLOCK_CELLS, _format_rows)
 from demandalloc.forecast import export_simulation, simulate_inventory
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -30,6 +31,8 @@ SCENARIO = str(Path(__file__).resolve().parents[1]
                / "scenarios" / "illustrative.scenario")
 # |x| below this has |x| * 10**6 < 2**52 and takes the fixed-point path
 FIXED_BOUND = 2.0 ** 52 / 1e6
+# integer parts where the formatter needs one more 3-digit group
+GROUP_EDGES = [1e3, 1e6, 1e9]
 
 
 def percent_rows(rows, int_cols):
@@ -84,6 +87,47 @@ def test_pinned_integer_cell(x):
             _format_rows([[x]], 1)
 
 
+def test_word_tables_match_their_definitions():
+    ks = range(1000)
+    top = [f"{k:4d}" for k in ks] + [f"{'-%d' % k:>4}" for k in ks]
+    assert _GROUP.tobytes().decode() == "".join([f" {k:03d}" for k in ks] + top)
+    top[0] = top[1000] = "    "
+    assert _HEAD.tobytes().decode() == "".join([f" {k:03d}" for k in ks] + top)
+    assert _FRAC_HI.tobytes().decode() == "".join(f".{k:03d}" for k in ks)
+    assert _FRAC_LO.tobytes().decode() == "".join(f"{k:03d}," for k in ks)
+    assert np.array([_BLANK, _COMMA, _LF]).tobytes() == b"    ,   \n   "
+
+
+# the integer part just below, at and past each group edge, and up to the
+# fixed-point bound; "%.6f" of 999.9999995 carries into a new group
+EDGE_PINNED = [x for e in GROUP_EDGES
+               for x in (e - 1.0, e - 5e-7, e - 1e-6, e, e + 0.5, e + 1.0)] \
+    + [4503599627.0, 4503599627.370495, 4503599626.9999995]
+
+
+@pytest.mark.parametrize("x", EDGE_PINNED + [-x for x in EDGE_PINNED], ids=repr)
+def test_group_edge_cells(x):
+    assert _format_rows([[x]], 0) == "%.6f" % x + "\r\n"
+    assert _format_rows([[x]], 1) == "%d" % x + "\r\n"
+
+
+@pytest.mark.parametrize("rows, int_cols", [
+    # the integer columns need more groups than the fraction columns
+    ([[1234567.0, 0.5, -0.0], [-1000.0, -0.25, 999.9999994]], 1),
+    ([[-0.5, 4503599627.0, -1.0, 12.5], [-1.0, -999.0, -0.5, -0.0]], 3),
+    # the fraction columns need more groups than the integer columns
+    ([[3.0, 1234567.891], [-1.0, -999999.9999995], [-0.5, 1e9]], 1),
+    ([[-0.0, 999.0, -4503599627.370495]], 2),
+    # all "%d", all "%.6f", one column
+    ([[999.0, -1e6, -0.5], [1e9, -0.0, 1000.0]], 3),
+    ([[999.0, -1e6, -0.5], [1e9, -0.0, 1000.0]], 0),
+    ([[-999999.5], [1e6], [-0.0]], 1),
+    ([[-999999.5], [1e6], [-0.0]], 0),
+])
+def test_blocks_across_group_counts(rows, int_cols):
+    assert _format_rows(rows, int_cols) == percent_rows(rows, int_cols)
+
+
 def test_examples():
     assert _format_rows([[3.0, 0.0078125, -0.0, 12.5]], 1) \
         == "3,0.007812,-0.000000,12.500000\r\n"
@@ -98,7 +142,17 @@ fixed_range = st.floats(min_value=-FIXED_BOUND, max_value=FIXED_BOUND,
 near_half = st.integers(-2 ** 40, 2 ** 40).map(lambda k: (k + 0.5) / 1e6)
 dyadic = st.builds(lambda k, m: k / 2.0 ** m,
                    st.integers(-2 ** 30, 2 ** 30), st.integers(0, 40))
-cells = st.one_of(finite, fixed_range, near_half, dyadic)
+# integer parts at a group edge or just under the fixed-point bound
+signs = st.sampled_from([1.0, -1.0])
+group_edges = st.builds(lambda e, d, s: s * (e + d),
+                        st.sampled_from(GROUP_EDGES),
+                        st.one_of(st.sampled_from([-1.0, -5e-7, 0.0, 0.5]),
+                                  st.floats(-2.0, 2.0)), signs)
+under_bound = st.builds(lambda x, s: s * x, st.floats(
+    4503599627.0, FIXED_BOUND, exclude_max=True), signs)
+edges = st.one_of(group_edges, under_bound,
+                  st.sampled_from([-0.0, -0.5, -1.0, 0.0]))
+cells = st.one_of(finite, fixed_range, near_half, dyadic, edges)
 
 
 @settings(max_examples=400, deadline=None)
@@ -130,6 +184,54 @@ def blocks(draw):
 def test_block_matches_percent(block):
     rows, int_cols = block
     assert _format_rows(rows, int_cols) == percent_rows(rows, int_cols)
+
+
+magnitudes = st.sampled_from([1.0, 1e3, 1e6, 1e9])
+
+
+@st.composite
+def group_blocks(draw):
+    """Blocks whose integer and fraction columns each draw from their own
+    magnitude, so either side may need more 3-digit groups."""
+    n = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    int_cols = draw(st.integers(0, cols))
+    scales = [draw(magnitudes), draw(magnitudes)]
+    values = [st.one_of(edges, st.floats(-4.5 * m, 4.5 * m)) for m in scales]
+    rows = [[draw(values[c >= int_cols]) for c in range(cols)]
+            for _ in range(n)]
+    return np.array(rows, dtype=float), int_cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(group_blocks())
+def test_group_blocks_match_percent(block):
+    rows, int_cols = block
+    assert _format_rows(rows, int_cols) == percent_rows(rows, int_cols)
+
+
+def spread_cells(rng, shape, top):
+    """Cells of both signs whose integer parts need 1 to `top` groups, with
+    some integral values, signed zeros and -0.5."""
+    x = rng.uniform(-4.5, 4.5, shape) * 10.0 ** rng.integers(-7, 3 * top - 2,
+                                                             shape)
+    x = np.where(rng.random(shape) < 0.1, np.trunc(x), x)
+    special = rng.choice([-0.0, 0.0, -0.5, -1.0, 999.0], shape)
+    return np.where(rng.random(shape) < 0.05, special, x)
+
+
+@pytest.mark.parametrize("float_groups", [1, 4])
+def test_large_blocks_match_percent(float_groups):
+    # a simulate-shaped block (period >= 1,000, then 41 float columns) and a
+    # route-shaped one (period, order, seller, then 10 float columns)
+    rng = np.random.default_rng(20 + float_groups)
+    sim = spread_cells(rng, (390, 42), float_groups)
+    sim[:, 0] = np.arange(1000, 1390)
+    route = spread_cells(rng, (1260, 13), float_groups)
+    route[:, :3] = np.abs(np.trunc(spread_cells(rng, (1260, 3), 3))) + 1.0
+    for rows, int_cols in ((sim, 1), (route, 3)):
+        assert np.abs(rows).max() < FIXED_BOUND
+        assert _format_rows(rows, int_cols) == percent_rows(rows, int_cols)
 
 
 def small_design(kind, N, sigma_ratio, k):
