@@ -17,12 +17,23 @@ The commands parse, write and summarise; the model lives in the library.
 Each scenario command builds the market table (seller.market_table) once;
 simulate hands it to forecast.simulate_inventory (allocation, predictions of
 every seller in one pass, stocks and costs) and writes its CSV in blocks
-with forecast.export_simulation.
+with forecast.export_simulation.  A refused allocation exits 2 naming the
+flag or field that sized it: --periods, options.horizon or --grid.
+
+The fixed work of a call is kept small, and nothing is kept across calls.
+build_parser lists all six subcommands but adds the flags of the parsed
+one only.  The seller records are checked a column at a time, and the
+per-record path runs only to name a fault.  JSON output comes from
+_json_text, which equals json.dumps(indent=2, allow_nan=False) byte for
+byte but writes runs of one type (number lists, records of one key
+sequence) a column at a time instead of through json's pure-Python
+indenting encoder.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -39,6 +50,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
+
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 class ScenarioError(ValueError):
@@ -105,6 +118,27 @@ def _record(cls, block, path: str):
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
+def _sellers(records: list, path: str) -> tuple:
+    """The SellerParams of the records at path, checked a column at a time:
+    every record an object with exactly the fields h, b and f, every value a
+    finite number.  Where a check fails, or SellerParams refuses a value,
+    the per-record path (_record) runs to name the first fault."""
+    names = seller.SellerParams.__match_args__
+    fields = set(names)
+    if all(type(r) is dict and r.keys() == fields for r in records):
+        columns = [[r[name] for r in records] for name in names]
+        if all(set(map(type, c)) <= {float, int}
+               and all(map(sys.float_info.max.__ge__, map(abs, c)))
+               for c in columns):
+            try:
+                return tuple(map(seller.SellerParams,
+                                 *(map(float, c) for c in columns)))
+            except seller.DomainError:
+                pass
+    return tuple(_record(seller.SellerParams, entry, f"{path}[{i}]")
+                 for i, entry in enumerate(records, start=1))
+
+
 def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
     _check_fields(doc, source, required=("demand", "platform", "sellers"),
                   optional=("options",))
@@ -132,8 +166,7 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
     sellers_raw = doc["sellers"]
     if not isinstance(sellers_raw, list) or not sellers_raw:
         raise ScenarioError(f"{source}.sellers: expected a non-empty array")
-    sellers = tuple(_record(seller.SellerParams, entry, f"{source}.sellers[{i}]")
-                    for i, entry in enumerate(sellers_raw, start=1))
+    sellers = _sellers(sellers_raw, f"{source}.sellers")
     if not mu / len(sellers) > 0:
         raise ScenarioError(f"{source}.demand.mu: the mean demand per seller, "
                             f"mu / N = {mu!r} / {len(sellers)}, underflows to 0")
@@ -190,11 +223,56 @@ def _nonfinite_path(node, path=""):
     return next(filter(None, paths), None)
 
 
+def _json_texts(values: list, indent: str) -> list:
+    """json.dumps(v, indent=2) of each of values, siblings whose closing
+    brackets sit at indent (a newline and spaces).  Runs of one type are
+    written a column at a time: numbers through int.__repr__ and
+    float.__repr__, strings through the C encode_basestring_ascii, and
+    records (dicts of one key sequence) through one template per run.  A
+    non-finite float raises ValueError, as json.dumps does with
+    allow_nan=False.  Dict keys must be strings."""
+    kinds = set(map(type, values))
+    if len(kinds) > 1:
+        return [_json_texts([v], indent)[0] for v in values]
+    (kind,) = kinds
+    if issubclass(kind, str):
+        return list(map(_encode_str, values))
+    if kind is bool:
+        return ["true" if v else "false" for v in values]
+    if kind is type(None):
+        return ["null"] * len(values)
+    if issubclass(kind, int):
+        return list(map(int.__repr__, values))
+    if issubclass(kind, float):
+        if not all(map(math.isfinite, values)):
+            raise ValueError("Out of range float values are not JSON compliant")
+        return list(map(float.__repr__, values))
+    inner = indent + "  "
+    if issubclass(kind, (list, tuple)):
+        sep = "," + inner
+        return [f"[{inner}{sep.join(_json_texts(v, inner))}{indent}]" if v else "[]"
+                for v in values]
+    if not issubclass(kind, dict):
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if len(set(map(tuple, values))) > 1:  # key sequences differ
+        return [_json_texts([v], indent)[0] for v in values]
+    keys = list(values[0])
+    if not keys:
+        return ["{}"] * len(values)
+    if not all(isinstance(k, str) for k in keys):
+        raise TypeError("keys must be str")
+    template = "{" + ",".join(f"{inner}{_encode_str(k).replace('%', '%%')}: %s"
+                              for k in keys) + indent + "}"
+    columns = [_json_texts([v[k] for v in values], inner) for k in keys]
+    return list(map(template.__mod__, zip(*columns)))
+
+
 def _json_text(doc: dict) -> str:
-    """Indented strict JSON; NumericalInstability names a non-finite number."""
+    """json.dumps(doc, indent=2, allow_nan=False) + "\\n", byte for byte;
+    NumericalInstability names a non-finite number."""
     try:
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    except ValueError:  # with allow_nan=False: a number is not finite
+        return _json_texts([doc], "\n")[0] + "\n"
+    except ValueError:  # a number is not finite
         raise NumericalInstability(
             f"{_nonfinite_path(doc)} overflows the float range") from None
 
@@ -233,6 +311,28 @@ def _design_run(args):
     return scenario, alloc_policy, simulate(model, periods, seed)
 
 
+def _periods_source(args) -> str:
+    """Where a path's length comes from: --periods or the scenario horizon."""
+    return ("--periods" if args.periods is not None
+            else f"{args.scenario}.options.horizon")
+
+
+def _sized_by(source):
+    """Command decorator: a refused allocation (MemoryError) is an input
+    error naming source(args), the flag or field that sized it."""
+    def decorate(command):
+        @functools.wraps(command)
+        def run(args):
+            try:
+                return command(args)
+            except MemoryError as exc:
+                raise ScenarioError(f"{source(args)}: too large: "
+                                    f"{exc or 'out of memory'}") from None
+        return run
+    return decorate
+
+
+@_sized_by(_periods_source)
 def cmd_simulate(args) -> int:
     scenario, alloc_policy, path = _design_run(args)
     sigma, model = args.sigma, scenario.model
@@ -240,9 +340,7 @@ def cmd_simulate(args) -> int:
     try:
         run = forecast.simulate_inventory(table, alloc_policy, model, path, sigma)
     except policy.InsufficientHistory as exc:
-        source = ("--periods" if args.periods is not None
-                  else f"{args.scenario}.options.horizon")
-        raise ScenarioError(f"{source}: {exc}") from exc
+        raise ScenarioError(f"{_periods_source(args)}: {exc}") from exc
     with _primary_stream(args.out) as fh:
         forecast.export_simulation(run, fh)
     sellers = [{"seller": i, "mode": mode, "analytic_sigma": sigma,
@@ -257,6 +355,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@_sized_by(_periods_source)
 def cmd_route(args) -> int:
     scenario, alloc_policy, path = _design_run(args)
     try:
@@ -331,6 +430,7 @@ def cmd_msfe(args) -> int:
     return EXIT_OK
 
 
+@_sized_by(lambda args: "--grid")
 def cmd_curve(args) -> int:
     scenario = load_scenario(args.scenario)
     sigma_lower = policy.sigma_lower_bound(scenario.model, scenario.n_sellers)
@@ -395,14 +495,25 @@ _smoothing = _flag_type(float, lambda x: forecast.SES_MIN_LAMBDA <= x <= 1,
                         f"a number in [{forecast.SES_MIN_LAMBDA:.6g}, 1]")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="demandalloc",
-        description="Demand-allocation policy design and analysis toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, set up (ArgumentParser.__init__, then
+    add_flags) only when it is the one being parsed; the top-level parser
+    reads nothing of the other five but their names and help."""
 
-    def add_scenario_flags(p, sigma_required=False):
+    def __init__(self, add_flags, **kwargs):
+        self._pending = add_flags, kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._pending:
+            add_flags, kwargs = self._pending
+            super().__init__(**kwargs)
+            add_flags(self)
+            self._pending = None
+        return super().parse_known_args(args, namespace)
+
+
+def _scenario_flags(func, sigma_required=False):
+    def add_flags(p):
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         if sigma_required:
             p.add_argument("--sigma", type=_positive_float, required=True,
@@ -412,40 +523,54 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=_nonnegative_int, default=None,
                            help="RNG seed (default: scenario seed)")
         p.add_argument("--out", default=None, help="write primary output here")
+        p.set_defaults(func=func)
+    return add_flags
 
-    p_opt = sub.add_parser("optimize", help="solve the platform's sigma design problem")
-    add_scenario_flags(p_opt)
-    p_opt.set_defaults(func=cmd_optimize)
 
-    p_sim = sub.add_parser("simulate", help="simulate demand, allocate, and cost out inventory")
-    add_scenario_flags(p_sim, sigma_required=True)
-    p_sim.set_defaults(func=cmd_simulate)
+def _curve_flags(p):
+    _scenario_flags(cmd_curve)(p)
+    p.add_argument("--grid", type=_count, default=200, help="grid points")
+    p.add_argument("--check-linearity", action="store_true",
+                   help="verify the curve is linear between breakpoints")
 
-    p_route = sub.add_parser("route", help="route integer orders with offset tracking")
-    add_scenario_flags(p_route, sigma_required=True)
-    p_route.set_defaults(func=cmd_route)
 
-    p_factor = sub.add_parser("factor", help="inner-outer factorization report")
-    p_factor.add_argument("coeffs", nargs="+", help="polynomial coefficients, low order first")
-    p_factor.add_argument("--boundary-tol", type=_boundary_tol, default=DEFAULT_BOUNDARY_TOL,
-                          help="roots of modulus below 1 - tol count as inside")
-    p_factor.set_defaults(func=cmd_factor)
+def _factor_flags(p):
+    p.add_argument("coeffs", nargs="+", help="polynomial coefficients, low order first")
+    p.add_argument("--boundary-tol", type=_boundary_tol, default=DEFAULT_BOUNDARY_TOL,
+                   help="roots of modulus below 1 - tol count as inside")
+    p.set_defaults(func=cmd_factor)
 
-    p_msfe = sub.add_parser("msfe", help="root MSFE, optionally lead-time or SES variants")
-    p_msfe.add_argument("coeffs", nargs="+", help="polynomial coefficients, low order first")
-    p_msfe.add_argument("--lead", type=_nonnegative_int, default=None,
-                        help="replenishment lead time in periods")
-    p_msfe.add_argument("--ses", type=_smoothing, default=None,
-                        help="SES smoothing constant")
-    p_msfe.set_defaults(func=cmd_msfe)
 
-    p_curve = sub.add_parser("curve", help="export the payoff curve as CSV")
-    add_scenario_flags(p_curve)
-    p_curve.add_argument("--grid", type=_count, default=200, help="grid points")
-    p_curve.add_argument("--check-linearity", action="store_true",
-                         help="verify the curve is linear between breakpoints")
-    p_curve.set_defaults(func=cmd_curve)
+def _msfe_flags(p):
+    p.add_argument("coeffs", nargs="+", help="polynomial coefficients, low order first")
+    p.add_argument("--lead", type=_nonnegative_int, default=None,
+                   help="replenishment lead time in periods")
+    p.add_argument("--ses", type=_smoothing, default=None,
+                   help="SES smoothing constant")
+    p.set_defaults(func=cmd_msfe)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser.  Its six subcommand entries (name and help)
+    are all there, so usage, -h and errors read the same; a subcommand's
+    flags are added when it is parsed (_CommandParser)."""
+    parser = argparse.ArgumentParser(
+        prog="demandalloc",
+        description="Demand-allocation policy design and analysis toolkit",
+    )
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
+    for name, help_text, add_flags in (
+            ("optimize", "solve the platform's sigma design problem",
+             _scenario_flags(cmd_optimize)),
+            ("simulate", "simulate demand, allocate, and cost out inventory",
+             _scenario_flags(cmd_simulate, sigma_required=True)),
+            ("route", "route integer orders with offset tracking",
+             _scenario_flags(cmd_route, sigma_required=True)),
+            ("factor", "inner-outer factorization report", _factor_flags),
+            ("msfe", "root MSFE, optionally lead-time or SES variants", _msfe_flags),
+            ("curve", "export the payoff curve as CSV", _curve_flags)):
+        sub.add_parser(name, help=help_text, add_flags=add_flags)
     return parser
 
 

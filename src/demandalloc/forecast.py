@@ -188,6 +188,7 @@ def filter_msfe(psi_n: TransferPoly, forecaster: FilterForecaster) -> float:
     return float(np.sqrt(np.dot(err, err)))
 
 
+@np.errstate(over="ignore")
 def leadtime_msfe(outer_coeffs: TransferPoly, L: int) -> float:
     """Root MSFE of cumulative demand over a replenishment delay of L periods.
 

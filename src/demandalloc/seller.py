@@ -13,14 +13,22 @@ array (switch_index), chosen utilities (utilities), exit thresholds
 (breakpoints) and the participation bound (participation_ub) are array
 operations on it, and the platform layer and the simulation
 (forecast.simulate_inventory) read the same table.  One comparison,
-_prefers_fbp, decides every mode choice.  The normal quantile and pdf come
-from the stdlib's statistics.NormalDist, the cdf from math.erfc.
+_prefers_fbp, decides every mode choice.
+
+One scalar helper, _coefficient, computes zeta and K: inventory_coefficient
+wraps it in a ModeEconomics, and market_table streams its plain (zeta, K)
+tuples for every seller and mode into arrays, with no object per seller.
+The normal quantile is the stdlib's NormalDist.inv_cdf, the pdf
+NormalDist.pdf's expression written out and the cdf math.erfc, so K and
+zeta match the stdlib's methods bit for bit (numpy's exp and log do not
+match libm's in the last bits).
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass, fields
+from itertools import chain
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -35,6 +43,9 @@ FBP = "FBP"
 _BOUNDARY_SLACK = 1e-9
 
 _STD_NORMAL = NormalDist()
+# NormalDist.pdf's normaliser sqrt(tau * variance) at variance 1
+_SQRT_TAU = math.sqrt(math.tau)
+_SQRT2 = math.sqrt(2.0)
 
 
 class DomainError(ValueError):
@@ -45,7 +56,7 @@ def std_normal_cdf(x: float) -> float:
     """Standard normal cdf via the complementary error function, which keeps
     the relative accuracy of the far lower tail (NormalDist.cdf goes through
     erf and returns 0 already at x = -10)."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def std_normal_quantile(p: float) -> float:
@@ -57,8 +68,11 @@ def std_normal_quantile(p: float) -> float:
 
 
 def std_normal_loss(z: float) -> float:
-    """Standard normal loss L(z) = pdf(z) - z * (1 - cdf(z)); nonnegative."""
-    return max(_STD_NORMAL.pdf(z) - z * std_normal_cdf(-z), 0.0)
+    """Standard normal loss L(z) = pdf(z) - z * (1 - cdf(z)); nonnegative.
+    The pdf is NormalDist.pdf's expression at mean 0 and variance 1 and the
+    tail std_normal_cdf(-z)'s, both written out to save the calls."""
+    loss = math.exp(z * z / -2.0) / _SQRT_TAU - z * (0.5 * math.erfc(z / _SQRT2))
+    return 0.0 if loss < 0.0 else loss
 
 
 @dataclass(frozen=True)
@@ -128,13 +142,19 @@ def inventory_coefficient(h_bar: float, b: float) -> ModeEconomics:
     (h_bar + b) * L(-zeta) - b * zeta.  FBM runs on the seller's own
     holding cost h, FBP on the platform's H.
     """
+    return ModeEconomics(*_coefficient(h_bar, b))
+
+
+def _coefficient(h_bar: float, b: float) -> tuple:
+    """(zeta, K) of inventory_coefficient as a plain tuple: its one
+    computation, which market_table runs per seller and mode without
+    building a ModeEconomics."""
     if not (h_bar > 0 and b > 0):
         raise DomainError("inventory coefficient needs positive h_bar and b")
     zeta = (std_normal_quantile(b / (h_bar + b)) if b <= h_bar
             else -std_normal_quantile(h_bar / (h_bar + b)))
-    K = (h_bar * zeta + (h_bar + b) * std_normal_loss(zeta) if zeta >= 0
-         else (h_bar + b) * std_normal_loss(-zeta) - b * zeta)
-    return ModeEconomics(zeta=zeta, K=K)
+    return zeta, (h_bar * zeta + (h_bar + b) * std_normal_loss(zeta) if zeta >= 0
+                  else (h_bar + b) * std_normal_loss(-zeta) - b * zeta)
 
 
 def base_stock(mean_forecast, sigma: float, zeta):
@@ -268,30 +288,39 @@ class MarketTable(NamedTuple):
         return bound
 
 
-def _mode_economics(h_bar: float, b: float, n: int, h_name: str) -> ModeEconomics:
-    """Seller n's inventory_coefficient(h_bar, b) under h_name, "h" or "H".
-    A fractile b/(h_bar + b) rounding to 0 or 1 raises DomainError naming
-    sellers[n], or platform.H where H is the smaller cost."""
+def _mode_columns(h_bar: list, b: list, h_name: str) -> np.ndarray:
+    """zeta and K rows of every seller under one mode, one _coefficient
+    call per seller, with holding costs h_bar named h_name, "h" or "H".  A
+    fractile b/(h_bar + b) rounding to 0 or 1 raises DomainError naming the
+    first such seller as sellers[n], or platform.H where H is the smaller
+    cost; only that fault path visits the sellers one at a time."""
     try:
-        return inventory_coefficient(h_bar, b)
+        pairs = np.fromiter(chain.from_iterable(map(_coefficient, h_bar, b)),
+                            float, 2 * len(b))
     except DomainError:
-        field = "platform.H" if h_name == "H" and h_bar < b else f"sellers[{n}]"
-        raise DomainError(
-            f"{field}: the critical fractile b/({h_name} + b) at {h_name} = "
-            f"{h_bar:g}, b = {b:g} rounds to {int(b > h_bar)}, which has no "
-            "normal quantile") from None
+        for n, (x, y) in enumerate(zip(h_bar, b), start=1):
+            try:
+                _coefficient(x, y)
+            except DomainError:
+                field = "platform.H" if h_name == "H" and x < y else f"sellers[{n}]"
+                raise DomainError(
+                    f"{field}: the critical fractile b/({h_name} + b) at "
+                    f"{h_name} = {x:g}, b = {y:g} rounds to {int(y > x)}, "
+                    "which has no normal quantile") from None
+        raise
+    return pairs.reshape(-1, 2).T.copy()
 
 
 def market_table(sellers, costs: PlatformCosts, mu: float) -> MarketTable:
-    """Compute every seller's K and zeta under both modes once (2 N calls to
-    inventory_coefficient, N = len(sellers)), and the quantities derived
-    from them."""
+    """Compute every seller's K and zeta under both modes once (2 N
+    evaluations of inventory_coefficient's _coefficient, N = len(sellers)),
+    and the quantities derived from them."""
     N = len(sellers)
-    fbm = [_mode_economics(p.h, p.b, n, "h") for n, p in enumerate(sellers, 1)]
-    fbp = [_mode_economics(costs.H, p.b, n, "H") for n, p in enumerate(sellers, 1)]
+    h = [p.h for p in sellers]
+    b = [p.b for p in sellers]
+    zeta_fbm, k_fbm = _mode_columns(h, b, "h")
+    zeta_fbp, k_fbp = _mode_columns([costs.H] * N, b, "H")
     f = np.array([p.f for p in sellers], dtype=float)
-    k_fbm = np.array([e.K for e in fbm], dtype=float)
-    k_fbp = np.array([e.K for e in fbp], dtype=float)
     dF = f - costs.F
     dK = k_fbp - k_fbm
     mu_share = mu / N
@@ -304,10 +333,8 @@ def market_table(sellers, costs: PlatformCosts, mu: float) -> MarketTable:
                               where=dK > 0)
         return MarketTable(
             costs=costs, N=N, mu=mu,
-            h=np.array([p.h for p in sellers], dtype=float),
-            b=np.array([p.b for p in sellers], dtype=float),
-            zeta_fbm=np.array([e.zeta for e in fbm], dtype=float), k_fbm=k_fbm,
-            zeta_fbp=np.array([e.zeta for e in fbp], dtype=float), k_fbp=k_fbp,
+            h=np.array(h, dtype=float), b=np.array(b, dtype=float),
+            zeta_fbm=zeta_fbm, k_fbm=k_fbm, zeta_fbp=zeta_fbp, k_fbp=k_fbp,
             margin_fbm=margin_fbm, margin_fbp=margin_fbp,
             dK=dK, fixed=mu_share * dF, threshold=threshold,
             participation=np.maximum(margin_fbm / k_fbm, margin_fbp / k_fbp))

@@ -30,21 +30,35 @@ The reference CSV writers at the end are the %-formatting writers of the
 (demandalloc.csvtext).  They read the same run, routing result and curve
 arrays and format every cell with Python's "%d" and "%.6f".
 
+The reference inventory coefficient (ref_inventory_coefficient) is the
+method-call form of K and zeta that the package replaced with one scalar
+helper: NormalDist's quantile and pdf, the erfc cdf and a ModeEconomics
+per call.  The package's helper must equal it bit for bit.
+
+The reference command-line parser (build_parser) is the eager form that
+adds every subcommand's flags on every call; the package builds only the
+parsed subcommand's.  It takes the flag types and command functions from
+demandalloc.cli, so a comparison checks the parser and nothing else.
+
 Run as a script to print the frozen constants embedded in the test files.
 """
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import functools
 import math
+from statistics import NormalDist
 
 import mpmath as mp
 import numpy as np
 
+from demandalloc import cli
 from demandalloc.forecast import PREDICT_ROW_CAP, _innovations_rows
 from demandalloc.platform import SIDES, PayoffResult, PlatformSolution
-from demandalloc.seller import inventory_coefficient
+from demandalloc.polyalg import DEFAULT_BOUNDARY_TOL
+from demandalloc.seller import DomainError, ModeEconomics, inventory_coefficient
 
 
 def mp_roots(coeffs, dps: int = 50):
@@ -465,6 +479,88 @@ def ref_export_assignment_log(path_result, fileobj) -> None:
         rows[:, 2] = sellers
         rows[:, 3:] = (cumulative - before[p]) - offs[p]
         fileobj.write((line * sellers.size) % tuple(rows.ravel().tolist()))
+
+
+_STD_NORMAL = NormalDist()
+
+
+def ref_inventory_coefficient(h_bar, b) -> ModeEconomics:
+    """K and zeta through NormalDist's methods, one ModeEconomics per call."""
+    if not (h_bar > 0 and b > 0):
+        raise DomainError("inventory coefficient needs positive h_bar and b")
+
+    def quantile(p):
+        if not 0.0 < p < 1.0:
+            raise DomainError(f"quantile defined on open interval (0, 1), got {p}")
+        return _STD_NORMAL.inv_cdf(p)
+
+    def cdf(x):
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    def loss(z):
+        return max(_STD_NORMAL.pdf(z) - z * cdf(-z), 0.0)
+
+    zeta = (quantile(b / (h_bar + b)) if b <= h_bar
+            else -quantile(h_bar / (h_bar + b)))
+    K = (h_bar * zeta + (h_bar + b) * loss(zeta) if zeta >= 0
+         else (h_bar + b) * loss(-zeta) - b * zeta)
+    return ModeEconomics(zeta=zeta, K=K)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Every subcommand with all of its flags, built on each call."""
+    parser = argparse.ArgumentParser(
+        prog="demandalloc",
+        description="Demand-allocation policy design and analysis toolkit",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_scenario_flags(p, sigma_required=False):
+        p.add_argument("--scenario", required=True, help="scenario JSON path")
+        if sigma_required:
+            p.add_argument("--sigma", type=cli._positive_float, required=True,
+                           help="per-seller root MSFE target")
+            p.add_argument("--periods", type=cli._count, default=None,
+                           help="periods to simulate (default: scenario horizon)")
+            p.add_argument("--seed", type=cli._nonnegative_int, default=None,
+                           help="RNG seed (default: scenario seed)")
+        p.add_argument("--out", default=None, help="write primary output here")
+
+    p_opt = sub.add_parser("optimize", help="solve the platform's sigma design problem")
+    add_scenario_flags(p_opt)
+    p_opt.set_defaults(func=cli.cmd_optimize)
+
+    p_sim = sub.add_parser("simulate", help="simulate demand, allocate, and cost out inventory")
+    add_scenario_flags(p_sim, sigma_required=True)
+    p_sim.set_defaults(func=cli.cmd_simulate)
+
+    p_route = sub.add_parser("route", help="route integer orders with offset tracking")
+    add_scenario_flags(p_route, sigma_required=True)
+    p_route.set_defaults(func=cli.cmd_route)
+
+    p_factor = sub.add_parser("factor", help="inner-outer factorization report")
+    p_factor.add_argument("coeffs", nargs="+", help="polynomial coefficients, low order first")
+    p_factor.add_argument("--boundary-tol", type=cli._boundary_tol,
+                          default=DEFAULT_BOUNDARY_TOL,
+                          help="roots of modulus below 1 - tol count as inside")
+    p_factor.set_defaults(func=cli.cmd_factor)
+
+    p_msfe = sub.add_parser("msfe", help="root MSFE, optionally lead-time or SES variants")
+    p_msfe.add_argument("coeffs", nargs="+", help="polynomial coefficients, low order first")
+    p_msfe.add_argument("--lead", type=cli._nonnegative_int, default=None,
+                        help="replenishment lead time in periods")
+    p_msfe.add_argument("--ses", type=cli._smoothing, default=None,
+                        help="SES smoothing constant")
+    p_msfe.set_defaults(func=cli.cmd_msfe)
+
+    p_curve = sub.add_parser("curve", help="export the payoff curve as CSV")
+    add_scenario_flags(p_curve)
+    p_curve.add_argument("--grid", type=cli._count, default=200, help="grid points")
+    p_curve.add_argument("--check-linearity", action="store_true",
+                         help="verify the curve is linear between breakpoints")
+    p_curve.set_defaults(func=cli.cmd_curve)
+
+    return parser
 
 
 def _print_frozen():

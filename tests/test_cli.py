@@ -4,10 +4,14 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +22,7 @@ from demandalloc import (NumericalInstability, TransferPoly, filter_msfe,
 from demandalloc.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_NUMERICAL,
                              EXIT_OK, Scenario, ScenarioError, load_scenario,
                              main, parse_scenario)
+import oracles
 from oracles import ses_msfe_closed_form
 
 SCENARIO = str(Path(__file__).resolve().parents[1]
@@ -128,6 +133,40 @@ class TestParseScenario:
 
     def test_scenario_error_is_value_error(self):
         assert issubclass(ScenarioError, ValueError)
+
+
+_FMAX = sys.float_info.max
+# seller values: mostly valid costs, then each kind of fault the per-record
+# path names (and ints that round onto the largest float without being it)
+_SELLER_VALUES = st.one_of(
+    st.floats(0.1, 30.0), st.integers(1, 30),
+    st.sampled_from([0.0, -1.0, 5e-324, _FMAX, -0.0, float("nan"),
+                     float("inf"), True, None, "1.5", [1.0], int(_FMAX),
+                     int(_FMAX) + 1, 10**400, -(10**400)]))
+_SELLER_RECORDS = st.one_of(
+    st.fixed_dictionaries({"h": _SELLER_VALUES, "b": _SELLER_VALUES,
+                           "f": _SELLER_VALUES}),
+    st.dictionaries(st.sampled_from(["h", "b", "f", "g"]), st.floats(0.1, 3.0)),
+    st.sampled_from([[1.0, 2.0, 3.0], 1.0, None]))
+
+
+@given(st.lists(_SELLER_RECORDS, min_size=1, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_seller_columns_match_the_per_record_path(records):
+    # the column check accepts what the per-record path accepts, and a
+    # fault gets the per-record path's message
+    from demandalloc.cli import _record, _sellers
+    from demandalloc.seller import SellerParams
+
+    def outcome(parse):
+        try:
+            return parse()
+        except ScenarioError as exc:
+            return str(exc)
+
+    assert outcome(lambda: _sellers(records, "s.sellers")) == outcome(
+        lambda: tuple(_record(SellerParams, r, f"s.sellers[{i}]")
+                      for i, r in enumerate(records, start=1)))
 
 
 NAN, INF = float("nan"), float("inf")
@@ -432,7 +471,10 @@ def test_scenario_fuzz_exits_cleanly(mu, psi, n_sellers, options, platform,
     # a lead too large for a float, and one whose tail sum overflows
     (["msfe", "1", "0.5", "--lead", "1" + "0" * 400], "leadtime_msfe"),
     (["msfe", "1", "0.5", "--lead", "1" + "0" * 308], "leadtime_msfe"),
-], ids=["factor-square", "msfe-ses-square", "lead-beyond-float", "lead-1e308"])
+    # the partial sums' squares overflow inside the lead-time sum
+    (["msfe", "1", "1e200", "--lead", "1"], "msfe_squared"),
+], ids=["factor-square", "msfe-ses-square", "lead-beyond-float", "lead-1e308",
+        "lead-head-square"])
 def test_overflow_names_the_quantity(capsys, argv, quantity):
     # numpy's overflow warning, a second line at the command line, is an
     # error under the test run's warning filters
@@ -440,6 +482,195 @@ def test_overflow_names_the_quantity(capsys, argv, quantity):
     captured = capsys.readouterr()
     assert captured.err == f"numerical failure: {quantity} overflows the float range\n"
     assert captured.out == ""
+
+
+def _run_main(argv):
+    """(exit code, stdout, stderr, warning messages) of main(argv), with
+    argparse's SystemExit read as the exit code."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, stdout.getvalue(), stderr.getvalue(), [str(w.message) for w in caught]
+
+
+# Flag values: in and out of each flag's domain, and past memory (10**15
+# periods or grid points, which no host can allocate, so they fail at
+# once); the valid paths stay at most 300 periods and 40 grid points.
+_FLAG_VALUES = {
+    "--sigma": ["3", "0.5", "40", "0.49", "0", "-1", "nan", "inf", "1e200",
+                "1.7e308", "x"],
+    "--periods": ["40", "300", "2", "1", "0", "-3", "2.5", "x", str(10**15)],
+    "--seed": ["0", "4", "-1", "1e3", "x"],
+    "--grid": ["40", "2", "1", "0", "-1", "x", str(10**15)],
+    "--check-linearity": [],
+    "--lead": ["0", "1", "7", "1000000000", "-1", "1.5", "x"],
+    "--ses": ["0.5", "1", "0.0005", "0", "1.5", "nan", "1e-12"],
+    "--boundary-tol": ["1e-9", "0", "0.5", "1", "-0.1", "nan", "x"],
+}
+_OWN_FLAGS = {"optimize": [], "simulate": ["--sigma", "--periods", "--seed"],
+              "route": ["--sigma", "--periods", "--seed"],
+              "curve": ["--grid", "--check-linearity"], "factor": ["--boundary-tol"],
+              "msfe": ["--lead", "--ses"]}
+_UNKNOWN_FLAGS = ["--bogus", "--format", "-x"]
+_COEFFS = ["1", "2", "0.5", "-0.3", "3", "0", "1e200", "nan", "inf", "x"]
+# stands for the reference market with a 300-period horizon, which paths
+# take when no --periods is given
+_SHORT = "<short.scenario>"
+
+
+@pytest.fixture(scope="module")
+def short_scenario(tmp_path_factory):
+    doc = scenario_doc()
+    doc["options"]["horizon"] = 300
+    return write_doc(tmp_path_factory.mktemp("short"), doc, "short.scenario")
+
+
+def _rarely(draw) -> bool:
+    """True about one draw in ten."""
+    return draw(st.integers(0, 19)) in (7, 13)
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line: mostly a subcommand with its own flags, at times a
+    missing or unknown subcommand, a foreign or unknown flag, or -h."""
+    command = draw(st.sampled_from(list(_OWN_FLAGS) * 4 + [None, "bogus"]))
+    argv = [] if command is None else [command]
+    if command in ("factor", "msfe"):
+        argv += draw(st.lists(st.sampled_from(_COEFFS), max_size=4))
+    elif command is not None:
+        scenario = draw(st.sampled_from([_SHORT] * 6 + [None, "no-such.scenario"]))
+        argv += [] if scenario is None else ["--scenario", scenario]
+    flags = draw(st.lists(st.sampled_from(_OWN_FLAGS.get(command) or ["--bogus"]),
+                          unique=True, max_size=3))
+    if command in ("simulate", "route") and not _rarely(draw):
+        flags = ["--sigma", *(f for f in flags if f != "--sigma")]
+    if _rarely(draw):
+        flags.append(draw(st.sampled_from(list(_FLAG_VALUES) + _UNKNOWN_FLAGS)))
+    for flag in flags:
+        values = _FLAG_VALUES.get(flag)
+        argv += [flag] + ([draw(st.sampled_from(values))] if values else [])
+    if _rarely(draw):
+        argv.insert(draw(st.integers(0, len(argv))), "-h")
+    return argv
+
+
+@given(argv=_command_lines())
+@example(argv=[])
+@example(argv=["-h"])
+@example(argv=["bogus"])
+@example(argv=["--bogus", "optimize"])
+@example(argv=["curve", "--scenario", _SHORT, "--grid", str(10**15)])
+@example(argv=["route", "--scenario", _SHORT, "--sigma", "3",
+               "--periods", str(10**15)])
+@example(argv=["msfe", "3", "1", "--lead", "2", "--ses", "0.5"])
+@example(argv=["factor", "1", "2", "--boundary-tol", "0"])
+@settings(max_examples=200, deadline=None)
+def test_flag_vectors_match_the_eager_parser(short_scenario, argv):
+    # the parser that adds only the parsed subcommand's flags answers every
+    # command line as the eager reference parser does: exit code, both
+    # streams and the warnings raised
+    argv = [short_scenario if arg == _SHORT else arg for arg in argv]
+    run = _run_main(argv)
+    with mock.patch("demandalloc.cli.build_parser", oracles.build_parser):
+        assert _run_main(argv) == run
+    rc, stdout, stderr, caught = run
+    assert rc in (EXIT_OK, EXIT_INPUT, EXIT_INFEASIBLE, EXIT_NUMERICAL)
+    assert "Traceback" not in stderr
+    assert not [m for m in caught if "encountered" in m]  # numpy float warnings
+    if rc == EXIT_OK and "-h" not in argv:
+        # the JSON document or summary: optimize, factor and msfe print it on
+        # stdout, the CSV commands on stderr
+        _strict_json(stdout if argv[0] in ("optimize", "factor", "msfe") else stderr)
+    if rc == EXIT_INPUT:
+        # the error names its flag, positional or scenario field
+        names = [*_FLAG_VALUES, *_UNKNOWN_FLAGS, "--scenario", "command", "coeffs",
+                 "coefficients", "polynomial", short_scenario, "no-such.scenario"]
+        last = stderr.splitlines()[-1]
+        assert any(name in last for name in names), last
+
+
+@pytest.mark.parametrize("argv, source", [
+    (["simulate", "--sigma", "3", "--periods", str(10**15)], "--periods"),
+    (["route", "--sigma", "3", "--periods", str(10**15)], "--periods"),
+    (["curve", "--grid", str(10**15)], "--grid"),
+])
+def test_refused_allocation_names_its_size(tmp_path, capsys, argv, source):
+    # 10**15 float64 values, 7 PiB: numpy refuses the array at once
+    out = tmp_path / "out"
+    assert main([argv[0], "--scenario", SCENARIO, "--out", str(out),
+                 *argv[1:]]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input error: {source}: too large: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_refused_horizon_names_the_field(tmp_path, capsys):
+    doc = scenario_doc()
+    doc["options"]["horizon"] = 10**15
+    path = write_doc(tmp_path, doc)
+    assert main(["simulate", "--scenario", path, "--sigma", "3"]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(
+        f"input error: {path}.options.horizon: too large: ")
+
+
+# Scalars the writer meets, and the edges of their text: escapes, non-ASCII
+# text, -0.0, the least subnormal, the largest floats and numpy floats.
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
+                     2.2250738585072014e-308, 1e16, 1e-5, "\"\\/\b\f\n\r\t\x00",
+                     "é€\U0001f600", "%s %%", ""]),
+)
+
+
+def _json_children(children):
+    keys = st.text(max_size=4)
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(keys, children, max_size=4),
+        # runs of one type, which the writer takes a column at a time
+        st.lists(st.integers(), max_size=6),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+        st.lists(keys, max_size=4, unique=True).flatmap(
+            lambda names: st.lists(st.fixed_dictionaries(
+                {name: children for name in names}), max_size=4)),
+    )
+
+
+@given(doc=st.recursive(_JSON_SCALARS, _json_children, max_leaves=30))
+@example(doc={})
+@example(doc=[])
+@example(doc={"a": [], "b": {}, "c": [[], {}]})
+@example(doc=[{"sigma": 1.5, "seller": 2}, {"sigma": -0.0, "seller": 10}])
+@example(doc=[{"a": 1}, {"b": 1}, {"a": 1.5}])
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_json_dumps(doc):
+    from demandalloc.cli import _json_text
+    assert _json_text(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"a": 1.0, "b": [0.5, math.inf]}, "b[1]"),
+    ({"a": {"b": [1, -math.inf]}}, "a.b[1]"),
+    ({"sellers": [{"x": 1.0}, {"x": np.float64("nan")}]}, "sellers[1].x"),
+    ([[1.0], [2.0, math.nan]], "[1][1]"),
+])
+def test_json_writer_names_a_nonfinite_number(doc, path):
+    from demandalloc.cli import _json_text
+    with pytest.raises(NumericalInstability,
+                       match=rf"^{re.escape(path)} overflows the float range$"):
+        _json_text(doc)
 
 
 class TestExitCodes:

@@ -233,16 +233,18 @@ def test_curve_and_optimize_memory_grows_with_points_plus_sellers():
 
 @pytest.fixture
 def k_calls(monkeypatch):
-    """Arguments of every seller.inventory_coefficient call from here on."""
+    """Arguments of every K evaluation from here on: calls of
+    seller._coefficient, which inventory_coefficient wraps and market_table
+    runs per seller and mode."""
     import demandalloc.seller as seller
     calls = []
-    original = seller.inventory_coefficient
+    original = seller._coefficient
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(seller, "inventory_coefficient", counted)
+    monkeypatch.setattr(seller, "_coefficient", counted)
     return calls
 
 

@@ -1,6 +1,7 @@
 """Seller-side economics: normal quantile machinery, inventory cost
 coefficients, and the market table's utilities, mode choice, adoption sets
 and participation bounds."""
+import dataclasses
 import math
 import warnings
 
@@ -25,7 +26,8 @@ from demandalloc import (
     std_normal_loss,
     std_normal_quantile,
 )
-from oracles import (mp_cdf, mp_inventory_k, mp_quantile, ref_mode_economics,
+from oracles import (mp_cdf, mp_inventory_k, mp_quantile,
+                     ref_inventory_coefficient, ref_mode_economics,
                      ref_seller_utility)
 
 # 50-digit reference values, frozen from tests/oracles.py.
@@ -129,6 +131,23 @@ class TestNormalMachinery:
                 std_normal_loss(z) + z, abs=1e-12)
 
 
+_POSITIVE = st.floats(5e-324, 1.7976931348623157e308)
+_COEFFICIENT_PAIRS = st.one_of(
+    # any magnitudes, subnormal to the largest float
+    st.tuples(_POSITIVE, _POSITIVE),
+    # b a few ulps either side of h_bar, b == h_bar included
+    st.tuples(st.floats(1e-300, 1e300), st.integers(-4, 4)).map(
+        lambda hk: (hk[0], hk[0] * (1.0 + hk[1] * 2.0 ** -52))),
+    # fractiles a few ulps from 1 (b >> h_bar) and from 0 (b << h_bar)
+    st.tuples(st.floats(1e-150, 1e150), st.integers(1, 8), st.integers(50, 56),
+              st.booleans()).map(
+        lambda p: (p[0], p[0] * p[1] * 2.0 ** p[2]) if p[3]
+        else (p[0] * p[1] * 2.0 ** p[2], p[0])),
+    st.tuples(st.floats(1e-3, 1e3), st.integers(1, 8)).map(
+        lambda p: (p[0], p[1] * 5e-324)),
+)
+
+
 class TestInventoryCoefficient:
     def test_frozen_references(self):
         assert inventory_coefficient(0.6, 12.0).K == pytest.approx(K_06_12, abs=1e-9)
@@ -153,6 +172,32 @@ class TestInventoryCoefficient:
         # 1/2, bounds zeta's absolute error
         assert inventory_coefficient(h_bar, b).zeta == pytest.approx(
             mp_quantile(fractile), rel=1e-12, abs=1e-15)
+
+    @given(_COEFFICIENT_PAIRS)
+    @example((1.0, 1.0))
+    @example((2.5, 2.5 * 2.0 ** 53))  # fractile 1 - 2**-53, an ulp below 1
+    @example((2.5, 2.5 * 2.0 ** 54))  # rounds to 1: no quantile
+    @example((1.0, 5e-324))  # fractile 5e-324, the least above 0
+    @example((1e308, 1e308))  # h_bar + b overflows: the fractile is 0
+    @settings(max_examples=400, deadline=None)
+    def test_helper_matches_the_method_form(self, pair):
+        # market_table's scalar helper, and inventory_coefficient around
+        # it, against NormalDist's methods: equal bit for bit, with the same
+        # DomainError text
+        h_bar, b = pair
+        try:
+            want = ref_inventory_coefficient(h_bar, b)
+        except DomainError as exc:
+            for form in (seller._coefficient, inventory_coefficient):
+                with pytest.raises(DomainError) as got:
+                    form(h_bar, b)
+                assert str(got.value) == str(exc)
+            return
+        bits = [(x.hex(), y.hex()) for x, y in (
+            seller._coefficient(h_bar, b),
+            dataclasses.astuple(inventory_coefficient(h_bar, b)),
+            (want.zeta, want.K))]
+        assert bits[0] == bits[1] == bits[2]
 
     def test_critical_fractile(self):
         econ = inventory_coefficient(0.6, 12.0)
