@@ -9,8 +9,7 @@ the benchmark allocation (routing), and forecast-error analysis for
 suboptimal filters and positive lead times (forecast).
 """
 from .demand import DemandModel, DemandPath, prob_negative, simulate
-from .forecast import (FilterForecaster, filter_msfe, leadtime_msfe,
-                       ses_truncated_weights)
+from .forecast import filter_msfe, leadtime_msfe, ses_truncated_weights
 from .platform import (Curve, EmptyFeasibleSet, PayoffResult,
                        PlatformSolution, export_curve, optimize, payoff,
                        payoff_curve, solution_document)
@@ -23,20 +22,19 @@ from .polyalg import (Factorization, NumericalInstability,
                       is_invertible, poly_mul, poly_roots, root_msfe, variance)
 from .routing import (RoutePathResult, export_assignment_log,
                       integerize_demand, route_orders, route_path)
-from .seller import (FBM, FBP, DomainError, MarketTable, ModeEconomics,
-                     PlatformCosts, SellerParams, base_stock,
-                     check_cost_assumptions, inventory_coefficient,
-                     market_table, std_normal_cdf, std_normal_loss,
-                     std_normal_quantile)
+from .seller import (FBM, FBP, DomainError, MarketTable, PlatformCosts,
+                     SellerParams, base_stock, check_cost_assumptions,
+                     inventory_coefficient, market_table, std_normal_cdf,
+                     std_normal_loss, std_normal_quantile)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AllocationPolicy", "BelowLowerBound", "Curve",
     "DemandModel", "DemandPath", "DomainError", "EmptyFeasibleSet",
-    "FBM", "FBP", "Factorization", "FilterForecaster",
+    "FBM", "FBP", "Factorization",
     "Infeasible", "InsufficientHistory",
-    "MarketTable", "ModeEconomics",
+    "MarketTable",
     "NumericalInstability", "PayoffResult", "PlatformCosts",
     "PlatformSolution", "RoutePathResult", "SellerParams",
     "TransferPoly", "ZeroPolynomial",

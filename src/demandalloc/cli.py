@@ -44,7 +44,8 @@ import numpy as np
 from . import forecast, platform, policy, routing, seller
 from .demand import DemandModel, simulate
 from .polyalg import (DEFAULT_BOUNDARY_TOL, NumericalInstability, TransferPoly,
-                      inner_outer_factor, is_boundary_tol, root_msfe)
+                      ZeroPolynomial, inner_outer_factor, is_boundary_tol,
+                      root_msfe)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -104,16 +105,11 @@ def _number(block: dict, path: str, key: str) -> float:
 
 def _record(cls, block, path: str):
     """A cls from the JSON object at path holding exactly its fields (its
-    __match_args__), all numbers; messages are built only on a fault."""
+    __match_args__), all finite numbers."""
     names = cls.__match_args__
-    if type(block) is not dict or block.keys() != set(names):
-        _check_fields(block, path, required=names)
-    values = [block[name] for name in names]
-    if not all(type(v) in (float, int) and abs(v) <= sys.float_info.max
-               for v in values):
-        values = [_finite(v, f"{path}.{name}") for name, v in zip(names, values)]
+    _check_fields(block, path, required=names)
     try:
-        return cls(*map(float, values))
+        return cls(*(_finite(block[name], f"{path}.{name}") for name in names))
     except seller.DomainError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
@@ -381,7 +377,7 @@ def _parse_coeffs(raw) -> TransferPoly:
     try:
         return TransferPoly([float(c) for c in raw])
     except ValueError as exc:
-        raise ScenarioError(f"bad coefficients: {exc}") from exc
+        raise ScenarioError(f"coeffs: {exc}") from exc
 
 
 def _square(x: float) -> float:
@@ -394,7 +390,10 @@ def _square(x: float) -> float:
 
 def cmd_factor(args) -> int:
     p = _parse_coeffs(args.coeffs)
-    fact = inner_outer_factor(p, boundary_tol=args.boundary_tol)
+    try:
+        fact = inner_outer_factor(p, boundary_tol=args.boundary_tol)
+    except ZeroPolynomial as exc:
+        raise ScenarioError(f"coeffs: {exc}") from exc
     doc = {
         "coeffs": list(map(float, p.coeffs)),
         "roots": [[z.real, z.imag] for z in fact.roots],
@@ -412,8 +411,11 @@ def cmd_msfe(args) -> int:
     p = _parse_coeffs(args.coeffs)
     # Only the lead time needs the outer factor; without it root_msfe splits
     # the roots alone, with no boundary warning and no expansion.
-    fact = None if args.lead is None else inner_outer_factor(p)
-    sigma = root_msfe(p) if fact is None else fact.root_msfe
+    try:
+        fact = None if args.lead is None else inner_outer_factor(p)
+        sigma = root_msfe(p) if fact is None else fact.root_msfe
+    except ZeroPolynomial as exc:
+        raise ScenarioError(f"coeffs: {exc}") from exc
     doc = {"coeffs": list(map(float, p.coeffs)),
            "root_msfe": sigma,
            "msfe_squared": _square(sigma)}
@@ -423,9 +425,9 @@ def cmd_msfe(args) -> int:
         doc["leadtime_msfe"] = sigma_bar
         doc["leadtime_msfe_squared"] = _square(sigma_bar)
     if args.ses is not None:
-        forecaster = forecast.ses_truncated_weights(args.ses)
         doc["ses_lambda"] = args.ses
-        doc["ses_msfe"] = forecast.filter_msfe(p, forecaster)
+        doc["ses_msfe"] = forecast.filter_msfe(
+            p, forecast.ses_truncated_weights(args.ses))
     sys.stdout.write(_json_text(doc))
     return EXIT_OK
 

@@ -2,7 +2,8 @@
 
 Three strands: the optimal one-step predictor (predict_streams, the
 innovations recursion on a filter's autocovariances); mean squared errors
-of suboptimal linear filters such as truncated exponential smoothing; and
+of suboptimal linear filters, each a plain weight polynomial (filter_msfe),
+such as truncated exponential smoothing (ses_truncated_weights); and
 lead-time demand uncertainty from partial sums of the coefficients of a
 seller filter's outer factor (polyalg.inner_outer_factor, any admissible
 design).  The model of the `simulate` command (simulate_inventory)
@@ -35,21 +36,6 @@ SES_TAIL_TOL = 1e-12
 SES_MAX_ORDER = 100_000
 SES_MIN_LAMBDA = -math.expm1(math.log(SES_TAIL_TOL) / SES_MAX_ORDER)
 _WEIGHT_SUM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class FilterForecaster:
-    """Linear one-step forecaster: prediction = sum_k w_k X_{t-k}.
-
-    Weights must sum to 1 so the forecast is unbiased for any mean level.
-    """
-
-    weights: TransferPoly
-
-    def __post_init__(self):
-        total = float(np.sum(self.weights.coeffs))
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError(f"forecaster weights sum to {total:.12g}, need 1")
 
 
 PREDICT_ROW_CAP = 5000
@@ -151,7 +137,7 @@ def predict_streams(filters, series, mean: float = 0.0) -> np.ndarray:
     return np.add(xhat[:, :N].T, mean, order="C")
 
 
-def ses_truncated_weights(lam: float) -> FilterForecaster:
+def ses_truncated_weights(lam: float) -> TransferPoly:
     """Exponential-smoothing weights lam (1-lam)^k, truncated and renormalized.
 
     The order is chosen so the dropped geometric tail is below SES_TAIL_TOL,
@@ -164,27 +150,32 @@ def ses_truncated_weights(lam: float) -> FilterForecaster:
         raise ValueError(f"smoothing constant lam must lie in "
                          f"[{SES_MIN_LAMBDA:.6g}, 1], got {lam!r}")
     if lam == 1.0:
-        return FilterForecaster(TransferPoly([1.0]))
+        return TransferPoly([1.0])
     order = max(1, math.ceil(math.log(SES_TAIL_TOL) / math.log1p(-lam)))
     w = (1.0 - lam) ** np.arange(order)
     w /= w.sum()
     w = w[w >= TRIM_TOL]
     w /= w.sum()
     w[0] += 1.0 - w.sum()  # absorb the last few ulps so the sum is exactly 1
-    return FilterForecaster(TransferPoly(w))
+    return TransferPoly(w)
 
 
 @np.errstate(over="ignore")
-def filter_msfe(psi_n: TransferPoly, forecaster: FilterForecaster) -> float:
-    """Root MSFE of a linear filter forecaster on the stream psi_n.
+def filter_msfe(psi_n: TransferPoly, weights: TransferPoly) -> float:
+    """Root MSFE on the stream psi_n of the linear one-step forecaster
+    sum_k w_k X_{t-k} with weights w(z).
 
-    The forecast error passes the shocks through (1 - what(z) z) psi_n(z);
-    with unit-variance shocks the MSE is the sum of squared coefficients of
-    that error filter.  Never beats the optimal predictor's root MSFE.
-    Inf when that sum overflows.
+    The weights must sum to 1 so the forecast is unbiased for any mean
+    level (ValueError otherwise).  The forecast error passes the shocks
+    through (1 - w(z) z) psi_n(z); with unit-variance shocks the MSE is the
+    sum of squared coefficients of that error filter.  Never beats the
+    optimal predictor's root MSFE.  Inf when that sum overflows.
     """
-    one_minus = np.concatenate(([1.0], -forecaster.weights.coeffs))
-    err = np.convolve(one_minus, as_poly(psi_n).coeffs)
+    w = as_poly(weights).coeffs
+    total = float(np.sum(w))
+    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
+        raise ValueError(f"forecaster weights sum to {total:.12g}, need 1")
+    err = np.convolve(np.concatenate(([1.0], -w)), as_poly(psi_n).coeffs)
     return float(np.sqrt(np.dot(err, err)))
 
 

@@ -11,6 +11,8 @@ Every function here reads one seller.MarketTable, built once per market by
 seller.market_table; the caller supplies the volatility floor and the
 participation bound it wants.  The optimizer and the curve evaluate their
 sorted points in one sweep over MarketTable.switch_index (_adopter_sums).
+payoff reads one adoption mask for everything the solution document prints
+at one sigma: at sigma_star (PlatformSolution.star) and at the floor.
 """
 from __future__ import annotations
 
@@ -32,30 +34,25 @@ class EmptyFeasibleSet(ValueError):
 
 @dataclass(frozen=True)
 class PayoffResult:
+    """The outcome at one sigma: payoff total and terms, adopters (1-based),
+    safety stocks under each mode and the sellers' cumulative utility."""
+
     total: float
     intermediation: float
     fulfillment_share: float
     storage_rent: float
     adopters: frozenset
-    n_adopters: int
     gamma_fbp: float
     gamma_fbm: float
-
-    @property
-    def breakdown(self) -> dict:
-        return {"intermediation": self.intermediation,
-                "fulfillment_share": self.fulfillment_share,
-                "storage_rent": self.storage_rent}
+    cumulative_utility: float
 
 
 @dataclass(frozen=True)
 class PlatformSolution:
+    """sigma_star, the outcome there, exit thresholds and feasible range."""
+
     sigma_star: float
-    payoff_star: float
-    adopters: frozenset
-    gamma_fbp: float
-    gamma_fbm: float
-    payoff_breakdown: dict
+    star: PayoffResult
     breakpoints: tuple
     sigma_lower: float
     sigma_upper: float
@@ -109,16 +106,21 @@ def _adopter_sums(table: MarketTable, sigma, boundary: str):
 def payoff(table: MarketTable, sigma: float) -> PayoffResult:
     """Expected per-period platform payoff at design volatility sigma, with
     the adopters of the inclusive adoption rule holding their safety stock
-    at the platform (gamma_fbp) and everyone else privately (gamma_fbm)."""
+    at the platform (gamma_fbp) and everyone else privately (gamma_fbm),
+    and the sum of each seller's chosen mode's margin minus its K * sigma."""
+    if sigma < 0:
+        raise DomainError("sigma must be nonnegative")
     mask = table.adopts(sigma)
     with np.errstate(over="ignore", invalid="ignore"):
         *terms, total = _payoff_terms(table, sigma, mask.sum(),
                                       np.where(mask, table.zeta_fbp, 0.0).sum())
         gammas = (np.where(mask, sigma * table.zeta_fbp, 0.0).sum(),
                   np.where(mask, 0.0, sigma * table.zeta_fbm).sum())
+        utility = (np.where(mask, table.margin_fbp, table.margin_fbm)
+                   - np.where(mask, table.k_fbp, table.k_fbm) * sigma).sum()
     return PayoffResult(float(total), *map(float, terms),
                         frozenset((np.flatnonzero(mask) + 1).tolist()),
-                        int(mask.sum()), *map(float, gammas))
+                        *map(float, gammas), float(utility))
 
 
 def _check_optimizer_domain(table: MarketTable) -> None:
@@ -168,13 +170,9 @@ def optimize(table: MarketTable, sigma_lower: float,
     for i, total in enumerate(totals):
         if total > totals[best] + _PAYOFF_TIE_TOL * max(1.0, abs(totals[best])):
             best = i
-    res = payoff(table, float(candidates[best]))
-    return PlatformSolution(sigma_star=float(candidates[best]),
-                            payoff_star=res.total, adopters=res.adopters,
-                            gamma_fbp=res.gamma_fbp, gamma_fbm=res.gamma_fbm,
-                            payoff_breakdown=res.breakdown,
-                            breakpoints=tuple(bps), sigma_lower=sigma_lower,
-                            sigma_upper=sigma_u)
+    sigma_star = float(candidates[best])
+    return PlatformSolution(sigma_star, payoff(table, sigma_star), tuple(bps),
+                            sigma_lower, sigma_u)
 
 
 def payoff_curve(table: MarketTable, sigma_grid, sigma_upper: float) -> Curve:
@@ -227,21 +225,20 @@ def export_curve(curve: Curve, fileobj) -> None:
 
 
 def solution_document(solution: PlatformSolution, table: MarketTable) -> dict:
-    """Structured summary mirroring the headline outcome table."""
-    floor = payoff(table, solution.sigma_lower)
-
-    def cumulative_utility(sigma):
-        """Sum over sellers of the chosen mode's operating payoff."""
-        return float(table.utilities(sigma)[1].sum())
-
+    """Structured summary mirroring the headline outcome table: the
+    solution's outcome at sigma_star and one payoff evaluation at
+    sigma_lower."""
+    star, floor = solution.star, payoff(table, solution.sigma_lower)
     return {
         "sigma_star": solution.sigma_star,
-        "payoff_star": solution.payoff_star,
-        "adopters": sorted(solution.adopters),
-        "gamma_fbp": solution.gamma_fbp,
-        "gamma_fbm": solution.gamma_fbm,
-        "payoff_breakdown": dict(solution.payoff_breakdown),
-        "cumulative_utility": cumulative_utility(solution.sigma_star),
+        "payoff_star": star.total,
+        "adopters": sorted(star.adopters),
+        "gamma_fbp": star.gamma_fbp,
+        "gamma_fbm": star.gamma_fbm,
+        "payoff_breakdown": {"intermediation": star.intermediation,
+                             "fulfillment_share": star.fulfillment_share,
+                             "storage_rent": star.storage_rent},
+        "cumulative_utility": star.cumulative_utility,
         "sigma_lower": solution.sigma_lower,
         "sigma_upper": solution.sigma_upper,
         "breakpoints": [{"sigma": s, "seller": n} for s, n in solution.breakpoints],
@@ -250,6 +247,6 @@ def solution_document(solution: PlatformSolution, table: MarketTable) -> dict:
             "adopters": sorted(floor.adopters),
             "gamma_fbp": floor.gamma_fbp,
             "gamma_fbm": floor.gamma_fbm,
-            "cumulative_utility": cumulative_utility(solution.sigma_lower),
+            "cumulative_utility": floor.cumulative_utility,
         },
     }

@@ -9,15 +9,14 @@ fulfillment mode.  Mode choice compares the two margins net of K * sigma.
 market_table computes K, the fractile and the margin (r - rho - f) mu/N of
 every seller under both modes once per market; mode choice and adoption sets
 (MarketTable.adopts), each seller's switching point along an ascending sigma
-array (switch_index), chosen utilities (utilities), exit thresholds
-(breakpoints) and the participation bound (participation_ub) are array
-operations on it, and the platform layer and the simulation
-(forecast.simulate_inventory) read the same table.  One comparison,
-_prefers_fbp, decides every mode choice.
+array (switch_index), exit thresholds (breakpoints) and the participation
+bound (participation_ub) are array operations on it, and the platform layer
+and the simulation (forecast.simulate_inventory) read the same table.  One
+comparison, _prefers_fbp, decides every mode choice.
 
-One scalar helper, _coefficient, computes zeta and K: inventory_coefficient
-wraps it in a ModeEconomics, and market_table streams its plain (zeta, K)
-tuples for every seller and mode into arrays, with no object per seller.
+One scalar function, inventory_coefficient, computes zeta and K as a plain
+(zeta, K) pair, and market_table streams those pairs for every seller and
+mode into arrays, with no object per seller.
 The normal quantile is the stdlib's NormalDist.inv_cdf, the pdf
 NormalDist.pdf's expression written out and the cdf math.erfc, so K and
 zeta match the stdlib's methods bit for bit (numpy's exp and log do not
@@ -121,20 +120,9 @@ class PlatformCosts:
             )
 
 
-@dataclass(frozen=True)
-class ModeEconomics:
-    """Critical fractile and inventory cost coefficient for one mode."""
-
-    zeta: float
-    K: float
-
-    def __post_init__(self):
-        if self.K < 0:
-            raise DomainError("inventory coefficient must be nonnegative")
-
-
-def inventory_coefficient(h_bar: float, b: float) -> ModeEconomics:
-    """K = h_bar * zeta + (h_bar + b) * L(zeta) at zeta = quantile(b/(h_bar+b)).
+def inventory_coefficient(h_bar: float, b: float) -> tuple:
+    """(zeta, K): the critical fractile zeta = quantile(b/(h_bar+b)) and
+    K = h_bar * zeta + (h_bar + b) * L(zeta), the cost per unit of sigma.
 
     zeta is read from the smaller tail, -quantile(h_bar/(h_bar+b)) when
     b > h_bar: a fractile near 1 keeps few digits of its distance from 1.
@@ -142,13 +130,6 @@ def inventory_coefficient(h_bar: float, b: float) -> ModeEconomics:
     (h_bar + b) * L(-zeta) - b * zeta.  FBM runs on the seller's own
     holding cost h, FBP on the platform's H.
     """
-    return ModeEconomics(*_coefficient(h_bar, b))
-
-
-def _coefficient(h_bar: float, b: float) -> tuple:
-    """(zeta, K) of inventory_coefficient as a plain tuple: its one
-    computation, which market_table runs per seller and mode without
-    building a ModeEconomics."""
     if not (h_bar > 0 and b > 0):
         raise DomainError("inventory coefficient needs positive h_bar and b")
     zeta = (std_normal_quantile(b / (h_bar + b)) if b <= h_bar
@@ -246,19 +227,6 @@ class MarketTable(NamedTuple):
                 step >>= 4
         return index
 
-    def utilities(self, sigma: float):
-        """(FBP mask, utility of each seller's chosen mode) at one sigma:
-        the chosen mode's margin minus its K * sigma."""
-        if sigma < 0:
-            raise DomainError("sigma must be nonnegative")
-        if not self.mu / self.N > 0:
-            raise DomainError("mu_share must be positive")
-        fbp = self.adopts(sigma)
-        margin = np.where(fbp, self.margin_fbp, self.margin_fbm)
-        k = np.where(fbp, self.k_fbp, self.k_fbm)
-        with np.errstate(over="ignore", invalid="ignore"):  # named by callers
-            return fbp, margin - k * sigma
-
     def breakpoints(self) -> list:
         """Ascending (sigma, seller) exit thresholds mu dF_n / (N dK_n), ties
         by seller index.  Only sellers whose platform-mode coefficient is
@@ -289,18 +257,19 @@ class MarketTable(NamedTuple):
 
 
 def _mode_columns(h_bar: list, b: list, h_name: str) -> np.ndarray:
-    """zeta and K rows of every seller under one mode, one _coefficient
-    call per seller, with holding costs h_bar named h_name, "h" or "H".  A
-    fractile b/(h_bar + b) rounding to 0 or 1 raises DomainError naming the
-    first such seller as sellers[n], or platform.H where H is the smaller
-    cost; only that fault path visits the sellers one at a time."""
+    """zeta and K rows of every seller under one mode, one
+    inventory_coefficient call each, holding costs h_bar named h_name ("h" or
+    "H").  A fractile b/(h_bar + b) rounding to 0 or 1 raises DomainError
+    naming the first such seller as sellers[n], or platform.H where H is the
+    smaller cost; only that fault path visits the sellers one at a time."""
     try:
-        pairs = np.fromiter(chain.from_iterable(map(_coefficient, h_bar, b)),
-                            float, 2 * len(b))
+        pairs = np.fromiter(
+            chain.from_iterable(map(inventory_coefficient, h_bar, b)),
+            float, 2 * len(b))
     except DomainError:
         for n, (x, y) in enumerate(zip(h_bar, b), start=1):
             try:
-                _coefficient(x, y)
+                inventory_coefficient(x, y)
             except DomainError:
                 field = "platform.H" if h_name == "H" and x < y else f"sellers[{n}]"
                 raise DomainError(
@@ -313,9 +282,12 @@ def _mode_columns(h_bar: list, b: list, h_name: str) -> np.ndarray:
 
 def market_table(sellers, costs: PlatformCosts, mu: float) -> MarketTable:
     """Compute every seller's K and zeta under both modes once (2 N
-    evaluations of inventory_coefficient's _coefficient, N = len(sellers)),
-    and the quantities derived from them."""
+    evaluations of inventory_coefficient, N = len(sellers)), and the
+    quantities derived from them.  DomainError unless mu / N > 0."""
     N = len(sellers)
+    mu_share = mu / N
+    if not mu_share > 0:
+        raise DomainError("mu_share must be positive")
     h = [p.h for p in sellers]
     b = [p.b for p in sellers]
     zeta_fbm, k_fbm = _mode_columns(h, b, "h")
@@ -323,7 +295,6 @@ def market_table(sellers, costs: PlatformCosts, mu: float) -> MarketTable:
     f = np.array([p.f for p in sellers], dtype=float)
     dF = f - costs.F
     dK = k_fbp - k_fbm
-    mu_share = mu / N
     # Past the float range a quantity is +-inf: the commands name non-finite
     # outputs, and participation_ub caps an inf bound with its warning.
     with np.errstate(over="ignore"):

@@ -32,8 +32,8 @@ arrays and format every cell with Python's "%d" and "%.6f".
 
 The reference inventory coefficient (ref_inventory_coefficient) is the
 method-call form of K and zeta that the package replaced with one scalar
-helper: NormalDist's quantile and pdf, the erfc cdf and a ModeEconomics
-per call.  The package's helper must equal it bit for bit.
+helper: NormalDist's quantile and pdf and the erfc cdf, as a (zeta, K)
+pair.  The package's helper must equal it bit for bit.
 
 The reference command-line parser (build_parser) is the eager form that
 adds every subcommand's flags on every call; the package builds only the
@@ -58,7 +58,7 @@ from demandalloc import cli
 from demandalloc.forecast import PREDICT_ROW_CAP, _innovations_rows
 from demandalloc.platform import SIDES, PayoffResult, PlatformSolution
 from demandalloc.polyalg import DEFAULT_BOUNDARY_TOL
-from demandalloc.seller import DomainError, ModeEconomics, inventory_coefficient
+from demandalloc.seller import DomainError, inventory_coefficient
 
 
 def mp_roots(coeffs, dps: int = 50):
@@ -240,8 +240,8 @@ def _coefficient(h_bar, b):
 
 
 def ref_mode_economics(params, costs, mode):
-    """Fractile and K (.zeta, .K) of one seller under mode "FBP", on the
-    platform's holding cost H, or "FBM", on the seller's own h."""
+    """(zeta, K) of one seller under mode "FBP", on the platform's holding
+    cost H, or "FBM", on the seller's own h."""
     if mode not in ("FBP", "FBM"):
         raise ValueError(f"unknown mode {mode!r}")
     return _coefficient(costs.H if mode == "FBP" else params.h, params.b)
@@ -252,13 +252,13 @@ def ref_seller_utility(params, costs, mode, mu_share, sigma):
     with f = F under FBP, minus K sigma."""
     f_eff = costs.F if mode == "FBP" else params.f
     return ((costs.r - costs.rho - f_eff) * mu_share
-            - ref_mode_economics(params, costs, mode).K * sigma)
+            - ref_mode_economics(params, costs, mode)[1] * sigma)
 
 
 def _margin_and_scale(params, costs, N, mu, sigma):
     fixed = (mu / N) * (params.f - costs.F)
-    dK = (ref_mode_economics(params, costs, "FBP").K
-          - ref_mode_economics(params, costs, "FBM").K)
+    dK = (ref_mode_economics(params, costs, "FBP")[1]
+          - ref_mode_economics(params, costs, "FBM")[1])
     margin = fixed - sigma * dK
     return margin, max(1.0, abs(fixed), abs(margin - fixed))
 
@@ -282,8 +282,8 @@ def ref_sigma_participation_ub(sellers, costs, N, mu, sigma_cap):
     mu_share = mu / N
     bound = math.inf
     for params in sellers:
-        k_fbm = ref_mode_economics(params, costs, "FBM").K
-        k_fbp = ref_mode_economics(params, costs, "FBP").K
+        k_fbm = ref_mode_economics(params, costs, "FBM")[1]
+        k_fbp = ref_mode_economics(params, costs, "FBP")[1]
         t = max((costs.r - costs.rho - params.f) * mu_share / k_fbm,
                 (costs.r - costs.rho - costs.F) * mu_share / k_fbp)
         bound = min(bound, t)
@@ -296,8 +296,8 @@ def ref_breakpoints(sellers, costs, N, mu):
     out = []
     for idx, params in enumerate(sellers, start=1):
         dF = params.f - costs.F
-        dK = (ref_mode_economics(params, costs, "FBP").K
-          - ref_mode_economics(params, costs, "FBM").K)
+        dK = (ref_mode_economics(params, costs, "FBP")[1]
+          - ref_mode_economics(params, costs, "FBM")[1])
         if dK > 0:
             out.append((mu * dF / (N * dK), idx))
     out.sort()
@@ -310,9 +310,9 @@ def ref_safety_stock_totals(sigma, sellers, costs, N, mu, adopters=None):
     g_fbp = g_fbm = 0.0
     for idx, params in enumerate(sellers, start=1):
         if idx in adopters:
-            g_fbp += sigma * ref_mode_economics(params, costs, "FBP").zeta
+            g_fbp += sigma * ref_mode_economics(params, costs, "FBP")[0]
         else:
-            g_fbm += sigma * ref_mode_economics(params, costs, "FBM").zeta
+            g_fbm += sigma * ref_mode_economics(params, costs, "FBM")[0]
     return g_fbp, g_fbm
 
 
@@ -321,18 +321,22 @@ def ref_payoff(sigma, sellers, costs, N, mu, adopters=None):
         adopters = ref_adoption_set(sellers, costs, N, mu, sigma)
     adopters = frozenset(adopters)
     n_adopt = len(adopters)
-    zeta_sum = sum(ref_mode_economics(sellers[i - 1], costs, "FBP").zeta
+    zeta_sum = sum(ref_mode_economics(sellers[i - 1], costs, "FBP")[0]
                    for i in adopters)
     mu_share = mu / N
     intermediation = costs.rho * mu
     fulfillment = costs.delta_f * mu_share * n_adopt
     storage = costs.delta_h * (mu_share * n_adopt + sigma * zeta_sum)
     g_fbp, g_fbm = ref_safety_stock_totals(sigma, sellers, costs, N, mu, adopters)
+    utility = sum(ref_seller_utility(params, costs,
+                                     "FBP" if idx in adopters else "FBM",
+                                     mu_share, sigma)
+                  for idx, params in enumerate(sellers, start=1))
     return PayoffResult(total=intermediation + fulfillment + storage,
                         intermediation=intermediation,
                         fulfillment_share=fulfillment, storage_rent=storage,
-                        adopters=adopters, n_adopters=n_adopt,
-                        gamma_fbp=g_fbp, gamma_fbm=g_fbm)
+                        adopters=adopters, gamma_fbp=g_fbp, gamma_fbm=g_fbm,
+                        cumulative_utility=utility)
 
 
 def ref_cumulative_utility(sellers, costs, N, mu, sigma):
@@ -355,11 +359,7 @@ def ref_optimize(sellers, costs, sigma_l, N, mu, sigma_cap):
         res = ref_payoff(s, sellers, costs, N, mu)
         if best is None or res.total > best.total + _PAYOFF_TIE_TOL * max(1.0, abs(best.total)):
             best, best_sigma = res, s
-    g_fbp, g_fbm = ref_safety_stock_totals(best_sigma, sellers, costs, N, mu,
-                                           adopters=best.adopters)
-    return PlatformSolution(sigma_star=best_sigma, payoff_star=best.total,
-                            adopters=best.adopters, gamma_fbp=g_fbp,
-                            gamma_fbm=g_fbm, payoff_breakdown=best.breakdown,
+    return PlatformSolution(sigma_star=best_sigma, star=best,
                             breakpoints=tuple(bps), sigma_lower=sigma_l,
                             sigma_upper=sigma_u)
 
@@ -385,10 +385,9 @@ def curve_points(curve):
 def ref_payoff_curve(sellers, costs, N, mu, sigma_grid, sigma_cap=math.inf):
     def point(sigma, side, adopters=None):
         res = ref_payoff(sigma, sellers, costs, N, mu, adopters=adopters)
-        g_fbp, g_fbm = ref_safety_stock_totals(sigma, sellers, costs, N, mu,
-                                               adopters=res.adopters)
-        return CurvePoint(sigma=sigma, payoff=res.total, n_adopters=res.n_adopters,
-                          gamma_fbp=g_fbp, gamma_fbm=g_fbm, side=side)
+        return CurvePoint(sigma=sigma, payoff=res.total,
+                          n_adopters=len(res.adopters), gamma_fbp=res.gamma_fbp,
+                          gamma_fbm=res.gamma_fbm, side=side)
 
     def zero(sigma, side):
         return CurvePoint(sigma=sigma, payoff=0.0, n_adopters=0,
@@ -484,8 +483,8 @@ def ref_export_assignment_log(path_result, fileobj) -> None:
 _STD_NORMAL = NormalDist()
 
 
-def ref_inventory_coefficient(h_bar, b) -> ModeEconomics:
-    """K and zeta through NormalDist's methods, one ModeEconomics per call."""
+def ref_inventory_coefficient(h_bar, b) -> tuple:
+    """(zeta, K) through NormalDist's methods."""
     if not (h_bar > 0 and b > 0):
         raise DomainError("inventory coefficient needs positive h_bar and b")
 
@@ -504,7 +503,7 @@ def ref_inventory_coefficient(h_bar, b) -> ModeEconomics:
             else -quantile(h_bar / (h_bar + b)))
     K = (h_bar * zeta + (h_bar + b) * loss(zeta) if zeta >= 0
          else (h_bar + b) * loss(-zeta) - b * zeta)
-    return ModeEconomics(zeta=zeta, K=K)
+    return zeta, K
 
 
 def build_parser() -> argparse.ArgumentParser:

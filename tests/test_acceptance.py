@@ -18,7 +18,6 @@ from demandalloc import (
     DemandModel,
     FBM,
     FBP,
-    FilterForecaster,
     PlatformCosts,
     SellerParams,
     TransferPoly,
@@ -90,10 +89,10 @@ def test_criterion_1_headline_solution(scenario):
     doc = solution_document(sol, table)
 
     assert sol.sigma_star == pytest.approx(8.8678, abs=1e-3)
-    assert sol.payoff_star == pytest.approx(372.45, abs=0.05)
-    assert sorted(sol.adopters) == [1, 2, 3, 4, 5, 6, 7]
-    assert sol.gamma_fbp == pytest.approx(52.73, abs=0.05)
-    assert sol.gamma_fbm == pytest.approx(28.12, abs=0.05)
+    assert sol.star.total == pytest.approx(372.45, abs=0.05)
+    assert sorted(sol.star.adopters) == [1, 2, 3, 4, 5, 6, 7]
+    assert sol.star.gamma_fbp == pytest.approx(52.73, abs=0.05)
+    assert sol.star.gamma_fbm == pytest.approx(28.12, abs=0.05)
     assert doc["cumulative_utility"] == pytest.approx(814.47, abs=0.1)
     floor = doc["at_sigma_lower"]
     assert doc["sigma_lower"] == pytest.approx(0.5)
@@ -102,7 +101,7 @@ def test_criterion_1_headline_solution(scenario):
     assert floor["cumulative_utility"] == pytest.approx(1107.14, abs=0.1)
     assert elapsed < 1.0
     print(f"\ncriterion 1 PASS: sigma*={sol.sigma_star:.4f}, "
-          f"V*={sol.payoff_star:.2f}, adopters 1..7, floor/star safety "
+          f"V*={sol.star.total:.2f}, adopters 1..7, floor/star safety "
           f"stocks and utilities within tolerance, optimize {elapsed: .3f}s")
 
 
@@ -113,8 +112,8 @@ def test_criterion_2_inventory_coefficient_table(scenario):
         ref_own, ref_platform = REFERENCE_K[idx]
         k_own = float(table.k_fbm[idx - 1])
         k_platform = float(table.k_fbp[idx - 1])
-        assert k_own == ref_mode_economics(params, scenario.costs, FBM).K
-        assert k_platform == ref_mode_economics(params, scenario.costs, FBP).K
+        assert k_own == ref_mode_economics(params, scenario.costs, FBM)[1]
+        assert k_platform == ref_mode_economics(params, scenario.costs, FBP)[1]
         assert k_own == pytest.approx(ref_own, abs=0.005)
         assert k_platform == pytest.approx(ref_platform, abs=0.005)
         worst = max(worst, abs(k_own - ref_own), abs(k_platform - ref_platform))
@@ -204,9 +203,9 @@ def _grid_payoff_oracle(sellers, costs, mu, sigma_grid):
     best-mode utility, payoff summed directly from the margins."""
     N = len(sellers)
     mu_share = mu / N
-    k_fbp = np.array([ref_mode_economics(p, costs, FBP).K for p in sellers])
-    k_fbm = np.array([ref_mode_economics(p, costs, FBM).K for p in sellers])
-    zeta_fbp = np.array([ref_mode_economics(p, costs, FBP).zeta for p in sellers])
+    k_fbp = np.array([ref_mode_economics(p, costs, FBP)[1] for p in sellers])
+    k_fbm = np.array([ref_mode_economics(p, costs, FBM)[1] for p in sellers])
+    zeta_fbp = np.array([ref_mode_economics(p, costs, FBP)[0] for p in sellers])
     margin_fbp = (costs.r - costs.rho - costs.F) * mu_share
     margin_fbm = np.array([(costs.r - costs.rho - p.f) * mu_share
                            for p in sellers])
@@ -350,7 +349,7 @@ def test_criterion_6_property_suite(scenario):
             hi = table.participation_ub(1e6)
         grid = np.linspace(abs(float(model.psi.coeffs[0])) / N, hi, 10_000)
         best_grid = float(_grid_payoff_oracle(sellers, costs, mu, grid).max())
-        assert sol.payoff_star >= best_grid - 1e-9 * max(1.0, abs(best_grid))
+        assert sol.star.total >= best_grid - 1e-9 * max(1.0, abs(best_grid))
     counts["grid scenarios"] = 50
 
     # (i): no unbiased linear filter beats the factorization floor
@@ -358,7 +357,7 @@ def test_criterion_6_property_suite(scenario):
         p = _random_ma_poly(rng)
         w = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 8)))
         w[0] += 1.0 - w.sum()
-        assert filter_msfe(p, FilterForecaster(TransferPoly(w))) \
+        assert filter_msfe(p, TransferPoly(w)) \
             >= root_msfe(p) - 1e-9
     counts["filter floors"] = 200
 

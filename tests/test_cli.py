@@ -590,7 +590,7 @@ def test_flag_vectors_match_the_eager_parser(short_scenario, argv):
     if rc == EXIT_INPUT:
         # the error names its flag, positional or scenario field
         names = [*_FLAG_VALUES, *_UNKNOWN_FLAGS, "--scenario", "command", "coeffs",
-                 "coefficients", "polynomial", short_scenario, "no-such.scenario"]
+                 short_scenario, "no-such.scenario"]
         last = stderr.splitlines()[-1]
         assert any(name in last for name in names), last
 
@@ -686,8 +686,15 @@ class TestExitCodes:
         assert "input error" in capsys.readouterr().err
 
     def test_zero_polynomial(self, capsys):
-        assert main(["factor", "0", "0", "0"]) == EXIT_INPUT
-        assert "input error" in capsys.readouterr().err
+        # each message names the coeffs positional, as the fuzz of
+        # test_flag_vectors_match_the_eager_parser requires
+        for argv, reason in ((["factor", "0", "0", "0"], "no root split"),
+                             (["msfe", "0"], "no root split"),
+                             (["msfe", "--lead", "1", "0", "0"], "no root split"),
+                             (["factor", "1", "x"], "could not convert")):
+            assert main(argv) == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert err.startswith("input error: coeffs: ") and reason in err
 
     def test_sigma_below_floor_is_infeasible(self, capsys):
         rc = main(["simulate", "--scenario", SCENARIO,

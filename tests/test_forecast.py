@@ -14,7 +14,6 @@ from demandalloc import (
     DemandPath,
     FBM,
     FBP,
-    FilterForecaster,
     InsufficientHistory,
     TransferPoly,
     filter_msfe,
@@ -200,11 +199,11 @@ class TestPredictStreams:
 class TestSesWeights:
     def test_heavy_smoothing_is_last_value(self):
         f = ses_truncated_weights(1.0)
-        np.testing.assert_array_equal(f.weights.coeffs, [1.0])
+        np.testing.assert_array_equal(f.coeffs, [1.0])
 
     def test_geometric_profile(self):
         f = ses_truncated_weights(0.5)
-        w = f.weights.coeffs
+        w = f.coeffs
         assert w[0] / w[1] == pytest.approx(2.0, rel=1e-12)
         assert w[1] / w[2] == pytest.approx(2.0, rel=1e-12)
         assert abs(float(np.sum(w)) - 1.0) < 1e-12
@@ -213,9 +212,9 @@ class TestSesWeights:
         # dropped geometric tail stays below the unbiasedness tolerance
         for lam in (0.1, 0.5, 0.9):
             f = ses_truncated_weights(lam)
-            order = f.weights.coeffs.size
+            order = f.coeffs.size
             assert (1.0 - lam) ** order < 1e-9
-            assert abs(float(np.sum(f.weights.coeffs)) - 1.0) < 1e-9
+            assert abs(float(np.sum(f.coeffs)) - 1.0) < 1e-9
 
     def test_domain(self):
         for lam in (0.0, -0.2, 1.5):
@@ -227,8 +226,8 @@ class TestSesWeights:
         # the tail weights fall below the polynomial trim level from
         # lam ~ 0.5 down; the kept weights must still sum to 1
         f = ses_truncated_weights(lam)
-        assert f.weights.coeffs.size <= SES_MAX_ORDER
-        assert abs(float(np.sum(f.weights.coeffs)) - 1.0) < 1e-12
+        assert f.coeffs.size <= SES_MAX_ORDER
+        assert abs(float(np.sum(f.coeffs)) - 1.0) < 1e-12
         assert filter_msfe(TransferPoly([3.0, 1.0]), f) == pytest.approx(
             ses_msfe_closed_form(3.0, 1, 1 / 3, lam), rel=1e-9)
 
@@ -238,8 +237,9 @@ class TestSesWeights:
             ses_truncated_weights(lam)
 
     def test_forecaster_requires_unit_sum(self):
-        with pytest.raises(ValueError, match="sum"):
-            FilterForecaster(TransferPoly([0.5, 0.2]))
+        with pytest.raises(ValueError,
+                           match=r"^forecaster weights sum to 0\.7, need 1$"):
+            filter_msfe(TransferPoly([3.0, 1.0]), TransferPoly([0.5, 0.2]))
 
 
 class TestFilterMsfe:
@@ -258,8 +258,7 @@ class TestFilterMsfe:
             p = TransferPoly(coeffs)
             w = rng.uniform(-1, 1, size=rng.integers(1, 8))
             w[0] += 1.0 - w.sum()  # normalize to an unbiased filter
-            f = FilterForecaster(TransferPoly(w))
-            assert filter_msfe(p, f) >= root_msfe(p) - 1e-9
+            assert filter_msfe(p, TransferPoly(w)) >= root_msfe(p) - 1e-9
 
     def test_tapered_inverse_filter_approaches_the_floor(self):
         # an invertible stream admits near-optimal finite filters: expand
@@ -275,7 +274,7 @@ class TestFilterMsfe:
             G = np.concatenate([H, [0.0]]) - np.concatenate([[0.0], H])
             return -G[1:]
 
-        msfes = [filter_msfe(psi, FilterForecaster(TransferPoly(weights(m))))
+        msfes = [filter_msfe(psi, TransferPoly(weights(m)))
                  for m in (8, 32, 128, 512)]
         assert all(a > b for a, b in zip(msfes, msfes[1:]))
         assert msfes[-1] == pytest.approx(root_msfe(psi), abs=1.1e-3)

@@ -18,14 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demandalloc import (DemandModel, DomainError, PlatformCosts, SellerParams,
-                         TransferPoly, market_table, optimize, payoff,
-                         payoff_curve, sigma_lower_bound)
+from demandalloc import (DemandModel, DomainError, MarketTable, PlatformCosts,
+                         SellerParams, TransferPoly, market_table, optimize,
+                         payoff, payoff_curve, sigma_lower_bound)
 from demandalloc.cli import EXIT_INPUT, main
 from demandalloc.platform import _adopter_sums
-from oracles import (curve_points, ref_adoption_set, ref_breakpoints, ref_mode_choice,
-                     ref_optimize, ref_payoff, ref_payoff_curve,
-                     ref_seller_utility, ref_sigma_participation_ub)
+from oracles import (curve_points, ref_adoption_set, ref_breakpoints,
+                     ref_cumulative_utility, ref_mode_choice, ref_optimize,
+                     ref_payoff, ref_payoff_curve, ref_seller_utility,
+                     ref_sigma_participation_ub)
 from test_seller import COSTS, MU, N, SELLERS, adopters
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -99,12 +100,13 @@ def test_utilities_and_adoption_match_scalar_utility(market, sigmas):
         table = market_table(sellers, costs, mu)
     masks = table.adopts(np.array(sigmas))
     for sigma, mask in zip(sigmas, masks):
-        fbp, u = table.utilities(sigma)
-        assert np.array_equal(fbp, mask)
-        for params, chosen, u_n in zip(sellers, fbp.tolist(), u.tolist()):
+        res = payoff(table, sigma)
+        assert res.adopters == frozenset((np.flatnonzero(mask) + 1).tolist())
+        chosen_utilities = []
+        for params, chosen in zip(sellers, mask.tolist()):
             u_fbp = ref_seller_utility(params, costs, "FBP", mu / n, sigma)
             u_fbm = ref_seller_utility(params, costs, "FBM", mu / n, sigma)
-            assert u_n == (u_fbp if chosen else u_fbm)
+            chosen_utilities.append(u_fbp if chosen else u_fbm)
             # the table decides within its boundary slack, 1e-9 of the
             # larger of the margin and inventory-cost differences
             terms = [ref_seller_utility(params, costs, mode, mu / n, s)
@@ -112,6 +114,10 @@ def test_utilities_and_adoption_match_scalar_utility(market, sigmas):
             tol = 4e-9 * max(1.0, *map(abs, terms))
             if abs(u_fbp - u_fbm) > tol:
                 assert chosen == (u_fbp > u_fbm)
+        # the sum runs in another order than the reference's loop
+        scale = 1e-12 * max(1.0, sum(map(abs, chosen_utilities)))
+        assert abs(res.cumulative_utility
+                   - ref_cumulative_utility(sellers, costs, n, mu, sigma)) <= scale
 
 
 @given(markets, st.integers(2, 40))
@@ -142,14 +148,12 @@ def test_curve_and_optimum_match_scalar_reference(market, grid_points):
         sol = optimize(table, sigma_lower_bound(model, n), sigma_cap)
         ref = ref_optimize(sellers, costs, sol.sigma_lower, n, mu, sigma_cap)
     assert sol.sigma_star == ref.sigma_star
-    assert sol.adopters == ref.adopters
+    assert sol.star.adopters == ref.star.adopters
     assert sol.breakpoints == ref.breakpoints
     assert (sol.sigma_lower, sol.sigma_upper) == (ref.sigma_lower, ref.sigma_upper)
-    assert close(sol.payoff_star, ref.payoff_star)
-    assert close(sol.gamma_fbp, ref.gamma_fbp)
-    assert close(sol.gamma_fbm, ref.gamma_fbm)
-    for key, value in ref.payoff_breakdown.items():
-        assert close(sol.payoff_breakdown[key], value)
+    for key in ("total", "intermediation", "fulfillment_share", "storage_rent",
+                "gamma_fbp", "gamma_fbm"):
+        assert close(getattr(sol.star, key), getattr(ref.star, key))
 
 
 def mixed_market(seed: int, n: int):
@@ -234,17 +238,17 @@ def test_curve_and_optimize_memory_grows_with_points_plus_sellers():
 @pytest.fixture
 def k_calls(monkeypatch):
     """Arguments of every K evaluation from here on: calls of
-    seller._coefficient, which inventory_coefficient wraps and market_table
-    runs per seller and mode."""
+    seller.inventory_coefficient, which market_table runs per seller and
+    mode."""
     import demandalloc.seller as seller
     calls = []
-    original = seller._coefficient
+    original = seller.inventory_coefficient
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(seller, "_coefficient", counted)
+    monkeypatch.setattr(seller, "inventory_coefficient", counted)
     return calls
 
 
@@ -263,6 +267,27 @@ def test_each_command_builds_one_table(k_calls, tmp_path, capsys, argv):
     assert main([argv[0], "--scenario", str(SCENARIO),
                  "--out", str(tmp_path / "out"), *argv[1:]]) == 0
     assert len(k_calls) == 2 * N
+
+
+@pytest.mark.parametrize("argv, masks", [
+    (["optimize"], 2),
+    (["simulate", "--sigma", "3", "--periods", "200"], 1),
+])
+def test_each_sigma_point_evaluates_one_mask(monkeypatch, tmp_path, capsys,
+                                             argv, masks):
+    # optimize reads the adoption mask at sigma* and at sigma_L, simulate
+    # at its --sigma; everything printed at a point comes from that mask
+    calls = []
+    original = MarketTable.adopts
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(MarketTable, "adopts", counted)
+    assert main([argv[0], "--scenario", str(SCENARIO),
+                 "--out", str(tmp_path / "out"), *argv[1:]]) == 0
+    assert len(calls) == masks
 
 
 @pytest.mark.parametrize("command, section, field, value, message", [
@@ -319,7 +344,7 @@ class TestOptimizerDomain:
         grid = np.linspace(ref.sigma_lower, ref.sigma_upper, 4001)
         best = max(ref_payoff(s, sellers, costs, n, model.mu).total
                    for s in grid.tolist())
-        assert best > ref.payoff_star + 1.0
+        assert best > ref.star.total + 1.0
         table = market_table(sellers, costs, model.mu)
         with pytest.raises(DomainError, match=r"platform\.delta_h"):
             optimize(table, sigma_l, 1e6)

@@ -73,7 +73,7 @@ class TestPayoff:
                 rel=1e-12)
             assert res.intermediation == COSTS.rho * MU
             assert res.fulfillment_share == pytest.approx(
-                COSTS.delta_f * (MU / N) * res.n_adopters, rel=1e-12)
+                COSTS.delta_f * (MU / N) * len(res.adopters), rel=1e-12)
 
     def test_flat_when_platform_margins_vanish(self):
         costs = PlatformCosts(rho=15.0, F=10.0, H=2.5, delta_f=0.0,
@@ -101,10 +101,10 @@ class TestOptimize:
     def test_reference_solution(self):
         sol = self.solution
         assert sol.sigma_star == pytest.approx(8.8678, abs=1e-3)
-        assert sol.payoff_star == pytest.approx(372.45, abs=0.05)
-        assert sol.adopters == frozenset(range(1, 8))
-        assert sol.gamma_fbp == pytest.approx(52.73, abs=0.05)
-        assert sol.gamma_fbm == pytest.approx(28.12, abs=0.05)
+        assert sol.star.total == pytest.approx(372.45, abs=0.05)
+        assert sol.star.adopters == frozenset(range(1, 8))
+        assert sol.star.gamma_fbp == pytest.approx(52.73, abs=0.05)
+        assert sol.star.gamma_fbm == pytest.approx(28.12, abs=0.05)
         assert sol.sigma_lower == pytest.approx(0.5)
         assert sol.sigma_upper == pytest.approx(33.9568, abs=1e-3)
 
@@ -115,16 +115,16 @@ class TestOptimize:
         assert any(abs(sol.sigma_star - c) < 1e-12 for c in candidates)
 
     def test_breakdown_at_optimum(self):
-        bd = self.solution.payoff_breakdown
-        assert bd["intermediation"] == pytest.approx(225.0)
-        assert bd["fulfillment_share"] == pytest.approx(21.0)
-        assert bd["storage_rent"] == pytest.approx(126.45, abs=0.05)
+        star = self.solution.star
+        assert star.intermediation == pytest.approx(225.0)
+        assert star.fulfillment_share == pytest.approx(21.0)
+        assert star.storage_rent == pytest.approx(126.45, abs=0.05)
 
     def test_beats_dense_grid(self):
         grid = np.linspace(self.solution.sigma_lower,
                            self.solution.sigma_upper, 20_000)
         best = max(payoff(TABLE, float(s)).total for s in grid)
-        assert self.solution.payoff_star >= best - 1e-9 * abs(best)
+        assert self.solution.star.total >= best - 1e-9 * abs(best)
 
     def test_two_seller_market(self):
         sellers = (SellerParams(0.6, 12.0, 24.5), SellerParams(2.0, 12.0, 12.5))
@@ -133,7 +133,7 @@ class TestOptimize:
         sol = optimize(table, sigma_lower_bound(model, 2), 10_000.0)
         grid = np.linspace(sol.sigma_lower, sol.sigma_upper, 20_000)
         best = max(payoff(table, float(s)).total for s in grid)
-        assert sol.payoff_star >= best - 1e-9 * abs(best)
+        assert sol.star.total >= best - 1e-9 * abs(best)
 
     def test_zero_storage_rent_prefers_the_floor(self):
         costs = PlatformCosts(rho=15.0, F=10.0, H=2.5, delta_f=2.0,
@@ -150,7 +150,7 @@ class TestOptimize:
 
 def cumulative_utility(sigma):
     """Sum over sellers of the chosen mode's operating payoff."""
-    return float(TABLE.utilities(sigma)[1].sum())
+    return payoff(TABLE, sigma).cumulative_utility
 
 
 class TestCumulativeUtility:

@@ -1,7 +1,7 @@
 """Seller-side economics: normal quantile machinery, inventory cost
-coefficients, and the market table's utilities, mode choice, adoption sets
-and participation bounds."""
-import dataclasses
+coefficients, and the market table's mode choice, adoption sets and
+participation bounds, with the sellers' cumulative utility that the payoff
+sums from it."""
 import math
 import warnings
 
@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import demandalloc.seller as seller
 from demandalloc import (
     FBM,
     FBP,
@@ -22,13 +21,14 @@ from demandalloc import (
     check_cost_assumptions,
     inventory_coefficient,
     market_table,
+    payoff,
     std_normal_cdf,
     std_normal_loss,
     std_normal_quantile,
 )
 from oracles import (mp_cdf, mp_inventory_k, mp_quantile,
-                     ref_inventory_coefficient, ref_mode_economics,
-                     ref_seller_utility)
+                     ref_cumulative_utility, ref_inventory_coefficient,
+                     ref_mode_economics, ref_seller_utility)
 
 # 50-digit reference values, frozen from tests/oracles.py.
 ZETA_12_126 = 1.668391193946766     # quantile(12 / 12.6)
@@ -150,16 +150,16 @@ _COEFFICIENT_PAIRS = st.one_of(
 
 class TestInventoryCoefficient:
     def test_frozen_references(self):
-        assert inventory_coefficient(0.6, 12.0).K == pytest.approx(K_06_12, abs=1e-9)
-        assert inventory_coefficient(2.5, 12.0).K == pytest.approx(K_25_12, abs=1e-9)
-        assert inventory_coefficient(2.5, 9.0).K == pytest.approx(K_25_9, abs=1e-9)
+        assert inventory_coefficient(0.6, 12.0)[1] == pytest.approx(K_06_12, abs=1e-9)
+        assert inventory_coefficient(2.5, 12.0)[1] == pytest.approx(K_25_12, abs=1e-9)
+        assert inventory_coefficient(2.5, 9.0)[1] == pytest.approx(K_25_9, abs=1e-9)
 
     @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
     @example(1e3, 1e-3)  # zeta near -4.75: h_bar * zeta and L(zeta) terms cancel
     @settings(max_examples=200, deadline=None)
     def test_against_mpmath(self, h_bar, b):
         _, K = mp_inventory_k(h_bar, b)
-        assert inventory_coefficient(h_bar, b).K == pytest.approx(
+        assert inventory_coefficient(h_bar, b)[1] == pytest.approx(
             K, rel=1e-12, abs=0.0)
 
     @given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
@@ -170,7 +170,7 @@ class TestInventoryCoefficient:
             fractile = mp.mpf(b) / (mp.mpf(h_bar) + mp.mpf(b))
         # near h_bar = b the fractile's own rounding, a fraction of an ulp of
         # 1/2, bounds zeta's absolute error
-        assert inventory_coefficient(h_bar, b).zeta == pytest.approx(
+        assert inventory_coefficient(h_bar, b)[0] == pytest.approx(
             mp_quantile(fractile), rel=1e-12, abs=1e-15)
 
     @given(_COEFFICIENT_PAIRS)
@@ -181,38 +181,33 @@ class TestInventoryCoefficient:
     @example((1e308, 1e308))  # h_bar + b overflows: the fractile is 0
     @settings(max_examples=400, deadline=None)
     def test_helper_matches_the_method_form(self, pair):
-        # market_table's scalar helper, and inventory_coefficient around
-        # it, against NormalDist's methods: equal bit for bit, with the same
-        # DomainError text
+        # market_table's scalar helper against NormalDist's methods: equal
+        # bit for bit, with the same DomainError text
         h_bar, b = pair
         try:
             want = ref_inventory_coefficient(h_bar, b)
         except DomainError as exc:
-            for form in (seller._coefficient, inventory_coefficient):
-                with pytest.raises(DomainError) as got:
-                    form(h_bar, b)
-                assert str(got.value) == str(exc)
+            with pytest.raises(DomainError) as got:
+                inventory_coefficient(h_bar, b)
+            assert str(got.value) == str(exc)
             return
-        bits = [(x.hex(), y.hex()) for x, y in (
-            seller._coefficient(h_bar, b),
-            dataclasses.astuple(inventory_coefficient(h_bar, b)),
-            (want.zeta, want.K))]
-        assert bits[0] == bits[1] == bits[2]
+        assert [x.hex() for x in inventory_coefficient(h_bar, b)] == \
+            [x.hex() for x in want]
 
     def test_critical_fractile(self):
-        econ = inventory_coefficient(0.6, 12.0)
-        assert econ.zeta == pytest.approx(ZETA_12_126, abs=1e-9)
+        zeta, _ = inventory_coefficient(0.6, 12.0)
+        assert zeta == pytest.approx(ZETA_12_126, abs=1e-9)
 
     def test_scale_invariance(self):
         # K is homogeneous of degree 1 in (h, b): the fractile depends only
         # on the ratio
-        base = inventory_coefficient(0.6, 12.0)
-        scaled = inventory_coefficient(1.8, 36.0)
-        assert scaled.zeta == pytest.approx(base.zeta, abs=1e-12)
-        assert scaled.K == pytest.approx(3.0 * base.K, rel=1e-12)
+        base_zeta, base_k = inventory_coefficient(0.6, 12.0)
+        zeta, k = inventory_coefficient(1.8, 36.0)
+        assert zeta == pytest.approx(base_zeta, abs=1e-12)
+        assert k == pytest.approx(3.0 * base_k, rel=1e-12)
 
     def test_monotone_in_holding_cost(self):
-        ks = [inventory_coefficient(h, 10.0).K for h in np.linspace(0.3, 3.0, 12)]
+        ks = [inventory_coefficient(h, 10.0)[1] for h in np.linspace(0.3, 3.0, 12)]
         assert all(x < y for x, y in zip(ks, ks[1:]))
 
     def test_rejects_nonpositive_costs(self):
@@ -231,10 +226,10 @@ class TestInventoryCoefficient:
         # FBM runs on the seller's own holding cost, FBP on the platform's
         p = SELLERS[0]
         assert TABLE.k_fbm[0] == pytest.approx(
-            inventory_coefficient(p.h, p.b).K, rel=1e-15)
+            inventory_coefficient(p.h, p.b)[1], rel=1e-15)
         assert TABLE.k_fbp[0] == pytest.approx(
-            inventory_coefficient(COSTS.H, p.b).K, rel=1e-15)
-        assert TABLE.zeta_fbp[0] == ref_mode_economics(p, COSTS, FBP).zeta
+            inventory_coefficient(COSTS.H, p.b)[1], rel=1e-15)
+        assert TABLE.zeta_fbp[0] == ref_mode_economics(p, COSTS, FBP)[0]
 
     def test_rejects_unknown_mode(self):
         # the scalar reference must not read an unknown mode as FBM
@@ -257,33 +252,43 @@ class TestBaseStock:
             base_stock(1.0, -0.1, 1.0)
 
 
+def cumulative_utility_matches_reference(sigma) -> bool:
+    """The payoff's cumulative utility at sigma against the per-seller sum
+    of tests/oracles.py."""
+    return payoff(TABLE, sigma).cumulative_utility == pytest.approx(
+        ref_cumulative_utility(SELLERS, COSTS, N, MU, sigma), rel=1e-12)
+
+
 class TestSellerUtility:
     def test_reference_value(self):
         # seller 1 under platform fulfillment at the uniform mean share
-        fbp, u = TABLE.utilities(0.5)
-        assert fbp[0]
-        assert u[0] == pytest.approx(110.65, abs=0.005)
+        assert TABLE.adopts(0.5)[0]
+        assert ref_seller_utility(SELLERS[0], COSTS, FBP, MU / N, 0.5) == \
+            pytest.approx(110.65, abs=0.005)
+        assert cumulative_utility_matches_reference(0.5)
 
     def test_zero_sigma_is_pure_margin(self):
-        fbp, u = TABLE.utilities(0.0)
-        assert fbp.all()
-        assert u == pytest.approx(np.full(N, (100.0 - 15.0 - 10.0) * 1.5), rel=1e-12)
+        assert TABLE.adopts(0.0).all()
+        assert payoff(TABLE, 0.0).cumulative_utility == pytest.approx(
+            N * (100.0 - 15.0 - 10.0) * 1.5, rel=1e-12)
         assert TABLE.margin_fbm[0] == pytest.approx((100.0 - 15.0 - 24.5) * 1.5,
                                                     rel=1e-12)
 
     def test_linear_decrease_in_sigma(self):
-        # seller 4 keeps platform fulfillment over [1, 3]
-        (fbp0, u0), (fbp1, u1), (fbp2, u2) = (
-            TABLE.utilities(s) for s in (1.0, 2.0, 3.0))
-        assert fbp0[3] and fbp1[3] and fbp2[3]
-        assert u0[3] - u1[3] == pytest.approx(u1[3] - u2[3], rel=1e-9)
-        assert u0[3] - u1[3] == pytest.approx(TABLE.k_fbp[3], rel=1e-9)
+        for sigma in (1.0, 2.0, 3.0):
+            assert cumulative_utility_matches_reference(sigma)
+        # no seller switches between the first two exit thresholds (1.74
+        # and 5.07), so there the sum falls by the chosen K's per unit sigma
+        u0, u1, u2 = (payoff(TABLE, s).cumulative_utility for s in (2.0, 3.0, 4.0))
+        k = np.where(TABLE.adopts(3.0), TABLE.k_fbp, TABLE.k_fbm).sum()
+        assert u0 - u1 == pytest.approx(u1 - u2, rel=1e-9)
+        assert u0 - u1 == pytest.approx(k, rel=1e-9)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
-            TABLE.utilities(-1.0)
+            payoff(TABLE, -1.0)
         with pytest.raises(DomainError, match="mu_share"):
-            market_table(SELLERS, COSTS, 0.0).utilities(1.0)
+            market_table(SELLERS, COSTS, 0.0)
 
 
 class TestModeChoice:
@@ -301,21 +306,18 @@ class TestModeChoice:
 
     def test_choice_matches_utility_comparison(self):
         for sigma in (0.5, 2.0, 5.0, 9.0, 12.0, 15.0):
-            fbp, u = TABLE.utilities(sigma)
-            for p, chosen, u_chosen in zip(SELLERS, fbp.tolist(), u.tolist()):
-                picked = FBP if chosen else FBM
+            assert cumulative_utility_matches_reference(sigma)
+            for p, chosen in zip(SELLERS, TABLE.adopts(sigma).tolist()):
                 u_fbp = ref_seller_utility(p, COSTS, FBP, MU / N, sigma)
                 u_fbm = ref_seller_utility(p, COSTS, FBM, MU / N, sigma)
-                assert u_chosen == pytest.approx(
-                    u_fbp if chosen else u_fbm, rel=1e-12)
-                if picked == FBP:
+                if chosen:
                     assert u_fbp >= u_fbm - 1e-9
                 else:
                     assert u_fbm > u_fbp - 1e-9
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(DomainError):
-            TABLE.utilities(-0.5)
+            payoff(TABLE, -0.5)
 
 
 class TestAdoptionSet:
