@@ -8,7 +8,7 @@ over the design volatility (platform), integer order routing that tracks
 the benchmark allocation (routing), and forecast-error analysis for
 suboptimal filters and positive lead times (forecast).
 """
-from .demand import DemandModel, DemandPath, prob_negative, simulate
+from .demand import DemandModel, prob_negative, simulate
 from .forecast import filter_msfe, leadtime_msfe, ses_truncated_weights
 from .platform import (Curve, EmptyFeasibleSet, PayoffResult,
                        PlatformSolution, export_curve, optimize, payoff,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllocationPolicy", "BelowLowerBound", "Curve",
-    "DemandModel", "DemandPath", "DomainError", "EmptyFeasibleSet",
+    "DemandModel", "DomainError", "EmptyFeasibleSet",
     "FBM", "FBP", "Factorization",
     "Infeasible", "InsufficientHistory",
     "MarketTable",

@@ -22,12 +22,12 @@ flag or field that sized it: --periods, options.horizon or --grid.
 
 The fixed work of a call is kept small, and nothing is kept across calls.
 build_parser lists all six subcommands but adds the flags of the parsed
-one only.  The seller records are checked a column at a time, and the
-per-record path runs only to name a fault.  JSON output comes from
-_json_text, which equals json.dumps(indent=2, allow_nan=False) byte for
-byte but writes runs of one type (number lists, records of one key
-sequence) a column at a time instead of through json's pure-Python
-indenting encoder.
+one only.  Scenario.sellers is one seller.SellerParams, its records checked
+a column at a time (the per-record path runs only to name a fault).  JSON
+output comes from _json_text, which equals json.dumps(indent=2,
+allow_nan=False) byte for byte but writes runs of one type (number lists,
+records of one key sequence) a column at a time instead of through json's
+pure-Python indenting encoder.
 """
 from __future__ import annotations
 
@@ -63,14 +63,10 @@ class ScenarioError(ValueError):
 class Scenario:
     model: DemandModel
     costs: seller.PlatformCosts
-    sellers: tuple
+    sellers: seller.SellerParams
     sigma_cap: float
     seed: int
     horizon: int
-
-    @property
-    def n_sellers(self) -> int:
-        return len(self.sellers)
 
 
 def _check_fields(block: dict, path: str, required: tuple, optional: tuple = ()):
@@ -114,25 +110,33 @@ def _record(cls, block, path: str):
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-def _sellers(records: list, path: str) -> tuple:
-    """The SellerParams of the records at path, checked a column at a time:
-    every record an object with exactly the fields h, b and f, every value a
-    finite number.  Where a check fails, or SellerParams refuses a value,
-    the per-record path (_record) runs to name the first fault."""
-    names = seller.SellerParams.__match_args__
+def _sellers(records, source: str) -> seller.SellerParams:
+    """The seller array of source as one SellerParams, checked a column at a
+    time (objects of exactly h, b and f, finite float or int values); at a
+    fault the records before it are checked at once, then the fault is named."""
+    if not isinstance(records, list) or not records:
+        raise ScenarioError(f"{source}.sellers: expected a non-empty array")
+    names = ("h", "b", "f")
     fields = set(names)
-    if all(type(r) is dict and r.keys() == fields for r in records):
-        columns = [[r[name] for r in records] for name in names]
-        if all(set(map(type, c)) <= {float, int}
-               and all(map(sys.float_info.max.__ge__, map(abs, c)))
-               for c in columns):
+    try:
+        if all(type(r) is dict and r.keys() == fields for r in records):
+            columns = [[r[name] for r in records] for name in names]
+            if all(set(map(type, c)) <= {float, int}
+                   and all(map(sys.float_info.max.__ge__, map(abs, c)))
+                   for c in columns):
+                return seller.SellerParams(*columns)
+        rows = []
+        for i, entry in enumerate(records, start=1):
+            path = f"{source}.sellers[{i}]"
             try:
-                return tuple(map(seller.SellerParams,
-                                 *(map(float, c) for c in columns)))
-            except seller.DomainError:
-                pass
-    return tuple(_record(seller.SellerParams, entry, f"{path}[{i}]")
-                 for i, entry in enumerate(records, start=1))
+                _check_fields(entry, path, required=names)
+                rows.append([_finite(entry[name], f"{path}.{name}") for name in names])
+            except ScenarioError:
+                seller.SellerParams(*np.reshape(rows, (-1, len(names))).T)
+                raise
+        return seller.SellerParams(*zip(*rows))
+    except seller.DomainError as exc:  # it names sellers[n]
+        raise ScenarioError(f"{source}.{exc}") from exc
 
 
 def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
@@ -159,10 +163,7 @@ def parse_scenario(doc: dict, source: str = "scenario") -> Scenario:
         raise ScenarioError(f"{source}.demand: {exc}") from exc
 
     costs = _record(seller.PlatformCosts, doc["platform"], f"{source}.platform")
-    sellers_raw = doc["sellers"]
-    if not isinstance(sellers_raw, list) or not sellers_raw:
-        raise ScenarioError(f"{source}.sellers: expected a non-empty array")
-    sellers = _sellers(sellers_raw, f"{source}.sellers")
+    sellers = _sellers(doc["sellers"], source)
     if not mu / len(sellers) > 0:
         raise ScenarioError(f"{source}.demand.mu: the mean demand per seller, "
                             f"mu / N = {mu!r} / {len(sellers)}, underflows to 0")
@@ -280,7 +281,7 @@ def _emit_summary(summary: dict, out_path) -> None:
 
 def cmd_optimize(args) -> int:
     scenario = load_scenario(args.scenario)
-    sigma_lower = policy.sigma_lower_bound(scenario.model, scenario.n_sellers)
+    sigma_lower = policy.sigma_lower_bound(scenario.model, len(scenario.sellers))
     table = seller.market_table(scenario.sellers, scenario.costs, scenario.model.mu)
     solution = platform.optimize(table, sigma_lower, scenario.sigma_cap)
     text = _json_text(platform.solution_document(solution, table))
@@ -292,19 +293,19 @@ def cmd_optimize(args) -> int:
 
 
 def _design_run(args):
-    """Scenario, neutral design at --sigma and the simulated path; simulate
-    and route share it so both use the same allocation policy."""
+    """Scenario, neutral design at --sigma, the simulated demand and its
+    seed; simulate and route share it so both use the same allocation policy."""
     scenario = load_scenario(args.scenario)
     model = scenario.model
     try:
-        alloc_policy = policy.neutral_policy(model, scenario.n_sellers, args.sigma)
+        alloc_policy = policy.neutral_policy(model, len(scenario.sellers), args.sigma)
     except (policy.BelowLowerBound, policy.Infeasible):
         raise
     except ValueError as exc:  # the transfer coefficient overflows
         raise ScenarioError(f"--sigma: {exc}") from exc
     periods = scenario.horizon if args.periods is None else args.periods
     seed = scenario.seed if args.seed is None else args.seed
-    return scenario, alloc_policy, simulate(model, periods, seed)
+    return scenario, alloc_policy, simulate(model, periods, seed), seed
 
 
 def _periods_source(args) -> str:
@@ -330,11 +331,11 @@ def _sized_by(source):
 
 @_sized_by(_periods_source)
 def cmd_simulate(args) -> int:
-    scenario, alloc_policy, path = _design_run(args)
+    scenario, alloc_policy, demands, seed = _design_run(args)
     sigma, model = args.sigma, scenario.model
     table = seller.market_table(scenario.sellers, scenario.costs, model.mu)
     try:
-        run = forecast.simulate_inventory(table, alloc_policy, model, path, sigma)
+        run = forecast.simulate_inventory(table, alloc_policy, model, demands, sigma)
     except policy.InsufficientHistory as exc:
         raise ScenarioError(f"{_periods_source(args)}: {exc}") from exc
     with _primary_stream(args.out) as fh:
@@ -346,16 +347,16 @@ def cmd_simulate(args) -> int:
                    run.modes, run.empirical_msfe.tolist(), run.mean_cost.tolist(),
                    run.k_sigma.tolist()), start=1)]
     _emit_summary({"command": "simulate", "sigma": sigma,
-                   "periods": path.demands.size, "seed": path.seed,
+                   "periods": demands.size, "seed": seed,
                    "sellers": sellers}, args.out)
     return EXIT_OK
 
 
 @_sized_by(_periods_source)
 def cmd_route(args) -> int:
-    scenario, alloc_policy, path = _design_run(args)
+    scenario, alloc_policy, demands, seed = _design_run(args)
     try:
-        result = routing.route_path(alloc_policy, scenario.model, path, path.seed)
+        result = routing.route_path(alloc_policy, scenario.model, demands, seed)
     except ValueError as exc:  # simulated demand beyond a whole order count
         raise ScenarioError(f"{args.scenario}.demand: {exc}") from exc
     with _primary_stream(args.out) as fh:
@@ -363,7 +364,7 @@ def cmd_route(args) -> int:
     skipped = result.infeasible_periods
     _emit_summary({
         "command": "route", "sigma": args.sigma,
-        "periods": path.demands.size, "seed": path.seed,
+        "periods": demands.size, "seed": seed,
         "feasible_periods": int(result.routed.sum()),
         "infeasible_periods": len(skipped),
         "first_infeasible": skipped[:10],
@@ -435,7 +436,7 @@ def cmd_msfe(args) -> int:
 @_sized_by(lambda args: "--grid")
 def cmd_curve(args) -> int:
     scenario = load_scenario(args.scenario)
-    sigma_lower = policy.sigma_lower_bound(scenario.model, scenario.n_sellers)
+    sigma_lower = policy.sigma_lower_bound(scenario.model, len(scenario.sellers))
     table = seller.market_table(scenario.sellers, scenario.costs, scenario.model.mu)
     sigma_u = table.participation_ub(scenario.sigma_cap)
     hi = min(scenario.sigma_cap, 1.1 * sigma_u)

@@ -3,12 +3,13 @@
 Aggregate demand is a stationary Gaussian moving average around a positive
 mean: D_t = mu + sum_k psi_k e_{t-k} with unit-variance shocks.  The filter
 must be invertible so the market-wide shock history is recoverable from
-observed demand; scale lives entirely in the coefficients.
+observed demand; scale lives entirely in the coefficients.  simulate draws
+a path as a plain read-only array of demands: the shocks behind it are
+dropped, and the caller, which chose the seed, keeps it.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,22 +39,13 @@ class DemandModel:
         return f"DemandModel(mu={self.mu:g}, psi={self.psi!r})"
 
 
-@dataclass(frozen=True)
-class DemandPath:
-    """Simulated demand realizations D_0..D_{T-1} with the shock history
-    e_{-q}..e_{T-1} that produced them and the seed that drew it."""
-
-    demands: np.ndarray
-    shocks: np.ndarray
-    seed: int
-
-
-def simulate(model: DemandModel, horizon: int, seed: int) -> DemandPath:
-    """Draw a stationary demand path of the given length.
+def simulate(model: DemandModel, horizon: int, seed: int) -> np.ndarray:
+    """Draw a stationary demand path D_0..D_{T-1} of the given length, as a
+    read-only array.
 
     Shocks come from numpy's default PCG64 generator, so paths are bit-exact
     reproducible per seed.  q extra shocks are drawn before t=0 so the path
-    is stationary from the first reported period.
+    is stationary from the first reported period; they are not kept.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -69,8 +61,7 @@ def simulate(model: DemandModel, horizon: int, seed: int) -> DemandPath:
     shocks = rng.standard_normal(horizon + q)
     demands = model.mu + np.convolve(shocks, model.psi.coeffs)[q:q + horizon]
     demands.flags.writeable = False
-    shocks.flags.writeable = False
-    return DemandPath(demands=demands, shocks=shocks, seed=int(seed))
+    return demands
 
 
 def prob_negative(model: DemandModel) -> float:

@@ -24,7 +24,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .csvtext import BLOCK_CELLS, _format_rows
-from .demand import DemandModel, DemandPath
+from .demand import DemandModel
 from .policy import (AllocationPolicy, InsufficientHistory, benchmark_offsets,
                      seller_filter)
 from .polyalg import TRIM_TOL, NumericalInstability, TransferPoly, as_poly
@@ -231,7 +231,7 @@ class InventoryRun:
 # names the failure instead of numpy's warnings
 @np.errstate(over="ignore", invalid="ignore")
 def simulate_inventory(table: MarketTable, alloc_policy: AllocationPolicy,
-                       model: DemandModel, path: DemandPath,
+                       model: DemandModel, demands,
                        sigma: float) -> InventoryRun:
     """Allocate a realized path by the policy, let every seller of the
     market table forecast its stream with the optimal one-step predictor and
@@ -246,7 +246,7 @@ def simulate_inventory(table: MarketTable, alloc_policy: AllocationPolicy,
         raise ValueError(f"policy has {alloc_policy.n_sellers} sellers, "
                          f"market table {table.N}")
     start = alloc_policy.max_lag
-    demands = np.asarray(path.demands, dtype=float)
+    demands = np.asarray(demands, dtype=float)
     if demands.size <= start:
         raise InsufficientHistory(
             f"path length {demands.size} does not cover the policy's "
@@ -267,7 +267,7 @@ def simulate_inventory(table: MarketTable, alloc_policy: AllocationPolicy,
     cost = (h_bar * np.maximum(stock - alloc, 0.0)
             + table.b[:, None] * np.maximum(alloc - stock, 0.0))
     run = InventoryRun(
-        start_period=start, demands=path.demands[start:],
+        start_period=start, demands=demands[start:],
         allocations=alloc, forecasts=pred, stocks=stock, costs=cost,
         modes=tuple(np.where(fbp, FBP, FBM).tolist()),
         empirical_msfe=np.sqrt(np.mean((alloc - pred) ** 2, axis=1)),

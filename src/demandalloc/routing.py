@@ -23,8 +23,9 @@ the counts stay within one unit of the targets either way.
 
 route_orders routes a (T x N) offset array in one call; its RoutePathResult
 holds the (T x N) counts and targets, a (T,) routed mask and the flat log.
-export_assignment_log builds the log's rows in blocks and writes them with
-the exact formatter of csvtext, which the simulate CSV shares.
+route_path takes the demand array of demand.simulate.  export_assignment_log
+builds the log's rows in blocks and writes them with the exact formatter of
+csvtext, which the simulate CSV shares.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvtext import BLOCK_CELLS, _format_rows
-from .demand import DemandModel, DemandPath
+from .demand import DemandModel
 from .policy import AllocationPolicy, benchmark_offsets
 
 OFFSET_SUM_TOL = 1e-9
@@ -193,21 +194,20 @@ def route_orders(offsets, demand, seed: int,
     return RoutePathResult(counts=counts, targets=targets, routed=routed, log=log)
 
 
-def integerize_demand(path: DemandPath) -> np.ndarray:
-    """Round a simulated Gaussian path to nonnegative integer order counts;
-    ValueError naming the period of a count of 2**63 or more."""
-    return _order_counts(np.maximum(np.rint(np.asarray(path.demands)), 0.0))
+def integerize_demand(demands) -> np.ndarray:
+    """Round a simulated Gaussian demand path to nonnegative integer order
+    counts; ValueError naming the period of a count of 2**63 or more."""
+    return _order_counts(np.maximum(np.rint(np.asarray(demands)), 0.0))
 
 
-def route_path(alloc_policy: AllocationPolicy, model: DemandModel,
-               path: DemandPath, seed: int,
-               tie_break: str = "random") -> RoutePathResult:
-    """Route a whole demand path with route_orders.
+def route_path(alloc_policy: AllocationPolicy, model: DemandModel, demands,
+               seed: int, tie_break: str = "random") -> RoutePathResult:
+    """Route a whole demand path (an array of demands) with route_orders.
 
     The policy's offsets come from the lagged realized (integer) demand;
     missing lags before the path starts count as demand at the mean.
     """
-    demand = integerize_demand(path)
+    demand = integerize_demand(demands)
     return route_orders(benchmark_offsets(alloc_policy, model, demand), demand,
                         seed, tie_break)
 

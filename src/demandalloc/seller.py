@@ -14,9 +14,9 @@ bound (participation_ub) are array operations on it, and the platform layer
 and the simulation (forecast.simulate_inventory) read the same table.  One
 comparison, _prefers_fbp, decides every mode choice.
 
-One scalar function, inventory_coefficient, computes zeta and K as a plain
-(zeta, K) pair, and market_table streams those pairs for every seller and
-mode into arrays, with no object per seller.
+market_table reads a market's sellers as one SellerParams of cost columns
+and streams the (zeta, K) pairs of one scalar function, inventory_coefficient,
+for every seller and mode into arrays, with no object per seller.
 The normal quantile is the stdlib's NormalDist.inv_cdf, the pdf
 NormalDist.pdf's expression written out and the cdf math.erfc, so K and
 zeta match the stdlib's methods bit for bit (numpy's exp and log do not
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, repeat
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -74,20 +74,25 @@ def std_normal_loss(z: float) -> float:
     return 0.0 if loss < 0.0 else loss
 
 
-@dataclass(frozen=True)
 class SellerParams:
-    """Per-unit seller costs under self-fulfillment: holding h, backorder b,
-    fulfillment f."""
+    """Per-unit self-fulfillment costs h, b, f of a market's sellers, as
+    read-only float columns; DomainError names the first fault, sellers[n]."""
 
-    h: float
-    b: float
-    f: float
+    def __init__(self, h, b, f):
+        columns = np.array([h, b, f], dtype=float)
+        if columns.ndim != 2:
+            raise ValueError("h, b and f must be columns of one length")
+        columns.flags.writeable = False
+        self.h, self.b, self.f = columns
+        unpriced = ~((self.h > 0) & (self.b > 0))
+        faults = np.flatnonzero(unpriced | ~(self.f >= 0))
+        if faults.size:
+            raise DomainError(f"sellers[{faults[0] + 1}]: " + (
+                "holding and backorder costs must be positive" if unpriced[faults[0]]
+                else "fulfillment cost must be nonnegative"))
 
-    def __post_init__(self):
-        if not (self.h > 0 and self.b > 0):
-            raise DomainError("holding and backorder costs must be positive")
-        if not self.f >= 0:
-            raise DomainError("fulfillment cost must be nonnegative")
+    def __len__(self) -> int:
+        return self.h.size
 
 
 @dataclass(frozen=True)
@@ -116,7 +121,7 @@ class PlatformCosts:
             warnings.warn(
                 "gross margin r does not exceed rho + F; platform-fulfilled "
                 "sellers earn a nonpositive margin in this scenario",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__ to its caller
             )
 
 
@@ -256,27 +261,25 @@ class MarketTable(NamedTuple):
         return bound
 
 
-def _mode_columns(h_bar: list, b: list, h_name: str) -> np.ndarray:
+def _mode_columns(h_bar, b: np.ndarray, h_name: str) -> np.ndarray:
     """zeta and K rows of every seller under one mode, one
-    inventory_coefficient call each, holding costs h_bar named h_name ("h" or
-    "H").  A fractile b/(h_bar + b) rounding to 0 or 1 raises DomainError
-    naming the first such seller as sellers[n], or platform.H where H is the
-    smaller cost; only that fault path visits the sellers one at a time."""
-    try:
-        pairs = np.fromiter(
-            chain.from_iterable(map(inventory_coefficient, h_bar, b)),
-            float, 2 * len(b))
-    except DomainError:
-        for n, (x, y) in enumerate(zip(h_bar, b), start=1):
-            try:
-                inventory_coefficient(x, y)
-            except DomainError:
-                field = "platform.H" if h_name == "H" and x < y else f"sellers[{n}]"
-                raise DomainError(
-                    f"{field}: the critical fractile b/({h_name} + b) at "
-                    f"{h_name} = {x:g}, b = {y:g} rounds to {int(y > x)}, "
-                    "which has no normal quantile") from None
-        raise
+    inventory_coefficient call each, on holding costs h_bar (the column h or
+    the platform's H, named h_name).  Where the smaller tail min(h_bar, b) /
+    (h_bar + b) is 0, DomainError names sellers[n], or platform.H if H < b."""
+    with np.errstate(over="ignore"):
+        tail = np.minimum(h_bar, b) / (h_bar + b)
+    if not tail.all():
+        n = int(np.argmin(tail))
+        x, y = float(h_bar if h_name == "H" else h_bar[n]), float(b[n])
+        field = "platform.H" if h_name == "H" and x < y else f"sellers[{n + 1}]"
+        raise DomainError(
+            f"{field}: the critical fractile b/({h_name} + b) at "
+            f"{h_name} = {x:g}, b = {y:g} rounds to {int(y > x)}, "
+            "which has no normal quantile")
+    holding = repeat(h_bar) if h_name == "H" else h_bar.tolist()
+    pairs = np.fromiter(
+        chain.from_iterable(map(inventory_coefficient, holding, b.tolist())),
+        float, 2 * b.size)
     return pairs.reshape(-1, 2).T.copy()
 
 
@@ -284,15 +287,12 @@ def market_table(sellers, costs: PlatformCosts, mu: float) -> MarketTable:
     """Compute every seller's K and zeta under both modes once (2 N
     evaluations of inventory_coefficient, N = len(sellers)), and the
     quantities derived from them.  DomainError unless mu / N > 0."""
-    N = len(sellers)
+    h, b, f, N = sellers.h, sellers.b, sellers.f, len(sellers)
     mu_share = mu / N
     if not mu_share > 0:
         raise DomainError("mu_share must be positive")
-    h = [p.h for p in sellers]
-    b = [p.b for p in sellers]
     zeta_fbm, k_fbm = _mode_columns(h, b, "h")
-    zeta_fbp, k_fbp = _mode_columns([costs.H] * N, b, "H")
-    f = np.array([p.f for p in sellers], dtype=float)
+    zeta_fbp, k_fbp = _mode_columns(costs.H, b, "H")
     dF = f - costs.F
     dK = k_fbp - k_fbm
     # Past the float range a quantity is +-inf: the commands name non-finite
@@ -303,8 +303,7 @@ def market_table(sellers, costs: PlatformCosts, mu: float) -> MarketTable:
         threshold = np.divide(mu * dF, N * dK, out=np.full(dK.shape, np.nan),
                               where=dK > 0)
         return MarketTable(
-            costs=costs, N=N, mu=mu,
-            h=np.array(h, dtype=float), b=np.array(b, dtype=float),
+            costs=costs, N=N, mu=mu, h=h, b=b,
             zeta_fbm=zeta_fbm, k_fbm=k_fbm, zeta_fbp=zeta_fbp, k_fbp=k_fbp,
             margin_fbm=margin_fbm, margin_fbp=margin_fbp,
             dK=dK, fixed=mu_share * dF, threshold=threshold,
@@ -316,13 +315,13 @@ def check_cost_assumptions(sellers, costs: PlatformCosts) -> list:
     cheaper (F <= f_n) or platform holding not weakly dearer (H >= h_n),
     which is where dK_n < 0: K grows strictly with the holding cost."""
     messages = []
-    for idx, params in enumerate(sellers, start=1):
-        if costs.F > params.f:
-            messages.append(f"seller {idx}: platform fulfillment cost F={costs.F:g} "
-                            f"exceeds own cost f={params.f:g}")
-        if costs.H < params.h:
-            messages.append(f"seller {idx}: platform holding cost H={costs.H:g} "
-                            f"below own cost h={params.h:g}")
+    for n in np.flatnonzero((costs.F > sellers.f) | (costs.H < sellers.h)).tolist():
+        if costs.F > sellers.f[n]:
+            messages.append(f"seller {n + 1}: platform fulfillment cost F={costs.F:g} "
+                            f"exceeds own cost f={sellers.f[n]:g}")
+        if costs.H < sellers.h[n]:
+            messages.append(f"seller {n + 1}: platform holding cost H={costs.H:g} "
+                            f"below own cost h={sellers.h[n]:g}")
     for msg in messages:
         warnings.warn(msg, stacklevel=2)
     return messages

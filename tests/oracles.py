@@ -35,6 +35,15 @@ method-call form of K and zeta that the package replaced with one scalar
 helper: NormalDist's quantile and pdf and the erfc cdf, as a (zeta, K)
 pair.  The package's helper must equal it bit for bit.
 
+The seller references take one Seller record per seller; the package takes
+a market's sellers as one SellerParams of columns (seller_columns builds it
+from records, seller_records reads it back).  ref_sellers is the per-record
+scenario path that cli._sellers replaced: each record checked by cli's
+field and number checks, then the cost rule of the per-seller object it
+built.  ref_check_cost_assumptions is the per-seller loop of
+seller.check_cost_assumptions, and ref_fractile_fault the one-seller-at-a-
+time scan that named a critical fractile rounding to 0 or 1.
+
 The reference command-line parser (build_parser) is the eager form that
 adds every subcommand's flags on every call; the package builds only the
 parsed subcommand's.  It takes the flag types and command functions from
@@ -50,6 +59,7 @@ import dataclasses
 import functools
 import math
 from statistics import NormalDist
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -58,7 +68,7 @@ from demandalloc import cli
 from demandalloc.forecast import PREDICT_ROW_CAP, _innovations_rows
 from demandalloc.platform import SIDES, PayoffResult, PlatformSolution
 from demandalloc.polyalg import DEFAULT_BOUNDARY_TOL
-from demandalloc.seller import DomainError, inventory_coefficient
+from demandalloc.seller import DomainError, SellerParams, inventory_coefficient
 
 
 def mp_roots(coeffs, dps: int = 50):
@@ -232,6 +242,75 @@ def ref_innovations_predict(coeffs, series, mean: float = 0.0):
 # Scalar seller/platform reference.  Mirrors the package's constants.
 _BOUNDARY_SLACK = 1e-9
 _PAYOFF_TIE_TOL = 1e-9
+
+
+class Seller(NamedTuple):
+    """One seller's per-unit costs: holding h, backorder b, fulfillment f."""
+
+    h: float
+    b: float
+    f: float
+
+
+def seller_columns(records) -> SellerParams:
+    """The package's column record of Seller records."""
+    return SellerParams(*zip(*records))
+
+
+def seller_records(params: SellerParams) -> tuple:
+    """The Seller records of the package's column record."""
+    return tuple(map(Seller, params.h.tolist(), params.b.tolist(),
+                     params.f.tolist()))
+
+
+def ref_sellers(records, source: str) -> tuple:
+    """Seller records of the scenario's seller array, one record at a time:
+    fields and numbers by cli's checks, then h > 0 and b > 0 before f >= 0;
+    the first fault raises cli.ScenarioError naming source.sellers[n]."""
+    out = []
+    for n, entry in enumerate(records, start=1):
+        path = f"{source}.sellers[{n}]"
+        cli._check_fields(entry, path, required=Seller._fields)
+        h, b, f = (cli._finite(entry[name], f"{path}.{name}")
+                   for name in Seller._fields)
+        if not (h > 0 and b > 0):
+            raise cli.ScenarioError(
+                f"{path}: holding and backorder costs must be positive")
+        if not f >= 0:
+            raise cli.ScenarioError(f"{path}: fulfillment cost must be nonnegative")
+        out.append(Seller(h, b, f))
+    return tuple(out)
+
+
+def ref_check_cost_assumptions(sellers, costs) -> list:
+    """The messages of seller.check_cost_assumptions, seller by seller, the
+    fulfillment message before the holding one."""
+    messages = []
+    for idx, params in enumerate(sellers, start=1):
+        if costs.F > params.f:
+            messages.append(f"seller {idx}: platform fulfillment cost F={costs.F:g} "
+                            f"exceeds own cost f={params.f:g}")
+        if costs.H < params.h:
+            messages.append(f"seller {idx}: platform holding cost H={costs.H:g} "
+                            f"below own cost h={params.h:g}")
+    return messages
+
+
+def ref_fractile_fault(sellers, costs):
+    """The DomainError text of market_table for a critical fractile that
+    rounds to 0 or 1, or None: every seller's FBM coefficient is tried in
+    turn, then every FBP coefficient, and the first that raises is named."""
+    for h_name in ("h", "H"):
+        for n, params in enumerate(sellers, start=1):
+            x, y = (params.h if h_name == "h" else costs.H), params.b
+            try:
+                ref_inventory_coefficient(x, y)
+            except DomainError:
+                field = "platform.H" if h_name == "H" and x < y else f"sellers[{n}]"
+                return (f"{field}: the critical fractile b/({h_name} + b) at "
+                        f"{h_name} = {x:g}, b = {y:g} rounds to {int(y > x)}, "
+                        "which has no normal quantile")
+    return None
 
 
 @functools.lru_cache(maxsize=4096)

@@ -19,7 +19,6 @@ from demandalloc import (
     FBM,
     FBP,
     PlatformCosts,
-    SellerParams,
     TransferPoly,
     benchmark_offsets,
     filter_msfe,
@@ -43,8 +42,8 @@ from demandalloc import (
 from demandalloc.cli import load_scenario
 from demandalloc.forecast import (_innovations_rows, predict_streams,
                                   simulate_inventory)
-from oracles import (curve_points, ref_mode_economics, ref_payoff,
-                     ses_msfe_closed_form)
+from oracles import (Seller, curve_points, ref_mode_economics, ref_payoff,
+                     seller_columns, seller_records, ses_msfe_closed_form)
 from test_routing import relabelled_policy
 
 SCENARIO = str(Path(__file__).resolve().parents[1]
@@ -83,7 +82,7 @@ def test_criterion_1_headline_solution(scenario):
     model = scenario.model
     start = time.perf_counter()
     table = market_table(scenario.sellers, scenario.costs, scenario.model.mu)
-    sol = optimize(table, sigma_lower_bound(model, scenario.n_sellers),
+    sol = optimize(table, sigma_lower_bound(model, len(scenario.sellers)),
                    scenario.sigma_cap)
     elapsed = time.perf_counter() - start
     doc = solution_document(sol, table)
@@ -108,7 +107,7 @@ def test_criterion_1_headline_solution(scenario):
 def test_criterion_2_inventory_coefficient_table(scenario):
     worst = 0.0
     table = market_table(scenario.sellers, scenario.costs, scenario.model.mu)
-    for idx, params in enumerate(scenario.sellers, start=1):
+    for idx, params in enumerate(seller_records(scenario.sellers), start=1):
         ref_own, ref_platform = REFERENCE_K[idx]
         k_own = float(table.k_fbm[idx - 1])
         k_platform = float(table.k_fbp[idx - 1])
@@ -146,7 +145,7 @@ def test_criterion_4_reference_factorization_cases():
 
 def test_criterion_5_smoothing_perception(scenario):
     model = scenario.model
-    N = scenario.n_sellers
+    N = len(scenario.sellers)
     table = market_table(scenario.sellers, scenario.costs, scenario.model.mu)
     sol = optimize(table, sigma_lower_bound(model, N), scenario.sigma_cap)
     psi0 = abs(scenario.model.psi.coeffs[0])
@@ -164,8 +163,8 @@ def test_criterion_5_smoothing_perception(scenario):
 
     adopters = payoff(table, sigma_tilde).adopters
     assert adopters == set(range(2, 8))
-    realized = ref_payoff(sol.sigma_star, scenario.sellers, scenario.costs, N,
-                          model.mu, adopters=adopters)
+    realized = ref_payoff(sol.sigma_star, seller_records(scenario.sellers),
+                          scenario.costs, N, model.mu, adopters=adopters)
     g_fbp = realized.gamma_fbp
     assert g_fbp == pytest.approx(44.35, abs=0.05)
     assert realized.total == pytest.approx(349.70, abs=0.05)
@@ -333,8 +332,8 @@ def test_criterion_6_property_suite(scenario):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sellers = tuple(
-                SellerParams(h=float(h), b=float(rng.uniform(5.0, 15.0)),
-                             f=F + float(rng.uniform(0.5, 15.0)))
+                Seller(h=float(h), b=float(rng.uniform(5.0, 15.0)),
+                       f=F + float(rng.uniform(0.5, 15.0)))
                 for h in hs)
             costs = PlatformCosts(
                 rho=float(rng.uniform(5.0, 20.0)), F=F,
@@ -344,7 +343,7 @@ def test_criterion_6_property_suite(scenario):
                 r=float(F + rng.uniform(35.0, 80.0)))
             mu = N * float(rng.uniform(3.0, 10.0))
             model = DemandModel(mu, TransferPoly([float(rng.uniform(0.5, 3.0))]))
-            table = market_table(sellers, costs, mu)
+            table = market_table(seller_columns(sellers), costs, mu)
             sol = optimize(table, sigma_lower_bound(model, N), sigma_cap=1e6)
             hi = table.participation_ub(1e6)
         grid = np.linspace(abs(float(model.psi.coeffs[0])) / N, hi, 10_000)
@@ -381,10 +380,11 @@ def test_criterion_7_monte_carlo_consistency(scenario):
     pol = neutral_policy(model, 2, 5.0)
     path = simulate(model, 100_000, seed=7)
     # the first two sellers of the reference market hold the two streams
-    table = market_table(scenario.sellers[:2], scenario.costs, model.mu)
+    table = market_table(seller_columns(seller_records(scenario.sellers)[:2]),
+                         scenario.costs, model.mu)
     run = simulate_inventory(table, pol, model, path, 5.0)
     shares = run.allocations
-    demands = path.demands[run.start_period:]
+    demands = path[run.start_period:]
 
     conservation = float(np.max(np.abs(shares.sum(axis=0) - demands)))
     assert conservation <= 1e-9

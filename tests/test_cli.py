@@ -23,7 +23,7 @@ from demandalloc.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_NUMERICAL,
                              EXIT_OK, Scenario, ScenarioError, load_scenario,
                              main, parse_scenario)
 import oracles
-from oracles import ses_msfe_closed_form
+from oracles import ref_sellers, seller_records, ses_msfe_closed_form
 
 SCENARIO = str(Path(__file__).resolve().parents[1]
                / "scenarios" / "illustrative.scenario")
@@ -51,7 +51,8 @@ class TestParseScenario:
             "model", "costs", "sellers", "sigma_cap", "seed", "horizon"]
         assert sc.model.mu == 15.0
         assert sc.model.psi.coeffs.tolist() == [5.0]
-        assert sc.n_sellers == 10
+        assert len(sc.sellers) == 10
+        assert sc.sellers.h.tolist()[:2] == [0.6, 0.8]
         assert sc.sigma_cap == 500.0
 
     def test_defaults(self):
@@ -153,10 +154,9 @@ _SELLER_RECORDS = st.one_of(
 @given(st.lists(_SELLER_RECORDS, min_size=1, max_size=5))
 @settings(max_examples=300, deadline=None)
 def test_seller_columns_match_the_per_record_path(records):
-    # the column check accepts what the per-record path accepts, and a
-    # fault gets the per-record path's message
-    from demandalloc.cli import _record, _sellers
-    from demandalloc.seller import SellerParams
+    # the column check accepts what the per-record path accepts, with the
+    # same values, and a fault gets the per-record path's message
+    from demandalloc.cli import _sellers
 
     def outcome(parse):
         try:
@@ -164,9 +164,8 @@ def test_seller_columns_match_the_per_record_path(records):
         except ScenarioError as exc:
             return str(exc)
 
-    assert outcome(lambda: _sellers(records, "s.sellers")) == outcome(
-        lambda: tuple(_record(SellerParams, r, f"s.sellers[{i}]")
-                      for i, r in enumerate(records, start=1)))
+    assert outcome(lambda: seller_records(_sellers(records, "s"))) == outcome(
+        lambda: ref_sellers(records, "s"))
 
 
 NAN, INF = float("nan"), float("inf")

@@ -22,7 +22,7 @@ from demandalloc.forecast import export_simulation, simulate_inventory
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from oracles import (ref_export_assignment_log, ref_export_curve,  # noqa: E402
-                     ref_export_simulation)
+                     ref_export_simulation, seller_columns)
 from test_forecast import CUSTOM_POLICY  # noqa: E402
 from test_market_table import random_market  # noqa: E402
 from test_seller import COSTS, MU, SELLERS  # noqa: E402
@@ -263,8 +263,9 @@ def written(writer, result):
 @given(designs, st.integers(5, 80), st.integers(0, 2 ** 16))
 def test_simulation_csv_matches_reference(design, periods, seed):
     model, pol, N = small_design(*design)
-    run = simulate_inventory(market_table(SELLERS[:N], COSTS, MU), pol, model,
-                             simulate(model, periods, seed), 0.5 * design[2])
+    table = market_table(seller_columns(SELLERS[:N]), COSTS, MU)
+    run = simulate_inventory(table, pol, model, simulate(model, periods, seed),
+                             0.5 * design[2])
     assert written(export_simulation, run) == written(ref_export_simulation, run)
 
 
@@ -283,7 +284,7 @@ def reference_run(sigma, periods, seed):
     """The run `simulate` makes on the reference scenario."""
     scenario = load_scenario(SCENARIO)
     model = scenario.model
-    pol = neutral_policy(model, scenario.n_sellers, sigma)
+    pol = neutral_policy(model, len(scenario.sellers), sigma)
     table = market_table(scenario.sellers, scenario.costs, scenario.model.mu)
     return simulate_inventory(table, pol, model, simulate(model, periods, seed),
                               sigma)
@@ -305,7 +306,7 @@ def test_long_runs_match_reference_across_blocks():
 def test_long_curve_matches_reference_across_blocks():
     # 2,000 sellers and 4,000 grid points: three formatter blocks
     sellers, costs, mu, _, sigma_cap = random_market(1, 2000)
-    table = market_table(sellers, costs, mu)
+    table = market_table(seller_columns(sellers), costs, mu)
     ub = table.participation_ub(sigma_cap)
     curve = payoff_curve(table, np.linspace(0.0, 1.1 * ub, 4000), ub)
     assert 5 * curve.sigma.size > 2 * BLOCK_CELLS

@@ -59,26 +59,28 @@ class TestModelValidation:
 
 class TestSimulate:
     def test_shapes_and_seed(self):
+        # the path is the demand array alone; q = 2 presample shocks are
+        # drawn ahead of it from the seed's one stream
         m = DemandModel(10.0, TransferPoly([1.0, 0.5, 0.25]))
         path = simulate(m, 500, 11)
-        assert path.demands.shape == (500,)
-        assert path.shocks.shape == (502,)
-        assert path.seed == 11
+        assert isinstance(path, np.ndarray)
+        assert path.shape == (500,)
+        shocks = np.random.default_rng(11).standard_normal(502)
+        assert path[0] == pytest.approx(
+            10.0 + shocks[2] + 0.5 * shocks[1] + 0.25 * shocks[0], abs=1e-12)
 
     def test_deterministic_per_seed(self):
         m = iid_model()
         a = simulate(m, 200, 42)
         b = simulate(m, 200, 42)
         c = simulate(m, 200, 43)
-        np.testing.assert_array_equal(a.demands, b.demands)
-        assert not np.array_equal(a.demands, c.demands)
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_arrays_read_only(self):
         path = simulate(iid_model(), 50, 0)
         with pytest.raises(ValueError):
-            path.demands[0] = 99.0
-        with pytest.raises(ValueError):
-            path.shocks[0] = 99.0
+            path[0] = 99.0
 
     def test_rejects_empty_horizon(self):
         with pytest.raises(ValueError, match="horizon"):
@@ -89,20 +91,21 @@ class TestSimulate:
         m = DemandModel(7.0, TransferPoly([1.0, -0.4, 0.3]))
         path = simulate(m, 60, 5)
         q = 2
+        shocks = np.random.default_rng(5).standard_normal(60 + q)
         for t in range(60):
-            want = 7.0 + sum(m.psi.coeffs[k] * path.shocks[q + t - k]
+            want = 7.0 + sum(m.psi.coeffs[k] * shocks[q + t - k]
                              for k in range(q + 1))
-            assert path.demands[t] == pytest.approx(want, abs=1e-12)
+            assert path[t] == pytest.approx(want, abs=1e-12)
 
     def test_iid_moments_long_run(self):
         path = simulate(iid_model(15.0, 5.0), 100_000, 0)
-        assert abs(path.demands.mean() - 15.0) < 0.05
-        assert abs(path.demands.var() - 25.0) < 0.5
+        assert abs(path.mean() - 15.0) < 0.05
+        assert abs(path.var() - 25.0) < 0.5
 
     def test_ma1_lag_one_autocorrelation(self):
         m = DemandModel(10.0, TransferPoly([1.0, 0.8]))
         path = simulate(m, 100_000, 0)
-        d = path.demands - path.demands.mean()
+        d = path - path.mean()
         r1 = float(np.dot(d[:-1], d[1:]) / np.dot(d, d))
         assert abs(r1 - 0.8 / 1.64) < 0.01
 
@@ -145,6 +148,6 @@ class TestMarketForecastability:
         # invertible market filter; check the simulated path agrees
         m = DemandModel(10.0, TransferPoly([1.0, 0.8]))
         path = simulate(m, 100_000, 1)
-        pred = predict_streams([m.psi], path.demands[None], mean=m.mu)[0]
-        rmse = float(np.sqrt(np.mean((path.demands - pred) ** 2)))
+        pred = predict_streams([m.psi], path[None], mean=m.mu)[0]
+        rmse = float(np.sqrt(np.mean((path - pred) ** 2)))
         assert abs(rmse - 1.0) < 0.01

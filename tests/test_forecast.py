@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from demandalloc import (
     AllocationPolicy,
     DemandModel,
-    DemandPath,
     FBM,
     FBP,
     InsufficientHistory,
@@ -34,7 +33,8 @@ from demandalloc.forecast import (PREDICT_ROW_CAP, SES_MAX_ORDER,
                                   SES_MIN_LAMBDA, _innovations_rows,
                                   predict_streams, simulate_inventory)
 from oracles import (benchmark_targets, mp_root_msfe, mp_roots,
-                     ref_innovations_predict, ses_msfe_closed_form)
+                     ref_innovations_predict, seller_columns,
+                     ses_msfe_closed_form)
 from test_routing import relabelled_policy, routed_designs
 from test_seller import COSTS, SELLERS, TABLE
 
@@ -104,8 +104,8 @@ class TestInnovationsPredict:
     def test_empirical_error_matches_theory(self):
         model = DemandModel(10.0, TransferPoly([1.0, 0.6]))
         path = simulate(model, 20_000, 4)
-        pred = predict_streams([model.psi], path.demands[None], mean=model.mu)[0]
-        rmse = float(np.sqrt(np.mean((path.demands - pred) ** 2)))
+        pred = predict_streams([model.psi], path[None], mean=model.mu)[0]
+        rmse = float(np.sqrt(np.mean((path - pred) ** 2)))
         assert rmse == pytest.approx(1.0, rel=0.02)
 
     def test_no_series_gives_no_rows(self):
@@ -423,8 +423,8 @@ class TestSimulateInventory:
         # the designs routing tracks: neutral even and odd, lagged k = 1..3,
         # permuted and custom
         pol, model = pol_model
-        table = market_table(SELLERS[:pol.n_sellers], COSTS, model.mu)
-        path = DemandPath(np.array(demand, dtype=float), np.zeros(0), 0)
+        table = market_table(seller_columns(SELLERS[:pol.n_sellers]), COSTS, model.mu)
+        path = np.array(demand, dtype=float)
         start = pol.max_lag
         if len(demand) <= start:
             with pytest.raises(InsufficientHistory):
@@ -443,7 +443,7 @@ class TestSimulateInventory:
 
     @pytest.mark.parametrize("table_sellers", [1, 3])
     def test_table_of_another_market_is_rejected(self, table_sellers):
-        table = market_table(SELLERS[:table_sellers], COSTS, M5.mu)
+        table = market_table(seller_columns(SELLERS[:table_sellers]), COSTS, M5.mu)
         with pytest.raises(ValueError, match="policy has 2 sellers, market table"):
             simulate_inventory(table, neutral_policy(M5, 2, 5.0), M5,
                                simulate(M5, 50, 0), 1.0)

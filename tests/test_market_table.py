@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demandalloc import (DemandModel, DomainError, MarketTable, PlatformCosts,
@@ -23,10 +23,11 @@ from demandalloc import (DemandModel, DomainError, MarketTable, PlatformCosts,
                          payoff, payoff_curve, sigma_lower_bound)
 from demandalloc.cli import EXIT_INPUT, main
 from demandalloc.platform import _adopter_sums
-from oracles import (curve_points, ref_adoption_set, ref_breakpoints,
+from oracles import (Seller, curve_points, ref_adoption_set, ref_breakpoints,
                      ref_cumulative_utility, ref_mode_choice, ref_optimize,
-                     ref_payoff, ref_payoff_curve, ref_seller_utility,
-                     ref_sigma_participation_ub)
+                     ref_fractile_fault, ref_payoff, ref_payoff_curve,
+                     ref_seller_utility, ref_sigma_participation_ub,
+                     seller_columns)
 from test_seller import COSTS, MU, N, SELLERS, adopters
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,9 +52,9 @@ def random_market(seed: int, n: int):
                           delta_h=float(rng.uniform(0.0, 3.0)),
                           r=F + rho + float(rng.uniform(10.0, 80.0)))
     sellers = tuple(
-        SellerParams(h=float(rng.uniform(0.3, 3.0)),
-                     b=float(rng.uniform(H, 15.0)),
-                     f=float(rng.uniform(max(0.0, F - 3.0), F + 15.0)))
+        Seller(h=float(rng.uniform(0.3, 3.0)),
+               b=float(rng.uniform(H, 15.0)),
+               f=float(rng.uniform(max(0.0, F - 3.0), F + 15.0)))
         for _ in range(n))
     mu = n * float(rng.uniform(1.0, 10.0))
     sigma_l = float(rng.uniform(0.1, 3.0)) / n
@@ -72,7 +73,7 @@ def test_table_rules_match_scalar_reference(market):
     sellers, costs, mu, _, sigma_cap = random_market(seed, n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        table = market_table(sellers, costs, mu)
+        table = market_table(seller_columns(sellers), costs, mu)
         bps = table.breakpoints()
         assert bps == ref_breakpoints(sellers, costs, n, mu)
         ub = table.participation_ub(sigma_cap)
@@ -97,7 +98,7 @@ def test_utilities_and_adoption_match_scalar_utility(market, sigmas):
     sellers, costs, mu, _, _ = random_market(seed, n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        table = market_table(sellers, costs, mu)
+        table = market_table(seller_columns(sellers), costs, mu)
     masks = table.adopts(np.array(sigmas))
     for sigma, mask in zip(sigmas, masks):
         res = payoff(table, sigma)
@@ -127,7 +128,7 @@ def test_curve_and_optimum_match_scalar_reference(market, grid_points):
     sellers, costs, mu, sigma_l, sigma_cap = random_market(seed, n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        table = market_table(sellers, costs, mu)
+        table = market_table(seller_columns(sellers), costs, mu)
         ub = table.participation_ub(sigma_cap)
         grid = np.linspace(0.0, 1.1 * max(ub, 1e-3), grid_points)
         got = curve_points(payoff_curve(table, grid, ub))
@@ -165,10 +166,10 @@ def mixed_market(seed: int, n: int):
     mixed = list(sellers)
     for i, p in enumerate(sellers):
         if i % 3 == 1:
-            mixed[i] = SellerParams(h=costs.H, b=p.b, f=p.f)
+            mixed[i] = Seller(h=costs.H, b=p.b, f=p.f)
         elif i % 3 == 2:
-            mixed[i] = SellerParams(h=costs.H * float(rng.uniform(1.1, 3.0)), b=p.b,
-                                    f=costs.F * float(rng.uniform(0.0, 0.9)))
+            mixed[i] = Seller(h=costs.H * float(rng.uniform(1.1, 3.0)), b=p.b,
+                              f=costs.F * float(rng.uniform(0.0, 0.9)))
     return mixed, costs, mu
 
 
@@ -179,7 +180,7 @@ def test_sweep_matches_adoption_rule_point_by_point(market, grid_points):
     sellers, costs, mu = mixed_market(seed, n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        table = market_table(sellers, costs, mu)
+        table = market_table(seller_columns(sellers), costs, mu)
     assert n < 2 or (table.dK == 0).any()
     assert n < 3 or ((table.dK < 0) & (table.fixed < 0)).any()
     # every switching point fixed / dK and its float neighbours
@@ -202,13 +203,46 @@ def test_sweep_matches_adoption_rule_point_by_point(market, grid_points):
             assert np.all(np.abs(got - want.sum(axis=1)) <= 1e-12 * zeta_scale)
 
 
+_TINY, _HUGE = 5e-324, 1.5e308
+# costs at the edges of a fractile: subnormal (a tail underflows against a
+# normal cost), huge (h + b overflows at two of them) and b/h past 2**54
+# (the larger tail rounds to 1, the smaller one does not)
+_EDGE_COSTS = st.one_of(st.floats(0.5, 20.0),
+                        st.sampled_from([_TINY, 1e-310, 2.0 ** -60, _HUGE]))
+
+
+@given(st.lists(st.builds(Seller, h=_EDGE_COSTS, b=_EDGE_COSTS,
+                          f=st.just(20.0)), min_size=1, max_size=6),
+       st.one_of(st.floats(0.5, 5.0), st.sampled_from([_TINY, 2.0 ** -60])))
+@example([Seller(1.0, 2.0, 20.0)], 2.5)  # no fault
+@example([Seller(1.0, 2.0 ** 55, 20.0)], 2.0 ** 55)  # b/h past 2**54
+@example([Seller(_TINY, 9.0, 20.0)], 2.5)  # FBM, rounds to 1
+@example([Seller(1.0, 2.0, 20.0), Seller(0.8, _TINY, 20.0)], 2.5)  # FBP, 0
+@example([Seller(1.0, 12.0, 20.0)], _TINY)  # platform.H
+@example([Seller(_HUGE, _HUGE, 20.0)], 2.5)  # h + b overflows
+@example([Seller(1.0, _TINY, 20.0), Seller(_TINY, 9.0, 20.0)], 2.5)  # FBP, FBM
+@example([Seller(1.0, _TINY, 20.0), Seller(1.0, 2.0, 20.0),
+          Seller(1.0, _TINY, 20.0)], 2.5)  # two on the FBP side
+@settings(max_examples=200, deadline=None)
+def test_fractile_fault_is_named_as_by_the_one_at_a_time_scan(sellers, H):
+    costs = PlatformCosts(rho=15.0, F=10.0, H=H, delta_f=2.0, delta_h=2.0,
+                          r=100.0)
+    want = ref_fractile_fault(sellers, costs)
+    if want is None:
+        market_table(seller_columns(sellers), costs, 15.0)
+        return
+    with pytest.raises(DomainError) as raised:
+        market_table(seller_columns(sellers), costs, 15.0)
+    assert str(raised.value) == want
+
+
 def test_sweep_matches_adoption_rule_past_the_float_range():
     # sigma * dK overflows to inf from sigma = 1e8 on: an advantage of -inf
     # does not adopt, so adoption stays a prefix and the sweep agrees
     costs = PlatformCosts(rho=15.0, F=10.0, H=2e300, delta_f=2.0, delta_h=2.0,
                           r=100.0)
-    table = market_table([SellerParams(h=1e300, b=1e300, f=20.0),
-                          SellerParams(h=1.0, b=3e300, f=12.0)], costs, 1e300)
+    table = market_table(SellerParams(h=[1e300, 1.0], b=[1e300, 3e300],
+                                      f=[20.0, 12.0]), costs, 1e300)
     sigma = np.array([0.0, 1.0, 1e5, 1e8, 1e10, 1e300])
     for boundary in ("inclusive", "exclusive"):
         mask = table.adopts(sigma, boundary)
@@ -222,7 +256,7 @@ def test_curve_and_optimize_memory_grows_with_points_plus_sellers():
     # 2,000 sellers and 2,848 curve points: one (points x sellers) float
     # array would take 43 MiB
     sellers, costs, mu, sigma_l, sigma_cap = random_market(1, 2000)
-    table = market_table(sellers, costs, mu)
+    table = market_table(seller_columns(sellers), costs, mu)
     ub = table.participation_ub(sigma_cap)
     tracemalloc.start()
     try:
@@ -253,7 +287,7 @@ def k_calls(monkeypatch):
 
 
 def test_table_computes_each_coefficient_once(k_calls):
-    table = market_table(SELLERS, COSTS, MU)
+    table = market_table(seller_columns(SELLERS), COSTS, MU)
     assert len(k_calls) == 2 * N
     assert table.breakpoints() == ref_breakpoints(SELLERS, COSTS, N, MU)
 
@@ -320,8 +354,8 @@ def domain_violating_market(seed: int):
     n = int(rng.integers(3, 9))
     F = float(rng.uniform(5.0, 15.0))
     hs = rng.uniform(0.5, 2.5, size=n)
-    sellers = tuple(SellerParams(h=float(h), b=float(rng.uniform(0.5, 15.0)),
-                                 f=F + float(rng.uniform(0.5, 15.0)))
+    sellers = tuple(Seller(h=float(h), b=float(rng.uniform(0.5, 15.0)),
+                           f=F + float(rng.uniform(0.5, 15.0)))
                     for h in hs)
     costs = PlatformCosts(rho=float(rng.uniform(5.0, 20.0)), F=F,
                           H=float(hs.max() + rng.uniform(0.1, 2.0)),
@@ -345,7 +379,7 @@ class TestOptimizerDomain:
         best = max(ref_payoff(s, sellers, costs, n, model.mu).total
                    for s in grid.tolist())
         assert best > ref.star.total + 1.0
-        table = market_table(sellers, costs, model.mu)
+        table = market_table(seller_columns(sellers), costs, model.mu)
         with pytest.raises(DomainError, match=r"platform\.delta_h"):
             optimize(table, sigma_l, 1e6)
         # payoff and curve stay defined on such a market
@@ -354,18 +388,18 @@ class TestOptimizerDomain:
                             table.participation_ub(math.inf)).sigma.size
 
     def test_backorder_below_platform_holding_names_the_seller(self):
-        sellers = SELLERS[:3] + (SellerParams(h=1.0, b=2.0, f=20.0),)
+        sellers = SELLERS[:3] + (Seller(h=1.0, b=2.0, f=20.0),)
         model = DemandModel(MU, TransferPoly([5.0]))
         with pytest.raises(DomainError, match=r"sellers\[4\].*b = 2 < H = 2\.5"):
-            optimize(market_table(sellers, COSTS, MU),
+            optimize(market_table(seller_columns(sellers), COSTS, MU),
                      sigma_lower_bound(model, 4), 500.0)
 
     def test_zero_storage_rent_accepts_any_fractile(self):
         costs = PlatformCosts(rho=15.0, F=10.0, H=2.5, delta_f=2.0,
                               delta_h=0.0, r=100.0)
-        sellers = SELLERS[:3] + (SellerParams(h=1.0, b=2.0, f=20.0),)
+        sellers = SELLERS[:3] + (Seller(h=1.0, b=2.0, f=20.0),)
         model = DemandModel(MU, TransferPoly([5.0]))
-        sol = optimize(market_table(sellers, costs, MU),
+        sol = optimize(market_table(seller_columns(sellers), costs, MU),
                        sigma_lower_bound(model, 4), 500.0)
         assert sol.sigma_star == pytest.approx(sol.sigma_lower)
 

@@ -21,7 +21,7 @@ from demandalloc import (
     sigma_lower_bound,
     solution_document,
 )
-from oracles import curve_points
+from oracles import curve_points, seller_columns
 from test_seller import COSTS, MU, N, SELLERS, TABLE
 
 MODEL = DemandModel(MU, TransferPoly([5.0]))
@@ -53,10 +53,10 @@ class TestBreakpoints:
     def test_no_breakpoint_when_holding_advantage_vanishes(self):
         # H = h makes the two modes' inventory coefficients equal, so the
         # adoption margin never crosses zero in sigma
-        s = SellerParams(h=2.5, b=10.0, f=20.0)
+        s = SellerParams(h=[2.5], b=[10.0], f=[20.0])
         costs = PlatformCosts(rho=15.0, F=10.0, H=2.5, delta_f=2.0,
                               delta_h=2.0, r=100.0)
-        assert market_table([s], costs, MU).breakpoints() == []
+        assert market_table(s, costs, MU).breakpoints() == []
 
 
 class TestPayoff:
@@ -78,7 +78,7 @@ class TestPayoff:
     def test_flat_when_platform_margins_vanish(self):
         costs = PlatformCosts(rho=15.0, F=10.0, H=2.5, delta_f=0.0,
                               delta_h=0.0, r=100.0)
-        table = market_table(SELLERS, costs, MU)
+        table = market_table(seller_columns(SELLERS), costs, MU)
         for s in (0.5, 2.0, 7.0, 12.0):
             assert payoff(table, s).total == pytest.approx(
                 15.0 * MU, rel=1e-12)
@@ -127,7 +127,7 @@ class TestOptimize:
         assert self.solution.star.total >= best - 1e-9 * abs(best)
 
     def test_two_seller_market(self):
-        sellers = (SellerParams(0.6, 12.0, 24.5), SellerParams(2.0, 12.0, 12.5))
+        sellers = SellerParams(h=[0.6, 2.0], b=[12.0, 12.0], f=[24.5, 12.5])
         model = DemandModel(10.0, TransferPoly([4.0]))
         table = market_table(sellers, COSTS, 10.0)
         sol = optimize(table, sigma_lower_bound(model, 2), 10_000.0)
@@ -138,7 +138,8 @@ class TestOptimize:
     def test_zero_storage_rent_prefers_the_floor(self):
         costs = PlatformCosts(rho=15.0, F=10.0, H=2.5, delta_f=2.0,
                               delta_h=0.0, r=100.0)
-        sol = optimize(market_table(SELLERS, costs, MU), SIGMA_L, SIGMA_CAP)
+        sol = optimize(market_table(seller_columns(SELLERS), costs, MU), SIGMA_L,
+                       SIGMA_CAP)
         assert sol.sigma_star == pytest.approx(sol.sigma_lower)
 
     def test_empty_feasible_set(self):

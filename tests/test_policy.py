@@ -9,7 +9,6 @@ from demandalloc import (
     AllocationPolicy,
     BelowLowerBound,
     DemandModel,
-    DemandPath,
     Infeasible,
     InsufficientHistory,
     TransferPoly,
@@ -23,6 +22,7 @@ from demandalloc import (
     simulate,
 )
 from demandalloc.forecast import simulate_inventory
+from oracles import seller_columns
 from test_seller import COSTS, SELLERS
 
 M5 = DemandModel(20.0, TransferPoly([5.0]))
@@ -199,9 +199,8 @@ class TestNeutralityCheck:
 def ex_post(pol, demands):
     """The allocation that `simulate` replays along a path: allocations and
     start_period of simulate_inventory on a market of pol's size."""
-    table = market_table(SELLERS[:pol.n_sellers], COSTS, M5.mu)
-    path = DemandPath(np.asarray(demands, dtype=float), np.zeros(0), 0)
-    run = simulate_inventory(table, pol, M5, path, 5.0)
+    table = market_table(seller_columns(SELLERS[:pol.n_sellers]), COSTS, M5.mu)
+    run = simulate_inventory(table, pol, M5, np.asarray(demands, dtype=float), 5.0)
     return run.allocations, run.start_period
 
 
@@ -218,15 +217,15 @@ class TestExPost:
         for pol in (neutral_policy(M5, 2, 5.0),
                     neutral_policy(M5, 5, 3.0),
                     lagged_variant(M5, 4, 4.0, k=2)):
-            allocations, start = ex_post(pol, path.demands)
+            allocations, start = ex_post(pol, path)
             np.testing.assert_allclose(allocations.sum(axis=0),
-                                       path.demands[start:], atol=1e-9)
+                                       path[start:], atol=1e-9)
 
     def test_requires_enough_history(self):
         pol = lagged_variant(M5, 2, 5.0, k=3)
         path = simulate(M5, 3, 0)
         with pytest.raises(InsufficientHistory, match="at least 4 periods"):
-            ex_post(pol, path.demands)
+            ex_post(pol, path)
 
 
 class TestDesignProperties:

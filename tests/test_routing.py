@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from demandalloc import (
     AllocationPolicy,
     DemandModel,
-    DemandPath,
     TransferPoly,
     benchmark_offsets,
     export_assignment_log,
@@ -48,8 +47,7 @@ def period_offsets(N, sigma, d_prev, d_prev2, sigma_l=SIGMA_L):
 
 
 def path_of(demands):
-    return DemandPath(demands=np.asarray(demands, dtype=float),
-                      shocks=np.zeros(0), seed=0)
+    return np.asarray(demands, dtype=float)
 
 
 def relabelled_policy(policy, perm):
@@ -292,10 +290,10 @@ class TestRoutePath:
 
     @pytest.mark.parametrize("demand", [1e19, 2.0 ** 63, 1e300, float("inf")])
     def test_integerize_demand_refuses_int64_overflow(self, demand):
-        path = DemandPath(np.array([3.0, -1e300, demand]), np.zeros(0), 0)
+        path = np.array([3.0, -1e300, demand])
         with pytest.raises(ValueError, match=r"period 2 is .*below 2\*\*63"):
             integerize_demand(path)
-        ok = DemandPath(np.array([3.0, -1e300, 2.0 ** 63 - 1024]), np.zeros(0), 0)
+        ok = np.array([3.0, -1e300, 2.0 ** 63 - 1024])
         assert integerize_demand(ok).tolist() == [3, 0, 2 ** 63 - 1024]
 
 

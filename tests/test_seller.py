@@ -26,9 +26,10 @@ from demandalloc import (
     std_normal_loss,
     std_normal_quantile,
 )
-from oracles import (mp_cdf, mp_inventory_k, mp_quantile,
-                     ref_cumulative_utility, ref_inventory_coefficient,
-                     ref_mode_economics, ref_seller_utility)
+from oracles import (Seller, mp_cdf, mp_inventory_k, mp_quantile,
+                     ref_check_cost_assumptions, ref_cumulative_utility,
+                     ref_inventory_coefficient, ref_mode_economics,
+                     ref_seller_utility, seller_columns)
 
 # 50-digit reference values, frozen from tests/oracles.py.
 ZETA_12_126 = 1.668391193946766     # quantile(12 / 12.6)
@@ -52,22 +53,22 @@ REFERENCE_K = {
 }
 
 SELLERS = (
-    SellerParams(0.6, 12.0, 24.50),
-    SellerParams(0.8, 9.0, 24.40),
-    SellerParams(0.9, 13.0, 23.10),
-    SellerParams(1.1, 8.0, 22.30),
-    SellerParams(1.2, 11.0, 21.40),
-    SellerParams(1.5, 10.0, 20.00),
-    SellerParams(1.7, 9.0, 18.80),
-    SellerParams(2.0, 12.0, 12.50),
-    SellerParams(2.0, 13.0, 11.90),
-    SellerParams(2.1, 11.0, 10.48),
+    Seller(0.6, 12.0, 24.50),
+    Seller(0.8, 9.0, 24.40),
+    Seller(0.9, 13.0, 23.10),
+    Seller(1.1, 8.0, 22.30),
+    Seller(1.2, 11.0, 21.40),
+    Seller(1.5, 10.0, 20.00),
+    Seller(1.7, 9.0, 18.80),
+    Seller(2.0, 12.0, 12.50),
+    Seller(2.0, 13.0, 11.90),
+    Seller(2.1, 11.0, 10.48),
 )
 COSTS = PlatformCosts(rho=15.0, F=10.0, H=2.5, delta_f=2.0, delta_h=2.0, r=100.0)
 MU = 15.0
 N = 10
 SIGMA_STAR = 8.867803761159964
-TABLE = market_table(SELLERS, COSTS, MU)
+TABLE = market_table(seller_columns(SELLERS), COSTS, MU)
 
 
 def adopters(table, sigma, boundary="inclusive") -> set:
@@ -288,7 +289,7 @@ class TestSellerUtility:
         with pytest.raises(DomainError):
             payoff(TABLE, -1.0)
         with pytest.raises(DomainError, match="mu_share"):
-            market_table(SELLERS, COSTS, 0.0)
+            market_table(seller_columns(SELLERS), COSTS, 0.0)
 
 
 class TestModeChoice:
@@ -355,22 +356,22 @@ class TestParticipationBound:
         # scale (h, b) = (0.6, 12) so both coefficients equal 1; the bound
         # is then just the better of the two margins on the mean share
         c = 1.0 / K_06_12
-        s = SellerParams(h=0.6 * c, b=12.0 * c, f=75.0)
+        s = SellerParams(h=[0.6 * c], b=[12.0 * c], f=[75.0])
         costs = PlatformCosts(rho=15.0, F=65.0, H=0.6 * c,
                               delta_f=0.0, delta_h=0.0, r=100.0)
-        table = market_table([s], costs, 1.0)
+        table = market_table(s, costs, 1.0)
         assert table.k_fbm[0] == pytest.approx(1.0, abs=1e-9)
         assert table.k_fbp[0] == pytest.approx(1.0, abs=1e-9)
         ub = table.participation_ub(1e6)
         assert ub == pytest.approx(20.0, abs=1e-9)
 
     def test_all_margins_negative_gives_zero(self):
-        s = SellerParams(h=0.6, b=12.0, f=90.0)
+        s = SellerParams(h=[0.6], b=[12.0], f=[90.0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             costs = PlatformCosts(rho=15.0, F=88.0, H=2.5,
                                   delta_f=0.0, delta_h=0.0, r=100.0)
-            assert market_table([s], costs, 1.0).participation_ub(1e6) == 0.0
+            assert market_table(s, costs, 1.0).participation_ub(1e6) == 0.0
 
     def test_cap_binds_with_warning(self):
         with pytest.warns(UserWarning, match="cap"):
@@ -386,16 +387,38 @@ class TestCostAssumptions:
     def test_reference_market_clean(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert check_cost_assumptions(SELLERS, COSTS) == []
+            assert check_cost_assumptions(seller_columns(SELLERS), COSTS) == []
 
     def test_violations_reported_with_indices(self):
         bad = PlatformCosts(rho=15.0, F=20.0, H=1.0, delta_f=2.0,
                             delta_h=2.0, r=100.0)
         with pytest.warns(UserWarning):
-            messages = check_cost_assumptions(SELLERS, bad)
+            messages = check_cost_assumptions(seller_columns(SELLERS), bad)
         # F=20 beats sellers 8..10 whose f < 20; H=1 sits below h for 5..10
         assert any("seller 10" in m and "fulfillment" in m for m in messages)
         assert any("seller 6" in m and "holding" in m for m in messages)
+
+    @given(st.lists(st.sampled_from(["neither", "F", "H", "both"]), min_size=1,
+                    max_size=12), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_messages_match_the_per_seller_loop(self, kinds, data):
+        # sellers that trip neither rule, F > f only, H < h only, or both;
+        # f = F and h = H trip nothing
+        F, H = COSTS.F, COSTS.H
+        sellers = [Seller(
+            h=data.draw(st.floats(H, 9.0, exclude_min=True) if kind in ("H", "both")
+                        else st.floats(0.1, H)),
+            b=data.draw(st.floats(0.5, 20.0)),
+            f=data.draw(st.floats(0.0, F, exclude_max=True) if kind in ("F", "both")
+                        else st.floats(F, 40.0)))
+            for kind in kinds]
+        want = ref_check_cost_assumptions(sellers, COSTS)
+        assert len(want) == sum(1 + (kind == "both") for kind in kinds
+                                if kind != "neither")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert check_cost_assumptions(seller_columns(sellers), COSTS) == want
+        assert [str(w.message) for w in caught] == want
 
     def test_market_table_adds_no_second_holding_warning(self):
         # H = 1 below h of sellers 4..10 makes their dK negative; that is
@@ -404,30 +427,49 @@ class TestCostAssumptions:
                                       delta_h=2.0, r=100.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = market_table(SELLERS, cheap_storage, 150.0)
+            table = market_table(seller_columns(SELLERS), cheap_storage, 150.0)
         assert np.flatnonzero(table.dK < 0).tolist() == [
             i for i, p in enumerate(SELLERS) if p.h > cheap_storage.H]
 
     def test_thin_margin_warns_at_construction(self):
-        with pytest.warns(UserWarning, match="margin"):
+        with pytest.warns(UserWarning, match="margin") as caught:
             PlatformCosts(rho=90.0, F=10.0, H=2.5, delta_f=2.0,
                           delta_h=2.0, r=100.0)
+        # the warning points at the line that built the costs
+        assert [w.filename for w in caught] == [__file__]
 
 
 class TestParamValidation:
     def test_seller_params(self):
-        with pytest.raises(DomainError):
-            SellerParams(0.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            SellerParams(1.0, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            SellerParams(1.0, 1.0, -0.5)
+        # one check of the columns names the first seller at fault
+        ok = [1.0, 1.0, 1.0]
+        for column, message in (("h", "holding and backorder"),
+                                ("b", "holding and backorder"),
+                                ("f", "fulfillment")):
+            bad = dict(h=ok, b=ok, f=ok)
+            bad[column] = [1.0, -0.5 if column == "f" else 0.0, -1.0]
+            with pytest.raises(DomainError, match=rf"^sellers\[2\]: {message}"):
+                SellerParams(**bad)
+        with pytest.raises(DomainError, match=r"^sellers\[1\]: holding"):
+            SellerParams([0.0], [1.0], [-1.0])  # h and b before f
+        with pytest.raises(ValueError, match="columns"):
+            SellerParams(1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            SellerParams([1.0], [1.0, 2.0], [1.0])
+
+    def test_columns_are_read_only_floats(self):
+        params = SellerParams([1, 2], [3.5, 4], [0, 5])
+        assert len(params) == 2
+        for column in (params.h, params.b, params.f):
+            assert column.dtype == float
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 9.0
 
     def test_nan_fails_the_domain_checks(self):
         nan = float("nan")
         for args in ((nan, 1.0, 1.0), (1.0, nan, 1.0), (1.0, 1.0, nan)):
-            with pytest.raises(DomainError):
-                SellerParams(*args)
+            with pytest.raises(DomainError, match=r"sellers\[2\]"):
+                SellerParams(*zip((1.0, 1.0, 1.0), args))
         with pytest.raises(DomainError, match="delta_h"):
             PlatformCosts(rho=15.0, F=10.0, H=2.5, delta_f=2.0,
                           delta_h=nan, r=100.0)
