@@ -15,7 +15,7 @@ from .platform import (Curve, EmptyFeasibleSet, PayoffResult,
                        payoff_curve, solution_document)
 from .policy import (AllocationPolicy, BelowLowerBound, Infeasible,
                      InsufficientHistory, benchmark_offsets, lagged_variant,
-                     neutral_policy, seller_filter, sigma_lower_bound,
+                     neutral_policy, seller_filters, sigma_lower_bound,
                      uniform_policy)
 from .polyalg import (Factorization, NumericalInstability,
                       TransferPoly, ZeroPolynomial, inner_outer_factor,
@@ -46,7 +46,7 @@ __all__ = [
     "leadtime_msfe", "market_table",
     "neutral_policy", "optimize", "payoff", "payoff_curve",
     "poly_mul", "poly_roots", "prob_negative", "root_msfe", "route_orders",
-    "route_path", "seller_filter",
+    "route_path", "seller_filters",
     "ses_truncated_weights", "sigma_lower_bound", "simulate",
     "solution_document", "std_normal_cdf", "std_normal_loss",
     "std_normal_quantile", "uniform_policy", "variance",

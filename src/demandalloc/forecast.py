@@ -9,8 +9,10 @@ seller filter's outer factor (polyalg.inner_outer_factor, any admissible
 design).  The model of the `simulate` command (simulate_inventory)
 allocates the path through policy.benchmark_offsets (the one replay of a
 design along a path, which routing tracks too), predicts every seller's
-stream in one pass of predict_streams, costs out stocks as (N, T) arrays and
-raises NumericalInstability on a non-finite summary, with its CSV written by
+stream in one pass of predict_streams with the filters of the design's
+distinct transfer rows (policy.seller_filters) gathered to the sellers by
+index, costs out stocks as (N, T) arrays and raises NumericalInstability on
+a non-finite filter or summary, with its CSV written by
 the exact block formatter of csvtext (export_simulation).  Every per-seller
 economic quantity comes from a seller.MarketTable built once by the caller.
 """
@@ -26,7 +28,7 @@ import numpy as np
 from .csvtext import BLOCK_CELLS, _format_rows
 from .demand import DemandModel
 from .policy import (AllocationPolicy, InsufficientHistory, benchmark_offsets,
-                     seller_filter)
+                     seller_filters)
 from .polyalg import TRIM_TOL, NumericalInstability, TransferPoly, as_poly
 from .seller import FBM, FBP, MarketTable, base_stock
 
@@ -75,43 +77,47 @@ def _innovations_rows(coeffs: np.ndarray, steps: int):
     return theta, v
 
 
-def predict_streams(filters, series, mean: float = 0.0) -> np.ndarray:
+def predict_streams(filters, index, series, mean: float = 0.0) -> np.ndarray:
     """One-step-ahead predictions of N series at once, shape (N, T).
 
     Series n (row n of `series`, which must be (N, T)) is predicted with the
-    innovations recursion of filters[n], from its observations before t
-    alone.  The rows are built once per distinct filter (same coefficient
-    bytes), padded with zeros to the largest degree q and repeated past their
-    own settle point, so once every filter has settled the (q, N) weights are
-    one fixed array.  Each period is then three numpy calls into preallocated
-    arrays (weights times the q past innovations, a sum over the lags into
-    the prediction, the new innovation), and every element sees the same
-    float operations, in the same order j = 1..q, as a one-series scalar
-    loop: the results are bit for bit those of that loop.  Degree-0 filters
-    predict the mean.  ValueError unless `series` is (N, T) with one filter
-    per series.
+    innovations recursion of filters[index[n]], from its observations before
+    t alone.  The rows are built once per filter, padded with zeros to the
+    largest degree q and repeated past their own settle point, then gathered
+    to the series by index, so once every filter has settled the (q, N)
+    weights are one fixed array.  Each period is then three numpy calls into
+    preallocated arrays (weights times the q past innovations, a sum over
+    the lags into the prediction, the new innovation), and every element
+    sees the same float operations, in the same order j = 1..q, as a
+    one-series scalar loop: the results are bit for bit those of that loop.
+    Degree-0 filters predict the mean.  ValueError unless `series` is
+    (N, T) with one index into `filters` per series.
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 2:
         raise ValueError(f"series must be (N, T), got shape {series.shape}")
     N, T = series.shape
     filters = [as_poly(f) for f in filters]
-    if len(filters) != N:
-        raise ValueError(f"{len(filters)} filters for {N} series")
-    distinct = {f.coeffs.tobytes(): f for f in filters}
-    rows = {key: _innovations_rows(f.coeffs, min(T, PREDICT_ROW_CAP))[0][:, 1:]
-            for key, f in distinct.items()}
+    index = np.asarray(index, dtype=np.intp)
+    if index.shape != (N,) or not np.all((index >= 0) & (index < len(filters))):
+        raise ValueError(f"need one index into the {len(filters)} filters for "
+                         f"each of {N} series, got {index.size}")
+    rows = [_innovations_rows(f.coeffs, min(T, PREDICT_ROW_CAP))[0][:, 1:]
+            for f in filters]
     q = max((f.degree for f in filters), default=0)
     # A lone series gets a zero partner: with two or more columns the series
     # axis is numpy's inner loop, so the sum over lags adds row by row,
     # j = 1..q (one column would be summed pairwise).
     W = max(N, 2)
-    # theta[r, j - 1, n]: weight of the innovation j steps back at row r
-    theta = np.zeros((max((r.shape[0] for r in rows.values()), default=1), q, W))
-    for n, f in enumerate(filters):
-        r = rows[f.coeffs.tobytes()]
-        theta[:r.shape[0], :r.shape[1], n] = r
-        theta[r.shape[0]:, :r.shape[1], n] = r[-1]
+    # by_filter[r, j - 1, i]: weight of the innovation j steps back at row r
+    # of filters[i]; the last column is the zero partner's
+    by_filter = np.zeros((max((r.shape[0] for r in rows), default=1), q,
+                          len(filters) + 1))
+    for i, r in enumerate(rows):
+        by_filter[:r.shape[0], :r.shape[1], i] = r
+        by_filter[r.shape[0]:, :r.shape[1], i] = r[-1]
+    theta = np.take(by_filter, np.concatenate(
+        (index, np.full(W - N, len(filters), dtype=np.intp))), axis=2)
     # innovations time-reversed: buf[T - 1 - t] is the one at index t, and
     # the q rows past T stay zero, so the lags j = 1..q at index t are the
     # forward slice buf[T - t:T - t + q].  Row T - 1 - t holds the centred
@@ -239,9 +245,9 @@ def simulate_inventory(table: MarketTable, alloc_policy: AllocationPolicy,
     each period.  Seller n gets mu/N + (D_t - mu)/N + b[t, n-1], with b
     from policy.benchmark_offsets, from period start_period = max_lag on
     (InsufficientHistory on a shorter path).  Raises NumericalInstability
-    naming sigma when a summary number is not finite, as when sigma
-    overflows the predictor.  ValueError when the table and the policy
-    count different sellers."""
+    naming sigma when a seller filter or a summary number is not finite, as
+    when sigma overflows the predictor.  ValueError when the table and the
+    policy count different sellers."""
     if alloc_policy.n_sellers != table.N:
         raise ValueError(f"policy has {alloc_policy.n_sellers} sellers, "
                          f"market table {table.N}")
@@ -258,9 +264,12 @@ def simulate_inventory(table: MarketTable, alloc_policy: AllocationPolicy,
     alloc = np.ascontiguousarray(
         (share[:, None] + benchmark_offsets(alloc_policy, model, demands)[start:]).T)
     fbp = table.adopts(sigma)
-    filters = [seller_filter(alloc_policy, model, n)
-               for n in range(1, N + 1)]
-    pred = predict_streams(filters, alloc, mean=model.mu / table.N)
+    try:
+        filters, index = seller_filters(alloc_policy, model)
+    except NumericalInstability as exc:
+        raise NumericalInstability(
+            f"simulation at sigma = {sigma:g} overflows: {exc}") from exc
+    pred = predict_streams(filters, index, alloc, mean=model.mu / table.N)
     zeta = np.where(fbp, table.zeta_fbp, table.zeta_fbm)[:, None]
     stock = base_stock(pred, sigma, zeta)
     h_bar = np.where(fbp, table.costs.H, table.h)[:, None]

@@ -5,7 +5,10 @@ per-seller transfers T_n keep the contemporaneous share uniform (T_n(0) = 1)
 and sum to N so the sellers' streams add back to market demand.  Neutral
 policies give every seller the same mean share and the same root MSFE; the
 designs here hit any target sigma at or above the lower bound |psi(0)|/N
-using one or two lags of memory.  The transfer structure lives only here:
+using one or two lags of memory, and have one to three distinct transfer
+rows at any N.  A design is one (N, L+1) transfer matrix, so the work that
+depends on a transfer (seller_filters) runs once per distinct row and is
+gathered to the sellers by index.  The transfer structure lives only here:
 routing and forecasting read it from the policy they are given.
 """
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import numpy as np
 
 from .demand import DemandModel
-from .polyalg import TransferPoly, as_poly, poly_mul
+from .polyalg import TRIM_TOL, NumericalInstability, TransferPoly
 
 ADMISSIBILITY_TOL = 1e-10
 
@@ -40,35 +43,48 @@ class InsufficientHistory(ValueError):
 
 
 class AllocationPolicy:
-    """A design is its per-seller transfer polynomials.
+    """A design is its (N, L+1) transfer matrix: row n - 1 holds seller n's
+    transfer T_n, low order first, and N is the row count.
 
     Transfers follow the normalized convention: T_n(0) = 1 for every seller
-    and sum(T_n) = N coefficient-wise.  Construction validates both.
+    and the rows sum to N coefficient-wise.  Construction trims each row as
+    TransferPoly does (trailing |c| < TRIM_TOL become exact zeros, and
+    all-zero trailing columns go), so a row means what TransferPoly(row)
+    means, and validates both; `transfers` is read-only.
     """
 
-    __slots__ = ("n_sellers", "transfers")
+    __slots__ = ("transfers",)
 
-    def __init__(self, n_sellers: int, transfers) -> None:
-        if n_sellers < 1:
-            raise ValueError("need at least one seller")
-        transfers = tuple(as_poly(t) for t in transfers)
-        if len(transfers) != n_sellers:
-            raise ValueError("one transfer per seller required")
-        for t in transfers:
-            if abs(t.coeffs[0] - 1.0) > ADMISSIBILITY_TOL:
-                raise ValueError("each transfer must have T_n(0) = 1")
-        excess = np.zeros(max(len(t) for t in transfers))
-        for t in transfers:
-            excess[:len(t)] += t.coeffs
-        excess[0] -= n_sellers
+    def __init__(self, transfers) -> None:
+        t = np.array(transfers, dtype=float)
+        if t.ndim != 2 or 0 in t.shape:
+            raise ValueError("need at least one seller: transfers must be an "
+                             f"(N, L+1) matrix, got shape {t.shape}")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("coeffs must be finite")
+        big = np.abs(t) >= TRIM_TOL
+        big[:, 0] = True
+        # each row up to its last coefficient at or above TRIM_TOL
+        keep = np.logical_or.accumulate(big[:, ::-1], axis=1)[:, ::-1]
+        t = np.where(keep, t, 0.0)[:, keep.any(axis=0)].copy()
+        if np.any(np.abs(t[:, 0] - 1.0) > ADMISSIBILITY_TOL):
+            raise ValueError("each transfer must have T_n(0) = 1")
+        # a running sum down the rows, seller by seller (a pairwise
+        # reduction would move the last bits)
+        excess = np.cumsum(t, axis=0)[-1]
+        excess[0] -= t.shape[0]
         if np.max(np.abs(excess)) > ADMISSIBILITY_TOL:
             raise ValueError("transfers must sum to N coefficient-wise (admissibility)")
-        self.n_sellers = int(n_sellers)
-        self.transfers = transfers
+        t.flags.writeable = False
+        self.transfers = t
+
+    @property
+    def n_sellers(self) -> int:
+        return self.transfers.shape[0]
 
     @property
     def max_lag(self) -> int:
-        return max(t.degree for t in self.transfers)
+        return self.transfers.shape[1] - 1
 
     def __repr__(self) -> str:
         return f"AllocationPolicy(N={self.n_sellers}, max_lag={self.max_lag})"
@@ -76,7 +92,7 @@ class AllocationPolicy:
 
 def uniform_policy(N: int) -> AllocationPolicy:
     """Every seller receives the stream psi/N: T_n = 1."""
-    return AllocationPolicy(N, [TransferPoly([1.0]) for _ in range(N)])
+    return AllocationPolicy(np.ones((N, 1)))
 
 
 def sigma_lower_bound(model: DemandModel, N: int) -> float:
@@ -114,11 +130,11 @@ def neutral_policy(model: DemandModel, N: int, sigma_target: float) -> Allocatio
     if N == 1:
         raise Infeasible("a single seller always carries the full market MSFE")
     if N % 2 == 0:
-        roles = _alternating(alpha, 1, 1, N)
-    else:
-        roles = [TransferPoly([1.0, alpha, alpha]), TransferPoly([1.0, 0.0, -alpha])]
-        roles += _alternating(alpha, 1, 3, N)
-    return AllocationPolicy(N, roles)
+        return AllocationPolicy(_alternating(alpha, 1, N))
+    transfers = np.zeros((N, 3))
+    transfers[:, :2] = _alternating(alpha, 1, N)
+    transfers[:2] = [[1.0, alpha, alpha], [1.0, 0.0, -alpha]]
+    return AllocationPolicy(transfers)
 
 
 def lagged_variant(model: DemandModel, N: int, sigma_target: float,
@@ -131,21 +147,32 @@ def lagged_variant(model: DemandModel, N: int, sigma_target: float,
     sigma_l, alpha = _check_target(model, N, sigma_target)
     if sigma_target == sigma_l:
         return uniform_policy(N)
-    return AllocationPolicy(N, _alternating(alpha, k, 1, N))
+    return AllocationPolicy(_alternating(alpha, k, N))
 
 
-def _alternating(alpha, k, first, last):
-    """Transfers 1 + (-1)^n a z^k of sellers first..last."""
-    return [TransferPoly([1.0] + [0.0] * (k - 1) + [(-1.0) ** n * alpha])
-            for n in range(first, last + 1)]
+def _alternating(alpha, k, N):
+    """(N, k + 1) transfers 1 + (-1)^n a z^k of sellers n = 1..N."""
+    transfers = np.zeros((N, k + 1))
+    transfers[:, 0] = 1.0
+    transfers[:, k] = alpha
+    transfers[::2, k] = -alpha
+    return transfers
 
 
-def seller_filter(policy: AllocationPolicy, model: DemandModel, n: int) -> TransferPoly:
-    """Seller n's demand filter psi_n = (psi * T_n) / N; n is 1-based."""
-    if not 1 <= n <= policy.n_sellers:
-        raise IndexError(f"seller index {n} outside 1..{policy.n_sellers}")
-    product = poly_mul(model.psi, policy.transfers[n - 1])
-    return TransferPoly(product.coeffs / policy.n_sellers)
+def seller_filters(policy: AllocationPolicy, model: DemandModel):
+    """The demand filters psi_n = (psi * T_n) / N of the design's distinct
+    transfer rows, and the index of each seller's: seller n's filter is
+    filters[index[n - 1]].  Rows are told apart by their bytes, so rows that
+    differ only in a zero's sign get a filter each.  NumericalInstability
+    when a filter coefficient overflows."""
+    t = policy.transfers
+    keys = t.view(np.dtype((np.void, t.itemsize * t.shape[1])))[:, 0]
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    products = [np.convolve(model.psi.coeffs, np.trim_zeros(row, "b")) / t.shape[0]
+                for row in t[first]]
+    if not all(np.isfinite(p).all() for p in products):
+        raise NumericalInstability("a seller filter psi T_n / N is not finite")
+    return [TransferPoly(p) for p in products], index
 
 
 def benchmark_offsets(policy: AllocationPolicy, model: DemandModel,
@@ -161,9 +188,7 @@ def benchmark_offsets(policy: AllocationPolicy, model: DemandModel,
     """
     dev = np.asarray(demands, dtype=float) - model.mu
     N = policy.n_sellers
-    lags = np.zeros((N, policy.max_lag + 1))
-    for i, t_poly in enumerate(policy.transfers):
-        lags[i, :len(t_poly)] = t_poly.coeffs / N
+    lags = policy.transfers / N
     offsets = np.zeros((dev.size, N))
     for k in range(1, min(policy.max_lag, dev.size - 1) + 1):
         offsets[k:] += dev[:-k, None] * lags[:, k]

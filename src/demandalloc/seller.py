@@ -311,17 +311,27 @@ def market_table(sellers, costs: PlatformCosts, mu: float) -> MarketTable:
 
 
 def check_cost_assumptions(sellers, costs: PlatformCosts) -> list:
-    """Warn (and list messages) where platform fulfillment is not weakly
-    cheaper (F <= f_n) or platform holding not weakly dearer (H >= h_n),
-    which is where dK_n < 0: K grows strictly with the holding cost."""
-    messages = []
-    for n in np.flatnonzero((costs.F > sellers.f) | (costs.H < sellers.h)).tolist():
-        if costs.F > sellers.f[n]:
-            messages.append(f"seller {n + 1}: platform fulfillment cost F={costs.F:g} "
-                            f"exceeds own cost f={sellers.f[n]:g}")
-        if costs.H < sellers.h[n]:
-            messages.append(f"seller {n + 1}: platform holding cost H={costs.H:g} "
-                            f"below own cost h={sellers.h[n]:g}")
-    for msg in messages:
-        warnings.warn(msg, stacklevel=2)
+    """List the messages of every seller where platform fulfillment is not
+    weakly cheaper (F <= f_n) or platform holding not weakly dearer
+    (H >= h_n), which is where dK_n < 0: K grows strictly with the holding
+    cost.  Warns once per rule that trips, with the first such seller's
+    message and the count of the others."""
+    tripped_f, tripped_h = costs.F > sellers.f, costs.H < sellers.h
+
+    def fulfillment(n):
+        return (f"seller {n + 1}: platform fulfillment cost F={costs.F:g} "
+                f"exceeds own cost f={sellers.f[n]:g}")
+
+    def holding(n):
+        return (f"seller {n + 1}: platform holding cost H={costs.H:g} "
+                f"below own cost h={sellers.h[n]:g}")
+
+    rules = ((tripped_f, fulfillment), (tripped_h, holding))
+    messages = [message(n) for n in np.flatnonzero(tripped_f | tripped_h).tolist()
+                for tripped, message in rules if tripped[n]]
+    for tripped, message in rules:
+        hits = np.flatnonzero(tripped)
+        if hits.size:
+            more = f" (and {hits.size - 1} more sellers)" if hits.size > 1 else ""
+            warnings.warn(message(hits[0]) + more, stacklevel=2)
     return messages

@@ -14,6 +14,14 @@ innovations rows (with their settle rule) and row cap from
 demandalloc.forecast, so it checks the batching (padding, row reuse,
 summation order) and nothing else.
 
+The per-seller design references (ref_policy_transfers, ref_seller_filter,
+ref_benchmark_offsets) are the one-TransferPoly-per-seller form of a design
+that the package replaced with one transfer matrix: each row built and
+checked as a TransferPoly, each seller's filter one poly_mul, each row's
+lags copied one at a time.  They take TransferPoly and poly_mul from
+demandalloc.polyalg and the admissibility tolerance from demandalloc.policy,
+so they check the matrix path and nothing else.
+
 The scalar seller/platform reference at the end is the per-seller loop form
 of mode economics, utilities, adoption, breakpoints, participation, payoff,
 the optimizer and the payoff curve that the package replaced with its
@@ -67,7 +75,8 @@ import numpy as np
 from demandalloc import cli
 from demandalloc.forecast import PREDICT_ROW_CAP, _innovations_rows
 from demandalloc.platform import SIDES, PayoffResult, PlatformSolution
-from demandalloc.polyalg import DEFAULT_BOUNDARY_TOL
+from demandalloc.policy import ADMISSIBILITY_TOL
+from demandalloc.polyalg import DEFAULT_BOUNDARY_TOL, TransferPoly, poly_mul
 from demandalloc.seller import DomainError, SellerParams, inventory_coefficient
 
 
@@ -237,6 +246,44 @@ def ref_innovations_predict(coeffs, series, mean: float = 0.0):
             acc += row[j] * (x[t - j] - xhat[t - j])
         xhat[t] = acc
     return xhat + mean
+
+
+def ref_policy_transfers(rows) -> tuple:
+    """Each row of a design as a TransferPoly, checked one seller at a time:
+    T_n(0) = 1, then the rows summed seller by seller to N at lag 0 and to
+    0 elsewhere.  ValueError with the package's texts on a fault."""
+    transfers = tuple(TransferPoly(r) for r in rows)
+    for t in transfers:
+        if abs(t.coeffs[0] - 1.0) > ADMISSIBILITY_TOL:
+            raise ValueError("each transfer must have T_n(0) = 1")
+    excess = np.zeros(max(len(t) for t in transfers))
+    for t in transfers:
+        excess[:len(t)] += t.coeffs
+    excess[0] -= len(transfers)
+    if np.max(np.abs(excess)) > ADMISSIBILITY_TOL:
+        raise ValueError("transfers must sum to N coefficient-wise (admissibility)")
+    return transfers
+
+
+def ref_seller_filter(transfers, psi, n: int) -> TransferPoly:
+    """Seller n's demand filter (psi * T_n) / N of ref_policy_transfers'
+    transfers; n is 1-based."""
+    product = poly_mul(psi, transfers[n - 1])
+    return TransferPoly(product.coeffs / len(transfers))
+
+
+def ref_benchmark_offsets(transfers, mu, demands) -> np.ndarray:
+    """policy.benchmark_offsets with each transfer's lags copied in turn."""
+    dev = np.asarray(demands, dtype=float) - mu
+    N = len(transfers)
+    max_lag = max(t.degree for t in transfers)
+    lags = np.zeros((N, max_lag + 1))
+    for i, t_poly in enumerate(transfers):
+        lags[i, :len(t_poly)] = t_poly.coeffs / N
+    offsets = np.zeros((dev.size, N))
+    for k in range(1, min(max_lag, dev.size - 1) + 1):
+        offsets[k:] += dev[:-k, None] * lags[:, k]
+    return offsets
 
 
 # Scalar seller/platform reference.  Mirrors the package's constants.

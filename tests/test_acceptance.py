@@ -33,7 +33,6 @@ from demandalloc import (
     payoff_curve,
     root_msfe,
     route_orders,
-    seller_filter,
     sigma_lower_bound,
     simulate,
     solution_document,
@@ -44,6 +43,7 @@ from demandalloc.forecast import (_innovations_rows, predict_streams,
                                   simulate_inventory)
 from oracles import (Seller, curve_points, ref_mode_economics, ref_payoff,
                      seller_columns, seller_records, ses_msfe_closed_form)
+from test_policy import filters_by_seller
 from test_routing import relabelled_policy
 
 SCENARIO = str(Path(__file__).resolve().parents[1]
@@ -241,7 +241,7 @@ def test_criterion_6_property_suite(scenario):
             pol = relabelled_policy(neutral_policy(model, N, sigma), perm)
         else:
             pol = neutral_policy(model, N, sigma)
-        filters = [seller_filter(pol, model, n) for n in range(1, N + 1)]
+        filters = filters_by_seller(pol, model)
         width = max(f.coeffs.size for f in filters)
         total = np.zeros(width)
         for f in filters:
@@ -391,8 +391,8 @@ def test_criterion_7_monte_carlo_consistency(scenario):
 
     errors = []
     for n in (1, 2):
-        filt = seller_filter(pol, model, n)
-        pred = predict_streams([filt], shares[n - 1][None], mean=model.mu / 2)[0]
+        filt = filters_by_seller(pol, model)[n - 1]
+        pred = predict_streams([filt], [0], shares[n - 1][None], mean=model.mu / 2)[0]
         rmse = float(np.sqrt(np.mean((shares[n - 1] - pred) ** 2)))
         assert rmse == pytest.approx(5.0, rel=0.02)
         errors.append(rmse)

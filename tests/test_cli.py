@@ -970,6 +970,24 @@ class TestSimulate:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_seller_filter_is_a_numerical_failure(self, tmp_path,
+                                                              capsys):
+        # the transfer coefficient is finite, but psi T_n / N of the MA(2)
+        # market overflows: the run names sigma as any other overflow does
+        out = tmp_path / "sim.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["simulate", "--scenario", str(DATA / "ma2_n11.scenario"),
+                       "--sigma", "1.6e307", "--periods", "50", "--seed", "1",
+                       "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "numerical failure: simulation at sigma = 1.6e+307 overflows: ")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("scenario, periods, shortest", [
         (SCENARIO, "1", 2),
         # the odd design's two lags under MA(2) demand

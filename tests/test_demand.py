@@ -148,6 +148,6 @@ class TestMarketForecastability:
         # invertible market filter; check the simulated path agrees
         m = DemandModel(10.0, TransferPoly([1.0, 0.8]))
         path = simulate(m, 100_000, 1)
-        pred = predict_streams([m.psi], path[None], mean=m.mu)[0]
+        pred = predict_streams([m.psi], [0], path[None], mean=m.mu)[0]
         rmse = float(np.sqrt(np.mean((path - pred) ** 2)))
         assert abs(rmse - 1.0) < 0.01

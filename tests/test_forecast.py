@@ -23,7 +23,6 @@ from demandalloc import (
     market_table,
     neutral_policy,
     root_msfe,
-    seller_filter,
     ses_truncated_weights,
     sigma_lower_bound,
     simulate,
@@ -33,8 +32,9 @@ from demandalloc.forecast import (PREDICT_ROW_CAP, SES_MAX_ORDER,
                                   SES_MIN_LAMBDA, _innovations_rows,
                                   predict_streams, simulate_inventory)
 from oracles import (benchmark_targets, mp_root_msfe, mp_roots,
-                     ref_innovations_predict, seller_columns,
-                     ses_msfe_closed_form)
+                     ref_innovations_predict, ref_policy_transfers,
+                     ref_seller_filter, seller_columns, ses_msfe_closed_form)
+from test_policy import filters_by_seller
 from test_routing import relabelled_policy, routed_designs
 from test_seller import COSTS, SELLERS, TABLE
 
@@ -46,9 +46,9 @@ LEADTIME_MODELS = [DemandModel(15.0, TransferPoly([5.0])),
                    DemandModel(15.0, TransferPoly([2.0, -0.6, 0.4]))]
 
 # Three sellers with two-lag transfers that sum to N coefficient-wise.
-CUSTOM_POLICY = AllocationPolicy(3, [TransferPoly([1.0, 2.5, -0.4]),
-                                     TransferPoly([1.0, -1.2, 0.6]),
-                                     TransferPoly([1.0, -1.3, -0.2])])
+CUSTOM_POLICY = AllocationPolicy([[1.0, 2.5, -0.4],
+                                  [1.0, -1.2, 0.6],
+                                  [1.0, -1.3, -0.2]])
 
 
 def _lead_time_designs():
@@ -98,25 +98,30 @@ class TestInnovationsMsfe:
 class TestInnovationsPredict:
     def test_iid_filter_predicts_the_mean(self):
         series = np.array([3.0, 7.0, 5.0, 6.0])
-        pred = predict_streams([TransferPoly([5.0])], series[None], mean=5.0)
+        pred = predict_streams([TransferPoly([5.0])], [0], series[None], mean=5.0)
         np.testing.assert_allclose(pred, 5.0)
 
     def test_empirical_error_matches_theory(self):
         model = DemandModel(10.0, TransferPoly([1.0, 0.6]))
         path = simulate(model, 20_000, 4)
-        pred = predict_streams([model.psi], path[None], mean=model.mu)[0]
+        pred = predict_streams([model.psi], [0], path[None], mean=model.mu)[0]
         rmse = float(np.sqrt(np.mean((path - pred) ** 2)))
         assert rmse == pytest.approx(1.0, rel=0.02)
 
     def test_no_series_gives_no_rows(self):
-        pred = predict_streams([], np.zeros((0, 7)))
+        pred = predict_streams([], [], np.zeros((0, 7)))
         assert pred.shape == (0, 7)
 
     @pytest.mark.parametrize("n_filters", [0, 1, 3])
     def test_one_filter_per_series(self, n_filters):
-        with pytest.raises(ValueError, match=f"{n_filters} filters for 2 series"):
-            predict_streams([TransferPoly([1.0, 0.5])] * n_filters,
-                            np.zeros((2, 5)))
+        # two indices into n_filters filters, one of them past the last
+        # filter, and one or three indices for two series
+        filters = [TransferPoly([1.0, 0.5])] * n_filters
+        for index in ([0, n_filters], [0] * (2 * n_filters - 1)):
+            with pytest.raises(ValueError, match=rf"^need one index into the "
+                                                 rf"{n_filters} filters for each "
+                                                 rf"of 2 series, got {len(index)}$"):
+                predict_streams(filters, index, np.zeros((2, 5)))
 
 
 # Nonzero coefficients keep each filter's drawn degree (TransferPoly trims
@@ -128,7 +133,10 @@ _FILTER = st.integers(0, 4).flatmap(
 
 def _assert_stack_matches_scalar(filters, T, seed, mean=4.0):
     series = mean + 3.0 * np.random.default_rng(seed).standard_normal((len(filters), T))
-    got = predict_streams([TransferPoly(c) for c in filters], series, mean)
+    # each distinct filter once, shared by index
+    distinct = list(dict.fromkeys(map(tuple, filters)))
+    got = predict_streams([TransferPoly(c) for c in distinct],
+                          [distinct.index(tuple(c)) for c in filters], series, mean)
     want = np.array([ref_innovations_predict(TransferPoly(c).coeffs, s, mean)
                      for c, s in zip(filters, series)])
     # bit for bit, zero signs included
@@ -160,22 +168,45 @@ class TestPredictStreams:
         _assert_stack_matches_scalar(filters, T, seed)
 
     def test_rows_are_built_once_per_distinct_filter(self, monkeypatch):
-        calls = []
+        # an even-N neutral design has two distinct transfer rows at any N:
+        # simulate_inventory builds two filters and two sets of innovations
+        # rows, as many TransferPoly objects at N = 100 as at N = 10, and
+        # each seller's forecast is its own scalar loop's, bit for bit
+        made, rows_built = [], []
+        real_init = TransferPoly.__init__
 
-        def counting(coeffs, steps):
-            calls.append(steps)
+        def counting_init(poly, coeffs):
+            made.append(1)
+            real_init(poly, coeffs)
+
+        def counting_rows(coeffs, steps):
+            rows_built.append(coeffs.tobytes())
             return _innovations_rows(coeffs, steps)
 
-        monkeypatch.setattr(forecast, "_innovations_rows", counting)
-        series = np.random.default_rng(0).standard_normal((5, 80))
-        predict_streams([TransferPoly([1.0, 0.5]) for _ in range(5)], series)
-        assert len(calls) == 1
+        monkeypatch.setattr(TransferPoly, "__init__", counting_init)
+        monkeypatch.setattr(forecast, "_innovations_rows", counting_rows)
+        objects = {}
+        for N in (10, 100):
+            pol = neutral_policy(M5, N, 2.0 * sigma_lower_bound(M5, N))
+            table = market_table(seller_columns(SELLERS * (N // 10)), COSTS, M5.mu)
+            made.clear()
+            rows_built.clear()
+            run = simulate_inventory(table, pol, M5, simulate(M5, 120, 5), 1.0)
+            objects[N] = len(made)
+            assert len(rows_built) == len(set(rows_built)) == 2
+        assert objects[10] == objects[100]
+        transfers = ref_policy_transfers(pol.transfers)
+        for n in range(1, 101):
+            want = ref_innovations_predict(
+                ref_seller_filter(transfers, M5.psi, n).coeffs,
+                run.allocations[n - 1], M5.mu / 100)
+            assert run.forecasts[n - 1].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", [(7,), (2, 3, 4)])
     def test_series_must_be_two_dimensional(self, shape):
         with pytest.raises(ValueError, match=r"series must be \(N, T\), got "
                                              rf"shape {re.escape(str(shape))}"):
-            predict_streams([TransferPoly([1.0, 0.5])] * 2, np.zeros(shape))
+            predict_streams([TransferPoly([1.0, 0.5])] * 2, [0, 1], np.zeros(shape))
 
     @given(st.lists(_FILTER, min_size=1, max_size=5), st.integers(0, 60),
            st.integers(0, 2 ** 32 - 1))
@@ -289,9 +320,8 @@ class TestSesClosedForm:
 
     def test_matches_truncated_filter_both_parities(self):
         pol = neutral_policy(M5, 10, SIGMA_STAR)
-        for n in (1, 2):
-            f = seller_filter(pol, M5, n)
-            alpha = pol.transfers[n - 1].coeffs[1]
+        for n, f in zip((1, 2), filters_by_seller(pol, M5)):
+            alpha = pol.transfers[n - 1, 1]
             for lam in (0.01, 0.3, 0.9):
                 truncated = filter_msfe(f, ses_truncated_weights(lam))
                 closed = ses_msfe_closed_form(5.0, 10, alpha, lam)
@@ -359,7 +389,7 @@ class TestLeadTimeMsfe:
 
 def _theta(model, policy, n):
     """Lead-time theta of seller n: the outer factor of its filter."""
-    return inner_outer_factor(seller_filter(policy, model, n)).outer
+    return inner_outer_factor(filters_by_seller(policy, model)[n - 1]).outer
 
 
 class TestLeadTimeTheta:
@@ -391,8 +421,8 @@ class TestLeadTimeTheta:
         # and |theta_0| equal to the high-precision root MSFE of psi_n
         pol = LEADTIME_DESIGNS[design](model)
         circle = np.exp(2j * np.pi * np.arange(64) / 64)
-        for n in range(1, pol.n_sellers + 1):
-            psi_n = seller_filter(pol, model, n).coeffs
+        for n, f in enumerate(filters_by_seller(pol, model), start=1):
+            psi_n = f.coeffs
             sigma = mp_root_msfe(psi_n)
             th = _theta(model, pol, n)
             np.testing.assert_allclose(
@@ -433,8 +463,8 @@ class TestSimulateInventory:
         run = simulate_inventory(table, pol, model, path, 1.0)
         assert run.start_period == start
         assert run.allocations.shape == (pol.n_sellers, len(demand) - start)
-        transfers = [t.coeffs.tolist() for t in pol.transfers]
-        targets = benchmark_targets(transfers, model.mu, [float(d) for d in demand])
+        targets = benchmark_targets(pol.transfers.tolist(), model.mu,
+                                    [float(d) for d in demand])
         for t in range(start, len(demand)):
             column = run.allocations[:, t - start]
             tol = 1e-12 * max(1.0, max(abs(x) for x in targets[t]))

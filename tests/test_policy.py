@@ -12,21 +12,30 @@ from demandalloc import (
     Infeasible,
     InsufficientHistory,
     TransferPoly,
+    benchmark_offsets,
     is_invertible,
     lagged_variant,
     market_table,
     neutral_policy,
     root_msfe,
-    seller_filter,
+    seller_filters,
     sigma_lower_bound,
     simulate,
 )
 from demandalloc.forecast import simulate_inventory
-from oracles import seller_columns
+from oracles import (ref_benchmark_offsets, ref_policy_transfers,
+                     ref_seller_filter, seller_columns)
 from test_seller import COSTS, SELLERS
 
 M5 = DemandModel(20.0, TransferPoly([5.0]))
 M1 = DemandModel(9.0, TransferPoly([1.0]))
+
+
+def filters_by_seller(pol, model):
+    """Each seller's demand filter, from seller_filters' distinct filters
+    and index."""
+    filters, index = seller_filters(pol, model)
+    return [filters[i] for i in index]
 
 
 def random_invertible_model(rng, max_degree=4):
@@ -65,21 +74,19 @@ class TestNeutralPolicy:
     def test_at_bound_returns_uniform(self):
         pol = neutral_policy(M5, 4, sigma_lower_bound(M5, 4))
         assert pol.max_lag == 0
-        for t in pol.transfers:
-            np.testing.assert_array_equal(t.coeffs, [1.0])
+        np.testing.assert_array_equal(pol.transfers, np.ones((4, 1)))
 
     def test_even_design(self):
         pol = neutral_policy(M5, 2, 5.0)
         assert pol.max_lag == 1
-        np.testing.assert_allclose(pol.transfers[0].coeffs, [1.0, -2.0])
-        np.testing.assert_allclose(pol.transfers[1].coeffs, [1.0, 2.0])
+        np.testing.assert_allclose(pol.transfers, [[1.0, -2.0], [1.0, 2.0]])
 
     def test_odd_design(self):
         pol = neutral_policy(M1, 3, 0.4)
         assert pol.max_lag == 2
-        np.testing.assert_allclose(pol.transfers[0].coeffs, [1.0, 1.2, 1.2])
-        np.testing.assert_allclose(pol.transfers[1].coeffs, [1.0, 0.0, -1.2])
-        np.testing.assert_allclose(pol.transfers[2].coeffs, [1.0, -1.2])
+        np.testing.assert_allclose(pol.transfers, [[1.0, 1.2, 1.2],
+                                                   [1.0, 0.0, -1.2],
+                                                   [1.0, -1.2, 0.0]])
 
     def test_below_bound_raises_with_bound_attached(self):
         with pytest.raises(BelowLowerBound) as exc_info:
@@ -92,12 +99,13 @@ class TestNeutralPolicy:
             neutral_policy(M5, 1, 6.0)
         # at the bound the degenerate uniform policy is still fine
         pol = neutral_policy(M5, 1, 5.0)
-        np.testing.assert_array_equal(pol.transfers[0].coeffs, [1.0])
+        np.testing.assert_array_equal(pol.transfers, [[1.0]])
 
     @pytest.mark.parametrize("N, k", [(4, None), (5, None), (4, 1), (6, 3)])
     def test_alternating_coefficients_are_exact(self, N, k):
         # a = N sigma/|psi(0)|, and seller n's lag coefficient is
-        # (-1)^n a to the last bit (sellers 3..N of the odd design)
+        # (-1)^n a to the last bit (sellers 3..N of the odd design, whose
+        # rows end in the zero of the two-lag column)
         sigma = 1.7
         alpha = N * sigma / 5.0
         if k is None:
@@ -106,14 +114,13 @@ class TestNeutralPolicy:
             pol = lagged_variant(M5, N, sigma, k=k)
         for n in range(3 if N % 2 else 1, N + 1):
             np.testing.assert_array_equal(
-                pol.transfers[n - 1].coeffs,
-                [1.0] + [0.0] * (k - 1) + [(-1.0) ** n * alpha])
+                pol.transfers[n - 1],
+                [1.0] + [0.0] * (k - 1) + [(-1.0) ** n * alpha] + [0.0] * (N % 2))
 
     def test_target_hit_exactly(self):
         for N, sigma in ((2, 5.0), (3, 2.0), (4, 1.3), (5, 7.7), (6, 2.5)):
             pol = neutral_policy(M5, N, sigma)
-            for n in range(1, N + 1):
-                f = seller_filter(pol, M5, n)
+            for f in filters_by_seller(pol, M5):
                 assert root_msfe(f) == pytest.approx(sigma, abs=1e-9)
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 1.7e308])
@@ -129,22 +136,20 @@ class TestNeutralPolicy:
 class TestLaggedVariant:
     def test_three_period_memory(self):
         pol = lagged_variant(M5, 2, 5.0, k=3)
-        np.testing.assert_allclose(pol.transfers[0].coeffs, [1.0, 0, 0, -2.0])
-        np.testing.assert_allclose(pol.transfers[1].coeffs, [1.0, 0, 0, 2.0])
+        np.testing.assert_allclose(pol.transfers, [[1.0, 0, 0, -2.0],
+                                                   [1.0, 0, 0, 2.0]])
         assert pol.max_lag == 3
-        for n in (1, 2):
-            assert root_msfe(seller_filter(pol, M5, n)) == pytest.approx(
-                5.0, abs=1e-9)
+        for f in filters_by_seller(pol, M5):
+            assert root_msfe(f) == pytest.approx(5.0, abs=1e-9)
 
     def test_four_sellers_lag_two(self):
         sigma = 2 * sigma_lower_bound(M5, 4)
         pol = lagged_variant(M5, 4, sigma, k=2)
+        filters = filters_by_seller(pol, M5)
         for n in range(1, 5):
-            t = pol.transfers[n - 1]
             np.testing.assert_allclose(
-                t.coeffs, [1.0, 0.0, 2.0 if n % 2 == 0 else -2.0])
-            assert root_msfe(seller_filter(pol, M5, n)) == pytest.approx(
-                sigma, abs=1e-9)
+                pol.transfers[n - 1], [1.0, 0.0, 2.0 if n % 2 == 0 else -2.0])
+            assert root_msfe(filters[n - 1]) == pytest.approx(sigma, abs=1e-9)
 
     def test_rejects_odd_n_and_zero_lag(self):
         with pytest.raises(ValueError):
@@ -156,26 +161,22 @@ class TestLaggedVariant:
 class TestAdmissibility:
     def test_transfers_must_sum_to_n(self):
         with pytest.raises(ValueError, match="admissibility"):
-            AllocationPolicy(2, [TransferPoly([1.0, 0.5]),
-                                 TransferPoly([1.0, 0.2])])
+            AllocationPolicy([[1.0, 0.5], [1.0, 0.2]])
 
     def test_leading_coefficient_must_be_one(self):
         with pytest.raises(ValueError, match="T_n"):
-            AllocationPolicy(2, [TransferPoly([0.9, 0.5]),
-                                 TransferPoly([1.1, -0.5])])
+            AllocationPolicy([[0.9, 0.5], [1.1, -0.5]])
 
     def test_custom_admissible_accepted(self):
-        pol = AllocationPolicy(3, [TransferPoly([1.0, -1.0]),
-                                   TransferPoly([1.0, 2.0]),
-                                   TransferPoly([1.0, -1.0])])
+        pol = AllocationPolicy([[1.0, -1.0], [1.0, 2.0], [1.0, -1.0]])
         assert (pol.n_sellers, pol.max_lag) == (3, 1)
         assert repr(pol) == "AllocationPolicy(N=3, max_lag=1)"
-        np.testing.assert_array_equal(pol.transfers[1].coeffs, [1.0, 2.0])
+        np.testing.assert_array_equal(pol.transfers[1], [1.0, 2.0])
+        assert not pol.transfers.flags.writeable
 
 
 def per_seller_sigma(pol, model):
-    return [root_msfe(seller_filter(pol, model, n))
-            for n in range(1, pol.n_sellers + 1)]
+    return [root_msfe(f) for f in filters_by_seller(pol, model)]
 
 
 class TestNeutralityCheck:
@@ -188,9 +189,7 @@ class TestNeutralityCheck:
             assert max(sigmas) - min(sigmas) < 1e-9
 
     def test_unequal_split_flagged(self):
-        pol = AllocationPolicy(3, [TransferPoly([1.0, -1.0]),
-                                   TransferPoly([1.0, 2.0]),
-                                   TransferPoly([1.0, -1.0])])
+        pol = AllocationPolicy([[1.0, -1.0], [1.0, 2.0], [1.0, -1.0]])
         sigmas = per_seller_sigma(pol, M1)
         np.testing.assert_allclose(sigmas, [1 / 3, 2 / 3, 1 / 3], atol=1e-9)
         assert max(sigmas) - min(sigmas) == pytest.approx(1 / 3, abs=1e-9)
@@ -241,16 +240,15 @@ class TestDesignProperties:
         pol = neutral_policy(model, N, sigma)
 
         # admissibility: transfers sum to N at lag 0 and cancel elsewhere
-        width = max(len(t) for t in pol.transfers)
-        total = np.zeros(width)
+        total = np.zeros(pol.max_lag + 1)
         for t in pol.transfers:
-            total[:len(t)] += t.coeffs
+            total += t
         assert abs(total[0] - N) < 1e-10
-        if width > 1:
+        if pol.max_lag:
             assert np.max(np.abs(total[1:])) < 1e-10
 
-        sigmas = [root_msfe(seller_filter(pol, model, n))
-                  for n in range(1, N + 1)]
+        filters = filters_by_seller(pol, model)
+        sigmas = [root_msfe(f) for f in filters]
         # every seller hits the target, and the split cannot beat the
         # market-wide filter scale
         for s in sigmas:
@@ -260,5 +258,84 @@ class TestDesignProperties:
 
         # spreading risk above the bound costs every seller invertibility
         if factor > 1.05:
-            for n in range(1, N + 1):
-                assert not is_invertible(seller_filter(pol, model, n))
+            for f in filters:
+                assert not is_invertible(f)
+
+
+# psi of degree 0..3 with every root outside the unit circle: a product of
+# a scale and one to three factors (1 + c z) with |c| < 1
+@st.composite
+def demand_models(draw):
+    psi = np.array([draw(st.floats(0.5, 6.0)) * draw(st.sampled_from([-1.0, 1.0]))])
+    for _ in range(draw(st.integers(0, 3))):
+        psi = np.convolve(psi, [1.0, draw(st.floats(-0.9, 0.9))])
+    return DemandModel(draw(st.floats(5.0, 40.0)), TransferPoly(psi))
+
+
+# lag coefficients: repeats, both zero signs, and trailing values just
+# below and just above TRIM_TOL
+_LAG = st.sampled_from([0.0, -0.0, 0.9e-12, -0.9e-12, 1.1e-12, -1.1e-12,
+                        0.5, -0.5, 1.25, -2.0])
+
+
+@st.composite
+def transfer_rows(draw, model):
+    """Rows of a design: the neutral design at or above sigma_L for N =
+    1..12, its lagged variant with k = 1..4, or a custom matrix of drawn lag
+    coefficients, balanced to sum to N or not, with T_n(0) off 1 now and
+    then."""
+    kind = draw(st.sampled_from(["neutral", "lagged", "custom"]))
+    if kind == "custom":
+        N, lags = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+        rows = [[1.0] + [draw(_LAG) for _ in range(lags)] for _ in range(N)]
+        if N > 2 and lags > 1 and draw(st.booleans()):
+            # a second role that differs from the first only in the sign of
+            # an interior zero
+            rows[0][1], rows[0][-1] = draw(st.sampled_from([0.0, -0.0])), 0.5
+            rows[1] = [-c if c == 0.0 else c for c in rows[0]]
+        if draw(st.booleans()):
+            rows[-1][1:] = [-sum(r[k] for r in rows[:-1]) for k in range(1, lags + 1)]
+        if draw(st.integers(0, 9)) == 0:
+            rows[draw(st.integers(0, N - 1))][0] = 1.0 + 2e-10
+        return rows
+    N = draw(st.integers(1, 6)) * 2 if kind == "lagged" else draw(st.integers(1, 12))
+    sigma = sigma_lower_bound(model, N)
+    if N > 1 and draw(st.booleans()):
+        sigma *= draw(st.floats(1.0, 4.0))
+    pol = (lagged_variant(model, N, sigma, draw(st.integers(1, 4)))
+           if kind == "lagged" else neutral_policy(model, N, sigma))
+    return pol.transfers.tolist()
+
+
+def _hex(poly):
+    return [c.hex() for c in poly.coeffs.tolist()]
+
+
+class TestMatrixAgainstPerSeller:
+    """The transfer matrix equals the one-TransferPoly-per-seller design bit
+    for bit: the same designs accepted, with the same error texts, and each
+    seller's filter and offsets to the last bit, zero signs included."""
+
+    @given(st.data(), demand_models(),
+           st.lists(st.floats(-50.0, 90.0), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_filters_offsets_and_checks_match(self, data, model, demands):
+        rows = data.draw(transfer_rows(model))
+        try:
+            want = ref_policy_transfers(rows)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                AllocationPolicy(rows)
+            assert str(got.value) == str(exc)
+            return
+        pol = AllocationPolicy(rows)
+        assert pol.n_sellers == len(want)
+        assert pol.max_lag == max(t.degree for t in want)
+        filters, index = seller_filters(pol, model)
+        assert len(filters) == len({t.coeffs.tobytes() for t in want})
+        for n in range(1, len(want) + 1):
+            got, ref = filters[index[n - 1]], ref_seller_filter(want, model.psi, n)
+            assert got.degree == ref.degree
+            assert _hex(got) == _hex(ref)
+        assert benchmark_offsets(pol, model, demands).tobytes() == \
+            ref_benchmark_offsets(want, model.mu, demands).tobytes()

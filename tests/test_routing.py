@@ -54,8 +54,8 @@ def relabelled_policy(policy, perm):
     """policy with its roles relabelled: seller s takes the transfer at
     place perm.index(s), for perm a rearrangement of 1..N."""
     perm = [int(p) for p in perm]
-    return AllocationPolicy(policy.n_sellers, [
-        policy.transfers[perm.index(s)] for s in range(1, policy.n_sellers + 1)])
+    return AllocationPolicy(policy.transfers[
+        [perm.index(s) for s in range(1, policy.n_sellers + 1)]])
 
 
 def period_logs(res):
@@ -373,7 +373,7 @@ def routed_designs(draw):
     coeff = st.floats(-3.0, 3.0)
     rows = [[1.0] + [draw(coeff) for _ in range(lags)] for _ in range(N - 1)]
     rows.append([1.0] + [-sum(r[k] for r in rows) for k in range(1, lags + 1)])
-    return AllocationPolicy(N, [TransferPoly(r) for r in rows]), model
+    return AllocationPolicy(rows), model
 
 
 class TestPolicyTracking:
@@ -383,8 +383,8 @@ class TestPolicyTracking:
     def test_routes_track_the_policy_targets(self, pol_model, demand, seed):
         pol, model = pol_model
         res = route_path(pol, model, path_of(demand), seed)
-        transfers = [t.coeffs.tolist() for t in pol.transfers]
-        targets = benchmark_targets(transfers, model.mu, [float(d) for d in demand])
+        targets = benchmark_targets(pol.transfers.tolist(), model.mu,
+                                    [float(d) for d in demand])
         logs = period_logs(res)
         for t, row in enumerate(targets):
             tol = 1e-12 * max(1.0, max(abs(x) for x in row))
