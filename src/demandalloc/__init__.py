@@ -6,10 +6,10 @@ inner-outer factorization (polyalg), the Gaussian market demand model
 inventory economics and mode choice (seller), platform payoff optimization
 over the design volatility (platform), integer order routing that tracks
 the benchmark allocation (routing), and forecast-error analysis for
-suboptimal filters and positive lead times (forecast).
+exponential smoothing and positive lead times (forecast).
 """
 from .demand import DemandModel, prob_negative, simulate
-from .forecast import filter_msfe, leadtime_msfe, ses_truncated_weights
+from .forecast import leadtime_msfe, ses_msfe
 from .platform import (Curve, EmptyFeasibleSet, PayoffResult,
                        PlatformSolution, export_curve, optimize, payoff,
                        payoff_curve, solution_document)
@@ -19,7 +19,7 @@ from .policy import (AllocationPolicy, BelowLowerBound, Infeasible,
                      uniform_policy)
 from .polyalg import (Factorization, NumericalInstability,
                       TransferPoly, ZeroPolynomial, inner_outer_factor,
-                      is_invertible, poly_mul, poly_roots, root_msfe, variance)
+                      is_invertible, poly_roots, root_msfe, variance)
 from .routing import (RoutePathResult, export_assignment_log,
                       integerize_demand, route_orders, route_path)
 from .seller import (FBM, FBP, DomainError, MarketTable, PlatformCosts,
@@ -41,13 +41,13 @@ __all__ = [
     "base_stock", "benchmark_offsets",
     "check_cost_assumptions",
     "export_assignment_log", "export_curve",
-    "filter_msfe", "inner_outer_factor", "integerize_demand",
+    "inner_outer_factor", "integerize_demand",
     "inventory_coefficient", "is_invertible", "lagged_variant",
     "leadtime_msfe", "market_table",
     "neutral_policy", "optimize", "payoff", "payoff_curve",
-    "poly_mul", "poly_roots", "prob_negative", "root_msfe", "route_orders",
+    "poly_roots", "prob_negative", "root_msfe", "route_orders",
     "route_path", "seller_filters",
-    "ses_truncated_weights", "sigma_lower_bound", "simulate",
+    "ses_msfe", "sigma_lower_bound", "simulate",
     "solution_document", "std_normal_cdf", "std_normal_loss",
     "std_normal_quantile", "uniform_policy", "variance",
 ]

@@ -427,8 +427,7 @@ def cmd_msfe(args) -> int:
         doc["leadtime_msfe_squared"] = _square(sigma_bar)
     if args.ses is not None:
         doc["ses_lambda"] = args.ses
-        doc["ses_msfe"] = forecast.filter_msfe(
-            p, forecast.ses_truncated_weights(args.ses))
+        doc["ses_msfe"] = forecast.ses_msfe(p, args.ses)
     sys.stdout.write(_json_text(doc))
     return EXIT_OK
 
@@ -494,8 +493,7 @@ _positive_float = _flag_type(float, lambda x: 0 < x < float("inf"),
 _count = _flag_type(int, lambda n: n >= 1, "an integer >= 1")
 _nonnegative_int = _flag_type(int, lambda n: n >= 0, "an integer >= 0")
 _boundary_tol = _flag_type(float, is_boundary_tol, "a number in [0, 1)")
-_smoothing = _flag_type(float, lambda x: forecast.SES_MIN_LAMBDA <= x <= 1,
-                        f"a number in [{forecast.SES_MIN_LAMBDA:.6g}, 1]")
+_smoothing = _flag_type(float, lambda x: 0 < x <= 1, "a number in (0, 1]")
 
 
 class _CommandParser(argparse.ArgumentParser):

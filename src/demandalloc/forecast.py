@@ -1,19 +1,19 @@
 """Forecast-error machinery beyond the one-step optimal predictor.
 
 Three strands: the optimal one-step predictor (predict_streams, the
-innovations recursion on a filter's autocovariances); mean squared errors
-of suboptimal linear filters, each a plain weight polynomial (filter_msfe),
-such as truncated exponential smoothing (ses_truncated_weights); and
-lead-time demand uncertainty from partial sums of the coefficients of a
-seller filter's outer factor (polyalg.inner_outer_factor, any admissible
-design).  The model of the `simulate` command (simulate_inventory)
-allocates the path through policy.benchmark_offsets (the one replay of a
-design along a path, which routing tracks too), predicts every seller's
-stream in one pass of predict_streams with the filters of the design's
-distinct transfer rows (policy.seller_filters) gathered to the sellers by
-index, costs out stocks as (N, T) arrays and raises NumericalInstability on
-a non-finite filter or summary, with its CSV written by
-the exact block formatter of csvtext (export_simulation).  Every per-seller
+innovations recursion on a filter's autocovariances); the exact mean
+squared error of simple exponential smoothing (ses_msfe, O(q) for any
+smoothing constant in (0, 1]); and lead-time demand uncertainty from
+partial sums of the coefficients of a seller filter's outer factor
+(polyalg.inner_outer_factor, any admissible design).  The model of the
+`simulate` command (simulate_inventory) allocates the path through
+policy.benchmark_offsets (the one replay of a design along a path, which
+routing tracks too), predicts every seller's stream in one pass of
+predict_streams with the filters of the design's distinct transfer rows
+(policy.seller_filters) gathered to the sellers by index, costs out stocks
+as (N, T) arrays and raises NumericalInstability on a non-finite filter or
+summary, with its CSV written by the exact block formatter of csvtext
+(export_simulation).  Every per-seller
 economic quantity comes from a seller.MarketTable built once by the caller.
 """
 from __future__ import annotations
@@ -29,15 +29,8 @@ from .csvtext import BLOCK_CELLS, _format_rows
 from .demand import DemandModel
 from .policy import (AllocationPolicy, InsufficientHistory, benchmark_offsets,
                      seller_filters)
-from .polyalg import TRIM_TOL, NumericalInstability, TransferPoly, as_poly
+from .polyalg import NumericalInstability, TransferPoly, as_poly
 from .seller import FBM, FBP, MarketTable, base_stock
-
-SES_TAIL_TOL = 1e-12
-# Most weights a default smoothing filter may take: about -log(SES_TAIL_TOL)
-# / lam, so this sets the smallest lam it accepts, SES_MIN_LAMBDA.
-SES_MAX_ORDER = 100_000
-SES_MIN_LAMBDA = -math.expm1(math.log(SES_TAIL_TOL) / SES_MAX_ORDER)
-_WEIGHT_SUM_TOL = 1e-9
 
 
 PREDICT_ROW_CAP = 5000
@@ -143,46 +136,28 @@ def predict_streams(filters, index, series, mean: float = 0.0) -> np.ndarray:
     return np.add(xhat[:, :N].T, mean, order="C")
 
 
-def ses_truncated_weights(lam: float) -> TransferPoly:
-    """Exponential-smoothing weights lam (1-lam)^k, truncated and renormalized.
+def ses_msfe(psi_n: TransferPoly, lam: float) -> float:
+    """Root MSFE on the stream psi_n of simple exponential smoothing, the
+    one-step forecast lam sum_k (1 - lam)^k X_{t-k}; lam = 1 is the naive
+    last-value forecast.
 
-    The order is chosen so the dropped geometric tail is below SES_TAIL_TOL,
-    which takes at most SES_MAX_ORDER weights for lam in [SES_MIN_LAMBDA, 1].
-    Weights below polyalg.TRIM_TOL, which TransferPoly would trim, are
-    dropped after normalizing and the rest renormalized, so the weights kept
-    sum to 1.  lam = 1 is the naive last-value forecast.
+    The error filter is psi_n(z) (1 - z) / (1 - rho z), rho = 1 - lam
+    (Muth 1960).  With u_k = rho u_{k-1} + psi_k and u_{-1} = 0 its
+    coefficients are psi_k - lam u_{k-1} up to the degree q of psi_n, and
+    past it a geometric tail whose squares sum to lam u_q^2 / (2 - lam).
+    Exact in O(q) for any lam in (0, 1] (ValueError otherwise): nothing is
+    divided by lam and nothing cancels as lam goes to 0.  Never beats the
+    optimal predictor's root MSFE.  Inf when the sum overflows.
     """
-    if not SES_MIN_LAMBDA <= lam <= 1.0:
-        raise ValueError(f"smoothing constant lam must lie in "
-                         f"[{SES_MIN_LAMBDA:.6g}, 1], got {lam!r}")
-    if lam == 1.0:
-        return TransferPoly([1.0])
-    order = max(1, math.ceil(math.log(SES_TAIL_TOL) / math.log1p(-lam)))
-    w = (1.0 - lam) ** np.arange(order)
-    w /= w.sum()
-    w = w[w >= TRIM_TOL]
-    w /= w.sum()
-    w[0] += 1.0 - w.sum()  # absorb the last few ulps so the sum is exactly 1
-    return TransferPoly(w)
-
-
-@np.errstate(over="ignore")
-def filter_msfe(psi_n: TransferPoly, weights: TransferPoly) -> float:
-    """Root MSFE on the stream psi_n of the linear one-step forecaster
-    sum_k w_k X_{t-k} with weights w(z).
-
-    The weights must sum to 1 so the forecast is unbiased for any mean
-    level (ValueError otherwise).  The forecast error passes the shocks
-    through (1 - w(z) z) psi_n(z); with unit-variance shocks the MSE is the
-    sum of squared coefficients of that error filter.  Never beats the
-    optimal predictor's root MSFE.  Inf when that sum overflows.
-    """
-    w = as_poly(weights).coeffs
-    total = float(np.sum(w))
-    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-        raise ValueError(f"forecaster weights sum to {total:.12g}, need 1")
-    err = np.convolve(np.concatenate(([1.0], -w)), as_poly(psi_n).coeffs)
-    return float(np.sqrt(np.dot(err, err)))
+    if not 0.0 < lam <= 1.0:
+        raise ValueError(f"smoothing constant lam must lie in (0, 1], got {lam!r}")
+    rho, u, mse = 1.0 - lam, 0.0, 0.0
+    # Python floats: an overflow is inf, with no numpy warning
+    for c in as_poly(psi_n).coeffs.tolist():
+        e = c - lam * u
+        mse += e * e
+        u = rho * u + c
+    return math.sqrt(mse + lam * u * u / (2.0 - lam))
 
 
 @np.errstate(over="ignore")

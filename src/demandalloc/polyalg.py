@@ -99,12 +99,6 @@ def as_poly(p) -> TransferPoly:
     return p if isinstance(p, TransferPoly) else TransferPoly(p)
 
 
-def poly_mul(a: TransferPoly, b: TransferPoly) -> TransferPoly:
-    """Coefficient-wise convolution of two transfer polynomials."""
-    a, b = as_poly(a), as_poly(b)
-    return TransferPoly(np.convolve(a.coeffs, b.coeffs))
-
-
 def _newton_polish(coeffs: np.ndarray, roots: np.ndarray, sweeps: int = 2) -> np.ndarray:
     """A couple of Newton steps per eigenvalue root; keeps only improvements."""
     polyval = np.polynomial.polynomial.polyval

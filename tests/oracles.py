@@ -2,8 +2,8 @@
 package's numerics.  Root finding goes through mpmath at 50 digits, the
 innovations recursion is restated from the textbook autocovariance form, the
 perceived root MSFE of untruncated exponential smoothing on the one-lag
-designs has its closed form (ses_msfe_closed_form, which the truncated SES
-filter of `msfe --ses` must match), the routing replay re-derives greedy
+designs has its closed form (ses_msfe_closed_form, which the exact SES error
+of `msfe --ses` must match), the routing replay re-derives greedy
 choices from scratch, the reference router assigns one order at a time by
 the greedy rule, and the routing targets are summed from the transfer
 coefficients period by period; none of these imports from demandalloc.
@@ -14,11 +14,21 @@ innovations rows (with their settle rule) and row cap from
 demandalloc.forecast, so it checks the batching (padding, row reuse,
 summation order) and nothing else.
 
+The smoothing references check forecast.ses_msfe three ways: the
+truncated, renormalized SES weights (ref_ses_truncated_weights, at most
+REF_SES_MAX_ORDER of them, so lam >= REF_SES_MIN_LAMBDA) run through the
+generic unbiased linear-filter MSFE (ref_filter_msfe), which the package
+replaced with one exact recursion; the squared norm of the error filter
+psi (1 - z) / (1 - rho z) as a double geometric sum in mpmath
+(mp_ses_msfe_double_sum); and the package's recursion restated in mpmath
+(mp_ses_msfe_recursion).  The first two take TransferPoly, as_poly and
+TRIM_TOL from demandalloc.polyalg.
+
 The per-seller design references (ref_policy_transfers, ref_seller_filter,
 ref_benchmark_offsets) are the one-TransferPoly-per-seller form of a design
 that the package replaced with one transfer matrix: each row built and
-checked as a TransferPoly, each seller's filter one poly_mul, each row's
-lags copied one at a time.  They take TransferPoly and poly_mul from
+checked as a TransferPoly, each seller's filter one convolution, each
+row's lags copied one at a time.  They take TransferPoly from
 demandalloc.polyalg and the admissibility tolerance from demandalloc.policy,
 so they check the matrix path and nothing else.
 
@@ -76,7 +86,8 @@ from demandalloc import cli
 from demandalloc.forecast import PREDICT_ROW_CAP, _innovations_rows
 from demandalloc.platform import SIDES, PayoffResult, PlatformSolution
 from demandalloc.policy import ADMISSIBILITY_TOL
-from demandalloc.polyalg import DEFAULT_BOUNDARY_TOL, TransferPoly, poly_mul
+from demandalloc.polyalg import (DEFAULT_BOUNDARY_TOL, TRIM_TOL, TransferPoly,
+                                 as_poly)
 from demandalloc.seller import DomainError, SellerParams, inventory_coefficient
 
 
@@ -170,6 +181,84 @@ def ses_msfe_closed_form(psi0_abs: float, N: int, alpha: float, lam: float) -> f
     mse = base * (1.0 + (alpha - lam) ** 2
                   + (lam / (2.0 - lam)) * (1.0 - lam + alpha) ** 2)
     return float(math.sqrt(mse))
+
+
+REF_SES_TAIL_TOL = 1e-12
+# Most weights the truncated smoothing filter takes: about
+# -log(REF_SES_TAIL_TOL) / lam, so this sets the smallest lam it accepts.
+REF_SES_MAX_ORDER = 100_000
+REF_SES_MIN_LAMBDA = -math.expm1(math.log(REF_SES_TAIL_TOL) / REF_SES_MAX_ORDER)
+
+
+def ref_ses_truncated_weights(lam: float) -> TransferPoly:
+    """Exponential-smoothing weights lam (1-lam)^k, truncated and renormalized.
+
+    The order is chosen so the dropped geometric tail is below
+    REF_SES_TAIL_TOL, which takes at most REF_SES_MAX_ORDER weights for lam
+    in [REF_SES_MIN_LAMBDA, 1].  Weights below polyalg.TRIM_TOL, which
+    TransferPoly would trim, are dropped after normalizing and the rest
+    renormalized, so the weights kept sum to 1.  lam = 1 is the naive
+    last-value forecast.
+    """
+    if not REF_SES_MIN_LAMBDA <= lam <= 1.0:
+        raise ValueError(f"smoothing constant lam must lie in "
+                         f"[{REF_SES_MIN_LAMBDA:.6g}, 1], got {lam!r}")
+    if lam == 1.0:
+        return TransferPoly([1.0])
+    order = max(1, math.ceil(math.log(REF_SES_TAIL_TOL) / math.log1p(-lam)))
+    w = (1.0 - lam) ** np.arange(order)
+    w /= w.sum()
+    w = w[w >= TRIM_TOL]
+    w /= w.sum()
+    w[0] += 1.0 - w.sum()  # absorb the last few ulps so the sum is exactly 1
+    return TransferPoly(w)
+
+
+@np.errstate(over="ignore")
+def ref_filter_msfe(psi_n, weights) -> float:
+    """Root MSFE on the stream psi_n of the linear one-step forecaster
+    sum_k w_k X_{t-k} with weights w(z).
+
+    The weights must sum to 1 so the forecast is unbiased for any mean
+    level (ValueError otherwise).  The forecast error passes the shocks
+    through (1 - w(z) z) psi_n(z); with unit-variance shocks the MSE is the
+    sum of squared coefficients of that error filter.  Inf when that sum
+    overflows.
+    """
+    w = as_poly(weights).coeffs
+    total = float(np.sum(w))
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"forecaster weights sum to {total:.12g}, need 1")
+    err = np.convolve(np.concatenate(([1.0], -w)), as_poly(psi_n).coeffs)
+    return float(np.sqrt(np.dot(err, err)))
+
+
+def mp_ses_msfe_double_sum(psi, lam: float, dps: int = 50) -> float:
+    """SES root MSFE as sqrt(sum_ij c_i c_j rho^|i-j| / (lam (2 - lam))),
+    c = psi (1 - z) and rho = 1 - lam, at dps digits: the squared norm of
+    c(z) / (1 - rho z) summed over each pair of coefficients of c.  psi and
+    lam enter at their exact binary values."""
+    with mp.workdps(dps):
+        lam = mp.mpf(float(lam))
+        rho = 1 - lam
+        psi = [mp.mpf(float(x)) for x in psi]
+        c = [a - b for a, b in zip(psi + [0], [0] + psi)]
+        total = mp.fsum(ci * cj * rho ** abs(i - j)
+                        for i, ci in enumerate(c) for j, cj in enumerate(c))
+        return float(mp.sqrt(total / (lam * (2 - lam))))
+
+
+def mp_ses_msfe_recursion(psi, lam: float, dps: int = 50) -> float:
+    """forecast.ses_msfe's recursion at dps digits: e_k = psi_k - lam u_{k-1},
+    u_k = rho u_{k-1} + psi_k, plus the tail lam u_q^2 / (2 - lam)."""
+    with mp.workdps(dps):
+        lam = mp.mpf(float(lam))
+        rho, u, mse = 1 - lam, mp.mpf(0), mp.mpf(0)
+        for x in psi:
+            x = mp.mpf(float(x))
+            mse += (x - lam * u) ** 2
+            u = rho * u + x
+        return float(mp.sqrt(mse + lam * u ** 2 / (2 - lam)))
 
 
 def greedy_replay_ok(offsets, assignment_log, tie_tol: float = 1e-12) -> bool:
@@ -268,8 +357,8 @@ def ref_policy_transfers(rows) -> tuple:
 def ref_seller_filter(transfers, psi, n: int) -> TransferPoly:
     """Seller n's demand filter (psi * T_n) / N of ref_policy_transfers'
     transfers; n is 1-based."""
-    product = poly_mul(psi, transfers[n - 1])
-    return TransferPoly(product.coeffs / len(transfers))
+    product = np.convolve(psi.coeffs, transfers[n - 1].coeffs)
+    return TransferPoly(product / len(transfers))
 
 
 def ref_benchmark_offsets(transfers, mu, demands) -> np.ndarray:

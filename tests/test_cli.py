@@ -17,8 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from demandalloc import (NumericalInstability, TransferPoly, filter_msfe,
-                         ses_truncated_weights)
+from demandalloc import NumericalInstability
 from demandalloc.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_NUMERICAL,
                              EXIT_OK, Scenario, ScenarioError, load_scenario,
                              main, parse_scenario)
@@ -242,9 +241,8 @@ def test_numeric_flags_are_checked_at_parse_time(tmp_path, capsys, argv, flag):
     (["msfe", "3", "--ses", "0"], "--ses"),
     (["msfe", "3", "--ses", "1.5"], "--ses"),
     (["msfe", "3", "--ses", "nan"], "--ses"),
-    # below the floor the default filter would need over 10^5 weights
-    (["msfe", "3", "--ses", "1e-12"], "--ses"),
-    (["msfe", "3", "--ses", "0.0002"], "--ses"),
+    (["msfe", "3", "--ses", "-5e-324"], "--ses"),
+    (["msfe", "3", "--ses", "inf"], "--ses"),
 ])
 def test_polynomial_flags_are_checked_at_parse_time(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -253,6 +251,25 @@ def test_polynomial_flags_are_checked_at_parse_time(capsys, argv, flag):
     captured = capsys.readouterr()
     assert f"argument {flag}" in captured.err
     assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("lam", ["5e-324", "1e-300", "0.000276272", "1"])
+def test_ses_range_ends_are_answered(capsys, lam):
+    assert main(["msfe", "1", "--ses", lam]) == EXIT_OK
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["ses_lambda"] == float(lam)
+    assert math.isfinite(doc["ses_msfe"]) and doc["ses_msfe"] >= 1.0
+
+
+@pytest.mark.parametrize("lam", ["0", "-0.0", "1.5", "nan"])
+def test_ses_outside_its_range_names_the_range(capsys, lam):
+    with pytest.raises(SystemExit) as exc:
+        main(["msfe", "1", "--ses", lam])
+    assert exc.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1].endswith(
+        f"argument --ses: expected a number in (0, 1], got '{lam}'")
     assert captured.out == ""
 
 
@@ -464,20 +481,26 @@ def test_scenario_fuzz_exits_cleanly(mu, psi, n_sellers, options, platform,
                 _assert_finite_csv(out.read_text())
 
 
-@pytest.mark.parametrize("argv, quantity", [
-    (["factor", "1e200", "1e200"], "msfe_squared"),
-    (["msfe", "1e200", "--ses", "0.5"], "msfe_squared"),
+@pytest.mark.parametrize("argv, quantity, warning", [
+    # the roots of 1e200 + 1e200 z lie on the unit circle
+    (["factor", "1e200", "1e200"], "msfe_squared", "root within boundary_tol"),
+    (["msfe", "1e200", "--ses", "0.5"], "msfe_squared", None),
     # a lead too large for a float, and one whose tail sum overflows
-    (["msfe", "1", "0.5", "--lead", "1" + "0" * 400], "leadtime_msfe"),
-    (["msfe", "1", "0.5", "--lead", "1" + "0" * 308], "leadtime_msfe"),
+    (["msfe", "1", "0.5", "--lead", "1" + "0" * 400], "leadtime_msfe", None),
+    (["msfe", "1", "0.5", "--lead", "1" + "0" * 308], "leadtime_msfe", None),
     # the partial sums' squares overflow inside the lead-time sum
-    (["msfe", "1", "1e200", "--lead", "1"], "msfe_squared"),
+    (["msfe", "1", "1e200", "--lead", "1"], "msfe_squared", None),
+    # the error coefficients 1, 1e154 - 1 and -1e154 square past the range
+    (["msfe", "1", "1e154", "--ses", "1"], "ses_msfe", None),
 ], ids=["factor-square", "msfe-ses-square", "lead-beyond-float", "lead-1e308",
-        "lead-head-square"])
-def test_overflow_names_the_quantity(capsys, argv, quantity):
+        "lead-head-square", "ses-square"])
+def test_overflow_names_the_quantity(capsys, argv, quantity, warning):
     # numpy's overflow warning, a second line at the command line, is an
-    # error under the test run's warning filters
-    assert main(argv) == EXIT_NUMERICAL
+    # error under the test run's warning filters; the package's own
+    # boundary warning is expected where the case names it
+    with (pytest.warns(RuntimeWarning, match=warning) if warning
+          else contextlib.nullcontext()):
+        assert main(argv) == EXIT_NUMERICAL
     captured = capsys.readouterr()
     assert captured.err == f"numerical failure: {quantity} overflows the float range\n"
     assert captured.out == ""
@@ -508,7 +531,8 @@ _FLAG_VALUES = {
     "--grid": ["40", "2", "1", "0", "-1", "x", str(10**15)],
     "--check-linearity": [],
     "--lead": ["0", "1", "7", "1000000000", "-1", "1.5", "x"],
-    "--ses": ["0.5", "1", "0.0005", "0", "1.5", "nan", "1e-12"],
+    "--ses": ["0.5", "1", "0.0005", "0", "1.5", "nan", "1e-12", "1e-300",
+              "5e-324"],
     "--boundary-tol": ["1e-9", "0", "0.5", "1", "-0.1", "nan", "x"],
 }
 _OWN_FLAGS = {"optimize": [], "simulate": ["--sigma", "--periods", "--seed"],
@@ -849,22 +873,20 @@ class TestFactorAndMsfe:
         assert doc["leadtime_msfe_squared"] == pytest.approx(4.0 + 9e9, rel=1e-12)
 
     def test_msfe_ses_domain_edge(self, capsys):
+        # lam = 1 forecasts the last value: the error 3 e_t - 3 e_{t-1}
         doc = self.run_json(["msfe", "--ses", "1", "3"], capsys)
-        assert doc["ses_msfe"] == pytest.approx(
-            filter_msfe(TransferPoly([3.0]), ses_truncated_weights(1.0)), rel=1e-12)
+        assert doc["ses_msfe"] == math.sqrt(18.0)
 
     def test_msfe_with_small_ses(self, capsys):
-        # the filter's tail weights fall below the polynomial trim level;
-        # the kept weights still sum to 1
         doc = self.run_json(["msfe", "--ses", "0.0005", "3", "1"], capsys)
         assert doc["ses_msfe"] == pytest.approx(
-            ses_msfe_closed_form(3.0, 1, 1 / 3, 5e-4), rel=1e-9)
+            ses_msfe_closed_form(3.0, 1, 1 / 3, 5e-4), rel=1e-13)
 
     def test_msfe_with_ses(self, capsys):
+        # error coefficients 3, then -3 lam rho^k: 9 + 9 lam / (2 - lam) = 12
         doc = self.run_json(["msfe", "--ses", "0.5", "3"], capsys)
         assert doc["root_msfe"] == pytest.approx(3.0, rel=1e-12)
-        expected = filter_msfe(TransferPoly([3.0]), ses_truncated_weights(0.5))
-        assert doc["ses_msfe"] == pytest.approx(expected, rel=1e-12)
+        assert doc["ses_msfe"] == math.sqrt(12.0)
 
 
 class TestCurve:

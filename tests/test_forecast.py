@@ -15,7 +15,6 @@ from demandalloc import (
     FBP,
     InsufficientHistory,
     TransferPoly,
-    filter_msfe,
     forecast,
     inner_outer_factor,
     lagged_variant,
@@ -23,17 +22,19 @@ from demandalloc import (
     market_table,
     neutral_policy,
     root_msfe,
-    ses_truncated_weights,
+    ses_msfe,
     sigma_lower_bound,
     simulate,
     uniform_policy,
 )
-from demandalloc.forecast import (PREDICT_ROW_CAP, SES_MAX_ORDER,
-                                  SES_MIN_LAMBDA, _innovations_rows,
+from demandalloc.forecast import (PREDICT_ROW_CAP, _innovations_rows,
                                   predict_streams, simulate_inventory)
-from oracles import (benchmark_targets, mp_root_msfe, mp_roots,
+from oracles import (REF_SES_MAX_ORDER, REF_SES_MIN_LAMBDA, benchmark_targets,
+                     mp_root_msfe, mp_roots, mp_ses_msfe_double_sum,
+                     mp_ses_msfe_recursion, ref_filter_msfe,
                      ref_innovations_predict, ref_policy_transfers,
-                     ref_seller_filter, seller_columns, ses_msfe_closed_form)
+                     ref_seller_filter, ref_ses_truncated_weights,
+                     seller_columns, ses_msfe_closed_form)
 from test_policy import filters_by_seller
 from test_routing import relabelled_policy, routed_designs
 from test_seller import COSTS, SELLERS, TABLE
@@ -228,12 +229,14 @@ class TestPredictStreams:
 
 
 class TestSesWeights:
+    # the truncated weights are the reference ses_msfe is held to on
+    # [REF_SES_MIN_LAMBDA, 1]; these checks keep that reference honest
     def test_heavy_smoothing_is_last_value(self):
-        f = ses_truncated_weights(1.0)
+        f = ref_ses_truncated_weights(1.0)
         np.testing.assert_array_equal(f.coeffs, [1.0])
 
     def test_geometric_profile(self):
-        f = ses_truncated_weights(0.5)
+        f = ref_ses_truncated_weights(0.5)
         w = f.coeffs
         assert w[0] / w[1] == pytest.approx(2.0, rel=1e-12)
         assert w[1] / w[2] == pytest.approx(2.0, rel=1e-12)
@@ -242,7 +245,7 @@ class TestSesWeights:
     def test_auto_order_makes_tail_negligible(self):
         # dropped geometric tail stays below the unbiasedness tolerance
         for lam in (0.1, 0.5, 0.9):
-            f = ses_truncated_weights(lam)
+            f = ref_ses_truncated_weights(lam)
             order = f.coeffs.size
             assert (1.0 - lam) ** order < 1e-9
             assert abs(float(np.sum(f.coeffs)) - 1.0) < 1e-9
@@ -250,34 +253,34 @@ class TestSesWeights:
     def test_domain(self):
         for lam in (0.0, -0.2, 1.5):
             with pytest.raises(ValueError):
-                ses_truncated_weights(lam)
+                ref_ses_truncated_weights(lam)
 
-    @pytest.mark.parametrize("lam", [5e-4, SES_MIN_LAMBDA])
+    @pytest.mark.parametrize("lam", [5e-4, REF_SES_MIN_LAMBDA])
     def test_small_lambda_keeps_unit_sum(self, lam):
         # the tail weights fall below the polynomial trim level from
         # lam ~ 0.5 down; the kept weights must still sum to 1
-        f = ses_truncated_weights(lam)
-        assert f.coeffs.size <= SES_MAX_ORDER
+        f = ref_ses_truncated_weights(lam)
+        assert f.coeffs.size <= REF_SES_MAX_ORDER
         assert abs(float(np.sum(f.coeffs)) - 1.0) < 1e-12
-        assert filter_msfe(TransferPoly([3.0, 1.0]), f) == pytest.approx(
+        assert ref_filter_msfe(TransferPoly([3.0, 1.0]), f) == pytest.approx(
             ses_msfe_closed_form(3.0, 1, 1 / 3, lam), rel=1e-9)
 
-    @pytest.mark.parametrize("lam", [np.nextafter(SES_MIN_LAMBDA, 0.0), 1e-12])
+    @pytest.mark.parametrize("lam", [np.nextafter(REF_SES_MIN_LAMBDA, 0.0), 1e-12])
     def test_below_the_floor_rejected(self, lam):
         with pytest.raises(ValueError, match="lam"):
-            ses_truncated_weights(lam)
+            ref_ses_truncated_weights(lam)
 
     def test_forecaster_requires_unit_sum(self):
         with pytest.raises(ValueError,
                            match=r"^forecaster weights sum to 0\.7, need 1$"):
-            filter_msfe(TransferPoly([3.0, 1.0]), TransferPoly([0.5, 0.2]))
+            ref_filter_msfe(TransferPoly([3.0, 1.0]), TransferPoly([0.5, 0.2]))
 
 
 class TestFilterMsfe:
     def test_last_value_on_iid(self):
         # naive forecasting doubles the error variance
-        naive = ses_truncated_weights(1.0)
-        assert filter_msfe(TransferPoly([3.0]), naive) == pytest.approx(
+        naive = ref_ses_truncated_weights(1.0)
+        assert ref_filter_msfe(TransferPoly([3.0]), naive) == pytest.approx(
             3.0 * math.sqrt(2.0), rel=1e-12)
 
     def test_never_beats_the_factorization_floor(self):
@@ -289,7 +292,7 @@ class TestFilterMsfe:
             p = TransferPoly(coeffs)
             w = rng.uniform(-1, 1, size=rng.integers(1, 8))
             w[0] += 1.0 - w.sum()  # normalize to an unbiased filter
-            assert filter_msfe(p, TransferPoly(w)) >= root_msfe(p) - 1e-9
+            assert ref_filter_msfe(p, TransferPoly(w)) >= root_msfe(p) - 1e-9
 
     def test_tapered_inverse_filter_approaches_the_floor(self):
         # an invertible stream admits near-optimal finite filters: expand
@@ -305,11 +308,64 @@ class TestFilterMsfe:
             G = np.concatenate([H, [0.0]]) - np.concatenate([[0.0], H])
             return -G[1:]
 
-        msfes = [filter_msfe(psi, TransferPoly(weights(m)))
+        msfes = [ref_filter_msfe(psi, TransferPoly(weights(m)))
                  for m in (8, 32, 128, 512)]
         assert all(a > b for a, b in zip(msfes, msfes[1:]))
         assert msfes[-1] == pytest.approx(root_msfe(psi), abs=1.1e-3)
         assert all(v >= root_msfe(psi) for v in msfes)
+
+
+# streams of degree 0..8 with a nonzero lead coefficient, and smoothing
+# constants log-uniform in [10**lo, 1]
+_ses_psi = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=9).filter(
+    lambda c: abs(c[0]) >= 1e-3).map(TransferPoly)
+
+
+def _ses_lam(lo):
+    return st.floats(lo, 0.0).map(lambda x: 10.0 ** x)
+
+
+class TestSesMsfe:
+    @given(psi=_ses_psi, lam=_ses_lam(-12.0))
+    @example(psi=TransferPoly([3.0, 1.0]), lam=1e-12)
+    @example(psi=TransferPoly([1.0, -1.0]), lam=1.0)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_double_sum_in_mpmath(self, psi, lam):
+        assert ses_msfe(psi, lam) == pytest.approx(
+            mp_ses_msfe_double_sum(psi.coeffs, lam), rel=1e-13)
+
+    @given(psi=_ses_psi, lam=_ses_lam(-300.0))
+    @example(psi=TransferPoly([1.0, 2.0, -0.5]), lam=5e-324)
+    @example(psi=TransferPoly([1.0]), lam=1e-300)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_recursion_in_mpmath(self, psi, lam):
+        assert ses_msfe(psi, lam) == pytest.approx(
+            mp_ses_msfe_recursion(psi.coeffs, lam), rel=1e-13)
+
+    @given(psi=_ses_psi, x=st.floats(math.log10(REF_SES_MIN_LAMBDA), 0.0))
+    @example(psi=TransferPoly([3.0, 1.0]), x=math.log10(REF_SES_MIN_LAMBDA))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_truncated_filter(self, psi, x):
+        lam = max(REF_SES_MIN_LAMBDA, 10.0 ** x)
+        assert ses_msfe(psi, lam) == pytest.approx(
+            ref_filter_msfe(psi, ref_ses_truncated_weights(lam)), rel=1e-11)
+
+    @given(psi=_ses_psi, lam=_ses_lam(-300.0))
+    @settings(max_examples=200, deadline=None)
+    def test_never_beats_the_factorization_floor(self, psi, lam):
+        assert ses_msfe(psi, lam) >= root_msfe(psi) * (1.0 - 1e-12)
+
+    @given(psi=_ses_psi)
+    @settings(max_examples=100, deadline=None)
+    def test_full_smoothing_is_the_last_value_forecast(self, psi):
+        err = np.convolve([1.0, -1.0], psi.coeffs)
+        assert ses_msfe(psi, 1.0) == pytest.approx(math.sqrt(math.fsum(err * err)),
+                                                   rel=1e-15)
+
+    @pytest.mark.parametrize("lam", [0.0, -0.0, -0.2, 1.5, math.nan])
+    def test_domain(self, lam):
+        with pytest.raises(ValueError, match=r"lam must lie in \(0, 1\]"):
+            ses_msfe(TransferPoly([3.0]), lam)
 
 
 class TestSesClosedForm:
@@ -318,14 +374,13 @@ class TestSesClosedForm:
         assert got == pytest.approx(math.sqrt(0.25 + SIGMA_STAR ** 2), rel=1e-12)
         assert got == pytest.approx(8.88, abs=0.01)
 
-    def test_matches_truncated_filter_both_parities(self):
+    def test_ses_msfe_matches_both_parities(self):
         pol = neutral_policy(M5, 10, SIGMA_STAR)
         for n, f in zip((1, 2), filters_by_seller(pol, M5)):
             alpha = pol.transfers[n - 1, 1]
-            for lam in (0.01, 0.3, 0.9):
-                truncated = filter_msfe(f, ses_truncated_weights(lam))
-                closed = ses_msfe_closed_form(5.0, 10, alpha, lam)
-                assert truncated == pytest.approx(closed, abs=1e-6)
+            for lam in (1e-9, 0.01, 0.3, 0.9):
+                assert ses_msfe(f, lam) == pytest.approx(
+                    ses_msfe_closed_form(5.0, 10, alpha, lam), rel=1e-13)
 
     def test_no_smoothing_is_the_corner_optimum(self):
         # the perceived error is minimized at lam = 0 for the reference

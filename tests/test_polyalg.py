@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from demandalloc.demand import DemandModel
 from demandalloc.polyalg import (TransferPoly, ZeroPolynomial,
-                                 inner_outer_factor, is_invertible, poly_mul,
+                                 inner_outer_factor, is_invertible,
                                  poly_roots, root_msfe, variance)
 from oracles import innovations_msfe_oracle, mp_root_msfe, mp_roots
 
@@ -109,11 +109,6 @@ class TestTransferPoly:
         p = TransferPoly([1.0, 2.0])
         with pytest.raises(ValueError):
             p.coeffs[0] = 5.0
-
-    def test_poly_mul_is_convolution(self):
-        a = TransferPoly([1.0, 2.0])
-        b = TransferPoly([3.0, 0.0, 1.0])
-        assert np.allclose(poly_mul(a, b).coeffs, [3.0, 6.0, 1.0, 2.0])
 
 
 class TestRoots:
