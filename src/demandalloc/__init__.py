@@ -14,7 +14,7 @@ from .platform import (Curve, EmptyFeasibleSet, PayoffResult,
                        PlatformSolution, export_curve, optimize, payoff,
                        payoff_curve, solution_document)
 from .policy import (AllocationPolicy, BelowLowerBound, Infeasible,
-                     InsufficientHistory, benchmark_offsets, lagged_variant,
+                     InsufficientHistory, benchmark_offsets,
                      neutral_policy, seller_filters, sigma_lower_bound,
                      uniform_policy)
 from .polyalg import (Factorization, NumericalInstability,
@@ -42,7 +42,7 @@ __all__ = [
     "check_cost_assumptions",
     "export_assignment_log", "export_curve",
     "inner_outer_factor", "integerize_demand",
-    "inventory_coefficient", "is_invertible", "lagged_variant",
+    "inventory_coefficient", "is_invertible",
     "leadtime_msfe", "market_table",
     "neutral_policy", "optimize", "payoff", "payoff_curve",
     "poly_roots", "prob_negative", "root_msfe", "route_orders",

@@ -130,32 +130,18 @@ def neutral_policy(model: DemandModel, N: int, sigma_target: float) -> Allocatio
     if N == 1:
         raise Infeasible("a single seller always carries the full market MSFE")
     if N % 2 == 0:
-        return AllocationPolicy(_alternating(alpha, 1, N))
+        return AllocationPolicy(_alternating(alpha, N))
     transfers = np.zeros((N, 3))
-    transfers[:, :2] = _alternating(alpha, 1, N)
+    transfers[:, :2] = _alternating(alpha, N)
     transfers[:2] = [[1.0, alpha, alpha], [1.0, 0.0, -alpha]]
     return AllocationPolicy(transfers)
 
 
-def lagged_variant(model: DemandModel, N: int, sigma_target: float,
-                   k: int) -> AllocationPolicy:
-    """Even-N design with the memory pushed k periods back: T_n = 1 + (-1)^n a z^k."""
-    if N % 2 != 0:
-        raise ValueError("lagged variant requires an even number of sellers")
-    if k < 1:
-        raise ValueError("lag k must be at least 1")
-    sigma_l, alpha = _check_target(model, N, sigma_target)
-    if sigma_target == sigma_l:
-        return uniform_policy(N)
-    return AllocationPolicy(_alternating(alpha, k, N))
-
-
-def _alternating(alpha, k, N):
-    """(N, k + 1) transfers 1 + (-1)^n a z^k of sellers n = 1..N."""
-    transfers = np.zeros((N, k + 1))
-    transfers[:, 0] = 1.0
-    transfers[:, k] = alpha
-    transfers[::2, k] = -alpha
+def _alternating(alpha, N):
+    """(N, 2) transfers 1 + (-1)^n a z of sellers n = 1..N."""
+    transfers = np.ones((N, 2))
+    transfers[:, 1] = alpha
+    transfers[::2, 1] = -alpha
     return transfers
 
 

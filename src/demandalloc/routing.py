@@ -24,8 +24,10 @@ the counts stay within one unit of the targets either way.
 route_orders routes a (T x N) offset array in one call; its RoutePathResult
 holds the (T x N) counts and targets, a (T,) routed mask and the flat log.
 route_path takes the demand array of demand.simulate.  export_assignment_log
-builds the log's rows in blocks and writes them with the exact formatter of
-csvtext, which the simulate CSV shares.
+writes one row per routed order, period, order, seller and the seller's
+adjusted count after it, in O(orders) at any N; every other seller's
+adjusted count follows from the log and RoutePathResult.targets.  It writes
+with the exact formatter of csvtext, which the simulate CSV shares.
 """
 from __future__ import annotations
 
@@ -213,33 +215,35 @@ def route_path(alloc_policy: AllocationPolicy, model: DemandModel, demands,
 
 
 def export_assignment_log(path_result: RoutePathResult, fileobj) -> None:
-    """CSV log: period, order index, chosen seller, adjusted counts snapshot.
+    """CSV log of every routed order: period, order index, chosen seller and
+    adj, the seller's count minus its offset right after the order.
 
-    The snapshot columns adj_1..adj_N hold counts minus offsets immediately
-    after the order is assigned.  Rows are written in blocks of about
-    csvtext.BLOCK_CELLS cells by the exact formatter.
+    An order's count is 1 plus its rank among the period's earlier orders to
+    the same seller, found by one stable sort of the (period, seller) cells,
+    so the log is O(orders) whatever N.  adj - 1 is the key the greedy took,
+    so adj never falls below an earlier adj of its period by more than a
+    tie.  The other sellers' adjusted counts after each order follow from
+    the log's sellers and the offsets targets - D_t/N of RoutePathResult.
+    Rows are written in blocks of about csvtext.BLOCK_CELLS cells by the
+    exact formatter.
     """
     counts, log = path_result.counts, path_result.log
     n = counts.shape[1]
-    csv.writer(fileobj).writerow(
-        ["period", "order", "seller"] + [f"adj_{i}" for i in range(1, n + 1)])
+    csv.writer(fileobj).writerow(["period", "order", "seller", "adj"])
     sizes = counts.sum(axis=1)
     offs = path_result.targets - (sizes / n)[:, None]
-    before = np.cumsum(counts, axis=0) - counts
     row_period = np.repeat(np.arange(sizes.size), sizes)
+    # a cell's orders are consecutive and in sequence after a stable sort,
+    # so an order's count is its place there minus its cell's first place
+    cell = row_period * n + (log - 1)
+    by_cell = np.argsort(cell, kind="stable")
+    cell = cell[by_cell]
+    count = np.empty(log.size, dtype=np.int64)
+    count[by_cell] = np.arange(log.size) - np.searchsorted(cell, cell)
+    adj = (count + 1) - offs[row_period, log - 1]
     order = np.arange(log.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    block = max(1, BLOCK_CELLS // (n + 3))
-    running = np.zeros(n, dtype=np.int64)
+    block = BLOCK_CELLS // 4
     for lo in range(0, log.size, block):
-        sellers = log[lo:lo + block]
-        p = row_period[lo:lo + block]
-        onehot = np.zeros((sellers.size, n), dtype=np.int64)
-        onehot[np.arange(sellers.size), sellers - 1] = 1
-        cumulative = running + np.cumsum(onehot, axis=0)
-        running = cumulative[-1]
-        rows = np.empty((sellers.size, n + 3))
-        rows[:, 0] = p
-        rows[:, 1] = order[lo:lo + block]
-        rows[:, 2] = sellers
-        rows[:, 3:] = (cumulative - before[p]) - offs[p]
+        rows = np.column_stack([col[lo:lo + block]
+                                for col in (row_period, order, log, adj)])
         fileobj.write(_format_rows(rows, 3))

@@ -24,6 +24,10 @@ psi (1 - z) / (1 - rho z) as a double geometric sum in mpmath
 (mp_ses_msfe_recursion).  The first two take TransferPoly, as_poly and
 TRIM_TOL from demandalloc.polyalg.
 
+lagged_variant is the even-N design with its memory pushed k lags back,
+which left the package because no command builds it; it takes the target
+checks of demandalloc.policy, so it fails as neutral_policy does.
+
 The per-seller design references (ref_policy_transfers, ref_seller_filter,
 ref_benchmark_offsets) are the one-TransferPoly-per-seller form of a design
 that the package replaced with one transfer matrix: each row built and
@@ -46,7 +50,12 @@ The reference CSV writers at the end are the %-formatting writers of the
 `simulate` CSV and the `route` assignment log, and the per-row writer of the
 `curve` CSV, that the package replaced with its exact block formatter
 (demandalloc.csvtext).  They read the same run, routing result and curve
-arrays and format every cell with Python's "%d" and "%.6f".
+arrays and format every cell with Python's "%d" and "%.6f".  The route
+log's reference tallies each seller's count one order at a time.
+ref_export_snapshot_log is the N-column log (every seller's adjusted count
+after every order) that the package wrote before its log became O(orders),
+and snapshot_log_from rebuilds it from the new log's text and the routing
+targets alone, which shows the new log lost nothing.
 
 The reference inventory coefficient (ref_inventory_coefficient) is the
 method-call form of K and zeta that the package replaced with one scalar
@@ -85,7 +94,8 @@ import numpy as np
 from demandalloc import cli
 from demandalloc.forecast import PREDICT_ROW_CAP, _innovations_rows
 from demandalloc.platform import SIDES, PayoffResult, PlatformSolution
-from demandalloc.policy import ADMISSIBILITY_TOL
+from demandalloc.policy import (ADMISSIBILITY_TOL, AllocationPolicy, _check_target,
+                                uniform_policy)
 from demandalloc.polyalg import (DEFAULT_BOUNDARY_TOL, TRIM_TOL, TransferPoly,
                                  as_poly)
 from demandalloc.seller import DomainError, SellerParams, inventory_coefficient
@@ -335,6 +345,24 @@ def ref_innovations_predict(coeffs, series, mean: float = 0.0):
             acc += row[j] * (x[t - j] - xhat[t - j])
         xhat[t] = acc
     return xhat + mean
+
+
+def lagged_variant(model, N: int, sigma_target: float, k: int) -> AllocationPolicy:
+    """Even-N design with the memory pushed k periods back: T_n = 1 + (-1)^n a
+    z^k, with a and the target checks of policy.neutral_policy.  No command
+    builds it; the tests use it as a design with a longer memory."""
+    if N % 2 != 0:
+        raise ValueError("lagged variant requires an even number of sellers")
+    if k < 1:
+        raise ValueError("lag k must be at least 1")
+    sigma_l, alpha = _check_target(model, N, sigma_target)
+    if sigma_target == sigma_l:
+        return uniform_policy(N)
+    transfers = np.zeros((N, k + 1))
+    transfers[:, 0] = 1.0
+    transfers[:, k] = alpha
+    transfers[::2, k] = -alpha
+    return AllocationPolicy(transfers)
 
 
 def ref_policy_transfers(rows) -> tuple:
@@ -665,9 +693,10 @@ def ref_export_simulation(run, fileobj) -> None:
         fileobj.write((line * (hi - lo)) % tuple(rows.ravel().tolist()))
 
 
-def ref_export_assignment_log(path_result, fileobj) -> None:
-    """CSV log: period, order index, chosen seller, then counts minus offsets
-    of every seller right after the order, %-formatted in blocks of rows."""
+def ref_export_snapshot_log(path_result, fileobj) -> None:
+    """The N-column log the package wrote before its log became O(orders):
+    period, order index, chosen seller, then counts minus offsets of every
+    seller right after the order, %-formatted in blocks of rows."""
     counts, log = path_result.counts, path_result.log
     n = counts.shape[1]
     writer = csv.writer(fileobj)
@@ -693,6 +722,52 @@ def ref_export_assignment_log(path_result, fileobj) -> None:
         rows[:, 2] = sellers
         rows[:, 3:] = (cumulative - before[p]) - offs[p]
         fileobj.write((line * sellers.size) % tuple(rows.ravel().tolist()))
+
+
+def ref_export_assignment_log(path_result, fileobj) -> None:
+    """CSV log: period, order index, chosen seller, then that seller's count
+    minus its offset right after the order, counted one order at a time and
+    %-formatted."""
+    counts, log = path_result.counts, path_result.log
+    n = counts.shape[1]
+    writer = csv.writer(fileobj)
+    writer.writerow(["period", "order", "seller", "adj"])
+    sizes = counts.sum(axis=1)
+    offs = path_result.targets - (sizes / n)[:, None]
+    line = "%d,%d,%d,%.6f" + writer.dialect.lineterminator
+    rows, start = [], 0
+    for t, size in enumerate(sizes.tolist()):
+        tally = [0] * n
+        for k, seller in enumerate(log[start:start + size].tolist()):
+            tally[seller - 1] += 1
+            rows.append(line % (t, k, seller, tally[seller - 1] - offs[t, seller - 1]))
+        start += size
+    fileobj.write("".join(rows))
+
+
+def snapshot_log_from(text: str, targets) -> str:
+    """The N-column log of ref_export_snapshot_log, rebuilt from the text of
+    an O(orders) log and the (T x N) targets alone: a period's offsets are
+    its targets minus its row count over N, and each seller's count after an
+    order is tallied from the seller column."""
+    targets = np.asarray(targets)
+    n = targets.shape[1]
+    rows = [[int(x) for x in line.split(",")[:3]]
+            for line in text.split("\r\n")[1:-1]]
+    sizes = [0] * targets.shape[0]
+    for t, _, _ in rows:
+        sizes[t] += 1
+    line = "%d,%d,%d" + ",%.6f" * n + "\r\n"
+    out, tally = [], None
+    for t, k, seller in rows:
+        if k == 0:
+            tally = [0] * n
+        tally[seller - 1] += 1
+        offs = targets[t] - sizes[t] / n
+        out.append(line % (t, k, seller, *(c - b for c, b in zip(tally, offs.tolist()))))
+    header = ",".join(["period", "order", "seller"]
+                      + [f"adj_{i}" for i in range(1, n + 1)])
+    return header + "\r\n" + "".join(out)
 
 
 _STD_NORMAL = NormalDist()

@@ -23,7 +23,6 @@ from demandalloc import (
     benchmark_offsets,
     inner_outer_factor,
     is_invertible,
-    lagged_variant,
     leadtime_msfe,
     market_table,
     neutral_policy,
@@ -40,9 +39,9 @@ from demandalloc import (
 from demandalloc.cli import load_scenario
 from demandalloc.forecast import (_innovations_rows, predict_streams,
                                   simulate_inventory)
-from oracles import (Seller, curve_points, ref_filter_msfe, ref_mode_economics,
-                     ref_payoff, seller_columns, seller_records,
-                     ses_msfe_closed_form)
+from oracles import (Seller, curve_points, lagged_variant, ref_filter_msfe,
+                     ref_mode_economics, ref_payoff, seller_columns,
+                     seller_records, ses_msfe_closed_form)
 from test_policy import filters_by_seller
 from test_routing import relabelled_policy
 

@@ -1062,8 +1062,7 @@ class TestRoute:
 
         with out.open() as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["period", "order", "seller"] \
-            + [f"adj_{i}" for i in range(1, 11)]
+        assert rows[0] == ["period", "order", "seller", "adj"]
 
     def test_summary_matches_golden(self, tmp_path, capsys):
         # random ties, and most periods at sigma 3 skip

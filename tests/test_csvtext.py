@@ -13,16 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demandalloc import (DemandModel, TransferPoly, export_assignment_log,
-                         export_curve, lagged_variant, market_table,
-                         neutral_policy, payoff_curve, route_path, simulate)
+                         export_curve, market_table, neutral_policy,
+                         payoff_curve, route_path, simulate)
 from demandalloc.cli import load_scenario, main
 from demandalloc.csvtext import (_BLANK, _COMMA, _FRAC_HI, _FRAC_LO, _GROUP,
                                  _HEAD, _LF, BLOCK_CELLS, _format_rows)
 from demandalloc.forecast import export_simulation, simulate_inventory
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from oracles import (ref_export_assignment_log, ref_export_curve,  # noqa: E402
-                     ref_export_simulation, seller_columns)
+from oracles import (lagged_variant, ref_export_assignment_log,  # noqa: E402
+                     ref_export_curve, ref_export_simulation,
+                     ref_export_snapshot_log, seller_columns,
+                     snapshot_log_from)
 from test_forecast import CUSTOM_POLICY  # noqa: E402
 from test_market_table import random_market  # noqa: E402
 from test_seller import COSTS, MU, SELLERS  # noqa: E402
@@ -280,6 +282,42 @@ def test_assignment_log_matches_reference(design, periods, seed, tie_break):
         == written(ref_export_assignment_log, res)
 
 
+def check_rebuilds_snapshot_log(res):
+    """The N-column log of earlier versions, rebuilt byte for byte from the
+    log and the targets, and each row of the log as the first three cells of
+    the N-column row plus its chosen seller's cell."""
+    text = written(export_assignment_log, res).decode()
+    snapshot = written(ref_export_snapshot_log, res).decode()
+    assert snapshot_log_from(text, res.targets) == snapshot
+    rows, old_rows = text.split("\r\n"), snapshot.split("\r\n")
+    assert len(rows) == len(old_rows) == res.log.size + 2
+    for row, old in zip(rows[1:-1], old_rows[1:-1]):
+        cells = old.split(",")
+        assert row == ",".join(cells[:3] + [cells[2 + int(cells[2])]])
+
+
+@settings(max_examples=30, deadline=None)
+@given(designs, st.integers(5, 80), st.integers(0, 2 ** 16),
+       st.sampled_from(["random", "lowest"]))
+def test_log_rebuilds_snapshot_log(design, periods, seed, tie_break):
+    model, pol, _ = small_design(*design)
+    res = route_path(pol, model, simulate(model, periods, seed), seed,
+                     tie_break=tie_break)
+    check_rebuilds_snapshot_log(res)
+
+
+@pytest.mark.parametrize("mu, psi, N, sigma, periods", [
+    # the paths of the two route log goldens
+    (15.0, [5.0], 10, 3.0, 300),
+    (40.0, [5.0, 2.0, 1.0], 11, 0.7, 60),
+])
+def test_golden_paths_rebuild_snapshot_log(mu, psi, N, sigma, periods):
+    model = DemandModel(mu, TransferPoly(psi))
+    res = route_path(neutral_policy(model, N, sigma), model,
+                     simulate(model, periods, 4), 4, tie_break="lowest")
+    check_rebuilds_snapshot_log(res)
+
+
 def reference_run(sigma, periods, seed):
     """The run `simulate` makes on the reference scenario."""
     scenario = load_scenario(SCENARIO)
@@ -297,8 +335,8 @@ def test_long_runs_match_reference_across_blocks():
     assert written(export_simulation, run) == written(ref_export_simulation, run)
     model = DemandModel(15.0, TransferPoly([5.0]))
     res = route_path(neutral_policy(model, 10, 1.0), model,
-                     simulate(model, 600, 4), 4)
-    assert res.log.size * 13 > 3 * BLOCK_CELLS
+                     simulate(model, 1500, 4), 4)
+    assert res.log.size * 4 > 3 * BLOCK_CELLS
     assert written(export_assignment_log, res) \
         == written(ref_export_assignment_log, res)
 

@@ -17,7 +17,6 @@ from demandalloc import (
     TransferPoly,
     forecast,
     inner_outer_factor,
-    lagged_variant,
     leadtime_msfe,
     market_table,
     neutral_policy,
@@ -30,7 +29,7 @@ from demandalloc import (
 from demandalloc.forecast import (PREDICT_ROW_CAP, _innovations_rows,
                                   predict_streams, simulate_inventory)
 from oracles import (REF_SES_MAX_ORDER, REF_SES_MIN_LAMBDA, benchmark_targets,
-                     mp_root_msfe, mp_roots, mp_ses_msfe_double_sum,
+                     lagged_variant, mp_root_msfe, mp_roots, mp_ses_msfe_double_sum,
                      mp_ses_msfe_recursion, ref_filter_msfe,
                      ref_innovations_predict, ref_policy_transfers,
                      ref_seller_filter, ref_ses_truncated_weights,

@@ -14,7 +14,6 @@ from demandalloc import (
     TransferPoly,
     benchmark_offsets,
     is_invertible,
-    lagged_variant,
     market_table,
     neutral_policy,
     root_msfe,
@@ -23,8 +22,9 @@ from demandalloc import (
     simulate,
 )
 from demandalloc.forecast import simulate_inventory
-from oracles import (ref_benchmark_offsets, ref_policy_transfers,
-                     ref_seller_filter, seller_columns)
+from oracles import (lagged_variant, ref_benchmark_offsets,
+                     ref_policy_transfers, ref_seller_filter,
+                     seller_columns)
 from test_seller import COSTS, SELLERS
 
 M5 = DemandModel(20.0, TransferPoly([5.0]))

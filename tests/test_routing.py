@@ -16,18 +16,20 @@ from demandalloc import (
     benchmark_offsets,
     export_assignment_log,
     integerize_demand,
-    lagged_variant,
     neutral_policy,
     route_orders,
     route_path,
     simulate,
     uniform_policy,
 )
+from demandalloc.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from oracles import benchmark_targets, greedy_replay_ok, ref_route_orders  # noqa: E402
+from oracles import (benchmark_targets, greedy_replay_ok,  # noqa: E402
+                     lagged_variant, ref_route_orders)
 
-DATA = Path(__file__).resolve().parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
 MU = 15.0
 SIGMA_L = 0.5
 
@@ -297,40 +299,77 @@ class TestRoutePath:
         assert integerize_demand(ok).tolist() == [3, 0, 2 ** 63 - 1024]
 
 
+def exported(res):
+    buf = io.StringIO(newline="")
+    export_assignment_log(res, buf)
+    return buf.getvalue()
+
+
 class TestExport:
     def test_header_and_row_count(self):
         model = DemandModel(MU, TransferPoly([5.0]))
         path = simulate(model, 50, 6)
         design_model, pol = design(3, 1.0)
         res = route_path(pol, design_model, path, seed=9)
-        buf = io.StringIO()
-        export_assignment_log(res, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "period,order,seller,adj_1,adj_2,adj_3"
+        lines = exported(res).strip().splitlines()
+        assert lines[0] == "period,order,seller,adj"
         assert not res.routed.all() and not res.counts[~res.routed].any()
         assert res.log.size == int(res.counts.sum())
         assert len(lines) == res.log.size + 1
+        assert all(len(line.split(",")) == 4 for line in lines)
 
     def test_snapshot_reconstructs_final_counts(self):
+        # the last adj of each (period, seller) is counts - b; sellers
+        # without an order in a period have no row and a zero count
         model = DemandModel(MU, TransferPoly([5.0]))
         path = simulate(model, 20, 6)
         design_model, pol = design(2, 1.0)
         res = route_path(pol, design_model, path, seed=9)
-        buf = io.StringIO()
-        export_assignment_log(res, buf)
-        lines = buf.getvalue().strip().splitlines()[1:]
+        lines = exported(res).strip().splitlines()[1:]
         # orders within a period are logged in assignment sequence
-        last_by_period = {}
+        last = {}
         for line in lines:
-            parts = line.split(",")
-            last_by_period[int(parts[0])] = parts
-        assert sorted(last_by_period) == np.flatnonzero(
+            t, _, seller, adj = line.split(",")
+            last[int(t), int(seller)] = float(adj)
+        assert sorted({t for t, _ in last}) == np.flatnonzero(
             res.routed & (res.counts.sum(axis=1) > 0)).tolist()
-        for t, parts in last_by_period.items():
+        for t in range(res.counts.shape[0]):
             counts, targets = res.counts[t], res.targets[t]
-            adj = np.array([float(x) for x in parts[3:]])
             b = targets - float(counts.sum()) / counts.size
-            np.testing.assert_allclose(adj, counts - b, atol=5e-6)
+            for n in range(1, counts.size + 1):
+                if (t, n) in last:
+                    assert last[t, n] == pytest.approx(counts[n - 1] - b[n - 1],
+                                                       abs=5e-6)
+                else:
+                    assert counts[n - 1] == 0
+
+    def test_unrouted_paths_write_the_header_alone(self):
+        # every period skips: seller 2's target is -5 in each
+        skipped = route_orders(np.tile([5.0, -5.0], (6, 1)), np.zeros(6), seed=1)
+        assert not skipped.routed.any()
+        assert exported(skipped) == "period,order,seller,adj\r\n"
+        # zero demand under the uniform split: every period routes no order
+        zero = route_path(uniform_policy(3), DemandModel(MU, TransferPoly([5.0])),
+                          np.zeros(8), seed=1)
+        assert zero.routed.all() and zero.log.size == 0
+        assert exported(zero) == "period,order,seller,adj\r\n"
+
+    def test_log_size_is_linear_in_orders(self, tmp_path, capsys):
+        # an N-column snapshot took about 100 B a row at N = 10 and 10 kB at
+        # N = 1000; one adjusted count per row keeps both near 20 B
+        bytes_per_row = []
+        for scenario in (ROOT / "scenarios" / "illustrative.scenario",
+                         DATA / "wide_n1000.scenario"):
+            out = tmp_path / "route.csv"
+            assert main(["route", "--scenario", str(scenario), "--sigma", "1",
+                         "--periods", "5", "--seed", "4", "--out", str(out)]) == 0
+            capsys.readouterr()
+            data = out.read_bytes()
+            rows = data.count(b"\n") - 1
+            assert rows > 0
+            bytes_per_row.append(len(data) / rows)
+        narrow, wide = bytes_per_row
+        assert wide <= 1.5 * narrow
 
     @pytest.mark.parametrize("golden, mu, psi, N, sigma, periods", [
         # the reference scenario's market; most periods at sigma 3 skip
@@ -397,6 +436,22 @@ class TestPolicyTracking:
             assert int(res.counts[t].sum()) == demand[t]
             assert logs[t].size == demand[t]
             assert max(abs(c - x) for c, x in zip(res.counts[t], row)) <= 1.0 + 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(routed_designs(), st.lists(st.integers(0, 80), min_size=1, max_size=25),
+           st.integers(0, 2 ** 32), st.sampled_from(["random", "lowest"]))
+    def test_log_shows_the_greedy(self, pol_model, demand, seed, tie_break):
+        # adj - 1 is the key the greedy took, and the greedy takes keys in
+        # order, so within a period adj never falls below an earlier adj by
+        # more than the log's rounding
+        pol, model = pol_model
+        res = route_path(pol, model, path_of(demand), seed, tie_break=tie_break)
+        top = {}
+        for line in exported(res).split("\r\n")[1:-1]:
+            t, _, _, adj = line.split(",")
+            adj = float(adj)
+            assert adj >= top.get(t, -np.inf) - 1e-6
+            top[t] = max(top.get(t, -np.inf), adj)
 
 
 @st.composite
