@@ -356,9 +356,14 @@ def cmd_simulate(args) -> int:
 def cmd_route(args) -> int:
     scenario, alloc_policy, demands, seed = _design_run(args)
     try:
-        result = routing.route_path(alloc_policy, scenario.model, demands, seed)
+        demands = routing.integerize_demand(demands)
     except ValueError as exc:  # simulated demand beyond a whole order count
         raise ScenarioError(f"{args.scenario}.demand: {exc}") from exc
+    try:
+        result = routing.route_path(alloc_policy, scenario.model, demands, seed)
+    except NumericalInstability as exc:
+        raise NumericalInstability(
+            f"route at sigma = {args.sigma:g} overflows: {exc}") from exc
     with _primary_stream(args.out) as fh:
         routing.export_assignment_log(result, fh)
     skipped = result.infeasible_periods

@@ -161,6 +161,7 @@ def seller_filters(policy: AllocationPolicy, model: DemandModel):
     return [TransferPoly(p) for p in products], index
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def benchmark_offsets(policy: AllocationPolicy, model: DemandModel,
                       demands) -> np.ndarray:
     """Per-period offsets of the benchmark from the equal split, shape (T, N).
@@ -170,7 +171,8 @@ def benchmark_offsets(policy: AllocationPolicy, model: DemandModel,
     design's transfers meet a demand path: forecast.simulate_inventory
     allocates from it and routing.route_path tracks it.  Lags before the path
     count as demand at the mean.  Read from the lag coefficients directly, so
-    a memoryless design gives exact zeros.
+    a memoryless design gives exact zeros; an offset that overflows is left
+    non-finite, with no numpy warning, for the caller to name.
     """
     dev = np.asarray(demands, dtype=float) - model.mu
     N = policy.n_sellers

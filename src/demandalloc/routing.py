@@ -13,21 +13,18 @@ The greedy gives seller n its (k+1)-th order at key k - b_n, so a period's
 assignment sequence is the sorted merge of N arithmetic key sequences (the
 chairman assignment problem, Tijdeman 1980).  The router takes each
 period's D_t smallest keys from one sort over the whole path, with no loop
-over orders.  Keys within _TIE_TOL of the smallest key still unassigned
-tie with it, and ties go by a rank of the sellers that is fixed for the
-period: the seller index with tie_break="lowest", a seeded random ranking
-of the sellers with "random".
-The random ranking is drawn per period, not per order, so a seed gives
-other random-tie logs than the per-order draws of earlier versions did;
-the counts stay within one unit of the targets either way.
+over orders, and keeps each key's k + 1 as its order's count.  Keys within
+_TIE_TOL of the smallest key still unassigned tie with it, and ties go by
+a seeded random ranking of the sellers drawn once per period, so no seller
+wins ties more often than another: the allocation stays nondiscriminatory.
 
-route_orders routes a (T x N) offset array in one call; its RoutePathResult
-holds the (T x N) counts and targets, a (T,) routed mask and the flat log.
-route_path takes the demand array of demand.simulate.  export_assignment_log
-writes one row per routed order, period, order, seller and the seller's
-adjusted count after it, in O(orders) at any N; every other seller's
-adjusted count follows from the log and RoutePathResult.targets.  It writes
-with the exact formatter of csvtext, which the simulate CSV shares.
+route_orders routes a (T x N) offset array in one call into a
+RoutePathResult of arrays; route_path takes the demand array of
+demand.simulate.  export_assignment_log writes one row per routed order,
+period, order, seller and the seller's adjusted count after it, in
+O(orders) at any N; every other seller's adjusted count follows from the
+log and RoutePathResult.targets.  It writes with the exact formatter of
+csvtext, which the simulate CSV shares.
 """
 from __future__ import annotations
 
@@ -39,12 +36,12 @@ import numpy as np
 from .csvtext import BLOCK_CELLS, _format_rows
 from .demand import DemandModel
 from .policy import AllocationPolicy, benchmark_offsets
+from .polyalg import NumericalInstability
 
 OFFSET_SUM_TOL = 1e-9
 # Relative slack under which two offset-adjusted counts tie, and under
 # which a negative target still counts as zero.
 _TIE_TOL = 1e-12
-TIE_BREAKS = ("random", "lowest")
 
 
 @dataclass(frozen=True)
@@ -54,13 +51,15 @@ class RoutePathResult:
     counts and targets are (T x N); routed marks the periods whose targets
     were all nonnegative, and the others keep zero counts.  log holds the
     1-based seller of every routed order, period by period in assignment
-    sequence, so period t's orders are its next counts[t].sum() entries.
+    sequence, so period t's orders are its next counts[t].sum() entries;
+    taken holds each such order's count for its seller, the order included.
     """
 
     counts: np.ndarray
     targets: np.ndarray
     routed: np.ndarray
     log: np.ndarray
+    taken: np.ndarray
 
     @property
     def infeasible_periods(self) -> list:
@@ -111,37 +110,37 @@ def _order_wide_groups(keys, new_group, within) -> None:
 
 def _merge(offsets, targets, demand, rank):
     """Greedy assignment of demand[p] orders in each period p (all targets
-    nonnegative), as (counts, log): the (P x N) counts and the 1-based
-    sellers of every period's orders in assignment sequence, concatenated.
+    nonnegative), as (counts, log, taken): the (P x N) counts, the 1-based
+    sellers of every period's orders in assignment sequence, concatenated,
+    and each order's count for its seller, k + 1 for the key k - b_n.
 
     Seller n's keys run k = 0..floor(x_n)+1.  The keys up to D_t/N, at most
     floor(x_n)+1 of them, already number at least D_t, and the next one
     lies a unit beyond, so every key within tie reach of the cut is there.
     A key within _TIE_TOL of the key before it in sorted order joins that
-    key's tie group, and each group is taken in the greedy's order: by rank
-    where every key of the group ties with its first, by replay where not.
+    key's tie group, and each group, which lies in one period, is taken in
+    the greedy's order: by rank where every key of the group ties with its
+    first, by replay where not.
     """
     P, N = offsets.shape
     n_keys = (np.floor(np.maximum(targets, 0.0)) + 2.0).astype(np.int64).ravel()
     cell = np.repeat(np.arange(P * N), n_keys)
-    k = np.arange(cell.size) - np.repeat(np.cumsum(n_keys) - n_keys, n_keys)
+    first = np.cumsum(n_keys) - n_keys  # each cell's first key; cells run by period
+    k = np.arange(cell.size) - np.repeat(first, n_keys)
     keys = k - offsets.ravel()[cell]
-    period = cell // N
-    order = np.lexsort((keys, period))
-    keys, cell, period = keys[order], cell[order], period[order]
+    order = np.lexsort((keys, cell // N))
+    keys, period = keys[order], cell[order] // N
     new_group = np.ones(cell.size, dtype=bool)
     new_group[1:] = ((period[1:] != period[:-1])
                      | (keys[1:] > _tie_reach(keys[:-1])))
-    within = rank.ravel()[cell]
+    within = rank.ravel()[cell[order]]
     _order_wide_groups(keys, new_group, within)
     group = np.cumsum(new_group)
-    cell = cell[np.argsort(group * N + within, kind="stable")]
-    per_period = n_keys.reshape(P, N).sum(axis=1)
-    period = cell // N
-    position = np.arange(cell.size) - (np.cumsum(per_period) - per_period)[period]
-    cell = cell[position < demand[period]]
-    counts = np.bincount(cell, minlength=P * N).reshape(P, N)
-    return counts, cell % N + 1
+    order = order[np.argsort(group * N + within, kind="stable")]
+    position = np.arange(cell.size) - first[::N][period]
+    order = order[position < demand[period]]
+    counts = np.bincount(cell[order], minlength=P * N).reshape(P, N)
+    return counts, cell[order] % N + 1, k[order] + 1
 
 
 def _order_counts(demand) -> np.ndarray:
@@ -159,26 +158,27 @@ def _order_counts(demand) -> np.ndarray:
     return counts
 
 
-def route_orders(offsets, demand, seed: int,
-                 tie_break: str = "random") -> RoutePathResult:
-    """Assign demand[t] orders in each period t by smallest offset-adjusted
-    count.
+def route_orders(offsets, demand, seed: int) -> RoutePathResult:
+    """Assign each period's orders by smallest offset-adjusted count.
 
-    offsets is a (T x N) array of per-seller offsets b[t, n]; each row must
-    sum to zero, and demand holds T nonnegative whole counts (integral
-    floats pass).  A period whose targets fall below zero by more than the
-    relative tie slack is left unrouted with zero counts.  Ties go by a
-    ranking of the sellers per period, all drawn at once as
-    np.random.default_rng(seed).random((T, N)), or to the lowest index with
-    tie_break="lowest" for reproducible goldens.
+    offsets is a finite (T x N) array of per-seller offsets b[t, n], N >= 1,
+    whose rows each sum to zero, and demand holds T nonnegative whole
+    counts (integral floats pass); ValueError naming the one at fault.  A
+    period whose targets fall below zero by more than the relative tie
+    slack is left unrouted with zero counts.  Ties go by a ranking of the
+    sellers per period, all drawn at once as
+    np.random.default_rng(seed).random((T, N)).argsort(axis=1).
     """
-    if tie_break not in TIE_BREAKS:
-        raise ValueError(f"tie_break must be one of "
-                         f"{', '.join(map(repr, TIE_BREAKS))}, got {tie_break!r}")
     b = np.asarray(offsets, dtype=float)
-    demand = _order_counts(demand)
+    if b.ndim != 2 or b.shape[1] == 0 or not np.isfinite(b).all():
+        raise ValueError("offsets must be a finite (T x N) array with N >= 1")
     T, N = b.shape
-    scale = np.maximum(1.0, np.abs(b).max(axis=1, initial=0.0))
+    demand = np.asarray(demand)
+    if demand.shape != (T,):
+        raise ValueError(f"demand must hold T = {T} order counts, got shape "
+                         f"{demand.shape}")
+    demand = _order_counts(demand)
+    scale = np.maximum(1.0, np.abs(b).max(axis=1))
     if np.any(np.abs(b.sum(axis=1)) > OFFSET_SUM_TOL * scale):
         raise ValueError("offsets must sum to zero")
     if np.any(demand < 0):
@@ -186,14 +186,12 @@ def route_orders(offsets, demand, seed: int,
     targets = demand[:, None] / N + b
     scale = np.maximum(1.0, np.abs(targets).max(axis=1))
     routed = ~(targets < -_TIE_TOL * scale[:, None]).any(axis=1)
-    if tie_break == "lowest":
-        rank = np.broadcast_to(np.arange(N), (T, N))
-    else:
-        rank = np.random.default_rng(seed).random((T, N)).argsort(axis=1)
+    rank = np.random.default_rng(seed).random((T, N)).argsort(axis=1)
     counts = np.zeros((T, N), dtype=np.int64)
-    counts[routed], log = _merge(b[routed], targets[routed], demand[routed],
-                                 rank[routed])
-    return RoutePathResult(counts=counts, targets=targets, routed=routed, log=log)
+    counts[routed], log, taken = _merge(b[routed], targets[routed],
+                                        demand[routed], rank[routed])
+    return RoutePathResult(counts=counts, targets=targets, routed=routed,
+                           log=log, taken=taken)
 
 
 def integerize_demand(demands) -> np.ndarray:
@@ -203,44 +201,38 @@ def integerize_demand(demands) -> np.ndarray:
 
 
 def route_path(alloc_policy: AllocationPolicy, model: DemandModel, demands,
-               seed: int, tie_break: str = "random") -> RoutePathResult:
+               seed: int) -> RoutePathResult:
     """Route a whole demand path (an array of demands) with route_orders.
 
     The policy's offsets come from the lagged realized (integer) demand;
     missing lags before the path starts count as demand at the mean.
+    NumericalInstability when an offset overflows the float range.
     """
     demand = integerize_demand(demands)
-    return route_orders(benchmark_offsets(alloc_policy, model, demand), demand,
-                        seed, tie_break)
+    offsets = benchmark_offsets(alloc_policy, model, demand)
+    if not np.isfinite(offsets).all():
+        raise NumericalInstability("a benchmark offset is not finite")
+    return route_orders(offsets, demand, seed)
 
 
 def export_assignment_log(path_result: RoutePathResult, fileobj) -> None:
     """CSV log of every routed order: period, order index, chosen seller and
     adj, the seller's count minus its offset right after the order.
 
-    An order's count is 1 plus its rank among the period's earlier orders to
-    the same seller, found by one stable sort of the (period, seller) cells,
-    so the log is O(orders) whatever N.  adj - 1 is the key the greedy took,
-    so adj never falls below an earlier adj of its period by more than a
-    tie.  The other sellers' adjusted counts after each order follow from
-    the log's sellers and the offsets targets - D_t/N of RoutePathResult.
-    Rows are written in blocks of about csvtext.BLOCK_CELLS cells by the
-    exact formatter.
+    The count is RoutePathResult.taken, the one the merge gave the order,
+    so the log is O(orders) whatever N.  adj - 1 is the key the greedy
+    took, so adj never falls below an earlier adj of its period by more
+    than a tie.  The other sellers' adjusted counts after each order follow
+    from the log's sellers and the offsets targets - D_t/N of
+    RoutePathResult.  Rows are written in blocks of about
+    csvtext.BLOCK_CELLS cells by the exact formatter.
     """
     counts, log = path_result.counts, path_result.log
-    n = counts.shape[1]
     csv.writer(fileobj).writerow(["period", "order", "seller", "adj"])
     sizes = counts.sum(axis=1)
-    offs = path_result.targets - (sizes / n)[:, None]
+    offs = path_result.targets - (sizes / counts.shape[1])[:, None]
     row_period = np.repeat(np.arange(sizes.size), sizes)
-    # a cell's orders are consecutive and in sequence after a stable sort,
-    # so an order's count is its place there minus its cell's first place
-    cell = row_period * n + (log - 1)
-    by_cell = np.argsort(cell, kind="stable")
-    cell = cell[by_cell]
-    count = np.empty(log.size, dtype=np.int64)
-    count[by_cell] = np.arange(log.size) - np.searchsorted(cell, cell)
-    adj = (count + 1) - offs[row_period, log - 1]
+    adj = path_result.taken - offs[row_period, log - 1]
     order = np.arange(log.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     block = BLOCK_CELLS // 4
     for lo in range(0, log.size, block):

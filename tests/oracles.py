@@ -289,10 +289,11 @@ def greedy_replay_ok(offsets, assignment_log, tie_tol: float = 1e-12) -> bool:
     return True
 
 
-def ref_route_orders(offsets, D_t: int, tie_tol: float = 1e-12):
-    """The greedy router one order at a time: each order goes to the lowest
-    index whose count - offset is within tie_tol (relative) of the smallest.
-    Returns the 1-based assignment log and the final counts, as lists."""
+def ref_route_orders(offsets, D_t: int, rank, tie_tol: float = 1e-12):
+    """The greedy router one order at a time: each order goes to the seller
+    of lowest rank[j] among those whose count - offset is within tie_tol
+    (relative) of the smallest.  Returns the 1-based assignment log and the
+    final counts, as lists."""
     offsets = [float(b) for b in offsets]
     n = len(offsets)
     counts = [0] * n
@@ -300,8 +301,9 @@ def ref_route_orders(offsets, D_t: int, tie_tol: float = 1e-12):
     for _ in range(D_t):
         adjusted = [counts[j] - offsets[j] for j in range(n)]
         m = min(adjusted)
-        chosen = next(j for j in range(n)
-                      if adjusted[j] <= m + tie_tol * max(1.0, abs(m)))
+        chosen = min((j for j in range(n)
+                      if adjusted[j] <= m + tie_tol * max(1.0, abs(m))),
+                     key=lambda j: rank[j])
         counts[chosen] += 1
         log.append(chosen + 1)
     return log, counts

@@ -1120,6 +1120,28 @@ class TestRoute:
                 "2**63") in captured.err
         assert captured.out == ""
 
+    def test_overflowing_offsets_are_a_numerical_failure(self, tmp_path, capsys):
+        # the transfer coefficient 3 sigma / |psi(0)| is finite, but the
+        # lagged demand times it overflows the offsets: the run names sigma,
+        # as simulate does, with no numpy warning and no --out file
+        doc = scenario_doc()
+        doc["demand"] = {"mu": 50, "psi": [1] * 9}
+        doc["sellers"] = doc["sellers"][:3]
+        del doc["options"]["sigma_cap"]
+        out = tmp_path / "route.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["route", "--scenario", write_doc(tmp_path, doc),
+                       "--sigma", "5.9e307", "--periods", "200", "--seed", "1",
+                       "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        captured = capsys.readouterr()
+        assert captured.err == ("numerical failure: route at sigma = 5.9e+307 "
+                                "overflows: a benchmark offset is not finite\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_single_seller_above_floor_is_infeasible(self, tmp_path, capsys):
         doc = scenario_doc()
         doc["sellers"] = doc["sellers"][:1]

@@ -272,12 +272,10 @@ def test_simulation_csv_matches_reference(design, periods, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(designs, st.integers(5, 80), st.integers(0, 2 ** 16),
-       st.sampled_from(["random", "lowest"]))
-def test_assignment_log_matches_reference(design, periods, seed, tie_break):
+@given(designs, st.integers(5, 80), st.integers(0, 2 ** 16))
+def test_assignment_log_matches_reference(design, periods, seed):
     model, pol, _ = small_design(*design)
-    res = route_path(pol, model, simulate(model, periods, seed), seed,
-                     tie_break=tie_break)
+    res = route_path(pol, model, simulate(model, periods, seed), seed)
     assert written(export_assignment_log, res) \
         == written(ref_export_assignment_log, res)
 
@@ -297,12 +295,10 @@ def check_rebuilds_snapshot_log(res):
 
 
 @settings(max_examples=30, deadline=None)
-@given(designs, st.integers(5, 80), st.integers(0, 2 ** 16),
-       st.sampled_from(["random", "lowest"]))
-def test_log_rebuilds_snapshot_log(design, periods, seed, tie_break):
+@given(designs, st.integers(5, 80), st.integers(0, 2 ** 16))
+def test_log_rebuilds_snapshot_log(design, periods, seed):
     model, pol, _ = small_design(*design)
-    res = route_path(pol, model, simulate(model, periods, seed), seed,
-                     tie_break=tie_break)
+    res = route_path(pol, model, simulate(model, periods, seed), seed)
     check_rebuilds_snapshot_log(res)
 
 
@@ -314,7 +310,7 @@ def test_log_rebuilds_snapshot_log(design, periods, seed, tie_break):
 def test_golden_paths_rebuild_snapshot_log(mu, psi, N, sigma, periods):
     model = DemandModel(mu, TransferPoly(psi))
     res = route_path(neutral_policy(model, N, sigma), model,
-                     simulate(model, periods, 4), 4, tie_break="lowest")
+                     simulate(model, periods, 4), 4)
     check_rebuilds_snapshot_log(res)
 
 

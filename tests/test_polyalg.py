@@ -315,3 +315,39 @@ class TestInnovationsCrossCheck:
             # variance converges at rate 0.8^(2t), so 120 steps is plenty.
             assert root_msfe(p) == pytest.approx(
                 innovations_msfe_oracle(list(p.coeffs), steps=120), rel=5e-3)
+
+
+
+def spread_roots(rng, degree):
+    """degree roots at the angles 2 pi (k + 1/2) / degree, one modulus per
+    conjugate pair and for the real root -m of odd degree.  Moduli lie in
+    [0.05, 0.99] or [1.01, 20], and three in ten within 2e-2 of the circle."""
+    theta = 2 * np.pi * (np.arange(degree) + 0.5) / degree
+    roots = []
+    for k in range((degree + 1) // 2):
+        m = rng.uniform(0.05, 0.99) if rng.random() < 0.5 else rng.uniform(1.01, 20.0)
+        if rng.random() < 0.3:
+            m = 1.0 + rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 0.02)
+        if 2 * k + 1 == degree:
+            roots.append(-m)
+        else:
+            roots += [m * np.exp(1j * theta[k]), m * np.exp(-1j * theta[k])]
+    return roots
+
+
+class TestJensenCrossCheck:
+    # Jensen's formula (Kolmogorov-Szego): log root_msfe(psi) is the mean of
+    # log|psi| over the unit circle, which an FFT takes with no root.  With
+    # every root 1e-2 or more off the circle, log|psi| is analytic on an
+    # annulus and the 16,384-point mean is exact to rounding.
+    @pytest.mark.parametrize("degree", range(9))
+    def test_root_msfe_is_the_mean_log_modulus(self, degree):
+        rng = np.random.default_rng(4100 + degree)
+        for _ in range(60):
+            lead = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
+            p = TransferPoly(lead * np.atleast_1d(
+                np.poly(spread_roots(rng, degree)))[::-1].real)
+            jensen = np.exp(np.mean(np.log(np.abs(np.fft.fft(p.coeffs, 16384)))))
+            assert root_msfe(p) == pytest.approx(jensen, rel=1e-12, abs=0)
+            assert inner_outer_factor(p).root_msfe == pytest.approx(
+                jensen, rel=1e-12, abs=0)
