@@ -8,13 +8,13 @@ partial sums of the coefficients of a seller filter's outer factor
 (polyalg.inner_outer_factor, any admissible design).  The model of the
 `simulate` command (simulate_inventory) allocates the path through
 policy.benchmark_offsets (the one replay of a design along a path, which
-routing tracks too), predicts every seller's stream in one pass of
-predict_streams with the filters of the design's distinct transfer rows
-(policy.seller_filters) gathered to the sellers by index, costs out stocks
-as (N, T) arrays and raises NumericalInstability on a non-finite filter or
-summary, with its CSV written by the exact block formatter of csvtext
-(export_simulation).  Every per-seller
-economic quantity comes from a seller.MarketTable built once by the caller.
+routing tracks too), predicts one stream per distinct transfer row
+(policy.seller_filters) in one pass of predict_streams and gathers the
+forecasts to the sellers by index, costs out stocks as (N, T) arrays and
+raises NumericalInstability on a non-finite filter or summary, with its CSV
+written by the exact block formatter of csvtext (export_simulation).  Every
+per-seller economic quantity comes from a seller.MarketTable built once by
+the caller.
 """
 from __future__ import annotations
 
@@ -75,16 +75,18 @@ def predict_streams(filters, index, series, mean: float = 0.0) -> np.ndarray:
 
     Series n (row n of `series`, which must be (N, T)) is predicted with the
     innovations recursion of filters[index[n]], from its observations before
-    t alone.  The rows are built once per filter, padded with zeros to the
-    largest degree q and repeated past their own settle point, then gathered
-    to the series by index, so once every filter has settled the (q, N)
-    weights are one fixed array.  Each period is then three numpy calls into
-    preallocated arrays (weights times the q past innovations, a sum over
-    the lags into the prediction, the new innovation), and every element
-    sees the same float operations, in the same order j = 1..q, as a
-    one-series scalar loop: the results are bit for bit those of that loop.
-    Degree-0 filters predict the mean.  ValueError unless `series` is
-    (N, T) with one index into `filters` per series.
+    t alone.  When every filter has degree 0 there is no loop: each series
+    predicts the mean.  Otherwise the rows are built once per filter, padded
+    with zeros to the largest degree q and repeated past their own settle
+    point, then gathered to the series by index, so once every filter has
+    settled the (q, N) weights are one fixed array.  Each period is then
+    numpy calls into preallocated arrays: weights times the q past
+    innovations, a sum over the lags into the prediction (q >= 2 only; at
+    q = 1 the product is the prediction) and the new innovation.  Every
+    element sees the same float operations, in the same order j = 1..q, as
+    a one-series scalar loop, so the results are bit for bit those of that
+    loop.  ValueError unless `series` is (N, T) with one index into
+    `filters` per series.
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 2:
@@ -95,17 +97,20 @@ def predict_streams(filters, index, series, mean: float = 0.0) -> np.ndarray:
     if index.shape != (N,) or not np.all((index >= 0) & (index < len(filters))):
         raise ValueError(f"need one index into the {len(filters)} filters for "
                          f"each of {N} series, got {index.size}")
+    q = max((f.degree for f in filters), default=0)
+    # +0.0 + mean: a prediction of -0.0 then comes out as +0.0 would
+    level = np.add(0.0, mean)
+    if q == 0:
+        return np.full((N, T), level)
     rows = [_innovations_rows(f.coeffs, min(T, PREDICT_ROW_CAP))[0][:, 1:]
             for f in filters]
-    q = max((f.degree for f in filters), default=0)
     # A lone series gets a zero partner: with two or more columns the series
     # axis is numpy's inner loop, so the sum over lags adds row by row,
     # j = 1..q (one column would be summed pairwise).
     W = max(N, 2)
     # by_filter[r, j - 1, i]: weight of the innovation j steps back at row r
     # of filters[i]; the last column is the zero partner's
-    by_filter = np.zeros((max((r.shape[0] for r in rows), default=1), q,
-                          len(filters) + 1))
+    by_filter = np.zeros((max(r.shape[0] for r in rows), q, len(filters) + 1))
     for i, r in enumerate(rows):
         by_filter[:r.shape[0], :r.shape[1], i] = r
         by_filter[r.shape[0]:, :r.shape[1], i] = r[-1]
@@ -121,19 +126,31 @@ def predict_streams(filters, index, series, mean: float = 0.0) -> np.ndarray:
     # windows[t]: the (q, W) lags of index t; buf[::-1][q + t]: its row
     windows = np.lib.stride_tricks.sliding_window_view(
         buf, q, axis=0).transpose(0, 2, 1)[::-1]
-    prod = np.empty((q, W))
+    if q == 1:
+        theta, windows = theta[:, 0], windows[:, 0]
+    steps = zip(chain(theta, repeat(theta[-1])), xhat, windows, buf[::-1][q:])
     # the ufuncs are bound once and take their outputs positionally: at a few
     # dozen elements per call, attribute and keyword lookups cost about as
     # much as the arithmetic
-    multiply, lag_sum, subtract = np.multiply, np.add.reduce, np.subtract
-    for w, pred, lags, innov in zip(chain(theta, repeat(theta[-1])), xhat,
-                                    windows, buf[::-1][q:]):
-        multiply(w, lags, prod)
-        lag_sum(prod, axis=0, out=pred, initial=0.0)
-        subtract(innov, pred, innov)
+    multiply, subtract = np.multiply, np.subtract
+    if q == 1:
+        # the one product is the prediction.  Unlike the sum from +0.0 it
+        # keeps a -0.0, so an innovation may differ in the sign of an exact
+        # zero; that reaches only further zero products, and level adds
+        # either zero alike.
+        for w, pred, lag, innov in steps:
+            multiply(w, lag, pred)
+            subtract(innov, pred, innov)
+    else:
+        prod = np.empty((q, W))
+        lag_sum = np.add.reduce
+        for w, pred, lags, innov in steps:
+            multiply(w, lags, prod)
+            lag_sum(prod, axis=0, out=pred, initial=0.0)
+            subtract(innov, pred, innov)
     # C order: a reduction along a row then sums in the order it would for
     # that series alone
-    return np.add(xhat[:, :N].T, mean, order="C")
+    return np.add(xhat[:, :N].T, level, order="C")
 
 
 def ses_msfe(psi_n: TransferPoly, lam: float) -> float:
@@ -244,7 +261,11 @@ def simulate_inventory(table: MarketTable, alloc_policy: AllocationPolicy,
     except NumericalInstability as exc:
         raise NumericalInstability(
             f"simulation at sigma = {sigma:g} overflows: {exc}") from exc
-    pred = predict_streams(filters, index, alloc, mean=model.mu / table.N)
+    # sellers of one transfer row get bit-identical allocation rows: predict
+    # the first seller's of each and gather
+    first = np.unique(index, return_index=True)[1]
+    pred = predict_streams(filters, np.arange(len(filters)), alloc[first],
+                           mean=model.mu / table.N)[index]
     zeta = np.where(fbp, table.zeta_fbp, table.zeta_fbm)[:, None]
     stock = base_stock(pred, sigma, zeta)
     h_bar = np.where(fbp, table.costs.H, table.h)[:, None]

@@ -133,6 +133,10 @@ _FILTER = st.integers(0, 4).flatmap(
 
 def _assert_stack_matches_scalar(filters, T, seed, mean=4.0):
     series = mean + 3.0 * np.random.default_rng(seed).standard_normal((len(filters), T))
+    _assert_series_match_scalar(filters, series, mean)
+
+
+def _assert_series_match_scalar(filters, series, mean):
     # each distinct filter once, shared by index
     distinct = list(dict.fromkeys(map(tuple, filters)))
     got = predict_streams([TransferPoly(c) for c in distinct],
@@ -150,6 +154,12 @@ _POOL = ([2.0], [-0.7], [1.0, -0.9], [0.5, 1.0, 0.48],
          [1.0, 0.3, -0.2, 0.1, 0.05, -0.04, 0.03, 0.02, 0.01, 0.01])
 # innovations rows [1.0, -0.9] takes to settle
 _SETTLE_ROWS = _innovations_rows(np.array(_POOL[2]), 400)[0].shape[0]
+
+
+# Degree 0, 1 and 2, each with a negative weight somewhere, so that zero
+# innovations make -0.0 products.
+_ZERO_SIGN_POOL = {0: ([2.0], [-0.7]), 1: ([1.0, -0.5], [1.0, 0.9]),
+                   2: ([0.5, -1.0, 0.48],)}
 
 
 class TestPredictStreams:
@@ -225,6 +235,74 @@ class TestPredictStreams:
         assert rows.shape[0] == PREDICT_ROW_CAP + 1
         filters = [near_unit, [1.2, -0.3, 0.4, 0.15, -0.22], [5.0], [2.0, -0.6, 0.4]]
         _assert_stack_matches_scalar(filters, PREDICT_ROW_CAP + 200, 7)
+
+    @pytest.mark.parametrize("mean", [0.0, 4.0])
+    @pytest.mark.parametrize("degrees", [(0, 1, 2), (0, 1), (1,), (0,)])
+    def test_exact_zeros_keep_their_signs(self, degrees, mean):
+        # exact zeros and a series at the mean make exact zero innovations;
+        # times a negative weight they are -0.0, which the one-lag loop keeps
+        # in its prediction where a sum from +0.0 would not.  (0, 1) and (1,)
+        # take that loop, (0, 1, 2) the summed one, (0,) no loop at all.
+        T = 9
+        shapes = [np.zeros(T), np.full(T, -0.0), np.resize([0.0, -0.0], T),
+                  np.full(T, mean),
+                  np.array([mean, -0.0, 0.0, 1.5, -0.0, mean, mean, 0.0, -2.0])]
+        filters = [c for d in degrees for c in _ZERO_SIGN_POOL[d]]
+        pairs = [(c, x) for c in filters for x in shapes]
+        _assert_series_match_scalar([c for c, _ in pairs],
+                                    np.array([x for _, x in pairs]), mean)
+
+
+def _gather_designs():
+    ma2 = DemandModel(40.0, TransferPoly([5.0, 2.0, 1.0]))
+    return {
+        # sellers 1 and 2 hold the two-lag rows, so the first seller of each
+        # distinct row is not in the sorted order of the rows' bytes
+        "odd-neutral": (M5, neutral_policy(M5, 7, 2.0 * sigma_lower_bound(M5, 7))),
+        "lagged-k3": (ma2, lagged_variant(ma2, 6, 1.5 * sigma_lower_bound(ma2, 6), k=3)),
+        "all-distinct": (ma2, CUSTOM_POLICY),
+        # the first two rows differ only in the sign of a zero lag-1 coefficient
+        "signed-zero": (M5, AllocationPolicy([[1.0, -0.0, 0.5], [1.0, 0.0, 0.5],
+                                              [1.0, 0.0, -1.0]])),
+    }
+
+
+GATHER_DESIGNS = _gather_designs()
+
+
+class TestDistinctStreams:
+    """simulate_inventory predicts one stream per distinct transfer row and
+    gathers it to the sellers; each forecast is still the seller's own."""
+
+    @pytest.mark.parametrize("design", sorted(GATHER_DESIGNS))
+    def test_gathered_forecasts_match_each_sellers_scalar_loop(self, design):
+        model, pol = GATHER_DESIGNS[design]
+        N = pol.n_sellers
+        table = market_table(seller_columns(SELLERS[:N]), COSTS, model.mu)
+        run = simulate_inventory(table, pol, model, simulate(model, 150, 6), 1.0)
+        transfers = ref_policy_transfers(pol.transfers)
+        for n in range(1, N + 1):
+            want = ref_innovations_predict(
+                ref_seller_filter(transfers, model.psi, n).coeffs,
+                run.allocations[n - 1], model.mu / N)
+            assert run.forecasts[n - 1].tobytes() == want.tobytes()
+
+    def test_one_series_per_distinct_row(self, monkeypatch):
+        # an even-N neutral design has two distinct rows: at N = 100 the
+        # predictor sees two series, not a hundred
+        widths = []
+        real = forecast.predict_streams
+
+        def spy(filters, index, series, mean=0.0):
+            widths.append(len(series))
+            return real(filters, index, series, mean)
+
+        monkeypatch.setattr(forecast, "predict_streams", spy)
+        pol = neutral_policy(M5, 100, 2.0 * sigma_lower_bound(M5, 100))
+        table = market_table(seller_columns(SELLERS * 10), COSTS, M5.mu)
+        run = simulate_inventory(table, pol, M5, simulate(M5, 80, 5), 1.0)
+        assert widths == [2]
+        assert run.forecasts.shape == (100, 80 - pol.max_lag)
 
 
 class TestSesWeights:

@@ -12,10 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demandalloc.demand import DemandModel
+from demandalloc.policy import neutral_policy, seller_filters, sigma_lower_bound
 from demandalloc.polyalg import (TransferPoly, ZeroPolynomial,
                                  inner_outer_factor, is_invertible,
                                  poly_roots, root_msfe, variance)
-from oracles import innovations_msfe_oracle, mp_root_msfe, mp_roots
+from oracles import (innovations_msfe_oracle, lagged_variant, mp_root_msfe,
+                     mp_roots)
 
 polyval = np.polynomial.polynomial.polyval
 
@@ -351,3 +353,28 @@ class TestJensenCrossCheck:
             assert root_msfe(p) == pytest.approx(jensen, rel=1e-12, abs=0)
             assert inner_outer_factor(p).root_msfe == pytest.approx(
                 jensen, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("N", [2, 3, 10, 11, 100, 1001])
+    @pytest.mark.parametrize("psi", [[5.0], [5.0, 2.0, 1.0]])
+    def test_design_seller_filters(self, psi, N):
+        # the seller filters of the neutral designs (and, for even N, of the
+        # three-lag variant) from sigma_L to 10 sigma_L: each one with every
+        # root 1e-2 or more off the circle has the Jensen root MSFE, and
+        # that is the design's sigma
+        model = DemandModel(15.0, TransferPoly(psi))
+        sigma_l = sigma_lower_bound(model, N)
+        designs = [(r * sigma_l, neutral_policy(model, N, r * sigma_l))
+                   for r in (1.0, 1.5, 2.0, 3.0, 10.0)]
+        if N % 2 == 0:
+            designs += [(r * sigma_l, lagged_variant(model, N, r * sigma_l, k=3))
+                        for r in (1.0, 1.5, 2.0, 3.0, 10.0)]
+        checked = 0
+        for sigma, pol in designs:
+            for f in seller_filters(pol, model)[0]:
+                if np.any(np.abs(np.abs(np.roots(f.coeffs[::-1])) - 1.0) < 1e-2):
+                    continue
+                jensen = np.exp(np.mean(np.log(np.abs(np.fft.fft(f.coeffs, 16384)))))
+                assert root_msfe(f) == pytest.approx(jensen, rel=1e-12, abs=0)
+                assert root_msfe(f) == pytest.approx(sigma, rel=1e-9, abs=0)
+                checked += 1
+        assert checked >= len(designs)
