@@ -1,7 +1,8 @@
 """Forecast-error machinery beyond the one-step optimal predictor.
 
 Three strands: the optimal one-step predictor (predict_streams, the
-innovations recursion on a filter's autocovariances); the exact mean
+innovations algorithm of Brockwell and Davis, section 5.2, run as one scalar
+recursion per series, generated once per filter degree); the exact mean
 squared error of simple exponential smoothing (ses_msfe, O(q) for any
 smoothing constant in (0, 1]); and lead-time demand uncertainty from
 partial sums of the coefficients of a seller filter's outer factor
@@ -9,7 +10,7 @@ partial sums of the coefficients of a seller filter's outer factor
 `simulate` command (simulate_inventory) allocates the path through
 policy.benchmark_offsets (the one replay of a design along a path, which
 routing tracks too), predicts one stream per distinct transfer row
-(policy.seller_filters) in one pass of predict_streams and gathers the
+(policy.seller_filters) in one call of predict_streams and gathers the
 forecasts to the sellers by index, costs out stocks as (N, T) arrays and
 raises NumericalInstability on a non-finite filter or summary, with its CSV
 written by the exact block formatter of csvtext (export_simulation).  Every
@@ -70,21 +71,38 @@ def _innovations_rows(coeffs: np.ndarray, steps: int):
     return theta, v
 
 
+def _recursion(q: int):
+    """The one-step predictor of a degree-q filter, q >= 1, as a generator
+    function over (rows, xs): rows[t] (repeated past the last) weights the
+    innovations 1..q steps back at index t, xs are the centred observations,
+    and each prediction is yielded before its observation turns into the next
+    innovation.  The source comes from q alone, as dataclasses builds
+    __init__; the lag sum is q flat statements, so any degree compiles."""
+    e = [f"e{j}" for j in range(1, q + 1)]
+    lines = ["def predict(rows, xs):",
+             f" {' = '.join(e)} = 0.0",
+             f" for ({', '.join(f'w{j}' for j in range(1, q + 1))},), x in "
+             "zip(chain(rows, repeat(rows[-1])), xs):",
+             "  p = 0.0",
+             *(f"  p += w{j} * e{j}" for j in range(1, q + 1)),
+             "  yield p",
+             f"  {', '.join(e)} = {', '.join(['x - p', *e[:-1]])}"]
+    namespace = {"chain": chain, "repeat": repeat}
+    exec("\n".join(lines), namespace)
+    return namespace["predict"]
+
+
 def predict_streams(filters, index, series, mean: float = 0.0) -> np.ndarray:
-    """One-step-ahead predictions of N series at once, shape (N, T).
+    """One-step-ahead predictions of N series at once, shape (N, T), C order.
 
     Series n (row n of `series`, which must be (N, T)) is predicted with the
     innovations recursion of filters[index[n]], from its observations before
-    t alone.  When every filter has degree 0 there is no loop: each series
-    predicts the mean.  Otherwise the rows are built once per filter, padded
-    with zeros to the largest degree q and repeated past their own settle
-    point, then gathered to the series by index, so once every filter has
-    settled the (q, N) weights are one fixed array.  Each period is then
-    numpy calls into preallocated arrays: weights times the q past
-    innovations, a sum over the lags into the prediction (q >= 2 only; at
-    q = 1 the product is the prediction) and the new innovation.  Every
-    element sees the same float operations, in the same order j = 1..q, as
-    a one-series scalar loop, so the results are bit for bit those of that
+    t alone.  A degree-0 filter's series predicts the mean.  Otherwise the
+    innovations rows are built once per filter, and each series runs one
+    scalar recursion over Python floats, generated once per degree in the
+    call (_recursion): the prediction is 0.0 plus the weighted innovations
+    j = 1..q in that order, and the innovation is the centred observation
+    minus it, so the results are bit for bit those of a one-series scalar
     loop.  ValueError unless `series` is (N, T) with one index into
     `filters` per series.
     """
@@ -97,60 +115,17 @@ def predict_streams(filters, index, series, mean: float = 0.0) -> np.ndarray:
     if index.shape != (N,) or not np.all((index >= 0) & (index < len(filters))):
         raise ValueError(f"need one index into the {len(filters)} filters for "
                          f"each of {N} series, got {index.size}")
-    q = max((f.degree for f in filters), default=0)
-    # +0.0 + mean: a prediction of -0.0 then comes out as +0.0 would
-    level = np.add(0.0, mean)
-    if q == 0:
-        return np.full((N, T), level)
-    rows = [_innovations_rows(f.coeffs, min(T, PREDICT_ROW_CAP))[0][:, 1:]
-            for f in filters]
-    # A lone series gets a zero partner: with two or more columns the series
-    # axis is numpy's inner loop, so the sum over lags adds row by row,
-    # j = 1..q (one column would be summed pairwise).
-    W = max(N, 2)
-    # by_filter[r, j - 1, i]: weight of the innovation j steps back at row r
-    # of filters[i]; the last column is the zero partner's
-    by_filter = np.zeros((max(r.shape[0] for r in rows), q, len(filters) + 1))
-    for i, r in enumerate(rows):
-        by_filter[:r.shape[0], :r.shape[1], i] = r
-        by_filter[r.shape[0]:, :r.shape[1], i] = r[-1]
-    theta = np.take(by_filter, np.concatenate(
-        (index, np.full(W - N, len(filters), dtype=np.intp))), axis=2)
-    # innovations time-reversed: buf[T - 1 - t] is the one at index t, and
-    # the q rows past T stay zero, so the lags j = 1..q at index t are the
-    # forward slice buf[T - t:T - t + q].  Row T - 1 - t holds the centred
-    # observation until period t turns it into its innovation.
-    buf = np.zeros((T + q, W))
-    np.subtract(series.T, mean, out=buf[:T][::-1, :N])
-    xhat = np.empty((T, W))
-    # windows[t]: the (q, W) lags of index t; buf[::-1][q + t]: its row
-    windows = np.lib.stride_tricks.sliding_window_view(
-        buf, q, axis=0).transpose(0, 2, 1)[::-1]
-    if q == 1:
-        theta, windows = theta[:, 0], windows[:, 0]
-    steps = zip(chain(theta, repeat(theta[-1])), xhat, windows, buf[::-1][q:])
-    # the ufuncs are bound once and take their outputs positionally: at a few
-    # dozen elements per call, attribute and keyword lookups cost about as
-    # much as the arithmetic
-    multiply, subtract = np.multiply, np.subtract
-    if q == 1:
-        # the one product is the prediction.  Unlike the sum from +0.0 it
-        # keeps a -0.0, so an innovation may differ in the sign of an exact
-        # zero; that reaches only further zero products, and level adds
-        # either zero alike.
-        for w, pred, lag, innov in steps:
-            multiply(w, lag, pred)
-            subtract(innov, pred, innov)
-    else:
-        prod = np.empty((q, W))
-        lag_sum = np.add.reduce
-        for w, pred, lags, innov in steps:
-            multiply(w, lags, prod)
-            lag_sum(prod, axis=0, out=pred, initial=0.0)
-            subtract(innov, pred, innov)
-    # C order: a reduction along a row then sums in the order it would for
-    # that series alone
-    return np.add(xhat[:, :N].T, level, order="C")
+    rows = [_innovations_rows(f.coeffs, min(T, PREDICT_ROW_CAP))[0][:, 1:].tolist()
+            if f.degree else None for f in filters]
+    recursions = {q: _recursion(q) for q in {f.degree for f in filters} if q}
+    out = np.zeros((N, T))
+    for n, i in enumerate(index.tolist()):
+        if filters[i].degree:
+            predict = recursions[filters[i].degree]
+            out[n] = np.fromiter(predict(rows[i], (series[n] - mean).tolist()),
+                                 float, T)
+    # the mean is added once, to every row; a degree-0 row holds 0.0
+    return np.add(out, mean, out=out)
 
 
 def ses_msfe(psi_n: TransferPoly, lam: float) -> float:

@@ -5,8 +5,8 @@ per-seller transfers T_n keep the contemporaneous share uniform (T_n(0) = 1)
 and sum to N so the sellers' streams add back to market demand.  Neutral
 policies give every seller the same mean share and the same root MSFE; the
 designs here hit any target sigma at or above the lower bound |psi(0)|/N
-using one or two lags of memory, and have one to three distinct transfer
-rows at any N.  A design is one (N, L+1) transfer matrix, so the work that
+using one or two lags of memory, and have one distinct transfer row at the
+bound, two for even N, three at N = 3 and four for odd N >= 5.  A design is one (N, L+1) transfer matrix, so the work that
 depends on a transfer (seller_filters) runs once per distinct row and is
 gathered to the sellers by index.  The transfer structure lives only here:
 routing and forecasting read it from the policy they are given.

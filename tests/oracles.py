@@ -9,10 +9,12 @@ the greedy rule, and the routing targets are summed from the transfer
 coefficients period by period; none of these imports from demandalloc.
 
 The one-series predictor reference is the scalar loop over t and j that
-the package replaced with a pass over all sellers at once.  It takes its
-innovations rows (with their settle rule) and row cap from
-demandalloc.forecast, so it checks the batching (padding, row reuse,
-summation order) and nothing else.
+the package's predictor must equal bit for bit.  It takes its innovations
+rows (with their settle rule) and row cap from demandalloc.forecast, so it
+checks the recursion over time (row reuse, summation order, zero signs) and
+nothing else.  Those rows have their own oracle, ref_innovations_rows,
+which reads them from a Cholesky factor of the autocovariance matrix and
+shares no code with the package's recursion.
 
 The smoothing references check forecast.ses_msfe three ways: the
 truncated, renormalized SES weights (ref_ses_truncated_weights, at most
@@ -325,6 +327,29 @@ def benchmark_targets(transfers, mu, demand):
             row.append(demand[t] / n + lagged / n)
         targets.append(row)
     return targets
+
+
+def ref_innovations_rows(coeffs, rows: int):
+    """Innovations weights and variances of the first `rows` indices of an
+    MA(q) process, read from the LDL^T factors of its banded Toeplitz
+    autocovariance matrix (Brockwell and Davis, Prop. 5.2.2): with Cholesky
+    factor L of [gamma(s - t)], v[t] = L[t, t]^2 and the weight of the
+    innovation j steps back at index t is L[t, t - j] / L[t - j, t - j].
+    Returns (theta, v), theta of shape (rows, q) for j = 1..q (zero where
+    t < j)."""
+    c = np.asarray(coeffs, dtype=float)
+    q = c.size - 1
+    # gamma(h) = sum_k c_k c_{k+h}, h = -q..q
+    gamma = np.convolve(c, c[::-1])[q:]
+    lag = np.abs(np.subtract.outer(np.arange(rows), np.arange(rows)))
+    cov = np.where(lag <= q, gamma[np.minimum(lag, q)], 0.0)
+    L = np.linalg.cholesky(cov)
+    d = np.diag(L)
+    theta = np.zeros((rows, q))
+    for t in range(rows):
+        for j in range(1, min(t, q) + 1):
+            theta[t, j - 1] = L[t, t - j] / d[t - j]
+    return theta, d * d
 
 
 def ref_innovations_predict(coeffs, series, mean: float = 0.0):

@@ -21,6 +21,7 @@ from demandalloc import (
     market_table,
     neutral_policy,
     root_msfe,
+    seller_filters,
     ses_msfe,
     sigma_lower_bound,
     simulate,
@@ -31,7 +32,8 @@ from demandalloc.forecast import (PREDICT_ROW_CAP, _innovations_rows,
 from oracles import (REF_SES_MAX_ORDER, REF_SES_MIN_LAMBDA, benchmark_targets,
                      lagged_variant, mp_root_msfe, mp_roots, mp_ses_msfe_double_sum,
                      mp_ses_msfe_recursion, ref_filter_msfe,
-                     ref_innovations_predict, ref_policy_transfers,
+                     ref_innovations_predict, ref_innovations_rows,
+                     ref_policy_transfers,
                      ref_seller_filter, ref_ses_truncated_weights,
                      seller_columns, ses_msfe_closed_form)
 from test_policy import filters_by_seller
@@ -143,12 +145,15 @@ def _assert_series_match_scalar(filters, series, mean):
                           [distinct.index(tuple(c)) for c in filters], series, mean)
     want = np.array([ref_innovations_predict(TransferPoly(c).coeffs, s, mean)
                      for c, s in zip(filters, series)])
-    # bit for bit, zero signs included
-    assert got.tobytes() == want.tobytes()
+    # bit for bit, zero signs included; C order, so a mean along a row sums
+    # that series alone
+    assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
+    return got
 
 
-# A small pool, so drawn lists repeat filters: degree 0 (two), 1, 2, 4 and 9;
-# a lone degree-9 series is where numpy would sum the lags pairwise.
+# A small pool, so drawn lists repeat filters: degree 0 (two), 1, 2, 4 and 9.
+# Each degree runs its own generated recursion; degree 60 is covered by
+# test_long_filter_among_short_ones.
 _POOL = ([2.0], [-0.7], [1.0, -0.9], [0.5, 1.0, 0.48],
          [1.2, -0.3, 0.4, 0.15, -0.22],
          [1.0, 0.3, -0.2, 0.1, 0.05, -0.04, 0.03, 0.02, 0.01, 0.01])
@@ -237,12 +242,27 @@ class TestPredictStreams:
         _assert_stack_matches_scalar(filters, PREDICT_ROW_CAP + 200, 7)
 
     @pytest.mark.parametrize("mean", [0.0, 4.0])
+    def test_long_filter_among_short_ones(self, mean):
+        # degree 60, far past the pool's 9: its recursion holds 60 weights
+        # and 60 innovations, next to degrees 0 and 1 in one call
+        k = np.arange(61)
+        long = (0.9 ** k * np.cos(k)).tolist()
+        assert TransferPoly(long).degree == 60
+        filters = [long, [2.0], [1.0, -0.5], long, [-0.7]]
+        T = 150
+        series = mean + 3.0 * np.random.default_rng(8).standard_normal((5, T))
+        got = _assert_series_match_scalar(filters, series, mean)
+        # a degree-0 series predicts exactly the level
+        for row in (got[1], got[4]):
+            assert row.tobytes() == np.full(T, mean).tobytes()
+
+    @pytest.mark.parametrize("mean", [0.0, 4.0])
     @pytest.mark.parametrize("degrees", [(0, 1, 2), (0, 1), (1,), (0,)])
     def test_exact_zeros_keep_their_signs(self, degrees, mean):
         # exact zeros and a series at the mean make exact zero innovations;
-        # times a negative weight they are -0.0, which the one-lag loop keeps
-        # in its prediction where a sum from +0.0 would not.  (0, 1) and (1,)
-        # take that loop, (0, 1, 2) the summed one, (0,) no loop at all.
+        # times a negative weight they are -0.0 products, which the lag sum
+        # from +0.0 turns into +0.0 as the scalar loop does.  Degrees 1 and
+        # 2 run their generated recursions, degree 0 none at all.
         T = 9
         shapes = [np.zeros(T), np.full(T, -0.0), np.resize([0.0, -0.0], T),
                   np.full(T, mean),
@@ -251,6 +271,41 @@ class TestPredictStreams:
         pairs = [(c, x) for c in filters for x in shapes]
         _assert_series_match_scalar([c for c, _ in pairs],
                                     np.array([x for _, x in pairs]), mean)
+
+
+def _row_filters():
+    """The pool's filters and the neutral seller filters of even and odd N,
+    on i.i.d. and MA(2) demand."""
+    ma2 = DemandModel(40.0, TransferPoly([5.0, 2.0, 1.0]))
+    filters = {f"pool-{i}": TransferPoly(c) for i, c in enumerate(_POOL)}
+    for model_name, model in (("iid", M5), ("ma2", ma2)):
+        for N in (4, 5, 11):
+            pol = neutral_policy(model, N, 2.0 * sigma_lower_bound(model, N))
+            for i, f in enumerate(seller_filters(pol, model)[0]):
+                filters[f"{model_name}-N{N}-{i}"] = f
+    return filters
+
+
+ROW_FILTERS = _row_filters()
+
+
+class TestInnovationsRows:
+    """The banded innovations recursion against the Cholesky factor of the
+    autocovariance matrix."""
+
+    @pytest.mark.parametrize("name", sorted(ROW_FILTERS))
+    def test_rows_match_the_cholesky_factor(self, name):
+        coeffs = ROW_FILTERS[name].coeffs
+        theta, v = _innovations_rows(coeffs, 150)
+        want_theta, want_v = ref_innovations_rows(coeffs, v.size)
+        # relative to the largest weight: some weights are zero in exact
+        # arithmetic and rounding residue in both
+        scale = np.abs(want_theta).max(initial=0.0)
+        np.testing.assert_allclose(theta[:, 1:], want_theta, rtol=1e-12,
+                                   atol=1e-12 * scale)
+        # no weight before the first observation (t < j)
+        assert not np.triu(theta[:, 1:]).any()
+        np.testing.assert_allclose(v, want_v, rtol=1e-12, atol=0)
 
 
 def _gather_designs():

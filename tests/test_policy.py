@@ -123,6 +123,16 @@ class TestNeutralPolicy:
             for f in filters_by_seller(pol, M5):
                 assert root_msfe(f) == pytest.approx(sigma, abs=1e-9)
 
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 11, 1001])
+    @pytest.mark.parametrize("factor", [1.0, 2.0])
+    def test_distinct_rows(self, N, factor):
+        # one row at the bound (the uniform split), two for even N, three
+        # at N = 3 and four for odd N >= 5 (two two-lag rows, two
+        # alternating ones)
+        pol = neutral_policy(M5, N, factor * sigma_lower_bound(M5, N))
+        want = 1 if factor == 1.0 else 2 if N % 2 == 0 else 3 if N == 3 else 4
+        assert len(seller_filters(pol, M5)[0]) == want
+
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 1.7e308])
     def test_non_finite_target_names_sigma(self, sigma):
         # at 1.7e308 the target is finite but a = N sigma/|psi(0)| is not
