@@ -11,15 +11,16 @@ partial sums of the coefficients of a seller filter's outer factor
 policy.benchmark_offsets (the one replay of a design along a path, which
 routing tracks too), predicts one stream per distinct transfer row
 (policy.seller_filters) in one call of predict_streams and gathers the
-forecasts to the sellers by index, costs out stocks as (N, T) arrays and
-raises NumericalInstability on a non-finite filter or summary, with its CSV
-written by the exact block formatter of csvtext (export_simulation).  Every
+forecasts to the sellers, costs out stocks as (N, T) arrays and raises
+NumericalInstability on a non-finite filter or summary, with its CSV written
+by the exact block formatter of csvtext (export_simulation).  Every
 per-seller economic quantity comes from a seller.MarketTable built once by
 the caller.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -35,48 +36,50 @@ from .seller import FBM, FBP, MarketTable, base_stock
 
 
 PREDICT_ROW_CAP = 5000
-"""Most innovations rows a predictor computes.  A row is reused for every
-later index once the innovation variance settles (PREDICT_SETTLE_RTOL); past
-this many rows the last computed row is reused even if it has not settled,
-which happens for filters with a root near the unit circle."""
+"""Most innovations rows a predictor computes.  The last row is reused for
+every later index once the innovation variance settles (PREDICT_SETTLE_RTOL),
+and past the cap even unsettled, as for a root near the unit circle."""
 PREDICT_SETTLE_RTOL = 1e-14
 
 
-def _innovations_rows(coeffs: np.ndarray, steps: int):
-    """Banded innovations recursion for an MA(q) process.
-
-    Returns (theta, v) where theta[t, j] predicts with the innovation j
-    steps back (j = 1..q) at time t, and v[t] is the one-step innovation
-    variance of the autocovariances gamma(0..q) (unit shocks).  The
-    recursion stops early once v moves less than PREDICT_SETTLE_RTOL
-    (relative), returning the rows computed so far.
-    """
+def _innovations_rows(coeffs: np.ndarray, steps: int) -> list:
+    """Banded innovations recursion for an MA(q) process over Python floats:
+    rows t = 0..steps, each the weights of the innovations 1..q steps back
+    at time t (0.0 where t < j), from the autocovariances gamma(0..q) (unit
+    shocks) and the one-step variances v[t]; stops once v moves less than
+    PREDICT_SETTLE_RTOL (relative).  NumericalInstability if v underflows."""
     q = coeffs.size - 1
-    gamma = np.array([float(np.dot(coeffs[:coeffs.size - h], coeffs[h:]))
-                      for h in range(q + 1)])
-    v = np.empty(steps + 1)
-    theta = np.zeros((steps + 1, q + 1))
-    v[0] = gamma[0]
-    for t in range(1, steps + 1):
-        lo = max(0, t - q)
-        for k in range(lo, t):
-            h = t - k
-            acc = gamma[h] if h <= q else 0.0
-            for j in range(lo, k):
-                acc -= theta[k, k - j] * theta[t, t - j] * v[j]
-            theta[t, h] = acc / v[k]
-        v[t] = gamma[0] - sum(theta[t, t - j] ** 2 * v[j] for j in range(lo, t))
-        if t > q and abs(v[t] - v[t - 1]) <= PREDICT_SETTLE_RTOL * abs(v[t]):
-            return theta[:t + 1], v[:t + 1]
-    return theta, v
+    gamma = [float(np.dot(coeffs[:q + 1 - h], coeffs[h:])) for h in range(q + 1)]
+    rows, v = [[0.0] * q], [gamma[0]]
+    try:
+        for t in range(1, steps + 1):
+            lo = max(0, t - q)
+            row = [0.0] * q
+            # v[t] sums its terms from 0 in order of j, as sum() would
+            s = 0.0
+            for k in range(lo, t):
+                prev, acc = rows[k], gamma[t - k]
+                for j in range(lo, k):
+                    acc -= prev[k - j - 1] * row[t - j - 1] * v[j]
+                w = row[t - k - 1] = acc / v[k]
+                s += w ** 2 * v[k]
+            rows.append(row)
+            v.append(gamma[0] - s)
+            if t > q and abs(v[t] - v[t - 1]) <= PREDICT_SETTLE_RTOL * abs(v[t]):
+                break
+    except ZeroDivisionError as exc:
+        raise NumericalInstability(f"an innovation variance of a degree-{q} filter "
+                                   "underflows to 0") from exc
+    return rows
 
 
+@functools.cache
 def _recursion(q: int):
     """The one-step predictor of a degree-q filter, q >= 1, as a generator
     function over (rows, xs): rows[t] (repeated past the last) weights the
     innovations 1..q steps back at index t, xs are the centred observations,
     and each prediction is yielded before its observation turns into the next
-    innovation.  The source comes from q alone, as dataclasses builds
+    innovation.  The source comes from q alone, once, as dataclasses builds
     __init__; the lag sum is q flat statements, so any degree compiles."""
     e = [f"e{j}" for j in range(1, q + 1)]
     lines = ["def predict(rows, xs):",
@@ -92,37 +95,30 @@ def _recursion(q: int):
     return namespace["predict"]
 
 
-def predict_streams(filters, index, series, mean: float = 0.0) -> np.ndarray:
+def predict_streams(filters, series, mean: float = 0.0) -> np.ndarray:
     """One-step-ahead predictions of N series at once, shape (N, T), C order.
 
     Series n (row n of `series`, which must be (N, T)) is predicted with the
-    innovations recursion of filters[index[n]], from its observations before
-    t alone.  A degree-0 filter's series predicts the mean.  Otherwise the
-    innovations rows are built once per filter, and each series runs one
-    scalar recursion over Python floats, generated once per degree in the
-    call (_recursion): the prediction is 0.0 plus the weighted innovations
-    j = 1..q in that order, and the innovation is the centred observation
-    minus it, so the results are bit for bit those of a one-series scalar
-    loop.  ValueError unless `series` is (N, T) with one index into
-    `filters` per series.
+    innovations recursion of filters[n], from its observations before t
+    alone.  A degree-0 filter's series predicts the mean.  Otherwise each
+    series builds its filter's innovations rows and runs the scalar
+    recursion of its degree (_recursion): the prediction is 0.0 plus the
+    weighted innovations j = 1..q in that order, and the innovation is the
+    centred observation minus it, bit for bit as in a one-series scalar
+    loop.  ValueError unless `series` is (N, T) with one filter per series.
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 2:
         raise ValueError(f"series must be (N, T), got shape {series.shape}")
     N, T = series.shape
     filters = [as_poly(f) for f in filters]
-    index = np.asarray(index, dtype=np.intp)
-    if index.shape != (N,) or not np.all((index >= 0) & (index < len(filters))):
-        raise ValueError(f"need one index into the {len(filters)} filters for "
-                         f"each of {N} series, got {index.size}")
-    rows = [_innovations_rows(f.coeffs, min(T, PREDICT_ROW_CAP))[0][:, 1:].tolist()
-            if f.degree else None for f in filters]
-    recursions = {q: _recursion(q) for q in {f.degree for f in filters} if q}
+    if len(filters) != N:
+        raise ValueError(f"need one filter for each of {N} series, got {len(filters)}")
     out = np.zeros((N, T))
-    for n, i in enumerate(index.tolist()):
-        if filters[i].degree:
-            predict = recursions[filters[i].degree]
-            out[n] = np.fromiter(predict(rows[i], (series[n] - mean).tolist()),
+    for n, f in enumerate(filters):
+        if f.degree:
+            rows = _innovations_rows(f.coeffs, min(T, PREDICT_ROW_CAP))
+            out[n] = np.fromiter(_recursion(f.degree)(rows, (series[n] - mean).tolist()),
                                  float, T)
     # the mean is added once, to every row; a degree-0 row holds 0.0
     return np.add(out, mean, out=out)
@@ -213,8 +209,8 @@ def simulate_inventory(table: MarketTable, alloc_policy: AllocationPolicy,
     from policy.benchmark_offsets, from period start_period = max_lag on
     (InsufficientHistory on a shorter path).  Raises NumericalInstability
     naming sigma when a seller filter or a summary number is not finite, as
-    when sigma overflows the predictor.  ValueError when the table and the
-    policy count different sellers."""
+    when sigma overflows the predictor, or when the predictor raises it.
+    ValueError when the table and the policy count different sellers."""
     if alloc_policy.n_sellers != table.N:
         raise ValueError(f"policy has {alloc_policy.n_sellers} sellers, "
                          f"market table {table.N}")
@@ -236,11 +232,12 @@ def simulate_inventory(table: MarketTable, alloc_policy: AllocationPolicy,
     except NumericalInstability as exc:
         raise NumericalInstability(
             f"simulation at sigma = {sigma:g} overflows: {exc}") from exc
-    # sellers of one transfer row get bit-identical allocation rows: predict
-    # the first seller's of each and gather
+    # the sellers of a transfer row have identical allocation rows
     first = np.unique(index, return_index=True)[1]
-    pred = predict_streams(filters, np.arange(len(filters)), alloc[first],
-                           mean=model.mu / table.N)[index]
+    try:
+        pred = predict_streams(filters, alloc[first], mean=model.mu / N)[index]
+    except NumericalInstability as exc:
+        raise NumericalInstability(f"simulation at sigma = {sigma:g}: {exc}") from exc
     zeta = np.where(fbp, table.zeta_fbp, table.zeta_fbm)[:, None]
     stock = base_stock(pred, sigma, zeta)
     h_bar = np.where(fbp, table.costs.H, table.h)[:, None]

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .demand import DemandModel
-from .polyalg import TRIM_TOL, NumericalInstability, TransferPoly
+from .polyalg import NumericalInstability, TransferPoly, trim_trailing
 
 ADMISSIBILITY_TOL = 1e-10
 
@@ -47,10 +47,9 @@ class AllocationPolicy:
     transfer T_n, low order first, and N is the row count.
 
     Transfers follow the normalized convention: T_n(0) = 1 for every seller
-    and the rows sum to N coefficient-wise.  Construction trims each row as
-    TransferPoly does (trailing |c| < TRIM_TOL become exact zeros, and
-    all-zero trailing columns go), so a row means what TransferPoly(row)
-    means, and validates both; `transfers` is read-only.
+    and the rows sum to N coefficient-wise.  Construction trims the rows as
+    TransferPoly does (polyalg.trim_trailing), so a row means what
+    TransferPoly(row) means, and validates both; `transfers` is read-only.
     """
 
     __slots__ = ("transfers",)
@@ -62,11 +61,7 @@ class AllocationPolicy:
                              f"(N, L+1) matrix, got shape {t.shape}")
         if not np.all(np.isfinite(t)):
             raise ValueError("coeffs must be finite")
-        big = np.abs(t) >= TRIM_TOL
-        big[:, 0] = True
-        # each row up to its last coefficient at or above TRIM_TOL
-        keep = np.logical_or.accumulate(big[:, ::-1], axis=1)[:, ::-1]
-        t = np.where(keep, t, 0.0)[:, keep.any(axis=0)].copy()
+        t = trim_trailing(t)
         if np.any(np.abs(t[:, 0] - 1.0) > ADMISSIBILITY_TOL):
             raise ValueError("each transfer must have T_n(0) = 1")
         # a running sum down the rows, seller by seller (a pairwise
@@ -96,7 +91,8 @@ def uniform_policy(N: int) -> AllocationPolicy:
 
 
 def sigma_lower_bound(model: DemandModel, N: int) -> float:
-    """Floor on any neutral policy's per-seller root MSFE: |psi(0)|/N."""
+    """Floor |psi(0)|/N on every seller's root MSFE under any admissible
+    design (root_msfe(T_n) >= |T_n(0)| = 1), reached by the uniform split."""
     if N < 1:
         raise ValueError("N must be positive")
     return abs(float(model.psi.coeffs[0])) / N

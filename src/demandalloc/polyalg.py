@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Trailing coefficients below this magnitude are noise from round-trip
-# multiplication, not structure.
+# Trailing coefficients at or below this fraction of the largest magnitude
+# are noise from round-trip multiplication, not structure (trim_trailing).
 TRIM_TOL = 1e-12
 
 DEFAULT_BOUNDARY_TOL = 1e-9
@@ -34,11 +34,22 @@ class NumericalInstability(ArithmeticError):
     """Conjugate pairing left an imaginary residue too large to discard."""
 
 
+def trim_trailing(c: np.ndarray) -> np.ndarray:
+    """The rows of c, one polynomial each, with their trailing coefficients
+    up to TRIM_TOL times the row's largest in magnitude set to exact zeros,
+    then the columns zero in every row dropped; the first column stays, so
+    the zero polynomial trims to [0.0]."""
+    big = np.abs(c) > TRIM_TOL * np.abs(c).max(axis=1, keepdims=True)
+    big[:, 0] = True
+    keep = np.logical_or.accumulate(big[:, ::-1], axis=1)[:, ::-1]
+    return np.where(keep, c, 0.0).compress(keep.any(axis=0), axis=1)
+
+
 class TransferPoly:
     """Real polynomial c_0 + c_1 z + ... + c_q z^q, low-order first.
 
-    Trailing coefficients with magnitude below 1e-12 are trimmed on
-    construction so degrees stay stable under repeated multiplication.
+    Trailing coefficients are trimmed on construction (trim_trailing), so
+    degrees stay stable under repeated multiplication whatever the scale.
     The zero polynomial is representable (single zero coefficient) but most
     operations reject it.
     """
@@ -51,10 +62,7 @@ class TransferPoly:
             raise ValueError("coeffs must be a non-empty 1-d real sequence")
         if not np.all(np.isfinite(c)):
             raise ValueError("coeffs must be finite")
-        keep = c.size
-        while keep > 1 and abs(c[keep - 1]) < TRIM_TOL:
-            keep -= 1
-        self.coeffs = c[:keep].copy()
+        self.coeffs = trim_trailing(c[None])[0]
         self.coeffs.flags.writeable = False
 
     @property

@@ -206,7 +206,7 @@ def route_path(alloc_policy: AllocationPolicy, model: DemandModel, demands,
 
     The policy's offsets come from the lagged realized (integer) demand;
     missing lags before the path starts count as demand at the mean.
-    NumericalInstability when an offset overflows the float range.
+    ValueError from integerize_demand, NumericalInstability on an overflow.
     """
     demand = integerize_demand(demands)
     offsets = benchmark_offsets(alloc_policy, model, demand)

@@ -8,13 +8,18 @@ choices from scratch, the reference router assigns one order at a time by
 the greedy rule, and the routing targets are summed from the transfer
 coefficients period by period; none of these imports from demandalloc.
 
+jensen_root_msfe reads a root MSFE from an FFT of the coefficients alone,
+with no root at all.
+
 The one-series predictor reference is the scalar loop over t and j that
-the package's predictor must equal bit for bit.  It takes its innovations
-rows (with their settle rule) and row cap from demandalloc.forecast, so it
-checks the recursion over time (row reuse, summation order, zero signs) and
-nothing else.  Those rows have their own oracle, ref_innovations_rows,
-which reads them from a Cholesky factor of the autocovariance matrix and
-shares no code with the package's recursion.
+the package's predictor must equal bit for bit.  It owns its innovations
+rows: ref_innovations_recursion is the banded recursion over numpy scalars
+(with its settle rule and row cap, REF_SETTLE_RTOL and REF_ROW_CAP) that the
+package replaced with one over Python floats, so a byte comparison of
+predictions checks the rows as well as the recursion over time (row reuse,
+summation order, zero signs).  Those rows have their own oracle,
+ref_innovations_rows, which reads them from a Cholesky factor of the
+autocovariance matrix and shares no code with either recursion.
 
 The smoothing references check forecast.ses_msfe three ways: the
 truncated, renormalized SES weights (ref_ses_truncated_weights, at most
@@ -94,7 +99,6 @@ import mpmath as mp
 import numpy as np
 
 from demandalloc import cli
-from demandalloc.forecast import PREDICT_ROW_CAP, _innovations_rows
 from demandalloc.platform import SIDES, PayoffResult, PlatformSolution
 from demandalloc.policy import (ADMISSIBILITY_TOL, AllocationPolicy, _check_target,
                                 uniform_policy)
@@ -124,6 +128,14 @@ def mp_root_msfe(coeffs, dps: int = 50) -> float:
             if m >= 1:
                 acc *= m
         return float(acc)
+
+
+def jensen_root_msfe(coeffs) -> float:
+    """Root MSFE by Jensen's formula (Kolmogorov-Szego): the geometric mean
+    of |p| over the unit circle, from a 16,384-point FFT and no root.  With
+    every root 1e-2 or more off the circle, log|p| is analytic on an annulus
+    and the mean is exact to rounding."""
+    return float(np.exp(np.mean(np.log(np.abs(np.fft.fft(coeffs, 16384))))))
 
 
 def mp_quantile(p, dps: int = 50) -> float:
@@ -352,17 +364,52 @@ def ref_innovations_rows(coeffs, rows: int):
     return theta, d * d
 
 
+REF_ROW_CAP = 5000
+REF_SETTLE_RTOL = 1e-14
+
+
+def ref_innovations_recursion(coeffs, steps: int):
+    """Banded innovations recursion for an MA(q) process over numpy scalars.
+
+    Returns (theta, v) where theta[t, j] predicts with the innovation j
+    steps back (j = 1..q) at time t, and v[t] is the one-step innovation
+    variance of the autocovariances gamma(0..q) (unit shocks).  The
+    recursion stops early once v moves less than REF_SETTLE_RTOL
+    (relative), returning the rows computed so far.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    q = coeffs.size - 1
+    gamma = np.array([float(np.dot(coeffs[:coeffs.size - h], coeffs[h:]))
+                      for h in range(q + 1)])
+    v = np.empty(steps + 1)
+    theta = np.zeros((steps + 1, q + 1))
+    v[0] = gamma[0]
+    for t in range(1, steps + 1):
+        lo = max(0, t - q)
+        for k in range(lo, t):
+            h = t - k
+            acc = gamma[h] if h <= q else 0.0
+            for j in range(lo, k):
+                acc -= theta[k, k - j] * theta[t, t - j] * v[j]
+            theta[t, h] = acc / v[k]
+        v[t] = gamma[0] - sum(theta[t, t - j] ** 2 * v[j] for j in range(lo, t))
+        if t > q and abs(v[t] - v[t - 1]) <= REF_SETTLE_RTOL * abs(v[t]):
+            return theta[:t + 1], v[:t + 1]
+    return theta, v
+
+
 def ref_innovations_predict(coeffs, series, mean: float = 0.0):
     """One-step predictions of one series, one scalar step per (t, j): row
-    min(t, last) of the filter's innovations rows weights the innovation j
-    steps back, j = 1..min(t, q).  coeffs must carry no trailing zeros."""
+    min(t, last) of the filter's innovations rows (ref_innovations_recursion,
+    at most REF_ROW_CAP of them) weights the innovation j steps back,
+    j = 1..min(t, q).  coeffs must carry no trailing zeros."""
     coeffs = np.asarray(coeffs, dtype=float)
     x = np.asarray(series, dtype=float) - mean
     T = x.size
     q = coeffs.size - 1
     if q == 0:
         return np.full(T, mean)
-    theta, _ = _innovations_rows(coeffs, min(T, PREDICT_ROW_CAP))
+    theta, _ = ref_innovations_recursion(coeffs, min(T, REF_ROW_CAP))
     last = theta.shape[0] - 1
     xhat = np.zeros(T)
     for t in range(T):

@@ -37,11 +37,10 @@ from demandalloc import (
     variance,
 )
 from demandalloc.cli import load_scenario
-from demandalloc.forecast import (_innovations_rows, predict_streams,
-                                  simulate_inventory)
+from demandalloc.forecast import predict_streams, simulate_inventory
 from oracles import (Seller, curve_points, lagged_variant, ref_filter_msfe,
-                     ref_mode_economics, ref_payoff, seller_columns,
-                     seller_records, ses_msfe_closed_form)
+                     ref_innovations_recursion, ref_mode_economics, ref_payoff,
+                     seller_columns, seller_records, ses_msfe_closed_form)
 from test_policy import filters_by_seller
 from test_routing import relabelled_policy
 
@@ -287,7 +286,7 @@ def test_criterion_6_property_suite(scenario):
     for _ in range(200):
         p = _random_ma_poly(rng)
         horizon = max(10 * p.degree, 200)
-        _, v = _innovations_rows(p.coeffs, horizon)
+        _, v = ref_innovations_recursion(p.coeffs, horizon)
         assert v.size <= horizon, "innovations recursion did not settle"
         via_innovations = float(np.sqrt(v[-1]))
         via_roots = root_msfe(p)
@@ -391,7 +390,7 @@ def test_criterion_7_monte_carlo_consistency(scenario):
     errors = []
     for n in (1, 2):
         filt = filters_by_seller(pol, model)[n - 1]
-        pred = predict_streams([filt], [0], shares[n - 1][None], mean=model.mu / 2)[0]
+        pred = predict_streams([filt], shares[n - 1][None], mean=model.mu / 2)[0]
         rmse = float(np.sqrt(np.mean((shares[n - 1] - pred) ** 2)))
         assert rmse == pytest.approx(5.0, rel=0.02)
         errors.append(rmse)

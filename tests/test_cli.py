@@ -365,6 +365,27 @@ def test_underflowing_mean_per_seller_names_demand_mu(tmp_path, capsys,
         "mu / N = 5e-324 / 10, underflows to 0\n")
 
 
+def test_underflowing_innovation_variance_names_sigma(tmp_path, capsys):
+    # psi = 1e-165 (1 + 0.5 z) keeps its degree, but the seller filters'
+    # autocovariances underflow to 0: the predictor cannot divide by them
+    doc = scenario_doc()
+    doc["demand"]["psi"] = [1e-165, 5e-166]
+    del doc["options"]["sigma_cap"]
+    out = tmp_path / "sim.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["simulate", "--scenario", write_doc(tmp_path, doc),
+                   "--sigma", "3e-166", "--periods", "50", "--out", str(out)])
+    assert rc == EXIT_NUMERICAL
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: simulation at sigma = "
+                                   "3e-166: an innovation variance ")
+    assert "underflows to 0" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [tmp_path / "edited.scenario"]
+
+
 def test_subnormal_mean_demand_simulates(tmp_path, capsys):
     # P(D <= 0) = 1/2: mu / sd underflows, and 1/CV = mu / sd is not formed
     # as 1 / (sd / mu), which overflows
@@ -831,6 +852,14 @@ class TestFactorAndMsfe:
         assert doc["root_msfe"] == pytest.approx(2.0, rel=1e-12)
         (inner,) = doc["inner_roots"]
         assert inner == pytest.approx([-0.5, 0.0])
+
+    def test_factor_of_tiny_coefficients_keeps_the_inner_root(self, capsys):
+        # 1e-13 (1 + 5 z): the root -0.2 is reflected as for 1 + 5 z
+        doc = self.run_json(["factor", "1e-13", "5e-13"], capsys)
+        assert doc["invertible"] is False
+        assert doc["root_msfe"] == pytest.approx(5e-13, rel=1e-12)
+        (inner,) = doc["inner_roots"]
+        assert inner == pytest.approx([-0.2, 0.0])
 
     def test_factor_boundary_tol_edges(self, capsys):
         doc = self.run_json(["factor", "1", "2", "--boundary-tol", "0"], capsys)

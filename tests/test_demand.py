@@ -50,6 +50,12 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="invertible"):
             DemandModel(10.0, TransferPoly([1.0, 2.0]))
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-13, 1e13, 1e200])
+    def test_rejects_noninvertible_filter_at_any_scale(self, scale):
+        # scale (1 + 5 z) has its root at -0.2 however small its coefficients
+        with pytest.raises(ValueError, match="invertible"):
+            DemandModel(10.0, [scale, 5.0 * scale])
+
     def test_boundary_root_accepted(self):
         # invertibility only excludes roots strictly inside the unit disk;
         # a root on the circle passes model validation (factorization warns)
@@ -148,6 +154,6 @@ class TestMarketForecastability:
         # invertible market filter; check the simulated path agrees
         m = DemandModel(10.0, TransferPoly([1.0, 0.8]))
         path = simulate(m, 100_000, 1)
-        pred = predict_streams([m.psi], [0], path[None], mean=m.mu)[0]
+        pred = predict_streams([m.psi], path[None], mean=m.mu)[0]
         rmse = float(np.sqrt(np.mean((path - pred) ** 2)))
         assert abs(rmse - 1.0) < 0.01

@@ -29,11 +29,12 @@ from demandalloc import (
 )
 from demandalloc.forecast import (PREDICT_ROW_CAP, _innovations_rows,
                                   predict_streams, simulate_inventory)
-from oracles import (REF_SES_MAX_ORDER, REF_SES_MIN_LAMBDA, benchmark_targets,
-                     lagged_variant, mp_root_msfe, mp_roots, mp_ses_msfe_double_sum,
+from oracles import (REF_ROW_CAP, REF_SES_MAX_ORDER, REF_SES_MIN_LAMBDA,
+                     REF_SETTLE_RTOL, benchmark_targets, lagged_variant,
+                     mp_root_msfe, mp_roots, mp_ses_msfe_double_sum,
                      mp_ses_msfe_recursion, ref_filter_msfe,
-                     ref_innovations_predict, ref_innovations_rows,
-                     ref_policy_transfers,
+                     ref_innovations_predict, ref_innovations_recursion,
+                     ref_innovations_rows, ref_policy_transfers,
                      ref_seller_filter, ref_ses_truncated_weights,
                      seller_columns, ses_msfe_closed_form)
 from test_policy import filters_by_seller
@@ -74,8 +75,9 @@ LEADTIME_DESIGNS = _lead_time_designs()
 
 def settled_msfe(p: TransferPoly, horizon: int) -> float:
     """Root of the settled one-step variance of the innovations recursion
-    predict_streams runs; fails unless it settles within horizon steps."""
-    _, v = _innovations_rows(p.coeffs, horizon)
+    the predictor runs (its byte reference); fails unless it settles within
+    horizon steps."""
+    _, v = ref_innovations_recursion(p.coeffs, horizon)
     assert v.size <= horizon, f"innovations variance still moving after {horizon} steps"
     return math.sqrt(v[-1])
 
@@ -100,30 +102,27 @@ class TestInnovationsMsfe:
 class TestInnovationsPredict:
     def test_iid_filter_predicts_the_mean(self):
         series = np.array([3.0, 7.0, 5.0, 6.0])
-        pred = predict_streams([TransferPoly([5.0])], [0], series[None], mean=5.0)
+        pred = predict_streams([TransferPoly([5.0])], series[None], mean=5.0)
         np.testing.assert_allclose(pred, 5.0)
 
     def test_empirical_error_matches_theory(self):
         model = DemandModel(10.0, TransferPoly([1.0, 0.6]))
         path = simulate(model, 20_000, 4)
-        pred = predict_streams([model.psi], [0], path[None], mean=model.mu)[0]
+        pred = predict_streams([model.psi], path[None], mean=model.mu)[0]
         rmse = float(np.sqrt(np.mean((path - pred) ** 2)))
         assert rmse == pytest.approx(1.0, rel=0.02)
 
     def test_no_series_gives_no_rows(self):
-        pred = predict_streams([], [], np.zeros((0, 7)))
+        pred = predict_streams([], np.zeros((0, 7)))
         assert pred.shape == (0, 7)
 
     @pytest.mark.parametrize("n_filters", [0, 1, 3])
     def test_one_filter_per_series(self, n_filters):
-        # two indices into n_filters filters, one of them past the last
-        # filter, and one or three indices for two series
+        # two series need two filters: fewer or more is an error
         filters = [TransferPoly([1.0, 0.5])] * n_filters
-        for index in ([0, n_filters], [0] * (2 * n_filters - 1)):
-            with pytest.raises(ValueError, match=rf"^need one index into the "
-                                                 rf"{n_filters} filters for each "
-                                                 rf"of 2 series, got {len(index)}$"):
-                predict_streams(filters, index, np.zeros((2, 5)))
+        with pytest.raises(ValueError, match=rf"^need one filter for each of 2 "
+                                             rf"series, got {n_filters}$"):
+            predict_streams(filters, np.zeros((2, 5)))
 
 
 # Nonzero coefficients keep each filter's drawn degree (TransferPoly trims
@@ -139,10 +138,7 @@ def _assert_stack_matches_scalar(filters, T, seed, mean=4.0):
 
 
 def _assert_series_match_scalar(filters, series, mean):
-    # each distinct filter once, shared by index
-    distinct = list(dict.fromkeys(map(tuple, filters)))
-    got = predict_streams([TransferPoly(c) for c in distinct],
-                          [distinct.index(tuple(c)) for c in filters], series, mean)
+    got = predict_streams([TransferPoly(c) for c in filters], series, mean)
     want = np.array([ref_innovations_predict(TransferPoly(c).coeffs, s, mean)
                      for c, s in zip(filters, series)])
     # bit for bit, zero signs included; C order, so a mean along a row sums
@@ -158,7 +154,7 @@ _POOL = ([2.0], [-0.7], [1.0, -0.9], [0.5, 1.0, 0.48],
          [1.2, -0.3, 0.4, 0.15, -0.22],
          [1.0, 0.3, -0.2, 0.1, 0.05, -0.04, 0.03, 0.02, 0.01, 0.01])
 # innovations rows [1.0, -0.9] takes to settle
-_SETTLE_ROWS = _innovations_rows(np.array(_POOL[2]), 400)[0].shape[0]
+_SETTLE_ROWS = ref_innovations_recursion(_POOL[2], 400)[0].shape[0]
 
 
 # Degree 0, 1 and 2, each with a negative weight somewhere, so that zero
@@ -221,7 +217,7 @@ class TestPredictStreams:
     def test_series_must_be_two_dimensional(self, shape):
         with pytest.raises(ValueError, match=r"series must be \(N, T\), got "
                                              rf"shape {re.escape(str(shape))}"):
-            predict_streams([TransferPoly([1.0, 0.5])] * 2, [0, 1], np.zeros(shape))
+            predict_streams([TransferPoly([1.0, 0.5])] * 2, np.zeros(shape))
 
     @given(st.lists(_FILTER, min_size=1, max_size=5), st.integers(0, 60),
            st.integers(0, 2 ** 32 - 1))
@@ -236,8 +232,8 @@ class TestPredictStreams:
         # still moving at the cap and the last one is reused past it, while
         # the others settle early and repeat their own last rows
         near_unit = [1.0, 0.9999]
-        rows, _ = _innovations_rows(np.array(near_unit), PREDICT_ROW_CAP)
-        assert rows.shape[0] == PREDICT_ROW_CAP + 1
+        assert len(_innovations_rows(np.array(near_unit), PREDICT_ROW_CAP)) == \
+            PREDICT_ROW_CAP + 1
         filters = [near_unit, [1.2, -0.3, 0.4, 0.15, -0.22], [5.0], [2.0, -0.6, 0.4]]
         _assert_stack_matches_scalar(filters, PREDICT_ROW_CAP + 200, 7)
 
@@ -289,14 +285,38 @@ def _row_filters():
 ROW_FILTERS = _row_filters()
 
 
+def _byte_row_filters():
+    """ROW_FILTERS, a degree-60 filter, and 1 + 0.9999 z, whose rows are
+    still moving at the row cap."""
+    k = np.arange(61)
+    return {**ROW_FILTERS, "degree-60": TransferPoly(0.9 ** k * np.cos(k)),
+            "near-unit": TransferPoly([1.0, 0.9999])}
+
+
+BYTE_ROW_FILTERS = _byte_row_filters()
+
+
 class TestInnovationsRows:
-    """The banded innovations recursion against the Cholesky factor of the
-    autocovariance matrix."""
+    """The banded innovations recursion: the package's Python-float rows
+    equal the numpy-scalar reference loop bit for bit, and that loop agrees
+    with the Cholesky factor of the autocovariance matrix."""
+
+    @pytest.mark.parametrize("name", sorted(BYTE_ROW_FILTERS))
+    def test_rows_equal_the_reference_loop(self, name):
+        assert (PREDICT_ROW_CAP, forecast.PREDICT_SETTLE_RTOL) == \
+            (REF_ROW_CAP, REF_SETTLE_RTOL)
+        coeffs = BYTE_ROW_FILTERS[name].coeffs
+        q = coeffs.size - 1
+        for steps in (0, 1, q, q + 1, PREDICT_ROW_CAP):
+            rows = _innovations_rows(coeffs, steps)
+            got = np.array(rows, dtype=float).reshape(len(rows), q)
+            want = np.ascontiguousarray(ref_innovations_recursion(coeffs, steps)[0][:, 1:])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", sorted(ROW_FILTERS))
     def test_rows_match_the_cholesky_factor(self, name):
         coeffs = ROW_FILTERS[name].coeffs
-        theta, v = _innovations_rows(coeffs, 150)
+        theta, v = ref_innovations_recursion(coeffs, 150)
         want_theta, want_v = ref_innovations_rows(coeffs, v.size)
         # relative to the largest weight: some weights are zero in exact
         # arithmetic and rounding residue in both
@@ -348,9 +368,9 @@ class TestDistinctStreams:
         widths = []
         real = forecast.predict_streams
 
-        def spy(filters, index, series, mean=0.0):
+        def spy(filters, series, mean=0.0):
             widths.append(len(series))
-            return real(filters, index, series, mean)
+            return real(filters, series, mean)
 
         monkeypatch.setattr(forecast, "predict_streams", spy)
         pol = neutral_policy(M5, 100, 2.0 * sigma_lower_bound(M5, 100))

@@ -3,7 +3,7 @@ per-seller filters and ex-post allocation (the policy replayed along a path
 by forecast.simulate_inventory)."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from demandalloc import (
     AllocationPolicy,
@@ -22,7 +22,7 @@ from demandalloc import (
     simulate,
 )
 from demandalloc.forecast import simulate_inventory
-from oracles import (lagged_variant, ref_benchmark_offsets,
+from oracles import (jensen_root_msfe, lagged_variant, ref_benchmark_offsets,
                      ref_policy_transfers, ref_seller_filter,
                      seller_columns)
 from test_seller import COSTS, SELLERS
@@ -349,3 +349,46 @@ class TestMatrixAgainstPerSeller:
             assert _hex(got) == _hex(ref)
         assert benchmark_offsets(pol, model, demands).tobytes() == \
             ref_benchmark_offsets(want, model.mu, demands).tobytes()
+
+
+@st.composite
+def admissible_transfers(draw):
+    """An admissible (N, L+1) transfer matrix, N = 2..11 and L = 1..3: rows
+    with T_n(0) = 1 and drawn lag coefficients, the last row's lags the
+    negated column sums of the others, so every lag column sums to 0."""
+    N, lags = draw(st.integers(2, 11)), draw(st.integers(1, 3))
+    rows = [[1.0] + [draw(st.floats(-3.0, 3.0)) for _ in range(lags)]
+            for _ in range(N - 1)]
+    rows.append([1.0] + [-sum(r[k] for r in rows) for k in range(1, lags + 1)])
+    return rows
+
+
+def _roots_apart(coeffs) -> bool:
+    """Whether every root of coeffs lies 1e-2 or more from the unit circle
+    and from every other root.  There root_msfe and the FFT Jensen mean are
+    exact to rounding; the copies of a repeated root are not (test_polyalg,
+    test_repeated_root_keeps_its_msfe)."""
+    roots = np.roots(np.trim_zeros(coeffs, "b")[::-1])
+    gap = np.abs(np.subtract.outer(roots, roots)) + np.diag(np.full(roots.size, 1.0))
+    return bool(np.all(np.abs(np.abs(roots) - 1.0) >= 1e-2) and np.all(gap >= 1e-2))
+
+
+class TestUniformSplitFloor:
+    """The paper's first claim: no admissible design beats the uniform split.
+    Root MSFE is multiplicative (Jensen), root_msfe(T_n) >= |T_n(0)| = 1 and
+    psi is invertible, so seller n's sigma_n = sigma_L root_msfe(T_n) is at
+    least sigma_L = |psi(0)|/N, with equality when T_n has no root inside the
+    unit disk (the uniform split among them)."""
+
+    @given(demand_models(), admissible_transfers())
+    @example(DemandModel(20.0, TransferPoly([5.0, 2.0])), [[1.0, 0.0], [1.0, 0.0]])
+    @example(M5, [[1.0, 0.5, 0.0], [1.0, -0.5, 0.0], [1.0, 0.0, 0.0]])
+    @settings(max_examples=200, deadline=None)
+    def test_no_seller_beats_the_uniform_split(self, model, rows):
+        pol = AllocationPolicy(rows)
+        sigma_l = sigma_lower_bound(model, pol.n_sellers)
+        for t, f in zip(pol.transfers, filters_by_seller(pol, model)):
+            assume(_roots_apart(t) and _roots_apart(f.coeffs))
+            assert root_msfe(f) >= sigma_l * (1.0 - 1e-12)
+            assert root_msfe(f) == pytest.approx(sigma_l * jensen_root_msfe(t),
+                                                 rel=1e-9, abs=0)
