@@ -19,7 +19,6 @@ the caller.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -262,9 +261,9 @@ def export_simulation(run: InventoryRun, fileobj) -> None:
     seller.  Rows are interleaved from slices of the run's arrays and written
     in blocks of about csvtext.BLOCK_CELLS cells by the exact formatter."""
     n, periods = run.allocations.shape
-    csv.writer(fileobj).writerow(
-        ["period", "demand"] + [f"{col}_{i}" for i in range(1, n + 1)
-                                for col in ("alloc", "forecast", "stock", "cost")])
+    fileobj.write(",".join(["period", "demand"] + [
+        f"{col}_{i}" for i in range(1, n + 1)
+        for col in ("alloc", "forecast", "stock", "cost")]) + "\r\n")
     width = 4 * n + 2
     block = max(1, BLOCK_CELLS // width)
     columns = (run.allocations, run.forecasts, run.stocks, run.costs)

@@ -10,7 +10,8 @@ them (or at the volatility floor).
 Every function here reads one seller.MarketTable, built once per market by
 seller.market_table; the caller supplies the volatility floor and the
 participation bound it wants.  The optimizer and the curve evaluate their
-sorted points in one sweep over MarketTable.switch_index (_adopter_sums).
+sorted points in one sweep over MarketTable.switch_index (_adopter_sums),
+the curve's right-sided limits at breakpoints with exclusive=True.
 payoff reads one adoption mask for everything the solution document prints
 at one sigma: at sigma_star (PlatformSolution.star) and at the floor.
 """
@@ -84,14 +85,15 @@ def _payoff_terms(table: MarketTable, sigma, n, zeta_sum):
     return (*terms, terms[0] + terms[1] + terms[2])
 
 
-def _adopter_sums(table: MarketTable, sigma, boundary: str):
+def _adopter_sums(table: MarketTable, sigma, exclusive: bool = False):
     """At each point of an ascending sigma array: the number of adopters,
     the sum of zeta_FBP over them and of zeta_FBM over the other sellers.
     An exiting seller (dK > 0) adopts before its MarketTable.switch_index,
     any other from it on, so prefix and suffix sums over sellers binned by
-    that index give every point's sums."""
+    that index give every point's sums.  exclusive as in
+    MarketTable.adopts."""
     size = sigma.size + 1
-    key = table.switch_index(sigma, boundary) + size * (table.dK > 0)
+    key = table.switch_index(sigma, exclusive) + size * (table.dK > 0)
     # bins[w, g, i]: weight w (1, zeta_FBP, zeta_FBM) summed over the sellers
     # of group g (0 others, 1 exiting) whose index is i
     bins = np.bincount(np.concatenate((key, key + 2 * size, key + 4 * size)),
@@ -163,7 +165,7 @@ def optimize(table: MarketTable, sigma_lower: float,
     bps = table.breakpoints()
     in_range = (s for s, _ in bps if sigma_lower <= s <= sigma_u)
     candidates = np.array(sorted({sigma_lower, sigma_u, *in_range}))
-    n, zeta_sum, _ = _adopter_sums(table, candidates, "inclusive")
+    n, zeta_sum, _ = _adopter_sums(table, candidates)
     with np.errstate(over="ignore", invalid="ignore"):
         totals = _payoff_terms(table, candidates, n, zeta_sum)[3].tolist()
     best = 0
@@ -195,10 +197,10 @@ def payoff_curve(table: MarketTable, sigma_grid, sigma_upper: float) -> Curve:
     order = np.lexsort((side, sigma))
     sigma, side, rule = sigma[order], side[order], rule[order]
     n, zeta_fbp, zeta_fbm = np.zeros((3, sigma.size))
-    for code, boundary in enumerate(("inclusive", "exclusive")):
+    for code, exclusive in enumerate((False, True)):
         at = rule == code
         n[at], zeta_fbp[at], zeta_fbm[at] = _adopter_sums(table, sigma[at],
-                                                          boundary)
+                                                          exclusive)
     with np.errstate(over="ignore", invalid="ignore"):
         total = _payoff_terms(table, sigma, n, zeta_fbp)[3]
         curve = Curve(sigma, np.where(rule == 2, 0.0, total), n.astype(np.intp),

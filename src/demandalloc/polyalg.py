@@ -72,9 +72,6 @@ class TransferPoly:
     def is_zero(self) -> bool:
         return self.degree == 0 and self.coeffs[0] == 0.0
 
-    def __len__(self) -> int:
-        return self.coeffs.size
-
     def __repr__(self) -> str:
         body = ", ".join(f"{c:g}" for c in self.coeffs)
         return f"TransferPoly(({body}))"
@@ -107,21 +104,26 @@ def as_poly(p) -> TransferPoly:
     return p if isinstance(p, TransferPoly) else TransferPoly(p)
 
 
-def _newton_polish(coeffs: np.ndarray, roots: np.ndarray, sweeps: int = 2) -> np.ndarray:
-    """A couple of Newton steps per eigenvalue root; keeps only improvements."""
+def _newton_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Two Newton steps per eigenvalue root more than 1e-3 max(1, |r|) from
+    every other root; keeps only improvements.  Newton would move the copies
+    of a repeated root unevenly, so they keep their eigenvalues."""
     polyval = np.polynomial.polynomial.polyval
     deriv = np.polynomial.polynomial.polyder(coeffs)
     out = roots.astype(complex)
+    gap = np.abs(out[:, None] - out)
+    np.fill_diagonal(gap, np.inf)
+    isolated = gap.min(axis=1) > 1e-3 * np.maximum(1.0, np.abs(out))
     # f / fp overflows where fp is tiny against f; a non-finite step never
     # counts as an improvement
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(sweeps):
+        for _ in range(2):
             f, fp = polyval(out, coeffs), polyval(out, deriv)
             ok = np.abs(fp) > 0
             step = np.where(ok, f / np.where(ok, fp, 1.0), 0.0)
             cand = out - step
             better = np.isfinite(cand) & (np.abs(polyval(cand, coeffs)) <= np.abs(f))
-            out = np.where(better, cand, out)
+            out = np.where(better & isolated, cand, out)
     return out
 
 
@@ -130,8 +132,8 @@ def poly_roots(p: TransferPoly):
     at degree 0).
 
     Companion-matrix eigenvalues (numpy applies balancing) followed by a
-    short Newton polish.  Roots come back sorted by (real, imag) so repeated
-    calls are deterministic.
+    short Newton polish of the isolated ones.  Roots come back sorted by
+    (real, imag) so repeated calls are deterministic.
     """
     p = as_poly(p)
     if p.degree == 0:

@@ -28,7 +28,6 @@ csvtext, which the simulate CSV shares.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,12 +65,8 @@ class RoutePathResult:
         return np.flatnonzero(~self.routed).tolist()
 
     @property
-    def cumulative_counts(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
-    @property
     def cumulative_shares(self) -> np.ndarray:
-        cumulative = self.cumulative_counts
+        cumulative = self.counts.sum(axis=0)
         total = int(cumulative.sum())
         return cumulative / total if total else np.zeros(cumulative.size)
 
@@ -228,7 +223,7 @@ def export_assignment_log(path_result: RoutePathResult, fileobj) -> None:
     csvtext.BLOCK_CELLS cells by the exact formatter.
     """
     counts, log = path_result.counts, path_result.log
-    csv.writer(fileobj).writerow(["period", "order", "seller", "adj"])
+    fileobj.write("period,order,seller,adj\r\n")
     sizes = counts.sum(axis=1)
     offs = path_result.targets - (sizes / counts.shape[1])[:, None]
     row_period = np.repeat(np.arange(sizes.size), sizes)

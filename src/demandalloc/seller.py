@@ -12,7 +12,8 @@ every seller under both modes once per market; mode choice and adoption sets
 array (switch_index), exit thresholds (breakpoints) and the participation
 bound (participation_ub) are array operations on it, and the platform layer
 and the simulation (forecast.simulate_inventory) read the same table.  One
-comparison, _prefers_fbp, decides every mode choice.
+comparison, _prefers_fbp, decides every mode choice; exclusive=True leaves
+out the sellers at their switching point.
 
 market_table reads a market's sellers as one SellerParams of cost columns
 and streams the (zeta, K) pairs of one scalar function, inventory_coefficient,
@@ -151,7 +152,7 @@ def base_stock(mean_forecast, sigma: float, zeta):
     return mean_forecast + zeta * sigma
 
 
-def _prefers_fbp(fixed, sigma, dK, boundary: str = "inclusive"):
+def _prefers_fbp(fixed, sigma, dK, exclusive: bool = False):
     """Where platform fulfillment wins: its utility advantage over
     self-fulfillment is fixed - sigma * dK, the sigma-free margin term minus
     the inventory-cost term.
@@ -159,20 +160,18 @@ def _prefers_fbp(fixed, sigma, dK, boundary: str = "inclusive"):
     Comparing the advantage directly stays correct when the platform mode's
     inventory cost is the smaller one.  A slack of _BOUNDARY_SLACK relative
     to the larger term keeps a seller whose switching point was computed in
-    floating point on the inclusive side; boundary="exclusive" drops
-    sellers within that slack of their switching point (right-sided limits
-    at a breakpoint).  Callers ignore overflow; an advantage of -inf or NaN
+    floating point on the inclusive side; exclusive=True drops sellers
+    within that slack of their switching point (right-sided limits at a
+    breakpoint).  Callers ignore overflow; an advantage of -inf or NaN
     never adopts, which keeps adoption monotone in sigma.
     """
     varying = sigma * dK
     margin = fixed - varying
     slack = _BOUNDARY_SLACK * np.maximum(
         1.0, np.maximum(np.abs(fixed), np.abs(varying)))
-    if boundary == "inclusive":
-        return (margin >= -slack) & (margin > -np.inf)
-    if boundary == "exclusive":
+    if exclusive:
         return margin > slack
-    raise ValueError(f"unknown boundary {boundary!r}")
+    return (margin >= -slack) & (margin > -np.inf)
 
 
 class MarketTable(NamedTuple):
@@ -205,15 +204,16 @@ class MarketTable(NamedTuple):
     # Largest sigma at which the seller's better mode still pays.
     participation: np.ndarray
 
-    def adopts(self, sigma, boundary: str = "inclusive") -> np.ndarray:
+    def adopts(self, sigma, exclusive: bool = False) -> np.ndarray:
         """FBP mask of shape sigma.shape + (n_sellers,): where each seller
         chooses platform fulfillment, that is where the fulfillment saving
-        (mu/N) dF covers the extra inventory cost sigma dK (_prefers_fbp)."""
+        (mu/N) dF covers the extra inventory cost sigma dK (_prefers_fbp;
+        exclusive=True leaves out the sellers at their switching point)."""
         sigma = np.asarray(sigma, dtype=float)[..., None]
         with np.errstate(over="ignore", invalid="ignore"):
-            return _prefers_fbp(self.fixed, sigma, self.dK, boundary)
+            return _prefers_fbp(self.fixed, sigma, self.dK, exclusive)
 
-    def switch_index(self, sigma, boundary: str = "inclusive") -> np.ndarray:
+    def switch_index(self, sigma, exclusive: bool = False) -> np.ndarray:
         """Index i in [0, sigma.size], per seller, along an ascending sigma:
         a seller with dK > 0 adopts exactly at sigma[:i] (it exits), any
         other exactly at sigma[i:] (it stays, or enters if dK < 0 and dF <
@@ -227,7 +227,7 @@ class MarketTable(NamedTuple):
             while step:  # step on while sigma[probe - 1] shows the first mode
                 probe = index + step * digits
                 first = _prefers_fbp(self.fixed, sigma.take(probe - 1, mode="clip"),
-                                     self.dK, boundary) == exits
+                                     self.dK, exclusive) == exits
                 index += step * np.add.reduce(first & (probe <= sigma.size))
                 step >>= 4
         return index
@@ -310,28 +310,19 @@ def market_table(sellers, costs: PlatformCosts, mu: float) -> MarketTable:
             participation=np.maximum(margin_fbm / k_fbm, margin_fbp / k_fbp))
 
 
-def check_cost_assumptions(sellers, costs: PlatformCosts) -> list:
-    """List the messages of every seller where platform fulfillment is not
-    weakly cheaper (F <= f_n) or platform holding not weakly dearer
-    (H >= h_n), which is where dK_n < 0: K grows strictly with the holding
-    cost.  Warns once per rule that trips, with the first such seller's
-    message and the count of the others."""
-    tripped_f, tripped_h = costs.F > sellers.f, costs.H < sellers.h
-
-    def fulfillment(n):
-        return (f"seller {n + 1}: platform fulfillment cost F={costs.F:g} "
-                f"exceeds own cost f={sellers.f[n]:g}")
-
-    def holding(n):
-        return (f"seller {n + 1}: platform holding cost H={costs.H:g} "
-                f"below own cost h={sellers.h[n]:g}")
-
-    rules = ((tripped_f, fulfillment), (tripped_h, holding))
-    messages = [message(n) for n in np.flatnonzero(tripped_f | tripped_h).tolist()
-                for tripped, message in rules if tripped[n]]
-    for tripped, message in rules:
+def check_cost_assumptions(sellers, costs: PlatformCosts) -> None:
+    """Warn where platform fulfillment is not weakly cheaper (F <= f_n) or
+    platform holding not weakly dearer (H >= h_n), which is where dK_n < 0:
+    K grows strictly with the holding cost.  One warning per rule that
+    trips, naming its first seller and counting the others."""
+    rules = ((costs.F > sellers.f, "fulfillment cost F={:g} exceeds own cost f={:g}",
+              costs.F, sellers.f),
+             (costs.H < sellers.h, "holding cost H={:g} below own cost h={:g}",
+              costs.H, sellers.h))
+    for tripped, text, platform, own in rules:
         hits = np.flatnonzero(tripped)
         if hits.size:
+            n = hits[0]
             more = f" (and {hits.size - 1} more sellers)" if hits.size > 1 else ""
-            warnings.warn(message(hits[0]) + more, stacklevel=2)
-    return messages
+            warnings.warn(f"seller {n + 1}: platform "
+                          f"{text.format(platform, own[n])}{more}", stacklevel=2)

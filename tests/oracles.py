@@ -447,9 +447,9 @@ def ref_policy_transfers(rows) -> tuple:
     for t in transfers:
         if abs(t.coeffs[0] - 1.0) > ADMISSIBILITY_TOL:
             raise ValueError("each transfer must have T_n(0) = 1")
-    excess = np.zeros(max(len(t) for t in transfers))
+    excess = np.zeros(max(t.coeffs.size for t in transfers))
     for t in transfers:
-        excess[:len(t)] += t.coeffs
+        excess[:t.coeffs.size] += t.coeffs
     excess[0] -= len(transfers)
     if np.max(np.abs(excess)) > ADMISSIBILITY_TOL:
         raise ValueError("transfers must sum to N coefficient-wise (admissibility)")
@@ -470,7 +470,7 @@ def ref_benchmark_offsets(transfers, mu, demands) -> np.ndarray:
     max_lag = max(t.degree for t in transfers)
     lags = np.zeros((N, max_lag + 1))
     for i, t_poly in enumerate(transfers):
-        lags[i, :len(t_poly)] = t_poly.coeffs / N
+        lags[i, :t_poly.coeffs.size] = t_poly.coeffs / N
     offsets = np.zeros((dev.size, N))
     for k in range(1, min(max_lag, dev.size - 1) + 1):
         offsets[k:] += dev[:-k, None] * lags[:, k]
@@ -585,12 +585,12 @@ def ref_mode_choice(params, costs, N, mu, sigma):
     return "FBP" if margin >= -_BOUNDARY_SLACK * scale else "FBM"
 
 
-def ref_adoption_set(sellers, costs, N, mu, sigma, boundary="inclusive"):
+def ref_adoption_set(sellers, costs, N, mu, sigma, exclusive=False):
     out = set()
     for idx, params in enumerate(sellers, start=1):
         margin, scale = _margin_and_scale(params, costs, N, mu, sigma)
         slack = _BOUNDARY_SLACK * scale
-        if (margin >= -slack) if boundary == "inclusive" else (margin > slack):
+        if (margin > slack) if exclusive else (margin >= -slack):
             out.add(idx)
     return out
 
@@ -720,7 +720,7 @@ def ref_payoff_curve(sellers, costs, N, mu, sigma_grid, sigma_cap=math.inf):
     for s, _ in ref_breakpoints(sellers, costs, N, mu):
         if lo <= s <= min(hi, sigma_u):
             points.append(point(s, "left"))
-            strict = ref_adoption_set(sellers, costs, N, mu, s, boundary="exclusive")
+            strict = ref_adoption_set(sellers, costs, N, mu, s, exclusive=True)
             points.append(point(s, "right", adopters=strict))
     if lo <= sigma_u <= hi:
         points += [point(sigma_u, "left"), zero(sigma_u, "right")]

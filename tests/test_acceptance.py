@@ -4,7 +4,9 @@ Each test prints a single PASS line with the quantities it pinned, so a
 plain `pytest -s tests/test_acceptance.py` reads as a checklist.  Criteria
 1-5 reproduce the reference market's headline numbers from the shipped
 scenario; criterion 6 is a self-contained randomized property suite;
-criterion 7 closes the loop with a Monte Carlo consistency run.
+criterion 7 closes the loop with a Monte Carlo consistency run, and
+criterion 8 checks that a seller who forecasts from its own sales alone
+cannot beat the design volatility.
 """
 import time
 import warnings
@@ -46,6 +48,7 @@ from test_routing import relabelled_policy
 
 SCENARIO = str(Path(__file__).resolve().parents[1]
                / "scenarios" / "illustrative.scenario")
+MA2_SCENARIO = str(Path(__file__).resolve().parent / "data" / "ma2_n11.scenario")
 
 # reference per-seller inventory coefficients (K under own-storage mode,
 # K under platform-storage mode) for the reference market
@@ -397,3 +400,51 @@ def test_criterion_7_monte_carlo_consistency(scenario):
     print(f"\ncriterion 7 PASS: empirical one-step errors "
           f"{errors[0]:.4f}/{errors[1]:.4f} vs design 5.0, allocation "
           f"conservation {conservation:.1e}")
+
+
+def _levinson_durbin(gamma, order):
+    """AR(order) coefficients phi_1..phi_order solving the Yule-Walker
+    equations on the autocovariances gamma[0..order]."""
+    phi, v = np.zeros(0), gamma[0]
+    for k in range(1, order + 1):
+        kappa = (gamma[k] - phi @ gamma[k - 1:0:-1]) / v
+        phi = np.append(phi - kappa * phi[::-1], kappa)
+        v *= 1.0 - kappa * kappa
+    return phi
+
+
+def _ar_forecast_rmse(stream, order):
+    """Out-of-sample root MSFE on the second half of stream of the AR(order)
+    predictor fitted to the sample autocovariances of the first half."""
+    half = stream.size // 2
+    fit = stream[:half] - stream[:half].mean()
+    gamma = np.array([fit[:half - h] @ fit[h:] for h in range(order + 1)]) / half
+    phi = _levinson_durbin(gamma, order)
+    x = stream - stream[:half].mean()
+    lags = np.lib.stride_tricks.sliding_window_view(x[half - order:-1], order)
+    return float(np.sqrt(np.mean((x[half:] - lags @ phi[::-1]) ** 2)))
+
+
+def test_criterion_8_own_sales_cannot_beat_sigma():
+    # the information claim: a seller who sees only its allocation stream
+    # D_t/N + b_t forecasts it no better than the design volatility sigma.
+    # The AR(30) fit knows neither psi nor the design; its out-of-sample
+    # root MSFE over 10,000 periods lies within 5 standard errors of sigma
+    periods, order = 20_000, 30
+    tol = 5.0 / np.sqrt(2 * (periods // 2))
+    ratios = []
+    for path, sigmas in ((SCENARIO, (0.5, 1.0, 3.0)), (MA2_SCENARIO, (0.7, 2.0))):
+        scenario = load_scenario(path)
+        model, N = scenario.model, len(scenario.sellers)
+        demand = simulate(model, periods, seed=scenario.seed)
+        for sigma in sigmas:
+            pol = neutral_policy(model, N, sigma)
+            _, first = np.unique(pol.transfers, axis=0, return_index=True)
+            offsets = benchmark_offsets(pol, model, demand)
+            for n in first.tolist():
+                rmse = _ar_forecast_rmse(demand / N + offsets[:, n], order)
+                assert abs(rmse / sigma - 1.0) <= tol, (path, sigma, n + 1)
+                ratios.append(rmse / sigma)
+    print(f"\ncriterion 8 PASS: {len(ratios)} allocation streams, AR({order}) "
+          f"root MSFE / sigma in [{min(ratios):.4f}, {max(ratios):.4f}], "
+          f"tolerance {tol:.4f}")

@@ -43,3 +43,8 @@ def test_every_exported_name_resolves():
                 and not isinstance(value, types.ModuleType)
                 and name not in demandalloc.__all__]
     assert unlisted == []
+
+
+def test_cli_import_loads_no_csv_module():
+    # every CSV writer formats its own header and rows
+    assert "csv" not in _top_level_modules("import demandalloc.cli")

@@ -82,9 +82,9 @@ def test_table_rules_match_scalar_reference(market):
         probes = [0.0, *np.linspace(0.0, 1.2 * max(ub, 1e-3), 7).tolist(),
                   *(s for s, _ in bps[::max(1, len(bps) // 8)])]
         for sigma in probes:
-            for side in ("inclusive", "exclusive"):
-                assert adopters(table, sigma, side) == \
-                    ref_adoption_set(sellers, costs, n, mu, sigma, side)
+            for exclusive in (False, True):
+                assert adopters(table, sigma, exclusive) == \
+                    ref_adoption_set(sellers, costs, n, mu, sigma, exclusive)
         for sigma in [s for s in probes if s >= 0][-2:]:
             for params, chosen in zip(sellers[:10], table.adopts(sigma).tolist()):
                 assert ("FBP" if chosen else "FBM") == \
@@ -191,12 +191,12 @@ def test_sweep_matches_adoption_rule_point_by_point(market, grid_points):
         switch, np.nextafter(switch, -np.inf), np.nextafter(switch, np.inf),
         np.linspace(0.0, 1.2 * switch.max(initial=1.0), grid_points))))
     zeta_scale = np.abs(table.zeta_fbp).sum() + np.abs(table.zeta_fbm).sum()
-    for boundary in ("inclusive", "exclusive"):
-        mask = table.adopts(sigma, boundary)
+    for exclusive in (False, True):
+        mask = table.adopts(sigma, exclusive)
         before = np.arange(sigma.size)[:, None] < table.switch_index(sigma,
-                                                                     boundary)
+                                                                     exclusive)
         assert np.array_equal(mask, np.where(table.dK > 0, before, ~before))
-        n_adopters, zeta_fbp, zeta_fbm = _adopter_sums(table, sigma, boundary)
+        n_adopters, zeta_fbp, zeta_fbm = _adopter_sums(table, sigma, exclusive)
         assert np.array_equal(n_adopters, mask.sum(axis=1))
         for got, want in ((zeta_fbp, np.where(mask, table.zeta_fbp, 0.0)),
                           (zeta_fbm, np.where(mask, 0.0, table.zeta_fbm))):
@@ -244,11 +244,11 @@ def test_sweep_matches_adoption_rule_past_the_float_range():
     table = market_table(SellerParams(h=[1e300, 1.0], b=[1e300, 3e300],
                                       f=[20.0, 12.0]), costs, 1e300)
     sigma = np.array([0.0, 1.0, 1e5, 1e8, 1e10, 1e300])
-    for boundary in ("inclusive", "exclusive"):
-        mask = table.adopts(sigma, boundary)
+    for exclusive in (False, True):
+        mask = table.adopts(sigma, exclusive)
         assert mask.tolist() == [[True, True], [True, False]] + [[False] * 2] * 4
-        assert table.switch_index(sigma, boundary).tolist() == [2, 1]
-        assert np.array_equal(_adopter_sums(table, sigma, boundary)[0],
+        assert table.switch_index(sigma, exclusive).tolist() == [2, 1]
+        assert np.array_equal(_adopter_sums(table, sigma, exclusive)[0],
                               mask.sum(axis=1))
 
 

@@ -362,11 +362,10 @@ def test_factor_is_scale_free(psi):
 
 
 class TestJensenCrossCheck:
-    @pytest.mark.xfail(strict=True, reason="the Newton polish of poly_roots moves "
-                                           "the copies of a repeated root unevenly")
     def test_repeated_root_keeps_its_msfe(self):
         # (1 + 0.5 z)^3 is invertible, so its root MSFE is |psi(0)| = 1; the
-        # Jensen mean has it to rounding, the polished roots only to 1.4e-6
+        # Jensen mean has it to rounding, and so must the roots, whose three
+        # copies a Newton polish would move unevenly (to 1 + 1.4e-6)
         p = TransferPoly([1.0, 1.5, 0.75, 0.125])
         assert jensen_root_msfe(p.coeffs) == pytest.approx(1.0, rel=1e-12)
         assert root_msfe(p) == pytest.approx(1.0, rel=1e-12)

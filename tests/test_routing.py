@@ -274,13 +274,13 @@ class TestRoutePath:
         assert res.infeasible_periods == []
         assert res.max_discrepancy <= 1.0 + 1e-9
         total = integerize_demand(self.calm_path).sum()
-        assert int(res.cumulative_counts.sum()) == int(total)
+        assert int(res.counts.sum()) == int(total)
         np.testing.assert_allclose(res.cumulative_shares.sum(), 1.0, atol=1e-12)
 
     def test_single_seller_takes_everything(self):
         pol = neutral_policy(self.model, 1, 5.0)
         res = route_path(pol, self.model, self.path, seed=5)
-        assert int(res.cumulative_counts[0]) == int(integerize_demand(self.path).sum())
+        assert int(res.counts.sum(axis=0)[0]) == int(integerize_demand(self.path).sum())
 
     def test_skip_mode_records_infeasible_periods(self):
         # at sigma = 6 sigma_L the offsets regularly push targets negative
@@ -300,7 +300,7 @@ class TestRoutePath:
         pol = neutral_policy(self.calm_model, 3, 2.0)
         a = route_path(pol, self.calm_model, self.calm_path, seed=11)
         b = route_path(pol, self.calm_model, self.calm_path, seed=11)
-        np.testing.assert_array_equal(a.cumulative_counts, b.cumulative_counts)
+        np.testing.assert_array_equal(a.counts.sum(axis=0), b.counts.sum(axis=0))
 
     def test_integerize_demand_is_nonnegative(self):
         tight = DemandModel(4.0, TransferPoly([4.0]))

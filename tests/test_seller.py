@@ -71,9 +71,9 @@ SIGMA_STAR = 8.867803761159964
 TABLE = market_table(seller_columns(SELLERS), COSTS, MU)
 
 
-def adopters(table, sigma, boundary="inclusive") -> set:
+def adopters(table, sigma, exclusive=False) -> set:
     """1-based indices of the sellers choosing FBP at sigma."""
-    return set((np.flatnonzero(table.adopts(sigma, boundary)) + 1).tolist())
+    return set((np.flatnonzero(table.adopts(sigma, exclusive)) + 1).tolist())
 
 
 class TestNormalMachinery:
@@ -337,14 +337,10 @@ class TestAdoptionSet:
 
     def test_exclusive_boundary_drops_threshold_seller(self):
         inc = adopters(TABLE, SIGMA_STAR)
-        exc = adopters(TABLE, SIGMA_STAR, boundary="exclusive")
+        exc = adopters(TABLE, SIGMA_STAR, exclusive=True)
         assert 1 in inc
         assert 1 not in exc
         assert exc == {2, 3, 4, 5, 6, 7}
-
-    def test_unknown_boundary_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown boundary"):
-            TABLE.adopts(SIGMA_STAR, boundary="open")
 
 
 class TestParticipationBound:
@@ -387,16 +383,21 @@ class TestCostAssumptions:
     def test_reference_market_clean(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert check_cost_assumptions(seller_columns(SELLERS), COSTS) == []
+            assert check_cost_assumptions(seller_columns(SELLERS), COSTS) is None
 
     def test_violations_reported_with_indices(self):
         bad = PlatformCosts(rho=15.0, F=20.0, H=1.0, delta_f=2.0,
                             delta_h=2.0, r=100.0)
-        with pytest.warns(UserWarning):
-            messages = check_cost_assumptions(seller_columns(SELLERS), bad)
-        # F=20 beats sellers 8..10 whose f < 20; H=1 sits below h for 5..10
-        assert any("seller 10" in m and "fulfillment" in m for m in messages)
-        assert any("seller 6" in m and "holding" in m for m in messages)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            check_cost_assumptions(seller_columns(SELLERS), bad)
+        # F=20 beats sellers 7..10 whose f < 20; H=1 sits below h for 4..10
+        assert [str(w.message) for w in caught] == [
+            "seller 7: platform fulfillment cost F=20 exceeds own cost f=18.8"
+            " (and 3 more sellers)",
+            "seller 4: platform holding cost H=1 below own cost h=1.1"
+            " (and 6 more sellers)"]
+        assert {w.category for w in caught} == {UserWarning}
 
     @given(st.lists(st.sampled_from(["neither", "F", "H", "both"]), min_size=1,
                     max_size=12), st.data())
@@ -417,7 +418,7 @@ class TestCostAssumptions:
                                 if kind != "neither")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert check_cost_assumptions(seller_columns(sellers), COSTS) == want
+            check_cost_assumptions(seller_columns(sellers), COSTS)
         # one warning per rule that trips: its first seller's message and
         # the count of the others
         warned = []
