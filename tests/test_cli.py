@@ -1,6 +1,7 @@
 """Command-line surface: scenario ingestion, subcommands, exit codes."""
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -1003,6 +1004,25 @@ class TestSimulate:
              for k, v in entry.items()} for entry in expected["sellers"]]
         assert {k: v for k, v in summary.items() if k != "sellers"} \
             == {k: v for k, v in expected.items() if k != "sellers"}
+
+    # near sigma_L a seller filter has a root just inside the unit circle, so
+    # its innovations rows settle late or never: these paths build up to
+    # PREDICT_ROW_CAP rows and reuse the last one for the periods past it
+    @pytest.mark.parametrize("scenario, sigma, csv_sha, json_sha", [
+        (str(DATA / "ma2_n11.scenario"), "0.4545455",
+         "7dc5407203578e4ddf657ef353fe928ea487df8e0c08ad4ca2150ef8dbc875ac",
+         "a947cb4e39bffdf86c9079df9d3c6e51fc67af9bb3e3e7e301ed3b5df485c960"),
+        (SCENARIO, "0.50001",
+         "04e5eedf240b938fe077679449e5e81a32358cd41be760b3c8406e08c4e27243",
+         "7838573eabb5ecdda19ea639dd09bb7f476b9d1e5ab5500e45fd57b1149961ec"),
+    ])
+    def test_near_the_floor_matches_digest(self, scenario, sigma, csv_sha, json_sha,
+                                           tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--scenario", scenario, "--sigma", sigma,
+                     "--periods", "6000", "--seed", "4", "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == json_sha
 
     def test_overflow_is_a_numerical_failure(self, tmp_path, capsys):
         # at this sigma the predictor's autocovariances overflow; the run
