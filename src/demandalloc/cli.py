@@ -209,10 +209,17 @@ def _primary_stream(out_path):
         yield sys.stdout
 
 
+class _Records(dict):
+    """Records of one key sequence held as columns (key -> list of values),
+    written as the JSON list of the records without a dict per record."""
+
+
 def _nonfinite_path(node, path=""):
     """Path of the first non-finite float in nested dicts and lists, or None."""
     if isinstance(node, float):
         return None if math.isfinite(node) else path
+    if isinstance(node, _Records):  # named as the list of its records
+        node = [dict(zip(node, values)) for values in zip(*node.values())]
     items = (node.items() if isinstance(node, dict)
              else enumerate(node) if isinstance(node, list) else ())
     paths = (_nonfinite_path(v, f"{path}[{k}]" if isinstance(k, int)
@@ -225,9 +232,9 @@ def _json_texts(values: list, indent: str) -> list:
     brackets sit at indent (a newline and spaces).  Runs of one type are
     written a column at a time: numbers through int.__repr__ and
     float.__repr__, strings through the C encode_basestring_ascii, and
-    records (dicts of one key sequence) through one template per run.  A
-    non-finite float raises ValueError, as json.dumps does with
-    allow_nan=False.  Dict keys must be strings."""
+    records (dicts of one key sequence, or the columns of a _Records)
+    through one template per run.  A non-finite float raises ValueError, as
+    json.dumps does with allow_nan=False.  Dict keys must be strings."""
     kinds = set(map(type, values))
     if len(kinds) > 1:
         return [_json_texts([v], indent)[0] for v in values]
@@ -245,10 +252,13 @@ def _json_texts(values: list, indent: str) -> list:
             raise ValueError("Out of range float values are not JSON compliant")
         return list(map(float.__repr__, values))
     inner = indent + "  "
+    sep = "," + inner
     if issubclass(kind, (list, tuple)):
-        sep = "," + inner
         return [f"[{inner}{sep.join(_json_texts(v, inner))}{indent}]" if v else "[]"
                 for v in values]
+    if kind is _Records:
+        return [f"[{inner}{sep.join(texts)}{indent}]" if texts else "[]"
+                for texts in (_record_texts(v, inner) for v in values)]
     if not issubclass(kind, dict):
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     if len(set(map(tuple, values))) > 1:  # key sequences differ
@@ -258,10 +268,17 @@ def _json_texts(values: list, indent: str) -> list:
         return ["{}"] * len(values)
     if not all(isinstance(k, str) for k in keys):
         raise TypeError("keys must be str")
+    return _record_texts({k: [v[k] for v in values] for k in keys}, indent)
+
+
+def _record_texts(columns: dict, indent: str) -> list:
+    """json.dumps(indent=2) of each record {k: columns[k][i]}, closing
+    braces at indent, from one template; keys are nonempty strings."""
+    inner = indent + "  "
     template = "{" + ",".join(f"{inner}{_encode_str(k).replace('%', '%%')}: %s"
-                              for k in keys) + indent + "}"
-    columns = [_json_texts([v[k] for v in values], inner) for k in keys]
-    return list(map(template.__mod__, zip(*columns)))
+                              for k in columns) + indent + "}"
+    return list(map(template.__mod__,
+                    zip(*(_json_texts(c, inner) for c in columns.values()))))
 
 
 def _json_text(doc: dict) -> str:
@@ -340,12 +357,13 @@ def cmd_simulate(args) -> int:
         raise ScenarioError(f"{_periods_source(args)}: {exc}") from exc
     with _primary_stream(args.out) as fh:
         forecast.export_simulation(run, fh)
-    sellers = [{"seller": i, "mode": mode, "analytic_sigma": sigma,
-                "empirical_msfe": msfe, "msfe_ratio": msfe / sigma,
-                "mean_cost": cost, "k_sigma": k_sigma, "cost_ratio": cost / k_sigma}
-               for i, (mode, msfe, cost, k_sigma) in enumerate(zip(
-                   run.modes, run.empirical_msfe.tolist(), run.mean_cost.tolist(),
-                   run.k_sigma.tolist()), start=1)]
+    msfe, cost, k_sigma = (run.empirical_msfe.tolist(), run.mean_cost.tolist(),
+                           run.k_sigma.tolist())
+    sellers = _Records(
+        seller=list(range(1, len(msfe) + 1)), mode=list(run.modes),
+        analytic_sigma=[sigma] * len(msfe), empirical_msfe=msfe,
+        msfe_ratio=[m / sigma for m in msfe], mean_cost=cost, k_sigma=k_sigma,
+        cost_ratio=[c / k for c, k in zip(cost, k_sigma)])
     _emit_summary({"command": "simulate", "sigma": sigma,
                    "periods": demands.size, "seed": seed,
                    "sellers": sellers}, args.out)

@@ -2,10 +2,10 @@
 
 Three strands: the optimal one-step predictor (predict_streams, the
 innovations algorithm of Brockwell and Davis, section 5.2, run as one scalar
-recursion per series, generated once per filter degree); the exact mean
-squared error of simple exponential smoothing (ses_msfe, O(q) for any
-smoothing constant in (0, 1]); and lead-time demand uncertainty from
-partial sums of the coefficients of a seller filter's outer factor
+recursion per series in the three phases below); the exact mean squared
+error of simple exponential smoothing (ses_msfe, O(q) for any smoothing
+constant in (0, 1]); and lead-time demand uncertainty from partial sums of
+the coefficients of a seller filter's outer factor
 (polyalg.inner_outer_factor, any admissible design).  The model of the
 `simulate` command (simulate_inventory) allocates the path through
 policy.benchmark_offsets (the one replay of a design along a path, which
@@ -16,13 +16,23 @@ NumericalInstability on a non-finite filter or summary, with its CSV written
 by the exact block formatter of csvtext (export_simulation).  Every
 per-seller economic quantity comes from a seller.MarketTable built once by
 the caller.
+
+The predictor runs in three phases over Python floats, each in the float
+order of a one-series scalar loop.  The head, innovations rows t <= q, comes
+from the generic loop of _innovations_rows.  The rows past it, up to the
+settled one or PREDICT_ROW_CAP, come from a row step generated from the
+degree q alone (_row_step: q(q+1)/2 flat statements over locals), up to
+degree PREDICT_STEP_MAX_DEGREE; its compile time grows as q^2 (about 0.2 ms
+at q = 4, 1 ms at q = 12, 34 ms at q = 60), so above that degree the generic
+loop builds every row.  The predictor, generated per degree too (_recursion),
+walks the built rows and then holds the last row's weights as locals for the
+rest of the path.  Both are compiled on first use, once per degree.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -39,6 +49,10 @@ PREDICT_ROW_CAP = 5000
 every later index once the innovation variance settles (PREDICT_SETTLE_RTOL),
 and past the cap even unsettled, as for a root near the unit circle."""
 PREDICT_SETTLE_RTOL = 1e-14
+PREDICT_STEP_MAX_DEGREE = 12
+"""Highest filter degree whose innovations rows past the head come from a
+generated row step (_row_step); above it the generic loop builds every row,
+as the step's source, and so its compile time, grows as q^2."""
 
 
 def _innovations_rows(coeffs: np.ndarray, steps: int) -> list:
@@ -46,12 +60,15 @@ def _innovations_rows(coeffs: np.ndarray, steps: int) -> list:
     rows t = 0..steps, each the weights of the innovations 1..q steps back
     at time t (0.0 where t < j), from the autocovariances gamma(0..q) (unit
     shocks) and the one-step variances v[t]; stops once v moves less than
-    PREDICT_SETTLE_RTOL (relative).  NumericalInstability if v underflows."""
+    PREDICT_SETTLE_RTOL (relative).  The head t <= q runs the generic loop
+    below, the rows past it the generated step of degree q (_row_step), up
+    to degree PREDICT_STEP_MAX_DEGREE.  NumericalInstability if v underflows."""
     q = coeffs.size - 1
     gamma = [float(np.dot(coeffs[:q + 1 - h], coeffs[h:])) for h in range(q + 1)]
     rows, v = [[0.0] * q], [gamma[0]]
+    head = min(q, steps) if 0 < q <= PREDICT_STEP_MAX_DEGREE else steps
     try:
-        for t in range(1, steps + 1):
+        for t in range(1, head + 1):
             lo = max(0, t - q)
             row = [0.0] * q
             # v[t] sums its terms from 0 in order of j, as sum() would
@@ -65,7 +82,9 @@ def _innovations_rows(coeffs: np.ndarray, steps: int) -> list:
             rows.append(row)
             v.append(gamma[0] - s)
             if t > q and abs(v[t] - v[t - 1]) <= PREDICT_SETTLE_RTOL * abs(v[t]):
-                break
+                return rows
+        if head < steps:
+            _row_step(q)(gamma, rows, v, steps)
     except ZeroDivisionError as exc:
         raise NumericalInstability(f"an innovation variance of a degree-{q} filter "
                                    "underflows to 0") from exc
@@ -73,23 +92,64 @@ def _innovations_rows(coeffs: np.ndarray, steps: int) -> list:
 
 
 @functools.cache
+def _row_step(q: int):
+    """The generic loop's rows t > q of a degree-q filter, q >= 1, as a
+    function (gamma, rows, v, steps) that appends rows len(rows)..steps, or
+    up to the settled one.  Its state is the variances V0..V{q-1} of the
+    last q rows and the weights r{i}_{l} (lags l = 1..i) of the last q - 1,
+    the ones the next row reads.  Each weight c{h} is one statement in the
+    loop's float order: gamma[h] minus the products for j ascending, over
+    its variance; the new variance is gamma[0] minus the sum from 0.0 of
+    c ** 2 * V with k ascending.  Source from q alone, as _recursion."""
+    V = [f"V{i}" for i in range(q)]
+    r = [f"r{i}_{l}" for i in range(1, q) for l in range(1, i + 1)]
+    lines = ["def step(gamma, rows, v, steps):",
+             f" ({', '.join(f'g{h}' for h in range(q + 1))},) = gamma",
+             f" ({', '.join(V)},) = v[-{q}:]",
+             *(f" ({', '.join(f'r{i}_{l}' for l in range(1, i + 1))},) = "
+               f"rows[{i - q}][:{i}]" for i in range(1, q)),
+             " append = rows.append",
+             " for _ in range(len(rows), steps + 1):"]
+    for i in range(q):  # k = t - q + i, lag h = q - i
+        terms = "".join(f" - r{i}_{i - m} * c{q - m} * V{m}" for m in range(i))
+        lines.append(f"  c{q - i} = (g{q - i}{terms}) / V{i}")
+    lines += ["  vt = g0 - (0.0" + "".join(f" + c{q - i} ** 2 * V{i}" for i in range(q))
+              + ")",
+              f"  append(({', '.join(f'c{l}' for l in range(1, q + 1))},))",
+              f"  if abs(vt - V{q - 1}) <= {PREDICT_SETTLE_RTOL!r} * abs(vt):",
+              "   return"]
+    # shift in ascending order, so each name is read before it is rebound
+    shifted = [f"r{i + 1}_{l}" for i in range(1, q - 1) for l in range(1, i + 1)]
+    lines += [f"  {a} = {b}" for a, b in zip(
+        [*V, *r], [*V[1:], "vt", *shifted, *(f"c{l}" for l in range(1, q))])]
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["step"]
+
+
+@functools.cache
 def _recursion(q: int):
     """The one-step predictor of a degree-q filter, q >= 1, as a generator
-    function over (rows, xs): rows[t] (repeated past the last) weights the
-    innovations 1..q steps back at index t, xs are the centred observations,
-    and each prediction is yielded before its observation turns into the next
-    innovation.  The source comes from q alone, once, as dataclasses builds
-    __init__; the lag sum is q flat statements, so any degree compiles."""
+    function over (rows, xs): rows[t] weights the innovations 1..q steps back
+    at index t, xs are the centred observations, and each prediction is
+    yielded before its observation turns into the next innovation.  Past the
+    built rows the last row's weights stay bound as locals.  The prediction
+    is 0.0 + w1 * e1 + ... + wq * eq, one expression added left to right.
+    The source comes from q alone, once, as dataclasses builds __init__."""
     e = [f"e{j}" for j in range(1, q + 1)]
+    w = f"({', '.join(f'w{j}' for j in range(1, q + 1))},)"
+    body = ["  p = 0.0" + "".join(f" + w{j} * e{j}" for j in range(1, q + 1)),
+            "  yield p",
+            # shift from the oldest, so each name is read before it is rebound
+            *(f"  e{j} = e{j - 1}" for j in range(q, 1, -1)),
+            "  e1 = x - p"]
     lines = ["def predict(rows, xs):",
              f" {' = '.join(e)} = 0.0",
-             f" for ({', '.join(f'w{j}' for j in range(1, q + 1))},), x in "
-             "zip(chain(rows, repeat(rows[-1])), xs):",
-             "  p = 0.0",
-             *(f"  p += w{j} * e{j}" for j in range(1, q + 1)),
-             "  yield p",
-             f"  {', '.join(e)} = {', '.join(['x - p', *e[:-1]])}"]
-    namespace = {"chain": chain, "repeat": repeat}
+             " xs = iter(xs)",
+             f" for {w}, x in zip(rows, xs):", *body,
+             f" {w} = rows[-1]",
+             " for x in xs:", *body]
+    namespace = {}
     exec("\n".join(lines), namespace)
     return namespace["predict"]
 

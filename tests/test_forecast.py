@@ -14,6 +14,7 @@ from demandalloc import (
     FBM,
     FBP,
     InsufficientHistory,
+    NumericalInstability,
     TransferPoly,
     forecast,
     inner_outer_factor,
@@ -326,6 +327,108 @@ class TestInnovationsRows:
         # no weight before the first observation (t < j)
         assert not np.triu(theta[:, 1:]).any()
         np.testing.assert_allclose(v, want_v, rtol=1e-12, atol=0)
+
+
+@st.composite
+def _invertible_filters(draw):
+    """A degree 1-8 filter from its roots, all outside the closed unit disk:
+    conjugate pairs and real roots of modulus 1.05-3, and about half the
+    time the first factor within 1e-3 of the circle instead, so that its
+    rows are still moving at the row cap."""
+    q = draw(st.integers(1, 8))
+    pairs = draw(st.integers(0, q // 2))
+    moduli = [draw(st.floats(1.05, 3.0)) for _ in range(q - pairs)]
+    if draw(st.booleans()):
+        moduli[0] = 1.0 + draw(st.floats(1e-6, 1e-3))
+    roots = []
+    for m in moduli[:pairs]:
+        angle = draw(st.floats(0.05, math.pi - 0.05))
+        roots += [m * complex(math.cos(angle), math.sin(angle)),
+                  m * complex(math.cos(angle), -math.sin(angle))]
+    roots += [m * draw(st.sampled_from([-1.0, 1.0])) for m in moduli[pairs:]]
+    coeffs = np.ones(1)
+    for r in roots:
+        coeffs = np.convolve(coeffs, [1.0, -1.0 / r])
+    scale = draw(st.floats(0.2, 5.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return TransferPoly(scale * coeffs.real)
+
+
+def _assert_rows_match_reference(coeffs):
+    """The rows at steps 0, 1, q, q + 1, the settle index and the row cap
+    equal the reference loop's bytes; returns the settle index (the last
+    row's, PREDICT_ROW_CAP when the rows never settle)."""
+    q = coeffs.size - 1
+    full = np.ascontiguousarray(ref_innovations_recursion(coeffs, REF_ROW_CAP)[0][:, 1:])
+    settle = full.shape[0] - 1
+    for steps in (0, 1, q, q + 1, settle, PREDICT_ROW_CAP):
+        rows = _innovations_rows(coeffs, steps)
+        got = np.array(rows, dtype=float).reshape(len(rows), q)
+        want = (full if steps == PREDICT_ROW_CAP else np.ascontiguousarray(
+            ref_innovations_recursion(coeffs, steps)[0][:, 1:]))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return settle
+
+
+class TestRowStep:
+    """Past the head t <= q, the rows of a filter up to degree
+    PREDICT_STEP_MAX_DEGREE come from its generated row step, and the
+    predictor keeps the last row's weights as locals past the built rows:
+    both bit for bit as the reference loops."""
+
+    @given(_invertible_filters(), st.integers(0, 2 ** 32 - 1))
+    @example(TransferPoly([1.0, -1.0 / (1.0 + 1e-6)]), 0)
+    @example(TransferPoly([2.0, 0.5]), 1)
+    @settings(max_examples=25, deadline=None)
+    def test_rows_and_predictions_equal_the_reference(self, f, seed):
+        settle = _assert_rows_match_reference(f.coeffs)
+        rng = np.random.default_rng(seed)
+        for T in (settle // 2, settle + 1 + rng.integers(0, 40)):
+            series = 3.0 * rng.standard_normal((1, T)) - 1.5
+            got = predict_streams([f], series, -1.5)
+            want = ref_innovations_predict(f.coeffs, series[0], -1.5)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("above", [0, 1])
+    def test_degree_threshold(self, above, monkeypatch):
+        # the threshold degree runs its step, one degree above it only the
+        # generic loop; both equal the reference rows and predictions
+        q = forecast.PREDICT_STEP_MAX_DEGREE + above
+        k = np.arange(q + 1)
+        f = TransferPoly(0.8 ** k * np.cos(k))
+        assert f.degree == q
+        steps = []
+        real_step = forecast._row_step
+        monkeypatch.setattr(forecast, "_row_step",
+                            lambda degree: steps.append(degree) or real_step(degree))
+        settle = _assert_rows_match_reference(f.coeffs)
+        assert q < settle < PREDICT_ROW_CAP
+        # steps q + 1, the settle index and the cap pass the head
+        assert steps == ([] if above else [q] * 3)
+        series = 2.0 + np.random.default_rng(q).standard_normal((1, settle + 30))
+        assert predict_streams([f], series, 2.0).tobytes() == \
+            ref_innovations_predict(f.coeffs, series[0], 2.0).tobytes()
+
+    @pytest.mark.parametrize("coeffs", [
+        [1.9092940190827896e-162, -1.4550150729282874e-162],
+        [1.894823319289875e-162, 9.406822896755349e-163, -1.5663317345212026e-162],
+    ])
+    def test_underflow_in_the_step(self, coeffs, monkeypatch):
+        # gamma is subnormal and the variance of row q, the head's last,
+        # rounds to 0: the step's first row, q + 1, divides by it
+        coeffs = np.array(coeffs)
+        q = coeffs.size - 1
+        message = (rf"^an innovation variance of a degree-{q} filter "
+                   "underflows to 0$")
+        assert len(_innovations_rows(coeffs, q)) == q + 1
+        with pytest.raises(NumericalInstability, match=message):
+            _innovations_rows(coeffs, q + 1)
+        with pytest.raises(NumericalInstability, match=message):
+            predict_streams([TransferPoly(coeffs)], np.zeros((1, q + 1)))
+        # the generic loop fails at the same row with the same message
+        monkeypatch.setattr(forecast, "PREDICT_STEP_MAX_DEGREE", 0)
+        assert len(_innovations_rows(coeffs, q)) == q + 1
+        with pytest.raises(NumericalInstability, match=message):
+            _innovations_rows(coeffs, q + 1)
 
 
 def _gather_designs():
