@@ -236,6 +236,8 @@ def _json_texts(values: list, indent: str) -> list:
     through one template per run.  A non-finite float raises ValueError, as
     json.dumps does with allow_nan=False.  Dict keys must be strings."""
     kinds = set(map(type, values))
+    if not kinds:  # the columns of records with no rows
+        return []
     if len(kinds) > 1:
         return [_json_texts([v], indent)[0] for v in values]
     (kind,) = kinds
@@ -273,7 +275,7 @@ def _json_texts(values: list, indent: str) -> list:
 
 def _record_texts(columns: dict, indent: str) -> list:
     """json.dumps(indent=2) of each record {k: columns[k][i]}, closing
-    braces at indent, from one template; keys are nonempty strings."""
+    braces at indent, from one template; at least one key, all strings."""
     inner = indent + "  "
     template = "{" + ",".join(f"{inner}{_encode_str(k).replace('%', '%%')}: %s"
                               for k in columns) + indent + "}"
