@@ -1135,6 +1135,25 @@ class TestRoute:
         golden = DATA / "route_summary_illustrative_sigma3_T300_seed4.json"
         assert capsys.readouterr().out.encode() == golden.read_bytes()
 
+    # the benchmark's route sizes: a skip-heavy reference path and an odd-N
+    # MA(2) path that routes almost every order, pinned past the short goldens
+    @pytest.mark.parametrize("scenario, sigma, periods, log_sha, summary_sha", [
+        (SCENARIO, "3", "2000",
+         "a28b5c1dbd799686a5951609515dbfddced466459aa46af7faaceab952764ede",
+         "86b5f366051cedbe11a4cf7b4d9f660428692e56422e79f50c950766a699d621"),
+        (str(DATA / "ma2_n11.scenario"), "0.7", "400",
+         "952a25e0a77f664ed21b4d16d5ee34b2ea60906617f82767d5a9015b2f01924d",
+         "3cd64768e1e95ed0dbe50190e74508849e19b07d5543698cc7480c36cd80ea63"),
+    ], ids=["reference-T2000", "ma2-n11-T400"])
+    def test_workload_size_matches_digest(self, scenario, sigma, periods, log_sha,
+                                          summary_sha, tmp_path, capsys):
+        out = tmp_path / "route.csv"
+        assert main(["route", "--scenario", scenario, "--sigma", sigma,
+                     "--periods", periods, "--seed", "4",
+                     "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == log_sha
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == summary_sha
+
     def test_deterministic_output(self, tmp_path, capsys):
         paths = []
         summaries = []
