@@ -1010,14 +1010,7 @@ class TestSimulate:
         assert main(["simulate", "--scenario", scenario, "--sigma", sigma,
                      "--periods", periods, "--seed", "4", "--out", str(out)]) == EXIT_OK
         assert out.read_bytes() == (DATA / f"{golden}.csv").read_bytes()
-        summary = json.loads(capsys.readouterr().out)
-        expected = json.loads((DATA / f"{golden}.json").read_text())
-        assert summary.keys() == expected.keys()
-        assert summary["sellers"] == [
-            {k: pytest.approx(v, rel=1e-12) if isinstance(v, float) else v
-             for k, v in entry.items()} for entry in expected["sellers"]]
-        assert {k: v for k, v in summary.items() if k != "sellers"} \
-            == {k: v for k, v in expected.items() if k != "sellers"}
+        assert capsys.readouterr().out.encode() == (DATA / f"{golden}.json").read_bytes()
 
     # near sigma_L a seller filter has a root just inside the unit circle, so
     # its innovations rows settle late or never: these paths build up to
