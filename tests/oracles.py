@@ -8,6 +8,12 @@ choices from scratch, the reference router assigns one order at a time by
 the greedy rule, and the routing targets are summed from the transfer
 coefficients period by period; none of these imports from demandalloc.
 
+ref_merge is the path merge of the router with its sort by (period, key)
+as one stable np.lexsort, which the package replaced with a quicksort of
+the keys and stable radix passes over the period index.  It takes the tie
+reach and the wide-group replay from demandalloc.routing, so a comparison
+checks the sort and nothing else.
+
 jensen_root_msfe reads a root MSFE from an FFT of the coefficients alone,
 with no root at all.
 
@@ -104,6 +110,7 @@ from demandalloc.policy import (ADMISSIBILITY_TOL, AllocationPolicy, _check_targ
                                 uniform_policy)
 from demandalloc.polyalg import (DEFAULT_BOUNDARY_TOL, TRIM_TOL, TransferPoly,
                                  as_poly)
+from demandalloc.routing import _order_wide_groups, _tie_reach
 from demandalloc.seller import DomainError, SellerParams, inventory_coefficient
 
 
@@ -322,6 +329,32 @@ def ref_route_orders(offsets, D_t: int, rank, tie_tol: float = 1e-12):
         log.append(chosen + 1)
     return log, counts
 
+
+
+def ref_merge(offsets, targets, demand, rank):
+    """The path merge of routing._merge with its sort by (period, key) as
+    one np.lexsort, stable, so equal keys keep their seller order: the
+    (P x N) counts, the 1-based sellers of every period's orders in
+    assignment sequence, and each order's count for its seller."""
+    P, N = offsets.shape
+    n_keys = (np.floor(np.maximum(targets, 0.0)) + 2.0).astype(np.int64).ravel()
+    cell = np.repeat(np.arange(P * N), n_keys)
+    first = np.cumsum(n_keys) - n_keys
+    k = np.arange(cell.size) - np.repeat(first, n_keys)
+    keys = k - offsets.ravel()[cell]
+    order = np.lexsort((keys, cell // N))
+    keys, period = keys[order], cell[order] // N
+    new_group = np.ones(cell.size, dtype=bool)
+    new_group[1:] = ((period[1:] != period[:-1])
+                     | (keys[1:] > _tie_reach(keys[:-1])))
+    within = rank.ravel()[cell[order]]
+    _order_wide_groups(keys, new_group, within)
+    group = np.cumsum(new_group)
+    order = order[np.argsort(group * N + within, kind="stable")]
+    position = np.arange(cell.size) - first[::N][period]
+    order = order[position < demand[period]]
+    counts = np.bincount(cell[order], minlength=P * N).reshape(P, N)
+    return counts, cell[order] % N + 1, k[order] + 1
 
 def benchmark_targets(transfers, mu, demand):
     """Routing targets D_t/N + (1/N) sum_{k>=1} T_nk (D_{t-k} - mu) for every

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from demandalloc import (
@@ -27,7 +27,7 @@ from demandalloc.cli import load_scenario, main
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from oracles import (benchmark_targets, greedy_replay_ok,  # noqa: E402
-                     lagged_variant, ref_route_orders)
+                     lagged_variant, ref_merge, ref_route_orders)
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
@@ -526,6 +526,48 @@ def routed_periods(draw):
             np.array([D for _, D in periods]))
 
 
+# Keys in sorted order a, b, c: b is a tie above a, c a tie above b but
+# more than a tie above a.  The greedy's tie set follows the smallest key
+# still unassigned.
+CHAIN = [-0.3333333333336667, -0.33333333333266674, 0.6666666666663332]
+
+
+def long_path(seed):
+    """70,000 periods of 3 orders over two sellers with offsets +-b, b a
+    seeded draw of whole and half units, so keys tie across sellers; every
+    100th period has b = 2, a target of -0.5, and is skipped."""
+    b = np.random.default_rng(seed).choice(
+        [0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5], 70000)
+    b[::100] = 2.0
+    return np.column_stack([b, -b]), np.full(70000, 3)
+
+
+@st.composite
+def merge_paths(draw):
+    """(offsets, demand) of a path whose keys tie across sellers: a neutral
+    design with N >= 3, whose sellers of one sign share an offset column,
+    so their keys meet exactly; periods of the CHAIN near-ties; or a
+    long_path, whose 69,300 routed periods need a second 16-bit radix
+    digit of the period index."""
+    kind = draw(st.sampled_from(["neutral", "chain", "long"]))
+    if kind == "neutral":
+        N = draw(st.integers(3, 8))
+        model = DemandModel(draw(st.floats(5.0, 40.0)),
+                            TransferPoly([draw(st.floats(0.5, 10.0))]))
+        sigma = abs(float(model.psi.coeffs[0])) / N * draw(st.floats(1.0, 4.0))
+        demand = np.array(draw(st.lists(st.integers(0, 80), min_size=1,
+                                        max_size=30)))
+        pol = neutral_policy(model, N, sigma)
+        return benchmark_offsets(pol, model, demand.astype(float)), demand
+    if kind == "chain":
+        periods = draw(st.lists(st.tuples(st.permutations(range(3)),
+                                          st.integers(1, 40)),
+                                min_size=1, max_size=12))
+        return (np.array(CHAIN)[[list(perm) for perm, _ in periods]],
+                np.array([D for _, D in periods]))
+    return long_path(draw(st.integers(0, 2 ** 32)))
+
+
 class TestMergeAgainstOracle:
     @given(routed_periods(), st.integers(0, 2 ** 32))
     @settings(max_examples=400, deadline=None)
@@ -539,18 +581,13 @@ class TestMergeAgainstOracle:
             assert period_log.tolist() == log
             assert res.counts[t].tolist() == counts
 
-    # Keys in sorted order a, b, c: b is a tie above a, c a tie above b
-    # but more than a tie above a.  The greedy's tie set follows the
-    # smallest key still unassigned.
-    CHAIN = [-0.3333333333336667, -0.33333333333266674, 0.6666666666663332]
-
     @pytest.mark.parametrize("perm, D, expected", [
         ((0, 1, 2), 2, [3, 1]), ((1, 2, 0), 3, [2, 1, 2]),
         ((1, 2, 0), 4, [2, 1, 2, 3])])
     def test_chained_ties_do_not_outrank_the_smallest_key(self, perm, D, expected):
         # expected is worked out by hand for ties ranked by seller index;
         # the seeds' rankings cover all six orders of the three sellers
-        b = np.array(self.CHAIN)[list(perm)]
+        b = np.array(CHAIN)[list(perm)]
         assert ref_route_orders(b, D, range(3))[0] == expected
         rankings = set()
         for seed in range(20):
@@ -562,6 +599,19 @@ class TestMergeAgainstOracle:
             assert res.counts[0].tolist() == counts
             assert greedy_replay_ok(b, log)
         assert len(rankings) == 6
+
+    @given(merge_paths(), st.integers(0, 2 ** 32))
+    @example(long_path(0), 4)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_lexsort_merge(self, path, seed):
+        b, D = path
+        res = route_orders(b, D, seed)
+        routed = res.routed
+        counts, log, taken = ref_merge(b[routed], res.targets[routed], D[routed],
+                                       seed_ranks(seed, *b.shape)[routed])
+        np.testing.assert_array_equal(res.counts[routed], counts)
+        np.testing.assert_array_equal(res.log, log)
+        np.testing.assert_array_equal(res.taken, taken)
 
     @given(routed_periods(), st.integers(0, 2 ** 32))
     @settings(max_examples=300, deadline=None)
