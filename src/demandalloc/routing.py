@@ -12,11 +12,15 @@ such routing: it is skipped, with zero counts, and marked unrouted.
 The greedy gives seller n its (k+1)-th order at key k - b_n, so a period's
 assignment sequence is the sorted merge of N arithmetic key sequences (the
 chairman assignment problem, Tijdeman 1980).  The router takes each
-period's D_t smallest keys from one sort over the whole path, with no loop
-over orders, and keeps each key's k + 1 as its order's count.  Keys within
-_TIE_TOL of the smallest key still unassigned tie with it, and ties go by
-a seeded random ranking of the sellers drawn once per period, so no seller
-wins ties more often than another: the allocation stays nondiscriminatory.
+period's D_t smallest keys from the keys of the whole path at once, with
+no loop over orders, and keeps each key's k + 1 as its order's count: one
+quicksort orders the keys, and a stable 16-bit radix pass for each 16 bits
+of the period index orders them by period, one pass below 65,536 routed
+periods.  Keys within _TIE_TOL of the smallest key still unassigned tie
+with it, and ties go by a seeded random ranking of the sellers drawn once
+per period, so no seller wins ties more often than another: the
+allocation stays nondiscriminatory.  That ranking, not the sort, orders
+equal keys, so the quicksort need not be stable.
 
 route_orders routes a (T x N) offset array in one call into a
 RoutePathResult of arrays; route_path takes the demand array of
@@ -112,10 +116,15 @@ def _merge(offsets, targets, demand, rank):
     Seller n's keys run k = 0..floor(x_n)+1.  The keys up to D_t/N, at most
     floor(x_n)+1 of them, already number at least D_t, and the next one
     lies a unit beyond, so every key within tie reach of the cut is there.
-    A key within _TIE_TOL of the key before it in sorted order joins that
-    key's tie group, and each group, which lies in one period, is taken in
-    the greedy's order: by rank where every key of the group ties with its
-    first, by replay where not.
+    The keys are ordered by (period, key): a quicksort of the keys, then a
+    stable uint16 radix pass over each 16 bits of the period index, which
+    is nondecreasing in cell order.  A key within _TIE_TOL of the key
+    before it in sorted order joins that key's tie group, and each group,
+    which lies in one period, is taken in the greedy's order: by rank where
+    every key of the group ties with its first, by replay where not.  So
+    the order in which the quicksort leaves equal keys does not show: they
+    fall in one group, the group's order comes from rank, and no seller has
+    two keys in one group, its keys being a unit apart.
     """
     P, N = offsets.shape
     n_keys = (np.floor(np.maximum(targets, 0.0)) + 2.0).astype(np.int64).ravel()
@@ -123,8 +132,12 @@ def _merge(offsets, targets, demand, rank):
     first = np.cumsum(n_keys) - n_keys  # each cell's first key; cells run by period
     k = np.arange(cell.size) - np.repeat(first, n_keys)
     keys = k - offsets.ravel()[cell]
-    order = np.lexsort((keys, cell // N))
-    keys, period = keys[order], cell[order] // N
+    period = cell // N
+    order = np.argsort(keys)
+    for shift in range(0, (P - 1).bit_length(), 16):
+        digit = (period >> shift).astype(np.uint16)
+        order = order[np.argsort(digit[order], kind="stable")]
+    keys, period = keys[order], period[order]
     new_group = np.ones(cell.size, dtype=bool)
     new_group[1:] = ((period[1:] != period[:-1])
                      | (keys[1:] > _tie_reach(keys[:-1])))
@@ -162,7 +175,9 @@ def route_orders(offsets, demand, seed: int) -> RoutePathResult:
     period whose targets fall below zero by more than the relative tie
     slack is left unrouted with zero counts.  Ties go by a ranking of the
     sellers per period, all drawn at once as
-    np.random.default_rng(seed).random((T, N)).argsort(axis=1).
+    np.random.default_rng(seed).random((T, N)).argsort(axis=1); only the
+    routed rows are argsorted, each row on its own, so the ranks are the
+    same.
     """
     b = np.asarray(offsets, dtype=float)
     if b.ndim != 2 or b.shape[1] == 0 or not np.isfinite(b).all():
@@ -181,10 +196,10 @@ def route_orders(offsets, demand, seed: int) -> RoutePathResult:
     targets = demand[:, None] / N + b
     scale = np.maximum(1.0, np.abs(targets).max(axis=1))
     routed = ~(targets < -_TIE_TOL * scale[:, None]).any(axis=1)
-    rank = np.random.default_rng(seed).random((T, N)).argsort(axis=1)
+    rank = np.random.default_rng(seed).random((T, N))[routed].argsort(axis=1)
     counts = np.zeros((T, N), dtype=np.int64)
     counts[routed], log, taken = _merge(b[routed], targets[routed],
-                                        demand[routed], rank[routed])
+                                        demand[routed], rank)
     return RoutePathResult(counts=counts, targets=targets, routed=routed,
                            log=log, taken=taken)
 
