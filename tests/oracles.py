@@ -330,7 +330,6 @@ def ref_route_orders(offsets, D_t: int, rank, tie_tol: float = 1e-12):
     return log, counts
 
 
-
 def ref_merge(offsets, targets, demand, rank):
     """The path merge of routing._merge with its sort by (period, key) as
     one np.lexsort, stable, so equal keys keep their seller order: the
@@ -355,6 +354,7 @@ def ref_merge(offsets, targets, demand, rank):
     order = order[position < demand[period]]
     counts = np.bincount(cell[order], minlength=P * N).reshape(P, N)
     return counts, cell[order] % N + 1, k[order] + 1
+
 
 def benchmark_targets(transfers, mu, demand):
     """Routing targets D_t/N + (1/N) sum_{k>=1} T_nk (D_{t-k} - mu) for every
