@@ -2,7 +2,7 @@
 
 Three strands: the optimal one-step predictor (predict_streams, the
 innovations algorithm of Brockwell and Davis, section 5.2, run as one scalar
-recursion per series in the three phases below); the exact mean squared
+recursion per series in the two phases below); the exact mean squared
 error of simple exponential smoothing (ses_msfe, O(q) for any smoothing
 constant in (0, 1]); and lead-time demand uncertainty from partial sums of
 the coefficients of a seller filter's outer factor
@@ -17,16 +17,14 @@ by the exact block formatter of csvtext (export_simulation).  Every
 per-seller economic quantity comes from a seller.MarketTable built once by
 the caller.
 
-The predictor runs in three phases over Python floats, each in the float
+The predictor runs in two phases over Python floats, each in the float
 order of a one-series scalar loop.  The head, innovations rows t <= q, comes
-from the generic loop of _innovations_rows.  The rows past it, up to the
-settled one or PREDICT_ROW_CAP, come from a row step generated from the
-degree q alone (_row_step: q(q+1)/2 flat statements over locals), up to
-degree PREDICT_STEP_MAX_DEGREE; its compile time grows as q^2 (about 0.2 ms
-at q = 4, 1 ms at q = 12, 34 ms at q = 60), so above that degree the generic
-loop builds every row.  The predictor, generated per degree too (_recursion),
-walks the built rows and then holds the last row's weights as locals for the
-rest of the path.  Both are compiled on first use, once per degree.
+from the generic loop of _innovations_rows.  A generator compiled from q
+alone on first use (_recursion) walks it, then builds each later row just
+before it predicts with it, up to the settled row or PREDICT_ROW_CAP, and
+keeps the last weights as locals; no later row is stored.  Its compile time
+grows as q^2 (0.2 ms at q = 4, 1 ms at q = 12, 34 ms at q = 60), so above
+degree PREDICT_STEP_MAX_DEGREE the generic loop builds every row.
 """
 from __future__ import annotations
 
@@ -50,25 +48,33 @@ every later index once the innovation variance settles (PREDICT_SETTLE_RTOL),
 and past the cap even unsettled, as for a root near the unit circle."""
 PREDICT_SETTLE_RTOL = 1e-14
 PREDICT_STEP_MAX_DEGREE = 12
-"""Highest filter degree whose innovations rows past the head come from a
-generated row step (_row_step); above it the generic loop builds every row,
-as the step's source, and so its compile time, grows as q^2."""
+"""Highest degree whose predictor builds the rows past the head itself."""
 
 
-def _innovations_rows(coeffs: np.ndarray, steps: int) -> list:
+def _autocovariances(coeffs: np.ndarray) -> list:
+    """gamma(0..q) of the filter under unit shocks, as Python floats."""
+    return [float(np.dot(coeffs[:coeffs.size - h], coeffs[h:])) for h in range(coeffs.size)]
+
+
+def _underflow(q: int) -> NumericalInstability:
+    return NumericalInstability(f"an innovation variance of a degree-{q} filter "
+                                "underflows to 0")
+
+
+def _innovations_rows(coeffs: np.ndarray, steps: int, v: list = None) -> list:
     """Banded innovations recursion for an MA(q) process over Python floats:
     rows t = 0..steps, each the weights of the innovations 1..q steps back
-    at time t (0.0 where t < j), from the autocovariances gamma(0..q) (unit
-    shocks) and the one-step variances v[t]; stops once v moves less than
-    PREDICT_SETTLE_RTOL (relative).  The head t <= q runs the generic loop
-    below, the rows past it the generated step of degree q (_row_step), up
-    to degree PREDICT_STEP_MAX_DEGREE.  NumericalInstability if v underflows."""
+    at time t (0.0 where t < j), from the autocovariances gamma(0..q) and
+    the one-step variances v[t], which are appended to `v` when it is given;
+    stops once v moves less than PREDICT_SETTLE_RTOL (relative).
+    NumericalInstability if v underflows."""
     q = coeffs.size - 1
-    gamma = [float(np.dot(coeffs[:q + 1 - h], coeffs[h:])) for h in range(q + 1)]
-    rows, v = [[0.0] * q], [gamma[0]]
-    head = min(q, steps) if 0 < q <= PREDICT_STEP_MAX_DEGREE else steps
+    gamma = _autocovariances(coeffs)
+    rows = [[0.0] * q]
+    v = [] if v is None else v
+    v.append(gamma[0])
     try:
-        for t in range(1, head + 1):
+        for t in range(1, steps + 1):
             lo = max(0, t - q)
             row = [0.0] * q
             # v[t] sums its terms from 0 in order of j, as sum() would
@@ -82,73 +88,63 @@ def _innovations_rows(coeffs: np.ndarray, steps: int) -> list:
             rows.append(row)
             v.append(gamma[0] - s)
             if t > q and abs(v[t] - v[t - 1]) <= PREDICT_SETTLE_RTOL * abs(v[t]):
-                return rows
-        if head < steps:
-            _row_step(q)(gamma, rows, v, steps)
+                break
     except ZeroDivisionError as exc:
-        raise NumericalInstability(f"an innovation variance of a degree-{q} filter "
-                                   "underflows to 0") from exc
+        raise _underflow(q) from exc
     return rows
-
-
-@functools.cache
-def _row_step(q: int):
-    """The generic loop's rows t > q of a degree-q filter, q >= 1, as a
-    function (gamma, rows, v, steps) that appends rows len(rows)..steps, or
-    up to the settled one.  Its state is the variances V0..V{q-1} of the
-    last q rows and the weights r{i}_{l} (lags l = 1..i) of the last q - 1,
-    the ones the next row reads.  Each weight c{h} is one statement in the
-    loop's float order: gamma[h] minus the products for j ascending, over
-    its variance; the new variance is gamma[0] minus the sum from 0.0 of
-    c ** 2 * V with k ascending.  Source from q alone, as _recursion."""
-    V = [f"V{i}" for i in range(q)]
-    r = [f"r{i}_{l}" for i in range(1, q) for l in range(1, i + 1)]
-    lines = ["def step(gamma, rows, v, steps):",
-             f" ({', '.join(f'g{h}' for h in range(q + 1))},) = gamma",
-             f" ({', '.join(V)},) = v[-{q}:]",
-             *(f" ({', '.join(f'r{i}_{l}' for l in range(1, i + 1))},) = "
-               f"rows[{i - q}][:{i}]" for i in range(1, q)),
-             " append = rows.append",
-             " for _ in range(len(rows), steps + 1):"]
-    for i in range(q):  # k = t - q + i, lag h = q - i
-        terms = "".join(f" - r{i}_{i - m} * c{q - m} * V{m}" for m in range(i))
-        lines.append(f"  c{q - i} = (g{q - i}{terms}) / V{i}")
-    lines += ["  vt = g0 - (0.0" + "".join(f" + c{q - i} ** 2 * V{i}" for i in range(q))
-              + ")",
-              f"  append(({', '.join(f'c{l}' for l in range(1, q + 1))},))",
-              f"  if abs(vt - V{q - 1}) <= {PREDICT_SETTLE_RTOL!r} * abs(vt):",
-              "   return"]
-    # shift in ascending order, so each name is read before it is rebound
-    shifted = [f"r{i + 1}_{l}" for i in range(1, q - 1) for l in range(1, i + 1)]
-    lines += [f"  {a} = {b}" for a, b in zip(
-        [*V, *r], [*V[1:], "vt", *shifted, *(f"c{l}" for l in range(1, q))])]
-    namespace = {}
-    exec("\n".join(lines), namespace)
-    return namespace["step"]
 
 
 @functools.cache
 def _recursion(q: int):
     """The one-step predictor of a degree-q filter, q >= 1, as a generator
-    function over (rows, xs): rows[t] weights the innovations 1..q steps back
-    at index t, xs are the centred observations, and each prediction is
-    yielded before its observation turns into the next innovation.  Past the
-    built rows the last row's weights stay bound as locals.  The prediction
-    is 0.0 + w1 * e1 + ... + wq * eq, one expression added left to right.
-    The source comes from q alone, once, as dataclasses builds __init__."""
-    e = [f"e{j}" for j in range(1, q + 1)]
+    function over (rows, xs, gamma, v, last) that yields 0.0 + w1 * e1 +
+    ... + wq * eq (left to right, row t's weights) before the centred
+    observation xs[t] turns into the next innovation.  It walks rows; up to
+    degree PREDICT_STEP_MAX_DEGREE, given the head and its variances v, it
+    then builds rows q + 1..last (or to the settled one) in the generic
+    loop's float order, row `last` too, so it must be read to its end.  The
+    last weights stay bound as locals.  Source from q alone, once, as
+    dataclasses builds __init__."""
     w = f"({', '.join(f'w{j}' for j in range(1, q + 1))},)"
-    body = ["  p = 0.0" + "".join(f" + w{j} * e{j}" for j in range(1, q + 1)),
-            "  yield p",
-            # shift from the oldest, so each name is read before it is rebound
-            *(f"  e{j} = e{j - 1}" for j in range(q, 1, -1)),
-            "  e1 = x - p"]
-    lines = ["def predict(rows, xs):",
-             f" {' = '.join(e)} = 0.0",
+
+    def body(pad):
+        return [pad + "p = 0.0" + "".join(f" + w{j} * e{j}" for j in range(1, q + 1)),
+                pad + "yield p",
+                # shift from the oldest, so each name is read before it is rebound
+                *(f"{pad}e{j} = e{j - 1}" for j in range(q, 1, -1)),
+                pad + "e1 = x - p"]
+
+    lines = ["def predict(rows, xs, gamma, v, last):",
+             f" {' = '.join(f'e{j}' for j in range(1, q + 1))} = 0.0",
              " xs = iter(xs)",
-             f" for {w}, x in zip(rows, xs):", *body,
-             f" {w} = rows[-1]",
-             " for x in xs:", *body]
+             f" for {w}, x in zip(rows, xs):", *body("  "),
+             f" {w} = rows[-1]"]
+    if q <= PREDICT_STEP_MAX_DEGREE:
+        # state: the variances V{i} of the last q rows and the weights
+        # r{i}_{l} (lags l = 1..i) of the last q - 1 that the next row reads
+        V = [f"V{i}" for i in range(q)]
+        r = [f"r{i}_{l}" for i in range(1, q) for l in range(1, i + 1)]
+        lines += [" if len(rows) <= last:",
+                  f"  ({', '.join(f'g{h}' for h in range(q + 1))},) = gamma",
+                  f"  ({', '.join(V)},) = v[-{q}:]",
+                  *(f"  ({', '.join(f'r{i}_{l}' for l in range(1, i + 1))},) = "
+                    f"rows[{i - q}][:{i}]" for i in range(1, q)),
+                  "  for _ in range(len(rows), last + 1):"]
+        # k = t - q + i, lag q - i: gamma minus the products for j
+        # ascending, over the variance; vt sums from 0.0 with k ascending
+        lines += [f"   w{q - i} = (g{q - i}" + "".join(
+            f" - r{i}_{i - m} * w{q - m} * V{m}" for m in range(i)) + f") / V{i}"
+            for i in range(q)]
+        lines += ["   vt = g0 - (0.0" + "".join(f" + w{q - i} ** 2 * V{i}"
+                                              for i in range(q)) + ")",
+                  f"   if abs(vt - V{q - 1}) <= {PREDICT_SETTLE_RTOL!r} * abs(vt):",
+                  "    break"]
+        # shift in ascending order, so each name is read before it is rebound
+        shifted = [f"r{i + 1}_{l}" for i in range(1, q - 1) for l in range(1, i + 1)]
+        lines += [f"   {a} = {b}" for a, b in zip(
+            [*V, *r], [*V[1:], "vt", *shifted, *(f"w{l}" for l in range(1, q))])]
+        lines += ["   for x in xs:", *body("    "), "    break"]
+    lines += [" for x in xs:", *body("  ")]
     namespace = {}
     exec("\n".join(lines), namespace)
     return namespace["predict"]
@@ -160,11 +156,12 @@ def predict_streams(filters, series, mean: float = 0.0) -> np.ndarray:
     Series n (row n of `series`, which must be (N, T)) is predicted with the
     innovations recursion of filters[n], from its observations before t
     alone.  A degree-0 filter's series predicts the mean.  Otherwise each
-    series builds its filter's innovations rows and runs the scalar
-    recursion of its degree (_recursion): the prediction is 0.0 plus the
-    weighted innovations j = 1..q in that order, and the innovation is the
-    centred observation minus it, bit for bit as in a one-series scalar
-    loop.  ValueError unless `series` is (N, T) with one filter per series.
+    series builds its filter's head rows and runs the predictor of its
+    degree (_recursion): the prediction is 0.0 plus the weighted
+    innovations j = 1..q in that order, and the innovation is the centred
+    observation minus it, bit for bit as in a one-series scalar loop.
+    ValueError unless `series` is (N, T) with one filter per series;
+    NumericalInstability when an innovation variance underflows to 0.
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 2:
@@ -174,11 +171,19 @@ def predict_streams(filters, series, mean: float = 0.0) -> np.ndarray:
     if len(filters) != N:
         raise ValueError(f"need one filter for each of {N} series, got {len(filters)}")
     out = np.zeros((N, T))
+    last = min(T, PREDICT_ROW_CAP)
     for n, f in enumerate(filters):
-        if f.degree:
-            rows = _innovations_rows(f.coeffs, min(T, PREDICT_ROW_CAP))
-            out[n] = np.fromiter(_recursion(f.degree)(rows, (series[n] - mean).tolist()),
-                                 float, T)
+        q, v = f.degree, []
+        if q:
+            # up to PREDICT_STEP_MAX_DEGREE the head alone; _recursion builds the rest
+            rows = _innovations_rows(
+                f.coeffs, min(q, last) if q <= PREDICT_STEP_MAX_DEGREE else last, v)
+            try:  # read to the end: an underflow in row `last` raises too
+                out[n] = np.fromiter(_recursion(q)(
+                    rows, (series[n] - mean).tolist(), _autocovariances(f.coeffs),
+                    v, last), float)
+            except ZeroDivisionError as exc:
+                raise _underflow(q) from exc
     # the mean is added once, to every row; a degree-0 row holds 0.0
     return np.add(out, mean, out=out)
 

@@ -191,9 +191,9 @@ class TestPredictStreams:
             made.append(1)
             real_init(poly, coeffs)
 
-        def counting_rows(coeffs, steps):
+        def counting_rows(coeffs, *args):
             rows_built.append(coeffs.tobytes())
-            return _innovations_rows(coeffs, steps)
+            return _innovations_rows(coeffs, *args)
 
         monkeypatch.setattr(TransferPoly, "__init__", counting_init)
         monkeypatch.setattr(forecast, "_innovations_rows", counting_rows)
@@ -370,10 +370,10 @@ def _assert_rows_match_reference(coeffs):
 
 
 class TestRowStep:
-    """Past the head t <= q, the rows of a filter up to degree
-    PREDICT_STEP_MAX_DEGREE come from its generated row step, and the
-    predictor keeps the last row's weights as locals past the built rows:
-    both bit for bit as the reference loops."""
+    """Past the head t <= q, the predictor of a filter up to degree
+    PREDICT_STEP_MAX_DEGREE builds each innovations row itself, and keeps
+    the last row's weights as locals past the built rows: both bit for bit
+    as the reference loops."""
 
     @given(_invertible_filters(), st.integers(0, 2 ** 32 - 1))
     @example(TransferPoly([1.0, -1.0 / (1.0 + 1e-6)]), 0)
@@ -390,23 +390,45 @@ class TestRowStep:
 
     @pytest.mark.parametrize("above", [0, 1])
     def test_degree_threshold(self, above, monkeypatch):
-        # the threshold degree runs its step, one degree above it only the
-        # generic loop; both equal the reference rows and predictions
+        # the threshold degree asks the generic loop for the head alone and
+        # builds the rest in its predictor; one degree above it the generic
+        # loop builds every row.  Both equal the reference predictions.
         q = forecast.PREDICT_STEP_MAX_DEGREE + above
         k = np.arange(q + 1)
         f = TransferPoly(0.8 ** k * np.cos(k))
         assert f.degree == q
-        steps = []
-        real_step = forecast._row_step
-        monkeypatch.setattr(forecast, "_row_step",
-                            lambda degree: steps.append(degree) or real_step(degree))
         settle = _assert_rows_match_reference(f.coeffs)
         assert q < settle < PREDICT_ROW_CAP
-        # steps q + 1, the settle index and the cap pass the head
-        assert steps == ([] if above else [q] * 3)
-        series = 2.0 + np.random.default_rng(q).standard_normal((1, settle + 30))
+        steps = []
+        monkeypatch.setattr(forecast, "_innovations_rows", lambda coeffs, n, *args: (
+            steps.append(n) or _innovations_rows(coeffs, n, *args)))
+        T = settle + 30
+        series = 2.0 + np.random.default_rng(q).standard_normal((1, T))
         assert predict_streams([f], series, 2.0).tobytes() == \
             ref_innovations_predict(f.coeffs, series[0], 2.0).tobytes()
+        assert steps == [T if above else q]
+
+    @pytest.mark.parametrize("q", [1, 4, 12, 13])
+    @pytest.mark.parametrize("kind", ["settling", "near-unit"])
+    def test_edges_equal_the_reference(self, q, kind):
+        # path lengths at each hand-off: the head (q, q + 1), the settled
+        # row and the row cap, and one past each.  Row T is built though no
+        # prediction reads it.  The near-unit filter never settles.
+        k = np.arange(q + 1)
+        coeffs = 0.8 ** k * np.cos(k)
+        if kind == "near-unit":
+            coeffs = np.convolve(0.8 ** k[:-1] * np.cos(k[:-1]), [1.0, -1.0 / (1.0 + 1e-6)])
+        f = TransferPoly(coeffs)
+        assert f.degree == q
+        settle = ref_innovations_recursion(f.coeffs, REF_ROW_CAP)[0].shape[0] - 1
+        assert (settle == PREDICT_ROW_CAP) == (kind == "near-unit")
+        rng = np.random.default_rng(q)
+        lengths = sorted({0, 1, q, q + 1, settle, settle + 1,
+                          PREDICT_ROW_CAP, PREDICT_ROW_CAP + 1})
+        for T in lengths:
+            series = 5.0 * rng.standard_normal((1, T)) + 3.0
+            assert predict_streams([f], series, 3.0).tobytes() == \
+                ref_innovations_predict(f.coeffs, series[0], 3.0).tobytes(), T
 
     @pytest.mark.parametrize("coeffs", [
         [1.9092940190827896e-162, -1.4550150729282874e-162],
