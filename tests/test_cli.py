@@ -718,20 +718,6 @@ def test_json_writer_names_a_nonfinite_number(doc, path):
         _json_text(doc)
 
 
-def test_json_writer_takes_records_as_columns():
-    # a column table is written, and a non-finite cell named, as the list
-    # of its records
-    from demandalloc.cli import _Records, _json_text
-    columns = {"seller": [1, 2], "mode": ["FBP", "FBM"], "x": [0.5, -0.0]}
-    records = [dict(zip(columns, r)) for r in zip(*columns.values())]
-    for table, rows in ((_Records(columns), records), (_Records(x=[]), [])):
-        assert _json_text({"s": table, "n": 1}) == \
-            json.dumps({"s": rows, "n": 1}, indent=2) + "\n"
-    with pytest.raises(NumericalInstability,
-                       match=r"^s\[1\]\.x overflows the float range$"):
-        _json_text({"s": _Records(columns, x=[0.5, math.inf])})
-
-
 class TestExitCodes:
     def test_optimize_succeeds(self, tmp_path, capsys):
         out = tmp_path / "sol.json"
