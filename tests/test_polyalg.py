@@ -309,6 +309,23 @@ class TestRootSplit:
             assert abs(fact.outer.coeffs[0]) == pytest.approx(oracle, rel=1e-7)
 
 
+    @pytest.mark.parametrize("coeffs, want", [
+        ([0.0, 2.0, 1.0], 2.0), ([0.0, 0.5, 1.0], 1.0), ([0.0, 0.0, 1.0, 3.0], 3.0)])
+    def test_roots_at_zero_leave_the_product(self, coeffs, want):
+        # a z^m factor is all-pass: the first nonzero coefficient over the
+        # moduli of the other inner roots
+        assert root_msfe(TransferPoly(coeffs)) == want
+
+    def test_an_underflowing_inner_product_is_infinite(self):
+        # 1e-300 + 1e30 z^2: the roots +-1e-165 i come back as exact zeros,
+        # as their product is below the float range, so the inner product is
+        # 0: the root MSFE is inf, which the callers name, with no
+        # ZeroDivisionError and no warning
+        p = TransferPoly([1e-300, 0.0, 1e30])
+        assert root_msfe(p) == inner_outer_factor(p).root_msfe == np.inf
+        assert not is_invertible(p)
+
+
 class TestInnovationsCrossCheck:
     def test_mixed_poly_two_routes_agree(self):
         coeffs = [0.5, 1.0, 0.48]
