@@ -373,6 +373,26 @@ def _roots_apart(coeffs) -> bool:
     return bool(np.all(np.abs(np.abs(roots) - 1.0) >= 1e-2) and np.all(gap >= 1e-2))
 
 
+@st.composite
+def outer_transfers(draw):
+    """An admissible design whose transfer rows have no root in the closed
+    unit disk: N = 2..11 rows, pairs 1 + a z^k and 1 - a z^k with k = 1..3
+    and |a| <= 0.95 (roots of modulus |a|^(-1/k)), the rest uniform rows, in
+    drawn order.  Each pair's lags cancel, so every lag column sums to 0."""
+    N = draw(st.integers(2, 11))
+    rows = [[1.0] + [0.0] * 3 for _ in range(N)]
+    for n in range(draw(st.integers(1, N // 2))):
+        k, a = draw(st.integers(1, 3)), draw(st.floats(-0.95, 0.95))
+        rows[2 * n][k], rows[2 * n + 1][k] = a, -a
+    return draw(st.permutations(rows))
+
+
+# psi and rows of a case where root_msfe, as |c_q| times the product of the
+# outer roots' moduli, read 5.9e-13 below sigma_L on an invertible filter
+_FLOOR_CASE = (DemandModel(5.0, TransferPoly([-1.0, 1.48022, -0.727546, 0.118719])),
+               [[1.0, 0.0]] * 3 + [[1.0, 0.53125], [1.0, -0.53125]])
+
+
 class TestUniformSplitFloor:
     """The paper's first claim: no admissible design beats the uniform split.
     Root MSFE is multiplicative (Jensen), root_msfe(T_n) >= |T_n(0)| = 1 and
@@ -383,6 +403,7 @@ class TestUniformSplitFloor:
     @given(demand_models(), admissible_transfers())
     @example(DemandModel(20.0, TransferPoly([5.0, 2.0])), [[1.0, 0.0], [1.0, 0.0]])
     @example(M5, [[1.0, 0.5, 0.0], [1.0, -0.5, 0.0], [1.0, 0.0, 0.0]])
+    @example(*_FLOOR_CASE)
     @settings(max_examples=200, deadline=None)
     def test_no_seller_beats_the_uniform_split(self, model, rows):
         pol = AllocationPolicy(rows)
@@ -392,3 +413,18 @@ class TestUniformSplitFloor:
             assert root_msfe(f) >= sigma_l * (1.0 - 1e-12)
             assert root_msfe(f) == pytest.approx(sigma_l * jensen_root_msfe(t),
                                                  rel=1e-9, abs=0)
+
+    @given(demand_models(), outer_transfers())
+    @example(*_FLOOR_CASE)
+    @settings(max_examples=100, deadline=None)
+    def test_rows_without_inner_roots_keep_every_seller_at_the_floor(self, model,
+                                                                    rows):
+        # the paper's necessity claim: a design lifts a seller above sigma_L
+        # only through a transfer root inside the disk; without one, each
+        # seller's root MSFE is |psi_0 T_n(0)|/N exactly, as the filter's
+        # first coefficient psi_0 T_n(0) / N is
+        pol = AllocationPolicy(rows)
+        psi_0, N = float(model.psi.coeffs[0]), pol.n_sellers
+        for t, f in zip(pol.transfers, filters_by_seller(pol, model)):
+            assert np.all(np.abs(np.roots(np.trim_zeros(t, "b")[::-1])) > 1.0)
+            assert root_msfe(f) == abs(psi_0 * t[0]) / N == sigma_lower_bound(model, N)
