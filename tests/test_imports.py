@@ -10,16 +10,21 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 ALLOWED = {"numpy", "demandalloc"}
 
 
-def _top_level_modules(statement: str) -> set:
-    """Top-level names in sys.modules of a fresh interpreter after statement."""
-    probe = (f"{statement}\nimport json, sys\n"
-             "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))")
+def _fresh(probe: str):
+    """The JSON that probe prints in a fresh interpreter with the package on
+    its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    return set(json.loads(done.stdout))
+    return json.loads(done.stdout)
+
+
+def _top_level_modules(statement: str) -> set:
+    """Top-level names in sys.modules of a fresh interpreter after statement."""
+    return set(_fresh(f"{statement}\nimport json, sys\n"
+                      "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))"))
 
 
 def test_cli_imports_only_numpy_and_the_stdlib():
@@ -48,3 +53,9 @@ def test_every_exported_name_resolves():
 def test_cli_import_loads_no_csv_module():
     # every CSV writer formats its own header and rows
     assert "csv" not in _top_level_modules("import demandalloc.cli")
+
+
+def test_cli_import_compiles_no_predictor():
+    # the per-degree predictors are generated on first use, never at import
+    assert _fresh("import demandalloc.cli\nfrom demandalloc import forecast\n"
+                  "print(forecast._recursion.cache_info().currsize)") == 0
