@@ -17,14 +17,13 @@ by the exact block formatter of csvtext (export_simulation).  Every
 per-seller economic quantity comes from a seller.MarketTable built once by
 the caller.
 
-The predictor runs in two phases over Python floats, each in the float
-order of a one-series scalar loop.  The head, innovations rows t <= q, comes
-from the generic loop of _innovations_rows.  A generator compiled from q
-alone on first use (_recursion) walks it, then builds each later row just
-before it predicts with it, up to the settled row or PREDICT_ROW_CAP, and
-keeps the last weights as locals; no later row is stored.  Its compile time
-grows as q^2 (0.2 ms at q = 4, 1 ms at q = 12, 34 ms at q = 60), so above
-degree PREDICT_STEP_MAX_DEGREE the generic loop builds every row.
+The predictor runs in two phases over Python floats, in the float order of
+a one-series scalar loop.  The generic loop of _innovations_rows builds the
+head, rows t <= q.  A generator compiled from q on first use (_recursion)
+walks it, then builds and predicts with each later row in turn, up to the
+settled row or PREDICT_ROW_CAP, storing none, and keeps the last weights as
+locals.  Its compile time grows as q^2 (1 ms at q = 12, 34 ms at q = 60), so
+above degree PREDICT_STEP_MAX_DEGREE the generic loop builds every row.
 """
 from __future__ import annotations
 
@@ -49,16 +48,12 @@ and past the cap even unsettled, as for a root near the unit circle."""
 PREDICT_SETTLE_RTOL = 1e-14
 PREDICT_STEP_MAX_DEGREE = 12
 """Highest degree whose predictor builds the rows past the head itself."""
+_UNDERFLOW = "an innovation variance of a degree-{} filter underflows to 0"
 
 
 def _autocovariances(coeffs: np.ndarray) -> list:
     """gamma(0..q) of the filter under unit shocks, as Python floats."""
     return [float(np.dot(coeffs[:coeffs.size - h], coeffs[h:])) for h in range(coeffs.size)]
-
-
-def _underflow(q: int) -> NumericalInstability:
-    return NumericalInstability(f"an innovation variance of a degree-{q} filter "
-                                "underflows to 0")
 
 
 def _innovations_rows(coeffs: np.ndarray, steps: int, v: list = None) -> list:
@@ -70,8 +65,7 @@ def _innovations_rows(coeffs: np.ndarray, steps: int, v: list = None) -> list:
     NumericalInstability if v underflows."""
     q = coeffs.size - 1
     gamma = _autocovariances(coeffs)
-    rows = [[0.0] * q]
-    v = [] if v is None else v
+    rows, v = [[0.0] * q], [] if v is None else v
     v.append(gamma[0])
     try:
         for t in range(1, steps + 1):
@@ -90,21 +84,20 @@ def _innovations_rows(coeffs: np.ndarray, steps: int, v: list = None) -> list:
             if t > q and abs(v[t] - v[t - 1]) <= PREDICT_SETTLE_RTOL * abs(v[t]):
                 break
     except ZeroDivisionError as exc:
-        raise _underflow(q) from exc
+        raise NumericalInstability(_UNDERFLOW.format(q)) from exc
     return rows
 
 
 @functools.cache
 def _recursion(q: int):
     """The one-step predictor of a degree-q filter, q >= 1, as a generator
-    function over (rows, xs, gamma, v, last) that yields 0.0 + w1 * e1 +
-    ... + wq * eq (left to right, row t's weights) before the centred
-    observation xs[t] turns into the next innovation.  It walks rows; up to
-    degree PREDICT_STEP_MAX_DEGREE, given the head and its variances v, it
-    then builds rows q + 1..last (or to the settled one) in the generic
-    loop's float order, row `last` too, so it must be read to its end.  The
-    last weights stay bound as locals.  Source from q alone, once, as
-    dataclasses builds __init__."""
+    function over (rows, xs, gamma, v, last) that yields 0.0 + w1 * e1 + ...
+    + wq * eq (left to right, row t's weights) before the centred xs[t] turns
+    into the next innovation.  It walks rows; up to PREDICT_STEP_MAX_DEGREE,
+    given the head and its variances v, it then builds rows q + 1..last (or
+    to the settled one) in the generic loop's float order, row `last` too, so
+    it must be read to its end, and keeps the last weights as locals.  Source
+    from q alone, once, as dataclasses builds __init__."""
     w = f"({', '.join(f'w{j}' for j in range(1, q + 1))},)"
 
     def body(pad):
@@ -120,8 +113,7 @@ def _recursion(q: int):
              f" for {w}, x in zip(rows, xs):", *body("  "),
              f" {w} = rows[-1]"]
     if q <= PREDICT_STEP_MAX_DEGREE:
-        # state: the variances V{i} of the last q rows and the weights
-        # r{i}_{l} (lags l = 1..i) of the last q - 1 that the next row reads
+        # V{i}: variances of the last q rows; r{i}_{l}: weights the next reads
         V = [f"V{i}" for i in range(q)]
         r = [f"r{i}_{l}" for i in range(1, q) for l in range(1, i + 1)]
         lines += [" if len(rows) <= last:",
@@ -130,20 +122,20 @@ def _recursion(q: int):
                   *(f"  ({', '.join(f'r{i}_{l}' for l in range(1, i + 1))},) = "
                     f"rows[{i - q}][:{i}]" for i in range(1, q)),
                   "  for _ in range(len(rows), last + 1):"]
-        # k = t - q + i, lag q - i: gamma minus the products for j
-        # ascending, over the variance; vt sums from 0.0 with k ascending
+        # w{q - i} at k = t - q + i: gamma minus the products for j ascending,
+        # over the variance; vt sums from 0.0 with k ascending
         lines += [f"   w{q - i} = (g{q - i}" + "".join(
             f" - r{i}_{i - m} * w{q - m} * V{m}" for m in range(i)) + f") / V{i}"
             for i in range(q)]
+        # shift in ascending order, so each name is read before it is rebound
+        shifted = [f"r{i + 1}_{l}" for i in range(1, q - 1) for l in range(1, i + 1)]
         lines += ["   vt = g0 - (0.0" + "".join(f" + w{q - i} ** 2 * V{i}"
                                               for i in range(q)) + ")",
                   f"   if abs(vt - V{q - 1}) <= {PREDICT_SETTLE_RTOL!r} * abs(vt):",
-                  "    break"]
-        # shift in ascending order, so each name is read before it is rebound
-        shifted = [f"r{i + 1}_{l}" for i in range(1, q - 1) for l in range(1, i + 1)]
-        lines += [f"   {a} = {b}" for a, b in zip(
-            [*V, *r], [*V[1:], "vt", *shifted, *(f"w{l}" for l in range(1, q))])]
-        lines += ["   for x in xs:", *body("    "), "    break"]
+                  "    break",
+                  *(f"   {a} = {b}" for a, b in zip(
+                      [*V, *r], [*V[1:], "vt", *shifted, *(f"w{l}" for l in range(1, q))])),
+                  "   for x in xs:", *body("    "), "    break"]
     lines += [" for x in xs:", *body("  ")]
     namespace = {}
     exec("\n".join(lines), namespace)
@@ -183,7 +175,7 @@ def predict_streams(filters, series, mean: float = 0.0) -> np.ndarray:
                     rows, (series[n] - mean).tolist(), _autocovariances(f.coeffs),
                     v, last), float)
             except ZeroDivisionError as exc:
-                raise _underflow(q) from exc
+                raise NumericalInstability(_UNDERFLOW.format(q)) from exc
     # the mean is added once, to every row; a degree-0 row holds 0.0
     return np.add(out, mean, out=out)
 

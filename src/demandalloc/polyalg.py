@@ -171,12 +171,10 @@ def is_boundary_tol(value) -> bool:
 def _root_split(p: TransferPoly, boundary_tol: float):
     """Roots of p, the mask of those on the outer side,
     modulus at least 1 - boundary_tol, and the root MSFE they give.  The one
-    place roots are classified.
-
-    The root MSFE |c_q| prod |outer roots| is computed by Jensen's formula as
-    |c_m| / prod |inner roots|, c_m the first nonzero coefficient and the m
-    roots at 0 (a z^m factor, all-pass) left out: exactly |p(0)| when p is
-    invertible, with no root's rounding in it."""
+    place roots are classified.  The root MSFE |c_q| prod |outer roots| is
+    |c_m| / prod |inner roots| by Jensen's formula, c_m the first nonzero
+    coefficient and the m roots at 0 of z^m (all-pass) left out: |p(0)|
+    exactly when p is invertible, with no root's rounding in it."""
     if not is_boundary_tol(boundary_tol):
         raise ValueError(f"boundary_tol must be a number in [0, 1), got {boundary_tol!r}")
     if p.is_zero():
@@ -185,9 +183,8 @@ def _root_split(p: TransferPoly, boundary_tol: float):
     moduli = np.abs(roots)
     outer = moduli >= 1.0 - boundary_tol
     m = int(np.flatnonzero(p.coeffs)[0])
-    # the m smallest inner moduli are the exact zeros np.roots gives for
-    # z^m; a product that underflows to 0, or a quotient past the float
-    # range, gives inf, which the callers name
+    # the m roots of z^m are exact zeros, the smallest inner moduli; an inner
+    # product that underflows, or a quotient past the float range, is inf
     with np.errstate(over="ignore", divide="ignore"):
         msfe = float(abs(p.coeffs[m]) / np.prod(np.sort(moduli[~outer])[m:]))
     return roots, outer, msfe
@@ -221,8 +218,7 @@ def root_msfe(p: TransferPoly, boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> fl
     """One-step root MSFE of the stream filtered by p: |outer(0)|.
 
     Equals |c_q| * prod of |a_j| over roots on the outer side, so it never
-    drops below |p(0)|, and |p(0)| exactly when p is invertible (computed
-    as in _root_split).
+    drops below |p(0)| and matches |p(0)| exactly when p is invertible.
     """
     return _root_split(as_poly(p), boundary_tol)[2]
 
