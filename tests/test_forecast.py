@@ -412,8 +412,8 @@ class TestRowStep:
     @pytest.mark.parametrize("kind", ["settling", "near-unit"])
     def test_edges_equal_the_reference(self, q, kind):
         # path lengths at each hand-off: the head (q, q + 1), the settled
-        # row and the row cap, and one past each.  Row T is built though no
-        # prediction reads it.  The near-unit filter never settles.
+        # row and the row cap, and one past each.  The near-unit filter
+        # never settles, so its rows run to the cap.
         k = np.arange(q + 1)
         coeffs = 0.8 ** k * np.cos(k)
         if kind == "near-unit":
