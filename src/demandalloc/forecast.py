@@ -56,7 +56,7 @@ def _autocovariances(coeffs: np.ndarray) -> list:
     return [float(np.dot(coeffs[:coeffs.size - h], coeffs[h:])) for h in range(coeffs.size)]
 
 
-def _innovations_rows(coeffs: np.ndarray, steps: int, v: list = None) -> list:
+def _innovations_rows(coeffs: np.ndarray, steps: int, v: list | None = None) -> list:
     """Banded innovations recursion for an MA(q) process over Python floats:
     rows t = 0..steps, each the weights of the innovations 1..q steps back
     at time t (0.0 where t < j), from the autocovariances gamma(0..q) and
