@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvtext import BLOCK_CELLS, _format_rows
+from .csvtext import BLOCK_CELLS, _format_columns
 from .demand import DemandModel
 from .policy import (AllocationPolicy, InsufficientHistory, benchmark_offsets,
                      seller_filters)
@@ -321,14 +321,13 @@ def export_simulation(run: InventoryRun, fileobj) -> None:
     fileobj.write(",".join(["period", "demand"] + [
         f"{col}_{i}" for i in range(1, n + 1)
         for col in ("alloc", "forecast", "stock", "cost")]) + "\r\n")
-    width = 4 * n + 2
-    block = max(1, BLOCK_CELLS // width)
+    block = max(1, BLOCK_CELLS // (4 * n + 2))
     columns = (run.allocations, run.forecasts, run.stocks, run.costs)
     for lo in range(0, periods, block):
         hi = min(lo + block, periods)
-        rows = np.empty((hi - lo, width))
-        rows[:, 0] = np.arange(run.start_period + lo, run.start_period + hi)
-        rows[:, 1] = run.demands[lo:hi]
+        rows = np.empty((hi - lo, 4 * n + 1))
+        rows[:, 0] = run.demands[lo:hi]
         for k, col in enumerate(columns):
-            rows[:, 2 + k::4] = col[:, lo:hi].T
-        fileobj.write(_format_rows(rows, 1))
+            rows[:, 1 + k::4] = col[:, lo:hi].T
+        fileobj.write(_format_columns(
+            [np.arange(run.start_period + lo, run.start_period + hi), rows]))

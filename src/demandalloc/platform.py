@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .csvtext import BLOCK_CELLS, _format_rows
+from .csvtext import BLOCK_CELLS, _format_columns
 from .polyalg import NumericalInstability
 from .seller import DomainError, MarketTable
 
@@ -213,17 +213,15 @@ def payoff_curve(table: MarketTable, sigma_grid, sigma_upper: float) -> Curve:
 
 def export_curve(curve: Curve, fileobj) -> None:
     """CSV columns: sigma, payoff, n_adopters, gamma_fbp, gamma_fbm, side.
-    The numbers are written in blocks of about csvtext.BLOCK_CELLS cells by
-    the exact formatter, in two parts per row around the integer column."""
+    The rows are written in blocks of about csvtext.BLOCK_CELLS cells by the
+    exact formatter, side as a word column."""
     fileobj.write("sigma,payoff,n_adopters,gamma_fbp,gamma_fbm,side\r\n")
     block = BLOCK_CELLS // 5
     for lo in range(0, curve.sigma.size, block):
         rows = slice(lo, lo + block)
-        head = _format_rows(np.column_stack([c[rows] for c in curve[:2]]), 0)
-        tail = _format_rows(np.column_stack([c[rows] for c in curve[2:5]]), 1)
-        sides = [SIDES[k] for k in curve.side[rows].tolist()]
-        lines = zip(head.split("\r\n"), tail.split("\r\n"), sides)
-        fileobj.write("\r\n".join(map(",".join, lines)) + "\r\n")
+        fileobj.write(_format_columns([
+            np.column_stack([c[rows] for c in curve[:2]]), curve.n_adopters[rows],
+            np.column_stack([c[rows] for c in curve[3:5]]), (SIDES, curve.side[rows])]))
 
 
 def solution_document(solution: PlatformSolution, table: MarketTable) -> dict:

@@ -183,10 +183,12 @@ def _root_split(p: TransferPoly, boundary_tol: float):
     moduli = np.abs(roots)
     outer = moduli >= 1.0 - boundary_tol
     m = int(np.flatnonzero(p.coeffs)[0])
-    # the m roots of z^m are exact zeros, the smallest inner moduli; an inner
-    # product that underflows, or a quotient past the float range, is inf
-    with np.errstate(over="ignore", divide="ignore"):
-        msfe = float(abs(p.coeffs[m]) / np.prod(np.sort(moduli[~outer])[m:]))
+    # the m roots of z^m are exact zeros, the smallest inner moduli; where
+    # the other inner moduli's product underflows, |c_q| prod |outer roots|
+    inner = np.prod(np.sort(moduli[~outer])[m:])
+    with np.errstate(over="ignore"):
+        msfe = float(abs(p.coeffs[m]) / inner if inner
+                     else abs(p.coeffs[-1]) * np.prod(moduli[outer]))
     return roots, outer, msfe
 
 

@@ -331,10 +331,12 @@ def ref_route_orders(offsets, D_t: int, rank, tie_tol: float = 1e-12):
 
 
 def ref_merge(offsets, targets, demand, rank):
-    """The path merge of routing._merge with its sort by (period, key) as
-    one np.lexsort, stable, so equal keys keep their seller order: the
-    (P x N) counts, the 1-based sellers of every period's orders in
-    assignment sequence, and each order's count for its seller."""
+    """The path merge the router used before it took its counts from the
+    largest remainders: every key k - b_n, k = 0..floor(x_n)+1, sorted by
+    (period, key) with one np.lexsort, stable, so equal keys keep their
+    seller order, and the first demand[p] of each period taken: the (P x N)
+    counts, the 1-based sellers of every period's orders in assignment
+    sequence, and each order's count for its seller."""
     P, N = offsets.shape
     n_keys = (np.floor(np.maximum(targets, 0.0)) + 2.0).astype(np.int64).ravel()
     cell = np.repeat(np.arange(P * N), n_keys)
@@ -354,6 +356,17 @@ def ref_merge(offsets, targets, demand, rank):
     order = order[position < demand[period]]
     counts = np.bincount(cell[order], minlength=P * N).reshape(P, N)
     return counts, cell[order] % N + 1, k[order] + 1
+
+
+def ref_log(path_result):
+    """(log, taken) of a RoutePathResult from ref_merge over its routed
+    periods: the 1-based seller of every routed order and its count for
+    that seller after it."""
+    routed = path_result.routed
+    _, log, taken = ref_merge(path_result.offsets[routed], path_result.targets[routed],
+                              path_result.counts[routed].sum(axis=1),
+                              path_result.rank[routed])
+    return log, taken
 
 
 def benchmark_targets(transfers, mu, demand):
@@ -804,7 +817,7 @@ def ref_export_snapshot_log(path_result, fileobj) -> None:
     """The N-column log the package wrote before its log became O(orders):
     period, order index, chosen seller, then counts minus offsets of every
     seller right after the order, %-formatted in blocks of rows."""
-    counts, log = path_result.counts, path_result.log
+    counts, log = path_result.counts, ref_log(path_result)[0]
     n = counts.shape[1]
     writer = csv.writer(fileobj)
     writer.writerow(["period", "order", "seller"] + [f"adj_{i}" for i in range(1, n + 1)])
@@ -835,7 +848,7 @@ def ref_export_assignment_log(path_result, fileobj) -> None:
     """CSV log: period, order index, chosen seller, then that seller's count
     minus its offset right after the order, counted one order at a time and
     %-formatted."""
-    counts, log = path_result.counts, path_result.log
+    counts, log = path_result.counts, ref_log(path_result)[0]
     n = counts.shape[1]
     writer = csv.writer(fileobj)
     writer.writerow(["period", "order", "seller", "adj"])

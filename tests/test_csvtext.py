@@ -1,6 +1,6 @@
-"""The exact block formatter against Python's %-formatting, cell by cell, and
-the simulate, route and curve CSV writers against their reference writers,
-byte for byte."""
+"""The exact typed block formatter against Python's %-formatting, cell by
+cell, and the simulate, route and curve CSV writers against their reference
+writers, byte for byte."""
 import io
 import math
 import sys
@@ -16,8 +16,9 @@ from demandalloc import (DemandModel, TransferPoly, export_assignment_log,
                          export_curve, market_table, neutral_policy,
                          payoff_curve, route_path, simulate)
 from demandalloc.cli import load_scenario, main
-from demandalloc.csvtext import (_BLANK, _COMMA, _FRAC_HI, _FRAC_LO, _GROUP,
-                                 _HEAD, _LF, BLOCK_CELLS, _format_rows)
+from demandalloc.csvtext import (_BLANK, _FRAC_HI, _GROUP, _HEAD, _LAST, _LF,
+                                 _MINUS, BLOCK_CELLS, _format_columns)
+from demandalloc.platform import SIDES
 from demandalloc.forecast import export_simulation, simulate_inventory
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -37,10 +38,40 @@ FIXED_BOUND = 2.0 ** 52 / 1e6
 GROUP_EDGES = [1e3, 1e6, 1e9]
 
 
+INT64 = np.iinfo(np.int64)
+
+
 def percent_rows(rows, int_cols):
     return "".join(",".join(["%d" % x for x in row[:int_cols]]
                             + ["%.6f" % x for x in row[int_cols:]]) + "\r\n"
                    for row in np.asarray(rows, dtype=float).tolist())
+
+
+def format_rows(rows, int_cols):
+    """The typed formatter on a float block whose first int_cols columns
+    are "%d" cells, passed as int64 columns truncated toward zero, as "%d"
+    truncates."""
+    rows = np.asarray(rows, dtype=float).reshape(len(rows), -1)
+    return _format_columns([np.trunc(rows[:, :int_cols]).astype(np.int64),
+                            rows[:, int_cols:]])
+
+
+def fixed_cell(x):
+    return _format_columns([np.array([x], dtype=float)])
+
+
+def percent_columns(columns):
+    """%-formatting of _format_columns' arguments, row by row."""
+    cells = []
+    for col in columns:
+        if isinstance(col, tuple):
+            cells.append(["%s" % col[0][i] for i in col[1]])
+            continue
+        col = np.asarray(col)
+        form = "%d" if col.dtype.kind in "iu" else "%.6f"
+        col = col if col.ndim == 2 else col[:, None]
+        cells += [[form % x for x in c] for c in col.T.tolist()]
+    return "".join(",".join(row) + "\r\n" for row in zip(*cells))
 
 
 def tie_class(x):
@@ -75,18 +106,23 @@ def test_pinned_cases_reach_every_rounding_branch():
 
 @pytest.mark.parametrize("x", PINNED, ids=repr)
 def test_pinned_fixed_cell(x):
-    assert _format_rows([[x]], 0) == "%.6f" % x + "\r\n"
+    assert fixed_cell(x) == "%.6f" % x + "\r\n"
 
 
 @pytest.mark.parametrize("x", PINNED, ids=repr)
 def test_pinned_integer_cell(x):
+    if abs(x) < 2.0 ** 63:
+        assert format_rows([[x]], 1) == "%d" % x + "\r\n"
+        return
+    # no int64 column holds the cell: "%d" fails or needs 20 digits or more,
+    # and the int64 extreme of its sign takes the %-formatting path
     if math.isfinite(x):
-        assert _format_rows([[x]], 1) == "%d" % x + "\r\n"
+        assert len("%d" % abs(x)) >= 20
     else:
-        with pytest.raises((OverflowError, ValueError)) as expected:
+        with pytest.raises((OverflowError, ValueError)):
             "%d" % x
-        with pytest.raises(expected.type):
-            _format_rows([[x]], 1)
+    k = INT64.max if x > 0 else INT64.min
+    assert _format_columns([np.array([k])]) == "%d" % k + "\r\n"
 
 
 def test_word_tables_match_their_definitions():
@@ -96,8 +132,9 @@ def test_word_tables_match_their_definitions():
     top[0] = top[1000] = "    "
     assert _HEAD.tobytes().decode() == "".join([f" {k:03d}" for k in ks] + top)
     assert _FRAC_HI.tobytes().decode() == "".join(f".{k:03d}" for k in ks)
-    assert _FRAC_LO.tobytes().decode() == "".join(f"{k:03d}," for k in ks)
-    assert np.array([_BLANK, _COMMA, _LF]).tobytes() == b"    ,   \n   "
+    assert _LAST.tobytes().decode() == "".join([f"{k:03d}," for k in ks]
+                                               + [f"{k:3d}," for k in ks])
+    assert np.array([_BLANK, _MINUS, _LF]).tobytes() == b"       -\n   "
 
 
 # the integer part just below, at and past each group edge, and up to the
@@ -109,8 +146,8 @@ EDGE_PINNED = [x for e in GROUP_EDGES
 
 @pytest.mark.parametrize("x", EDGE_PINNED + [-x for x in EDGE_PINNED], ids=repr)
 def test_group_edge_cells(x):
-    assert _format_rows([[x]], 0) == "%.6f" % x + "\r\n"
-    assert _format_rows([[x]], 1) == "%d" % x + "\r\n"
+    assert fixed_cell(x) == "%.6f" % x + "\r\n"
+    assert format_rows([[x]], 1) == "%d" % x + "\r\n"
 
 
 @pytest.mark.parametrize("rows, int_cols", [
@@ -127,14 +164,17 @@ def test_group_edge_cells(x):
     ([[-999999.5], [1e6], [-0.0]], 0),
 ])
 def test_blocks_across_group_counts(rows, int_cols):
-    assert _format_rows(rows, int_cols) == percent_rows(rows, int_cols)
+    assert format_rows(rows, int_cols) == percent_rows(rows, int_cols)
 
 
 def test_examples():
-    assert _format_rows([[3.0, 0.0078125, -0.0, 12.5]], 1) \
+    assert format_rows([[3.0, 0.0078125, -0.0, 12.5]], 1) \
         == "3,0.007812,-0.000000,12.500000\r\n"
-    assert _format_rows([[-0.5, 2.0], [-7.9, -1e-9]], 1) \
+    assert format_rows([[-0.5, 2.0], [-7.9, -1e-9]], 1) \
         == "0,2.000000\r\n-7,-0.000000\r\n"
+    assert _format_columns([np.array([1000, 7]), np.array([-5, 0]), [0.5, 2.0],
+                            (SIDES, np.array([2, 1]))]) \
+        == "1000,-5,0.500000,right\r\n7,0,2.000000,interior\r\n"
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -157,59 +197,79 @@ edges = st.one_of(group_edges, under_bound,
 cells = st.one_of(finite, fixed_range, near_half, dyadic, edges)
 
 
+# int64 cells: anywhere in range, around the fixed-point bound 2**52, at
+# 3-digit group edges and small, so a column may need 1 to 7 groups and a
+# small cell in a wide column has blank words above it
+int_edges = st.builds(lambda e, d, s: s * (e + d),
+                      st.sampled_from([10 ** 3, 10 ** 6, 10 ** 9, 10 ** 15, 2 ** 52]),
+                      st.integers(-2, 1), st.sampled_from([1, -1]))
+int_cells = st.one_of(st.integers(INT64.min, INT64.max), int_edges,
+                      st.integers(-1000, 1000), st.integers(0, 10 ** 7))
+
+
 @settings(max_examples=400, deadline=None)
 @given(cells)
 def test_fixed_cell_matches_percent(x):
-    assert _format_rows([[x]], 0) == "%.6f" % x + "\r\n"
+    assert fixed_cell(x) == "%.6f" % x + "\r\n"
 
 
 @settings(max_examples=400, deadline=None)
-@given(cells)
+@given(st.one_of(int_cells, st.floats(-2.0 ** 62, 2.0 ** 62)))
 def test_integer_cell_matches_percent(x):
-    assert _format_rows([[x]], 1) == "%d" % x + "\r\n"
+    # an int64 cell, or a float cell truncated into one as "%d" truncates
+    if isinstance(x, int):
+        assert _format_columns([np.array([x])]) == "%d" % x + "\r\n"
+    else:
+        assert format_rows([[x]], 1) == "%d" % x + "\r\n"
 
 
 @st.composite
-def blocks(draw):
+def column_blocks(draw, floats, ints):
+    """_format_columns arguments of n rows: integer and float columns, some
+    passed as 2-D arrays of several columns, and word columns."""
     n = draw(st.integers(0, 6))
-    cols = draw(st.integers(1, 6))
-    values = st.one_of(fixed_range, near_half, dyadic) \
-        if draw(st.booleans()) else cells
-    rows = draw(st.lists(st.lists(values, min_size=cols, max_size=cols),
-                         min_size=n, max_size=n))
-    return np.array(rows, dtype=float).reshape(n, cols), \
-        draw(st.integers(0, cols))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["%d", "%.6f", "%s"]))
+        width = draw(st.sampled_from([None, 1, 2]))
+        size = n * (width or 1)
+        if kind == "%s":
+            columns.append((SIDES, np.array(draw(st.lists(
+                st.integers(0, 2), min_size=n, max_size=n)), dtype=np.intp)))
+            continue
+        values = draw(st.lists(ints if kind == "%d" else floats,
+                               min_size=size, max_size=size))
+        col = np.array(values, dtype=np.int64 if kind == "%d" else float)
+        columns.append(col if width is None else col.reshape(n, width))
+    return columns
 
 
 @settings(max_examples=300, deadline=None)
-@given(blocks())
-def test_block_matches_percent(block):
-    rows, int_cols = block
-    assert _format_rows(rows, int_cols) == percent_rows(rows, int_cols)
+@given(column_blocks(st.one_of(cells, st.one_of(fixed_range, near_half, dyadic)),
+                     int_cells))
+def test_block_matches_percent(columns):
+    assert _format_columns(columns) == percent_columns(columns)
 
 
-magnitudes = st.sampled_from([1.0, 1e3, 1e6, 1e9])
+magnitudes = st.sampled_from([1, 10 ** 3, 10 ** 6, 10 ** 9])
 
 
 @st.composite
 def group_blocks(draw):
-    """Blocks whose integer and fraction columns each draw from their own
-    magnitude, so either side may need more 3-digit groups."""
-    n = draw(st.integers(1, 6))
-    cols = draw(st.integers(1, 6))
-    int_cols = draw(st.integers(0, cols))
-    scales = [draw(magnitudes), draw(magnitudes)]
-    values = [st.one_of(edges, st.floats(-4.5 * m, 4.5 * m)) for m in scales]
-    rows = [[draw(values[c >= int_cols]) for c in range(cols)]
-            for _ in range(n)]
-    return np.array(rows, dtype=float), int_cols
+    """Typed blocks whose integer and float columns each draw from their own
+    magnitude, so either may need more 3-digit groups, and whose integer
+    columns mix cells of several groups with zeros."""
+    int_scale, float_scale = draw(magnitudes), draw(magnitudes)
+    ints = st.one_of(st.integers(-45 * int_scale, 45 * int_scale),
+                     st.integers(0, 9), int_edges)
+    floats = st.one_of(edges, st.floats(-4.5 * float_scale, 4.5 * float_scale))
+    return draw(column_blocks(floats, ints))
 
 
 @settings(max_examples=300, deadline=None)
 @given(group_blocks())
-def test_group_blocks_match_percent(block):
-    rows, int_cols = block
-    assert _format_rows(rows, int_cols) == percent_rows(rows, int_cols)
+def test_group_blocks_match_percent(columns):
+    assert _format_columns(columns) == percent_columns(columns)
 
 
 def spread_cells(rng, shape, top):
@@ -233,7 +293,7 @@ def test_large_blocks_match_percent(float_groups):
     route[:, :3] = np.abs(np.trunc(spread_cells(rng, (1260, 3), 3))) + 1.0
     for rows, int_cols in ((sim, 1), (route, 3)):
         assert np.abs(rows).max() < FIXED_BOUND
-        assert _format_rows(rows, int_cols) == percent_rows(rows, int_cols)
+        assert format_rows(rows, int_cols) == percent_rows(rows, int_cols)
 
 
 def small_design(kind, N, sigma_ratio, k):
@@ -288,7 +348,7 @@ def check_rebuilds_snapshot_log(res):
     snapshot = written(ref_export_snapshot_log, res).decode()
     assert snapshot_log_from(text, res.targets) == snapshot
     rows, old_rows = text.split("\r\n"), snapshot.split("\r\n")
-    assert len(rows) == len(old_rows) == res.log.size + 2
+    assert len(rows) == len(old_rows) == res.counts.sum() + 2
     for row, old in zip(rows[1:-1], old_rows[1:-1]):
         cells = old.split(",")
         assert row == ",".join(cells[:3] + [cells[2 + int(cells[2])]])
@@ -332,7 +392,7 @@ def test_long_runs_match_reference_across_blocks():
     model = DemandModel(15.0, TransferPoly([5.0]))
     res = route_path(neutral_policy(model, 10, 1.0), model,
                      simulate(model, 1500, 4), 4)
-    assert res.log.size * 4 > 3 * BLOCK_CELLS
+    assert res.counts.sum() * 4 > 3 * BLOCK_CELLS
     assert written(export_assignment_log, res) \
         == written(ref_export_assignment_log, res)
 

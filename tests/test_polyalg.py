@@ -316,14 +316,16 @@ class TestRootSplit:
         # moduli of the other inner roots
         assert root_msfe(TransferPoly(coeffs)) == want
 
-    def test_an_underflowing_inner_product_is_infinite(self):
+    def test_an_underflowing_inner_product_reads_the_outer_side(self):
         # 1e-300 + 1e30 z^2: the roots +-1e-165 i come back as exact zeros,
         # as their product is below the float range, so the inner product is
-        # 0: the root MSFE is inf, which the callers name, with no
-        # ZeroDivisionError and no warning
+        # 0 and the root MSFE is |c_q| times the (empty) product of the
+        # outer roots, exactly 1e30, with no ZeroDivisionError and no warning
         p = TransferPoly([1e-300, 0.0, 1e30])
-        assert root_msfe(p) == inner_outer_factor(p).root_msfe == np.inf
-        assert not is_invertible(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert root_msfe(p) == inner_outer_factor(p).root_msfe == 1e30
+            assert not is_invertible(p)
 
 
 class TestInnovationsCrossCheck:

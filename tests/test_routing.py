@@ -1,7 +1,9 @@
 """Online order routing: policy-derived offsets, the greedy rule's one-unit
 tracking guarantee, and path-level exports."""
 import io
+import os
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -24,6 +26,8 @@ from demandalloc import (
     uniform_policy,
 )
 from demandalloc.cli import load_scenario, main
+from demandalloc.csvtext import BLOCK_CELLS
+from demandalloc.routing import _replay, _TIE_TOL
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from oracles import (benchmark_targets, greedy_replay_ok,  # noqa: E402
@@ -61,9 +65,17 @@ def relabelled_policy(policy, perm):
         [perm.index(s) for s in range(1, policy.n_sellers + 1)]])
 
 
+def replayed(res, block=BLOCK_CELLS // 4):
+    """(log, taken) of a routing, replayed in the log writer's blocks of
+    about block orders: the 1-based seller of every routed order, period by
+    period in assignment sequence, and its count for that seller after it."""
+    blocks = list(_replay(res, block)) or [[np.zeros(0, dtype=np.int64)] * 4]
+    return tuple(np.concatenate([b[i] for b in blocks]) for i in (2, 3))
+
+
 def period_logs(res):
     """The flat routing log cut into each period's orders."""
-    return np.split(res.log, np.cumsum(res.counts.sum(axis=1))[:-1])
+    return np.split(replayed(res)[0], np.cumsum(res.counts.sum(axis=1))[:-1])
 
 
 def seed_ranks(seed, T, N):
@@ -176,7 +188,7 @@ class TestRouteOrders:
                 continue
             res = route_orders(b[None], [D], seed=int(rng.integers(1 << 30)))
             counts = np.zeros(N)
-            for chosen in res.log:
+            for chosen in replayed(res)[0]:
                 counts[chosen - 1] += 1
                 delta = counts - targets
                 assert delta.max() <= max(0.0, delta.min() + 1.0) + 1e-9
@@ -191,18 +203,18 @@ class TestRouteOrders:
             if (D / N + b).min() < 0:
                 continue
             res = route_orders(b[None], [D], seed=int(rng.integers(1 << 30)))
-            assert greedy_replay_ok(b, res.log)
+            assert greedy_replay_ok(b, replayed(res)[0])
 
     def test_deterministic_per_seed(self):
         off = period_offsets(5, 2.0, MU + 2.0, MU - 1.0)
         a = route_orders(off[None], [30], seed=12)
         b = route_orders(off[None], [30], seed=12)
-        np.testing.assert_array_equal(a.log, b.log)
+        np.testing.assert_array_equal(replayed(a)[0], replayed(b)[0])
 
     def test_seeds_break_ties_differently(self):
         # all-zero offsets tie constantly; some pair of seeds must disagree
         off = np.zeros((1, 4))
-        logs = {tuple(route_orders(off, [12], seed=s).log)
+        logs = {tuple(replayed(route_orders(off, [12], seed=s))[0])
                 for s in range(6)}
         assert len(logs) > 1
 
@@ -212,7 +224,7 @@ class TestRouteOrders:
         for seed in range(12):
             res = route_orders(np.zeros((1, 4)), [8], seed=seed)
             ranked = np.argsort(seed_ranks(seed, 1, 4)[0]) + 1
-            np.testing.assert_array_equal(res.log, np.tile(ranked, 2))
+            np.testing.assert_array_equal(replayed(res)[0], np.tile(ranked, 2))
 
     def test_infeasible_targets_name_sellers(self):
         # alpha = 8: one order above the mean in period 16 gives period 17
@@ -293,7 +305,7 @@ class TestRoutePath:
         demand = integerize_demand(self.path)
         np.testing.assert_array_equal(res.counts.sum(axis=1),
                                       np.where(res.routed, demand, 0))
-        assert res.log.size == int(demand[res.routed].sum())
+        assert replayed(res)[0].size == int(demand[res.routed].sum())
         assert res.max_discrepancy <= 1.0 + 1e-9
 
     def test_deterministic_per_seed(self):
@@ -334,8 +346,8 @@ class TestExport:
         lines = exported(res).strip().splitlines()
         assert lines[0] == "period,order,seller,adj"
         assert not res.routed.all() and not res.counts[~res.routed].any()
-        assert res.log.size == int(res.counts.sum())
-        assert len(lines) == res.log.size + 1
+        assert replayed(res)[0].size == int(res.counts.sum())
+        assert len(lines) == res.counts.sum() + 1
         assert all(len(line.split(",")) == 4 for line in lines)
 
     def test_snapshot_reconstructs_final_counts(self):
@@ -371,7 +383,7 @@ class TestExport:
         # zero demand under the uniform split: every period routes no order
         zero = route_path(uniform_policy(3), DemandModel(MU, TransferPoly([5.0])),
                           np.zeros(8), seed=1)
-        assert zero.routed.all() and zero.log.size == 0
+        assert zero.routed.all() and replayed(zero)[0].size == 0
         assert exported(zero) == "period,order,seller,adj\r\n"
 
     def test_log_size_is_linear_in_orders(self, tmp_path, capsys):
@@ -595,7 +607,7 @@ class TestMergeAgainstOracle:
             rankings.add(tuple(rank))
             res = route_orders(b[None], [D], seed)
             log, counts = ref_route_orders(b, D, rank)
-            assert res.log.tolist() == log
+            assert replayed(res)[0].tolist() == log
             assert res.counts[0].tolist() == counts
             assert greedy_replay_ok(b, log)
         assert len(rankings) == 6
@@ -610,8 +622,9 @@ class TestMergeAgainstOracle:
         counts, log, taken = ref_merge(b[routed], res.targets[routed], D[routed],
                                        seed_ranks(seed, *b.shape)[routed])
         np.testing.assert_array_equal(res.counts[routed], counts)
-        np.testing.assert_array_equal(res.log, log)
-        np.testing.assert_array_equal(res.taken, taken)
+        replay_log, replay_taken = replayed(res)
+        np.testing.assert_array_equal(replay_log, log)
+        np.testing.assert_array_equal(replay_taken, taken)
 
     @given(routed_periods(), st.integers(0, 2 ** 32))
     @settings(max_examples=300, deadline=None)
@@ -624,6 +637,96 @@ class TestMergeAgainstOracle:
             assert int(res.counts[t].sum()) == D[t]
             assert np.all(np.abs(res.counts[t] - (D[t] / b.shape[1] + b[t]))
                           <= 1.0 + 1e-9)
+
+
+@st.composite
+def slack_paths(draw):
+    """(offsets, demand) of 1 to 8 periods over one N whose cut is hard to
+    call from the counts: targets within a few tie slacks of whole numbers
+    (so a key floor(x) - 1 - b or floor(x) + 1 - b may tie with another
+    seller's next key), offsets a fraction of a tie apart (a wide tie group
+    at the cut), or no orders at all."""
+    N = draw(st.integers(1, 7))
+    offsets, demand = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["slack", "wide", "zero"]))
+        whole = np.array(draw(st.lists(st.integers(0, 9), min_size=N, max_size=N)),
+                         dtype=float)
+        whole += np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.5]),
+                                        min_size=N, max_size=N)))
+        steps = np.array(draw(st.lists(st.integers(-3, 3), min_size=N, max_size=N)))
+        D = int(round(whole.sum()))
+        if kind == "wide":
+            whole = np.full(N, D / N) + np.arange(N) * 0.6 * _TIE_TOL * max(1.0, D / N)
+        elif kind == "slack":
+            whole = whole + steps * 0.4 * _TIE_TOL * np.maximum(1.0, whole)
+        b = whole - D / N
+        b -= b.mean()
+        assume(not np.any(D / N + b < -_TIE_TOL * max(1.0, float(np.abs(D / N + b).max()))))
+        offsets.append(b)
+        demand.append(0 if kind == "zero" else D)
+    return np.array(offsets), np.array(demand)
+
+
+class TestCountsAndReplay:
+    @given(slack_paths(), st.integers(0, 2 ** 32), st.sampled_from([1, 7, None]))
+    @settings(max_examples=400, deadline=None)
+    def test_match_the_lexsort_merge(self, path, seed, block):
+        # the counts, and the log and taken counts the writer replays in
+        # blocks of 1, 7 or all orders, are the old merge's
+        b, D = path
+        res = route_orders(b, D, seed)
+        routed = res.routed
+        counts, log, taken = ref_merge(b[routed], res.targets[routed], D[routed],
+                                       seed_ranks(seed, *b.shape)[routed])
+        np.testing.assert_array_equal(res.counts[routed], counts)
+        assert not res.counts[~routed].any()
+        block = block or max(1, int(D.sum()))
+        replay_log, replay_taken = replayed(res, block)
+        np.testing.assert_array_equal(replay_log, log)
+        np.testing.assert_array_equal(replay_taken, taken)
+
+    @given(slack_paths(), st.integers(0, 2 ** 32), st.sampled_from([1, 7]))
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_hold_whole_periods(self, path, seed, block):
+        # a block ends where a period ends, and holds more than block
+        # orders only as one period
+        res = route_orders(*path, seed)
+        seen = []
+        for period, order, _, _ in _replay(res, block):
+            starts = np.flatnonzero(order == 0)
+            assert starts.size and starts[0] == 0
+            assert period.size <= block or np.all(period == period[0])
+            seen += period[starts].tolist()
+        sizes = res.counts.sum(axis=1)
+        assert seen == np.flatnonzero(sizes).tolist()
+
+    def test_a_period_larger_than_a_block_is_one_block(self):
+        b = np.array([[0.25, -0.25], [0.0, 0.0], [-1.5, 1.5]])
+        res = route_orders(b, [3, 40, 5], 8)
+        sizes = [period.size for period, _, _, _ in _replay(res, 7)]
+        assert sizes == [3, 40, 5]
+
+
+def traced_route_peak(mu):
+    """tracemalloc peak, in bytes, of routing 50 periods of the reference
+    market at sigma 0.5 with mean demand mu and writing the log."""
+    model = DemandModel(mu, TransferPoly([5.0]))
+    pol = neutral_policy(model, 10, 0.5)
+    path = simulate(model, 50, 4)
+    with open(os.devnull, "w", newline="") as sink:
+        tracemalloc.start()
+        try:
+            export_assignment_log(route_path(pol, model, path, 4), sink)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_route_memory_does_not_grow_with_the_orders():
+    # about 1.0M orders against 750: the counts are (T x N) and the log is
+    # replayed in blocks, so no array grows with the order count
+    assert traced_route_peak(2e4) - traced_route_peak(15.0) <= 10 * 2 ** 20
 
 
 class TestNondiscrimination:
