@@ -20,9 +20,11 @@ every seller in one pass, stocks and costs) and writes its CSV in blocks
 with forecast.export_simulation.  A refused allocation exits 2 naming the
 flag or field that sized it: --periods, options.horizon or --grid.
 
-The fixed work of a call is kept small.  Only the predictor compiled per
-filter degree (forecast._recursion) is kept across calls, for the life of
-the process.  build_parser lists all six subcommands but adds the flags of
+The fixed work of a call is kept small.  The predictor compiled per filter
+degree (forecast._recursion) and the text of each string column
+(csvtext._string_words) are kept across calls, for the life of the
+process; the records are NamedTuples, so no call imports dataclasses.
+build_parser lists all six subcommands but adds the flags of
 the parsed one only.  Scenario.sellers is one seller.SellerParams, its records checked
 a column at a time (the per-record path runs only to name a fault).  JSON
 output comes from _json_text, which equals json.dumps(indent=2,
@@ -38,7 +40,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +62,7 @@ class ScenarioError(ValueError):
     """Malformed scenario file; message carries the offending field path."""
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     model: DemandModel
     costs: seller.PlatformCosts
     sellers: seller.SellerParams

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -229,8 +229,7 @@ def leadtime_msfe(outer_coeffs: TransferPoly, L: int) -> float:
     return float(np.sqrt(np.dot(head, head) + tail))
 
 
-@dataclass(frozen=True)
-class InventoryRun:
+class InventoryRun(NamedTuple):
     """A design replayed along a demand path, from its first period with
     full lag history (start_period).
 

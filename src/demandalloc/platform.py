@@ -17,7 +17,6 @@ at one sigma: at sigma_star (PlatformSolution.star) and at the floor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,8 +32,7 @@ class EmptyFeasibleSet(ValueError):
     """Participation cap falls below the volatility floor; no design exists."""
 
 
-@dataclass(frozen=True)
-class PayoffResult:
+class PayoffResult(NamedTuple):
     """The outcome at one sigma: payoff total and terms, adopters (1-based),
     safety stocks under each mode and the sellers' cumulative utility."""
 
@@ -48,8 +46,7 @@ class PayoffResult:
     cumulative_utility: float
 
 
-@dataclass(frozen=True)
-class PlatformSolution:
+class PlatformSolution(NamedTuple):
     """sigma_star, the outcome there, exit thresholds and feasible range."""
 
     sigma_star: float

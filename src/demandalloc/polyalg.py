@@ -11,7 +11,7 @@ the stream, which is what everything downstream consumes.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +77,7 @@ class TransferPoly:
         return f"TransferPoly(({body}))"
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Inner-outer split of a transfer polynomial, from one root split.
 
     roots are all roots of the input with multiplicity (none at degree 0).
@@ -108,8 +107,11 @@ def _newton_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Two Newton steps per eigenvalue root more than 1e-3 max(1, |r|) from
     every other root; keeps only improvements.  Newton would move the copies
     of a repeated root unevenly, so they keep their eigenvalues."""
-    polyval = np.polynomial.polynomial.polyval
-    deriv = np.polynomial.polynomial.polyder(coeffs)
+    # numpy's core Horner on the coefficients high-order first: the values
+    # of np.polynomial.polynomial.polyval/polyder without importing that
+    # package
+    p = coeffs[::-1]
+    dp = (coeffs[1:] * np.arange(1, coeffs.size))[::-1]
     out = roots.astype(complex)
     gap = np.abs(out[:, None] - out)
     np.fill_diagonal(gap, np.inf)
@@ -118,11 +120,11 @@ def _newton_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     # counts as an improvement
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(2):
-            f, fp = polyval(out, coeffs), polyval(out, deriv)
+            f, fp = np.polyval(p, out), np.polyval(dp, out)
             ok = np.abs(fp) > 0
             step = np.where(ok, f / np.where(ok, fp, 1.0), 0.0)
             cand = out - step
-            better = np.isfinite(cand) & (np.abs(polyval(cand, coeffs)) <= np.abs(f))
+            better = np.isfinite(cand) & (np.abs(np.polyval(p, cand)) <= np.abs(f))
             out = np.where(better & isolated, cand, out)
     return out
 

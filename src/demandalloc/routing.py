@@ -17,7 +17,7 @@ merge over the taken keys, block by block of whole periods: O(block) memory.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ OFFSET_SUM_TOL = 1e-9
 _TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class RoutePathResult:
+class RoutePathResult(NamedTuple):
     """Routing of T periods over N sellers: the (T x N) counts, targets,
     offsets and tie ranks of the sellers (zero in the periods not routed,
     which the routed mask marks), from which the log is replayed."""

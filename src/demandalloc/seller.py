@@ -18,21 +18,30 @@ out the sellers at their switching point.
 market_table reads a market's sellers as one SellerParams of cost columns
 and streams the (zeta, K) pairs of one scalar function, inventory_coefficient,
 for every seller and mode into arrays, with no object per seller.
-The normal quantile is the stdlib's NormalDist.inv_cdf, the pdf
-NormalDist.pdf's expression written out and the cdf math.erfc, so K and
-zeta match the stdlib's methods bit for bit (numpy's exp and log do not
-match libm's in the last bits).
+The normal quantile is the C function _statistics._normal_dist_inv_cdf
+that the stdlib's NormalDist.inv_cdf returns (NormalDist itself only where
+that accelerator is missing), the pdf NormalDist.pdf's expression written
+out and the cdf math.erfc, so K and zeta match the stdlib's methods bit for
+bit (numpy's exp and log do not match libm's in the last bits).
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
 from itertools import chain, repeat
-from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
+
+try:
+    # the quantile NormalDist.inv_cdf returns, without importing statistics
+    # (and its fractions and decimal)
+    from _statistics import _normal_dist_inv_cdf
+except ImportError:  # an interpreter without the C accelerator
+    from statistics import NormalDist
+
+    def _normal_dist_inv_cdf(p: float, mu: float, sigma: float) -> float:
+        return NormalDist(mu, sigma).inv_cdf(p)
 
 FBM = "FBM"
 FBP = "FBP"
@@ -42,7 +51,6 @@ FBP = "FBP"
 # inclusive by convention).
 _BOUNDARY_SLACK = 1e-9
 
-_STD_NORMAL = NormalDist()
 # NormalDist.pdf's normaliser sqrt(tau * variance) at variance 1
 _SQRT_TAU = math.sqrt(math.tau)
 _SQRT2 = math.sqrt(2.0)
@@ -60,11 +68,11 @@ def std_normal_cdf(x: float) -> float:
 
 
 def std_normal_quantile(p: float) -> float:
-    """Inverse standard normal cdf: the stdlib's NormalDist.inv_cdf, which
-    is Wichura's algorithm AS241 (Applied Statistics, 1988)."""
+    """Inverse standard normal cdf: NormalDist().inv_cdf(p) of the stdlib,
+    which is Wichura's algorithm AS241 (Applied Statistics, 1988)."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile defined on open interval (0, 1), got {p}")
-    return _STD_NORMAL.inv_cdf(p)
+    return _normal_dist_inv_cdf(p, 0.0, 1.0)
 
 
 def std_normal_loss(z: float) -> float:
@@ -96,15 +104,7 @@ class SellerParams:
         return self.h.size
 
 
-@dataclass(frozen=True)
-class PlatformCosts:
-    """Platform-wide unit economics.
-
-    rho: intermediation fee; F / H: fulfillment and holding costs charged to
-    platform-fulfilled sellers; delta_f / delta_h: platform's net fulfillment
-    payoff and storage rent; r: gross per-unit margin.
-    """
-
+class _PlatformCostFields(NamedTuple):
     rho: float
     F: float
     H: float
@@ -112,18 +112,33 @@ class PlatformCosts:
     delta_h: float
     r: float
 
-    def __post_init__(self):
-        for field in fields(self):
-            if not math.isfinite(getattr(self, field.name)):
-                raise DomainError(f"{field.name} must be finite")
+
+class PlatformCosts(_PlatformCostFields):
+    """Platform-wide unit economics.
+
+    rho: intermediation fee; F / H: fulfillment and holding costs charged to
+    platform-fulfilled sellers; delta_f / delta_h: platform's net fulfillment
+    payoff and storage rent; r: gross per-unit margin.  Construction
+    checks that every field is finite and H > 0, and warns when
+    r <= rho + F; the tuple's _make and _replace skip those checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite")
         if not self.H > 0:
             raise DomainError("platform holding cost H must be positive")
         if self.r <= self.rho + self.F:
             warnings.warn(
                 "gross margin r does not exceed rho + F; platform-fulfilled "
                 "sellers earn a nonpositive margin in this scenario",
-                stacklevel=3,  # past the generated __init__ to its caller
+                stacklevel=2,
             )
+        return self
 
 
 def inventory_coefficient(h_bar: float, b: float) -> tuple:

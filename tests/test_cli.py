@@ -47,7 +47,7 @@ def write_doc(tmp_path, doc, name="edited.scenario") -> str:
 class TestParseScenario:
     def test_round_trip(self):
         sc = load_scenario(SCENARIO)
-        assert [f for f in Scenario.__dataclass_fields__] == [
+        assert list(Scenario._fields) == [
             "model", "costs", "sellers", "sigma_cap", "seed", "horizon"]
         assert sc.model.mu == 15.0
         assert sc.model.psi.coeffs.tolist() == [5.0]
@@ -1216,4 +1216,4 @@ class TestRoute:
 def test_console_entry_point_matches_main():
     import demandalloc.cli as cli
     assert cli.main is main
-    assert isinstance(Scenario.__dataclass_fields__, dict)
+    assert isinstance(Scenario._fields, tuple)

@@ -6,7 +6,9 @@ import sys
 import types
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+SCENARIO = str(ROOT / "scenarios" / "illustrative.scenario")
 ALLOWED = {"numpy", "demandalloc"}
 
 
@@ -53,6 +55,23 @@ def test_every_exported_name_resolves():
 def test_cli_import_loads_no_csv_module():
     # every CSV writer formats its own header and rows
     assert "csv" not in _top_level_modules("import demandalloc.cli")
+
+
+def test_cli_import_loads_no_dataclasses_or_statistics():
+    # the records are NamedTuples and the normal quantile is the C function
+    # that NormalDist.inv_cdf returns; statistics imports fractions and decimal
+    loaded = _top_level_modules("import demandalloc.cli")
+    assert loaded & {"dataclasses", "statistics", "fractions", "decimal"} == set()
+
+
+def test_factor_and_optimize_load_no_numpy_polynomial():
+    # the Newton polish of the roots evaluates with numpy's core Horner
+    for argv in (["factor", "1", "2"], ["optimize", "--scenario", SCENARIO]):
+        assert _fresh("import contextlib, io, json, sys\n"
+                      "from demandalloc.cli import main\n"
+                      "with contextlib.redirect_stdout(io.StringIO()):\n"
+                      f"    assert main({argv!r}) == 0\n"
+                      "print(json.dumps('numpy.polynomial' in sys.modules))") is False
 
 
 def test_cli_import_compiles_no_predictor():

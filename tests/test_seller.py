@@ -2,8 +2,14 @@
 coefficients, and the market table's mode choice, adoption sets and
 participation bounds, with the sellers' cumulative utility that the payoff
 sums from it."""
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
+from statistics import NormalDist
 
 import mpmath as mp
 import numpy as np
@@ -76,7 +82,37 @@ def adopters(table, sigma, exclusive=False) -> set:
     return set((np.flatnonzero(table.adopts(sigma, exclusive)) + 1).tolist())
 
 
+# both tails down to the least subnormal and up to the last float below 1
+QUANTILE_SWEEP = sorted({
+    5e-324, 1e-300, 1e-16, 0.5, 1 - 1e-16, math.nextafter(1.0, 0.0),
+    *np.logspace(-323, -1, 200).tolist(), *np.linspace(1e-3, 1 - 1e-3, 999).tolist(),
+    *(1.0 - np.logspace(-16, -1, 60)).tolist()})
+
+
 class TestNormalMachinery:
+    def test_quantile_is_normaldist_inv_cdf(self):
+        want = NormalDist().inv_cdf
+        assert [std_normal_quantile(p).hex() for p in QUANTILE_SWEEP] == \
+            [want(p).hex() for p in QUANTILE_SWEEP]
+
+    def test_quantile_fallback_without_the_c_accelerator(self):
+        # with _statistics missing the quantile comes from statistics.NormalDist
+        probe = ("import json, sys\n"
+                 "sys.modules['_statistics'] = None\n"
+                 "from demandalloc.seller import std_normal_quantile\n"
+                 "assert 'statistics' in sys.modules\n"
+                 "ps = map(float.fromhex, json.load(sys.stdin))\n"
+                 "print(json.dumps([std_normal_quantile(p).hex() for p in ps]))")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                        env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                              input=json.dumps([p.hex() for p in QUANTILE_SWEEP]),
+                              capture_output=True, text=True)
+        assert json.loads(done.stdout) == \
+            [std_normal_quantile(p).hex() for p in QUANTILE_SWEEP]
+
     def test_quantile_frozen_references(self):
         assert std_normal_quantile(12.0 / 12.6) == pytest.approx(
             ZETA_12_126, abs=1e-9)
