@@ -9,11 +9,10 @@ fulfillment mode.  Mode choice compares the two margins net of K * sigma.
 market_table computes K, the fractile and the margin (r - rho - f) mu/N of
 every seller under both modes once per market; mode choice and adoption sets
 (MarketTable.adopts), each seller's switching point along an ascending sigma
-array (switch_index), exit thresholds (breakpoints) and the participation
+array (switch_index), the exits and entries (breakpoints) and the participation
 bound (participation_ub) are array operations on it, and the platform layer
 and the simulation (forecast.simulate_inventory) read the same table.  One
-comparison, _prefers_fbp, decides every mode choice; exclusive=True leaves
-out the sellers at their switching point.
+comparison, _prefers_fbp, decides every mode choice.
 
 market_table reads a market's sellers as one SellerParams of cost columns
 and streams the (zeta, K) pairs of one scalar function, inventory_coefficient,
@@ -167,7 +166,7 @@ def base_stock(mean_forecast, sigma: float, zeta):
     return mean_forecast + zeta * sigma
 
 
-def _prefers_fbp(fixed, sigma, dK, exclusive: bool = False):
+def _prefers_fbp(fixed, sigma, dK, exclusive=False):
     """Where platform fulfillment wins: its utility advantage over
     self-fulfillment is fixed - sigma * dK, the sigma-free margin term minus
     the inventory-cost term.
@@ -175,18 +174,17 @@ def _prefers_fbp(fixed, sigma, dK, exclusive: bool = False):
     Comparing the advantage directly stays correct when the platform mode's
     inventory cost is the smaller one.  A slack of _BOUNDARY_SLACK relative
     to the larger term keeps a seller whose switching point was computed in
-    floating point on the inclusive side; exclusive=True drops sellers
-    within that slack of their switching point (right-sided limits at a
-    breakpoint).  Callers ignore overflow; an advantage of -inf or NaN
-    never adopts, which keeps adoption monotone in sigma.
+    floating point on the inclusive side; exclusive (True or a seller mask)
+    drops the sellers it marks within that slack of their switching point
+    (one-sided limits there).  Callers ignore overflow; an advantage of -inf
+    or NaN never adopts, which keeps adoption monotone in sigma.
     """
     varying = sigma * dK
     margin = fixed - varying
     slack = _BOUNDARY_SLACK * np.maximum(
         1.0, np.maximum(np.abs(fixed), np.abs(varying)))
-    if exclusive:
-        return margin > slack
-    return (margin >= -slack) & (margin > -np.inf)
+    adopts = (margin >= -slack) & (margin > -np.inf)
+    return adopts if exclusive is False else np.where(exclusive, margin > slack, adopts)
 
 
 class MarketTable(NamedTuple):
@@ -195,8 +193,8 @@ class MarketTable(NamedTuple):
 
     Mode choice depends on a seller only through its two inventory
     coefficients and its fulfillment saving dF = f - F, so every adoption
-    set, exit threshold, payoff and participation bound of the market reads
-    these arrays.  Build it with market_table.
+    set, switching point, payoff and participation bound of the market
+    reads these arrays.  Build it with market_table.
     """
 
     costs: PlatformCosts
@@ -214,21 +212,20 @@ class MarketTable(NamedTuple):
     dK: np.ndarray
     # (mu/N) dF: the sigma-free part of the adoption margin.
     fixed: np.ndarray
-    # Exit threshold mu dF / (N dK) where dK > 0; NaN for sellers that never exit.
+    # Switching point mu dF / (N dK): exit if dK > 0, entry if dK, dF < 0; or NaN.
     threshold: np.ndarray
     # Largest sigma at which the seller's better mode still pays.
     participation: np.ndarray
 
-    def adopts(self, sigma, exclusive: bool = False) -> np.ndarray:
-        """FBP mask of shape sigma.shape + (n_sellers,): where each seller
-        chooses platform fulfillment, that is where the fulfillment saving
-        (mu/N) dF covers the extra inventory cost sigma dK (_prefers_fbp;
-        exclusive=True leaves out the sellers at their switching point)."""
+    def adopts(self, sigma, exclusive=False) -> np.ndarray:
+        """FBP mask of shape sigma.shape + (n_sellers,): where the saving
+        (mu/N) dF covers the extra inventory cost sigma dK (_prefers_fbp,
+        whose exclusive leaves out the marked sellers at their switch)."""
         sigma = np.asarray(sigma, dtype=float)[..., None]
         with np.errstate(over="ignore", invalid="ignore"):
             return _prefers_fbp(self.fixed, sigma, self.dK, exclusive)
 
-    def switch_index(self, sigma, exclusive: bool = False) -> np.ndarray:
+    def switch_index(self, sigma, exclusive=False) -> np.ndarray:
         """Index i in [0, sigma.size], per seller, along an ascending sigma:
         a seller with dK > 0 adopts exactly at sigma[:i] (it exits), any
         other exactly at sigma[i:] (it stays, or enters if dK < 0 and dF <
@@ -248,11 +245,11 @@ class MarketTable(NamedTuple):
         return index
 
     def breakpoints(self) -> list:
-        """Ascending (sigma, seller) exit thresholds mu dF_n / (N dK_n), ties
-        by seller index.  Only sellers whose platform-mode coefficient is
-        strictly dearer (dK_n > 0) ever exit; the rest stay for any sigma."""
-        exits = np.flatnonzero(self.dK > 0)
-        order = exits[np.argsort(self.threshold[exits], kind="stable")]
+        """Ascending (sigma, seller) switching points mu dF_n / (N dK_n), ties
+        by seller index: exits (dK_n > 0) and entries (dK_n < 0, dF_n < 0);
+        the other sellers keep one mode for every sigma >= 0."""
+        movers = np.flatnonzero((self.dK > 0) | ((self.dK < 0) & (self.fixed < 0)))
+        order = movers[np.argsort(self.threshold[movers], kind="stable")]
         return list(zip(self.threshold[order].tolist(), (order + 1).tolist()))
 
     def participation_ub(self, sigma_cap: float) -> float:
@@ -308,20 +305,20 @@ def market_table(sellers, costs: PlatformCosts, mu: float) -> MarketTable:
         raise DomainError("mu_share must be positive")
     zeta_fbm, k_fbm = _mode_columns(h, b, "h")
     zeta_fbp, k_fbp = _mode_columns(costs.H, b, "H")
-    dF = f - costs.F
-    dK = k_fbp - k_fbm
+    dF, dK = f - costs.F, k_fbp - k_fbm
     # Past the float range a quantity is +-inf: the commands name non-finite
     # outputs, and participation_ub caps an inf bound with its warning.
     with np.errstate(over="ignore"):
+        fixed = mu_share * dF
         margin_fbm = (costs.r - costs.rho - f) * mu_share
         margin_fbp = np.full(N, (costs.r - costs.rho - costs.F) * mu_share)
         threshold = np.divide(mu * dF, N * dK, out=np.full(dK.shape, np.nan),
-                              where=dK > 0)
+                              where=(dK > 0) | ((dK < 0) & (fixed < 0)))
         return MarketTable(
             costs=costs, N=N, mu=mu, h=h, b=b,
             zeta_fbm=zeta_fbm, k_fbm=k_fbm, zeta_fbp=zeta_fbp, k_fbp=k_fbp,
             margin_fbm=margin_fbm, margin_fbp=margin_fbp,
-            dK=dK, fixed=mu_share * dF, threshold=threshold,
+            dK=dK, fixed=fixed, threshold=threshold,
             participation=np.maximum(margin_fbm / k_fbm, margin_fbp / k_fbp))
 
 

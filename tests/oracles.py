@@ -51,11 +51,11 @@ so they check the matrix path and nothing else.
 
 The scalar seller/platform reference at the end is the per-seller loop form
 of mode economics, utilities, adoption, breakpoints, participation, payoff,
-the optimizer and the payoff curve that the package replaced with its
-array-backed market table.  It takes K and zeta from demandalloc's scalar
-inventory_coefficient (memoized) and its result types and side names from
-demandalloc.platform, so both paths classify sellers with the same
-coefficients; nothing else is shared.  The reference curve is a list of
+the optimizer (with its winner loop, ref_first_best) and the payoff curve
+that the package replaced with its array-backed market table.  It takes K
+and zeta from demandalloc's scalar inventory_coefficient (memoized) and its
+result types and side names from demandalloc.platform, so both paths
+classify sellers with the same coefficients; nothing else is shared.  The reference curve is a list of
 CurvePoint records, and curve_points turns the package's column Curve
 into the same records.
 
@@ -618,11 +618,14 @@ def ref_seller_utility(params, costs, mode, mu_share, sigma):
             - ref_mode_economics(params, costs, mode)[1] * sigma)
 
 
+def _dK(params, costs):
+    return (ref_mode_economics(params, costs, "FBP")[1]
+            - ref_mode_economics(params, costs, "FBM")[1])
+
+
 def _margin_and_scale(params, costs, N, mu, sigma):
     fixed = (mu / N) * (params.f - costs.F)
-    dK = (ref_mode_economics(params, costs, "FBP")[1]
-          - ref_mode_economics(params, costs, "FBM")[1])
-    margin = fixed - sigma * dK
+    margin = fixed - sigma * _dK(params, costs)
     return margin, max(1.0, abs(fixed), abs(margin - fixed))
 
 
@@ -631,11 +634,18 @@ def ref_mode_choice(params, costs, N, mu, sigma):
     return "FBP" if margin >= -_BOUNDARY_SLACK * scale else "FBM"
 
 
-def ref_adoption_set(sellers, costs, N, mu, sigma, exclusive=False):
+def ref_adoption_set(sellers, costs, N, mu, sigma, exclusive=False, side=None):
+    """1-based adopters at sigma.  exclusive=True drops every seller within
+    the boundary slack of its switching point; side "left" drops only the
+    sellers that enter (dK < 0) there and side "right" only the ones that
+    exit (dK > 0), which gives the one-sided limits of the payoff."""
     out = set()
     for idx, params in enumerate(sellers, start=1):
         margin, scale = _margin_and_scale(params, costs, N, mu, sigma)
         slack = _BOUNDARY_SLACK * scale
+        if side is not None:
+            dK = _dK(params, costs)
+            exclusive = dK < 0 if side == "left" else dK > 0
         if (margin > slack) if exclusive else (margin >= -slack):
             out.add(idx)
     return out
@@ -656,12 +666,13 @@ def ref_sigma_participation_ub(sellers, costs, N, mu, sigma_cap):
 
 
 def ref_breakpoints(sellers, costs, N, mu):
+    """(sigma, seller) where a seller exits (dK > 0) or enters (dK < 0 and
+    f < F), ascending."""
     out = []
     for idx, params in enumerate(sellers, start=1):
         dF = params.f - costs.F
-        dK = (ref_mode_economics(params, costs, "FBP")[1]
-          - ref_mode_economics(params, costs, "FBM")[1])
-        if dK > 0:
+        dK = _dK(params, costs)
+        if dK > 0 or (dK < 0 and dF < 0):
             out.append((mu * dF / (N * dK), idx))
     out.sort()
     return out
@@ -710,21 +721,37 @@ def ref_cumulative_utility(sellers, costs, N, mu, sigma):
     return total
 
 
+def ref_first_best(totals) -> int:
+    """The winner loop the package replaced with platform._first_best: a
+    later total takes over only by beating the best by more than
+    _PAYOFF_TIE_TOL relative."""
+    best = 0
+    for i, total in enumerate(totals):
+        if total > totals[best] + _PAYOFF_TIE_TOL * max(1.0, abs(totals[best])):
+            best = i
+    return best
+
+
 def ref_optimize(sellers, costs, sigma_l, N, mu, sigma_cap):
-    """Candidate-point optimizer without the domain check: floor, every exit
-    threshold in range and the cap, ties to the smallest sigma."""
+    """Supremum over the floor, every switching point in range and the cap:
+    the values attained there, then the one-sided limits from inside the
+    range, point by point with left before right, picked by
+    ref_first_best."""
     sigma_u = ref_sigma_participation_ub(sellers, costs, N, mu, sigma_cap)
     bps = ref_breakpoints(sellers, costs, N, mu)
-    candidates = sorted({sigma_l, sigma_u,
-                         *(s for s, _ in bps if sigma_l <= s <= sigma_u)})
-    best_sigma = best = None
-    for s in candidates:
-        res = ref_payoff(s, sellers, costs, N, mu)
-        if best is None or res.total > best.total + _PAYOFF_TIE_TOL * max(1.0, abs(best.total)):
-            best, best_sigma = res, s
-    return PlatformSolution(sigma_star=best_sigma, star=best,
+    points = sorted({sigma_l, sigma_u,
+                     *(s for s, _ in bps if sigma_l <= s <= sigma_u)})
+    candidates = [(s, "interior", None) for s in points]
+    for j, s in enumerate(points):
+        sides = ["left"] * (j > 0) + ["right"] * (j < len(points) - 1)
+        candidates += [(s, side, ref_adoption_set(sellers, costs, N, mu, s,
+                                                  side=side)) for side in sides]
+    results = [ref_payoff(s, sellers, costs, N, mu, adopters)
+               for s, _, adopters in candidates]
+    best = ref_first_best([res.total for res in results])
+    return PlatformSolution(sigma_star=candidates[best][0], star=results[best],
                             breakpoints=tuple(bps), sigma_lower=sigma_l,
-                            sigma_upper=sigma_u)
+                            sigma_upper=sigma_u, side=candidates[best][1])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -752,6 +779,10 @@ def ref_payoff_curve(sellers, costs, N, mu, sigma_grid, sigma_cap=math.inf):
                           n_adopters=len(res.adopters), gamma_fbp=res.gamma_fbp,
                           gamma_fbm=res.gamma_fbm, side=side)
 
+    def limit(sigma, side):
+        return point(sigma, side, ref_adoption_set(sellers, costs, N, mu, sigma,
+                                                   side=side))
+
     def zero(sigma, side):
         return CurvePoint(sigma=sigma, payoff=0.0, n_adopters=0,
                           gamma_fbp=0.0, gamma_fbm=0.0, side=side)
@@ -765,11 +796,9 @@ def ref_payoff_curve(sellers, costs, N, mu, sigma_grid, sigma_cap=math.inf):
               for s in grid]
     for s, _ in ref_breakpoints(sellers, costs, N, mu):
         if lo <= s <= min(hi, sigma_u):
-            points.append(point(s, "left"))
-            strict = ref_adoption_set(sellers, costs, N, mu, s, exclusive=True)
-            points.append(point(s, "right", adopters=strict))
+            points += [limit(s, "left"), limit(s, "right")]
     if lo <= sigma_u <= hi:
-        points += [point(sigma_u, "left"), zero(sigma_u, "right")]
+        points += [limit(sigma_u, "left"), zero(sigma_u, "right")]
     side_rank = {"left": 0, "interior": 1, "right": 2}
     points.sort(key=lambda p: (p.sigma, side_rank[p.side]))
     return points

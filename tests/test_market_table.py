@@ -1,11 +1,12 @@
 """The array-backed market table against the scalar per-seller reference in
 tests/oracles.py, the sweep of curve and optimize against the adoption rule
-point by point, their memory, the optimizer's domain check, and the curve
-export's bytes.
+point by point and from each side, their memory, the optimizer on markets
+whose payoff falls between switching points, and the curve export's bytes.
 
-Markets for the agreement properties are drawn inside the optimizer's domain
-(delta_h >= 0 and b_n >= H, so delta_h * zeta_FBP,n >= 0), with some sellers
-whose own holding cost exceeds H (dK < 0) and some caps that bind.
+Markets for the agreement properties are drawn with delta_h >= 0 and
+b_n >= H (so delta_h * zeta_FBP,n >= 0), with some sellers whose own holding
+cost exceeds H (dK < 0) and some caps that bind; outside_market drops those
+bounds and adds entering sellers and a negative fulfillment payoff.
 """
 import json
 import math
@@ -20,9 +21,10 @@ from hypothesis import strategies as st
 
 from demandalloc import (DemandModel, DomainError, MarketTable, PlatformCosts,
                          SellerParams, TransferPoly, market_table, optimize,
-                         payoff, payoff_curve, sigma_lower_bound)
-from demandalloc.cli import EXIT_INPUT, main
-from demandalloc.platform import _adopter_sums
+                         payoff, payoff_curve, sigma_lower_bound,
+                         solution_document)
+from demandalloc.cli import EXIT_OK, main
+from demandalloc.platform import _PAYOFF_TIE_TOL, _exclusive, _sided_sums
 from oracles import (Seller, curve_points, ref_adoption_set, ref_breakpoints,
                      ref_cumulative_utility, ref_mode_choice, ref_optimize,
                      ref_fractile_fault, ref_payoff, ref_payoff_curve,
@@ -148,7 +150,7 @@ def test_curve_and_optimum_match_scalar_reference(market, grid_points):
         model = DemandModel(mu, TransferPoly([sigma_l * n]))
         sol = optimize(table, sigma_lower_bound(model, n), sigma_cap)
         ref = ref_optimize(sellers, costs, sol.sigma_lower, n, mu, sigma_cap)
-    assert sol.sigma_star == ref.sigma_star
+    assert (sol.sigma_star, sol.side) == (ref.sigma_star, ref.side)
     assert sol.star.adopters == ref.star.adopters
     assert sol.breakpoints == ref.breakpoints
     assert (sol.sigma_lower, sol.sigma_upper) == (ref.sigma_lower, ref.sigma_upper)
@@ -196,7 +198,10 @@ def test_sweep_matches_adoption_rule_point_by_point(market, grid_points):
         before = np.arange(sigma.size)[:, None] < table.switch_index(sigma,
                                                                      exclusive)
         assert np.array_equal(mask, np.where(table.dK > 0, before, ~before))
-        n_adopters, zeta_fbp, zeta_fbm = _adopter_sums(table, sigma, exclusive)
+    sums = _sided_sums(table, sigma)
+    for side in range(3):
+        mask = table.adopts(sigma, _exclusive(table, side))
+        n_adopters, zeta_fbp, zeta_fbm = (s[side] for s in sums)
         assert np.array_equal(n_adopters, mask.sum(axis=1))
         for got, want in ((zeta_fbp, np.where(mask, table.zeta_fbp, 0.0)),
                           (zeta_fbm, np.where(mask, 0.0, table.zeta_fbm))):
@@ -248,8 +253,9 @@ def test_sweep_matches_adoption_rule_past_the_float_range():
         mask = table.adopts(sigma, exclusive)
         assert mask.tolist() == [[True, True], [True, False]] + [[False] * 2] * 4
         assert table.switch_index(sigma, exclusive).tolist() == [2, 1]
-        assert np.array_equal(_adopter_sums(table, sigma, exclusive)[0],
-                              mask.sum(axis=1))
+    for side, n_adopters in enumerate(_sided_sums(table, sigma)[0]):
+        assert np.array_equal(
+            n_adopters, table.adopts(sigma, _exclusive(table, side)).sum(axis=1))
 
 
 def test_curve_and_optimize_memory_grows_with_points_plus_sellers():
@@ -367,32 +373,91 @@ def domain_violating_market(seed: int):
     return sellers, costs, model, n
 
 
+def outside_market(seed: int):
+    """domain_violating_market with the fulfillment payoff drawn from
+    U(-3, 3) and every third seller entering (h > H and f < F, so dK < 0
+    and dF < 0): the payoff jumps either way at a switching point and can
+    fall between them."""
+    sellers, costs, model, n = domain_violating_market(seed)
+    rng = np.random.default_rng([seed, 1])
+    costs = costs._replace(delta_f=float(rng.uniform(-3.0, 3.0)))
+    sellers = tuple(
+        Seller(h=costs.H * float(rng.uniform(1.1, 3.0)), b=p.b,
+               f=costs.F * float(rng.uniform(0.0, 0.9))) if i % 3 == 2 else p
+        for i, p in enumerate(sellers))
+    return sellers, costs, model, n
+
+
+def feasible_limits(sellers, costs, n, mu, grid, sigma_lower, sigma_upper):
+    """Payoffs of the reference curve on grid that optimize ranges over:
+    every point in [sigma_lower, sigma_upper] and every one-sided limit
+    approached from inside it."""
+    return [p.payoff for p in ref_payoff_curve(sellers, costs, n, mu, grid, 1e6)
+            if sigma_lower <= p.sigma <= sigma_upper
+            and not (p.side == "left" and p.sigma == sigma_lower)
+            and not (p.side == "right" and p.sigma == sigma_upper)]
+
+
+def beats_or_ties(total: float, best: float) -> bool:
+    """total is at least best, up to the optimizer's relative tie rule."""
+    return total >= best - _PAYOFF_TIE_TOL * max(1.0, abs(best))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_optimum_beats_dense_grid_outside_the_old_domain(seed):
+    sellers, costs, model, n = outside_market(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        table = market_table(seller_columns(sellers), costs, model.mu)
+        sol = optimize(table, sigma_lower_bound(model, n), 1e6)
+    ref = ref_optimize(sellers, costs, sol.sigma_lower, n, model.mu, 1e6)
+    assert (sol.sigma_star, sol.side) == (ref.sigma_star, ref.side)
+    assert sol.star.adopters == ref.star.adopters
+    assert sol.breakpoints == tuple(ref.breakpoints)
+    assert close(sol.star.total, ref.star.total)
+    grid = np.linspace(sol.sigma_lower, sol.sigma_upper, 4001)
+    best = max(feasible_limits(sellers, costs, n, model.mu, grid,
+                               sol.sigma_lower, sol.sigma_upper))
+    assert beats_or_ties(sol.star.total, best)
+
+
 class TestOptimizerDomain:
-    def test_negative_storage_rent_is_rejected(self):
+    """Markets where delta_h * zeta_FBP,n < 0 for some seller, which the
+    optimizer refused before it took one-sided limits."""
+
+    def test_negative_storage_rent_reports_a_right_limit(self):
         # Seed 2: delta_h < 0, so the payoff falls between exits and its
-        # supremum is a right limit that no candidate point attains.
+        # supremum is a right limit that no sigma attains.
         sellers, costs, model, n = domain_violating_market(2)
         assert costs.delta_h < 0
-        sigma_l = abs(float(model.psi.coeffs[0])) / n
-        ref = ref_optimize(sellers, costs, sigma_l, n, model.mu, 1e6)
-        grid = np.linspace(ref.sigma_lower, ref.sigma_upper, 4001)
-        best = max(ref_payoff(s, sellers, costs, n, model.mu).total
-                   for s in grid.tolist())
-        assert best > ref.star.total + 1.0
         table = market_table(seller_columns(sellers), costs, model.mu)
-        with pytest.raises(DomainError, match=r"platform\.delta_h"):
-            optimize(table, sigma_l, 1e6)
-        # payoff and curve stay defined on such a market
-        payoff(table, sigma_l)
-        assert payoff_curve(table, grid[:5],
-                            table.participation_ub(math.inf)).sigma.size
+        sol = optimize(table, sigma_lower_bound(model, n), 1e6)
+        # the best value attained at the floor, the cap or a switching
+        # point, which the old candidate rule returned, falls short by > 1
+        points = [sol.sigma_lower, sol.sigma_upper,
+                  *(s for s, _ in sol.breakpoints
+                    if sol.sigma_lower <= s <= sol.sigma_upper)]
+        assert sol.star.total > 1.0 + max(
+            ref_payoff(s, sellers, costs, n, model.mu).total for s in points)
+        grid = np.linspace(sol.sigma_lower, sol.sigma_upper, 4001)
+        assert beats_or_ties(sol.star.total, max(feasible_limits(
+            sellers, costs, n, model.mu, grid, sol.sigma_lower, sol.sigma_upper)))
+        doc = solution_document(sol, table)
+        assert (doc["attained"], doc["side"]) == (False, "right")
+        assert doc["sigma_star"] in [b["sigma"] for b in doc["breakpoints"]]
 
-    def test_backorder_below_platform_holding_names_the_seller(self):
+    def test_backorder_below_platform_holding_is_optimized(self):
         sellers = SELLERS[:3] + (Seller(h=1.0, b=2.0, f=20.0),)
+        table = market_table(seller_columns(sellers), COSTS, MU)
         model = DemandModel(MU, TransferPoly([5.0]))
-        with pytest.raises(DomainError, match=r"sellers\[4\].*b = 2 < H = 2\.5"):
-            optimize(market_table(seller_columns(sellers), COSTS, MU),
-                     sigma_lower_bound(model, 4), 500.0)
+        sol = optimize(table, sigma_lower_bound(model, 4), 500.0)
+        assert table.zeta_fbp[3] < 0
+        ref = ref_optimize(sellers, COSTS, sol.sigma_lower, 4, MU, 500.0)
+        assert (sol.sigma_star, sol.side) == (ref.sigma_star, ref.side)
+        grid = np.linspace(sol.sigma_lower, sol.sigma_upper, 4001)
+        assert beats_or_ties(sol.star.total, max(feasible_limits(
+            sellers, COSTS, 4, MU, grid, sol.sigma_lower, sol.sigma_upper)))
 
     def test_zero_storage_rent_accepts_any_fractile(self):
         costs = PlatformCosts(rho=15.0, F=10.0, H=2.5, delta_f=2.0,
@@ -404,8 +469,26 @@ class TestOptimizerDomain:
         assert sol.sigma_star == pytest.approx(sol.sigma_lower)
 
     def test_cli_exit_code(self, tmp_path, capsys):
-        doc = SCENARIO.read_text().replace('"delta_h": 2.0', '"delta_h": -1.0')
-        path = tmp_path / "negative-rent.scenario"
-        path.write_text(doc)
-        assert main(["optimize", "--scenario", str(path)]) == EXIT_INPUT
-        assert "platform.delta_h" in capsys.readouterr().err
+        # delta_h = -1, and b = 1 < H = 2.5 for seller 1, on the reference
+        # scenario: each writes its supremum, at least every curve row
+        # optimize ranges over
+        for old, new in (('"delta_h": 2.0', '"delta_h": -1.0'),
+                         ('"b": 12.0, "f": 24.5', '"b": 1.0, "f": 24.5')):
+            text = SCENARIO.read_text()
+            assert old in text
+            path = tmp_path / "edited.scenario"
+            path.write_text(text.replace(old, new))
+            out, curve_out = tmp_path / "sol.json", tmp_path / "curve.csv"
+            assert main(["optimize", "--scenario", str(path),
+                         "--out", str(out)]) == EXIT_OK
+            assert main(["curve", "--scenario", str(path), "--grid", "400",
+                         "--out", str(curve_out)]) == EXIT_OK
+            doc = json.loads(out.read_text())
+            rows = [line.split(",") for line in
+                    curve_out.read_text().splitlines()[1:]]
+            lo, hi = doc["sigma_lower"], doc["sigma_upper"]
+            # the CSV rounds to 6 decimals
+            best = max(float(p) for s, p, *_, side in rows
+                       if lo <= float(s) <= hi
+                       and (side, float(s)) not in (("left", lo), ("right", hi)))
+            assert doc["payoff_star"] >= best - 5e-7

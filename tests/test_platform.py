@@ -1,10 +1,14 @@
-"""Platform-side design: exit breakpoints, the piecewise-linear payoff,
-the candidate-point optimizer, and curve export."""
+"""Platform-side design: switching points, the piecewise-linear payoff,
+the optimizer with its one-sided limits and winner pick, and curve
+export."""
 import io
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import demandalloc.platform as platform
 from demandalloc import (
@@ -21,8 +25,12 @@ from demandalloc import (
     sigma_lower_bound,
     solution_document,
 )
-from oracles import curve_points, seller_columns
+from demandalloc.cli import EXIT_OK, load_scenario, main
+from oracles import curve_points, ref_first_best, seller_columns
 from test_seller import COSTS, MU, N, SELLERS, TABLE
+
+DATA = Path(__file__).resolve().parent / "data"
+ENTRY_JUMP = DATA / "entry_jump.scenario"
 
 MODEL = DemandModel(MU, TransferPoly([5.0]))
 SIGMA_CAP = 500.0
@@ -147,6 +155,78 @@ class TestOptimize:
             with pytest.raises(EmptyFeasibleSet):
                 optimize(TABLE, SIGMA_L, sigma_cap=0.3)
         assert issubclass(EmptyFeasibleSet, ValueError)
+
+
+class TestEntryJump:
+    """Seller 1 of entry_jump.scenario enters (h > H and f < F) at
+    sigma_e = 7.418922...; with delta_f = -20 the payoff drops there, so its
+    supremum is the limit from below sigma_e, which no sigma attains.  The
+    exits-only candidate rule returned sigma_L = 2.5 and -155.79."""
+
+    def setup_method(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            scenario = load_scenario(str(ENTRY_JUMP))
+            table = market_table(scenario.sellers, scenario.costs,
+                                 scenario.model.mu)
+            self.solution = optimize(table, sigma_lower_bound(scenario.model, 2),
+                                     scenario.sigma_cap)
+            sigma_u = table.participation_ub(scenario.sigma_cap)
+        # the rows of `curve --grid 400`
+        grid = np.linspace(0.0, min(scenario.sigma_cap, 1.1 * sigma_u), 400)
+        self.curve = payoff_curve(table, grid, sigma_u)
+
+    def test_supremum_is_the_left_limit_at_the_entry(self):
+        sol = self.solution
+        assert sol.breakpoints[0][1] == 1
+        assert sol.sigma_star == sol.breakpoints[0][0] == \
+            pytest.approx(7.418922, abs=1e-6)
+        assert sol.side == "left"
+        assert sol.star.total == pytest.approx(-147.512, abs=1e-3)
+        assert sol.star.adopters == {2}
+
+    def test_beats_or_ties_every_curve_row(self):
+        sol, curve = self.solution, self.curve
+        inside = (sol.sigma_lower <= curve.sigma) & (curve.sigma <= sol.sigma_upper)
+        inside &= ~((curve.side == 0) & (curve.sigma == sol.sigma_lower))
+        inside &= ~((curve.side == 2) & (curve.sigma == sol.sigma_upper))
+        assert sol.star.total >= curve.payoff[inside].max()
+        assert sol.star.total > curve.payoff[inside & (curve.side == 1)].max()
+
+    def test_document_matches_golden(self, tmp_path, capsys):
+        out = tmp_path / "sol.json"
+        with pytest.warns(UserWarning) as caught:
+            assert main(["optimize", "--scenario", str(ENTRY_JUMP),
+                         "--out", str(out)]) == EXIT_OK
+        assert [str(w.message) for w in caught] == [
+            "seller 1: platform fulfillment cost F=5 exceeds own cost f=4",
+            "seller 1: platform holding cost H=1 below own cost h=3",
+            "participation bound exceeds sigma_cap=50; cap binds"]
+        assert out.read_bytes() == (DATA / "optimize_entry_jump.json").read_bytes()
+
+
+_TOL = platform._PAYOFF_TIE_TOL
+# totals a few multiples of 0.6 tie tolerances apart, so that each of many
+# neighbours ties with some and not with others
+_CHAINS = st.builds(
+    lambda base, steps: (base + np.cumsum(steps) * (0.6 * _TOL)
+                         * max(1.0, abs(base))).tolist(),
+    st.floats(-1e3, 1e3), st.lists(st.integers(-2, 3), min_size=1, max_size=40))
+
+
+@given(st.one_of(_CHAINS, st.lists(st.floats(), min_size=1, max_size=40)))
+@example([1.0, 1.0 + 0.6 * _TOL, 1.0 + 1.2 * _TOL])
+@example([float("nan"), 1.0, 2.0])
+@example([-float("inf"), 1.0])
+@settings(max_examples=300, deadline=None)
+def test_winner_pick_matches_the_loop(totals):
+    assert platform._first_best(np.array(totals)) == ref_first_best(totals)
+
+
+def test_winner_pick_follows_the_chain():
+    # 1 + 1.2 tol beats 1 by more than tol; 1 + 0.6 tol never took over
+    assert platform._first_best(np.array([1.0, 1.0 + 0.6 * _TOL,
+                                          1.0 + 1.2 * _TOL])) == 2
 
 
 def cumulative_utility(sigma):
